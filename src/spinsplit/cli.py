@@ -58,6 +58,15 @@ def _parse_grid(text: str):
 
 def _build_config(args) -> RunConfig:
     if args.config:
+        for flag, key in (("grid", "[grid] ladder"),
+                          ("mass", "[reps] massive"),
+                          ("spin", "[reps] massive"),
+                          ("helicity", "[reps] massless")):
+            if getattr(args, flag) is not None:
+                raise ConfigError(
+                    f"--{flag} cannot be combined with --config; set "
+                    f"{key} in the config file instead"
+                )
         config = RunConfig.from_ini(args.config)
         if args.suite:
             config = RunConfig(

@@ -13,6 +13,9 @@ field X of momentum space):
                connection at m = 0)
 
 All are built from the exact generator actions of :mod:`spinsplit.reps`.
+Each covariant derivative takes one derivative pass (d_r, d_theta,
+d_phi) over its section and builds every J and K action it needs from
+that pass.
 For sphere-tangential directions every built-in connection also has a
 closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridError, MomentumGrid, Section
-from .reps import RepSpec, _act
+from .reps import RepSpec, _act, _act_J, _act_K, _derivatives
 from .scalars import eps
 
 __all__ = [
@@ -267,41 +270,42 @@ def lie_bracket(x: TangentField, y: TangentField,
 # -- covariant derivatives -------------------------------------------------------
 
 
-def _boost_values(rep: RepSpec, grid: MomentumGrid, xv: np.ndarray,
-                  v: np.ndarray) -> np.ndarray:
-    omega = grid.omega(rep.mass)[..., None]
-    xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
-    acc = np.zeros_like(v)
-    for a in range(3):
-        acc += xv[a][..., None] * _act(rep, grid, "K", a, v)
-    return (-1j / omega) * acc - xk / (2.0 * omega**2) * v
-
-
-def _rotation_values(rep: RepSpec, grid: MomentumGrid, xv: np.ndarray,
-                     v: np.ndarray, include_angular: bool = True
-                     ) -> np.ndarray:
+def _covariant_values(rep: RepSpec, grid: MomentumGrid, xv: np.ndarray,
+                      v: np.ndarray, f) -> np.ndarray:
+    """D_X v for the connection f*Boost + (1 - f)*Rotation, with boost
+    weight f = 1 (boost), 0 (rotation) or a radial profile (affine).  One
+    derivative pass over v serves every J and K action, and each K_a v
+    feeds both the boost sum X.K v and the radial sum khat.K v."""
+    der = _derivatives(grid, v)
     omega = grid.omega(rep.mass)[..., None]
     xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
     xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
-    acc = np.zeros_like(v)
-    if include_angular:
-        w = np.zeros((3,) + grid.shape)
-        for c in range(3):
-            for a in range(3):
-                for b in range(3):
-                    e = eps(c, a, b)
-                    if e:
-                        w[c] += e * xv[a] * grid.khat[b]
-        for c in range(3):
-            acc += (w[c] / grid.kmag)[..., None] * _act(rep, grid, "J", c, v)
+    boost = np.zeros_like(v)
+    rotation = np.zeros_like(v)
     if rep.kind == "massless":
-        radial = 1j * grid.kmag[..., None] * grid.d_r(v)
+        radial = 1j * grid.kmag[..., None] * der[0]
     else:
         radial = np.zeros_like(v)
+    for a in range(3):
+        k_a = _act_K(rep, grid, a, v, der)
+        boost += xv[a][..., None] * k_a
+        if rep.kind == "massive":
+            radial += grid.khat[a][..., None] * k_a
+        del k_a  # one K_a v alive at a time
+        w_a = np.zeros(grid.shape)  # (X x khat)_a
         for b in range(3):
-            radial += grid.khat[b][..., None] * _act(rep, grid, "K", b, v)
-    acc += xkhat / omega * radial
-    return -1j * acc - xk / (2.0 * omega**2) * v
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    w_a += e * xv[b] * grid.khat[c]
+        rotation += ((w_a / grid.kmag)[..., None]
+                     * _act_J(rep, grid, a, v, der))
+    rotation += xkhat / omega * radial
+    # drop the derivative pass before combining: it sets the peak memory
+    del der, radial
+    shift = xk / (2.0 * omega**2) * v
+    return (f * ((-1j / omega) * boost - shift)
+            + (1.0 - f) * (-1j * rotation - shift))
 
 
 def apply_connection(kind: ConnectionKind, x: TangentField,
@@ -309,16 +313,8 @@ def apply_connection(kind: ConnectionKind, x: TangentField,
     """Covariant derivative D_X psi for the given connection kind."""
     rep, grid = psi.rep, psi.grid
     xv = x.values(grid)
-    if kind.variant == "boost":
-        out = _boost_values(rep, grid, xv, psi.values)
-    elif kind.variant == "rotation":
-        out = _rotation_values(rep, grid, xv, psi.values)
-    else:
-        f = kind.weight(grid.r, rep.mass)[:, None, None, None] \
-            + np.zeros(grid.shape + (1,))
-        out = (f * _boost_values(rep, grid, xv, psi.values)
-               + (1.0 - f) * _rotation_values(rep, grid, xv, psi.values))
-    return Section(rep, grid, out)
+    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
+    return Section(rep, grid, _covariant_values(rep, grid, xv, psi.values, f))
 
 
 def leibniz_residual(kind: ConnectionKind, x: TangentField, f: np.ndarray,
@@ -425,12 +421,15 @@ def cross_commutator_check(psi: Section) -> dict:
     cot = ((np.cos(grid.theta) / np.sin(grid.theta))[None, :, None]
            + np.zeros(grid.shape))[..., None]
     jk = _act(rep, grid, "chi", None, psi.values)
+    der = _derivatives(grid, psi.values)
     kphi = np.zeros_like(psi.values)
     jtheta = np.zeros_like(psi.values)
     for a in range(3):
-        kphi += grid.e_phi[a][..., None] * _act(rep, grid, "K", a, psi.values)
+        kphi += (grid.e_phi[a][..., None]
+                 * _act_K(rep, grid, a, psi.values, der))
         jtheta += (grid.e_theta[a][..., None]
-                   * _act(rep, grid, "J", a, psi.values))
+                   * _act_J(rep, grid, a, psi.values, der))
+    del der  # not needed by the commutators below
     nrm = psi.norm()
 
     def comm(kind1, kind2):
@@ -439,14 +438,12 @@ def cross_commutator_check(psi: Section) -> dict:
                                       apply_connection(kind1, eth, psi))
 
     out = {}
-    for label, kinds, extra in (
-        ("boost-theta rotation-phi", (boost, rot),
-         kphi / (omega * rmag)),
-        ("rotation-theta boost-phi", (rot, boost),
-         jtheta / rmag**2),
+    for label, kinds, frame_op, scale in (
+        ("boost-theta rotation-phi", (boost, rot), kphi, omega * rmag),
+        ("rotation-theta boost-phi", (rot, boost), jtheta, rmag**2),
     ):
         lhs = comm(*kinds).values
-        rhs = 1j * jk / rmag**2 + 1j * cot * extra
+        rhs = 1j * jk / rmag**2 + 1j * cot * (frame_op / scale)
         out[label] = Section(rep, grid, lhs - rhs).norm() / nrm
     return out
 

@@ -366,7 +366,18 @@ def save_section(path, section: Section) -> None:
 
 
 def load_section(path, rep_factory) -> Section:
-    """Load a section; ``rep_factory(spec_dict)`` rebuilds the rep."""
+    """Load a section; ``rep_factory(spec_dict)`` rebuilds the rep.  A
+    malformed file raises :class:`GridError`."""
+    try:
+        return _read_section(path, rep_factory)
+    except GridError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError,
+            struct.error) as exc:
+        raise GridError(f"malformed section file {path}: {exc!r}") from exc
+
+
+def _read_section(path, rep_factory) -> Section:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _MAGIC:

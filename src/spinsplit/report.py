@@ -58,6 +58,7 @@ from .splitting import (
 
 __all__ = [
     "ConfigError",
+    "DEGENERACY_GAP_MIN",
     "RunConfig",
     "SUITES",
     "run_suites",
@@ -78,11 +79,15 @@ class ConfigError(ValueError):
 
 _DEFAULT_LADDER = ((4, 12, 24), (6, 24, 48), (8, 48, 96))
 
+# the massive spin-1 boost/rotation gap on sphere-tangential directions
+# must exceed this for the two connections to count as distinct
+DEGENERACY_GAP_MIN = 0.05
+
 _KNOWN_KEYS = {
     "run": {"suites", "seed", "json", "csv", "normalize"},
     "grid": {"ladder", "r_min", "r_max"},
     "reps": {"massive", "massless"},
-    "tolerances": None,  # free-form: per-suite overrides
+    "tolerances": None,  # suite names and _EXTRA_TOLS, checked by RunConfig
 }
 
 
@@ -132,6 +137,13 @@ class RunConfig:
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
+        tolerances = dict(tolerances or {})
+        unknown = sorted(set(tolerances) - set(SUITES) - set(_EXTRA_TOLS))
+        if unknown:
+            raise ConfigError(
+                f"unknown tolerance names {unknown}; known: "
+                f"{sorted(SUITES) + sorted(_EXTRA_TOLS)}"
+            )
         self.suites = suites
         self.seed = int(seed)
         self.ladder = ladder
@@ -139,7 +151,7 @@ class RunConfig:
         self.r_max = float(r_max)
         self.massive = [(float(m), int(s)) for m, s in massive]
         self.massless = [int(h) for h in massless]
-        self.tolerances = dict(tolerances or {})
+        self.tolerances = tolerances
         self.json_path = json_path
         self.csv_path = csv_path
         self.normalize = bool(normalize)
@@ -520,7 +532,7 @@ def _suite_degeneracy(config: RunConfig, records, rows):
                 "boost and rotation connections stay separated on "
                 "sphere-tangential directions for positive mass and "
                 "nonzero spin", worst, None)
-            rec["passed"] = bool(worst > 1e-2)
+            rec["passed"] = bool(worst > DEGENERACY_GAP_MIN)
             records.append(rec)
 
 
@@ -586,7 +598,7 @@ def _suite_chern(config: RunConfig, records, rows):
             f"chern-h{h:+d}",
             "the helicity-h subbundle has first Chern number -2h on "
             "every momentum shell",
-            abs(raw - expected), 0.05)
+            abs(raw - expected), config.tolerance("chern"))
         rec["integer"] = int(n)
         rec["expected"] = int(expected)
         rec["raw"] = _jsonable(raw)

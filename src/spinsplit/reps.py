@@ -163,23 +163,42 @@ class RepSpec:
 _SIGMA_BOOST = -1.0  # sign of the massive spin-boost term, fixed by tests
 
 
+def _derivatives(grid: MomentumGrid, v: np.ndarray, radial: bool = True):
+    """One derivative pass over v: (d_r v, d_theta v, d_phi v).  J needs
+    no radial derivative, so ``radial=False`` leaves d_r v as None."""
+    return (grid.d_r(v) if radial else None, grid.d_theta(v), grid.d_phi(v))
+
+
 def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
-           v: np.ndarray) -> np.ndarray:
+           v: np.ndarray, der=None) -> np.ndarray:
+    if der is None:
+        der = _derivatives(grid, v, radial=False)
+    _, dth, dph = der
     st = (np.sin(grid.theta)[None, :, None] + np.zeros(grid.shape))[..., None]
-    orb = -1j * (grid.e_phi[a][..., None] * grid.d_theta(v)
-                 - grid.e_theta[a][..., None] * grid.d_phi(v) / st)
+    orb = -1j * (grid.e_phi[a][..., None] * dth
+                 - grid.e_theta[a][..., None] * dph / st)
     return orb + np.einsum("bc,...c->...b", rep.spin_mats[a], v)
 
 
 def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
-           v: np.ndarray) -> np.ndarray:
+           v: np.ndarray, der=None) -> np.ndarray:
+    if der is None:
+        der = _derivatives(grid, v)
+    dr, dth, dph = der
     if rep.kind == "massive":
         # multiplication-ordered orbital part i*omega*d_a: self-adjoint
         # under the invariant measure d^3k/omega (the symmetrized variant
         # differs by the radial scalar i k_a/(2 omega) and is self-adjoint
         # under the plain measure instead)
         omega = grid.omega(rep.mass)[..., None]
-        out = 1j * omega * grid.gradient(v)[a]
+        r3 = grid.kmag[..., None]
+        st = (np.sin(grid.theta)[None, :, None]
+              + np.zeros(grid.shape))[..., None]
+        # component a of the Cartesian gradient, accumulated in place
+        out = grid.e_k[a][..., None] * dr
+        out += grid.e_theta[a][..., None] * (dth / r3)
+        out += grid.e_phi[a][..., None] * (dph / (r3 * st))
+        out = 1j * omega * out
         ks = (grid.kx, grid.ky, grid.kz)
         for b in range(3):
             for c in range(3):
@@ -191,47 +210,54 @@ def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
                         * np.einsum("bc,...c->...b", rep.spin_mats[b], v)
                     )
         return out
-    radial = 1j * grid.kmag[..., None] * grid.d_r(v)
+    radial = 1j * grid.kmag[..., None] * dr
     out = grid.khat[a][..., None] * radial
     for b in range(3):
         for c in range(3):
             e = eps(a, b, c)
             if e:
-                out += e * grid.khat[b][..., None] * _act_J(rep, grid, c, v)
+                out += (e * grid.khat[b][..., None]
+                        * _act_J(rep, grid, c, v, der))
     return out
 
 
 def _act(rep: RepSpec, grid: MomentumGrid, tag: str, axis: int | None,
-         v: np.ndarray) -> np.ndarray:
+         v: np.ndarray, der=None) -> np.ndarray:
+    """Generator ``tag`` (axis ``axis``) on v; ``der`` is an optional
+    precomputed derivative pass over v, shared by the J and K actions."""
     if tag == "H":
         return grid.omega(rep.mass)[..., None] * v
     if tag == "P":
         k = (grid.kx, grid.ky, grid.kz)[axis]
         return k[..., None] * v
     if tag == "J":
-        return _act_J(rep, grid, axis, v)
+        return _act_J(rep, grid, axis, v, der)
     if tag == "K":
-        return _act_K(rep, grid, axis, v)
+        return _act_K(rep, grid, axis, v, der)
     if tag == "chi":
         return np.einsum("...bc,...c->...b", rep.chi_field(grid), v)
     if tag == "Jpar":
         chi_v = _act(rep, grid, "chi", None, v)
         return grid.khat[axis][..., None] * chi_v
     if tag == "Jperp":
-        return (_act_J(rep, grid, axis, v)
+        return (_act_J(rep, grid, axis, v, der)
                 - _act(rep, grid, "Jpar", axis, v))
     if tag == "Kpar":
+        if der is None:
+            der = _derivatives(grid, v)
         if rep.kind == "massless":
-            radial = 1j * grid.kmag[..., None] * grid.d_r(v)
+            radial = 1j * grid.kmag[..., None] * der[0]
         else:
             radial = sum(
-                grid.khat[b][..., None] * _act_K(rep, grid, b, v)
+                grid.khat[b][..., None] * _act_K(rep, grid, b, v, der)
                 for b in range(3)
             )
         return grid.khat[axis][..., None] * radial
     if tag == "Kperp":
-        return (_act_K(rep, grid, axis, v)
-                - _act(rep, grid, "Kpar", axis, v))
+        if der is None:
+            der = _derivatives(grid, v)
+        return (_act_K(rep, grid, axis, v, der)
+                - _act(rep, grid, "Kpar", axis, v, der))
     raise RepError(f"unknown generator tag {tag!r}")
 
 
@@ -309,14 +335,6 @@ def relation_ids():
     return _RELATIONS
 
 
-def _bracket(rep, grid, t1, a1, t2, a2, v):
-    x = _act(rep, grid, t2, a2, v)
-    x = _act(rep, grid, t1, a1, x)
-    y = _act(rep, grid, t1, a1, v)
-    y = _act(rep, grid, t2, a2, y)
-    return x - y
-
-
 def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
                      psi: Section) -> float:
     """max over index pairs of ||(LHS - RHS) psi|| / ||psi|| for the named
@@ -333,37 +351,55 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
     def norm_of(values):
         return Section(rep, grid, values).norm()
 
+    def one_pass(w, tags):
+        # the derivative pass that the generators in ``tags`` need on w,
+        # shared by every axis acting on w
+        if not {"J", "K"} & set(tags):
+            return None
+        return _derivatives(grid, w, radial="K" in tags)
+
+    def act(tag, axis, w, der=None):
+        return _act(rep, grid, tag, axis, w, der)
+
     worst = 0.0
     t1, t2 = relation_id[0], relation_id[1]
     vec = {"J", "K", "P"}
     axes1 = range(3) if t1 in vec else (None,)
     axes2 = range(3) if t2 in vec else (None,)
+    # one pass over v serves t1, t2 and every right-hand-side target (a
+    # J target appears only beside K, whose pass covers it)
+    v_der = one_pass(v, relation_id)
     for a in axes1:
-        for b in axes2:
-            if relation_id in ("JJ", "KK", "PP") and b <= a:
-                continue
-            lhs = _bracket(rep, grid, t1, a, t2, b, v)
+        partners = [b for b in axes2
+                    if relation_id not in ("JJ", "KK", "PP") or b > a]
+        if not partners:
+            continue
+        u = act(t1, a, v, v_der)
+        u_der = one_pass(u, t2)
+        for b in partners:
+            w = act(t2, b, v, v_der)
+            lhs = act(t1, a, w, one_pass(w, t1)) - act(t2, b, u, u_der)
             if relation_id in ("JJ", "JK"):
                 target = ("J", "K")[relation_id == "JK"]
                 for c in range(3):
                     e = eps(a, b, c)
                     if e:
-                        lhs = lhs - 1j * e * _act(rep, grid, target, c, v)
+                        lhs = lhs - 1j * e * act(target, c, v, v_der)
             elif relation_id == "KK":
                 for c in range(3):
                     e = eps(a, b, c)
                     if e:
-                        lhs = lhs + 1j * e * _act(rep, grid, "J", c, v)
+                        lhs = lhs + 1j * e * act("J", c, v, v_der)
             elif relation_id == "JP":
                 for c in range(3):
                     e = eps(a, b, c)
                     if e:
-                        lhs = lhs - 1j * e * _act(rep, grid, "P", c, v)
+                        lhs = lhs - 1j * e * act("P", c, v)
             elif relation_id == "KP":
                 if a == b:
-                    lhs = lhs - 1j * _act(rep, grid, "H", None, v)
+                    lhs = lhs - 1j * act("H", None, v)
             elif relation_id == "KH":
-                lhs = lhs - 1j * _act(rep, grid, "P", a, v)
+                lhs = lhs - 1j * act("P", a, v)
             # JH, PP, PH, HH: RHS = 0
             worst = max(worst, norm_of(lhs) / nrm)
     return worst

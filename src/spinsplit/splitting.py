@@ -39,7 +39,7 @@ from .connections import (
     lie_bracket,
 )
 from .grid import MomentumGrid, Section
-from .reps import RepSpec, _act, inner
+from .reps import RepSpec, _act, _derivatives, inner
 from .scalars import eps
 
 __all__ = [
@@ -144,15 +144,16 @@ def vector_op_residual(ops: SplitOperators, psi: Section,
     for X = L or S."""
     act = _component(ops, which)
     nrm = psi.norm()
+    x_psi = [act(c, psi) for c in range(3)]
+    j_psi = [ops.J(b, psi) for b in range(3)]
     worst = 0.0
     for a in range(3):
-        xa = act(a, psi)
         for b in range(3):
-            out = act(a, ops.J(b, psi)) - ops.J(b, xa)
+            out = act(a, j_psi[b]) - ops.J(b, x_psi[a])
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
-                    out = out - act(c, psi) * (1j * e)
+                    out = out - x_psi[c] * (1j * e)
             worst = max(worst, out.norm() / nrm)
     return worst
 
@@ -189,14 +190,15 @@ def so3_residual(ops: SplitOperators, psi: Section,
     """max over (a,b) of ||([X_a, X_b] - i eps_abc X_c) psi|| / ||psi||."""
     act = _component(ops, which)
     nrm = psi.norm()
+    x_psi = [act(c, psi) for c in range(3)]
     worst = 0.0
     for a in range(3):
         for b in range(a + 1, 3):
-            out = act(a, act(b, psi)) - act(b, act(a, psi))
+            out = act(a, x_psi[b]) - act(b, x_psi[a])
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
-                    out = out - act(c, psi) * (1j * e)
+                    out = out - x_psi[c] * (1j * e)
             worst = max(worst, out.norm() / nrm)
     return worst
 
@@ -207,14 +209,15 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     the so(3) failure of L equals minus the curvature evaluated on the
     rotational fields, for every connection."""
     nrm = psi.norm()
+    l_psi = [ops.L(c, psi) for c in range(3)]
     worst = 0.0
     for a in range(3):
         for b in range(a + 1, 3):
-            out = ops.L(a, ops.L(b, psi)) - ops.L(b, ops.L(a, psi))
+            out = ops.L(a, l_psi[b]) - ops.L(b, l_psi[a])
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
-                    out = out - ops.L(c, psi) * (1j * e)
+                    out = out - l_psi[c] * (1j * e)
             out = out + curvature_commutator(ops.kind, ops.field(a),
                                              ops.field(b), psi)
             worst = max(worst, out.norm() / nrm)
@@ -288,8 +291,9 @@ class NWOperator:
         omega = grid.omega(m)[..., None]
         ks = (grid.kx, grid.ky, grid.kz)
         kv = psi.values
-        jpsi = [_act(rep, grid, "J", c, kv) for c in range(3)]
-        kpsi = [_act(rep, grid, "K", c, kv) for c in range(3)]
+        der = _derivatives(grid, kv)
+        jpsi = [_act(rep, grid, "J", c, kv, der) for c in range(3)]
+        kpsi = [_act(rep, grid, "K", c, kv, der) for c in range(3)]
         # w_c = (H J + k x K)_c
         w = []
         for c in range(3):

@@ -32,6 +32,7 @@ from spinsplit.connections import (
 from spinsplit.grid import Section, make_grid
 from spinsplit.identities import TEXT_CATALOG, identity_suite
 from spinsplit.lang import LangError, format_expr, lower, parse
+from spinsplit.report import DEGENERACY_GAP_MIN
 from spinsplit.reps import (
     RepSpec,
     _act,
@@ -265,12 +266,13 @@ def test_criterion_07_degeneracy_structure():
             gap = min(gap, d)
         gaps.append(gap)
     stable = abs(gaps[1] - gaps[0]) / gaps[1] < 0.5
-    ok = worst_massless <= tol and min(gaps) > 0.05 and stable
+    ok = worst_massless <= tol and min(gaps) > DEGENERACY_GAP_MIN and stable
     _criterion(7, "boost-rotation-degeneracy",
                ok, f"massless connections coincide to "
                    f"{worst_massless:.1e} over 10 random fields x 3 "
                    f"helicities (tol {tol}); massive spin-1 transverse "
-                   f"gap {gaps[-1]:.3f} > 0.05, stable under refinement",
+                   f"gap {gaps[-1]:.3f} > {DEGENERACY_GAP_MIN}, stable "
+                   f"under refinement",
                t0)
 
 

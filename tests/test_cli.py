@@ -10,6 +10,7 @@ from spinsplit.report import (
     CSV_COLUMNS,
     ConfigError,
     RunConfig,
+    SUITES,
     convergence_csv,
     report_json,
     run_suites,
@@ -64,6 +65,27 @@ def test_tolerance_resolution_and_override():
     c = RunConfig(suites=["symbolic"], tolerances={"algebra": 5e-4})
     assert c.tolerance("algebra") == 5e-4
     assert c.tolerance("nw_gradient") == 1e-4  # registry default
+
+
+def test_unknown_tolerance_name_rejected():
+    with pytest.raises(ConfigError, match="algebr"):
+        RunConfig(suites=["symbolic"], tolerances={"algebr": 1e9})
+
+
+def test_every_known_tolerance_name_accepted():
+    names = list(SUITES) + ["nw_gradient", "nw_hermitian", "holonomy_flat"]
+    c = RunConfig(suites=["symbolic"],
+                  tolerances={name: 0.25 for name in names})
+    assert all(c.tolerance(name) == 0.25 for name in names)
+
+
+def test_chern_suite_reads_its_tolerance():
+    c = RunConfig(suites=["chern"], massive=[], massless=[1],
+                  tolerances={"chern": 0.25}, normalize=True)
+    (rec,) = run_suites(c)["records"]
+    assert rec["tolerance"] == 0.25
+    default = RunConfig(suites=["chern"], massive=[], massless=[1])
+    assert default.tolerance("chern") == 0.05
 
 
 def test_grid_for_uses_adapted_radial_map():
@@ -122,6 +144,15 @@ def test_ini_unknown_key(tmp_path):
     path = _write(tmp_path, "[run]\nsuites = symbolic\nspeed = 9\n")
     with pytest.raises(ConfigError):
         RunConfig.from_ini(path)
+
+
+def test_ini_unknown_tolerance_name(tmp_path, capsys):
+    path = _write(tmp_path,
+                  "[run]\nsuites = symbolic\n[tolerances]\nalgebr = 1e9\n")
+    with pytest.raises(ConfigError, match="algebr"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "algebr" in capsys.readouterr().err
 
 
 def test_ini_bad_ladder_syntax(tmp_path):
@@ -241,6 +272,17 @@ def test_run_with_grid_and_rep_restriction(tmp_path, capsys):
     assert data["config"]["massless"] == [1]
     assert data["config"]["ladder"] == [[4, 24, 48], [8, 48, 96]]
     assert (tmp_path / "r.csv").read_text().startswith("suite,")
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--grid", "8,48,96"), ("--mass", "1.3"), ("--spin", "1"),
+    ("--helicity", "1"),
+])
+def test_run_config_rejects_rep_and_grid_flags(tmp_path, capsys, flag,
+                                               value):
+    path = _write(tmp_path, "[run]\nsuites = symbolic\n")
+    assert main(["run", "--config", path, flag, value]) == EXIT_ERROR
+    assert flag in capsys.readouterr().err
 
 
 def test_convergence_requires_ladder_suite(capsys):

@@ -1,6 +1,9 @@
 """Momentum-shell grid: differentiation accuracy, quadrature,
 sections, and bit-exact serialization."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -175,5 +178,47 @@ def test_load_detects_corruption(tmp_path):
     blob = bytearray(path.read_bytes())
     blob[-5] ^= 0xFF  # flip one byte in the body
     path.write_bytes(bytes(blob))
+    with pytest.raises(GridError):
+        load_section(path, RepSpec.from_spec)
+
+
+def _header_file(tmp_path, header_bytes, body=b""):
+    path = tmp_path / "bad.sect"
+    path.write_bytes(b"SPSECT01" + struct.pack("<I", len(header_bytes))
+                     + header_bytes + body)
+    return path
+
+
+@pytest.mark.parametrize("blob", [
+    b"SPSECT01",                    # no header length
+    b"SPSECT01\x10\x00",            # header length cut short
+], ids=["no-length", "short-length"])
+def test_load_rejects_truncated_file(tmp_path, blob):
+    path = tmp_path / "short.sect"
+    path.write_bytes(blob)
+    with pytest.raises(GridError):
+        load_section(path, RepSpec.from_spec)
+
+
+@pytest.mark.parametrize("header", [
+    b"{not json",
+    b"\xff\xfe{}",
+    b"[1, 2]",
+], ids=["not-json", "not-utf8", "not-an-object"])
+def test_load_rejects_unreadable_header(tmp_path, header):
+    with pytest.raises(GridError):
+        load_section(_header_file(tmp_path, header), RepSpec.from_spec)
+
+
+@pytest.mark.parametrize("missing", ["sha256", "grid", "rep", "shape"])
+def test_load_rejects_missing_header_key(tmp_path, missing):
+    rep = RepSpec.massless(1)
+    g = make_grid(4, 12, 24, 1.0, 2.0)
+    good = tmp_path / "psi.sect"
+    save_section(good, random_test_section(rep, g, seed=7))
+    header = json.loads((tmp_path / "psi.sect.json").read_text())
+    body = good.read_bytes()[-(g.node_count * rep.dim * 16):]
+    del header[missing]
+    path = _header_file(tmp_path, json.dumps(header).encode(), body)
     with pytest.raises(GridError):
         load_section(path, RepSpec.from_spec)
