@@ -255,15 +255,14 @@ class OperatorExpr:
         return other * self
 
     def __truediv__(self, other):
-        """Division by a scalar-valued expression (right multiplication by
-        its inverse; the inverse is central only up to derivation terms, so
-        this is defined as multiplication by the inverse coefficient on the
-        right, matching 'e / c' for commuting scalars)."""
+        """Division by a scalar-valued expression: multiplication by its
+        inverse on the left, ``q / s == Pow(s,-1) * q`` as in the operator
+        language (the inverse is central only up to derivation terms)."""
         if isinstance(other, (int, sp.Expr)):
             other = self.ring.from_expr(other)
         if isinstance(other, Scalar):
             inv = other.inverse()
-            return self * OperatorExpr.from_scalar(inv)
+            return OperatorExpr.from_scalar(inv) * self
         if isinstance(other, OperatorExpr):
             if not other.is_scalar_valued():
                 raise CoefficientError("division by operator-valued expression")

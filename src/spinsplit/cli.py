@@ -7,8 +7,9 @@ Subcommands:
 * ``eval``         — parse an operator expression, print its normal
                      form (``--check-zero`` for a pass/fail line).
 * ``convergence``  — like ``run`` but prints the CSV ladder table.
-* ``chern``        — lattice Chern number of one massless helicity.
-* ``holonomy``     — loop transport for the boost and flat connections.
+* ``chern``        — ``run`` of the ``chern`` suite (lattice Chern numbers).
+* ``holonomy``     — ``run`` of the ``holonomy`` suite (loop transport for
+                     the boost and flat connections).
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 configuration/usage/expression error.
@@ -17,19 +18,10 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .connections import (
-    ConnectionKind,
-    ConnectionLabError,
-    HolonomyLoop,
-    chern_number,
-    holonomy,
-)
+from .connections import ConnectionLabError
 from .algebra import VectorExpr
 from .grid import GridError
 from .lang import LangError, format_expr, lower, parse
@@ -41,7 +33,7 @@ from .report import (
     report_json,
     run_suites,
 )
-from .reps import RepError, RepSpec
+from .reps import RepError
 from .scalars import Ring
 
 EXIT_OK = 0
@@ -79,7 +71,10 @@ def _build_config(args) -> RunConfig:
         kwargs = {"suites": args.suite or list(SUITES)}
         if args.grid:
             rung = _parse_grid(args.grid)
-            kwargs["ladder"] = [tuple(max(4, n // 2) for n in rung), rung]
+            kwargs["ladder"] = [rung]
+            if any(SUITES[s]["ladder"] for s in kwargs["suites"]):
+                kwargs["ladder"].insert(0, tuple(max(4, n // 2)
+                                                 for n in rung))
         if args.mass is not None or args.spin is not None:
             mass = args.mass if args.mass is not None else 1.3
             spin = args.spin if args.spin is not None else 1
@@ -154,59 +149,6 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_chern(args) -> int:
-    h = args.helicity if args.helicity is not None else 1
-    rep = RepSpec.massless(h)
-    nt, npp = 48, 96
-    if args.grid:
-        _, nt, npp = _parse_grid(args.grid)
-    result = {}
-    for name, kind in (("boost", ConnectionKind.boost()),
-                       ("rotation", ConnectionKind.rotation())):
-        n, raw = chern_number(rep, kind, n_theta=nt, n_phi=npp)
-        result[name] = {"integer": n, "raw": raw}
-    expected = -2 * h
-    ok = all(v["integer"] == expected for v in result.values())
-    out = {"helicity": h, "expected": expected, "results": result,
-           "passed": ok}
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _cmd_holonomy(args) -> int:
-    mass = args.mass if args.mass is not None else 1.3
-    spin = args.spin if args.spin is not None else 1
-    rep = RepSpec.massive(mass, spin)
-    r0 = 1.5
-    out = {"mass": mass, "spin": spin, "radius": r0, "loops": []}
-    ok = True
-    for a_target in (0.01, 0.05):
-        th1 = np.pi / 2 - 0.2
-        dphi = float(np.sqrt(a_target))
-        th2 = float(np.arccos(np.cos(th1) - a_target / dphi))
-        loop = HolonomyLoop(r0, th1, th2, 0.3, 0.3 + dphi)
-        area = loop.solid_angle()
-        u = holonomy(rep, ConnectionKind.boost(), loop, n_steps=96)
-        tr = float(np.real(np.trace(u)))
-        meas = float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
-        pred = area * r0**2 / (mass**2 + r0**2)
-        uf = holonomy(rep, ConnectionKind.flat_massive(), loop,
-                      n_steps=96)
-        flat_defect = float(np.linalg.norm(uf - np.eye(rep.dim)))
-        rel = abs(meas - pred) / pred
-        ok = ok and rel <= 1e-2 and flat_defect <= 1e-8
-        out["loops"].append({
-            "solid_angle": area,
-            "boost_angle_measured": meas,
-            "boost_angle_predicted": pred,
-            "relative_error": rel,
-            "flat_defect": flat_defect,
-        })
-    out["passed"] = ok
-    print(json.dumps(out, indent=2, sort_keys=True))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
 def _add_common(sub):
     sub.add_argument("--config", help="INI config file path")
     sub.add_argument("--suite", nargs="+", choices=sorted(SUITES),
@@ -251,16 +193,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report pass/fail on identical vanishing")
     p_eval.set_defaults(fn=_cmd_eval)
 
-    p_chern = subs.add_parser("chern", help="lattice Chern number")
-    p_chern.add_argument("--helicity", type=int, choices=(-1, 0, 1))
-    p_chern.add_argument("--grid", help="resolution NR,NT,NP "
-                                        "(NR ignored)")
-    p_chern.set_defaults(fn=_cmd_chern)
+    # suite presets of ``run``; the run options they do not offer keep
+    # their defaults
+    preset = {"fn": _cmd_run, "config": None, "mass": None, "spin": None,
+              "helicity": None, "grid": None, "seed": None, "json": None,
+              "csv": None, "normalize": False}
+    p_chern = subs.add_parser("chern", help="run the chern suite")
+    p_chern.add_argument("--helicity", type=int, choices=(-1, 0, 1),
+                         help="massless rep helicity")
+    p_chern.add_argument("--grid", help="reference resolution NR,NT,NP; "
+                                        "the Chern mesh is NT x NP")
+    p_chern.set_defaults(**preset, suite=["chern"])
 
-    p_hol = subs.add_parser("holonomy", help="loop transport check")
-    p_hol.add_argument("--mass", type=float)
-    p_hol.add_argument("--spin", type=int, choices=(0, 1))
-    p_hol.set_defaults(fn=_cmd_holonomy)
+    p_hol = subs.add_parser("holonomy", help="run the holonomy suite")
+    p_hol.add_argument("--mass", type=float, help="massive rep mass")
+    p_hol.add_argument("--spin", type=int, choices=(0, 1),
+                       help="massive rep spin")
+    p_hol.set_defaults(**preset, suite=["holonomy"])
     return parser
 
 

@@ -22,9 +22,12 @@ closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
   A_boost(X)    = -i |k| ((X x khat).S) / (H(H+m))
   A_rotation(X) = -(i/|k|) (X x khat).S
 
-(massless: both reduce to the rotation form); parallel transport along
-shell loops integrates these forms directly, off-grid, with a classic
-4th-order integrator.
+(massless: both reduce to the rotation form).  ``_form_matrix`` is the
+one implementation of this form, vectorized over any batch of points, and
+``_transport`` the one classic 4th-order integrator of U' = -A U.  Parallel
+transport integrates the form directly, off-grid: ``holonomy`` transports
+the four legs of a shell loop as one batch, and the lattice Chern number
+and the parallel fiber frame transport batches of mesh edges.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridError, MomentumGrid, Section
+from .grid import MomentumGrid, Section
 from .reps import RepSpec, _act, _act_J, _act_K, _derivatives
 from .scalars import eps
 
@@ -42,7 +45,6 @@ __all__ = [
     "ConnectionKind",
     "TangentField",
     "register_profile",
-    "sampled_profile",
     "profile_names",
     "apply_connection",
     "leibniz_residual",
@@ -77,7 +79,6 @@ def profile_names():
 
 
 register_profile("flat", lambda r, m: np.sqrt(m**2 + r**2) / m)
-register_profile("flat-negative", lambda r, m: -np.sqrt(m**2 + r**2) / m)
 register_profile("zero", lambda r, m: np.zeros_like(r))
 register_profile("one", lambda r, m: np.ones_like(r))
 
@@ -89,21 +90,6 @@ def constant_profile(value: float):
 def lambda_flat_profile(lam: float):
     """f = lambda * H/m; lambda = 1 is the flat weight."""
     return lambda r, m: lam * np.sqrt(m**2 + r**2) / m
-
-
-def sampled_profile(r_table, f_table):
-    """Monotone-cubic interpolation of a sampled radial table."""
-    from scipy.interpolate import PchipInterpolator
-    r_table = np.asarray(r_table, dtype=float)
-    f_table = np.asarray(f_table, dtype=float)
-    if r_table.ndim != 1 or r_table.shape != f_table.shape or \
-            len(r_table) < 2 or np.any(np.diff(r_table) <= 0):
-        raise ConnectionLabError(
-            "sampled profile needs strictly increasing r values and "
-            "matching f values"
-        )
-    interp = PchipInterpolator(r_table, f_table)
-    return lambda r, m: interp(r)
 
 
 class ConnectionKind:
@@ -353,29 +339,35 @@ class CurvatureSample:
     method: str          # "commutator" | "holonomy"
 
 
-def curvature_sample_commutator(rep: RepSpec, grid: MomentumGrid,
-                                kind: ConnectionKind, x: TangentField,
-                                y: TangentField, node: tuple
-                                ) -> CurvatureSample:
-    """Estimate the fiber endomorphism F(X, Y) at grid node (ir, it, ip)
-    by applying the commutator curvature to one smooth section per fiber
-    basis vector and reading off the node values (curvature is pointwise
-    in the section, so the scalar profile divides out)."""
+def _probe_fiber(rep: RepSpec, grid: MomentumGrid, node: tuple, op,
+                 error=ConnectionLabError) -> np.ndarray:
+    """The (d, d) fiber endomorphism of the pointwise operator ``op`` at
+    grid node (ir, it, ip), read off by applying it to one smooth section
+    per fiber basis vector (the scalar bump profile divides out)."""
     ir, it, ip = node
     g = ((grid.kmag - grid.r_min) * (grid.r_max - grid.kmag)
          * (1.0 - (grid.kz / grid.kmag) ** 2))
     g0 = g[ir, it, ip]
     if abs(g0) < 1e-12:
-        raise ConnectionLabError(
-            "sample node too close to a shell boundary or pole"
-        )
+        raise error("sample node too close to a shell boundary or pole")
     d = rep.dim
     est = np.zeros((d, d), dtype=np.complex128)
     for j in range(d):
         vals = np.zeros(grid.shape + (d,), dtype=np.complex128)
         vals[..., j] = g
-        f = curvature_commutator(kind, x, y, Section(rep, grid, vals))
-        est[:, j] = f.values[ir, it, ip] / g0
+        est[:, j] = op(Section(rep, grid, vals)).values[ir, it, ip] / g0
+    return est
+
+
+def curvature_sample_commutator(rep: RepSpec, grid: MomentumGrid,
+                                kind: ConnectionKind, x: TangentField,
+                                y: TangentField, node: tuple
+                                ) -> CurvatureSample:
+    """Estimate the fiber endomorphism F(X, Y) at grid node (ir, it, ip)
+    from the commutator curvature, which is pointwise in the section."""
+    est = _probe_fiber(rep, grid, node,
+                       lambda sec: curvature_commutator(kind, x, y, sec))
+    ir, it, ip = node
     pos = (float(grid.r[ir]), float(grid.theta[it]), float(grid.phi[ip]))
     return CurvatureSample(pos, (x.name, y.name), est, "commutator")
 
@@ -448,30 +440,84 @@ def cross_commutator_check(psi: Section) -> dict:
     return out
 
 
-# -- pointwise connection forms and holonomy -------------------------------------
+# -- pointwise connection form, transport and holonomy ---------------------------
 
 
-def _form_matrix(rep: RepSpec, kind: ConnectionKind, k: np.ndarray,
-                 xdot: np.ndarray) -> np.ndarray:
-    """Local connection form A(X) at an off-grid point k for a
-    sphere-tangential direction xdot; shape (d, d)."""
-    r = float(np.linalg.norm(k))
-    khat = k / r
-    if abs(float(np.dot(xdot, khat))) > 1e-9 * np.linalg.norm(xdot):
-        raise ConnectionLabError(
-            "closed connection form implemented for sphere-tangential "
-            "directions only"
-        )
-    cross = np.cross(xdot, khat)
-    s_dot = np.einsum("a,abc->bc", cross, rep.spin_mats)
+def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
+                 khat: np.ndarray, vel: np.ndarray) -> np.ndarray:
+    """Local connection form A(vel) on the shell of radius r0 at the unit
+    directions khat for sphere-tangential velocities vel; khat and vel have
+    shape (3, ...), the result (..., d, d)."""
+    cross = np.cross(vel, khat, axis=0)
+    s_dot = np.einsum("a...,abc->...bc", cross, rep.spin_mats)
     if rep.kind == "massless":
-        return (-1j / r) * s_dot
-    m = rep.mass
-    omega = np.sqrt(m**2 + r**2)
-    a_boost = (-1j * r / (omega * (omega + m))) * s_dot
-    a_rot = (-1j / r) * s_dot
-    f = float(kind.weight(np.array([r]), m)[0])
-    return f * a_boost + (1.0 - f) * a_rot
+        coef = -1j / r0
+    else:
+        m = rep.mass
+        omega = np.sqrt(m**2 + r0**2)
+        f = float(kind.weight(np.array([r0]), m)[0])
+        coef = (f * (-1j * r0 / (omega * (omega + m)))
+                + (1.0 - f) * (-1j / r0))
+    return coef * s_dot
+
+
+def _require_count(value, minimum: int, what: str, error=ConnectionLabError):
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise error(f"{what} must be an integer >= {minimum}; got {value!r}")
+
+
+def _transport(a_of, u: np.ndarray, n_steps: int) -> np.ndarray:
+    """Classic 4th-order integration of U' = -A(t) U over t in [0, 1];
+    ``a_of(t)`` returns the stacked forms (..., d, d)."""
+    _require_count(n_steps, 1, "n_steps")
+    h = 1.0 / n_steps
+    for i in range(n_steps):
+        t = i * h
+        a_mid = a_of(t + h / 2)
+        k1 = -a_of(t) @ u
+        k2 = -a_mid @ (u + h / 2 * k1)
+        k3 = -a_mid @ (u + h / 2 * k2)
+        k4 = -a_of(t + h) @ (u + h * k3)
+        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return u
+
+
+def _sphere_frame(theta, phi):
+    e_th = np.stack([np.cos(theta) * np.cos(phi),
+                     np.cos(theta) * np.sin(phi),
+                     -np.sin(theta)])
+    e_ph = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    return e_th, e_ph
+
+
+def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
+                          perturbation=None):
+    """Vectorized transport along geodesic-in-coordinates edges from
+    (th_a, ph_a) to (th_b, ph_b); returns stacked (..., d, d) matrices.
+    ``perturbation(theta, phi, velocity) -> (..., d, d)`` is added to the
+    connection form."""
+    th_a, ph_a = np.broadcast_arrays(th_a, ph_a)
+    th_b, ph_b = np.broadcast_arrays(th_b, ph_b)
+    d = rep.dim
+    u = np.broadcast_to(np.eye(d, dtype=np.complex128),
+                        th_a.shape + (d, d)).copy()
+    dth = th_b - th_a
+    dph = ph_b - ph_a
+
+    def a_of(t):
+        th = th_a + dth * t
+        ph = ph_a + dph * t
+        e_th, e_ph = _sphere_frame(th, ph)
+        khat = np.stack([np.sin(th) * np.cos(ph),
+                         np.sin(th) * np.sin(ph), np.cos(th)])
+        vel = r0 * (dth * e_th + np.sin(th) * dph * e_ph)
+        out = _form_matrix(rep, kind, r0, khat, vel)
+        if perturbation is not None:
+            out = out + perturbation(th, ph, vel)
+        return out
+
+    return _transport(a_of, u, n_steps)
 
 
 class HolonomyLoop:
@@ -482,6 +528,8 @@ class HolonomyLoop:
     __slots__ = ("r0", "theta1", "theta2", "phi1", "phi2")
 
     def __init__(self, r0, theta1, theta2, phi1, phi2):
+        if not r0 > 0:
+            raise ConnectionLabError("need r0 > 0")
         if not (0.0 < theta1 <= theta2 < np.pi):
             raise ConnectionLabError("need 0 < theta1 <= theta2 < pi")
         if phi2 < phi1:
@@ -497,123 +545,30 @@ class HolonomyLoop:
         return ((np.cos(self.theta1) - np.cos(self.theta2))
                 * (self.phi2 - self.phi1))
 
-    def legs(self):
-        """Four parametrized legs (point(t), velocity(t)) for t in [0,1]."""
-        r0 = self.r0
-        th1, th2, ph1, ph2 = self.theta1, self.theta2, self.phi1, self.phi2
-
-        def kpt(th, ph):
-            return r0 * np.array([np.sin(th) * np.cos(ph),
-                                  np.sin(th) * np.sin(ph),
-                                  np.cos(th)])
-
-        def e_th(th, ph):
-            return np.array([np.cos(th) * np.cos(ph),
-                             np.cos(th) * np.sin(ph), -np.sin(th)])
-
-        def e_ph(th, ph):
-            return np.array([-np.sin(ph), np.cos(ph), 0.0])
-
-        dth, dph = th2 - th1, ph2 - ph1
-        return [
-            (lambda t: kpt(th1 + dth * t, ph1),
-             lambda t: r0 * dth * e_th(th1 + dth * t, ph1)),
-            (lambda t: kpt(th2, ph1 + dph * t),
-             lambda t: r0 * np.sin(th2) * dph * e_ph(th2, ph1 + dph * t)),
-            (lambda t: kpt(th2 - dth * t, ph2),
-             lambda t: -r0 * dth * e_th(th2 - dth * t, ph2)),
-            (lambda t: kpt(th1, ph2 - dph * t),
-             lambda t: -r0 * np.sin(th1) * dph * e_ph(th1, ph2 - dph * t)),
-        ]
-
-
-def _transport(rep, kind, point_fn, vel_fn, n_steps, u0):
-    """4th-order integration of U' = -A(x(t), x'(t)) U over t in [0,1]."""
-    u = u0
-    h = 1.0 / n_steps
-    for i in range(n_steps):
-        t = i * h
-
-        def rhs(tt, uu):
-            return -_form_matrix(rep, kind, point_fn(tt), vel_fn(tt)) @ uu
-
-        k1 = rhs(t, u)
-        k2 = rhs(t + h / 2, u + h / 2 * k1)
-        k3 = rhs(t + h / 2, u + h / 2 * k2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # re-unitarize: keep the transport drift-free
-        w, _, vt = np.linalg.svd(u)
-        u = w @ vt
-    return u
-
 
 def holonomy(rep: RepSpec, kind: ConnectionKind, loop: HolonomyLoop,
              n_steps: int = 64) -> np.ndarray:
-    """End-to-start fiber map of parallel transport around the loop."""
-    u = np.eye(rep.dim, dtype=np.complex128)
-    for point_fn, vel_fn in loop.legs():
-        u = _transport(rep, kind, point_fn, vel_fn, n_steps, u)
-    return u
+    """End-to-start fiber map of parallel transport around the loop.  The
+    four legs are transported in one batch from the identity; RK4 is linear
+    in U, so their product is the same discrete transport."""
+    th1, th2, ph1, ph2 = loop.theta1, loop.theta2, loop.phi1, loop.phi2
+    legs = _edge_transport_batch(
+        rep, kind, loop.r0,
+        np.array([th1, th2, th2, th1]), np.array([ph1, ph1, ph2, ph2]),
+        np.array([th2, th2, th1, th1]), np.array([ph1, ph2, ph2, ph1]),
+        n_steps=n_steps)
+    return legs[3] @ legs[2] @ legs[1] @ legs[0]
 
 
 # -- lattice Chern number ---------------------------------------------------------
 
 
-def _sphere_frame(theta, phi):
-    e_th = np.stack([np.cos(theta) * np.cos(phi),
-                     np.cos(theta) * np.sin(phi),
-                     -np.sin(theta)])
-    e_ph = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
-    return e_th, e_ph
-
-
-def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
-                          perturbation=None):
-    """Vectorized transport along geodesic-in-coordinates edges from
-    (th_a, ph_a) to (th_b, ph_b); returns stacked (..., d, d) matrices."""
-    th_a, ph_a = np.broadcast_arrays(th_a, ph_a)
-    th_b, ph_b = np.broadcast_arrays(th_b, ph_b)
-    shape = th_a.shape
-    d = rep.dim
-    u = np.broadcast_to(np.eye(d, dtype=np.complex128),
-                        shape + (d, d)).copy()
-    dth = th_b - th_a
-    dph = ph_b - ph_a
-    h = 1.0 / n_steps
-
-    def a_of(t):
-        th = th_a + dth * t
-        ph = ph_a + dph * t
-        e_th, e_ph = _sphere_frame(th, ph)
-        # velocity: r0*(dth*e_th + sin(th)*dph*e_ph); A = -(i/r)(v x khat).S
-        # massive: weighted combination of the boost/rotation forms
-        khat = np.stack([np.sin(th) * np.cos(ph),
-                         np.sin(th) * np.sin(ph), np.cos(th)])
-        vel = r0 * (dth * e_th + np.sin(th) * dph * e_ph)
-        cross = np.cross(vel, khat, axis=0)
-        s_dot = np.einsum("a...,abc->...bc", cross, rep.spin_mats)
-        if rep.kind == "massless":
-            coef = -1j / r0
-        else:
-            m = rep.mass
-            omega = np.sqrt(m**2 + r0**2)
-            f = float(kind.weight(np.array([r0]), m)[0])
-            coef = (f * (-1j * r0 / (omega * (omega + m)))
-                    + (1.0 - f) * (-1j / r0))
-        out = coef * s_dot
-        if perturbation is not None:
-            out = out + perturbation(th, ph, vel)
-        return out
-
-    for i in range(n_steps):
-        t = i * h
-        k1 = -a_of(t) @ u
-        k2 = -a_of(t + h / 2) @ (u + h / 2 * k1)
-        k3 = -a_of(t + h / 2) @ (u + h / 2 * k2)
-        k4 = -a_of(t + h) @ (u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
+def _check_mesh(n_theta, n_phi, radius, error=ConnectionLabError):
+    """Shell-mesh arguments of the transport diagnostics."""
+    _require_count(n_theta, 2, "n_theta", error)
+    _require_count(n_phi, 2, "n_phi", error)
+    if not radius > 0:
+        raise error(f"radius must be positive; got {radius!r}")
 
 
 def chern_number(rep: RepSpec, kind: ConnectionKind,
@@ -636,6 +591,7 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
         raise ConnectionLabError(
             "the Chern diagnostic restricts to the massless shell bundle"
         )
+    _check_mesh(n_theta, n_phi, radius)
     if rep.helicity == 0:
         return 0, 0.0
     h = rep.helicity

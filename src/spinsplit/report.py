@@ -137,6 +137,12 @@ class RunConfig:
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
+        needs_spin1 = [s for s in suites if s in ("fplus", "holonomy")]
+        if needs_spin1 and not any(s == 1 for _, s in massive):
+            raise ConfigError(
+                f"suites {needs_spin1} measure fiber rotations and need a "
+                f"massive rep of spin 1"
+            )
         tolerances = dict(tolerances or {})
         unknown = sorted(set(tolerances) - set(SUITES) - set(_EXTRA_TOLS))
         if unknown:
@@ -250,6 +256,11 @@ class RunConfig:
                    else _EXTRA_TOLS[name])
         return float(self.tolerances.get(name, default))
 
+    @property
+    def r0(self) -> float:
+        """The mid-shell radius of the transport suites."""
+        return 0.5 * (self.r_min + self.r_max)
+
     def grid_for(self, rung, mass: float) -> MomentumGrid:
         nr, nt, npp = rung
         if mass > 0:
@@ -283,23 +294,36 @@ def _jsonable(x):
     return x
 
 
-def _orders(resolutions, residuals, floor=1e-12):
-    """Convergence order estimates between consecutive ladder rungs,
-    using the angular resolution as the mesh parameter.  Rungs at the
-    rounding floor are skipped (flagged as None)."""
-    out = []
-    for (r1, e1), (r2, e2) in zip(zip(resolutions, residuals),
-                                  zip(resolutions[1:], residuals[1:])):
-        if e1 < floor or e2 < floor or e2 == 0:
-            out.append(None)
-            continue
-        out.append(np.log(e1 / e2) / np.log(r2[1] / r1[1]))
-    return out
+def _order(config: RunConfig, residuals, floor=1e-12):
+    """Mean convergence order between consecutive ladder rungs, using the
+    angular resolution as the mesh parameter.  Rung pairs at the rounding
+    floor are skipped (None if every pair is)."""
+    ladder = config.ladder
+    orders = [np.log(e1 / e2) / np.log(r2[1] / r1[1])
+              for r1, r2, e1, e2 in zip(ladder, ladder[1:], residuals,
+                                        residuals[1:])
+              if e1 >= floor and e2 >= floor]
+    return float(np.mean(orders)) if orders else None
 
 
-def _mean_order(orders):
-    vals = [o for o in orders if o is not None]
-    return float(np.mean(vals)) if vals else None
+def _ladder(config: RunConfig, rep: RepSpec, rows, suite: str, labels,
+            measure, **section_kw):
+    """Evaluate ``measure(grid, psi)``, a list of residuals, on one smooth
+    test section per ladder rung.  Each residual with a label in
+    ``labels`` adds one CSV row per rung (a None label adds none).
+    Returns the per-rung residuals of each measurement and the last
+    rung's grid and section."""
+    series = [[] for _ in labels]
+    for rung in config.ladder:
+        grid = config.grid_for(rung, rep.mass)
+        psi = random_test_section(rep, grid, seed=config.seed,
+                                  **section_kw)
+        for label, residuals, res in zip(labels, series,
+                                         measure(grid, psi)):
+            residuals.append(res)
+            if label is not None:
+                rows.append((suite, label, *rung, res, None))
+    return series, grid, psi
 
 
 def _reps(config: RunConfig):
@@ -327,22 +351,18 @@ def _suite_symbolic(config: RunConfig, records, rows):
 
 def _suite_algebra(config: RunConfig, records, rows):
     tol = config.tolerance("algebra")
+    rids = relation_ids()
     for rep in _reps(config):
-        per_relation = {rid: [] for rid in relation_ids()}
-        for rung in config.ladder:
-            grid = config.grid_for(rung, rep.mass)
-            psi = random_test_section(rep, grid, seed=config.seed)
-            for rid in relation_ids():
-                res = algebra_residual(rep, grid, rid, psi)
-                per_relation[rid].append(res)
-                rows.append(("algebra", f"{rep!r}:{rid}", *rung, res, None))
-        for rid, residuals in per_relation.items():
-            order = _mean_order(_orders(config.ladder, residuals))
+        series, _, _ = _ladder(
+            config, rep, rows, "algebra", [f"{rep!r}:{rid}" for rid in rids],
+            lambda grid, psi, rep=rep: [algebra_residual(rep, grid, rid, psi)
+                                        for rid in rids])
+        for rid, residuals in zip(rids, series):
             records.append(_record(
                 f"algebra-{rep.kind}-{rid}",
                 "commutation relation of the generator family "
                 f"{rid} holds on smooth test sections",
-                residuals[-1], tol, order))
+                residuals[-1], tol, _order(config, residuals)))
             records[-1]["rep"] = rep.spec()
 
 
@@ -371,22 +391,17 @@ def _suite_curvature(config: RunConfig, records, rows):
                           "massless sphere curvature equals "
                           "(i/|k|^2) J_k"))
     for rep, kind, coeff, anchor in cases:
-        residuals = []
-        for rung in config.ladder:
-            grid = config.grid_for(rung, rep.mass)
-            psi = random_test_section(rep, grid, seed=config.seed,
-                                      polar_damping=4)
+        def measure(grid, psi, rep=rep, kind=kind, coeff=coeff):
             f = curvature_commutator(kind, eth, eph, psi)
             pred = coeff(grid)[..., None] * _act(rep, grid, "chi", None,
                                                  psi.values)
-            res = Section(rep, grid, f.values - pred).norm() / psi.norm()
-            residuals.append(res)
-            rows.append(("curvature", f"{rep!r}:{kind.variant}",
-                         *rung, res, None))
-        order = _mean_order(_orders(config.ladder, residuals))
+            return [Section(rep, grid, f.values - pred).norm() / psi.norm()]
+        (residuals,), _, _ = _ladder(
+            config, rep, rows, "curvature", [f"{rep!r}:{kind.variant}"],
+            measure, polar_damping=4)
         records.append(_record(
             f"curvature-{rep.kind}-{kind.variant}", anchor,
-            residuals[-1], tol, order))
+            residuals[-1], tol, _order(config, residuals)))
         records[-1]["rep"] = rep.spec()
     # cross commutators, massive only
     for mass, spin in config.massive:
@@ -405,25 +420,18 @@ def _suite_curvature(config: RunConfig, records, rows):
 
 def _suite_splitting(config: RunConfig, records, rows):
     tol = config.tolerance("splitting")
+    flat, boost = ConnectionKind.flat_massive(), ConnectionKind.boost()
     for mass, spin in config.massive:
         rep = RepSpec.massive(mass, spin)
-        residuals = []
-        for rung in config.ladder:
-            grid = config.grid_for(rung, mass)
-            psi = random_test_section(rep, grid, seed=config.seed)
-            ops = split(rep, grid, ConnectionKind.flat_massive())
-            res = so3_residual(ops, psi)
-            residuals.append(res)
-            rows.append(("splitting", f"{rep!r}:flat-so3", *rung, res,
-                         None))
-        order = _mean_order(_orders(config.ladder, residuals))
+        (residuals,), grid, psi = _ladder(
+            config, rep, rows, "splitting", [f"{rep!r}:flat-so3"],
+            lambda grid, psi, rep=rep: [
+                so3_residual(split(rep, grid, flat), psi)])
         records.append(_record(
             f"flat-so3-massive-{spin}",
             "the flat-connection orbital operators close the rotation "
-            "algebra", residuals[-1], tol, order))
-        grid = config.grid_for(config.ladder[-1], mass)
-        psi = random_test_section(rep, grid, seed=config.seed)
-        ops = split(rep, grid, ConnectionKind.flat_massive())
+            "algebra", residuals[-1], tol, _order(config, residuals)))
+        ops = split(rep, grid, flat)
         records.append(_record(
             f"vector-op-massive-{spin}",
             "orbital and internal parts are vector operators under J",
@@ -433,18 +441,14 @@ def _suite_splitting(config: RunConfig, records, rows):
         if h == 0:
             continue
         rep = RepSpec.massless(h)
-        so3s, jperps = [], []
-        for rung in config.ladder:
-            grid = config.grid_for(rung, 0.0)
-            psi = random_test_section(rep, grid, seed=config.seed)
-            ops = split(rep, grid, ConnectionKind.boost())
-            so3s.append(so3_residual(ops, psi))
-            jperps.append(jperp_so3_residual(ops, psi))
-            rows.append(("splitting", f"{rep!r}:boost-so3", *rung,
-                         so3s[-1], None))
-        grid = config.grid_for(config.ladder[-1], 0.0)
-        psi = random_test_section(rep, grid, seed=config.seed)
-        ops = split(rep, grid, ConnectionKind.boost())
+
+        def measure(grid, psi, rep=rep):
+            ops = split(rep, grid, boost)
+            return [so3_residual(ops, psi), jperp_so3_residual(ops, psi)]
+        (so3s, jperps), grid, psi = _ladder(
+            config, rep, rows, "splitting", [f"{rep!r}:boost-so3", None],
+            measure)
+        ops = split(rep, grid, boost)
         records.append(_record(
             f"massless-so3-defect-h{h:+d}",
             "the massless orbital so(3) failure equals the measured "
@@ -455,34 +459,29 @@ def _suite_splitting(config: RunConfig, records, rows):
             f"massless-jperp-closure-h{h:+d}",
             "perpendicular angular momenta close only after the "
             "parallel correction", jperps[-1], tol,
-            _mean_order(_orders(config.ladder, jperps))))
+            _order(config, jperps)))
 
 
 def _suite_nw(config: RunConfig, records, rows):
     tol = config.tolerance("nw")
     for mass, spin in config.massive:
         rep = RepSpec.massive(mass, spin)
-        grid = config.grid_for(config.ladder[-1], mass)
-        psi = random_test_section(rep, grid, seed=config.seed)
+        (grads,), grid, psi = _ladder(
+            config, rep, rows, "nw", [f"{rep!r}:gradient"],
+            lambda grid, psi, rep=rep: [nw_gradient_residual(rep, grid,
+                                                             psi)])
         phi = random_test_section(rep, grid, seed=config.seed + 1)
         records.append(_record(
             f"nw-match-massive-{spin}",
             "+i times the flat covariant derivative along Cartesian "
             "directions equals the closed-form mean position operator",
             nw_match_residual(rep, grid, psi), tol))
-        grads = []
-        for rung in config.ladder:
-            g = config.grid_for(rung, mass)
-            p = random_test_section(rep, g, seed=config.seed)
-            grads.append(nw_gradient_residual(rep, g, p))
-            rows.append(("nw", f"{rep!r}:gradient", *rung, grads[-1],
-                         None))
         records.append(_record(
             f"nw-gradient-massive-{spin}",
             "the mean position operator acts as the componentwise "
             "gradient in plain-measure coordinates",
             grads[-1], config.tolerance("nw_gradient"),
-            _mean_order(_orders(config.ladder, grads))))
+            _order(config, grads)))
         records.append(_record(
             f"nw-hermitian-massive-{spin}",
             "the mean position operator is symmetric under the "
@@ -582,6 +581,7 @@ def _suite_fplus(config: RunConfig, records, rows):
 
 
 def _suite_chern(config: RunConfig, records, rows):
+    _, nt, npp = config.ladder[-1]
     for h in config.massless:
         rep = RepSpec.massless(h)
         expected = -2 * h
@@ -590,7 +590,8 @@ def _suite_chern(config: RunConfig, records, rows):
                             ("rotation", ConnectionKind.rotation()),
                             ("affine-half", ConnectionKind.affine(
                                 lambda r, m: np.full_like(r, 0.5)))):
-            n, raw = chern_number(rep, kind)
+            n, raw = chern_number(rep, kind, n_theta=nt, n_phi=npp,
+                                  radius=config.r0)
             values[kname] = (n, raw)
         agree = len({v[0] for v in values.values()}) == 1
         n, raw = values["boost"]
@@ -605,16 +606,15 @@ def _suite_chern(config: RunConfig, records, rows):
         rec["passed"] = bool(rec["passed"] and n == expected and agree)
         rec["kind_independent"] = bool(agree)
         records.append(rec)
-        rows.append(("chern", f"h={h:+d}", 1, 48, 96, abs(raw - expected),
+        rows.append(("chern", f"h={h:+d}", 1, nt, npp, abs(raw - expected),
                      None))
 
 
 def _suite_holonomy(config: RunConfig, records, rows):
     tol = config.tolerance("holonomy")
-    mass, spin = next(((m, s) for m, s in config.massive if s > 0),
-                      (1.3, 1))
-    rep = RepSpec.massive(mass, spin)
-    r0 = 0.5 * (config.r_min + config.r_max)
+    mass = next(m for m, s in config.massive if s == 1)
+    rep = RepSpec.massive(mass, 1)
+    r0 = config.r0
     om2 = mass**2 + r0**2
     for a_target in (0.01, 0.05):
         th1 = np.pi / 2 - 0.2
@@ -642,29 +642,26 @@ def _suite_holonomy(config: RunConfig, records, rows):
 
 def _suite_leibniz(config: RunConfig, records, rows):
     tol = config.tolerance("leibniz")
+
+    def measure(grid, psi):
+        f = np.exp(-0.5 * ((grid.kx - 0.2)**2 + grid.ky**2
+                           + (grid.kz - 0.1)**2))
+        return [max(
+            leibniz_residual(kind, TangentField.named(name), f, psi)
+            for kind in (ConnectionKind.boost(), ConnectionKind.rotation())
+            for name in ("e_theta", "e_phi", "e_k")
+        )]
+
     for rep in _reps(config):
-        residuals = []
-        for rung in config.ladder:
-            grid = config.grid_for(rung, rep.mass)
-            psi = random_test_section(rep, grid, seed=config.seed)
-            f = np.exp(-0.5 * ((grid.kx - 0.2)**2 + grid.ky**2
-                               + (grid.kz - 0.1)**2))
-            res = max(
-                leibniz_residual(kind, TangentField.named(name), f, psi)
-                for kind in (ConnectionKind.boost(),
-                             ConnectionKind.rotation())
-                for name in ("e_theta", "e_phi", "e_k")
-            )
-            residuals.append(res)
-            rows.append(("leibniz", f"{rep!r}", *rung, res, None))
+        (residuals,), _, _ = _ladder(config, rep, rows, "leibniz",
+                                     [f"{rep!r}"], measure)
         records.append(_record(
             f"leibniz-{rep.kind}-"
             + (f"s{rep.spin}" if rep.kind == "massive"
                else f"h{rep.helicity:+d}"),
             "covariant derivatives obey the product rule on smooth "
             "scalar multiples",
-            residuals[-1], tol,
-            _mean_order(_orders(config.ladder, residuals))))
+            residuals[-1], tol, _order(config, residuals)))
 
 
 SUITES = {

@@ -31,12 +31,12 @@ import numpy as np
 
 from .connections import (
     ConnectionKind,
-    ConnectionLabError,
     TangentField,
+    _check_mesh,
     _edge_transport_batch,
+    _probe_fiber,
     apply_connection,
     curvature_commutator,
-    lie_bracket,
 )
 from .grid import MomentumGrid, Section
 from .reps import RepSpec, _act, _derivatives, inner
@@ -389,6 +389,7 @@ def parallel_frame(rep: RepSpec, kind: ConnectionKind | None = None,
     if rep.kind != "massive":
         raise SplittingError("the parallel frame construction is for "
                              "massive bundles (flatness requires m > 0)")
+    _check_mesh(n_theta, n_phi, radius, SplittingError)
     d = rep.dim
     thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phis = np.arange(n_phi) * (2 * np.pi / n_phi)
@@ -420,26 +421,9 @@ def spin_endomorphism_at(ops: SplitOperators, node: tuple) -> list:
     """The fiber endomorphisms [S_1, S_2, S_3] at grid node (ir, it, ip),
     sampled by applying S to one smooth section per fiber basis vector
     (S acts pointwise, so the scalar profile divides out)."""
-    rep, grid = ops.rep, ops.grid
-    ir, it, ip = node
-    g = ((grid.kmag - grid.r_min) * (grid.r_max - grid.kmag)
-         * (1.0 - (grid.kz / grid.kmag) ** 2))
-    g0 = g[ir, it, ip]
-    if abs(g0) < 1e-12:
-        raise SplittingError(
-            "sample node too close to a shell boundary or pole"
-        )
-    d = rep.dim
-    mats = []
-    for a in range(3):
-        est = np.zeros((d, d), dtype=np.complex128)
-        for j in range(d):
-            vals = np.zeros(grid.shape + (d,), dtype=np.complex128)
-            vals[..., j] = g
-            sec = ops.S(a, Section(rep, grid, vals))
-            est[:, j] = sec.values[ir, it, ip] / g0
-        mats.append(est)
-    return mats
+    return [_probe_fiber(ops.rep, ops.grid, node,
+                         lambda sec, a=a: ops.S(a, sec), SplittingError)
+            for a in range(3)]
 
 
 def spin_in_frame(ops: SplitOperators, frame: ParallelFrame,

@@ -3,6 +3,7 @@ validation, subcommands, exit codes, and report determinism."""
 
 import json
 
+import numpy as np
 import pytest
 
 from spinsplit.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
@@ -290,25 +291,72 @@ def test_convergence_requires_ladder_suite(capsys):
     assert rc == EXIT_ERROR
 
 
+def _records(capsys):
+    return {r["name"]: r for r in json.loads(capsys.readouterr().out)
+            ["records"]}
+
+
 def test_chern_subcommand(capsys):
     rc = main(["chern", "--helicity", "-1"])
     assert rc == EXIT_OK
+    (rec,) = _records(capsys).values()
+    assert rec["suite"] == "chern"
+    assert rec["expected"] == 2
+    assert rec["integer"] == 2
+    assert rec["kind_independent"] is True  # rotation agrees with boost
+    assert rec["passed"] is True
+
+
+def test_chern_subcommand_mesh_from_grid(capsys):
+    # --grid sets the last ladder rung, whose angular mesh the suite uses;
+    # a suite without a convergence ladder needs no halved rung below it
+    assert main(["chern", "--helicity", "1", "--grid", "4,12,24"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
-    assert data["expected"] == 2
-    assert data["results"]["boost"]["integer"] == 2
-    assert data["results"]["rotation"]["integer"] == 2
-    assert data["passed"] is True
+    assert data["config"]["ladder"] == [[4, 12, 24]]
+    (rec,) = data["records"]
+    assert rec["integer"] == -2
+    c = RunConfig(suites=["chern"], ladder=[(4, 12, 24), (8, 24, 48)],
+                  massless=[1])
+    row = convergence_csv(run_suites(c)).splitlines()[1].split(",")
+    assert row[:5] == ["chern", "h=+1", "1", "24", "48"]
 
 
 def test_holonomy_subcommand(capsys):
     rc = main(["holonomy", "--mass", "1.3", "--spin", "1"])
     assert rc == EXIT_OK
-    data = json.loads(capsys.readouterr().out)
-    assert data["passed"] is True
-    assert len(data["loops"]) == 2
-    for loop in data["loops"]:
-        assert loop["relative_error"] <= 1e-2
-        assert loop["flat_defect"] <= 1e-8
+    records = _records(capsys)
+    assert sorted(records) == sorted(
+        f"holonomy-{kind}-A{a}" for kind in ("boost", "flat")
+        for a in (0.01, 0.05))
+    for name, rec in records.items():
+        bound = 1e-2 if "boost" in name else 1e-8
+        assert rec["measured"] <= bound
+        assert rec["passed"] is True
+
+
+@pytest.mark.parametrize("suite", ["holonomy", "fplus"])
+def test_spin1_suites_need_spin1_rep(suite):
+    with pytest.raises(ConfigError, match=suite):
+        RunConfig(suites=[suite], massive=[(1.3, 0)])
+    RunConfig(suites=[suite], massive=[(1.3, 0), (2.0, 1)])
+
+
+def test_holonomy_subcommand_spin0_is_config_error(capsys):
+    assert main(["holonomy", "--spin", "0"]) == EXIT_ERROR
+    assert "holonomy" in capsys.readouterr().err
+
+
+def test_holonomy_subcommand_failure_prints_json(monkeypatch, capsys):
+    import spinsplit.report as report
+    # a transport that goes nowhere fails both the boost angle and the
+    # flat defect checks
+    monkeypatch.setattr(report, "holonomy",
+                        lambda rep, kind, loop, n_steps: np.zeros(
+                            (rep.dim, rep.dim)))
+    assert main(["holonomy"]) == EXIT_CHECK_FAILED
+    records = _records(capsys)
+    assert len(records) == 4
+    assert not any(rec["passed"] for rec in records.values())
 
 
 def test_version_flag(capsys):

@@ -11,6 +11,7 @@ from spinsplit.connections import (
     ConnectionLabError,
     HolonomyLoop,
     TangentField,
+    _form_matrix,
     apply_connection,
     chern_number,
     constant_profile,
@@ -24,7 +25,6 @@ from spinsplit.connections import (
     lie_bracket,
     profile_names,
     register_profile,
-    sampled_profile,
 )
 from spinsplit.grid import Section, make_grid
 from spinsplit.reps import RepSpec, _act, random_test_section
@@ -66,17 +66,6 @@ def test_profile_registry():
     assert np.allclose(
         ConnectionKind.affine("test-half").weight(np.array([1.0]), MASS),
         0.5)
-
-
-def test_sampled_profile():
-    r = np.linspace(1.0, 2.0, 9)
-    f = np.sqrt(MASS**2 + r**2) / MASS
-    prof = sampled_profile(r, f)
-    rq = np.linspace(1.05, 1.95, 7)
-    assert np.max(np.abs(prof(rq, MASS)
-                         - np.sqrt(MASS**2 + rq**2) / MASS)) < 1e-4
-    with pytest.raises(ConnectionLabError):
-        sampled_profile([1.0, 1.0, 2.0], [0.0, 0.5, 1.0])
 
 
 # -- tangent fields and brackets ------------------------------------------------
@@ -145,6 +134,31 @@ def test_leibniz_mutation_detected(rep_massive1, grid_mid_massive):
     lhs = apply_connection(ConnectionKind.boost(), ETH, psi * f)
     wrong = apply_connection(ConnectionKind.boost(), ETH, psi) * f
     assert (lhs - wrong).norm() / psi.norm() > 0.05
+
+
+@pytest.mark.parametrize("rep,kind", [
+    (RepSpec.massive(MASS, 1), ConnectionKind.boost()),
+    (RepSpec.massive(MASS, 1), ConnectionKind.rotation()),
+    (RepSpec.massive(MASS, 1), ConnectionKind.affine(constant_profile(0.3))),
+    (RepSpec.massless(1), ConnectionKind.boost()),
+], ids=["massive1-boost", "massive1-rotation", "massive1-affine0.3",
+        "massless+1-boost"])
+@pytest.mark.parametrize("x", [ETH, EPH], ids=lambda x: x.name)
+def test_closed_form_matches_generator_connection(rep, kind, x,
+                                                  grid_mid_massive,
+                                                  grid_mid_massless):
+    # the generator-built D_X and the pointwise form X.grad + A(X) are
+    # independent implementations of one connection
+    g = grid_mid_massive if rep.kind == "massive" else grid_mid_massless
+    psi = random_test_section(rep, g, seed=5)
+    xv = x.values(g)
+    grad = g.gradient(psi.values)
+    out = apply_connection(kind, x, psi).values - np.einsum(
+        "a...,a...->...", xv[..., None], grad)
+    for ir, r0 in enumerate(g.r):
+        a = _form_matrix(rep, kind, float(r0), g.khat[:, ir], xv[:, ir])
+        out[ir] -= np.einsum("...ij,...j->...i", a, psi.values[ir])
+    assert Section(rep, g, out).norm() < 1e-12 * psi.norm()
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -335,6 +349,19 @@ def test_holonomy_unitary(rep_massive1):
                           - np.eye(rep_massive1.dim)) < 1e-10
 
 
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, True])
+def test_holonomy_rejects_bad_step_count(rep_massive1, n_steps):
+    with pytest.raises(ConnectionLabError, match="n_steps"):
+        holonomy(rep_massive1, ConnectionKind.boost(), _loop(0.05),
+                 n_steps=n_steps)
+
+
+@pytest.mark.parametrize("r0", [0.0, -1.5, float("nan")])
+def test_holonomy_loop_rejects_bad_radius(r0):
+    with pytest.raises(ConnectionLabError, match="r0"):
+        HolonomyLoop(r0, 1.0, 1.2, 0.3, 0.5)
+
+
 # -- lattice Chern number -----------------------------------------------------------------
 
 
@@ -386,3 +413,14 @@ def test_chern_margin_guard_triggers():
     with pytest.raises(ConnectionLabError):
         chern_number(rep, ConnectionKind.rotation(), n_theta=12,
                      n_phi=24, margin=3.1)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"n_theta": 1}, "n_theta"), ({"n_theta": 0}, "n_theta"),
+    ({"n_theta": 12.0}, "n_theta"), ({"n_phi": 1}, "n_phi"),
+    ({"radius": 0.0}, "radius"), ({"radius": -1.5}, "radius"),
+])
+def test_chern_rejects_bad_mesh(kwargs, name):
+    with pytest.raises(ConnectionLabError, match=name):
+        chern_number(RepSpec.massless(1), ConnectionKind.rotation(),
+                     **kwargs)

@@ -6,7 +6,14 @@ import string
 
 import pytest
 
-from spinsplit.algebra import VectorExpr, commutator, gen_J, op_scalar
+from spinsplit.algebra import (
+    VectorExpr,
+    commutator,
+    gen_J,
+    gen_K,
+    op_H,
+    op_scalar,
+)
 from spinsplit.identities import TEXT_CATALOG
 from spinsplit.lang import LangError, format_expr, lower, parse
 from spinsplit.scalars import Ring
@@ -144,6 +151,16 @@ def test_depth_guard_no_recursion_error():
 def test_division_by_zero_literal(ring):
     with pytest.raises(LangError):
         lower(parse("H/0"), ring)
+
+
+def test_division_multiplies_on_the_left(ring):
+    # "/" has one meaning in the language and in the Python operators:
+    # K[1]/H is Pow(H,-1)*K[1], which differs from K[1]*Pow(H,-1) by a
+    # nonzero derivation term
+    k1, h = gen_K(ring, 0), op_H(ring)
+    assert lower(parse("K[1]/H"), ring) == k1 / h
+    assert k1 / h == lower(parse("Pow(H,-1)*K[1]"), ring)
+    assert k1 / h != lower(parse("K[1]*Pow(H,-1)"), ring)
 
 
 # -- fuzzing --------------------------------------------------------------------

@@ -5,7 +5,11 @@ the parallel fiber frame."""
 import numpy as np
 import pytest
 
-from spinsplit.connections import ConnectionKind, lambda_flat_profile
+from spinsplit.connections import (
+    ConnectionKind,
+    ConnectionLabError,
+    lambda_flat_profile,
+)
 from spinsplit.grid import make_grid
 from spinsplit.reps import RepSpec, random_test_section
 from spinsplit.splitting import (
@@ -221,6 +225,16 @@ def test_frame_unitary(frame24):
 def test_frame_requires_massive(rep_massless_plus):
     with pytest.raises(SplittingError):
         parallel_frame(rep_massless_plus)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"n_theta": 1}, "n_theta"), ({"n_phi": 0}, "n_phi"),
+    ({"n_phi": 8.0}, "n_phi"), ({"radius": 0.0}, "radius"),
+    ({"n_steps": 0}, "n_steps"),
+])
+def test_frame_rejects_bad_mesh(rep_massive1, kwargs, name):
+    with pytest.raises((SplittingError, ConnectionLabError), match=name):
+        parallel_frame(rep_massive1, **kwargs)
 
 
 def test_flat_transport_is_trivial(frame24, rep_massive1):
