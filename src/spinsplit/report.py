@@ -18,6 +18,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import time
 
 import numpy as np
@@ -129,11 +130,14 @@ class RunConfig:
                 f"suites {needs_ladder} estimate convergence orders and "
                 f"need at least two ladder rungs"
             )
-        if not (0.0 < r_min < r_max):
-            raise ConfigError("need 0 < r_min < r_max")
+        if not (0.0 < r_min < r_max and math.isfinite(r_max)):
+            raise ConfigError(
+                f"need 0 < r_min < r_max < inf; got r_min={r_min}, "
+                f"r_max={r_max}")
         for m, s in massive:
-            if not m > 0 or s not in (0, 1):
-                raise ConfigError(f"bad massive rep (mass={m}, spin={s})")
+            if not (m > 0 and math.isfinite(m)) or s not in (0, 1):
+                raise ConfigError(f"bad massive rep (mass={m}, spin={s}); "
+                                  f"need a finite mass > 0 and spin 0 or 1")
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
@@ -149,6 +153,13 @@ class RunConfig:
             raise ConfigError(
                 f"unknown tolerance names {unknown}; known: "
                 f"{sorted(SUITES) + sorted(_EXTRA_TOLS)}"
+            )
+        bad = sorted(name for name, value in tolerances.items()
+                     if not (math.isfinite(value) and value > 0))
+        if bad:
+            raise ConfigError(
+                f"tolerances {bad} must be finite and > 0; got "
+                f"{[tolerances[name] for name in bad]}"
             )
         self.suites = suites
         self.seed = int(seed)
@@ -206,8 +217,13 @@ class RunConfig:
             elif key == "csv":
                 kwargs["csv_path"] = value.strip()
             elif key == "normalize":
-                kwargs["normalize"] = value.strip().lower() in (
-                    "1", "true", "yes", "on")
+                states = configparser.ConfigParser.BOOLEAN_STATES
+                flag = value.strip().lower()
+                if flag not in states:
+                    raise ConfigError(
+                        f"bad value for [run] normalize: {value!r}; use one "
+                        f"of {', '.join(states)}")
+                kwargs["normalize"] = states[flag]
         elif section == "grid":
             if key == "ladder":
                 rungs = []

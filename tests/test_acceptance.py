@@ -32,7 +32,7 @@ from spinsplit.connections import (
 from spinsplit.grid import Section, make_grid
 from spinsplit.identities import TEXT_CATALOG, identity_suite
 from spinsplit.lang import LangError, format_expr, lower, parse
-from spinsplit.report import DEGENERACY_GAP_MIN
+from spinsplit.report import DEGENERACY_GAP_MIN, RunConfig
 from spinsplit.reps import (
     RepSpec,
     _act,
@@ -58,6 +58,15 @@ LADDER = ((4, 12, 24), (6, 24, 48), (8, 48, 96))
 SEED = 7
 ETH = TangentField.named("e_theta")
 EPH = TangentField.named("e_phi")
+
+
+# the transport constants of the chern and holonomy suites, read from the
+# report's defaults so the gate and the suites share one threshold
+_TRANSPORT = RunConfig(["chern", "holonomy"])
+TOL_CHERN = _TRANSPORT.tolerance("chern")
+TOL_ANGLE = _TRANSPORT.tolerance("holonomy")
+TOL_FLAT = _TRANSPORT.tolerance("holonomy_flat")
+R0 = _TRANSPORT.r0
 
 
 def _grid(dims, mass):
@@ -138,7 +147,7 @@ def test_criterion_03_chern_number():
                      ConnectionKind.affine("one")):
             n, raw = chern_number(rep, kind, n_theta=48, n_phi=96)
             vals.append((n, raw))
-            ok = ok and n == -2 * h and abs(raw - n) <= 0.05
+            ok = ok and n == -2 * h and abs(raw - n) <= TOL_CHERN
             worst_raw = max(worst_raw, abs(raw - n))
         ok = ok and len({n for n, _ in vals}) == 1
     elapsed = time.time() - t0
@@ -146,7 +155,7 @@ def test_criterion_03_chern_number():
     _criterion(3, "chern-number",
                ok, f"integer = -2h for h in {{-1,0,1}} on 48x96, "
                    f"independent of connection kind; max |raw - int| "
-                   f"{worst_raw:.2e} (tol 0.05); within 60s", t0)
+                   f"{worst_raw:.2e} (tol {TOL_CHERN:g}); within 60s", t0)
 
 
 def test_criterion_04_curvature_closed_forms():
@@ -305,7 +314,7 @@ def test_criterion_08_radial_weight_scan():
 def test_criterion_09_loop_transport():
     t0 = time.time()
     rep = RepSpec.massive(MASS, 1)
-    r0 = 1.5
+    r0 = R0
     om2 = MASS**2 + r0**2
     worst_rel = 0.0
     worst_flat = 0.0
@@ -324,12 +333,12 @@ def test_criterion_09_loop_transport():
                       n_steps=96)
         worst_flat = max(worst_flat,
                          float(np.linalg.norm(uf - np.eye(rep.dim))))
-    ok = worst_rel <= 1e-2 and worst_flat <= 1e-8
+    ok = worst_rel <= TOL_ANGLE and worst_flat <= TOL_FLAT
     _criterion(9, "loop-transport",
                ok, f"boost rotation angle matches the area prediction to "
-                   f"{worst_rel:.2e} (tol 1e-2) on loops of solid angle "
-                   f"0.01 and 0.05; flat transport defect "
-                   f"{worst_flat:.1e} (tol 1e-8)", t0)
+                   f"{worst_rel:.2e} (tol {TOL_ANGLE:g}) on loops of "
+                   f"solid angle 0.01 and 0.05; flat transport defect "
+                   f"{worst_flat:.1e} (tol {TOL_FLAT:g})", t0)
 
 
 def test_criterion_10_language_round_trip_and_fuzz():

@@ -174,6 +174,62 @@ def test_ini_missing_file():
         RunConfig.from_ini("/no/such/file.ini")
 
 
+@pytest.mark.parametrize("spelling,value", [
+    ("true", True), ("Yes", True), ("on", True), ("1", True),
+    ("false", False), ("no", False), ("OFF", False), ("0", False),
+])
+def test_ini_normalize_boolean_spellings(tmp_path, spelling, value):
+    path = _write(tmp_path,
+                  f"[run]\nsuites = symbolic\nnormalize = {spelling}\n")
+    assert RunConfig.from_ini(path).normalize is value
+
+
+@pytest.mark.parametrize("spelling", ["ture", "y", "2", ""])
+def test_ini_normalize_misspelt_exits_2(tmp_path, capsys, spelling):
+    path = _write(tmp_path,
+                  f"[run]\nsuites = symbolic\nnormalize = {spelling}\n")
+    with pytest.raises(ConfigError, match="normalize"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "normalize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
+def test_ini_tolerance_not_finite_positive_exits_2(tmp_path, capsys,
+                                                    value):
+    path = _write(tmp_path, "[run]\nsuites = holonomy\n"
+                            f"[tolerances]\nholonomy = {value}\n")
+    with pytest.raises(ConfigError, match="holonomy"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("r_max", "inf"), ("r_max", "nan"), ("r_min", "nan"),
+    ("r_min", "-inf"),
+])
+def test_ini_shell_radius_not_finite_exits_2(tmp_path, capsys, key, value):
+    path = _write(tmp_path, "[run]\nsuites = holonomy\n"
+                            f"[grid]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match="r_max"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "r_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mass", ["inf", "nan", "-inf"])
+def test_mass_not_finite_exits_2(tmp_path, capsys, mass):
+    with pytest.raises(ConfigError, match="mass"):
+        RunConfig(suites=["holonomy"], massive=[(float(mass), 1)])
+    assert main(["run", "--suite", "holonomy", f"--mass={mass}"]) \
+        == EXIT_ERROR
+    assert "finite mass" in capsys.readouterr().err
+    path = _write(tmp_path, "[run]\nsuites = holonomy\n"
+                            f"[reps]\nmassive = {mass}:1\n")
+    assert main(["run", "--config", path]) == EXIT_ERROR
+
+
 # -- report structure ---------------------------------------------------------------
 
 

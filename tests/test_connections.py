@@ -27,6 +27,7 @@ from spinsplit.connections import (
     register_profile,
 )
 from spinsplit.grid import Section, make_grid
+from spinsplit.report import RunConfig
 from spinsplit.reps import RepSpec, _act, random_test_section
 
 from conftest import MASS, smooth_scalar
@@ -302,11 +303,15 @@ def test_cross_commutators_massless_rejected(rep_massless_plus,
 # -- holonomy ---------------------------------------------------------------------------
 
 
+# the radius and tolerances of the report's holonomy and chern suites
+_TRANSPORT = RunConfig(["chern", "holonomy"])
+
+
 def _loop(area):
     th1 = np.pi / 2 - 0.2
     dphi = float(np.sqrt(area))
     th2 = float(np.arccos(np.cos(th1) - area / dphi))
-    return HolonomyLoop(1.5, th1, th2, 0.3, 0.3 + dphi)
+    return HolonomyLoop(_TRANSPORT.r0, th1, th2, 0.3, 0.3 + dphi)
 
 
 def test_rotation_holonomy_exact(rep_massive1):
@@ -323,7 +328,7 @@ def test_rotation_holonomy_exact(rep_massive1):
 
 
 def test_boost_holonomy_small_area(rep_massive1):
-    r0 = 1.5
+    r0 = _TRANSPORT.r0
     om2 = MASS**2 + r0**2
     for area_target in (0.01, 0.05):
         loop = _loop(area_target)
@@ -333,13 +338,14 @@ def test_boost_holonomy_small_area(rep_massive1):
         tr = float(np.real(np.trace(u)))
         meas = float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
         pred = area * r0**2 / om2
-        assert abs(meas - pred) / pred < 1e-2
+        assert abs(meas - pred) / pred < _TRANSPORT.tolerance("holonomy")
 
 
 def test_flat_holonomy_trivial(rep_massive1):
     u = holonomy(rep_massive1, ConnectionKind.flat_massive(), _loop(0.05),
                  n_steps=96)
-    assert np.linalg.norm(u - np.eye(rep_massive1.dim)) < 1e-8
+    assert np.linalg.norm(u - np.eye(rep_massive1.dim)) \
+        < _TRANSPORT.tolerance("holonomy_flat")
 
 
 def test_holonomy_unitary(rep_massive1):
@@ -370,7 +376,7 @@ def test_chern_matches_helicity(h):
     rep = RepSpec.massless(h)
     n, raw = chern_number(rep, ConnectionKind.rotation())
     assert n == -2 * h
-    assert abs(raw - n) < 0.05
+    assert abs(raw - n) < _TRANSPORT.tolerance("chern")
 
 
 def test_chern_kind_independent():

@@ -1,10 +1,15 @@
 """The exact symbolic identity catalog: every entry must normal-form to
 zero, and a deliberately mutated entry must be caught."""
 
-import time
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinsplit
 from spinsplit.algebra import VectorExpr, evaluate_at
 from spinsplit.identities import (
     CATALOG,
@@ -82,8 +87,25 @@ def test_point_evaluation_agrees():
     assert not evaluate_at(f, 0.7).is_zero()
 
 
+_COLD_CATALOG = """
+import json, time
+from spinsplit.identities import identity_suite
+t0 = time.time()
+identity_suite(massless=False)
+identity_suite(massless=True)
+print(json.dumps(time.time() - t0))
+"""
+
+
 def test_catalog_is_fast():
-    t0 = time.time()
-    identity_suite(massless=False)
-    identity_suite(massless=True)
-    assert time.time() - t0 < 10.0
+    """The 10 s bound holds cold: the catalog runs in a fresh interpreter,
+    so no cache warmed by other tests (collection builds the whole
+    catalog) can carry it."""
+    src = str(Path(spinsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _COLD_CATALOG], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) < 10.0

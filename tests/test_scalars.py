@@ -1,9 +1,14 @@
 """Coefficient-ring arithmetic: field operations, derivations, and the
 massless quotient."""
 
+import random
+
 import pytest
 import sympy as sp
 
+from spinsplit import scalars
+from spinsplit.identities import CATALOG
+from spinsplit.lang import format_expr
 from spinsplit.scalars import CoefficientError, Ring, eps
 
 
@@ -124,3 +129,215 @@ def test_at_point_pole_raises(ring):
 def test_repr_does_not_crash(ring):
     assert repr(ring.H() * ring.Phat(0))
     assert repr(ring)
+
+
+# -- oracle tests for the fraction representation ------------------------
+#
+# Each random element is built twice: as a Scalar, and as a plain sympy
+# expression in which H and |P| are explicit square roots.  At momentum
+# points where |P| and H are rational (Pythagorean quadruples) both sides
+# evaluate exactly, so every sum, product, inverse and derivation is
+# checked against sympy's own arithmetic.
+
+P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
+M = sp.Symbol("m", positive=True)
+_PSQ = P1**2 + P2**2 + P3**2
+
+# (P1, P2, P3, m) with integer |P| and H
+_MASSIVE_POINTS = [(1, 2, 2, 4), (2, -3, 6, 24), (-2, 1, 2, 4),
+                   (6, 2, -9, 60)]
+_MASSLESS_POINTS = [(1, 2, 2, 0), (2, -3, 6, 0), (-8, 1, 4, 0)]
+
+
+def _sym_h(massless):
+    return sp.sqrt(_PSQ) if massless else sp.sqrt(_PSQ + M**2)
+
+
+def _value(s, point):
+    """Exact value of a Scalar at a point where H and |P| are rational, or
+    None where a component has a pole (rationalizing 1/x multiplies by
+    conjugates of x, which may vanish where x does not)."""
+    subs = dict(zip((P1, P2, P3, M), point))
+    h = sp.sqrt(sum(x**2 for x in point))
+    r = sp.sqrt(sum(x**2 for x in point[:3]))
+    total = 0
+    for (eh, er), v in s.parts.items():
+        num, den = sp.fraction(v)
+        if den.subs(subs) == 0:
+            return None
+        total += num.subs(subs) / den.subs(subs) * h**eh * r**er
+    return total
+
+
+def _atoms(ring):
+    """(Scalar, sympy expression) pairs: H, |P|, m, P_a, i, integers and
+    the non-standard denominators 1/(P1 + i*P2) and 1/(H + P3)."""
+    h = _sym_h(ring.massless)
+    out = [(ring.H(), h), (ring.R(), sp.sqrt(_PSQ)), (ring.i(), sp.I),
+           (ring.from_expr(3), sp.Integer(3)),
+           (ring.from_expr(sp.Rational(-1, 2)), sp.Rational(-1, 2)),
+           ((ring.P(0) + ring.i() * ring.P(1)).inverse(),
+            1 / (P1 + sp.I * P2)),
+           ((ring.H() + ring.P(2)).inverse(), 1 / (h + P3))]
+    out += [(ring.P(a), (P1, P2, P3)[a]) for a in range(3)]
+    if not ring.massless:
+        out.append((ring.m(), M))
+    return out
+
+
+def _random_pairs(ring, seed, count):
+    rng = random.Random(seed)
+    atoms = _atoms(ring)
+    pool = list(atoms)
+    for _ in range(count):
+        (a, ea), (b, eb) = rng.choice(pool), rng.choice(atoms)
+        op = rng.randrange(4)
+        if op == 0:
+            pool.append((a + b, ea + eb))
+        elif op == 1:
+            pool.append((a * b, ea * eb))
+        elif op == 2:
+            pool.append((a - b * b, ea - eb * eb))
+        else:
+            pool.append(((a + b).inverse(), 1 / (ea + eb)))
+    return pool
+
+
+def _points(ring):
+    return _MASSLESS_POINTS if ring.massless else _MASSIVE_POINTS
+
+
+def _assert_agrees(ring, s, expr):
+    checked = 0
+    for point in _points(ring):
+        got = _value(s, point)
+        if got is not None:
+            want = expr.subs(dict(zip((P1, P2, P3, M), point)))
+            assert sp.expand_complex(got - want) == 0, (s, expr, point)
+            checked += 1
+    assert checked >= 2, (s, expr)
+
+
+@pytest.mark.parametrize("massless", [False, True])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_field_operations_match_sympy(massless, seed):
+    ring = Ring(massless=massless)
+    for s, expr in _random_pairs(ring, seed, 12):
+        _assert_agrees(ring, s, expr)
+        if not s.is_zero():
+            _assert_agrees(ring, s.inverse(), 1 / expr)
+            assert s * s.inverse() == ring.one()
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_random_derivations_match_sympy(seed):
+    """[K_a, f] = i*H*df/dP_a and [J_a, f] = i*eps_abc P_c df/dP_b on f
+    as a function of the momentum."""
+    ring = Ring()
+    h = _sym_h(False)
+    syms = (P1, P2, P3)
+    for s, expr in _random_pairs(ring, seed, 6)[-6:]:
+        for a in range(3):
+            _assert_agrees(ring, s.boost_derivative(a),
+                           sp.I * h * sp.diff(expr, syms[a]))
+            rot = sum(eps(a, b, c) * syms[c] * sp.diff(expr, syms[b])
+                      for b in range(3) for c in range(3))
+            _assert_agrees(ring, s.rotation_derivative(a), sp.I * rot)
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_parts_are_cancel_normal_forms(massless):
+    ring = Ring(massless=massless)
+    for s, _ in _random_pairs(ring, 6, 10):
+        for v in (s * s).parts.values():
+            assert v == sp.cancel(v)
+
+
+def test_sum_and_product_components_match_cancel(ring):
+    """Componentwise references: a sum adds components; a product folds
+    H^2 -> |P|^2 + m^2 and |P|^2 -> P.P, as the sympy-cancel ring did."""
+    psq, hsq = _PSQ, _PSQ + M**2
+    pairs = _random_pairs(ring, 7, 10)
+    for (a, _), (b, _) in zip(pairs, pairs[3:]):
+        total = a + b
+        for key in {(0, 0), (1, 0), (0, 1), (1, 1)}:
+            want = a.component(*key) + b.component(*key)
+            assert sp.cancel(total.component(*key) - want) == 0
+        want = {}
+        for (h1, r1), c1 in a.parts.items():
+            for (h2, r2), c2 in b.parts.items():
+                h, r = h1 + h2, r1 + r2
+                c = c1 * c2 * hsq ** (h // 2) * psq ** (r // 2)
+                key = (h % 2, r % 2)
+                want[key] = want.get(key, 0) + c
+        prod = a * b
+        for key in {(0, 0), (1, 0), (0, 1), (1, 1)}:
+            assert sp.cancel(prod.component(*key) - want.get(key, 0)) == 0
+
+
+def test_conjugate_of_complex_denominator(ring):
+    z = ring.P(0) + ring.i() * ring.P(1)
+    zbar = ring.P(0) - ring.i() * ring.P(1)
+    w = (z * ring.H() + ring.m()).inverse()
+    assert z.inverse().conjugate() == zbar.inverse()
+    assert z.inverse().conjugate() * zbar == ring.one()
+    assert w.conjugate() == (zbar * ring.H() + ring.m()).inverse()
+    assert w.conjugate().conjugate() == w
+    expr = 1 / ((P1 - sp.I * P2) * _sym_h(False) + M)
+    _assert_agrees(ring, w.conjugate(), expr)
+
+
+def test_massless_ring_denominators(mring):
+    # 1/(|P| + P3) rationalizes to a norm -(P1^2 + P2^2) that is neither
+    # a power of |P|^2 nor irreducible over Q(i)
+    x = (mring.R() + mring.P(2)).inverse()
+    z = mring.P(0) + mring.i() * mring.P(1)
+    assert x * (mring.R() + mring.P(2)) == mring.one()
+    assert x * z.inverse() * z == x
+    assert x.boost_derivative(0) * (mring.R() + mring.P(2)) ** 2 \
+        == -(mring.R() + mring.P(2)).boost_derivative(0)
+    _assert_agrees(mring, x + z.inverse(),
+                   1 / (sp.sqrt(_PSQ) + P3) + 1 / (P1 + sp.I * P2))
+
+
+@pytest.mark.parametrize("kappa", [sp.Rational(7, 10), 0.7])
+def test_frozen_points(ring, kappa):
+    """at_point agrees with substituting (0, 0, kappa) in the function; at
+    m = 12/5 and kappa = 7/10 the energy is 5/2."""
+    checked = 0
+    for s, expr in _random_pairs(ring, 8, 8)[-4:]:
+        try:
+            v = s.at_point(kappa)
+        except CoefficientError:
+            continue
+        checked += 1
+        assert v.ring == Ring(point=kappa)
+        subs = {P1: 0, P2: 0, P3: sp.Rational(7, 10), M: sp.Rational(12, 5)}
+        got = sum(c.subs(M, subs[M]) * sp.Rational(5, 2) ** eh
+                  for (eh, _), c in v.parts.items())
+        want = expr.subs(subs)
+        assert abs(complex(got - want)) < 1e-9 * (1 + abs(complex(want)))
+        # arithmetic keeps working in the frozen ring
+        assert (v - v).is_zero()
+        if not v.is_zero():
+            assert v * v.inverse() == v.ring.one()
+    assert checked >= 2
+
+
+def test_catalog_arithmetic_calls_cancel_only_in_printer(monkeypatch):
+    calls = []
+    real = sp.cancel
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "cancel", counting)
+    monkeypatch.setattr(scalars, "_cancel_memo", {})
+    ring = Ring()
+    pairs = CATALOG["rotation-connection-self-adjoint"](ring)
+    assert pairs and all((lhs - rhs).is_zero() for lhs, rhs in pairs)
+    assert calls == []
+    # the printer view is the one remaining caller
+    text = format_expr(pairs[0][0])
+    assert calls and text
