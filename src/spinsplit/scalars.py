@@ -45,8 +45,8 @@ Two ring modes restrict the basis:
   * massless mode sets m = 0 and identifies H with R (basis {1, R});
   * a frozen momentum point (0, 0, kappa) substitutes the momentum
     components and folds R to kappa (basis {1, H}, or {1} when massless).
-    A rational kappa keeps the QQ_I coefficients; any other kappa (a
-    float) uses sympy's EX domain.
+    kappa is stored as the exact rational that QQ_I converts it to, so a
+    float point is that rational (0.7 -> 7/10).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import itertools
 import operator
 
 import sympy as sp
-from sympy.polys.domains import EX, QQ_I
+from sympy.polys.domains import QQ_I
 from sympy.polys.monomials import monomial_div
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -234,15 +234,17 @@ class Ring:
 
     def __init__(self, massless: bool = False, point=None):
         self.massless = massless
-        self.point = sp.sympify(point) if point is not None else None
-        exact = self.point is None or self.point.is_Rational
-        self.poly = PolyRing((P1, P2, P3, M), QQ_I if exact else EX, lex)
+        self.poly = PolyRing((P1, P2, P3, M), QQ_I, lex)
         zero = self.poly.zero
         x1, x2, x3, m = self.poly.gens
-        if self.point is not None:
-            self._kappa = self.poly.from_expr(self.point)
+        if point is not None:
+            self._kappa = self._poly(sp.sympify(point))
+            if not self._kappa.is_ground:
+                raise ValueError(f"momentum point {point} is not a number")
+            self.point = self._kappa.as_expr()
             self._p = (zero, zero, self._kappa)
         else:
+            self.point = None
             self._p = (x1, x2, x3)
         self._m = zero if massless else m
         self.psq = sum((p**2 for p in self._p), zero)
@@ -278,7 +280,8 @@ class Ring:
         expr = sp.sympify(expr)
         if not expr.is_number:
             return Scalar(self, {(0, 0): self._fraction(expr)})
-        # numbers are the common case: constants of the operator algebra
+        # numbers are nearly every call (the algebra's constants 0, 1, i,
+        # -1), and a Scalar is immutable, so one instance per number serves
         out = self._numbers.get(expr)
         if out is None:
             out = Scalar(self, {(0, 0): self._fraction(expr)})
@@ -346,13 +349,8 @@ class Ring:
 
     def _conj_poly(self, p):
         """Complex conjugate of every coefficient of p (P, m are real)."""
-        dom = self.poly.domain
-        if dom is QQ_I:
-            conj = {mon: dom(c.x, -c.y) for mon, c in p.items()}
-        else:
-            conj = {mon: dom.from_sympy(dom.to_sympy(c).subs(sp.I, -sp.I))
-                    for mon, c in p.items()}
-        return self.poly.from_dict(conj)
+        return self.poly.from_dict(
+            {mon: QQ_I(c.x, -c.y) for mon, c in p.items()})
 
     def fold(self, parts: dict) -> dict:
         """Reduce raw (eH, eR) exponent pairs to the mode's basis."""
@@ -505,7 +503,8 @@ class Scalar:
         for a, b in ((self, other), (other, self)):
             k = b._constant()
             if k is not None:
-                # a reduced fraction times a nonzero constant stays reduced
+                # a reduced fraction times a nonzero constant stays reduced,
+                # so scaling the numerators skips the fold and the reduction
                 return Scalar(self.ring, {key: (n.mul_ground(k), d)
                                           for key, (n, d) in a._c.items()},
                               _canonical=True)

@@ -304,6 +304,7 @@ def test_massless_ring_denominators(mring):
 def test_frozen_points(ring, kappa):
     """at_point agrees with substituting (0, 0, kappa) in the function; at
     m = 12/5 and kappa = 7/10 the energy is 5/2."""
+    assert Ring(point=kappa).point == sp.Rational(7, 10)
     checked = 0
     for s, expr in _random_pairs(ring, 8, 8)[-4:]:
         try:
