@@ -24,10 +24,14 @@ closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 
 (massless: both reduce to the rotation form).  ``_form_matrix`` is the
 one implementation of this form, vectorized over any batch of points, and
-``_transport`` the one classic 4th-order integrator of U' = -A U.  Parallel
-transport integrates the form directly, off-grid: ``holonomy`` transports
-the four legs of a shell loop as one batch, and the lattice Chern number
-and the parallel fiber frame transport batches of mesh edges.
+``_transport`` the one classic 4th-order integrator of U' = -A U; each
+step's end form is the next step's start form, so n steps evaluate the
+form 2n + 1 times.  Parallel transport integrates the form directly,
+off-grid.  ``holonomy`` transports the fiber matrices of the four legs of
+a shell loop as one batch, and the parallel fiber frame transports the
+matrices of its mesh edges in batches.  The lattice Chern number reads
+each link only through one overlap, so it transports the link's start
+frame vector instead of the fiber matrix.
 """
 
 from __future__ import annotations
@@ -379,6 +383,9 @@ def curvature_sample_holonomy(rep: RepSpec, kind: ConnectionKind,
     """Estimate F(e_theta, e_phi) at (r0, theta0, phi0) from the holonomy
     of a small quadrilateral: U ~ exp(-F * r0^2 * solid_angle), so the
     estimate is (1 - U)/(r0^2 * solid_angle)."""
+    if not 0 < delta < np.inf:
+        raise ConnectionLabError(
+            f"delta must be positive and finite; got {delta!r}")
     a = delta / np.sin(theta0)
     loop = HolonomyLoop(r0, theta0 - delta / 2, theta0 + delta / 2,
                         phi0 - a / 2, phi0 + a / 2)
@@ -449,7 +456,12 @@ def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
     directions khat for sphere-tangential velocities vel; khat and vel have
     shape (3, ...), the result (..., d, d)."""
     cross = np.cross(vel, khat, axis=0)
-    s_dot = np.einsum("a...,abc->...bc", cross, rep.spin_mats)
+    # cross.S as a per-axis sum: every fiber entry of the spin matrices has
+    # at most two nonzero terms, so the order of the sum cannot move a bit
+    spin = rep.spin_mats
+    s_dot = cross[0][..., None, None] * spin[0]
+    for a in (1, 2):
+        s_dot += cross[a][..., None, None] * spin[a]
     if rep.kind == "massless":
         coef = -1j / r0
     else:
@@ -469,17 +481,23 @@ def _require_count(value, minimum: int, what: str, error=ConnectionLabError):
 
 def _transport(a_of, u: np.ndarray, n_steps: int) -> np.ndarray:
     """Classic 4th-order integration of U' = -A(t) U over t in [0, 1];
-    ``a_of(t)`` returns the stacked forms (..., d, d)."""
+    ``a_of(t)`` returns the stacked forms (..., d, d) and ``u`` is the
+    start, a stack of fiber matrices (..., d, d) or of vectors (..., d, 1).
+    Each step's end form a_of(t + h) is the next step's start form, so the
+    form is evaluated 2 n_steps + 1 times."""
     _require_count(n_steps, 1, "n_steps")
     h = 1.0 / n_steps
+    a_start = a_of(0.0)
     for i in range(n_steps):
         t = i * h
         a_mid = a_of(t + h / 2)
-        k1 = -a_of(t) @ u
+        a_end = a_of(t + h)
+        k1 = -a_start @ u
         k2 = -a_mid @ (u + h / 2 * k1)
         k3 = -a_mid @ (u + h / 2 * k2)
-        k4 = -a_of(t + h) @ (u + h * k3)
+        k4 = -a_end @ (u + h * k3)
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        a_start = a_end
     return u
 
 
@@ -492,16 +510,20 @@ def _sphere_frame(theta, phi):
 
 
 def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
-                          perturbation=None):
+                          perturbation=None, start=None):
     """Vectorized transport along geodesic-in-coordinates edges from
-    (th_a, ph_a) to (th_b, ph_b); returns stacked (..., d, d) matrices.
-    ``perturbation(theta, phi, velocity) -> (..., d, d)`` is added to the
-    connection form."""
+    (th_a, ph_a) to (th_b, ph_b).  ``start`` is what is transported: by
+    default the identity, which returns the stacked (..., d, d) transport
+    matrices; a stack of fiber vectors (..., d, 1) returns their images
+    (RK4 is linear in U, so these are the matrices applied to the
+    vectors).  ``perturbation(theta, phi, velocity) -> (..., d, d)`` is
+    added to the connection form."""
     th_a, ph_a = np.broadcast_arrays(th_a, ph_a)
     th_b, ph_b = np.broadcast_arrays(th_b, ph_b)
-    d = rep.dim
-    u = np.broadcast_to(np.eye(d, dtype=np.complex128),
-                        th_a.shape + (d, d)).copy()
+    if start is None:
+        start = np.eye(rep.dim)
+    start = np.asarray(start, dtype=np.complex128)
+    u = np.broadcast_to(start, th_a.shape + start.shape[-2:]).copy()
     dth = th_b - th_a
     dph = ph_b - ph_a
 
@@ -528,10 +550,13 @@ class HolonomyLoop:
     __slots__ = ("r0", "theta1", "theta2", "phi1", "phi2")
 
     def __init__(self, r0, theta1, theta2, phi1, phi2):
-        if not r0 > 0:
-            raise ConnectionLabError("need r0 > 0")
+        if not 0 < r0 < np.inf:
+            raise ConnectionLabError("need a finite r0 > 0")
         if not (0.0 < theta1 <= theta2 < np.pi):
             raise ConnectionLabError("need 0 < theta1 <= theta2 < pi")
+        if not (np.isfinite(phi1) and np.isfinite(phi2)):
+            raise ConnectionLabError(
+                f"need finite phi1 and phi2; got {phi1!r}, {phi2!r}")
         if phi2 < phi1:
             raise ConnectionLabError("need phi1 <= phi2")
         self.r0 = float(r0)
@@ -567,8 +592,8 @@ def _check_mesh(n_theta, n_phi, radius, error=ConnectionLabError):
     """Shell-mesh arguments of the transport diagnostics."""
     _require_count(n_theta, 2, "n_theta", error)
     _require_count(n_phi, 2, "n_phi", error)
-    if not radius > 0:
-        raise error(f"radius must be positive; got {radius!r}")
+    if not 0 < radius < np.inf:
+        raise error(f"radius must be positive and finite; got {radius!r}")
 
 
 def chern_number(rep: RepSpec, kind: ConnectionKind,
@@ -577,11 +602,13 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
                  perturbation=None):
     """Lattice Chern number of the helicity subbundle on one shell.
 
-    Link variables are unit-fiber parallel-transport overlaps between the
-    local helicity frame vectors; plaquette field strengths are the link
-    phases; two polar caps are closed by Wilson loops around the boundary
-    circles.  Returns (integer, pre-rounding real).  A plaquette phase
-    within ``margin`` of the branch cut raises a resolution error.
+    Link variables are unit-fiber parallel-transport overlaps
+    conj(v_b) . T v_a between the local helicity frame vectors; each link
+    transports its start vector v_a, not the fiber matrix T.  Plaquette
+    field strengths are the link phases; two polar caps are closed by
+    Wilson loops around the boundary circles.  Returns (integer,
+    pre-rounding real).  A plaquette phase within ``margin`` (finite,
+    0 <= margin < pi) of the branch cut raises a resolution error.
 
     ``perturbation(theta, phi, velocity) -> (..., d, d)`` adds a smooth
     endomorphism-valued 1-form to the connection; the integer must not
@@ -592,6 +619,9 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
             "the Chern diagnostic restricts to the massless shell bundle"
         )
     _check_mesh(n_theta, n_phi, radius)
+    if not 0.0 <= margin < np.pi:
+        raise ConnectionLabError(
+            f"margin must be finite with 0 <= margin < pi; got {margin!r}")
     if rep.helicity == 0:
         return 0, 0.0
     h = rep.helicity
@@ -604,9 +634,10 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     v = np.moveaxis(v, 0, -1)  # (n_theta, n_phi, 3)
 
     def link(th_a, ph_a, th_b, ph_b, va, vb):
-        t = _edge_transport_batch(rep, kind, radius, th_a, ph_a, th_b, ph_b,
-                                  perturbation=perturbation)
-        ov = np.einsum("...c,...cd,...d->...", np.conj(vb), t, va)
+        tva = _edge_transport_batch(rep, kind, radius, th_a, ph_a, th_b,
+                                    ph_b, perturbation=perturbation,
+                                    start=va[..., None])[..., 0]
+        ov = np.sum(np.conj(vb) * tva, axis=-1)
         return ov / np.abs(ov)
 
     # theta-edges (j -> j+1) and phi-edges (l -> l+1, periodic)

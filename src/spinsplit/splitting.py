@@ -396,14 +396,14 @@ def parallel_frame(rep: RepSpec, kind: ConnectionKind | None = None,
     u0 = np.eye(d, dtype=np.complex128) if reference_basis is None \
         else np.asarray(reference_basis, dtype=np.complex128)
     frames = np.zeros((n_theta, n_phi, d, d), dtype=np.complex128)
-    # meridian leg (phi = phis[0]): reference node is (thetas[0], phis[0])
+    # meridian leg (phi = phis[0]): reference node is (thetas[0], phis[0]);
+    # its edges are transported in one batch from the identity and chained
     frames[0, 0] = u0
+    meridian = _edge_transport_batch(rep, kind, radius, thetas[:-1],
+                                     phis[0], thetas[1:], phis[0],
+                                     n_steps=n_steps)
     for j in range(n_theta - 1):
-        t = _edge_transport_batch(rep, kind, radius,
-                                  np.array(thetas[j]), np.array(phis[0]),
-                                  np.array(thetas[j + 1]), np.array(phis[0]),
-                                  n_steps=n_steps)
-        frames[j + 1, 0] = t @ frames[j, 0]
+        frames[j + 1, 0] = meridian[j] @ frames[j, 0]
     # latitude circles, vectorized over theta
     for l in range(n_phi - 1):
         t = _edge_transport_batch(rep, kind, radius,

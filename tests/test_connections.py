@@ -362,10 +362,24 @@ def test_holonomy_rejects_bad_step_count(rep_massive1, n_steps):
                  n_steps=n_steps)
 
 
-@pytest.mark.parametrize("r0", [0.0, -1.5, float("nan")])
+@pytest.mark.parametrize("r0", [0.0, -1.5, float("nan"), float("inf")])
 def test_holonomy_loop_rejects_bad_radius(r0):
     with pytest.raises(ConnectionLabError, match="r0"):
         HolonomyLoop(r0, 1.0, 1.2, 0.3, 0.5)
+
+
+@pytest.mark.parametrize("phi1,phi2", [(float("nan"), 0.5),
+                                       (0.3, float("inf"))])
+def test_holonomy_loop_rejects_nonfinite_phi(phi1, phi2):
+    with pytest.raises(ConnectionLabError, match="phi1 and phi2"):
+        HolonomyLoop(1.5, 1.0, 1.2, phi1, phi2)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.02, float("nan"), float("inf")])
+def test_holonomy_sample_rejects_bad_delta(rep_massive1, delta):
+    with pytest.raises(ConnectionLabError, match="delta"):
+        curvature_sample_holonomy(rep_massive1, ConnectionKind.boost(),
+                                  1.5, 1.0, 0.3, delta=delta)
 
 
 # -- lattice Chern number -----------------------------------------------------------------
@@ -425,8 +439,18 @@ def test_chern_margin_guard_triggers():
     ({"n_theta": 1}, "n_theta"), ({"n_theta": 0}, "n_theta"),
     ({"n_theta": 12.0}, "n_theta"), ({"n_phi": 1}, "n_phi"),
     ({"radius": 0.0}, "radius"), ({"radius": -1.5}, "radius"),
+    ({"radius": float("inf")}, "radius"),
 ])
 def test_chern_rejects_bad_mesh(kwargs, name):
     with pytest.raises(ConnectionLabError, match=name):
         chern_number(RepSpec.massless(1), ConnectionKind.rotation(),
                      **kwargs)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), -1.0, np.pi,
+                                    float("inf")])
+@pytest.mark.parametrize("h", [0, 1])
+def test_chern_rejects_bad_margin(h, margin):
+    with pytest.raises(ConnectionLabError, match="margin"):
+        chern_number(RepSpec.massless(h), ConnectionKind.rotation(),
+                     n_theta=12, n_phi=24, margin=margin)

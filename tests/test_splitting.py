@@ -230,7 +230,7 @@ def test_frame_requires_massive(rep_massless_plus):
 @pytest.mark.parametrize("kwargs,name", [
     ({"n_theta": 1}, "n_theta"), ({"n_phi": 0}, "n_phi"),
     ({"n_phi": 8.0}, "n_phi"), ({"radius": 0.0}, "radius"),
-    ({"n_steps": 0}, "n_steps"),
+    ({"radius": float("inf")}, "radius"), ({"n_steps": 0}, "n_steps"),
 ])
 def test_frame_rejects_bad_mesh(rep_massive1, kwargs, name):
     with pytest.raises((SplittingError, ConnectionLabError), match=name):
