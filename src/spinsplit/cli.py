@@ -2,22 +2,23 @@
 
 Subcommands:
 
-* ``run``          — run named diagnostic suites, emit a JSON report and
-                     an optional convergence CSV.
-* ``eval``         — parse an operator expression, print its normal
-                     form (``--check-zero`` for a pass/fail line).
-* ``convergence``  — like ``run`` but prints the CSV ladder table.
-* ``chern``        — ``run`` of the ``chern`` suite (lattice Chern numbers).
-* ``holonomy``     — ``run`` of the ``holonomy`` suite (loop transport for
-                     the boost and flat connections).
+* ``run``       — run named diagnostic suites, emit a JSON report and,
+                  with ``--csv``, the per-rung convergence CSV.
+* ``eval``      — parse an operator expression, print its normal form
+                  (``--check-zero`` for a pass/fail line).
+* ``chern``     — ``run`` of the ``chern`` suite (lattice Chern numbers).
+* ``holonomy``  — ``run`` of the ``holonomy`` suite (loop transport for
+                  the boost and flat connections).
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
-2 configuration/usage/expression error.
+2 configuration/usage/expression error.  Configuration errors,
+unwritable output paths included, are reported before any suite runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -42,13 +43,37 @@ EXIT_ERROR = 2
 
 
 def _parse_grid(text: str):
-    parts = text.replace("x", ",").split(",")
-    if len(parts) != 3:
-        raise ConfigError(f"--grid expects NR,NT,NP; got {text!r}")
-    return tuple(int(p) for p in parts)
+    try:
+        nr, nt, npp = (int(p) for p in text.replace("x", ",").split(","))
+    except ValueError:
+        raise ConfigError(f"--grid expects three integers NR,NT,NP; "
+                          f"got {text!r}") from None
+    return nr, nt, npp
+
+
+def _grid_ladder(text: str, suites) -> list:
+    """The ladder of ``--grid``: the given rung, below it a halved rung
+    when a selected suite estimates convergence orders."""
+    rung = _parse_grid(text)
+    if not any(SUITES[s]["ladder"] for s in suites):
+        return [rung]
+    half = tuple(max(4, n // 2) for n in rung)
+    if not all(a < b for a, b in zip(half, rung)):
+        raise ConfigError(
+            f"--grid {text}: convergence suites also run the halved rung "
+            f"{half}, which must lie below {rung} in every dimension; "
+            f"give every dimension at least 5 nodes")
+    return [half, rung]
 
 
 def _build_config(args) -> RunConfig:
+    # the [run] keys that flags replace, validated by RunConfig with the
+    # rest of the configuration
+    overrides = {key: value for key, value in (
+        ("suites", args.suite), ("json_path", args.json),
+        ("csv_path", args.csv), ("normalize", args.normalize)) if value}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
     if args.config:
         for flag, key in (("grid", "[grid] ladder"),
                           ("mass", "[reps] massive"),
@@ -60,75 +85,57 @@ def _build_config(args) -> RunConfig:
                     f"{key} in the config file instead"
                 )
         config = RunConfig.from_ini(args.config)
-        if args.suite:
-            config = RunConfig(
-                suites=args.suite, seed=config.seed, ladder=config.ladder,
-                r_min=config.r_min, r_max=config.r_max,
-                massive=config.massive, massless=config.massless,
-                tolerances=config.tolerances, json_path=config.json_path,
-                csv_path=config.csv_path, normalize=config.normalize)
+        # RunConfig's slots are its constructor's parameters
+        kwargs = {name: getattr(config, name) for name in RunConfig.__slots__}
     else:
         kwargs = {"suites": args.suite or list(SUITES)}
         if args.grid:
-            rung = _parse_grid(args.grid)
-            kwargs["ladder"] = [rung]
-            if any(SUITES[s]["ladder"] for s in kwargs["suites"]):
-                kwargs["ladder"].insert(0, tuple(max(4, n // 2)
-                                                 for n in rung))
+            kwargs["ladder"] = _grid_ladder(args.grid, kwargs["suites"])
         if args.mass is not None or args.spin is not None:
             mass = args.mass if args.mass is not None else 1.3
             spin = args.spin if args.spin is not None else 1
             kwargs["massive"] = [(mass, spin)]
         if args.helicity is not None:
             kwargs["massless"] = [args.helicity]
-        config = RunConfig(**kwargs)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.json:
-        config.json_path = args.json
-    if args.csv:
-        config.csv_path = args.csv
-    if args.normalize:
-        config.normalize = True
-    return config
+    kwargs.update(overrides)
+    return RunConfig(**kwargs)
+
+
+def _check_writable(path: str) -> None:
+    """Reject an output path that cannot be written before any suite
+    runs; ``_write`` catches what this check cannot foresee."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(parent, os.W_OK):
+        raise ConfigError(f"cannot write {path!r}: not a file in a "
+                          f"writable directory")
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
+    for path in (config.json_path, config.csv_path):
+        if path:
+            _check_writable(path)
     report = run_suites(config)
     text = report_json(report)
     if config.json_path:
-        with open(config.json_path, "w") as fh:
-            fh.write(text)
+        _write(config.json_path, text)
     else:
         sys.stdout.write(text)
     if config.csv_path:
-        with open(config.csv_path, "w") as fh:
-            fh.write(convergence_csv(report))
+        _write(config.csv_path, convergence_csv(report))
     for rec in report["records"]:
         status = "PASS" if rec["passed"] else "FAIL"
         print(f"{status} {rec['suite']}:{rec['name']} "
               f"measured={rec['measured']} tol={rec['tolerance']}",
               file=sys.stderr)
-    return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
-
-
-def _cmd_convergence(args) -> int:
-    config = _build_config(args)
-    ladder_suites = [s for s in config.suites if SUITES[s]["ladder"]]
-    if not ladder_suites:
-        raise ConfigError(
-            "no selected suite produces a convergence ladder; pick from "
-            + ", ".join(s for s in SUITES if SUITES[s]["ladder"])
-        )
-    config.suites = ladder_suites
-    report = run_suites(config)
-    text = convergence_csv(report)
-    if config.csv_path:
-        with open(config.csv_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -178,11 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = subs.add_parser("run", help="run diagnostic suites")
     _add_common(p_run)
     p_run.set_defaults(fn=_cmd_run)
-
-    p_conv = subs.add_parser("convergence",
-                             help="convergence ladder CSV")
-    _add_common(p_conv)
-    p_conv.set_defaults(fn=_cmd_convergence)
 
     p_eval = subs.add_parser("eval", help="evaluate an operator "
                                           "expression to normal form")

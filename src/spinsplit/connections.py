@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MomentumGrid, Section
-from .reps import RepSpec, _act, _act_J, _act_K, _derivatives
+from .reps import RepSpec, _act_chi, _act_J, _act_K, _derivatives
 from .scalars import eps
 
 __all__ = [
@@ -417,9 +417,8 @@ def cross_commutator_check(psi: Section) -> dict:
     eth, eph = TangentField.named("e_theta"), TangentField.named("e_phi")
     omega = grid.omega(rep.mass)[..., None]
     rmag = grid.kmag[..., None]
-    cot = ((np.cos(grid.theta) / np.sin(grid.theta))[None, :, None]
-           + np.zeros(grid.shape))[..., None]
-    jk = _act(rep, grid, "chi", None, psi.values)
+    cot = (np.cos(grid.theta) / np.sin(grid.theta))[None, :, None, None]
+    jk = _act_chi(rep, grid, psi.values)
     der = _derivatives(grid, psi.values)
     kphi = np.zeros_like(psi.values)
     jtheta = np.zeros_like(psi.values)

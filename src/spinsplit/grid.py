@@ -20,15 +20,11 @@ which is why N_phi must be even.  This applies to fiber components stored
 in a fixed Cartesian-frame basis (as all sections here are), not to
 spherical-frame components.
 
-Node ordering is published for serialization: C-order over
-(r ascending, theta ascending, phi ascending, fiber component).
+Section values are stored in C order over (r ascending, theta
+ascending, phi ascending, fiber component).
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-import struct
 
 import numpy as np
 
@@ -37,8 +33,6 @@ __all__ = [
     "MomentumGrid",
     "Section",
     "make_grid",
-    "save_section",
-    "load_section",
 ]
 
 
@@ -151,6 +145,8 @@ class MomentumGrid:
         th = self.theta[None, :, None]
         ph = self.phi[None, None, :]
         st, ct = np.sin(th), np.cos(th)
+        # shape (1, N_theta, 1): every sin(theta) factor broadcasts it
+        self.sin_theta = st
         sp_, cp = np.sin(ph), np.cos(ph)
         self.kx = (r3 * st * cp) + np.zeros(self.shape)
         self.ky = (r3 * st * sp_) + np.zeros(self.shape)
@@ -240,7 +236,7 @@ class MomentumGrid:
         extra = values.ndim - 3
         idx = (slice(None),) * 3 + (None,) * extra
         r3 = self.kmag[idx]
-        st = (np.sin(self.theta)[None, :, None] + np.zeros(self.shape))[idx]
+        st = self.sin_theta[idx]
         dr = self.d_r(values)
         dth = self.d_theta(values) / r3
         dph = self.d_phi(values) / (r3 * st)
@@ -258,7 +254,7 @@ class MomentumGrid:
         """Quadrature weights for d^3k, shape (N_r, N_theta, N_phi)."""
         w = (self.w_r[:, None, None]
              * (self.r**2)[:, None, None]
-             * np.sin(self.theta)[None, :, None]
+             * self.sin_theta
              * self.dtheta * self.dphi)
         return w + np.zeros(self.shape)
 
@@ -327,73 +323,3 @@ class Section:
 
     def copy(self) -> "Section":
         return Section(self.rep, self.grid, self.values.copy())
-
-
-# -- serialization ------------------------------------------------------------
-#
-# Binary layout (documented bit-exactly in docs/section_format.md):
-#   bytes 0..7   magic b"SPSECT01"
-#   bytes 8..11  little-endian uint32: header length L
-#   bytes 12..12+L-1  UTF-8 JSON header
-#   remainder    fiber values, little-endian complex128, C-order over
-#                (r, theta, phi, component)
-
-_MAGIC = b"SPSECT01"
-
-
-def save_section(path, section: Section) -> None:
-    body = np.ascontiguousarray(
-        section.values.astype("<c16", copy=False)).tobytes()
-    header = {
-        "format_version": 1,
-        "rep": section.rep.spec(),
-        "grid": section.grid.spec(),
-        "dtype": "complex128",
-        "byte_order": "little",
-        "shape": list(section.values.shape),
-        "node_order": "C-order over (r, theta, phi, component)",
-        "sha256": hashlib.sha256(body).hexdigest(),
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(body)
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def load_section(path, rep_factory) -> Section:
-    """Load a section; ``rep_factory(spec_dict)`` rebuilds the rep.  A
-    malformed file raises :class:`GridError`."""
-    try:
-        return _read_section(path, rep_factory)
-    except GridError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError,
-            struct.error) as exc:
-        raise GridError(f"malformed section file {path}: {exc!r}") from exc
-
-
-def _read_section(path, rep_factory) -> Section:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _MAGIC:
-            raise GridError(f"bad magic {magic!r}; not a section file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        body = fh.read()
-    if header.get("format_version") != 1:
-        raise GridError(f"unsupported format_version {header.get('format_version')}")
-    if hashlib.sha256(body).hexdigest() != header["sha256"]:
-        raise GridError("section body checksum mismatch")
-    g = header["grid"]
-    grid = make_grid(g["N_r"], g["N_theta"], g["N_phi"],
-                     g["r_min"], g["r_max"],
-                     radial_map=g.get("radial_map", "linear"),
-                     mass_scale=g.get("mass_scale", 1.0))
-    rep = rep_factory(header["rep"])
-    values = np.frombuffer(body, dtype="<c16").reshape(header["shape"])
-    return Section(rep, grid, values.astype(np.complex128))

@@ -40,20 +40,20 @@ from .grid import MomentumGrid, Section, make_grid
 from .identities import identity_suite
 from .reps import (
     RepSpec,
-    _act,
+    _act_chi,
     algebra_residual,
     inner,
     random_test_section,
     relation_ids,
 )
 from .splitting import (
+    SplitOperators,
     defect_identity_residual,
     jperp_so3_residual,
     nw_gradient_residual,
     nw_hermiticity_defect,
     nw_match_residual,
     so3_residual,
-    split,
     vector_op_residual,
 )
 
@@ -112,6 +112,9 @@ class RunConfig:
             raise ConfigError(
                 f"unknown suites {unknown}; known: {sorted(SUITES)}"
             )
+        seed = int(seed)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0; got {seed}")
         ladder = [tuple(int(x) for x in rung) for rung in ladder]
         if not ladder:
             raise ConfigError("grid ladder is empty")
@@ -162,7 +165,7 @@ class RunConfig:
                 f"{[tolerances[name] for name in bad]}"
             )
         self.suites = suites
-        self.seed = int(seed)
+        self.seed = seed
         self.ladder = ladder
         self.r_min = float(r_min)
         self.r_max = float(r_max)
@@ -409,8 +412,7 @@ def _suite_curvature(config: RunConfig, records, rows):
     for rep, kind, coeff, anchor in cases:
         def measure(grid, psi, rep=rep, kind=kind, coeff=coeff):
             f = curvature_commutator(kind, eth, eph, psi)
-            pred = coeff(grid)[..., None] * _act(rep, grid, "chi", None,
-                                                 psi.values)
+            pred = coeff(grid)[..., None] * _act_chi(rep, grid, psi.values)
             return [Section(rep, grid, f.values - pred).norm() / psi.norm()]
         (residuals,), _, _ = _ladder(
             config, rep, rows, "curvature", [f"{rep!r}:{kind.variant}"],
@@ -442,12 +444,12 @@ def _suite_splitting(config: RunConfig, records, rows):
         (residuals,), grid, psi = _ladder(
             config, rep, rows, "splitting", [f"{rep!r}:flat-so3"],
             lambda grid, psi, rep=rep: [
-                so3_residual(split(rep, grid, flat), psi)])
+                so3_residual(SplitOperators(rep, grid, flat), psi)])
         records.append(_record(
             f"flat-so3-massive-{spin}",
             "the flat-connection orbital operators close the rotation "
             "algebra", residuals[-1], tol, _order(config, residuals)))
-        ops = split(rep, grid, flat)
+        ops = SplitOperators(rep, grid, flat)
         records.append(_record(
             f"vector-op-massive-{spin}",
             "orbital and internal parts are vector operators under J",
@@ -459,12 +461,12 @@ def _suite_splitting(config: RunConfig, records, rows):
         rep = RepSpec.massless(h)
 
         def measure(grid, psi, rep=rep):
-            ops = split(rep, grid, boost)
+            ops = SplitOperators(rep, grid, boost)
             return [so3_residual(ops, psi), jperp_so3_residual(ops, psi)]
         (so3s, jperps), grid, psi = _ladder(
             config, rep, rows, "splitting", [f"{rep!r}:boost-so3", None],
             measure)
-        ops = split(rep, grid, boost)
+        ops = SplitOperators(rep, grid, boost)
         records.append(_record(
             f"massless-so3-defect-h{h:+d}",
             "the massless orbital so(3) failure equals the measured "
@@ -565,7 +567,7 @@ def _suite_fplus(config: RunConfig, records, rows):
         grid = config.grid_for(config.ladder[-1], mass)
         psi = random_test_section(rep, grid, seed=config.seed,
                                   polar_damping=4)
-        jk = _act(rep, grid, "chi", None, psi.values)
+        jk = _act_chi(rep, grid, psi.values)
         ref = Section(rep, grid, (1j / grid.kmag**2)[..., None] * jk)
         denom = inner(ref, ref)
         norms, coeff_errs = [], []

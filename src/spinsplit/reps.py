@@ -25,8 +25,9 @@ making the total K Hermitian (equivalently: K = khat*i(|k|d/d|k| + 1)
 + (khat x J - i*khat), the symmetrized transverse form).
 
 The helicity operator chi = S.khat is pointwise (the orbital part of
-J.khat vanishes identically); Jpar_a = chi*khat_a, Jperp = J - Jpar,
-Kpar_a = khat_a (khat.K), Kperp = K - Kpar.
+J.khat vanishes identically).  Each fiber action has one direct call:
+``_act_J``, ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the
+generator letters H, P, J, K of the commutation-relation catalog.
 """
 
 from __future__ import annotations
@@ -39,13 +40,10 @@ from .scalars import eps
 __all__ = [
     "RepError",
     "RepSpec",
-    "apply_generator",
     "inner",
     "algebra_residual",
     "relation_ids",
     "random_test_section",
-    "transversality_drift",
-    "GENERATOR_SELECTORS",
 ]
 
 
@@ -120,12 +118,6 @@ class RepSpec:
     def massless(cls, helicity: int) -> "RepSpec":
         return cls("massless", helicity=helicity)
 
-    @classmethod
-    def from_spec(cls, spec: dict) -> "RepSpec":
-        if spec.get("kind") == "massive":
-            return cls.massive(spec["mass"], spec["spin"])
-        return cls.massless(spec["helicity"])
-
     def spec(self) -> dict:
         if self.kind == "massive":
             return {"kind": "massive", "mass": self.mass, "spin": self.spin}
@@ -174,9 +166,9 @@ def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
     if der is None:
         der = _derivatives(grid, v, radial=False)
     _, dth, dph = der
-    st = (np.sin(grid.theta)[None, :, None] + np.zeros(grid.shape))[..., None]
     orb = -1j * (grid.e_phi[a][..., None] * dth
-                 - grid.e_theta[a][..., None] * dph / st)
+                 - grid.e_theta[a][..., None] * dph
+                 / grid.sin_theta[..., None])
     return orb + np.einsum("bc,...c->...b", rep.spin_mats[a], v)
 
 
@@ -192,8 +184,7 @@ def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
         # under the plain measure instead)
         omega = grid.omega(rep.mass)[..., None]
         r3 = grid.kmag[..., None]
-        st = (np.sin(grid.theta)[None, :, None]
-              + np.zeros(grid.shape))[..., None]
+        st = grid.sin_theta[..., None]
         # component a of the Cartesian gradient, accumulated in place
         out = grid.e_k[a][..., None] * dr
         out += grid.e_theta[a][..., None] * (dth / r3)
@@ -221,10 +212,16 @@ def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
     return out
 
 
+def _act_chi(rep: RepSpec, grid: MomentumGrid, v: np.ndarray) -> np.ndarray:
+    """The pointwise helicity operator S.khat on v."""
+    return np.einsum("...bc,...c->...b", rep.chi_field(grid), v)
+
+
 def _act(rep: RepSpec, grid: MomentumGrid, tag: str, axis: int | None,
          v: np.ndarray, der=None) -> np.ndarray:
-    """Generator ``tag`` (axis ``axis``) on v; ``der`` is an optional
-    precomputed derivative pass over v, shared by the J and K actions."""
+    """Generator ``tag`` in {H, P, J, K} (axis ``axis``) on v; ``der`` is
+    an optional precomputed derivative pass over v, shared by the J and K
+    actions."""
     if tag == "H":
         return grid.omega(rep.mass)[..., None] * v
     if tag == "P":
@@ -234,79 +231,7 @@ def _act(rep: RepSpec, grid: MomentumGrid, tag: str, axis: int | None,
         return _act_J(rep, grid, axis, v, der)
     if tag == "K":
         return _act_K(rep, grid, axis, v, der)
-    if tag == "chi":
-        return np.einsum("...bc,...c->...b", rep.chi_field(grid), v)
-    if tag == "Jpar":
-        chi_v = _act(rep, grid, "chi", None, v)
-        return grid.khat[axis][..., None] * chi_v
-    if tag == "Jperp":
-        return (_act_J(rep, grid, axis, v, der)
-                - _act(rep, grid, "Jpar", axis, v))
-    if tag == "Kpar":
-        if der is None:
-            der = _derivatives(grid, v)
-        if rep.kind == "massless":
-            radial = 1j * grid.kmag[..., None] * der[0]
-        else:
-            radial = sum(
-                grid.khat[b][..., None] * _act_K(rep, grid, b, v, der)
-                for b in range(3)
-            )
-        return grid.khat[axis][..., None] * radial
-    if tag == "Kperp":
-        if der is None:
-            der = _derivatives(grid, v)
-        return (_act_K(rep, grid, axis, v, der)
-                - _act(rep, grid, "Kpar", axis, v, der))
     raise RepError(f"unknown generator tag {tag!r}")
-
-
-GENERATOR_SELECTORS = tuple(
-    ["H", "chi"]
-    + [f"{t}[{a}]" for t in ("P", "J", "K", "Jpar", "Jperp", "Kpar", "Kperp")
-       for a in (1, 2, 3)]
-)
-
-
-def _parse_selector(name: str):
-    if name in ("H", "chi"):
-        return name, None
-    if name.endswith("]") and "[" in name:
-        tag, idx = name[:-1].split("[", 1)
-        if tag in ("P", "J", "K", "Jpar", "Jperp", "Kpar", "Kperp") and \
-                idx in ("1", "2", "3"):
-            return tag, int(idx) - 1
-    raise RepError(f"unknown generator selector {name!r}")
-
-
-def transversality_drift(psi: Section) -> float:
-    """max-node |khat . psi| / max-node |psi| (massless |h|=1 sections)."""
-    dot = np.einsum("a...,...a->...", psi.grid.khat, psi.values)
-    scale = float(np.max(np.abs(psi.values)))
-    if scale == 0.0:
-        return 0.0
-    return float(np.max(np.abs(dot))) / scale
-
-
-def apply_generator(name: str, psi: Section,
-                    eps_perp: float | None = 0.05) -> Section:
-    """Apply a generator by selector name; see GENERATOR_SELECTORS.
-
-    For massless |h| = 1 sections the transversality drift of the result
-    is checked against ``eps_perp`` (pass None to disable).
-    """
-    tag, axis = _parse_selector(name)
-    out = Section(psi.rep, psi.grid,
-                  _act(psi.rep, psi.grid, tag, axis, psi.values))
-    if (eps_perp is not None and psi.rep.kind == "massless"
-            and psi.rep.helicity):
-        drift = transversality_drift(out)
-        if drift > eps_perp:
-            raise RepError(
-                f"transversality constraint drift {drift:.3e} exceeds "
-                f"eps_perp={eps_perp:.3e} after {name}"
-            )
-    return out
 
 
 def inner(psi: Section, phi: Section) -> complex:
@@ -431,8 +356,7 @@ def _polar_damping(grid: MomentumGrid, power: int) -> np.ndarray:
     """sin(theta)^power: vanishes to the given order at both poles and,
     for even powers, is a polynomial in the Cartesian coordinates — so
     it stays fully resolved by the angular differencing."""
-    st = np.sin(grid.theta)[None, :, None] + np.zeros(grid.shape)
-    return st**power
+    return grid.sin_theta**power
 
 
 def random_test_section(rep: RepSpec, grid: MomentumGrid, seed: int,

@@ -39,13 +39,12 @@ from .connections import (
     curvature_commutator,
 )
 from .grid import MomentumGrid, Section
-from .reps import RepSpec, _act, _derivatives, inner
+from .reps import RepSpec, _act_chi, _act_J, _act_K, _derivatives, inner
 from .scalars import eps
 
 __all__ = [
     "SplittingError",
     "SplitOperators",
-    "split",
     "vector_op_residual",
     "internality_residual",
     "leibniz_term_norm",
@@ -106,7 +105,7 @@ class SplitOperators:
 
     def J(self, a: int, psi: Section) -> Section:
         return Section(psi.rep, psi.grid,
-                       _act(psi.rep, psi.grid, "J", a, psi.values))
+                       _act_J(psi.rep, psi.grid, a, psi.values))
 
     def S(self, a: int, psi: Section) -> Section:
         return self.J(a, psi) - self.L(a, psi)
@@ -117,17 +116,12 @@ class SplitOperators:
         if self.rep.kind != "massless":
             raise SplittingError("parallel/perpendicular split is the "
                                  "massless decomposition; use L/S instead")
-        chi = _act(psi.rep, psi.grid, "chi", None, psi.values)
+        chi = _act_chi(psi.rep, psi.grid, psi.values)
         return Section(psi.rep, psi.grid,
                        psi.grid.khat[a][..., None] * chi)
 
     def j_perp(self, a: int, psi: Section) -> Section:
         return self.J(a, psi) - self.j_parallel(a, psi)
-
-
-def split(rep: RepSpec, grid: MomentumGrid, kind: ConnectionKind,
-          **kwargs) -> SplitOperators:
-    return SplitOperators(rep, grid, kind, **kwargs)
 
 
 def _component(ops: SplitOperators, which: str):
@@ -292,8 +286,8 @@ class NWOperator:
         ks = (grid.kx, grid.ky, grid.kz)
         kv = psi.values
         der = _derivatives(grid, kv)
-        jpsi = [_act(rep, grid, "J", c, kv, der) for c in range(3)]
-        kpsi = [_act(rep, grid, "K", c, kv, der) for c in range(3)]
+        jpsi = [_act_J(rep, grid, c, kv, der) for c in range(3)]
+        kpsi = [_act_K(rep, grid, c, kv, der) for c in range(3)]
         # w_c = (H J + k x K)_c
         w = []
         for c in range(3):

@@ -35,7 +35,7 @@ from spinsplit.lang import LangError, format_expr, lower, parse
 from spinsplit.report import DEGENERACY_GAP_MIN, RunConfig
 from spinsplit.reps import (
     RepSpec,
-    _act,
+    _act_chi,
     algebra_residual,
     inner,
     random_test_section,
@@ -43,12 +43,12 @@ from spinsplit.reps import (
 )
 from spinsplit.scalars import Ring
 from spinsplit.splitting import (
+    SplitOperators,
     defect_identity_residual,
     jperp_so3_residual,
     nw_gradient_residual,
     nw_match_residual,
     so3_residual,
-    split,
 )
 
 import conftest
@@ -166,7 +166,7 @@ def test_criterion_04_curvature_closed_forms():
     for dims in LADDER:
         g = _grid(dims, MASS)
         psi = random_test_section(rep, g, seed=11, polar_damping=4)
-        chi = _act(rep, g, "chi", None, psi.values)
+        chi = _act_chi(rep, g, psi.values)
         fk = curvature_commutator(ConnectionKind.boost(), ETH, EPH, psi)
         pk = (1j / (MASS**2 + g.kmag**2))[..., None] * chi
         res_k.append(Section(rep, g, fk.values - pk).norm() / psi.norm())
@@ -202,13 +202,13 @@ def test_criterion_05_splitting_closure_iff_flat():
     for dims in LADDER:
         g = _grid(dims, MASS)
         psi = random_test_section(rep, g, seed=SEED)
-        flat.append(so3_residual(split(rep, g, ConnectionKind.
-                                       flat_massive()), psi, "L"))
+        ops = SplitOperators(rep, g, ConnectionKind.flat_massive())
+        flat.append(so3_residual(ops, psi, "L"))
     order = _order(flat[1], flat[2], LADDER[1][1], LADDER[2][1])
     gl = _grid(LADDER[-1], 0.0)
     repl = RepSpec.massless(1)
     psil = random_test_section(repl, gl, seed=SEED, polar_damping=4)
-    opsl = split(repl, gl, ConnectionKind.boost())
+    opsl = SplitOperators(repl, gl, ConnectionKind.boost())
     massless_so3 = so3_residual(opsl, psil, "L")
     defect = defect_identity_residual(opsl, psil)
     jperp = jperp_so3_residual(opsl, psil)
@@ -290,7 +290,7 @@ def test_criterion_08_radial_weight_scan():
     rep = RepSpec.massive(MASS, 1)
     g = _grid(LADDER[-1], MASS)
     psi = random_test_section(rep, g, seed=11, polar_damping=4)
-    chi = _act(rep, g, "chi", None, psi.values)
+    chi = _act_chi(rep, g, psi.values)
     ref = Section(rep, g, (1j / g.kmag**2)[..., None] * chi)
     denom = inner(ref, ref)
     lams = (0.5, 0.9, 1.0, 1.1, 2.0)

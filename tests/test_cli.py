@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from spinsplit.cli import EXIT_CHECK_FAILED, EXIT_ERROR, EXIT_OK, main
+import spinsplit.cli as cli
+from spinsplit.cli import (
+    EXIT_CHECK_FAILED,
+    EXIT_ERROR,
+    EXIT_OK,
+    _build_config,
+    build_parser,
+    main,
+)
 from spinsplit.report import (
     CSV_COLUMNS,
     ConfigError,
@@ -342,9 +350,67 @@ def test_run_config_rejects_rep_and_grid_flags(tmp_path, capsys, flag,
     assert flag in capsys.readouterr().err
 
 
-def test_convergence_requires_ladder_suite(capsys):
-    rc = main(["convergence", "--suite", "symbolic"])
-    assert rc == EXIT_ERROR
+@pytest.mark.parametrize("text", ["a,b,c", "4,12", "4,12.5,24", "4,,24"])
+def test_grid_flag_not_three_integers_exits_2(capsys, text):
+    assert main(["run", "--suite", "symbolic", "--grid", text]) \
+        == EXIT_ERROR
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_grid_flag_names_the_halved_rung(capsys):
+    # the ladder suites run a halved rung below --grid; 4 nodes cannot be
+    # halved, and the message names the flag, not an unwritten ladder
+    assert main(["run", "--suite", "algebra", "--grid", "4,12,24"]) \
+        == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "--grid 4,12,24" in err
+    assert "(4, 6, 12)" in err
+    assert "strictly increasing" not in err
+    args = build_parser().parse_args(
+        ["run", "--suite", "algebra", "--grid", "5,12,24"])
+    assert _build_config(args).ladder == [(4, 6, 12), (5, 12, 24)]
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(suites=["symbolic"], seed=-1)
+    assert RunConfig(suites=["symbolic"], seed=0).seed == 0
+    assert main(["run", "--suite", "symbolic", "--seed", "-1"]) \
+        == EXIT_ERROR
+    assert "seed" in capsys.readouterr().err
+    path = _write(tmp_path, "[run]\nsuites = symbolic\nseed = -3\n")
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "seed" in capsys.readouterr().err
+    # --seed replaces the file's seed and is checked like it
+    path = _write(tmp_path, "[run]\nsuites = symbolic\nseed = 3\n")
+    assert main(["run", "--config", path, "--seed", "-1"]) == EXIT_ERROR
+    assert "seed" in capsys.readouterr().err
+    args = build_parser().parse_args(["run", "--config", path,
+                                      "--seed", "5"])
+    assert _build_config(args).seed == 5
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_unwritable_output_exits_2_before_running(tmp_path, capsys, flag):
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        assert main(["run", "--suite", "symbolic", flag, str(path)]) \
+            == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert str(path) in err
+        assert out == "" and "PASS" not in err  # no suite ran
+    key = flag.lstrip("-")
+    missing = tmp_path / "missing" / "out.txt"
+    ini = _write(tmp_path, f"[run]\nsuites = symbolic\n{key} = {missing}\n")
+    assert main(["run", "--config", ini]) == EXIT_ERROR
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_write_failure_is_config_error(tmp_path):
+    path = str(tmp_path / "missing" / "out.json")
+    with pytest.raises(ConfigError, match="missing"):
+        cli._write(path, "{}")
 
 
 def _records(capsys):

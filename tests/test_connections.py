@@ -28,7 +28,7 @@ from spinsplit.connections import (
 )
 from spinsplit.grid import Section, make_grid
 from spinsplit.report import RunConfig
-from spinsplit.reps import RepSpec, _act, random_test_section
+from spinsplit.reps import RepSpec, _act_chi, random_test_section
 
 from conftest import MASS, smooth_scalar
 
@@ -166,7 +166,7 @@ def test_closed_form_matches_generator_connection(rep, kind, x,
 
 
 def _chi(rep, grid, psi):
-    return _act(rep, grid, "chi", None, psi.values)
+    return _act_chi(rep, grid, psi.values)
 
 
 def test_boost_curvature_closed_form(rep_massive1, grid_mid_massive):

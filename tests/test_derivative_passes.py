@@ -13,9 +13,9 @@ from spinsplit.connections import (
     apply_connection,
 )
 from spinsplit.grid import MomentumGrid, make_grid
-from spinsplit.reps import RepSpec, _act, random_test_section
+from spinsplit.reps import RepSpec, _act_J, _act_K, random_test_section
 from spinsplit.scalars import eps
-from spinsplit.splitting import so3_residual, split
+from spinsplit.splitting import SplitOperators, so3_residual
 
 from conftest import MASS
 
@@ -72,7 +72,7 @@ def test_so3_residual_reuses_orbital_actions(monkeypatch):
     monkeypatch.setattr(splitting_mod, "apply_connection", counted)
     rep = RepSpec.massive(MASS, 1)
     grid = _massive_grid()
-    ops = split(rep, grid, ConnectionKind.flat_massive())
+    ops = SplitOperators(rep, grid, ConnectionKind.flat_massive())
     so3_residual(ops, random_test_section(rep, grid, seed=3))
     # three L_c psi, then L_a (L_b psi) and L_b (L_a psi) for three pairs
     assert len(calls) == 9
@@ -85,20 +85,20 @@ def _reference(kind, rep, grid, xv, v):
     xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
     acc = np.zeros_like(v)
     for a in range(3):
-        acc += xv[a][..., None] * _act(rep, grid, "K", a, v)
+        acc += xv[a][..., None] * _act_K(rep, grid, a, v)
     boost = (-1j / omega) * acc - xk / (2.0 * omega**2) * v
     xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
     acc = np.zeros_like(v)
     for c in range(3):
         w = sum(eps(c, a, b) * xv[a] * grid.khat[b]
                 for a in range(3) for b in range(3) if eps(c, a, b))
-        acc += (w / grid.kmag)[..., None] * _act(rep, grid, "J", c, v)
+        acc += (w / grid.kmag)[..., None] * _act_J(rep, grid, c, v)
     if rep.kind == "massless":
         radial = 1j * grid.kmag[..., None] * grid.d_r(v)
     else:
         radial = np.zeros_like(v)
         for b in range(3):
-            radial += grid.khat[b][..., None] * _act(rep, grid, "K", b, v)
+            radial += grid.khat[b][..., None] * _act_K(rep, grid, b, v)
     acc += xkhat / omega * radial
     rotation = -1j * acc - xk / (2.0 * omega**2) * v
     if kind.variant == "boost":

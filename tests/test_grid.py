@@ -1,19 +1,10 @@
-"""Momentum-shell grid: differentiation accuracy, quadrature,
-sections, and bit-exact serialization."""
-
-import json
-import struct
+"""Momentum-shell grid: differentiation accuracy, quadrature and
+sections."""
 
 import numpy as np
 import pytest
 
-from spinsplit.grid import (
-    GridError,
-    Section,
-    load_section,
-    make_grid,
-    save_section,
-)
+from spinsplit.grid import GridError, Section, make_grid
 from spinsplit.reps import RepSpec, random_test_section
 
 from conftest import MASS
@@ -58,6 +49,26 @@ def test_coordinates_consistent():
         assert np.allclose(sum(u[a] ** 2 for a in range(3)), 1.0)
         assert np.allclose(
             sum(u[a] * g.khat[a] for a in range(3)), 0.0, atol=1e-13)
+
+
+def test_sin_theta_is_a_broadcast_view():
+    # one (1, N_theta, 1) array serves every sin(theta) factor; it gives
+    # the full-shape copies it replaces bit for bit
+    g = make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    assert g.sin_theta.shape == (1, g.n_theta, 1)
+    full = np.sin(g.theta)[None, :, None] + np.zeros(g.shape)
+    assert np.array_equal(g.sin_theta + np.zeros(g.shape), full)
+    w = (g.w_r[:, None, None] * (g.r**2)[:, None, None] * full
+         * g.dtheta * g.dphi)
+    assert np.array_equal(g.volume_weights(), w)
+    f = (g.kx * g.ky + g.kz**2)[..., None]
+    grad = np.stack([g.e_k[a][..., None] * g.d_r(f)
+                     + g.e_theta[a][..., None] * (g.d_theta(f)
+                                                  / g.kmag[..., None])
+                     + g.e_phi[a][..., None] * (g.d_phi(f)
+                                                / (g.kmag * full)[..., None])
+                     for a in range(3)])
+    assert np.array_equal(g.gradient(f), grad)
 
 
 def test_omega():
@@ -143,82 +154,3 @@ def test_section_shape_mismatch():
     g = make_grid(4, 12, 24, 1.0, 2.0)
     with pytest.raises(GridError):
         Section(rep, g, np.zeros(g.shape + (2,), dtype=complex))
-
-
-# -- serialization ----------------------------------------------------------------
-
-
-def test_save_load_bit_exact(tmp_path):
-    rep = RepSpec.massive(MASS, 1)
-    g = make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
-    psi = random_test_section(rep, g, seed=7)
-    path = tmp_path / "psi.sect"
-    save_section(path, psi)
-    again = load_section(path, RepSpec.from_spec)
-    assert again.rep == rep
-    assert again.grid == g
-    assert np.array_equal(again.values, psi.values)
-    # sidecar JSON exists and matches the embedded header
-    assert (tmp_path / "psi.sect.json").exists()
-
-
-def test_load_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.sect"
-    path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(GridError):
-        load_section(path, RepSpec.from_spec)
-
-
-def test_load_detects_corruption(tmp_path):
-    rep = RepSpec.massless(1)
-    g = make_grid(4, 12, 24, 1.0, 2.0)
-    psi = random_test_section(rep, g, seed=7)
-    path = tmp_path / "psi.sect"
-    save_section(path, psi)
-    blob = bytearray(path.read_bytes())
-    blob[-5] ^= 0xFF  # flip one byte in the body
-    path.write_bytes(bytes(blob))
-    with pytest.raises(GridError):
-        load_section(path, RepSpec.from_spec)
-
-
-def _header_file(tmp_path, header_bytes, body=b""):
-    path = tmp_path / "bad.sect"
-    path.write_bytes(b"SPSECT01" + struct.pack("<I", len(header_bytes))
-                     + header_bytes + body)
-    return path
-
-
-@pytest.mark.parametrize("blob", [
-    b"SPSECT01",                    # no header length
-    b"SPSECT01\x10\x00",            # header length cut short
-], ids=["no-length", "short-length"])
-def test_load_rejects_truncated_file(tmp_path, blob):
-    path = tmp_path / "short.sect"
-    path.write_bytes(blob)
-    with pytest.raises(GridError):
-        load_section(path, RepSpec.from_spec)
-
-
-@pytest.mark.parametrize("header", [
-    b"{not json",
-    b"\xff\xfe{}",
-    b"[1, 2]",
-], ids=["not-json", "not-utf8", "not-an-object"])
-def test_load_rejects_unreadable_header(tmp_path, header):
-    with pytest.raises(GridError):
-        load_section(_header_file(tmp_path, header), RepSpec.from_spec)
-
-
-@pytest.mark.parametrize("missing", ["sha256", "grid", "rep", "shape"])
-def test_load_rejects_missing_header_key(tmp_path, missing):
-    rep = RepSpec.massless(1)
-    g = make_grid(4, 12, 24, 1.0, 2.0)
-    good = tmp_path / "psi.sect"
-    save_section(good, random_test_section(rep, g, seed=7))
-    header = json.loads((tmp_path / "psi.sect.json").read_text())
-    body = good.read_bytes()[-(g.node_count * rep.dim * 16):]
-    del header[missing]
-    path = _header_file(tmp_path, json.dumps(header).encode(), body)
-    with pytest.raises(GridError):
-        load_section(path, RepSpec.from_spec)

@@ -6,16 +6,18 @@ import numpy as np
 import pytest
 
 import spinsplit.reps as reps_mod
-from spinsplit.grid import make_grid
+from spinsplit.grid import Section, make_grid
 from spinsplit.reps import (
     RepError,
     RepSpec,
+    _act,
+    _act_chi,
+    _act_J,
+    _act_K,
     algebra_residual,
-    apply_generator,
     inner,
     random_test_section,
     relation_ids,
-    transversality_drift,
 )
 
 from conftest import MASS
@@ -36,7 +38,7 @@ def test_repspec_validation():
 def test_repspec_spec_round_trip():
     for rep in (RepSpec.massive(1.3, 0), RepSpec.massive(2.0, 1),
                 RepSpec.massless(-1), RepSpec.massless(0)):
-        assert RepSpec.from_spec(rep.spec()) == rep
+        assert RepSpec(**rep.spec()) == rep
 
 
 def test_spin_matrices_su2():
@@ -119,8 +121,8 @@ def test_boost_self_adjoint_under_invariant_measure(rep_massive1):
                       mass_scale=MASS)
         a = random_test_section(rep_massive1, g, seed=1)
         b = random_test_section(rep_massive1, g, seed=2)
-        ka = apply_generator("K[3]", a)
-        kb = apply_generator("K[3]", b)
+        ka = Section(rep_massive1, g, _act_K(rep_massive1, g, 2, a.values))
+        kb = Section(rep_massive1, g, _act_K(rep_massive1, g, 2, b.values))
         d = abs(inner(a, kb) - inner(ka, b)) / (a.norm() * b.norm())
         defects.append(d)
     assert defects[1] < defects[0] / 4
@@ -130,8 +132,9 @@ def test_boost_self_adjoint_under_invariant_measure(rep_massive1):
 def test_rotation_self_adjoint(rep_massive1, grid_mid_massive):
     a = random_test_section(rep_massive1, grid_mid_massive, seed=1)
     b = random_test_section(rep_massive1, grid_mid_massive, seed=2)
-    ja = apply_generator("J[2]", a)
-    jb = apply_generator("J[2]", b)
+    g = grid_mid_massive
+    ja = Section(rep_massive1, g, _act_J(rep_massive1, g, 1, a.values))
+    jb = Section(rep_massive1, g, _act_J(rep_massive1, g, 1, b.values))
     d = abs(inner(a, jb) - inner(ja, b)) / (a.norm() * b.norm())
     assert d < 1e-3  # limited by the angular quadrature at this rung
 
@@ -143,7 +146,8 @@ def test_chi_eigenrelation_massless(grid_mid_massless):
     for h in (-1, 1):
         rep = RepSpec.massless(h)
         psi = random_test_section(rep, grid_mid_massless, seed=3)
-        chi = apply_generator("chi", psi)
+        chi = Section(rep, grid_mid_massless,
+                      _act_chi(rep, grid_mid_massless, psi.values))
         assert (chi - psi * float(h)).norm() < 1e-12 * psi.norm()
 
 
@@ -157,29 +161,25 @@ def test_helicity_projector(grid_small_massless):
         RepSpec.massless(0).helicity_projector(grid_small_massless)
 
 
+def _khat_overlap(grid, values):
+    """max-node |khat . psi| / max-node |psi|."""
+    dot = np.einsum("a...,...a->...", grid.khat, values)
+    return float(np.max(np.abs(dot)) / np.max(np.abs(values)))
+
+
 def test_transversality_preserved(rep_massless_plus, grid_mid_massless):
-    psi = random_test_section(rep_massless_plus, grid_mid_massless, seed=3)
-    assert transversality_drift(psi) < 1e-12
-    out = apply_generator("J[1]", psi)  # raises if the drift exceeds 0.05
-    assert transversality_drift(out) < 0.05
+    g = grid_mid_massless
+    psi = random_test_section(rep_massless_plus, g, seed=3)
+    assert _khat_overlap(g, psi.values) < 1e-12
+    out = _act_J(rep_massless_plus, g, 0, psi.values)
+    assert _khat_overlap(g, out) < 0.05
 
 
-def test_parallel_perpendicular_split_of_generators(
-        rep_massless_plus, grid_mid_massless):
-    psi = random_test_section(rep_massless_plus, grid_mid_massless, seed=3)
-    for a in (1, 2, 3):
-        full = apply_generator(f"J[{a}]", psi)
-        par = apply_generator(f"Jpar[{a}]", psi)
-        perp = apply_generator(f"Jperp[{a}]", psi)
-        assert (par + perp - full).norm() < 1e-12 * psi.norm()
-
-
-def test_unknown_selector(rep_massive1, grid_small_massive):
+def test_act_rejects_unknown_tag(rep_massive1, grid_small_massive):
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
-    with pytest.raises(RepError):
-        apply_generator("X[1]", psi)
-    with pytest.raises(RepError):
-        apply_generator("J[4]", psi)
+    for tag in ("X", "L"):
+        with pytest.raises(RepError):
+            _act(rep_massive1, grid_small_massive, tag, 0, psi.values)
 
 
 # -- deterministic test sections ------------------------------------------------------

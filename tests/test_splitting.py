@@ -14,6 +14,7 @@ from spinsplit.grid import make_grid
 from spinsplit.reps import RepSpec, random_test_section
 from spinsplit.splitting import (
     NWOperator,
+    SplitOperators,
     SplittingError,
     defect_identity_residual,
     internality_residual,
@@ -26,7 +27,6 @@ from spinsplit.splitting import (
     so3_residual,
     spin_endomorphism_at,
     spin_in_frame,
-    split,
     vector_op_residual,
 )
 
@@ -41,7 +41,7 @@ ROT = ConnectionKind.rotation()
 
 
 def test_l_plus_s_is_j(rep_massive1, grid_small_massive):
-    ops = split(rep_massive1, grid_small_massive, BOOST)
+    ops = SplitOperators(rep_massive1, grid_small_massive, BOOST)
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
     for a in range(3):
         diff = ops.L(a, psi) + ops.S(a, psi) - ops.J(a, psi)
@@ -52,7 +52,7 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
                                    grid_mid_massive):
     vals = []
     for g in (grid_small_massive, grid_mid_massive):
-        ops = split(rep_massive1, g, FLAT)
+        ops = SplitOperators(rep_massive1, g, FLAT)
         psi = random_test_section(rep_massive1, g, seed=3)
         vals.append(so3_residual(ops, psi, "L"))
     assert vals[1] < 1e-3
@@ -60,7 +60,7 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
 
 
 def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
-    ops = split(rep_massive1, grid_mid_massive, FLAT)
+    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert so3_residual(ops, psi, "S") < 1e-3
 
@@ -68,7 +68,7 @@ def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
 def test_curved_splitting_fails_so3(rep_massive1, grid_mid_massive):
     # the boost splitting has nonzero curvature, so its so(3) residual
     # must stay bounded away from zero
-    ops = split(rep_massive1, grid_mid_massive, BOOST)
+    ops = SplitOperators(rep_massive1, grid_mid_massive, BOOST)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3,
                               polar_damping=4)
     assert so3_residual(ops, psi, "L") > 0.05
@@ -81,12 +81,12 @@ def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
                               polar_damping=4)
     for kind in (BOOST, ROT, FLAT,
                  ConnectionKind.affine(lambda_flat_profile(0.5))):
-        ops = split(rep_massive1, grid_mid_massive, kind)
+        ops = SplitOperators(rep_massive1, grid_mid_massive, kind)
         assert defect_identity_residual(ops, psi) < 1e-12
 
 
 def test_vector_operator_property(rep_massive1, grid_mid_massive):
-    ops = split(rep_massive1, grid_mid_massive, FLAT)
+    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert vector_op_residual(ops, psi, "L") < 1e-3
     assert vector_op_residual(ops, psi, "S") < 1e-3
@@ -95,14 +95,14 @@ def test_vector_operator_property(rep_massive1, grid_mid_massive):
 def test_symmetry_breaking_mutation(rep_massive1, grid_mid_massive):
     # deforming the rotational fields destroys the vector-operator
     # property by an O(1) amount: the diagnostic is actually sensitive
-    ops = split(rep_massive1, grid_mid_massive, FLAT,
+    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT,
                 symmetry_breaking=0.5)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert vector_op_residual(ops, psi, "L") > 0.1
 
 
 def test_spin_is_internal(rep_massive1, grid_mid_massive):
-    ops = split(rep_massive1, grid_mid_massive, FLAT)
+    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     f = smooth_scalar(grid_mid_massive)
     assert internality_residual(ops, f, psi, "S") < 1e-13
@@ -111,7 +111,7 @@ def test_spin_is_internal(rep_massive1, grid_mid_massive):
 def test_orbital_part_is_not_internal(rep_massive1, grid_mid_massive):
     # L fails to commute with multiplication operators by exactly the
     # Leibniz derivative term
-    ops = split(rep_massive1, grid_mid_massive, FLAT)
+    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     f = smooth_scalar(grid_mid_massive)
     got = internality_residual(ops, f, psi, "L")
@@ -127,7 +127,7 @@ def test_massless_orbital_is_perpendicular(rep_massless_plus,
                                            grid_mid_massless):
     # for the massless rotation connection the induced L coincides with
     # the perpendicular part of J
-    ops = split(rep_massless_plus, grid_mid_massless, ROT)
+    ops = SplitOperators(rep_massless_plus, grid_mid_massless, ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
     for a in range(3):
@@ -137,7 +137,7 @@ def test_massless_orbital_is_perpendicular(rep_massless_plus,
 
 def test_massless_so3_failure_is_curvature(rep_massless_plus,
                                            grid_mid_massless):
-    ops = split(rep_massless_plus, grid_mid_massless, ROT)
+    ops = SplitOperators(rep_massless_plus, grid_mid_massless, ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
     assert so3_residual(ops, psi, "L") > 0.1   # no closure at m = 0
@@ -145,7 +145,7 @@ def test_massless_so3_failure_is_curvature(rep_massless_plus,
 
 
 def test_jperp_commutators(rep_massless_plus, grid_mid_massless):
-    ops = split(rep_massless_plus, grid_mid_massless, ROT)
+    ops = SplitOperators(rep_massless_plus, grid_mid_massless, ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
     assert jperp_so3_residual(ops, psi) < 1e-3
@@ -153,7 +153,7 @@ def test_jperp_commutators(rep_massless_plus, grid_mid_massless):
 
 def test_parallel_split_requires_massless(rep_massive1,
                                           grid_small_massive):
-    ops = split(rep_massive1, grid_small_massive, BOOST)
+    ops = SplitOperators(rep_massive1, grid_small_massive, BOOST)
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
     with pytest.raises(SplittingError):
         ops.j_parallel(0, psi)
@@ -248,7 +248,7 @@ def test_flat_transport_is_trivial(frame24, rep_massive1):
 def test_spin_endomorphism_sampling(rep_massive1):
     g = make_grid(6, 24, 48, 1.5, 2.5, radial_map="sinh",
                   mass_scale=MASS)
-    ops = split(rep_massive1, g, FLAT)
+    ops = SplitOperators(rep_massive1, g, FLAT)
     mats = spin_endomorphism_at(ops, (3, 12, 10))
     comm = mats[0] @ mats[1] - mats[1] @ mats[0]
     assert np.linalg.norm(comm - 1j * mats[2]) < 1e-8
@@ -261,7 +261,7 @@ def test_spin_constant_in_parallel_frame(rep_massive1, frame24):
                   mass_scale=MASS)
     frame = parallel_frame(rep_massive1, n_theta=24, n_phi=48,
                            radius=float(g.r[3]))
-    ops = split(rep_massive1, g, FLAT)
+    ops = SplitOperators(rep_massive1, g, FLAT)
     report = spin_in_frame(ops, frame, [(3, 6, 5), (3, 12, 20),
                                         (3, 18, 40)])
     assert report["max_deviation"] < 1e-10
@@ -272,7 +272,7 @@ def test_spin_in_frame_mesh_mismatch(rep_massive1):
                   mass_scale=MASS)
     frame = parallel_frame(rep_massive1, n_theta=10, n_phi=20,
                            radius=float(g.r[3]))
-    ops = split(rep_massive1, g, FLAT)
+    ops = SplitOperators(rep_massive1, g, FLAT)
     with pytest.raises(SplittingError):
         spin_in_frame(ops, frame, [(3, 12, 10)])
 
@@ -284,8 +284,8 @@ def test_spin0_connections_coincide(rep_massive0, grid_small_massive):
     # on one-dimensional fibers every built-in connection reduces to the
     # same scalar transport, so the splittings agree identically
     psi = random_test_section(rep_massive0, grid_small_massive, seed=3)
-    ops_b = split(rep_massive0, grid_small_massive, BOOST)
-    ops_r = split(rep_massive0, grid_small_massive, ROT)
+    ops_b = SplitOperators(rep_massive0, grid_small_massive, BOOST)
+    ops_r = SplitOperators(rep_massive0, grid_small_massive, ROT)
     for a in range(3):
         assert (ops_b.L(a, psi) - ops_r.L(a, psi)).norm() \
             < 1e-13 * psi.norm()
