@@ -55,6 +55,10 @@ def _grid_ladder(text: str, suites) -> list:
     """The ladder of ``--grid``: the given rung, below it a halved rung
     when a selected suite estimates convergence orders."""
     rung = _parse_grid(text)
+    if rung[2] % 2:
+        raise ConfigError(
+            f"--grid {text}: the rung {rung} has odd N_phi = {rung[2]}; "
+            f"N_phi must be even")
     if not any(SUITES[s]["ladder"] for s in suites):
         return [rung]
     half = tuple(max(4, n // 2) for n in rung)
@@ -63,6 +67,11 @@ def _grid_ladder(text: str, suites) -> list:
             f"--grid {text}: convergence suites also run the halved rung "
             f"{half}, which must lie below {rung} in every dimension; "
             f"give every dimension at least 5 nodes")
+    if half[2] % 2:
+        raise ConfigError(
+            f"--grid {text}: convergence suites also run the halved rung "
+            f"{half}, whose N_phi = {half[2]} must be even; give an N_phi "
+            f"that is 6 or a multiple of 4")
     return [half, rung]
 
 

@@ -13,9 +13,12 @@ field X of momentum space):
                connection at m = 0)
 
 All are built from the exact generator actions of :mod:`spinsplit.reps`.
-Each covariant derivative takes one derivative pass (d_r, d_theta,
-d_phi) over its section and builds every J and K action it needs from
-that pass.
+A section takes one derivative pass (d_r, d_theta, d_phi) for every
+tangent field applied to it: ``apply_connections`` builds each K_a and
+J_a action once from that pass and adds it to every field's sums, and
+``apply_connection`` is its one-field case.  The curvature commutator
+and the splitting diagnostics batch the fields that act on one section.
+The boost and rotation kinds build only the branch their weight keeps.
 For sphere-tangential directions every built-in connection also has a
 closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 
@@ -51,6 +54,7 @@ __all__ = [
     "register_profile",
     "profile_names",
     "apply_connection",
+    "apply_connections",
     "leibniz_residual",
     "lie_bracket",
     "curvature_commutator",
@@ -260,76 +264,165 @@ def lie_bracket(x: TangentField, y: TangentField,
 # -- covariant derivatives -------------------------------------------------------
 
 
-def _covariant_values(rep: RepSpec, grid: MomentumGrid, xv: np.ndarray,
-                      v: np.ndarray, f) -> np.ndarray:
-    """D_X v for the connection f*Boost + (1 - f)*Rotation, with boost
-    weight f = 1 (boost), 0 (rotation) or a radial profile (affine).  One
-    derivative pass over v serves every J and K action, and each K_a v
-    feeds both the boost sum X.K v and the radial sum khat.K v."""
-    der = _derivatives(grid, v)
-    omega = grid.omega(rep.mass)[..., None]
-    xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
-    xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
-    boost = np.zeros_like(v)
-    rotation = np.zeros_like(v)
-    if rep.kind == "massless":
-        radial = 1j * grid.kmag[..., None] * der[0]
-    else:
+def _cross_khat(grid: MomentumGrid, xv: np.ndarray, a: int) -> np.ndarray:
+    """Component a of X x khat."""
+    w_a = np.zeros(grid.shape)
+    for b in range(3):
+        for c in range(3):
+            e = eps(a, b, c)
+            if e:
+                w_a += e * xv[b] * grid.khat[c]
+    return w_a
+
+
+def _add_weighted(accs, weight, term: np.ndarray) -> None:
+    """accs[i] += weight(i) * term for each accumulator, in order.  Each
+    weight is formed when it is used, and the last product is formed in
+    ``term`` itself, so term must be a fresh array."""
+    last = len(accs) - 1
+    for i, acc in enumerate(accs):
+        if i < last:
+            acc += weight(i) * term
+        else:
+            term *= weight(i)
+            acc += term
+
+
+def _covariant_values(rep: RepSpec, grid: MomentumGrid,
+                      kind: ConnectionKind, xvs, v: np.ndarray,
+                      der=None) -> list:
+    """D_X v for every tangent field X in ``xvs`` (Cartesian components,
+    each of shape (3,) + grid.shape), for the connection
+    f*Boost + (1 - f)*Rotation with boost weight f = 1 (boost), 0
+    (rotation) or a radial profile (affine).
+
+    One derivative pass over v (``der``, computed here unless given)
+    serves every field: each K_a v and J_a v is built once and added to
+    every field's accumulators in the order a one-field call adds it.
+    Each K_a v feeds both the boost sum X.K v and the radial sum
+    khat.K v.  The boost and rotation kinds build only the branch their
+    weight keeps; f*A + (1 - f)*B would multiply the other by exact
+    zero."""
+    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
+    use_boost = kind.variant != "rotation"
+    use_rotation = kind.variant != "boost"
+    massive = rep.kind == "massive"
+    dr, dth, dph = _derivatives(grid, v) if der is None else der
+    del der
+    # the K actions first, then the J actions: each accumulator receives
+    # its terms in axis order, and d_r v is dropped before the rotation
+    # accumulators exist
+    boosts = [np.zeros_like(v) for _ in xvs] if use_boost else []
+    if not use_rotation:
+        radial = None
+    elif massive:
         radial = np.zeros_like(v)
-    for a in range(3):
-        k_a = _act_K(rep, grid, a, v, der)
-        boost += xv[a][..., None] * k_a
-        if rep.kind == "massive":
-            radial += grid.khat[a][..., None] * k_a
-        del k_a  # one K_a v alive at a time
-        w_a = np.zeros(grid.shape)  # (X x khat)_a
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    w_a += e * xv[b] * grid.khat[c]
-        rotation += ((w_a / grid.kmag)[..., None]
-                     * _act_J(rep, grid, a, v, der))
-    rotation += xkhat / omega * radial
+    else:
+        radial = 1j * grid.kmag[..., None] * dr
+    if use_boost or (use_rotation and massive):
+        accs = boosts + ([radial] if use_rotation and massive else [])
+        for a in range(3):
+            _add_weighted(
+                accs,
+                lambda i: (xvs[i][a] if i < len(boosts)
+                           else grid.khat[a])[..., None],
+                _act_K(rep, grid, a, v, (dr, dth, dph)))
+    del dr
+    rotations = []
+    if use_rotation:
+        rotations = [np.zeros_like(v) for _ in xvs]
+        for a in range(3):
+            j_a = _act_J(rep, grid, a, v, (None, dth, dph))
+            _add_weighted(
+                rotations,
+                lambda i: (_cross_khat(grid, xvs[i], a)
+                           / grid.kmag)[..., None],
+                j_a)
+            del j_a
     # drop the derivative pass before combining: it sets the peak memory
-    del der, radial
-    shift = xk / (2.0 * omega**2) * v
-    return (f * ((-1j / omega) * boost - shift)
-            + (1.0 - f) * (-1j * rotation - shift))
+    del dth, dph
+    omega = grid.omega(rep.mass)[..., None]
+    for xv, rotation in zip(xvs, rotations):
+        xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
+        rotation += xkhat / omega * radial
+    del radial
+    out = []
+    for i, xv in enumerate(xvs):
+        xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
+        shift = xk / (2.0 * omega**2) * v
+        # the branches are finished in place, one field at a time:
+        # (-1j/omega)*boost - shift and -1j*rotation - shift, then
+        # f*boost + (1 - f)*rotation for the affine kinds
+        if use_boost:
+            boost = boosts[i]
+            boosts[i] = None
+            boost *= -1j / omega
+            boost -= shift
+        if use_rotation:
+            rotation = rotations[i]
+            rotations[i] = None
+            rotation *= -1j
+            rotation -= shift
+        del shift
+        if use_boost and use_rotation:
+            boost *= f
+            rotation *= 1.0 - f
+            boost += rotation
+        out.append(boost if use_boost else rotation)
+    return out
+
+
+def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:
+    """The covariant derivatives D_X psi for every tangent field X in
+    ``xs``, from one derivative pass over psi; each equals, bit for bit,
+    ``apply_connection(kind, X, psi)``."""
+    rep, grid = psi.rep, psi.grid
+    vals = _covariant_values(rep, grid, kind, [x.values(grid) for x in xs],
+                             psi.values)
+    return [Section(rep, grid, val) for val in vals]
 
 
 def apply_connection(kind: ConnectionKind, x: TangentField,
                      psi: Section) -> Section:
     """Covariant derivative D_X psi for the given connection kind."""
-    rep, grid = psi.rep, psi.grid
-    xv = x.values(grid)
-    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
-    return Section(rep, grid, _covariant_values(rep, grid, xv, psi.values, f))
+    (out,) = apply_connections(kind, (x,), psi)
+    return out
 
 
-def leibniz_residual(kind: ConnectionKind, x: TangentField, f: np.ndarray,
+def leibniz_residual(kind: ConnectionKind, x, f: np.ndarray,
                      psi: Section) -> float:
     """|| D_X(f psi) - f D_X psi - df(X) psi || / ||psi|| for a smooth
-    scalar grid function f."""
+    scalar grid function f.  ``x`` is a tangent field or a sequence of
+    them; for several, the largest residual, with D_X(f psi) and D_X psi
+    each taken in one pass for all fields."""
+    xs = (x,) if isinstance(x, TangentField) else tuple(x)
     grid = psi.grid
     f = np.asarray(f)
-    lhs = apply_connection(kind, x, psi * f)
-    rhs = apply_connection(kind, x, psi) * f
-    xv = x.values(grid)
+    lhs = apply_connections(kind, xs, psi * f)
+    rhs = apply_connections(kind, xs, psi)
     df = grid.gradient(f[..., None])[..., 0]
-    dfx = sum(xv[a] * df[a] for a in range(3))
-    rhs = rhs + psi * dfx
-    return (lhs - rhs).norm() / psi.norm()
+    nrm = psi.norm()
+    residuals = []
+    for i, x in enumerate(xs):
+        xv = x.values(grid)
+        dfx = sum(xv[a] * df[a] for a in range(3))
+        res = rhs[i] * f + psi * dfx
+        residuals.append((lhs[i] - res).norm() / nrm)
+        lhs[i] = rhs[i] = None
+    return max(residuals)
 
 
 def curvature_commutator(kind: ConnectionKind, x: TangentField,
                          y: TangentField, psi: Section) -> Section:
-    """F(X, Y) psi = (D_X D_Y - D_Y D_X - D_[X,Y]) psi."""
+    """F(X, Y) psi = (D_X D_Y - D_Y D_X - D_[X,Y]) psi.  D_X psi, D_Y psi
+    and D_[X,Y] psi share one derivative pass over psi."""
     xy = TangentField.from_array(lie_bracket(x, y, psi.grid))
-    out = apply_connection(kind, x, apply_connection(kind, y, psi))
-    out = out - apply_connection(kind, y, apply_connection(kind, x, psi))
-    out = out - apply_connection(kind, xy, psi)
-    return out
+    dx, dy, dxy = apply_connections(kind, (x, y, xy), psi)
+    out = apply_connection(kind, x, dy)
+    del dy
+    out = out - apply_connection(kind, y, dx)
+    del dx
+    return out - dxy
 
 
 @dataclass(frozen=True)

@@ -223,12 +223,18 @@ class MomentumGrid:
         return out / self.dtheta
 
     def d_phi(self, values: np.ndarray) -> np.ndarray:
-        """8th-order periodic longitude derivative."""
+        """8th-order periodic longitude derivative.  The longitude axis is
+        wrap-padded once by the stencil half-width, and each stencil term
+        reads one slice of the padded copy (as ``d_theta`` does): the same
+        values as rolling ``values`` once per term, with one copy instead
+        of eight."""
         h = _FD8_HALF
+        ext = np.concatenate(
+            [values[:, :, -h:], values, values[:, :, :h]], axis=2)
         out = np.zeros_like(values)
         for s, c in enumerate(_FD8):
             if c:
-                out += c * np.roll(values, h - s, axis=2)
+                out += c * ext[:, :, s:s + self.n_phi]
         return out / self.dphi
 
     def gradient(self, values: np.ndarray) -> np.ndarray:

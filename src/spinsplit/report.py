@@ -121,6 +121,11 @@ class RunConfig:
         for rung in ladder:
             if len(rung) != 3 or any(n < 4 for n in rung):
                 raise ConfigError(f"bad ladder rung {rung}")
+            if rung[2] % 2:
+                raise ConfigError(
+                    f"ladder rung {rung} has odd N_phi = {rung[2]}; N_phi "
+                    f"must be even (cross-pole closures pair each "
+                    f"longitude with its antipode)")
         for lo, hi in zip(ladder, ladder[1:]):
             if not all(a < b for a, b in zip(lo, hi)):
                 raise ConfigError(
@@ -664,10 +669,11 @@ def _suite_leibniz(config: RunConfig, records, rows):
     def measure(grid, psi):
         f = np.exp(-0.5 * ((grid.kx - 0.2)**2 + grid.ky**2
                            + (grid.kz - 0.1)**2))
+        frame = [TangentField.named(name)
+                 for name in ("e_theta", "e_phi", "e_k")]
         return [max(
-            leibniz_residual(kind, TangentField.named(name), f, psi)
+            leibniz_residual(kind, frame, f, psi)
             for kind in (ConnectionKind.boost(), ConnectionKind.rotation())
-            for name in ("e_theta", "e_phi", "e_k")
         )]
 
     for rep in _reps(config):

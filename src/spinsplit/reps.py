@@ -24,6 +24,14 @@ i(|k|d/d|k| + c) with that adjoint defect under the d^3k/omega measure,
 making the total K Hermitian (equivalently: K = khat*i(|k|d/d|k| + 1)
 + (khat x J - i*khat), the symmetrized transverse form).
 
+Every spin-matrix row has at most two nonzero entries, each purely real
+or purely imaginary, in the massive |m> basis and in the massless
+Cartesian basis alike.  ``RepSpec`` lists them once, as (row, column,
+coefficient) triples per axis, and ``_spin_act`` applies S_a through
+them: each row of S_a v is its first nonzero product plus its second,
+in column order.  The dense sum adds the same two products and exact
+zeros, so skipping the zero entries cannot move a bit of its value.
+
 The helicity operator chi = S.khat is pointwise (the orbital part of
 J.khat vanishes identically).  Each fiber action has one direct call:
 ``_act_J``, ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the
@@ -78,7 +86,8 @@ def _spin_matrices_cartesian() -> np.ndarray:
 class RepSpec:
     """A representation label: massive(mass, spin) or massless(helicity)."""
 
-    __slots__ = ("kind", "mass", "spin", "helicity", "dim", "spin_mats")
+    __slots__ = ("kind", "mass", "spin", "helicity", "dim", "spin_mats",
+                 "spin_entries")
 
     def __init__(self, kind: str, mass: float = 0.0,
                  spin: int | None = None, helicity: int | None = None):
@@ -109,6 +118,12 @@ class RepSpec:
             )
         else:
             raise RepError(f"unknown representation kind {kind!r}")
+        # per axis, the (row, column, coefficient) triples of the nonzero
+        # entries of S_a in row-major order
+        self.spin_entries = tuple(
+            tuple((b, c, mat[b, c]) for b in range(self.dim)
+                  for c in range(self.dim) if mat[b, c] != 0)
+            for mat in self.spin_mats)
 
     @classmethod
     def massive(cls, mass: float, spin: int) -> "RepSpec":
@@ -161,15 +176,38 @@ def _derivatives(grid: MomentumGrid, v: np.ndarray, radial: bool = True):
     return (grid.d_r(v) if radial else None, grid.d_theta(v), grid.d_phi(v))
 
 
+def _spin_act(rep: RepSpec, a: int, v: np.ndarray) -> np.ndarray:
+    """S_a v through the nonzero entries of S_a: each row's first product
+    is written and the next one added, in column order; a row without
+    entries is zero."""
+    out = np.empty_like(v)
+    written = set()
+    for b, c, coef in rep.spin_entries[a]:
+        if b in written:
+            out[..., b] += coef * v[..., c]
+        else:
+            np.multiply(coef, v[..., c], out=out[..., b])
+            written.add(b)
+    for b in set(range(rep.dim)) - written:
+        out[..., b] = 0.0
+    return out
+
+
 def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
            v: np.ndarray, der=None) -> np.ndarray:
     if der is None:
         der = _derivatives(grid, v, radial=False)
     _, dth, dph = der
-    orb = -1j * (grid.e_phi[a][..., None] * dth
-                 - grid.e_theta[a][..., None] * dph
-                 / grid.sin_theta[..., None])
-    return orb + np.einsum("bc,...c->...b", rep.spin_mats[a], v)
+    # -i (e_phi d_theta - e_theta d_phi / sin(theta)), one temporary at a
+    # time
+    out = grid.e_phi[a][..., None] * dth
+    term = grid.e_theta[a][..., None] * dph
+    term /= grid.sin_theta[..., None]
+    out -= term
+    del term
+    out *= -1j
+    out += _spin_act(rep, a, v)
+    return out
 
 
 def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
@@ -185,30 +223,37 @@ def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
         omega = grid.omega(rep.mass)[..., None]
         r3 = grid.kmag[..., None]
         st = grid.sin_theta[..., None]
-        # component a of the Cartesian gradient, accumulated in place
+        # component a of the Cartesian gradient, accumulated in place with
+        # one temporary at a time
         out = grid.e_k[a][..., None] * dr
-        out += grid.e_theta[a][..., None] * (dth / r3)
-        out += grid.e_phi[a][..., None] * (dph / (r3 * st))
-        out = 1j * omega * out
+        term = dth / r3
+        term *= grid.e_theta[a][..., None]
+        out += term
+        np.divide(dph, r3 * st, out=term)
+        term *= grid.e_phi[a][..., None]
+        out += term
+        del term
+        out *= 1j * omega
         ks = (grid.kx, grid.ky, grid.kz)
         for b in range(3):
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
-                    out += (
-                        (_SIGMA_BOOST * e / (omega + rep.mass))
-                        * ks[c][..., None]
-                        * np.einsum("bc,...c->...b", rep.spin_mats[b], v)
-                    )
+                    spin = _spin_act(rep, b, v)
+                    spin *= ((_SIGMA_BOOST * e / (omega + rep.mass))
+                             * ks[c][..., None])
+                    out += spin
         return out
     radial = 1j * grid.kmag[..., None] * dr
     out = grid.khat[a][..., None] * radial
+    del radial
     for b in range(3):
         for c in range(3):
             e = eps(a, b, c)
             if e:
-                out += (e * grid.khat[b][..., None]
-                        * _act_J(rep, grid, c, v, der))
+                term = _act_J(rep, grid, c, v, der)
+                term *= e * grid.khat[b][..., None]
+                out += term
     return out
 
 

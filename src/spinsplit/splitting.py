@@ -33,9 +33,10 @@ from .connections import (
     ConnectionKind,
     TangentField,
     _check_mesh,
+    _covariant_values,
     _edge_transport_batch,
     _probe_fiber,
-    apply_connection,
+    apply_connections,
     curvature_commutator,
 )
 from .grid import MomentumGrid, Section
@@ -99,23 +100,48 @@ class SplitOperators:
     def field(self, a: int) -> TangentField:
         return self._fields[a]
 
+    def _l_values(self, axes, psi: Section, der=None) -> list:
+        """The values of L_a psi for each axis in ``axes``, from one
+        derivative pass over psi (``der``, taken here unless given)."""
+        grid = psi.grid
+        vals = _covariant_values(
+            psi.rep, grid, self.kind,
+            [self._fields[a].values(grid) for a in axes], psi.values, der)
+        for val in vals:
+            val *= -1j
+        return vals
+
+    def L_axes(self, axes, psi: Section) -> list:
+        """[L_a psi for a in axes], from one derivative pass over psi."""
+        return [Section(psi.rep, psi.grid, val)
+                for val in self._l_values(axes, psi)]
+
+    def J_axes(self, axes, psi: Section) -> list:
+        """[J_a psi for a in axes], from one angular pass over psi."""
+        rep, grid, v = psi.rep, psi.grid, psi.values
+        der = _derivatives(grid, v, radial=False)
+        return [Section(rep, grid, _act_J(rep, grid, a, v, der))
+                for a in axes]
+
+    def S_axes(self, axes, psi: Section) -> list:
+        """[S_a psi for a in axes]: J and L share one derivative pass over
+        psi."""
+        return _j_and_x(self, axes, psi, "S")[1]
+
     def L(self, a: int, psi: Section) -> Section:
-        d = apply_connection(self.kind, self._fields[a], psi)
-        return Section(psi.rep, psi.grid, -1j * d.values)
+        return self.L_axes((a,), psi)[0]
 
     def J(self, a: int, psi: Section) -> Section:
         return Section(psi.rep, psi.grid,
                        _act_J(psi.rep, psi.grid, a, psi.values))
 
     def S(self, a: int, psi: Section) -> Section:
-        return self.J(a, psi) - self.L(a, psi)
+        return self.S_axes((a,), psi)[0]
 
     # massless parallel/perpendicular aliases (pointwise helicity part
     # and its complement)
     def j_parallel(self, a: int, psi: Section) -> Section:
-        if self.rep.kind != "massless":
-            raise SplittingError("parallel/perpendicular split is the "
-                                 "massless decomposition; use L/S instead")
+        self._require_massless()
         chi = _act_chi(psi.rep, psi.grid, psi.values)
         return Section(psi.rep, psi.grid,
                        psi.grid.khat[a][..., None] * chi)
@@ -123,32 +149,72 @@ class SplitOperators:
     def j_perp(self, a: int, psi: Section) -> Section:
         return self.J(a, psi) - self.j_parallel(a, psi)
 
+    def j_perp_axes(self, axes, psi: Section) -> list:
+        """[Jperp_a psi for a in axes], from one angular pass and one
+        helicity action over psi."""
+        self._require_massless()
+        chi = _act_chi(psi.rep, psi.grid, psi.values)
+        out = self.J_axes(axes, psi)
+        for a, j in zip(axes, out):
+            # J_a psi - Jpar_a psi, formed in the fresh J array
+            j.values -= psi.grid.khat[a][..., None] * chi
+        return out
+
+    def _require_massless(self):
+        if self.rep.kind != "massless":
+            raise SplittingError("parallel/perpendicular split is the "
+                                 "massless decomposition; use L/S instead")
+
 
 def _component(ops: SplitOperators, which: str):
+    """The batched action ``(axes, psi) -> [X_a psi]`` of X = L or S."""
     if which == "L":
-        return ops.L
+        return ops.L_axes
     if which == "S":
-        return ops.S
+        return ops.S_axes
     raise SplittingError(f"unknown splitting component {which!r}")
+
+
+def _j_and_x(ops: SplitOperators, axes, psi: Section, which: str):
+    """([J_a psi], [X_a psi]) for X = L or S and each axis in ``axes``,
+    all from one derivative pass over psi."""
+    rep, grid, v = psi.rep, psi.grid, psi.values
+    der = _derivatives(grid, v)
+    x_vals = ops._l_values(axes, psi, der)
+    j_vals = [_act_J(rep, grid, a, v, der) for a in axes]
+    del der
+    if which == "S":
+        # S = J - L, each difference formed in the L array
+        for j, x in zip(j_vals, x_vals):
+            np.subtract(j, x, out=x)
+    return ([Section(rep, grid, j) for j in j_vals],
+            [Section(rep, grid, x) for x in x_vals])
 
 
 def vector_op_residual(ops: SplitOperators, psi: Section,
                        which: str = "L") -> float:
     """max over (a,b) of ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||
-    for X = L or S."""
+    for X = L or S.  One derivative pass over psi gives every J_b psi and
+    X_c psi, and one angular pass over each X_a psi serves its three J_b;
+    X_a (J_b psi) is one call per pair, which keeps the peak memory of
+    the one-field call."""
     act = _component(ops, which)
+    rep, grid = psi.rep, psi.grid
     nrm = psi.norm()
-    x_psi = [act(c, psi) for c in range(3)]
-    j_psi = [ops.J(b, psi) for b in range(3)]
+    j_psi, x_psi = _j_and_x(ops, range(3), psi, which)
     worst = 0.0
     for a in range(3):
+        xa = x_psi[a].values
+        der = _derivatives(grid, xa, radial=False)
         for b in range(3):
-            out = act(a, j_psi[b]) - ops.J(b, x_psi[a])
+            out = act((a,), j_psi[b])[0] - Section(
+                rep, grid, _act_J(rep, grid, b, xa, der))
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
                     out = out - x_psi[c] * (1j * e)
             worst = max(worst, out.norm() / nrm)
+            del out
     return worst
 
 
@@ -160,8 +226,9 @@ def internality_residual(ops: SplitOperators, f: np.ndarray, psi: Section,
     act = _component(ops, which)
     f = np.asarray(f)
     nrm = psi.norm()
-    return max((act(a, psi * f) - act(a, psi) * f).norm() / nrm
-               for a in range(3))
+    x_fpsi = act(range(3), psi * f)
+    x_psi = act(range(3), psi)
+    return max((x_fpsi[a] - x_psi[a] * f).norm() / nrm for a in range(3))
 
 
 def leibniz_term_norm(ops: SplitOperators, f: np.ndarray,
@@ -179,21 +246,45 @@ def leibniz_term_norm(ops: SplitOperators, f: np.ndarray,
     return worst
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _so3_failures(act, psi: Section, finish, target=None) -> list:
+    """[finish([X_a, X_b] psi - i eps_abc T_c) for the pairs (a, b) in
+    _PAIRS], with ``act`` the batched action of X and T_c = X_c psi, or
+    ``target(c, X_c psi)`` when ``target`` is given.  The fields
+    acting on one section share its derivative pass: X_c psi for all c,
+    then X_a and X_b on X_c psi for the two axes other than c."""
+    x_psi = act(range(3), psi)
+    second = {}  # (a, c) -> X_a X_c psi, until its pair is complete
+    results = []  # pair (0, 1) completes at c = 1, the other two at c = 2
+    for c in range(3):
+        others = [a for a in range(3) if a != c]
+        for a, val in zip(others, act(others, x_psi[c])):
+            second[(a, c)] = val
+        for a, b in _PAIRS:
+            if (a, b) in second and (b, a) in second:
+                out = second.pop((a, b)) - second.pop((b, a))
+                for d in range(3):
+                    e = eps(a, b, d)
+                    if e:
+                        t_d = (x_psi[d] if target is None
+                               else target(d, x_psi[d]))
+                        out = out - t_d * (1j * e)
+                        del t_d
+                results.append(finish(out))
+                del out
+    return results
+
+
 def so3_residual(ops: SplitOperators, psi: Section,
                  which: str = "L") -> float:
     """max over (a,b) of ||([X_a, X_b] - i eps_abc X_c) psi|| / ||psi||."""
     act = _component(ops, which)
     nrm = psi.norm()
-    x_psi = [act(c, psi) for c in range(3)]
     worst = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            out = act(a, x_psi[b]) - act(b, x_psi[a])
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    out = out - x_psi[c] * (1j * e)
-            worst = max(worst, out.norm() / nrm)
+    for res in _so3_failures(act, psi, lambda out: out.norm() / nrm):
+        worst = max(worst, res)
     return worst
 
 
@@ -203,18 +294,15 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     the so(3) failure of L equals minus the curvature evaluated on the
     rotational fields, for every connection."""
     nrm = psi.norm()
-    l_psi = [ops.L(c, psi) for c in range(3)]
+    # every so(3) failure first, so the L sections are gone before the
+    # curvature passes
+    failures = _so3_failures(ops.L_axes, psi, lambda out: out)
     worst = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            out = ops.L(a, l_psi[b]) - ops.L(b, l_psi[a])
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    out = out - l_psi[c] * (1j * e)
-            out = out + curvature_commutator(ops.kind, ops.field(a),
-                                             ops.field(b), psi)
-            worst = max(worst, out.norm() / nrm)
+    for i, (a, b) in enumerate(_PAIRS):
+        out = failures[i] + curvature_commutator(ops.kind, ops.field(a),
+                                                 ops.field(b), psi)
+        failures[i] = None
+        worst = max(worst, out.norm() / nrm)
     return worst
 
 
@@ -224,17 +312,14 @@ def jperp_so3_residual(ops: SplitOperators, psi: Section) -> float:
     — the perpendicular parts close on the full algebra only after the
     parallel correction, so they do not generate rotations by themselves."""
     nrm = psi.norm()
+
+    def target(c, perp_c):
+        return perp_c - ops.j_parallel(c, psi)
+
     worst = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            out = (ops.j_perp(a, ops.j_perp(b, psi))
-                   - ops.j_perp(b, ops.j_perp(a, psi)))
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    out = out - (ops.j_perp(c, psi)
-                                 - ops.j_parallel(c, psi)) * (1j * e)
-            worst = max(worst, out.norm() / nrm)
+    for res in _so3_failures(ops.j_perp_axes, psi,
+                             lambda out: out.norm() / nrm, target):
+        worst = max(worst, res)
     return worst
 
 
@@ -277,10 +362,14 @@ class NWOperator:
         self._kind = ConnectionKind.flat_massive()
 
     def apply(self, a: int, psi: Section) -> Section:
-        if self.mode == "affine":
-            d = apply_connection(self._kind, _E[a], psi)
-            return Section(psi.rep, psi.grid, 1j * d.values)
+        return self.apply_axes((a,), psi)[0]
+
+    def apply_axes(self, axes, psi: Section) -> list:
+        """[Q_a psi for a in axes], from one derivative pass over psi."""
         rep, grid = psi.rep, psi.grid
+        if self.mode == "affine":
+            out = apply_connections(self._kind, [_E[a] for a in axes], psi)
+            return [Section(rep, grid, 1j * d.values) for d in out]
         m = rep.mass
         omega = grid.omega(m)[..., None]
         ks = (grid.kx, grid.ky, grid.kz)
@@ -288,6 +377,7 @@ class NWOperator:
         der = _derivatives(grid, kv)
         jpsi = [_act_J(rep, grid, c, kv, der) for c in range(3)]
         kpsi = [_act_K(rep, grid, c, kv, der) for c in range(3)]
+        del der
         # w_c = (H J + k x K)_c
         w = []
         for c in range(3):
@@ -298,25 +388,28 @@ class NWOperator:
                     if s:
                         acc = acc + s * ks[d][..., None] * kpsi[e_]
             w.append(acc)
-        out = (1.0 / omega) * (kpsi[a]
-                               - 1j * ks[a][..., None] / (2.0 * omega) * kv)
+        del jpsi
         coef = 1.0 / (m * omega * (omega + m))
-        for b in range(3):
-            for c in range(3):
-                s = eps(a, b, c)
-                if s:
-                    out = out - coef * s * ks[b][..., None] * w[c]
-        return Section(rep, grid, out)
+        qs = []
+        for a in axes:
+            out = (1.0 / omega) * (kpsi[a] - 1j * ks[a][..., None]
+                                   / (2.0 * omega) * kv)
+            for b in range(3):
+                for c in range(3):
+                    s = eps(a, b, c)
+                    if s:
+                        out = out - coef * s * ks[b][..., None] * w[c]
+            qs.append(Section(rep, grid, out))
+        return qs
 
 
 def nw_match_residual(rep: RepSpec, grid: MomentumGrid,
                       psi: Section) -> float:
     """max_a || (Q_a^affine - Q_a^closed-form) psi || / ||psi||."""
-    qa = NWOperator(rep, grid, "affine")
-    qc = NWOperator(rep, grid, "closed-form")
+    qa = NWOperator(rep, grid, "affine").apply_axes(range(3), psi)
+    qc = NWOperator(rep, grid, "closed-form").apply_axes(range(3), psi)
     nrm = psi.norm()
-    return max((qa.apply(a, psi) - qc.apply(a, psi)).norm() / nrm
-               for a in range(3))
+    return max((qa[a] - qc[a]).norm() / nrm for a in range(3))
 
 
 def nw_gradient_residual(rep: RepSpec, grid: MomentumGrid, psi: Section,
@@ -326,12 +419,12 @@ def nw_gradient_residual(rep: RepSpec, grid: MomentumGrid, psi: Section,
     The conjugation by sqrt(H) maps to the coordinates in which the
     inner product is the plain (unweighted) momentum integral; there the
     mean position operator acts as the componentwise gradient i*grad."""
-    q = NWOperator(rep, grid, mode)
     sqw = np.sqrt(grid.omega(rep.mass))
+    q = NWOperator(rep, grid, mode).apply_axes(range(3), psi * sqw)
     g = grid.gradient(psi.values)
     nrm = psi.norm()
     return max(
-        ((q.apply(a, psi * sqw) * (1.0 / sqw))
+        ((q[a] * (1.0 / sqw))
          - Section(rep, grid, 1j * g[a])).norm() / nrm
         for a in range(3)
     )
@@ -341,10 +434,11 @@ def nw_hermiticity_defect(rep: RepSpec, grid: MomentumGrid, psi: Section,
                           phi: Section, mode: str = "closed-form") -> float:
     """max_a |<psi, Q_a phi> - <Q_a psi, phi>| / (||psi|| ||phi||)."""
     q = NWOperator(rep, grid, mode)
+    q_phi = q.apply_axes(range(3), phi)
+    q_psi = q.apply_axes(range(3), psi)
     scale = psi.norm() * phi.norm()
     return max(
-        abs(inner(psi, q.apply(a, phi)) - inner(q.apply(a, psi), phi))
-        / scale
+        abs(inner(psi, q_phi[a]) - inner(q_psi[a], phi)) / scale
         for a in range(3)
     )
 

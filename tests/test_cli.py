@@ -371,6 +371,36 @@ def test_grid_flag_names_the_halved_rung(capsys):
     assert _build_config(args).ladder == [(4, 6, 12), (5, 12, 24)]
 
 
+@pytest.mark.parametrize("grid,rung", [("8,24,10", "(4, 12, 5)"),
+                                       ("8,24,11", "(8, 24, 11)")])
+def test_grid_flag_odd_n_phi_exits_2_before_running(capsys, grid, rung):
+    # an odd N_phi, written or produced by halving, is rejected before the
+    # symbolic suite runs, naming the flag and the rung
+    assert main(["run", "--suite", "symbolic", "algebra", "--grid",
+                 grid]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert f"--grid {grid}" in captured.err
+    assert rung in captured.err
+    assert "N_phi" in captured.err
+    assert captured.out == ""
+    # a suite without a convergence ladder runs only the given rung
+    assert main(["run", "--suite", "symbolic", "--grid", "8,24,10"]) \
+        == EXIT_OK
+
+
+def test_odd_n_phi_rung_rejected(tmp_path, capsys):
+    with pytest.raises(ConfigError, match=r"\(6, 24, 47\).*N_phi"):
+        RunConfig(suites=["symbolic"], ladder=[(4, 12, 24), (6, 24, 47)])
+    path = _write(tmp_path, "[run]\nsuites = symbolic, algebra\n"
+                            "[grid]\nladder = 4x12x25, 6x24x48\n")
+    with pytest.raises(ConfigError, match=r"\(4, 12, 25\).*N_phi"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "(4, 12, 25)" in captured.err
+    assert captured.out == ""
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     with pytest.raises(ConfigError, match="seed"):
         RunConfig(suites=["symbolic"], seed=-1)

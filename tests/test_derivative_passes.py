@@ -1,21 +1,30 @@
-"""One derivative pass per covariant derivative: call counts of the grid
-derivatives and the splitting diagnostics, and bit-exact agreement of
-the shared-pass connection with a reference sum of single-axis
-generator actions."""
+"""One derivative pass per section for every field applied to it: call
+counts of the grid derivatives for one field, for a batch of fields and
+for the curvature and splitting diagnostics, and bit-exact agreement of
+the shared-pass connection, one field or a batch, with a reference sum
+of single-axis generator actions."""
 
 import numpy as np
 import pytest
 
-import spinsplit.splitting as splitting_mod
 from spinsplit.connections import (
     ConnectionKind,
     TangentField,
     apply_connection,
+    apply_connections,
+    curvature_commutator,
 )
 from spinsplit.grid import MomentumGrid, make_grid
 from spinsplit.reps import RepSpec, _act_J, _act_K, random_test_section
 from spinsplit.scalars import eps
-from spinsplit.splitting import SplitOperators, so3_residual
+from spinsplit.splitting import (
+    NWOperator,
+    SplitOperators,
+    defect_identity_residual,
+    jperp_so3_residual,
+    so3_residual,
+    vector_op_residual,
+)
 
 from conftest import MASS
 
@@ -61,21 +70,55 @@ def test_one_derivative_pass_per_covariant_derivative(kind,
                                 "gradient": 0}
 
 
-def test_so3_residual_reuses_orbital_actions(monkeypatch):
-    calls = []
-    orig = splitting_mod.apply_connection
+def test_three_field_batch_takes_one_pass(derivative_calls):
+    rep = RepSpec.massive(MASS, 1)
+    psi = random_test_section(rep, _massive_grid(), seed=3)
+    fields = [TangentField.named(n) for n in ("e_k", "e_theta", "e_phi")]
+    apply_connections(ConnectionKind.flat_massive(), fields, psi)
+    assert derivative_calls == {"d_r": 1, "d_theta": 1, "d_phi": 1,
+                                "gradient": 0}
+    derivative_calls.update(dict.fromkeys(_DERIVATIVES, 0))
+    ops = SplitOperators(rep, psi.grid, ConnectionKind.flat_massive())
+    ops.S_axes(range(3), psi)  # J and L share the pass
+    assert derivative_calls == {"d_r": 1, "d_theta": 1, "d_phi": 1,
+                                "gradient": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return orig(*args)
 
-    monkeypatch.setattr(splitting_mod, "apply_connection", counted)
+# (d_r, d_theta, d_phi) calls per diagnostic; when every field took its
+# own pass they were
+#   so3_residual           9, 9, 9
+#   vector_op_residual L  12, 24, 24
+#   vector_op_residual S  12, 36, 36
+#   curvature_commutator   5, 5, 5
+_PASS_TOTALS = {
+    "so3": (4, 4, 4),
+    "vector-op-L": (10, 13, 13),
+    "vector-op-S": (10, 13, 13),
+    "curvature": (3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("kind", [ConnectionKind.flat_massive(),
+                                  ConnectionKind.boost()],
+                         ids=["flat-massive", "boost"])
+@pytest.mark.parametrize("diagnostic", list(_PASS_TOTALS))
+def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     rep = RepSpec.massive(MASS, 1)
     grid = _massive_grid()
-    ops = SplitOperators(rep, grid, ConnectionKind.flat_massive())
-    so3_residual(ops, random_test_section(rep, grid, seed=3))
-    # three L_c psi, then L_a (L_b psi) and L_b (L_a psi) for three pairs
-    assert len(calls) == 9
+    psi = random_test_section(rep, grid, seed=3)
+    ops = SplitOperators(rep, grid, kind)
+    if diagnostic == "so3":
+        so3_residual(ops, psi)
+    elif diagnostic == "vector-op-L":
+        vector_op_residual(ops, psi)
+    elif diagnostic == "vector-op-S":
+        vector_op_residual(ops, psi, "S")
+    else:
+        curvature_commutator(kind, TangentField.named("e_theta"),
+                             TangentField.named("e_phi"), psi)
+    d_r, d_theta, d_phi = _PASS_TOTALS[diagnostic]
+    assert derivative_calls == {"d_r": d_r, "d_theta": d_theta,
+                                "d_phi": d_phi, "gradient": 0}
 
 
 def _reference(kind, rep, grid, xv, v):
@@ -132,3 +175,138 @@ def test_shared_pass_matches_single_axis_actions_exactly(rep, kind):
     out = apply_connection(kind, TangentField.from_array(xv), psi)
     assert np.array_equal(out.values,
                           _reference(kind, rep, grid, xv, psi.values))
+
+
+@pytest.mark.parametrize("rep,kind", _CASES,
+                         ids=[f"{r!r}-{k.variant}" for r, k in _CASES])
+def test_batched_fields_match_one_field_calls_exactly(rep, kind):
+    grid = (_massive_grid() if rep.kind == "massive"
+            else make_grid(4, 12, 24, 1.0, 2.0))
+    psi = random_test_section(rep, grid, seed=7)
+    rng = np.random.default_rng(7)
+    fields = [TangentField.from_array(rng.normal(size=(3,) + grid.shape))
+              for _ in range(2)]
+    fields += [TangentField.named("e_theta"), TangentField.rotational(2)]
+    batch = apply_connections(kind, fields, psi)
+    assert len(batch) == len(fields)
+    for x, out in zip(fields, batch):
+        assert np.array_equal(out.values,
+                              apply_connection(kind, x, psi).values)
+        assert np.array_equal(
+            out.values,
+            _reference(kind, rep, grid, x.values(grid), psi.values))
+
+
+# -- splitting operators over several axes ------------------------------------------
+
+
+def _split_cases():
+    return [(RepSpec.massive(MASS, s), kind)
+            for s in (0, 1)
+            for kind in (ConnectionKind.flat_massive(),
+                         ConnectionKind.boost())] + [
+        (RepSpec.massless(1), ConnectionKind.boost()),
+        (RepSpec.massless(-1), ConnectionKind.rotation())]
+
+
+def _split_setup(rep, kind):
+    grid = (_massive_grid() if rep.kind == "massive"
+            else make_grid(4, 12, 24, 1.0, 2.0))
+    return SplitOperators(rep, grid, kind), random_test_section(rep, grid,
+                                                                seed=11)
+
+
+@pytest.mark.parametrize("rep,kind", _split_cases(),
+                         ids=lambda v: repr(v))
+def test_split_axes_match_single_axis_calls_exactly(rep, kind):
+    ops, psi = _split_setup(rep, kind)
+    axes = (2, 0, 1)
+    for batch, single in ((ops.L_axes, ops.L), (ops.J_axes, ops.J)):
+        for a, out in zip(axes, batch(axes, psi)):
+            assert np.array_equal(out.values, single(a, psi).values)
+    for a, out in zip(axes, ops.S_axes(axes, psi)):
+        ref = ops.J(a, psi) - ops.L(a, psi)
+        assert np.array_equal(out.values, ref.values)
+
+
+def _so3_reference(act, psi):
+    nrm = psi.norm()
+    x_psi = [act(c, psi) for c in range(3)]
+    worst = 0.0
+    for a in range(3):
+        for b in range(a + 1, 3):
+            out = act(a, x_psi[b]) - act(b, x_psi[a])
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    out = out - x_psi[c] * (1j * e)
+            worst = max(worst, out.norm() / nrm)
+    return worst
+
+
+def _vector_op_reference(ops, act, psi):
+    nrm = psi.norm()
+    x_psi = [act(c, psi) for c in range(3)]
+    j_psi = [ops.J(b, psi) for b in range(3)]
+    worst = 0.0
+    for a in range(3):
+        for b in range(3):
+            out = act(a, j_psi[b]) - ops.J(b, x_psi[a])
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    out = out - x_psi[c] * (1j * e)
+            worst = max(worst, out.norm() / nrm)
+    return worst
+
+
+@pytest.mark.parametrize("rep,kind", _split_cases(),
+                         ids=lambda v: repr(v))
+def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind):
+    """The residuals equal, bit for bit, the one-field loops each
+    diagnostic ran before its fields were batched."""
+    ops, psi = _split_setup(rep, kind)
+    for which, act in (("L", ops.L), ("S", ops.S)):
+        assert so3_residual(ops, psi, which) == _so3_reference(act, psi)
+        assert vector_op_residual(ops, psi, which) \
+            == _vector_op_reference(ops, act, psi)
+    nrm = psi.norm()
+    l_psi = [ops.L(c, psi) for c in range(3)]
+    worst = 0.0
+    for a in range(3):
+        for b in range(a + 1, 3):
+            out = ops.L(a, l_psi[b]) - ops.L(b, l_psi[a])
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    out = out - l_psi[c] * (1j * e)
+            out = out + curvature_commutator(kind, ops.field(a),
+                                             ops.field(b), psi)
+            worst = max(worst, out.norm() / nrm)
+    assert defect_identity_residual(ops, psi) == worst
+    if rep.kind == "massless":
+        worst = 0.0
+        for a in range(3):
+            for b in range(a + 1, 3):
+                out = (ops.j_perp(a, ops.j_perp(b, psi))
+                       - ops.j_perp(b, ops.j_perp(a, psi)))
+                for c in range(3):
+                    e = eps(a, b, c)
+                    if e:
+                        out = out - (ops.j_perp(c, psi)
+                                     - ops.j_parallel(c, psi)) * (1j * e)
+                worst = max(worst, out.norm() / nrm)
+        assert jperp_so3_residual(ops, psi) == worst
+
+
+@pytest.mark.parametrize("mode", ["affine", "closed-form"])
+@pytest.mark.parametrize("spin", [0, 1])
+def test_position_operator_axes_match_single_axis_calls_exactly(spin,
+                                                                mode):
+    rep = RepSpec.massive(MASS, spin)
+    grid = _massive_grid()
+    psi = random_test_section(rep, grid, seed=13)
+    q = NWOperator(rep, grid, mode)
+    axes = (1, 2, 0)
+    for a, out in zip(axes, q.apply_axes(axes, psi)):
+        assert np.array_equal(out.values, q.apply(a, psi).values)

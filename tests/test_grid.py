@@ -71,6 +71,29 @@ def test_sin_theta_is_a_broadcast_view():
     assert np.array_equal(g.gradient(f), grad)
 
 
+def _d_phi_roll_reference(g, values):
+    # the stencil applied to one rolled copy of the values per term
+    fd8 = [1 / 280, -4 / 105, 1 / 5, -4 / 5, 0.0, 4 / 5, -1 / 5, 4 / 105,
+           -1 / 280]
+    out = np.zeros_like(values)
+    for s, c in enumerate(fd8):
+        if c:
+            out += c * np.roll(values, 4 - s, axis=2)
+    return out / g.dphi
+
+
+@pytest.mark.parametrize("shape", [(4, 12, 24), (5, 8, 10), (4, 6, 8)])
+@pytest.mark.parametrize("fiber", [(), (1,), (3,)])
+def test_d_phi_matches_roll_reference(shape, fiber):
+    g = make_grid(*shape, 1.0, 2.0)
+    rng = np.random.default_rng(sum(shape) + len(fiber))
+    values = (rng.normal(size=shape + fiber)
+              + 1j * rng.normal(size=shape + fiber))
+    assert np.array_equal(g.d_phi(values), _d_phi_roll_reference(g, values))
+    assert np.array_equal(g.d_phi(values.real),
+                          _d_phi_roll_reference(g, values.real))
+
+
 def test_omega():
     g = make_grid(4, 12, 24, 1.0, 2.0)
     assert np.allclose(g.omega(0.0), g.kmag)

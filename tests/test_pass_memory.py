@@ -1,0 +1,90 @@
+"""Peak memory of the covariant-derivative diagnostics, in sections.
+
+Sharing one derivative pass among several tangent fields keeps more
+accumulators alive at once.  These guards hold each diagnostic's traced
+peak at rung (6, 24, 48) to the value it had when every field took its
+own pass, so a speed-up cannot be bought with memory.  The peak counts
+every array the call allocates (tracemalloc traces numpy's buffers) and
+is divided by the size of one section of the representation.
+"""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from spinsplit.connections import (
+    ConnectionKind,
+    TangentField,
+    apply_connection,
+    curvature_commutator,
+)
+from spinsplit.grid import make_grid
+from spinsplit.reps import RepSpec, random_test_section
+from spinsplit.splitting import (
+    SplitOperators,
+    so3_residual,
+    vector_op_residual,
+)
+
+from conftest import MASS
+
+# Traced peaks, in sections, with one derivative pass per field (numpy
+# 2.4.6, Python 3.11.7), rounded up at the fourth decimal; each is the
+# bound of its case.
+_ONE_FIELD_PEAKS = {
+    "massive1-flat": {"apply_connection": 10.4161,
+                      "curvature_commutator": 12.9298,
+                      "so3_residual": 15.9478,
+                      "vector_op_residual-L": 17.9698,
+                      "vector_op_residual-S": 18.9880},
+    "massless+1-boost": {"apply_connection": 12.1874,
+                         "curvature_commutator": 14.7010,
+                         "so3_residual": 17.7190,
+                         "vector_op_residual-L": 19.7410,
+                         "vector_op_residual-S": 20.7592},
+}
+
+
+def _case(name):
+    if name == "massive1-flat":
+        grid = make_grid(6, 24, 48, 1.0, 2.0, radial_map="sinh",
+                         mass_scale=MASS)
+        return RepSpec.massive(MASS, 1), grid, ConnectionKind.flat_massive()
+    return RepSpec.massless(1), make_grid(6, 24, 48, 1.0, 2.0), \
+        ConnectionKind.boost()
+
+
+def _diagnostic(name, kind, ops, psi):
+    eth, eph = TangentField.named("e_theta"), TangentField.named("e_phi")
+    return {
+        "apply_connection": lambda: apply_connection(kind, eph, psi),
+        "curvature_commutator": lambda: curvature_commutator(
+            kind, eth, eph, psi),
+        "so3_residual": lambda: so3_residual(ops, psi),
+        "vector_op_residual-L": lambda: vector_op_residual(ops, psi),
+        "vector_op_residual-S": lambda: vector_op_residual(ops, psi, "S"),
+    }[name]
+
+
+def _peak_sections(fn, psi) -> float:
+    fn()  # a first call, so one-time allocations are not counted
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / psi.values.nbytes
+
+
+@pytest.mark.parametrize("diagnostic", list(_ONE_FIELD_PEAKS["massive1-flat"]))
+@pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))
+def test_peak_memory_held_at_one_field_value(case, diagnostic):
+    rep, grid, kind = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    ops = SplitOperators(rep, grid, kind)
+    peak = _peak_sections(_diagnostic(diagnostic, kind, ops, psi), psi)
+    assert peak <= _ONE_FIELD_PEAKS[case][diagnostic]

@@ -14,6 +14,7 @@ from spinsplit.reps import (
     _act_chi,
     _act_J,
     _act_K,
+    _spin_act,
     algebra_residual,
     inner,
     random_test_section,
@@ -208,3 +209,33 @@ def test_unknown_profile(rep_massive1, grid_small_massive):
     with pytest.raises(RepError):
         random_test_section(rep_massive1, grid_small_massive, seed=1,
                             profile="nope")
+
+
+# -- the sparse spin action ------------------------------------------------------
+
+_ALL_REPS = [RepSpec.massive(MASS, 0), RepSpec.massive(MASS, 1),
+             RepSpec.massless(-1), RepSpec.massless(0), RepSpec.massless(1)]
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
+def test_spin_act_matches_einsum_reference(rep, axis):
+    rng = np.random.default_rng(axis)
+    shape = (4, 12, 24, rep.dim)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ref = np.einsum("bc,...c->...b", rep.spin_mats[axis], v)
+    assert np.array_equal(_spin_act(rep, axis, v), ref)
+
+
+@pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
+def test_spin_entries_are_the_nonzero_entries(rep):
+    # at most two per row, each purely real or purely imaginary: the
+    # conditions under which skipping the zeros keeps every sum exact
+    for axis in range(3):
+        dense = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
+        for b, c, coef in rep.spin_entries[axis]:
+            dense[b, c] = coef
+            assert coef.real == 0 or coef.imag == 0
+        assert np.array_equal(dense, rep.spin_mats[axis])
+        rows = [b for b, _, _ in rep.spin_entries[axis]]
+        assert all(rows.count(b) <= 2 for b in range(rep.dim))
