@@ -6,9 +6,10 @@ Subcommands:
                   with ``--csv``, the per-rung convergence CSV.
 * ``eval``      — parse an operator expression, print its normal form
                   (``--check-zero`` for a pass/fail line).
-* ``chern``     — ``run`` of the ``chern`` suite (lattice Chern numbers).
-* ``holonomy``  — ``run`` of the ``holonomy`` suite (loop transport for
-                  the boost and flat connections).
+
+A single suite is ``run --suite NAME``: ``run --suite chern --helicity 1``
+prints the lattice Chern numbers, ``run --suite holonomy --mass 1.3
+--spin 1`` the loop transport checks.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 configuration/usage/expression error.  Configuration errors,
@@ -165,23 +166,6 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="INI config file path")
-    sub.add_argument("--suite", nargs="+", choices=sorted(SUITES),
-                     help="suites to run")
-    sub.add_argument("--mass", type=float, help="massive rep mass")
-    sub.add_argument("--spin", type=int, choices=(0, 1),
-                     help="massive rep spin")
-    sub.add_argument("--helicity", type=int, choices=(-1, 0, 1),
-                     help="massless rep helicity")
-    sub.add_argument("--grid", help="reference resolution NR,NT,NP")
-    sub.add_argument("--seed", type=int, help="test-section seed")
-    sub.add_argument("--json", help="JSON report output path")
-    sub.add_argument("--csv", help="convergence CSV output path")
-    sub.add_argument("--normalize", action="store_true",
-                     help="omit timings for byte-stable reports")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinsplit",
@@ -192,7 +176,21 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_run = subs.add_parser("run", help="run diagnostic suites")
-    _add_common(p_run)
+    p_run.add_argument("--config", help="INI config file path")
+    p_run.add_argument("--suite", nargs="+", choices=sorted(SUITES),
+                       help="suites to run")
+    p_run.add_argument("--mass", type=float, help="massive rep mass")
+    p_run.add_argument("--spin", type=int, choices=(0, 1),
+                       help="massive rep spin")
+    p_run.add_argument("--helicity", type=int, choices=(-1, 0, 1),
+                       help="massless rep helicity")
+    p_run.add_argument("--grid", help="reference resolution NR,NT,NP; "
+                                      "the chern mesh is NT x NP")
+    p_run.add_argument("--seed", type=int, help="test-section seed")
+    p_run.add_argument("--json", help="JSON report output path")
+    p_run.add_argument("--csv", help="convergence CSV output path")
+    p_run.add_argument("--normalize", action="store_true",
+                       help="omit timings for byte-stable reports")
     p_run.set_defaults(fn=_cmd_run)
 
     p_eval = subs.add_parser("eval", help="evaluate an operator "
@@ -203,24 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--check-zero", action="store_true",
                         help="report pass/fail on identical vanishing")
     p_eval.set_defaults(fn=_cmd_eval)
-
-    # suite presets of ``run``; the run options they do not offer keep
-    # their defaults
-    preset = {"fn": _cmd_run, "config": None, "mass": None, "spin": None,
-              "helicity": None, "grid": None, "seed": None, "json": None,
-              "csv": None, "normalize": False}
-    p_chern = subs.add_parser("chern", help="run the chern suite")
-    p_chern.add_argument("--helicity", type=int, choices=(-1, 0, 1),
-                         help="massless rep helicity")
-    p_chern.add_argument("--grid", help="reference resolution NR,NT,NP; "
-                                        "the Chern mesh is NT x NP")
-    p_chern.set_defaults(**preset, suite=["chern"])
-
-    p_hol = subs.add_parser("holonomy", help="run the holonomy suite")
-    p_hol.add_argument("--mass", type=float, help="massive rep mass")
-    p_hol.add_argument("--spin", type=int, choices=(0, 1),
-                       help="massive rep spin")
-    p_hol.set_defaults(**preset, suite=["holonomy"])
     return parser
 
 

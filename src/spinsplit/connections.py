@@ -51,8 +51,6 @@ __all__ = [
     "ConnectionLabError",
     "ConnectionKind",
     "TangentField",
-    "register_profile",
-    "profile_names",
     "apply_connection",
     "apply_connections",
     "leibniz_residual",
@@ -74,21 +72,12 @@ class ConnectionLabError(ValueError):
 
 # -- radial weight profiles ----------------------------------------------------
 
-_PROFILES: dict = {}
-
-
-def register_profile(name: str, fn) -> None:
-    """Register a radial weight profile; ``fn(r, mass) -> array``."""
-    _PROFILES[name] = fn
-
-
-def profile_names():
-    return tuple(sorted(_PROFILES))
-
-
-register_profile("flat", lambda r, m: np.sqrt(m**2 + r**2) / m)
-register_profile("zero", lambda r, m: np.zeros_like(r))
-register_profile("one", lambda r, m: np.ones_like(r))
+# the named weights ``fn(r, mass) -> array`` of ConnectionKind.affine
+_PROFILES = {
+    "flat": lambda r, m: np.sqrt(m**2 + r**2) / m,
+    "zero": lambda r, m: np.zeros_like(r),
+    "one": lambda r, m: np.ones_like(r),
+}
 
 
 def constant_profile(value: float):
@@ -123,12 +112,12 @@ class ConnectionKind:
 
     @classmethod
     def affine(cls, profile) -> "ConnectionKind":
-        """profile: a registered name or a callable f(r, mass)."""
+        """profile: a name in _PROFILES or a callable f(r, mass)."""
         if callable(profile):
             return cls("affine", "<callable>", profile)
         if profile not in _PROFILES:
             raise ConnectionLabError(
-                f"unknown profile {profile!r}; registered: {profile_names()}"
+                f"unknown profile {profile!r}; known: {sorted(_PROFILES)}"
             )
         return cls("affine", profile, _PROFILES[profile])
 

@@ -378,23 +378,22 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
 # -- test sections -------------------------------------------------------------
 
 
-def _radial_bump(grid: MomentumGrid, exponent: int = 1) -> np.ndarray:
-    """Polynomial bump ((r-r_min)(r_max-r))^exponent, exactly zero at the
-    shell boundaries.  The default keeps the degree low (2) so the radial
-    collocation differentiates it exactly even at N_r = 4 and leaves
+def _radial_bump(grid: MomentumGrid) -> np.ndarray:
+    """Quadratic bump (r-r_min)(r_max-r), exactly zero at the shell
+    boundaries and 1 at mid-shell.  The low degree lets the radial
+    collocation differentiate it exactly even at N_r = 4 and leaves
     spectral headroom for the non-polynomial energy factors the massive
     boost produces."""
-    prof = ((grid.r - grid.r_min) * (grid.r_max - grid.r)) ** exponent
-    peak = ((grid.r_max - grid.r_min) ** 2 / 4.0) ** exponent
+    prof = (grid.r - grid.r_min) * (grid.r_max - grid.r)
+    peak = (grid.r_max - grid.r_min) ** 2 / 4.0
     return (prof / peak)[:, None, None] + np.zeros(grid.shape)
 
 
-def _angular_bump(grid: MomentumGrid, center: np.ndarray,
-                  alpha: float) -> np.ndarray:
-    """von Mises-Fisher bump exp(alpha*(khat.n0 - 1)); smooth on the whole
+def _angular_bump(grid: MomentumGrid, center: np.ndarray) -> np.ndarray:
+    """von Mises-Fisher bump exp(3*(khat.n0 - 1)); smooth on the whole
     sphere for any center."""
     cosang = np.einsum("a...,a->...", grid.khat, center)
-    return np.exp(alpha * (cosang - 1.0))
+    return np.exp(3.0 * (cosang - 1.0))
 
 
 def _polar_damping(grid: MomentumGrid, power: int) -> np.ndarray:
@@ -405,35 +404,27 @@ def _polar_damping(grid: MomentumGrid, power: int) -> np.ndarray:
 
 
 def random_test_section(rep: RepSpec, grid: MomentumGrid, seed: int,
-                        profile: str = "gaussian-bump",
-                        alpha: float = 3.0,
-                        polar_damping: int | None = None,
-                        radial_exponent: int = 1) -> Section:
+                        polar_damping: int | None = None) -> Section:
     """Deterministic smooth random section.
 
-    profile 'gaussian-bump': one angular bump; 'multi-bump': three.  The
-    radial factor is a polynomial bump vanishing exactly at the shell
-    boundaries.  ``alpha`` sets the angular concentration;
-    ``polar_damping`` (an even integer) multiplies in sin(theta)^power,
-    suppressing the section near the poles for diagnostics whose frame
-    coefficients grow there.  Massless |h| = 1 output is projected onto
-    the helicity-h transverse subspace.
+    One angular von Mises-Fisher bump (concentration 3) at a seeded
+    center away from the poles, with a seeded complex amplitude per
+    fiber component, times a quadratic radial bump vanishing exactly at
+    the shell boundaries.  ``polar_damping`` (an even integer)
+    multiplies in sin(theta)^power, suppressing the section near the
+    poles for diagnostics whose frame coefficients grow there.
+    Massless |h| = 1 output is projected onto the helicity-h transverse
+    subspace.
     """
-    if profile not in ("gaussian-bump", "multi-bump"):
-        raise RepError(f"unknown profile {profile!r}")
     rng = np.random.default_rng(seed)
-    n_bumps = 1 if profile == "gaussian-bump" else 3
-    values = np.zeros(grid.shape + (rep.dim,), dtype=np.complex128)
-    for _ in range(n_bumps):
-        # bump centers kept away from the poles
-        z = rng.uniform(-0.6, 0.6)
-        ph = rng.uniform(0.0, 2.0 * np.pi)
-        s = np.sqrt(1.0 - z * z)
-        center = np.array([s * np.cos(ph), s * np.sin(ph), z])
-        amp = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-        bump = _angular_bump(grid, center, alpha)
-        values += bump[..., None] * amp
-    values *= _radial_bump(grid, radial_exponent)[..., None]
+    # bump center kept away from the poles
+    z = rng.uniform(-0.6, 0.6)
+    ph = rng.uniform(0.0, 2.0 * np.pi)
+    s = np.sqrt(1.0 - z * z)
+    center = np.array([s * np.cos(ph), s * np.sin(ph), z])
+    amp = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    values = _angular_bump(grid, center)[..., None] * amp
+    values *= _radial_bump(grid)[..., None]
     if polar_damping is not None:
         if polar_damping < 0 or polar_damping % 2:
             raise RepError("polar_damping must be a nonnegative even "

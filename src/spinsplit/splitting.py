@@ -73,23 +73,22 @@ _ROTATIONAL = tuple(TangentField.rotational(a) for a in range(3))
 class SplitOperators:
     """The splitting of J induced by a connection.
 
-    ``symmetry_breaking`` adds a fixed constant field (default direction
-    e_3) of the given strength to every V_a; this deliberately destroys
-    rotational symmetry and serves as a mutation control for the
-    vector-operator diagnostics.
+    ``symmetry_breaking`` adds the constant field e_3 of the given
+    strength to every V_a; this deliberately destroys rotational
+    symmetry and serves as a mutation control for the vector-operator
+    diagnostics.
     """
 
     __slots__ = ("rep", "grid", "kind", "_fields")
 
     def __init__(self, rep: RepSpec, grid: MomentumGrid,
-                 kind: ConnectionKind, symmetry_breaking: float = 0.0,
-                 breaking_direction=(0.0, 0.0, 1.0)):
+                 kind: ConnectionKind, symmetry_breaking: float = 0.0):
         self.rep = rep
         self.grid = grid
         self.kind = kind
         if symmetry_breaking:
-            u = np.asarray(breaking_direction, dtype=float)
-            extra = TangentField.constant(u).values(grid) * symmetry_breaking
+            extra = (TangentField.constant((0.0, 0.0, 1.0)).values(grid)
+                     * symmetry_breaking)
             self._fields = tuple(
                 TangentField.from_array(v.values(grid) + extra)
                 for v in _ROTATIONAL
@@ -153,7 +152,11 @@ class SplitOperators:
         """[Jperp_a psi for a in axes], from one angular pass and one
         helicity action over psi."""
         self._require_massless()
-        chi = _act_chi(psi.rep, psi.grid, psi.values)
+        return self._j_perp(axes, psi,
+                            _act_chi(psi.rep, psi.grid, psi.values))
+
+    def _j_perp(self, axes, psi: Section, chi: np.ndarray) -> list:
+        """j_perp_axes with psi's helicity action ``chi`` given."""
         out = self.J_axes(axes, psi)
         for a, j in zip(axes, out):
             # J_a psi - Jpar_a psi, formed in the fresh J array
@@ -311,14 +314,22 @@ def jperp_so3_residual(ops: SplitOperators, psi: Section) -> float:
     ||([Jperp_a, Jperp_b] - i eps_abc (Jperp_c - Jpar_c)) psi|| / ||psi||
     — the perpendicular parts close on the full algebra only after the
     parallel correction, so they do not generate rotations by themselves."""
+    ops._require_massless()
     nrm = psi.norm()
+    # psi's helicity action, shared by Jperp_c psi and every Jpar_c psi
+    chi = _act_chi(psi.rep, psi.grid, psi.values)
 
-    def target(c, perp_c):
-        return perp_c - ops.j_parallel(c, psi)
+    def act(axes, phi):
+        return (ops._j_perp(axes, psi, chi) if phi is psi
+                else ops.j_perp_axes(axes, phi))
+
+    def target(c, perp_c):  # perp_c - ops.j_parallel(c, psi)
+        return perp_c - Section(psi.rep, psi.grid,
+                                psi.grid.khat[c][..., None] * chi)
 
     worst = 0.0
-    for res in _so3_failures(ops.j_perp_axes, psi,
-                             lambda out: out.norm() / nrm, target):
+    for res in _so3_failures(act, psi, lambda out: out.norm() / nrm,
+                             target):
         worst = max(worst, res)
     return worst
 
@@ -466,11 +477,9 @@ class ParallelFrame:
 
 def parallel_frame(rep: RepSpec, kind: ConnectionKind | None = None,
                    n_theta: int = 24, n_phi: int = 48,
-                   radius: float = 1.5, n_steps: int = 8,
-                   reference_basis: np.ndarray | None = None
-                   ) -> ParallelFrame:
-    """Transport a reference orthonormal basis over the shell mesh along
-    the spanning tree.  Default connection: the flat affine weight, for
+                   radius: float = 1.5, n_steps: int = 8) -> ParallelFrame:
+    """Transport the identity basis over the shell mesh along the
+    spanning tree.  Default connection: the flat affine weight, for
     which the result is path-independent."""
     if kind is None:
         kind = ConnectionKind.flat_massive()
@@ -481,12 +490,10 @@ def parallel_frame(rep: RepSpec, kind: ConnectionKind | None = None,
     d = rep.dim
     thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phis = np.arange(n_phi) * (2 * np.pi / n_phi)
-    u0 = np.eye(d, dtype=np.complex128) if reference_basis is None \
-        else np.asarray(reference_basis, dtype=np.complex128)
     frames = np.zeros((n_theta, n_phi, d, d), dtype=np.complex128)
     # meridian leg (phi = phis[0]): reference node is (thetas[0], phis[0]);
     # its edges are transported in one batch from the identity and chained
-    frames[0, 0] = u0
+    frames[0, 0] = np.eye(d)
     meridian = _edge_transport_batch(rep, kind, radius, thetas[:-1],
                                      phis[0], thetas[1:], phis[0],
                                      n_steps=n_steps)

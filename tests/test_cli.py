@@ -2,6 +2,7 @@
 validation, subcommands, exit codes, and report determinism."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,15 +16,24 @@ from spinsplit.cli import (
     build_parser,
     main,
 )
+from spinsplit.connections import (
+    ConnectionKind,
+    TangentField,
+    apply_connection,
+)
 from spinsplit.report import (
     CSV_COLUMNS,
+    DEGENERACY_GAP_MIN,
     ConfigError,
     RunConfig,
     SUITES,
+    _EXTRA_TOLS,
+    _KNOWN_KEYS,
     convergence_csv,
     report_json,
     run_suites,
 )
+from spinsplit.reps import RepSpec, random_test_section
 
 
 # -- RunConfig validation -----------------------------------------------------
@@ -70,31 +80,26 @@ def test_bad_shell_rejected():
         RunConfig(suites=["symbolic"], r_min=2.0, r_max=1.0)
 
 
-def test_tolerance_resolution_and_override():
-    c = RunConfig(suites=["symbolic"], tolerances={"algebra": 5e-4})
-    assert c.tolerance("algebra") == 5e-4
-    assert c.tolerance("nw_gradient") == 1e-4  # registry default
+def test_thresholds_are_fixed():
+    c = RunConfig(suites=["symbolic"])
+    assert c.tolerance("algebra") == 1e-3
+    assert c.tolerance("nw_gradient") == 1e-4
+    for name in SUITES:
+        assert c.tolerance(name) == SUITES[name]["tol"]
+    for name, tol in _EXTRA_TOLS.items():
+        assert c.tolerance(name) == tol
+    with pytest.raises(TypeError, match="tolerances"):
+        RunConfig(suites=["symbolic"], tolerances={"splitting": 1e9})
+    assert "tolerances" not in c.spec()
 
 
-def test_unknown_tolerance_name_rejected():
-    with pytest.raises(ConfigError, match="algebr"):
-        RunConfig(suites=["symbolic"], tolerances={"algebr": 1e9})
-
-
-def test_every_known_tolerance_name_accepted():
-    names = list(SUITES) + ["nw_gradient", "nw_hermitian", "holonomy_flat"]
-    c = RunConfig(suites=["symbolic"],
-                  tolerances={name: 0.25 for name in names})
-    assert all(c.tolerance(name) == 0.25 for name in names)
-
-
-def test_chern_suite_reads_its_tolerance():
+def test_chern_suite_reads_its_tolerance(monkeypatch):
     c = RunConfig(suites=["chern"], massive=[], massless=[1],
-                  tolerances={"chern": 0.25}, normalize=True)
+                  normalize=True)
+    assert c.tolerance("chern") == 0.05
+    monkeypatch.setitem(SUITES["chern"], "tol", 0.25)
     (rec,) = run_suites(c)["records"]
     assert rec["tolerance"] == 0.25
-    default = RunConfig(suites=["chern"], massive=[], massless=[1])
-    assert default.tolerance("chern") == 0.05
 
 
 def test_grid_for_uses_adapted_radial_map():
@@ -129,9 +134,6 @@ r_max = 2.0
 [reps]
 massive = 1.3:1
 massless = -1, 1
-
-[tolerances]
-algebra = 0.002
 """)
     c = RunConfig.from_ini(path)
     assert c.suites == ["symbolic", "algebra"]
@@ -140,7 +142,8 @@ algebra = 0.002
     assert c.ladder == [(4, 12, 24), (6, 24, 48)]
     assert c.massive == [(1.3, 1)]
     assert c.massless == [-1, 1]
-    assert c.tolerance("algebra") == 0.002
+    assert c.r_min == 1.0 and c.r_max == 2.0
+    assert c.spec()["ladder"] == [[4, 12, 24], [6, 24, 48]]
 
 
 def test_ini_unknown_section(tmp_path):
@@ -155,13 +158,17 @@ def test_ini_unknown_key(tmp_path):
         RunConfig.from_ini(path)
 
 
-def test_ini_unknown_tolerance_name(tmp_path, capsys):
+@pytest.mark.parametrize("line", ["splitting = 1e9", "algebr = 1e9",
+                                  "holonomy = nan"])
+def test_ini_tolerances_section_exits_2(tmp_path, capsys, line):
+    # thresholds are fixed: a [tolerances] section is an unknown section,
+    # so no config can turn a FAIL into a PASS
     path = _write(tmp_path,
-                  "[run]\nsuites = symbolic\n[tolerances]\nalgebr = 1e9\n")
-    with pytest.raises(ConfigError, match="algebr"):
+                  f"[run]\nsuites = symbolic\n[tolerances]\n{line}\n")
+    with pytest.raises(ConfigError, match=r"\[tolerances\]"):
         RunConfig.from_ini(path)
     assert main(["run", "--config", path]) == EXIT_ERROR
-    assert "algebr" in capsys.readouterr().err
+    assert "unknown config section [tolerances]" in capsys.readouterr().err
 
 
 def test_ini_bad_ladder_syntax(tmp_path):
@@ -202,17 +209,6 @@ def test_ini_normalize_misspelt_exits_2(tmp_path, capsys, spelling):
     assert "normalize" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
-def test_ini_tolerance_not_finite_positive_exits_2(tmp_path, capsys,
-                                                    value):
-    path = _write(tmp_path, "[run]\nsuites = holonomy\n"
-                            f"[tolerances]\nholonomy = {value}\n")
-    with pytest.raises(ConfigError, match="holonomy"):
-        RunConfig.from_ini(path)
-    assert main(["run", "--config", path]) == EXIT_ERROR
-    assert "finite and > 0" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("key,value", [
     ("r_max", "inf"), ("r_max", "nan"), ("r_min", "nan"),
     ("r_min", "-inf"),
@@ -236,6 +232,97 @@ def test_mass_not_finite_exits_2(tmp_path, capsys, mass):
     path = _write(tmp_path, "[run]\nsuites = holonomy\n"
                             f"[reps]\nmassive = {mass}:1\n")
     assert main(["run", "--config", path]) == EXIT_ERROR
+
+
+# -- INI reading rules -----------------------------------------------------------
+
+
+def test_ini_percent_is_literal(tmp_path, capsys):
+    path = _write(tmp_path, "[run]\nsuites = algebra%\n")
+    with pytest.raises(ConfigError, match="algebra%"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "unknown suites ['algebra%']" in capsys.readouterr().err
+    path = _write(tmp_path, "[run]\nsuites = symbolic\nseed = 3\n"
+                            "json = out%(seed)s.json\n")
+    assert RunConfig.from_ini(path).json_path == "out%(seed)s.json"
+
+
+def test_ini_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[run]\nsuites = symbolic\njson = \xff.json\n")
+    with pytest.raises(ConfigError, match="utf-8"):
+        RunConfig.from_ini(str(path))
+    assert main(["run", "--config", str(path)]) == EXIT_ERROR
+    assert "utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nseed = 3\n[run]\nsuites = symbolic\n",
+    "[run]\nsuites = symbolic\n[DEFAULT]\n",
+])
+def test_ini_default_section_exits_2(tmp_path, capsys, text):
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "unknown config section [DEFAULT]" in capsys.readouterr().err
+
+
+_FUZZ_HEADERS = ([f"[{name}]" for name in _KNOWN_KEYS]
+                 + ["[tolerances]", "[DEFAULT]", "[bogus]", "[", "]", "[]"])
+_FUZZ_KEYS = (sorted(set().union(*_KNOWN_KEYS.values()))
+              + ["algebra", "speed", ""])
+_FUZZ_TOKENS = (sorted(SUITES)
+                + ["4", "12", "24x48", "-1", "0", "1", "1.3", "1e9", "1e999",
+                   "nan", "inf", "x", ":", ",", "%", "(", ")", "%(seed)s",
+                   "s", " ", "=", "true", "no", "\t", "#", ";", "\n",
+                   "[run]"])
+_FUZZ_BYTES = [b"\xff", b"\xc3", b"\xe2\x82", b"\x80", b"\x00",
+               b"\xef\xbb\xbf"]
+
+
+def _fuzz_ini(rng: random.Random) -> bytes:
+    """A random INI file over section and key names, value tokens and
+    bytes that are not UTF-8; half the files start with a valid
+    ``[run] suites`` so that values reach the RunConfig checks."""
+    lines = (["[run]", "suites = " + rng.choice(sorted(SUITES))]
+             if rng.random() < 0.5 else [])
+    for _ in range(rng.randrange(8)):
+        roll = rng.random()
+        if roll < 0.2:
+            lines.append(rng.choice(_FUZZ_HEADERS))
+        else:
+            value = "".join(rng.choice(_FUZZ_TOKENS)
+                            for _ in range(rng.randrange(6)))
+            sep = rng.choice([" = ", "=", ": ", " "])
+            indent = " " if roll > 0.95 else ""
+            lines.append(indent + rng.choice(_FUZZ_KEYS) + sep + value)
+    data = "\n".join(lines).encode()
+    if rng.random() < 0.1:
+        cut = rng.randrange(len(data) + 1)
+        data = data[:cut] + rng.choice(_FUZZ_BYTES) + data[cut:]
+    return data
+
+
+def test_ini_reader_fuzz(tmp_path):
+    """Every generated config is read or rejected with a ConfigError;
+    any other exception is a bug in the reader."""
+    rng = random.Random(8)
+    path = tmp_path / "fuzz.ini"
+    read = rejected = 0
+    for _ in range(2000):
+        data = _fuzz_ini(rng)
+        path.write_bytes(data)
+        try:
+            RunConfig.from_ini(str(path))
+            read += 1
+        except ConfigError:
+            rejected += 1
+        except Exception as exc:  # noqa: BLE001 -- the bug being hunted
+            pytest.fail(f"{type(exc).__name__}: {exc} on {data!r}")
+    # the generator reaches both outcomes, not only the header checks
+    assert read > 100 and rejected > 100
 
 
 # -- report structure ---------------------------------------------------------------
@@ -263,6 +350,32 @@ def test_convergence_csv_columns():
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) > 1
+
+
+def test_degeneracy_gap_is_the_smallest_field():
+    """The massive spin-1 record claims the connections stay separated,
+    so it reports the smallest gap of the ten random fields."""
+    rung = (4, 12, 24)
+    c = RunConfig(suites=["degeneracy"], ladder=[rung], massive=[(1.3, 1)],
+                  massless=[], normalize=True)
+    (rec,) = run_suites(c)["records"]
+    assert rec["name"] == "degeneracy-gap-massive-1"
+    rep = RepSpec.massive(1.3, 1)
+    grid = c.grid_for(rung, rep.mass)
+    psi = random_test_section(rep, grid, seed=c.seed)
+    rng = np.random.default_rng(c.seed)
+    gaps = []
+    for _ in range(10):
+        vals = rng.normal(size=(3,) + grid.shape)
+        radial = sum(grid.khat[a] * vals[a] for a in range(3))
+        x = TangentField.from_array(
+            np.stack([vals[a] - radial * grid.khat[a] for a in range(3)]))
+        gaps.append((apply_connection(ConnectionKind.boost(), x, psi)
+                     - apply_connection(ConnectionKind.rotation(), x, psi)
+                     ).norm() / psi.norm())
+    assert float(f"{min(gaps):.12e}") < float(f"{max(gaps):.12e}")
+    assert rec["measured"] == float(f"{min(gaps):.12e}")
+    assert rec["passed"] is (min(gaps) > DEGENERACY_GAP_MIN)
 
 
 # -- subcommands -----------------------------------------------------------------------
@@ -448,8 +561,18 @@ def _records(capsys):
             ["records"]}
 
 
-def test_chern_subcommand(capsys):
-    rc = main(["chern", "--helicity", "-1"])
+@pytest.mark.parametrize("argv", [["chern"], ["holonomy"],
+                                  ["chern", "--helicity", "1"]])
+def test_alias_subcommands_are_gone(capsys, argv):
+    # one suite is ``run --suite NAME``; the old aliases are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_ERROR
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_run_suite_chern(capsys):
+    rc = main(["run", "--suite", "chern", "--helicity", "-1"])
     assert rc == EXIT_OK
     (rec,) = _records(capsys).values()
     assert rec["suite"] == "chern"
@@ -459,10 +582,11 @@ def test_chern_subcommand(capsys):
     assert rec["passed"] is True
 
 
-def test_chern_subcommand_mesh_from_grid(capsys):
+def test_run_suite_chern_mesh_from_grid(capsys):
     # --grid sets the last ladder rung, whose angular mesh the suite uses;
     # a suite without a convergence ladder needs no halved rung below it
-    assert main(["chern", "--helicity", "1", "--grid", "4,12,24"]) == EXIT_OK
+    assert main(["run", "--suite", "chern", "--helicity", "1",
+                 "--grid", "4,12,24"]) == EXIT_OK
     data = json.loads(capsys.readouterr().out)
     assert data["config"]["ladder"] == [[4, 12, 24]]
     (rec,) = data["records"]
@@ -473,8 +597,9 @@ def test_chern_subcommand_mesh_from_grid(capsys):
     assert row[:5] == ["chern", "h=+1", "1", "24", "48"]
 
 
-def test_holonomy_subcommand(capsys):
-    rc = main(["holonomy", "--mass", "1.3", "--spin", "1"])
+def test_run_suite_holonomy(capsys):
+    rc = main(["run", "--suite", "holonomy", "--mass", "1.3", "--spin",
+               "1"])
     assert rc == EXIT_OK
     records = _records(capsys)
     assert sorted(records) == sorted(
@@ -493,19 +618,19 @@ def test_spin1_suites_need_spin1_rep(suite):
     RunConfig(suites=[suite], massive=[(1.3, 0), (2.0, 1)])
 
 
-def test_holonomy_subcommand_spin0_is_config_error(capsys):
-    assert main(["holonomy", "--spin", "0"]) == EXIT_ERROR
+def test_run_suite_holonomy_spin0_is_config_error(capsys):
+    assert main(["run", "--suite", "holonomy", "--spin", "0"]) == EXIT_ERROR
     assert "holonomy" in capsys.readouterr().err
 
 
-def test_holonomy_subcommand_failure_prints_json(monkeypatch, capsys):
+def test_run_suite_holonomy_failure_prints_json(monkeypatch, capsys):
     import spinsplit.report as report
     # a transport that goes nowhere fails both the boost angle and the
     # flat defect checks
     monkeypatch.setattr(report, "holonomy",
                         lambda rep, kind, loop, n_steps: np.zeros(
                             (rep.dim, rep.dim)))
-    assert main(["holonomy"]) == EXIT_CHECK_FAILED
+    assert main(["run", "--suite", "holonomy"]) == EXIT_CHECK_FAILED
     records = _records(capsys)
     assert len(records) == 4
     assert not any(rec["passed"] for rec in records.values())

@@ -23,8 +23,6 @@ from spinsplit.connections import (
     lambda_flat_profile,
     leibniz_residual,
     lie_bracket,
-    profile_names,
-    register_profile,
 )
 from spinsplit.grid import Section, make_grid
 from spinsplit.report import RunConfig
@@ -59,14 +57,6 @@ def test_weights():
 def test_flat_weight_singular_at_zero_mass():
     with pytest.raises(ConnectionLabError):
         ConnectionKind.flat_massive().weight(np.array([1.0]), 0.0)
-
-
-def test_profile_registry():
-    assert "flat" in profile_names()
-    register_profile("test-half", constant_profile(0.5))
-    assert np.allclose(
-        ConnectionKind.affine("test-half").weight(np.array([1.0]), MASS),
-        0.5)
 
 
 # -- tangent fields and brackets ------------------------------------------------

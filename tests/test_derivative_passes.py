@@ -14,6 +14,7 @@ from spinsplit.connections import (
     apply_connections,
     curvature_commutator,
 )
+import spinsplit.splitting as splitting
 from spinsplit.grid import MomentumGrid, make_grid
 from spinsplit.reps import RepSpec, _act_J, _act_K, random_test_section
 from spinsplit.scalars import eps
@@ -297,6 +298,33 @@ def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind):
                                      - ops.j_parallel(c, psi)) * (1j * e)
                 worst = max(worst, out.norm() / nrm)
         assert jperp_so3_residual(ops, psi) == worst
+
+
+def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):
+    """jperp_so3_residual applies the helicity operator chi once to psi
+    and once to each Jperp_c psi (4 calls, down from 7 when every
+    parallel target took its own), and its value equals, bit for bit,
+    the residual with a fresh j_parallel per target."""
+    rep = RepSpec.massless(1)
+    grid = make_grid(4, 12, 24, 1.0, 2.0)
+    psi = random_test_section(rep, grid, seed=3, polar_damping=4)
+    ops = SplitOperators(rep, grid, ConnectionKind.boost())
+    nrm = psi.norm()
+    worst = 0.0
+    for res in splitting._so3_failures(
+            ops.j_perp_axes, psi, lambda out: out.norm() / nrm,
+            lambda c, perp_c: perp_c - ops.j_parallel(c, psi)):
+        worst = max(worst, res)
+    calls = []
+    orig = splitting._act_chi
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(splitting, "_act_chi", counted)
+    assert jperp_so3_residual(ops, psi) == worst
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("mode", ["affine", "closed-form"])

@@ -205,12 +205,6 @@ def test_polar_damping_validation(rep_massive1, grid_small_massive):
                             polar_damping=-2)
 
 
-def test_unknown_profile(rep_massive1, grid_small_massive):
-    with pytest.raises(RepError):
-        random_test_section(rep_massive1, grid_small_massive, seed=1,
-                            profile="nope")
-
-
 # -- the sparse spin action ------------------------------------------------------
 
 _ALL_REPS = [RepSpec.massive(MASS, 0), RepSpec.massive(MASS, 1),
