@@ -42,7 +42,6 @@ __all__ = [
     "vec_P",
     "vec_Phat",
     "commutator",
-    "evaluate_at",
 ]
 
 # Generator indices: 0..2 = J1..J3, 3..5 = K1..K3.
@@ -285,11 +284,6 @@ class OperatorExpr:
 
     # -- algebra operations -----------------------------------------------
 
-    def normal_form(self) -> "OperatorExpr":
-        """Expressions are kept normal-ordered at construction; this is a
-        re-canonicalization (idempotent by construction)."""
-        return OperatorExpr(self.ring, dict(self.terms))
-
     def adjoint(self) -> "OperatorExpr":
         """Hermitian adjoint: reverses words, conjugates i; H, P, J, K are
         self-adjoint."""
@@ -307,15 +301,6 @@ class OperatorExpr:
                 c.conjugate()
             )
         return out
-
-    def evaluate_at(self, kappa) -> "OperatorExpr":
-        """Substitute the momentum point (0, 0, kappa) into every
-        coefficient; generator words are untouched."""
-        terms = {w: c.at_point(kappa) for w, c in self.terms.items()}
-        ring = next(iter(terms.values())).ring if terms else Ring(
-            massless=self.ring.massless, point=sp.sympify(kappa)
-        )
-        return OperatorExpr(ring, terms)
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
@@ -442,7 +427,3 @@ def vec_Phat(ring: Ring) -> VectorExpr:
     return VectorExpr(
         OperatorExpr.from_scalar(ring.Phat(a)) for a in range(3)
     )
-
-
-def evaluate_at(e: OperatorExpr, kappa) -> OperatorExpr:
-    return e.evaluate_at(kappa)

@@ -166,10 +166,6 @@ class MomentumGrid:
     def shape(self):
         return (self.n_r, self.n_theta, self.n_phi)
 
-    @property
-    def node_count(self):
-        return self.n_r * self.n_theta * self.n_phi
-
     def __eq__(self, other):
         return isinstance(other, MomentumGrid) and self.spec() == other.spec()
 
@@ -326,6 +322,3 @@ class Section:
         w = self.grid.volume_weights() / self.grid.omega(self.rep.mass)
         dens = np.sum(np.abs(self.values) ** 2, axis=-1)
         return float(np.sqrt(np.sum(w * dens).real))
-
-    def copy(self) -> "Section":
-        return Section(self.rep, self.grid, self.values.copy())

@@ -25,6 +25,7 @@ from fractions import Fraction
 import sympy as sp
 
 from .algebra import (
+    GENERATOR_NAMES,
     OperatorExpr,
     VectorExpr,
     commutator,
@@ -116,7 +117,14 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), line, col))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                # the interpreter caps str -> int conversion (4300 digits
+                # by default)
+                raise ParseError(f"integer literal of {j - i} digits is "
+                                 f"too long", line, col) from None
+            tokens.append(("INT", value, line, col))
             col += j - i
             i = j
             continue
@@ -292,18 +300,27 @@ def _atom_value(name, index, ring):
 
 
 def _literal_rational(ast: OpAst):
-    """Extract an integer or rational literal from an exponent subtree."""
+    """Extract an integer or rational literal from an exponent subtree.  A
+    chain a/b/c/... is divided out in a loop, left to right."""
+    divisors = []
+    while ast.kind == "/":
+        divisors.append(ast.args[1])
+        ast = ast.args[0]
     if ast.kind == "int":
-        return Fraction(ast.value)
-    if ast.kind == "neg":
+        value = Fraction(ast.value)
+    elif ast.kind == "neg":
         inner = _literal_rational(ast.args[0])
-        return -inner if inner is not None else None
-    if ast.kind == "/":
-        num = _literal_rational(ast.args[0])
-        den = _literal_rational(ast.args[1])
-        if num is not None and den is not None and den != 0:
-            return num / den
-    return None
+        if inner is None:
+            return None
+        value = -inner
+    else:
+        return None
+    for den_ast in reversed(divisors):
+        den = _literal_rational(den_ast)
+        if den is None or den == 0:
+            return None
+        value /= den
+    return value
 
 
 def _require_scalar_inverse(value, span):
@@ -326,17 +343,37 @@ def lower(ast: OpAst, ring: Ring | None = None):
     return _lower(ast, ring)
 
 
+_BINARY = ("+", "-", "*", "/")
+
+
 def _lower(ast: OpAst, ring: Ring):
     kind = ast.kind
+    if kind in _BINARY:
+        # a left-deep chain a op b op c ... lowers in a loop, left to
+        # right, so its length is not bounded by the recursion limit
+        spine = []
+        while ast.kind in _BINARY:
+            spine.append(ast)
+            ast = ast.args[0]
+        value = _lower(ast, ring)
+        for node in reversed(spine):
+            value = _binary(node, value, _lower(node.args[1], ring))
+        return value
     if kind == "int":
         return op_scalar(ring, ast.value)
     if kind == "atom":
         return _atom_value(ast.value[0], ast.value[1], ring)
     if kind == "neg":
         return -_lower(ast.args[0], ring)
+    if kind == "call":
+        return _lower_call(ast, ring)
+    raise LowerError(f"malformed AST node {kind!r}", *ast.span)
+
+
+def _binary(ast: OpAst, lhs, rhs):
+    """Apply the operator of a binary node to its lowered operands."""
+    kind = ast.kind
     if kind in ("+", "-"):
-        lhs = _lower(ast.args[0], ring)
-        rhs = _lower(ast.args[1], ring)
         if isinstance(lhs, VectorExpr) != isinstance(rhs, VectorExpr):
             raise LowerError(
                 "cannot add a vector-valued and a scalar-valued expression",
@@ -344,8 +381,6 @@ def _lower(ast: OpAst, ring: Ring):
             )
         return lhs + rhs if kind == "+" else lhs - rhs
     if kind == "*":
-        lhs = _lower(ast.args[0], ring)
-        rhs = _lower(ast.args[1], ring)
         if isinstance(lhs, VectorExpr) and isinstance(rhs, VectorExpr):
             raise LowerError(
                 "use Dot or Cross to multiply two vectors", *ast.span
@@ -355,15 +390,10 @@ def _lower(ast: OpAst, ring: Ring):
         if isinstance(rhs, VectorExpr):
             return VectorExpr(lhs * c for c in rhs)
         return lhs * rhs
-    if kind == "/":
-        lhs = _lower(ast.args[0], ring)
-        inv = _require_scalar_inverse(_lower(ast.args[1], ring), ast.span)
-        if isinstance(lhs, VectorExpr):
-            return VectorExpr(inv * c for c in lhs)
-        return inv * lhs
-    if kind == "call":
-        return _lower_call(ast, ring)
-    raise LowerError(f"malformed AST node {kind!r}", *ast.span)
+    inv = _require_scalar_inverse(rhs, ast.span)
+    if isinstance(lhs, VectorExpr):
+        return VectorExpr(inv * c for c in lhs)
+    return inv * lhs
 
 
 def _lower_call(ast: OpAst, ring: Ring):
@@ -439,8 +469,6 @@ _SYMBOL_NAMES = {
     _M_SYM: "m",
 }
 
-_GEN_TEXT = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
-
 
 def _fmt_sym(expr) -> str:
     """Print a sympy coefficient expression in the operator grammar."""
@@ -489,10 +517,7 @@ def _fmt_scalar(scalar) -> str:
         elif expr == -1 and tags:
             bits.append("-" + "*".join(tags))
         else:
-            text = _fmt_sym(expr)
-            if expr.is_Add:
-                pass  # already parenthesized
-            bits.append("*".join([text] + tags))
+            bits.append("*".join([_fmt_sym(expr)] + tags))
     return " + ".join(bits)
 
 
@@ -505,22 +530,20 @@ def _one_part(scalar) -> bool:
 
 
 def format_expr(value) -> str:
-    """Canonical text for an OperatorExpr, VectorExpr or OpAst; parsing the
-    output and lowering it reproduces the same normal form."""
-    if isinstance(value, OpAst):
-        return _fmt_ast(value)
+    """Canonical text for an OperatorExpr; parsing the output and lowering
+    it reproduces the same normal form."""
     if isinstance(value, VectorExpr):
         raise TypeError(
             "format_expr prints one component at a time; index the vector"
         )
     if not isinstance(value, OperatorExpr):
-        raise TypeError("expected OperatorExpr or OpAst")
+        raise TypeError("expected OperatorExpr")
     if value.is_zero():
         return "0"
     terms = []
     for word in sorted(value.terms):
         coeff = value.terms[word]
-        gens = "*".join(_GEN_TEXT[g] for g in word)
+        gens = "*".join(GENERATOR_NAMES[g] for g in word)
         if not word:
             terms.append(_fmt_scalar(coeff))
         elif coeff.is_one():
@@ -530,32 +553,3 @@ def format_expr(value) -> str:
         else:
             terms.append("(" + _fmt_scalar(coeff) + ")*" + gens)
     return " + ".join(terms)
-
-
-def _fmt_ast(ast: OpAst) -> str:
-    kind = ast.kind
-    if kind == "int":
-        return str(ast.value)
-    if kind == "atom":
-        name, index = ast.value
-        return name if index is None else f"{name}[{index}]"
-    if kind == "neg":
-        return "-" + _wrap(ast.args[0], above=("+", "-"))
-    if kind in ("+", "-"):
-        lhs = _fmt_ast(ast.args[0])
-        rhs = _wrap(ast.args[1], above=("+", "-") if kind == "-" else ())
-        return f"{lhs} {kind} {rhs}"
-    if kind in ("*", "/"):
-        lhs = _wrap(ast.args[0], above=("+", "-"))
-        rhs = _wrap(ast.args[1], above=("+", "-", "*", "/"))
-        return f"{lhs}{kind}{rhs}"
-    if kind == "call":
-        return f"{ast.value}(" + ",".join(_fmt_ast(a) for a in ast.args) + ")"
-    raise ValueError(f"malformed AST node {kind!r}")
-
-
-def _wrap(ast: OpAst, above) -> str:
-    text = _fmt_ast(ast)
-    if ast.kind in above or (above and ast.kind == "neg"):
-        return "(" + text + ")"
-    return text

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -153,6 +154,11 @@ class RunConfig:
                 f"suites {needs_spin1} measure fiber rotations and need a "
                 f"massive rep of spin 1"
             )
+        if (json_path and csv_path
+                and os.path.realpath(json_path) == os.path.realpath(csv_path)):
+            raise ConfigError(
+                f"the JSON report {json_path!r} and the convergence CSV "
+                f"{csv_path!r} name the same file")
         self.suites = suites
         self.seed = seed
         self.ladder = ladder

@@ -36,23 +36,16 @@ difference is zero) is decided exactly.  No arithmetic calls
 
 Where ``cancel`` remains.  ``Scalar.parts`` is a lazily built view of the
 components as sympy expressions, each the ``cancel`` normal form of
-num/den (memoized in ``_cancel_memo``).  Only the printer, ``component``,
-``repr`` and ``at_point`` read it, so printed text does not depend on the
-representation.
+num/den (memoized in ``_cancel_memo``).  Only the printer, ``component``
+and ``repr`` read it.  The view is a function of the components alone,
+so equal values print the same text however they were computed.
 
-Two ring modes restrict the basis:
-
-  * massless mode sets m = 0 and identifies H with R (basis {1, R});
-  * a frozen momentum point (0, 0, kappa) substitutes the momentum
-    components and folds R to kappa (basis {1, H}, or {1} when massless).
-    kappa is stored as the exact rational that QQ_I converts it to, so a
-    float point is that rational (0.7 -> 7/10).
+Massless mode sets m = 0 and identifies H with R (basis {1, R}).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 
 import sympy as sp
 from sympy.polys.domains import QQ_I
@@ -89,8 +82,7 @@ def _cached_cancel(expr):
 
 
 class CoefficientError(ArithmeticError):
-    """Raised on division by an identically-zero coefficient or on
-    evaluation at a pole of a coefficient."""
+    """Raised on division by an identically-zero coefficient."""
 
 
 # -- exact fractions over a factored denominator ------------------------------
@@ -221,31 +213,18 @@ def _as_expr(c):
     return expr if expr.is_Atom else _cached_cancel(expr)
 
 
-def _conj_expr(expr):
-    return expr.subs(sp.I, -sp.I)
-
-
 class Ring:
-    """A coefficient ring mode: massive/massless, optionally frozen at a
-    momentum point (0, 0, kappa).
+    """A coefficient ring mode: massive or massless.
 
     ``psq`` and ``hsq`` are |P|^2 and H^2 as polynomials of the mode.
     """
 
-    def __init__(self, massless: bool = False, point=None):
+    def __init__(self, massless: bool = False):
         self.massless = massless
         self.poly = PolyRing((P1, P2, P3, M), QQ_I, lex)
         zero = self.poly.zero
         x1, x2, x3, m = self.poly.gens
-        if point is not None:
-            self._kappa = self._poly(sp.sympify(point))
-            if not self._kappa.is_ground:
-                raise ValueError(f"momentum point {point} is not a number")
-            self.point = self._kappa.as_expr()
-            self._p = (zero, zero, self._kappa)
-        else:
-            self.point = None
-            self._p = (x1, x2, x3)
+        self._p = (x1, x2, x3)
         self._m = zero if massless else m
         self.psq = sum((p**2 for p in self._p), zero)
         self.hsq = self.psq + self._m**2
@@ -258,20 +237,13 @@ class Ring:
                 self._basis.append(f)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Ring)
-            and self.massless == other.massless
-            and self.point == other.point
-        )
+        return isinstance(other, Ring) and self.massless == other.massless
 
     def __hash__(self):
-        return hash((self.massless, self.point))
+        return hash(self.massless)
 
     def __repr__(self):
-        bits = ["massless" if self.massless else "massive"]
-        if self.point is not None:
-            bits.append(f"point=(0,0,{self.point})")
-        return f"Ring({', '.join(bits)})"
+        return f"Ring({'massless' if self.massless else 'massive'})"
 
     # -- element builders ------------------------------------------------
 
@@ -368,9 +340,6 @@ class Ring:
             if r >= 2:
                 c = _times(c, self.psq, r // 2)
                 r %= 2
-            if self.point is not None and r == 1:
-                c = (c[0] * self._kappa, c[1])
-                r = 0
             key = (h, r)
             out[key] = _add(out[key], c) if key in out else c
         return out
@@ -381,19 +350,17 @@ class Scalar:
 
     Immutable; all arithmetic returns new instances whose components are
     reduced fractions (see the module docstring).  ``parts`` maps each
-    nonzero (eH, eR) basis key to the component as a sympy expression: the
-    ``cancel`` normal form, except that a negation or conjugation shows
-    that operation applied to its operand's expressions.
+    nonzero (eH, eR) basis key to the component as a sympy expression in
+    ``cancel`` normal form.
     """
 
-    __slots__ = ("ring", "_c", "_parts", "_src")
+    __slots__ = ("ring", "_c", "_parts")
 
     def __init__(self, ring: Ring, parts: dict, _canonical: bool = False):
         """``parts`` maps raw (eH, eR) exponent pairs to fractions; with
         ``_canonical`` they are already folded and reduced."""
         self.ring = ring
         self._parts = None
-        self._src = None
         if _canonical:
             self._c = {k: c for k, c in parts.items() if c[0]}
         else:
@@ -407,29 +374,8 @@ class Scalar:
     @property
     def parts(self) -> dict:
         if self._parts is None:
-            if self._src is None:
-                self._parts = {k: _as_expr(c) for k, c in self._c.items()}
-            else:
-                # a negation or conjugation prints as that operation
-                # applied to its operand's printed components
-                source, ops = self._src
-                parts = source.parts
-                for op in ops:
-                    parts = {k: op(v) for k, v in parts.items()}
-                self._parts = parts
-                self._src = None
+            self._parts = {k: _as_expr(c) for k, c in self._c.items()}
         return self._parts
-
-    def _derived(self, comps: dict, op) -> "Scalar":
-        """A result whose view is ``op`` applied to this scalar's view; a
-        chain of such results keeps one source, not a chain of them."""
-        out = Scalar(self.ring, comps, _canonical=True)
-        if self._src is not None:
-            source, ops = self._src
-            out._src = (source, ops + (op,))
-        else:
-            out._src = (self, (op,))
-        return out
 
     # -- queries ----------------------------------------------------------
 
@@ -485,8 +431,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._derived({k: (-n, d) for k, (n, d) in self._c.items()},
-                             operator.neg)
+        return Scalar(self.ring, {k: (-n, d) for k, (n, d) in self._c.items()},
+                      _canonical=True)
 
     def __sub__(self, other):
         if isinstance(other, (int, sp.Expr)):
@@ -577,11 +523,10 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i (P, m, H, R are real)."""
         conj = self.ring._conj_poly
-        return self._derived(
-            {k: (conj(n), {conj(f): e for f, e in d.items()})
-             for k, (n, d) in self._c.items()},
-            _conj_expr,
-        )
+        return Scalar(self.ring,
+                      {k: (conj(n), {conj(f): e for f, e in d.items()})
+                       for k, (n, d) in self._c.items()},
+                      _canonical=True)
 
     def boost_derivative(self, axis: int) -> "Scalar":
         """The commutator [K_axis, c] as a derivation on the ring.
@@ -590,8 +535,6 @@ class Scalar:
         induced [K_a, R] = i*H*P_a/R.
         """
         ring = self.ring
-        if ring.point is not None:
-            raise CoefficientError("derivations are undefined at a frozen point")
         i_pa = ring._p[axis].mul_ground(ring._i)
         out = {}
 
@@ -615,8 +558,6 @@ class Scalar:
         """The commutator [J_axis, c]: i*eps_{abc} P_c dc/dP_b (H, R are
         rotation invariant)."""
         ring = self.ring
-        if ring.point is not None:
-            raise CoefficientError("derivations are undefined at a frozen point")
         out = {}
         for key, c in self._c.items():
             d = None
@@ -632,24 +573,3 @@ class Scalar:
             if d is not None:
                 out[key] = d
         return Scalar(ring, out)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def at_point(self, kappa) -> "Scalar":
-        """Substitute the momentum point (0, 0, kappa), kappa > 0.
-
-        Returns a scalar in the corresponding frozen-point ring.  Raises
-        :class:`CoefficientError` if any component has a pole there.
-        """
-        target = Ring(massless=self.ring.massless, point=kappa)
-        subs = {P1: 0, P2: 0, P3: target.point}
-        parts = {}
-        for k, v in self.parts.items():
-            num, den = sp.fraction(v)
-            den_val = sp.cancel(den.subs(subs))
-            if den_val == 0:
-                raise CoefficientError(
-                    f"pole at (0,0,{kappa}): denominator {den} vanishes"
-                )
-            parts[k] = target._fraction(num.subs(subs) / den_val)
-        return Scalar(target, parts)

@@ -8,7 +8,6 @@ from spinsplit.algebra import (
     VectorExpr,
     anticommutator,
     commutator,
-    evaluate_at,
     gen_J,
     gen_K,
     op_H,
@@ -70,7 +69,6 @@ def test_normal_form_orders_words(ring):
     a = gen_K(ring, 0) * gen_J(ring, 1)
     b = gen_J(ring, 1) * gen_K(ring, 0) + commutator(
         gen_K(ring, 0), gen_J(ring, 1))
-    assert a.normal_form() == b.normal_form()
     assert a == b
 
 
@@ -131,15 +129,6 @@ def test_massless_ring_identifies_h_with_pmag():
     r = Ring(massless=True)
     assert (op_H(r) - op_Pmag(r)).is_zero()
     assert op_m(r).is_zero()
-
-
-def test_evaluate_at_keeps_words(ring):
-    e = commutator(gen_J(ring, 0), gen_J(ring, 1)) - \
-        op_scalar(ring, "I") * gen_J(ring, 2)
-    assert evaluate_at(e, 0.7).is_zero()
-    # a nonzero expression stays nonzero off its zero set
-    f = op_H(ring) - op_m(ring)
-    assert not evaluate_at(f, 0.7).is_zero()
 
 
 def test_division_by_operator_rejected(ring):

@@ -418,6 +418,30 @@ def test_eval_syntax_error_exit_code(capsys):
     assert "line 1" in err
 
 
+def test_eval_long_literal_exits_2(capsys):
+    for text in ("9" * 5000, "J[" + "9" * 5000 + "]"):
+        assert main(["eval", text]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "line 1" in err and "5000 digits" in err
+
+
+def test_eval_long_chains_exit_0(capsys):
+    for text, want in (("+".join(["1"] * 5000), "5000"),
+                       ("*".join(["i"] * 5000), "1"),
+                       ("Pow(H," + "/".join(["1"] * 3001) + ")", "H")):
+        assert main(["eval", text]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == want
+
+
+def test_eval_equal_values_print_the_same(capsys):
+    lines = []
+    for text in ("-((P[1]*P[2] + m)/H)", "(0-1)*((P[1]*P[2] + m)/H)"):
+        assert main(["eval", "--", text]) == EXIT_OK
+        lines.append(capsys.readouterr().out)
+    assert lines[0] == lines[1]
+
+
 def test_run_bad_config_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.ini"
     path.write_text("[run]\nsuites = nope\n")
@@ -548,6 +572,32 @@ def test_unwritable_output_exits_2_before_running(tmp_path, capsys, flag):
     ini = _write(tmp_path, f"[run]\nsuites = symbolic\n{key} = {missing}\n")
     assert main(["run", "--config", ini]) == EXIT_ERROR
     assert str(missing) in capsys.readouterr().err
+
+
+def test_json_and_csv_same_file_flags_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    link = tmp_path / "link"
+    link.symlink_to(out)
+    for other in (out, link):
+        rc = main(["run", "--suite", "symbolic", "--json", str(out),
+                   "--csv", str(other)])
+        assert rc == EXIT_ERROR
+        stdout, err = capsys.readouterr()
+        assert str(out) in err and str(other) in err
+        assert stdout == "" and "PASS" not in err  # no suite ran
+        assert not out.exists()
+
+
+def test_json_and_csv_same_file_ini_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    ini = _write(tmp_path, f"[run]\nsuites = symbolic\njson = {out}\n"
+                           f"csv = {out}\n")
+    with pytest.raises(ConfigError, match="same file"):
+        RunConfig.from_ini(ini)
+    assert main(["run", "--config", ini]) == EXIT_ERROR
+    stdout, err = capsys.readouterr()
+    assert err.count(str(out)) == 2
+    assert stdout == "" and not out.exists()
 
 
 def test_write_failure_is_config_error(tmp_path):

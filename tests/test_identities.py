@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import spinsplit
-from spinsplit.algebra import VectorExpr, evaluate_at
+from spinsplit.algebra import VectorExpr
 from spinsplit.identities import (
     CATALOG,
     MASSLESS_CATALOG,
@@ -75,16 +75,6 @@ def test_text_catalog_lowers_to_zero():
         e = lower(parse(src), ring)
         comps = list(e) if isinstance(e, VectorExpr) else [e]
         assert all(c.is_zero() for c in comps), src
-
-
-def test_point_evaluation_agrees():
-    # identities stay zero after freezing the momentum point, and a
-    # mutated one stays nonzero
-    ring = Ring()
-    e = lower(parse("Comm(K[1],K[2]) + i*J[3]"), ring)
-    assert evaluate_at(e, 0.7).is_zero()
-    f = lower(parse("Comm(K[1],K[2]) - i*J[3]"), ring)
-    assert not evaluate_at(f, 0.7).is_zero()
 
 
 _COLD_CATALOG = """

@@ -7,6 +7,7 @@ import string
 import pytest
 
 from spinsplit.algebra import (
+    OperatorExpr,
     VectorExpr,
     commutator,
     gen_J,
@@ -14,8 +15,14 @@ from spinsplit.algebra import (
     op_H,
     op_scalar,
 )
-from spinsplit.identities import TEXT_CATALOG
-from spinsplit.lang import LangError, format_expr, lower, parse
+from spinsplit.identities import (
+    TEXT_CATALOG,
+    boost_connection,
+    newton_wigner,
+    perpendicular_angular_momentum,
+    rotation_connection,
+)
+from spinsplit.lang import LangError, ParseError, format_expr, lower, parse
 from spinsplit.scalars import Ring
 
 
@@ -109,6 +116,52 @@ def test_structured_round_trip(ring):
                  else commutator(e, other))
         printed = format_expr(e)
         assert lower(parse(printed), ring) == e, printed
+
+
+def _coefficients():
+    """Every coefficient of the massive boost, rotation and Newton-Wigner
+    operators and of the massless perpendicular angular momentum."""
+    massive, massless = Ring(), Ring(massless=True)
+    for ring, vec in ((massive, boost_connection(massive)),
+                      (massive, rotation_connection(massive)),
+                      (massive, newton_wigner(massive)),
+                      (massless, perpendicular_angular_momentum(massless))):
+        for comp in vec:
+            yield from comp.terms.values()
+
+
+def test_equal_coefficients_print_the_same():
+    # printed text depends on the value alone, not on the operation that
+    # produced it
+    count = 0
+    for c in _coefficients():
+        text = format_expr(OperatorExpr.from_scalar(c))
+        assert format_expr(OperatorExpr.from_scalar(-c)) == \
+            format_expr(OperatorExpr.from_scalar(c * -1)), text
+        assert format_expr(
+            OperatorExpr.from_scalar(c.conjugate().conjugate())) == text
+        count += 1
+    assert count >= 40
+
+
+# -- long input ----------------------------------------------------------------
+
+
+def test_chain_keeps_left_to_right_order(ring):
+    # flat chains lower in a loop; the operators still apply left to right
+    assert lower(parse("K[1]*J[2]*K[3] - J[1]/H - K[2]"), ring) == \
+        (gen_K(ring, 0) * gen_J(ring, 1) * gen_K(ring, 2)
+         - gen_J(ring, 0) / op_H(ring) - gen_K(ring, 1))
+    assert lower(parse("12/3/2"), ring) == op_scalar(ring, 2)
+
+
+def test_long_integer_literal_is_parse_error():
+    # past the interpreter's str -> int limit a literal is a ParseError at
+    # its position, not a ValueError
+    with pytest.raises(ParseError) as err:
+        parse("H +\n  " + "9" * 5000)
+    assert (err.value.line, err.value.col) == (2, 3)
+    assert "5000 digits" in err.value.message
 
 
 # -- error reporting -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Names that code outside a module reaches by name: the layer tracer's
-span table in ``perfbench/layertrace.py`` and every module's ``__all__``.
-A rename then fails here, not only in a traced benchmark run."""
+span table in ``perfbench/layertrace.py``, the module attributes the
+benchmark workers read or set, and every module's ``__all__``.  A rename
+then fails here, not only in a benchmark run."""
 
 import importlib
 import pathlib
@@ -40,3 +41,17 @@ def test_all_names_exist(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing, f"spinsplit.{module}.__all__ names {missing}"
+
+
+# read by perfbench/worker.py on every timed run (memo sizes and hit
+# ratios) and set by perfbench/workloads.py (the numeric mutation control)
+BENCHMARK_ATTRIBUTES = [("scalars", "_cancel_memo", dict),
+                        ("algebra", "_insert_memo", dict),
+                        ("reps", "_SIGMA_BOOST", float)]
+
+
+@pytest.mark.parametrize("module,attr,kind", BENCHMARK_ATTRIBUTES,
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_benchmark_attribute_exists(module, attr, kind):
+    mod = importlib.import_module(f"spinsplit.{module}")
+    assert isinstance(vars(mod)[attr], kind)

@@ -112,18 +112,9 @@ def test_ring_mismatch_rejected(ring, mring):
         ring.H() + mring.H()
 
 
-def test_at_point_evaluation(ring):
-    a = ring.H() ** 2 - ring.m() ** 2
-    v = a.at_point(sp.Rational(7, 10))
-    # P = (0, 0, 7/10) so H^2 - m^2 = 49/100
-    expect = v.ring.from_expr(sp.Rational(49, 100))
-    assert v == expect
-
-
-def test_at_point_pole_raises(ring):
-    # 1/P_1 has a pole on the (0, 0, kappa) ray
-    with pytest.raises(CoefficientError):
-        ring.P(0).inverse().at_point(1)
+def test_ring_has_no_frozen_point_mode():
+    with pytest.raises(TypeError):
+        Ring(point=1)
 
 
 def test_repr_does_not_crash(ring):
@@ -298,31 +289,6 @@ def test_massless_ring_denominators(mring):
         == -(mring.R() + mring.P(2)).boost_derivative(0)
     _assert_agrees(mring, x + z.inverse(),
                    1 / (sp.sqrt(_PSQ) + P3) + 1 / (P1 + sp.I * P2))
-
-
-@pytest.mark.parametrize("kappa", [sp.Rational(7, 10), 0.7])
-def test_frozen_points(ring, kappa):
-    """at_point agrees with substituting (0, 0, kappa) in the function; at
-    m = 12/5 and kappa = 7/10 the energy is 5/2."""
-    assert Ring(point=kappa).point == sp.Rational(7, 10)
-    checked = 0
-    for s, expr in _random_pairs(ring, 8, 8)[-4:]:
-        try:
-            v = s.at_point(kappa)
-        except CoefficientError:
-            continue
-        checked += 1
-        assert v.ring == Ring(point=kappa)
-        subs = {P1: 0, P2: 0, P3: sp.Rational(7, 10), M: sp.Rational(12, 5)}
-        got = sum(c.subs(M, subs[M]) * sp.Rational(5, 2) ** eh
-                  for (eh, _), c in v.parts.items())
-        want = expr.subs(subs)
-        assert abs(complex(got - want)) < 1e-9 * (1 + abs(complex(want)))
-        # arithmetic keeps working in the frozen ring
-        assert (v - v).is_zero()
-        if not v.is_zero():
-            assert v * v.inverse() == v.ring.one()
-    assert checked >= 2
 
 
 def test_catalog_arithmetic_calls_cancel_only_in_printer(monkeypatch):
