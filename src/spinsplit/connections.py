@@ -26,15 +26,20 @@ closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
   A_rotation(X) = -(i/|k|) (X x khat).S
 
 (massless: both reduce to the rotation form).  ``_form_matrix`` is the
-one implementation of this form, vectorized over any batch of points, and
-``_transport`` the one classic 4th-order integrator of U' = -A U; each
-step's end form is the next step's start form, so n steps evaluate the
-form 2n + 1 times.  Parallel transport integrates the form directly,
-off-grid.  ``holonomy`` transports the fiber matrices of the four legs of
-a shell loop as one batch, and the parallel fiber frame transports the
-matrices of its mesh edges in batches.  The lattice Chern number reads
-each link only through one overlap, so it transports the link's start
-frame vector instead of the fiber matrix.
+one implementation of this form, vectorized over any batch of points.
+It returns the form's nonzero fiber entries (``reps._spin_dot`` scaled by
+the radial coefficient), never the dense (d, d) matrix.  An edge batch
+evaluates it once, at all 2n + 1 nodes of its n RK4 steps (each step's
+end node is the next step's start), and ``_transport``, the one classic
+4th-order integrator of U' = -A U, applies each node's entries to the
+transported stack with ``reps._entries_act``, as the spin actions are
+applied.  Parallel transport integrates the form directly, off-grid.
+``holonomy`` transports the fiber matrices of the four legs of a shell
+loop as one batch, and the parallel fiber frame transports the matrices
+of its mesh edges in batches.  The lattice Chern number reads each link
+only through one overlap, so it transports the link's start frame vector
+instead of the fiber matrix, and it passes its mesh as a column of theta
+and a row of phi, so the sines and cosines are taken once per mesh line.
 """
 
 from __future__ import annotations
@@ -44,7 +49,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MomentumGrid, Section
-from .reps import RepSpec, _act_chi, _act_J, _act_K, _derivatives
+from .reps import (
+    RepSpec,
+    _act_chi,
+    _act_J,
+    _act_K,
+    _derivatives,
+    _entries_act,
+    _spin_dot,
+)
 from .scalars import eps
 
 __all__ = [
@@ -488,7 +501,8 @@ def cross_commutator_check(psi: Section) -> dict:
     (J_k = khat.J acts pointwise as S.khat; K_phi = e_phi.K;
     J_theta = e_theta.J).  The extra frame-operator term in each identity
     comes from the non-vanishing bracket [e_theta, e_phi] acting through
-    the connection that supplies the phi-leg.
+    the connection that supplies the phi-leg.  One derivative pass over
+    psi serves K_phi, J_theta and the four covariant derivatives of psi.
     """
     rep, grid = psi.rep, psi.grid
     if rep.kind != "massive":
@@ -500,7 +514,6 @@ def cross_commutator_check(psi: Section) -> dict:
     omega = grid.omega(rep.mass)[..., None]
     rmag = grid.kmag[..., None]
     cot = (np.cos(grid.theta) / np.sin(grid.theta))[None, :, None, None]
-    jk = _act_chi(rep, grid, psi.values)
     der = _derivatives(grid, psi.values)
     kphi = np.zeros_like(psi.values)
     jtheta = np.zeros_like(psi.values)
@@ -509,22 +522,37 @@ def cross_commutator_check(psi: Section) -> dict:
                  * _act_K(rep, grid, a, psi.values, der))
         jtheta += (grid.e_theta[a][..., None]
                    * _act_J(rep, grid, a, psi.values, der))
-    del der  # not needed by the commutators below
+    # D_theta psi and D_phi psi of each kind, from the same pass
+    first = {}
+    for kind in (boost, rot):
+        first[kind.variant, "theta"], first[kind.variant, "phi"] = (
+            Section(rep, grid, val) for val in _covariant_values(
+                rep, grid, kind, [eth.values(grid), eph.values(grid)],
+                psi.values, der))
+    del der
+    # the right-hand sides come first, so K_phi, J_theta and J_k are
+    # dropped before the commutators take their passes
+    jk = _act_chi(rep, grid, psi.values)
+    rhs = {
+        "boost-theta rotation-phi":
+            1j * jk / rmag**2 + 1j * cot * (kphi / (omega * rmag)),
+        "rotation-theta boost-phi":
+            1j * jk / rmag**2 + 1j * cot * (jtheta / rmag**2),
+    }
+    del jk, kphi, jtheta
     nrm = psi.norm()
 
     def comm(kind1, kind2):
-        out = apply_connection(kind1, eth, apply_connection(kind2, eph, psi))
+        # each first-level derivative is used once and dropped after it
+        out = apply_connection(kind1, eth, first.pop((kind2.variant, "phi")))
         return out - apply_connection(kind2, eph,
-                                      apply_connection(kind1, eth, psi))
+                                      first.pop((kind1.variant, "theta")))
 
     out = {}
-    for label, kinds, frame_op, scale in (
-        ("boost-theta rotation-phi", (boost, rot), kphi, omega * rmag),
-        ("rotation-theta boost-phi", (rot, boost), jtheta, rmag**2),
-    ):
+    for label, kinds in (("boost-theta rotation-phi", (boost, rot)),
+                         ("rotation-theta boost-phi", (rot, boost))):
         lhs = comm(*kinds).values
-        rhs = 1j * jk / rmag**2 + 1j * cot * (frame_op / scale)
-        out[label] = Section(rep, grid, lhs - rhs).norm() / nrm
+        out[label] = Section(rep, grid, lhs - rhs.pop(label)).norm() / nrm
     return out
 
 
@@ -532,17 +560,17 @@ def cross_commutator_check(psi: Section) -> dict:
 
 
 def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
-                 khat: np.ndarray, vel: np.ndarray) -> np.ndarray:
-    """Local connection form A(vel) on the shell of radius r0 at the unit
-    directions khat for sphere-tangential velocities vel; khat and vel have
-    shape (3, ...), the result (..., d, d)."""
-    cross = np.cross(vel, khat, axis=0)
-    # cross.S as a per-axis sum: every fiber entry of the spin matrices has
-    # at most two nonzero terms, so the order of the sum cannot move a bit
-    spin = rep.spin_mats
-    s_dot = cross[0][..., None, None] * spin[0]
-    for a in (1, 2):
-        s_dot += cross[a][..., None, None] * spin[a]
+                 khat: np.ndarray, vel: np.ndarray) -> list:
+    """Local connection form A(vel) = coef (vel x khat).S on the shell of
+    radius r0 at the unit directions khat for sphere-tangential velocities
+    vel, both of shape (3, ...).  The form is returned as its nonzero fiber
+    entries, (row, column, field) in row-major order with fields of shape
+    (...), for ``_entries_act`` to apply; the dense (..., d, d) matrix is
+    never built."""
+    # vel x khat, as np.cross forms it but without moving the axes
+    cross = [vel[1] * khat[2] - vel[2] * khat[1],
+             vel[2] * khat[0] - vel[0] * khat[2],
+             vel[0] * khat[1] - vel[1] * khat[0]]
     if rep.kind == "massless":
         coef = -1j / r0
     else:
@@ -551,7 +579,15 @@ def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
         f = float(kind.weight(np.array([r0]), m)[0])
         coef = (f * (-1j * r0 / (omega * (omega + m)))
                 + (1.0 - f) * (-1j / r0))
-    return coef * s_dot
+    form = []
+    for b, c, terms in _spin_dot(rep, cross):
+        # a position's terms are summed first, in axis order, as in the
+        # dense sum over axes; the terms are fresh, so coef scales the
+        # field in place
+        field = sum(terms[1:], terms[0])
+        field *= coef
+        form.append((b, c, field))
+    return form
 
 
 def _require_count(value, minimum: int, what: str, error=ConnectionLabError):
@@ -560,34 +596,48 @@ def _require_count(value, minimum: int, what: str, error=ConnectionLabError):
         raise error(f"{what} must be an integer >= {minimum}; got {value!r}")
 
 
-def _transport(a_of, u: np.ndarray, n_steps: int) -> np.ndarray:
-    """Classic 4th-order integration of U' = -A(t) U over t in [0, 1];
-    ``a_of(t)`` returns the stacked forms (..., d, d) and ``u`` is the
-    start, a stack of fiber matrices (..., d, d) or of vectors (..., d, 1).
-    Each step's end form a_of(t + h) is the next step's start form, so the
-    form is evaluated 2 n_steps + 1 times."""
+def _node_times(n_steps: int) -> np.ndarray:
+    """The 2 n_steps + 1 node times of classic RK4 on [0, 1]: step i runs
+    from node 2i over the midpoint node 2i + 1 to node 2i + 2, the start of
+    step i + 1."""
     _require_count(n_steps, 1, "n_steps")
     h = 1.0 / n_steps
-    a_start = a_of(0.0)
+    times = [0.0]
     for i in range(n_steps):
-        t = i * h
-        a_mid = a_of(t + h / 2)
-        a_end = a_of(t + h)
-        k1 = -a_start @ u
-        k2 = -a_mid @ (u + h / 2 * k1)
-        k3 = -a_mid @ (u + h / 2 * k2)
-        k4 = -a_end @ (u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        a_start = a_end
+        times += [i * h + h / 2, i * h + h]
+    return np.array(times)
+
+
+def _transport(apply_form, u: np.ndarray, n_steps: int) -> np.ndarray:
+    """Classic 4th-order integration of U' = -A(t) U over t in [0, 1];
+    ``apply_form(j, w)`` returns A w at node j of ``_node_times``.  Each k
+    below is A w, the negated slope, so it is subtracted: u - (h/2) k is
+    u + (h/2)(-A u) exactly."""
+    h = 1.0 / n_steps
+    for i in range(n_steps):
+        k1 = apply_form(2 * i, u)
+        k2 = apply_form(2 * i + 1, u - h / 2 * k1)
+        k3 = apply_form(2 * i + 1, u - h / 2 * k2)
+        k4 = apply_form(2 * i + 2, u - h * k3)
+        u = u - (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
 
 
 def _sphere_frame(theta, phi):
-    e_th = np.stack([np.cos(theta) * np.cos(phi),
-                     np.cos(theta) * np.sin(phi),
-                     -np.sin(theta)])
-    e_ph = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
-    return e_th, e_ph
+    """The unit direction khat and the frame vectors e_theta, e_phi, each
+    stacked on a leading axis of 3, from one sine and cosine of each
+    angle.  theta and phi may be broadcastable (a column and a row of a
+    mesh): the sines and cosines are taken at their own shapes."""
+    sin_th, cos_th = np.sin(theta), np.cos(theta)
+    sin_ph, cos_ph = np.sin(phi), np.cos(phi)
+
+    def stack(*comps):
+        return np.stack(np.broadcast_arrays(*comps))
+
+    khat = stack(sin_th * cos_ph, sin_th * sin_ph, cos_th)
+    e_th = stack(cos_th * cos_ph, cos_th * sin_ph, -sin_th)
+    e_ph = stack(-sin_ph, cos_ph, np.zeros_like(phi))
+    return khat, e_th, e_ph
 
 
 def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
@@ -597,30 +647,48 @@ def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
     default the identity, which returns the stacked (..., d, d) transport
     matrices; a stack of fiber vectors (..., d, 1) returns their images
     (RK4 is linear in U, so these are the matrices applied to the
-    vectors).  ``perturbation(theta, phi, velocity) -> (..., d, d)`` is
-    added to the connection form."""
-    th_a, ph_a = np.broadcast_arrays(th_a, ph_a)
-    th_b, ph_b = np.broadcast_arrays(th_b, ph_b)
+    vectors).
+
+    The form is evaluated once, at every RK4 node of every edge, in one
+    ``_form_matrix`` call, and each RK4 stage applies its node's entries
+    with ``_entries_act``.  The transported columns lead the stack, so a
+    fiber row is one component of its last axis.
+    ``perturbation(theta, phi, velocity) -> (..., d, d)`` is added to the
+    connection form as a dense product, evaluated at all nodes in one
+    call."""
+    th_a, ph_a, th_b, ph_b = map(np.asarray, (th_a, ph_a, th_b, ph_b))
+    batch = np.broadcast_shapes(th_a.shape, ph_a.shape, th_b.shape,
+                                ph_b.shape)
     if start is None:
         start = np.eye(rep.dim)
     start = np.asarray(start, dtype=np.complex128)
-    u = np.broadcast_to(start, th_a.shape + start.shape[-2:]).copy()
+    u = np.broadcast_to(start, batch + start.shape[-2:])
+    u = np.moveaxis(u, -1, 0).copy()
+    t = _node_times(n_steps).reshape((-1,) + (1,) * len(batch))
     dth = th_b - th_a
     dph = ph_b - ph_a
+    th = th_a + dth * t
+    ph = ph_a + dph * t
+    khat, e_th, e_ph = _sphere_frame(th, ph)
+    # sin(theta) is minus the z component of e_theta
+    vel = r0 * (dth * e_th - e_th[2] * dph * e_ph)
+    del e_th, e_ph
+    dense = (None if perturbation is None
+             else perturbation(*np.broadcast_arrays(th, ph), vel))
+    form = _form_matrix(rep, kind, r0, khat, vel)
+    del khat, vel
+    nodes = [[(b, c, field[j]) for b, c, field in form]
+             for j in range(len(t))]
+    del form
 
-    def a_of(t):
-        th = th_a + dth * t
-        ph = ph_a + dph * t
-        e_th, e_ph = _sphere_frame(th, ph)
-        khat = np.stack([np.sin(th) * np.cos(ph),
-                         np.sin(th) * np.sin(ph), np.cos(th)])
-        vel = r0 * (dth * e_th + np.sin(th) * dph * e_ph)
-        out = _form_matrix(rep, kind, r0, khat, vel)
-        if perturbation is not None:
-            out = out + perturbation(th, ph, vel)
+    def apply_form(j, w):
+        out = _entries_act(nodes[j], rep.dim, w)
+        if dense is not None:
+            out += (dense[j] @ w[..., None])[..., 0]
         return out
 
-    return _transport(a_of, u, n_steps)
+    u = _transport(apply_form, u, n_steps)
+    return np.moveaxis(u, 0, -1)
 
 
 class HolonomyLoop:
@@ -709,8 +777,10 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     dtheta = np.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * dtheta
     phi = np.arange(n_phi) * (2 * np.pi / n_phi)
-    th_g, ph_g = np.meshgrid(theta, phi, indexing="ij")
-    e_th, e_ph = _sphere_frame(th_g, ph_g)
+    # the mesh as a column of theta and a row of phi: the transport takes
+    # its sines and cosines once per mesh line, not once per node
+    th_c, ph_r = theta[:, None], phi[None, :]
+    _, e_th, e_ph = _sphere_frame(th_c, ph_r)
     v = ((e_th + 1j * h * e_ph) / np.sqrt(2.0))  # (3, n_theta, n_phi)
     v = np.moveaxis(v, 0, -1)  # (n_theta, n_phi, 3)
 
@@ -722,11 +792,10 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
         return ov / np.abs(ov)
 
     # theta-edges (j -> j+1) and phi-edges (l -> l+1, periodic)
-    u_th = link(th_g[:-1], ph_g[:-1], th_g[1:], ph_g[1:],
-                v[:-1], v[1:])
-    ph_next = np.roll(ph_g, -1, axis=1).copy()
+    u_th = link(th_c[:-1], ph_r, th_c[1:], ph_r, v[:-1], v[1:])
+    ph_next = np.roll(ph_r, -1, axis=1).copy()
     ph_next[:, -1] += 2 * np.pi  # keep the edge short, not wrapped
-    u_ph = link(th_g, ph_g, th_g, ph_next, v, np.roll(v, -1, axis=1))
+    u_ph = link(th_c, ph_r, th_c, ph_next, v, np.roll(v, -1, axis=1))
 
     # plaquette phases: edge (j,l)->(j,l+1)->(j+1,l+1)->(j+1,l)->(j,l)
     plaq = (u_ph[:-1] * np.roll(u_th, -1, axis=1)

@@ -12,13 +12,14 @@ Grammar (see docs/grammar.md for the EBNF):
 
 Division q / s multiplies q by the inverse of the scalar-valued s on the
 left (q / s == Pow(s,-1) * q), which matches the usual way connection
-coefficients like K[1]/H are written.  Pow accepts integer exponents, and
-half-integer exponents only on the base Dot(P,P) (so Pow(Dot(P,P),1/2)
-is the momentum magnitude).
+coefficients like K[1]/H are written.  Pow accepts exponents of magnitude
+at most 64: integers, and half-integers only on the base Dot(P,P) (so
+Pow(Dot(P,P),1/2) is the momentum magnitude).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ from .scalars import CoefficientError, Ring
 from .scalars import M as _M_SYM
 from .scalars import P_SYMS as _P_SYMS
 
-__all__ = ["OpAst", "LangError", "ParseError", "LowerError",
+__all__ = ["OpAst", "LangError", "ParseError", "LowerError", "FormatError",
            "parse", "lower", "format_expr"]
 
 _VECTOR_ATOMS = ("P", "J", "K", "Phat")
@@ -69,6 +70,11 @@ class ParseError(LangError):
 
 class LowerError(LangError):
     pass
+
+
+class FormatError(LangError):
+    """A value the printer cannot write; it refers to the whole
+    expression, so its position is line 1, column 1."""
 
 
 @dataclass(frozen=True)
@@ -429,6 +435,9 @@ def _lower_call(ast: OpAst, ring: Ring):
     raise LowerError(f"unknown call {name!r}", *ast.span)
 
 
+_MAX_EXPONENT = 64
+
+
 def _lower_pow(ast: OpAst, ring: Ring):
     base_ast, exp_ast = ast.args
     exponent = _literal_rational(exp_ast)
@@ -437,6 +446,11 @@ def _lower_pow(ast: OpAst, ring: Ring):
             "Pow exponent must be an integer or half-integer literal",
             *exp_ast.span,
         )
+    if abs(exponent) > _MAX_EXPONENT:
+        # a power multiplies its base once per unit of the exponent
+        raise LowerError(
+            f"Pow exponent {exponent} is outside [-{_MAX_EXPONENT}, "
+            f"{_MAX_EXPONENT}]", *exp_ast.span)
     base = _lower(base_ast, ring)
     if isinstance(base, VectorExpr):
         raise LowerError("Pow base must be scalar-component", *ast.span)
@@ -470,6 +484,19 @@ _SYMBOL_NAMES = {
 }
 
 
+def _int_text(n: int) -> str:
+    """Decimal text of an integer of a coefficient."""
+    try:
+        return str(n)
+    except ValueError:
+        # the interpreter caps int -> str conversion (4300 digits by
+        # default)
+        raise FormatError(
+            f"a coefficient integer has more than "
+            f"{sys.get_int_max_str_digits()} digits, the interpreter's "
+            f"limit for printing an integer", 1, 1) from None
+
+
 def _fmt_sym(expr) -> str:
     """Print a sympy coefficient expression in the operator grammar."""
     if expr is sp.I:
@@ -477,9 +504,9 @@ def _fmt_sym(expr) -> str:
     if expr in _SYMBOL_NAMES:
         return _SYMBOL_NAMES[expr]
     if expr.is_Integer:
-        return str(int(expr))
+        return _int_text(int(expr))
     if expr.is_Rational:
-        return f"({expr.p}/{expr.q})"
+        return f"({_int_text(expr.p)}/{_int_text(expr.q)})"
     if expr.is_Add:
         parts = [_fmt_sym(a) for a in
                  sorted(expr.args, key=sp.default_sort_key)]

@@ -27,15 +27,24 @@ making the total K Hermitian (equivalently: K = khat*i(|k|d/d|k| + 1)
 Every spin-matrix row has at most two nonzero entries, each purely real
 or purely imaginary, in the massive |m> basis and in the massless
 Cartesian basis alike.  ``RepSpec`` lists them once, as (row, column,
-coefficient) triples per axis, and ``_spin_act`` applies S_a through
-them: each row of S_a v is its first nonzero product plus its second,
-in column order.  The dense sum adds the same two products and exact
-zeros, so skipping the zero entries cannot move a bit of its value.
+coefficient) triples per axis.  ``_entries_act`` applies a fiber matrix
+given by such entries, and it is the one sparse application: each row of
+M v is its first nonzero product plus its second, in column order.  The
+dense sum adds the same two products and exact zeros, so skipping the
+zero entries cannot move a bit of its value.  ``_spin_act`` applies S_a
+this way.  A weighted sum w.S = sum_a w_a S_a over fields w_a is listed
+by ``_spin_dot``, each position with its per-axis terms, and applied the
+same way: the helicity operator chi = S.khat (``_act_chi``, equal bit
+for bit to the dense contraction with ``chi_field``) and the connection
+form that the transport integrator of :mod:`spinsplit.connections`
+applies to its stack at every RK4 node.
 
-The helicity operator chi = S.khat is pointwise (the orbital part of
-J.khat vanishes identically).  Each fiber action has one direct call:
-``_act_J``, ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the
-generator letters H, P, J, K of the commutation-relation catalog.
+The helicity operator is pointwise (the orbital part of J.khat vanishes
+identically).  Each fiber action has one direct call: ``_act_J``,
+``_act_K`` and ``_act_chi``; ``_act`` dispatches on the generator
+letters H, P, J, K of the commutation-relation catalog, and
+``algebra_residual`` builds each first-level action of a bracket family
+and its derivative pass once.
 """
 
 from __future__ import annotations
@@ -176,21 +185,57 @@ def _derivatives(grid: MomentumGrid, v: np.ndarray, radial: bool = True):
     return (grid.d_r(v) if radial else None, grid.d_theta(v), grid.d_phi(v))
 
 
-def _spin_act(rep: RepSpec, a: int, v: np.ndarray) -> np.ndarray:
-    """S_a v through the nonzero entries of S_a: each row's first product
-    is written and the next one added, in column order; a row without
-    entries is zero."""
+def _entries_act(entries, dim: int, v: np.ndarray) -> np.ndarray:
+    """M v for the fiber matrix M listed as (row, column, coefficient)
+    entries in row-major order.  A coefficient is a number, an array that
+    broadcasts against one component of v, or a tuple of such terms whose
+    products with the component are summed first.  Each row's first
+    product is written and the next one added, in column order; a row
+    without entries is zero."""
     out = np.empty_like(v)
     written = set()
-    for b, c, coef in rep.spin_entries[a]:
+    for b, c, coef in entries:
+        terms = coef if isinstance(coef, tuple) else (coef,)
+        vc = v[..., c]
         if b in written:
-            out[..., b] += coef * v[..., c]
+            prod = terms[0] * vc
+            for term in terms[1:]:
+                prod += term * vc
+            out[..., b] += prod
+            del prod
         else:
-            np.multiply(coef, v[..., c], out=out[..., b])
+            row = out[..., b]
+            np.multiply(terms[0], vc, out=row)
+            for term in terms[1:]:
+                row += term * vc
             written.add(b)
-    for b in set(range(rep.dim)) - written:
+        del coef, terms
+    for b in set(range(dim)) - written:
         out[..., b] = 0.0
     return out
+
+
+def _spin_act(rep: RepSpec, a: int, v: np.ndarray) -> np.ndarray:
+    """S_a v through the nonzero entries of S_a."""
+    return _entries_act(rep.spin_entries[a], rep.dim, v)
+
+
+def _spin_dot(rep: RepSpec, w):
+    """w.S = sum_a w_a S_a for three weight arrays w_a, as the entries
+    (row, column, terms) of its nonzero positions, yielded in row-major
+    order; the terms w_a (S_a)_{row,column} are in axis order and are made
+    when their position is reached, so a consumer that applies the entries
+    one by one holds one position's terms at a time.  Each term is purely
+    real or purely imaginary, so its product with a component rounds once,
+    as in a dense contraction with the matrix field w.S; a summed field
+    would round its complex products differently where the hardware fuses
+    multiply-adds."""
+    coefs = {}
+    for a, entries in enumerate(rep.spin_entries):
+        for b, c, coef in entries:
+            coefs.setdefault((b, c), []).append((a, coef))
+    for b, c in sorted(coefs):
+        yield b, c, tuple(w[a] * coef for a, coef in coefs[b, c])
 
 
 def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
@@ -258,8 +303,10 @@ def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
 
 
 def _act_chi(rep: RepSpec, grid: MomentumGrid, v: np.ndarray) -> np.ndarray:
-    """The pointwise helicity operator S.khat on v."""
-    return np.einsum("...bc,...c->...b", rep.chi_field(grid), v)
+    """The pointwise helicity operator S.khat on v, through the entries of
+    ``_spin_dot``: bit for bit the dense contraction of ``chi_field``
+    with v, without building the (d, d) matrix per node."""
+    return _entries_act(_spin_dot(rep, grid.khat), rep.dim, v)
 
 
 def _act(rep: RepSpec, grid: MomentumGrid, tag: str, axis: int | None,
@@ -308,7 +355,15 @@ def relation_ids():
 def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
                      psi: Section) -> float:
     """max over index pairs of ||(LHS - RHS) psi|| / ||psi|| for the named
-    bracket family."""
+    bracket family [A_a, B_b].
+
+    Each first-level action A_a v or B_b v is built once, with the one
+    derivative pass its second-level actions need, and every second-level
+    action on it is taken before it is dropped: B_b (A_a v) for the pairs
+    it starts as A_a, A_a (B_b v) for those it starts as B_b.  The half of
+    a pair's left side that comes first waits for the other.  The actions
+    are visited axis by axis, B_b before A_b, so at most five halves wait
+    at once (JK, KP)."""
     if relation_id not in _RELATIONS:
         raise RepError(
             f"unknown relation id {relation_id!r}; valid: {_RELATIONS}"
@@ -331,48 +386,73 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
     def act(tag, axis, w, der=None):
         return _act(rep, grid, tag, axis, w, der)
 
-    worst = 0.0
     t1, t2 = relation_id[0], relation_id[1]
     vec = {"J", "K", "P"}
     axes1 = range(3) if t1 in vec else (None,)
     axes2 = range(3) if t2 in vec else (None,)
-    # one pass over v serves t1, t2 and every right-hand-side target (a
-    # J target appears only beside K, whose pass covers it)
+    pairs = [(a, b) for a in axes1 for b in axes2
+             if relation_id not in ("JJ", "KK", "PP") or b > a]
+    # per first-level action: the pairs it starts, each with the
+    # second-level generator and axis, and whether the result is the half
+    # A_a (B_b v) that leads the bracket A_a B_b - B_b A_a
+    feeds = {}
+    for a, b in pairs:
+        feeds.setdefault((t1, a), []).append(((a, b), t2, b, False))
+        feeds.setdefault((t2, b), []).append(((a, b), t1, a, True))
+    order = sorted(feeds, key=lambda g: (0.5 if g[1] is None else g[1],
+                                         g[0] != t2))
+
+    def finish(a, b, lhs):
+        if relation_id in ("JJ", "JK"):
+            target = ("J", "K")[relation_id == "JK"]
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    lhs = lhs - 1j * e * act(target, c, v, v_der)
+        elif relation_id == "KK":
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    lhs = lhs + 1j * e * act("J", c, v, v_der)
+        elif relation_id == "JP":
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    lhs = lhs - 1j * e * act("P", c, v)
+        elif relation_id == "KP":
+            if a == b:
+                lhs = lhs - 1j * act("H", None, v)
+        elif relation_id == "KH":
+            lhs = lhs - 1j * act("P", a, v)
+        # JH, PP, PH, HH: RHS = 0
+        return norm_of(lhs) / nrm
+
+    # one pass over v serves every first-level action and every
+    # right-hand-side target (a J target appears only beside K, whose
+    # pass covers it)
     v_der = one_pass(v, relation_id)
-    for a in axes1:
-        partners = [b for b in axes2
-                    if relation_id not in ("JJ", "KK", "PP") or b > a]
-        if not partners:
-            continue
-        u = act(t1, a, v, v_der)
-        u_der = one_pass(u, t2)
-        for b in partners:
-            w = act(t2, b, v, v_der)
-            lhs = act(t1, a, w, one_pass(w, t1)) - act(t2, b, u, u_der)
-            if relation_id in ("JJ", "JK"):
-                target = ("J", "K")[relation_id == "JK"]
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        lhs = lhs - 1j * e * act(target, c, v, v_der)
-            elif relation_id == "KK":
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        lhs = lhs + 1j * e * act("J", c, v, v_der)
-            elif relation_id == "JP":
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        lhs = lhs - 1j * e * act("P", c, v)
-            elif relation_id == "KP":
-                if a == b:
-                    lhs = lhs - 1j * act("H", None, v)
-            elif relation_id == "KH":
-                lhs = lhs - 1j * act("P", a, v)
-            # JH, PP, PH, HH: RHS = 0
-            worst = max(worst, norm_of(lhs) / nrm)
-    return worst
+    waiting = {}
+    residual = {}
+    for tag, axis in order:
+        g = act(tag, axis, v, v_der)
+        uses = feeds[tag, axis]
+        g_der = one_pass(g, [t for _, t, _, _ in uses])
+        for pair, t, c, leads in uses:
+            half = act(t, c, g, g_der)
+            if pair not in waiting:
+                waiting[pair] = half
+                del half
+                continue
+            other = waiting.pop(pair)
+            x, y = (half, other) if leads else (other, half)
+            del half, other
+            lhs = x - y
+            del x, y
+            residual[pair] = finish(*pair, lhs)
+            del lhs
+        del g, g_der
+    # the largest in pair order, as a loop over the pairs would take it
+    return max([0.0] + [residual[pair] for pair in pairs])
 
 
 # -- test sections -------------------------------------------------------------

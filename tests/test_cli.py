@@ -426,6 +426,17 @@ def test_eval_long_literal_exits_2(capsys):
         assert "line 1" in err and "5000 digits" in err
 
 
+def test_eval_huge_power_exits_2(capsys):
+    # the exponent bound at lowering, then the printer's digit limit
+    for text, want in (("Pow(10,4400)", "col 8: Pow exponent 4400 is "
+                                        "outside [-64, 64]"),
+                       ("Pow(Pow(Pow(10,64),64),2)", "4300 digits")):
+        assert main(["eval", text]) == EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert want in err
+
+
 def test_eval_long_chains_exit_0(capsys):
     for text, want in (("+".join(["1"] * 5000), "5000"),
                        ("*".join(["i"] * 5000), "1"),

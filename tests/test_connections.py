@@ -26,7 +26,12 @@ from spinsplit.connections import (
 )
 from spinsplit.grid import Section, make_grid
 from spinsplit.report import RunConfig
-from spinsplit.reps import RepSpec, _act_chi, random_test_section
+from spinsplit.reps import (
+    RepSpec,
+    _act_chi,
+    _entries_act,
+    random_test_section,
+)
 
 from conftest import MASS, smooth_scalar
 
@@ -148,7 +153,7 @@ def test_closed_form_matches_generator_connection(rep, kind, x,
         "a...,a...->...", xv[..., None], grad)
     for ir, r0 in enumerate(g.r):
         a = _form_matrix(rep, kind, float(r0), g.khat[:, ir], xv[:, ir])
-        out[ir] -= np.einsum("...ij,...j->...i", a, psi.values[ir])
+        out[ir] -= _entries_act(a, rep.dim, psi.values[ir])
     assert Section(rep, g, out).norm() < 1e-12 * psi.norm()
 
 

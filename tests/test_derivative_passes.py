@@ -1,8 +1,10 @@
 """One derivative pass per section for every field applied to it: call
-counts of the grid derivatives for one field, for a batch of fields and
-for the curvature and splitting diagnostics, and bit-exact agreement of
-the shared-pass connection, one field or a batch, with a reference sum
-of single-axis generator actions."""
+counts of the grid derivatives for one field, for a batch of fields, for
+the curvature, cross-commutator and splitting diagnostics and for each
+bracket family of the commutation-relation catalog, and bit-exact
+agreement of the shared-pass connection, one field or a batch, with a
+reference sum of single-axis generator actions, and of
+``algebra_residual`` with its one-action-per-pair loop."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,21 @@ from spinsplit.connections import (
     TangentField,
     apply_connection,
     apply_connections,
+    cross_commutator_check,
     curvature_commutator,
 )
 import spinsplit.splitting as splitting
-from spinsplit.grid import MomentumGrid, make_grid
-from spinsplit.reps import RepSpec, _act_J, _act_K, random_test_section
+from spinsplit.grid import MomentumGrid, Section, make_grid
+from spinsplit.reps import (
+    RepSpec,
+    _act,
+    _act_J,
+    _act_K,
+    _derivatives,
+    algebra_residual,
+    random_test_section,
+    relation_ids,
+)
 from spinsplit.scalars import eps
 from spinsplit.splitting import (
     NWOperator,
@@ -91,11 +103,13 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 #   vector_op_residual L  12, 24, 24
 #   vector_op_residual S  12, 36, 36
 #   curvature_commutator   5, 5, 5
+#   cross_commutator       9, 9, 9 (five passes over psi)
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
     "vector-op-L": (10, 13, 13),
     "vector-op-S": (10, 13, 13),
     "curvature": (3, 3, 3),
+    "cross-commutator": (5, 5, 5),
 }
 
 
@@ -114,6 +128,8 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
         vector_op_residual(ops, psi)
     elif diagnostic == "vector-op-S":
         vector_op_residual(ops, psi, "S")
+    elif diagnostic == "cross-commutator":
+        cross_commutator_check(psi)
     else:
         curvature_commutator(kind, TangentField.named("e_theta"),
                              TangentField.named("e_phi"), psi)
@@ -338,3 +354,99 @@ def test_position_operator_axes_match_single_axis_calls_exactly(spin,
     axes = (1, 2, 0)
     for a, out in zip(axes, q.apply_axes(axes, psi)):
         assert np.array_equal(out.values, q.apply(a, psi).values)
+
+
+# -- the commutation-relation catalog -------------------------------------------
+
+
+def _one_action_per_pair_residual(rep, grid, relation_id, psi):
+    """algebra_residual as it was when each index pair built its own
+    second-generator action B_b v and took a pass over it."""
+    v = psi.values
+    nrm = psi.norm()
+
+    def one_pass(w, tags):
+        if not {"J", "K"} & set(tags):
+            return None
+        return _derivatives(grid, w, radial="K" in tags)
+
+    def act(tag, axis, w, der=None):
+        return _act(rep, grid, tag, axis, w, der)
+
+    worst = 0.0
+    t1, t2 = relation_id[0], relation_id[1]
+    vec = {"J", "K", "P"}
+    axes1 = range(3) if t1 in vec else (None,)
+    axes2 = range(3) if t2 in vec else (None,)
+    v_der = one_pass(v, relation_id)
+    for a in axes1:
+        partners = [b for b in axes2
+                    if relation_id not in ("JJ", "KK", "PP") or b > a]
+        if not partners:
+            continue
+        u = act(t1, a, v, v_der)
+        u_der = one_pass(u, t2)
+        for b in partners:
+            w = act(t2, b, v, v_der)
+            lhs = act(t1, a, w, one_pass(w, t1)) - act(t2, b, u, u_der)
+            if relation_id in ("JJ", "JK"):
+                target = ("J", "K")[relation_id == "JK"]
+                for c in range(3):
+                    e = eps(a, b, c)
+                    if e:
+                        lhs = lhs - 1j * e * act(target, c, v, v_der)
+            elif relation_id == "KK":
+                for c in range(3):
+                    e = eps(a, b, c)
+                    if e:
+                        lhs = lhs + 1j * e * act("J", c, v, v_der)
+            elif relation_id == "JP":
+                for c in range(3):
+                    e = eps(a, b, c)
+                    if e:
+                        lhs = lhs - 1j * e * act("P", c, v)
+            elif relation_id == "KP":
+                if a == b:
+                    lhs = lhs - 1j * act("H", None, v)
+            elif relation_id == "KH":
+                lhs = lhs - 1j * act("P", a, v)
+            worst = max(worst, Section(rep, grid, lhs).norm() / nrm)
+    return worst
+
+
+_ALGEBRA_REPS = [RepSpec.massive(MASS, 0), RepSpec.massive(MASS, 1),
+                 RepSpec.massless(-1), RepSpec.massless(1)]
+
+
+@pytest.mark.parametrize("relation_id", relation_ids())
+@pytest.mark.parametrize("rep", _ALGEBRA_REPS, ids=repr)
+def test_algebra_residual_matches_one_action_per_pair(rep, relation_id):
+    grid = (_massive_grid() if rep.kind == "massive"
+            else make_grid(4, 12, 24, 1.0, 2.0))
+    psi = random_test_section(rep, grid, seed=9)
+    assert algebra_residual(rep, grid, relation_id, psi) \
+        == _one_action_per_pair_residual(rep, grid, relation_id, psi)
+
+
+# (d_r, d_theta, d_phi) calls per bracket family: one pass over v and one
+# over each first-level action.  When each index pair took its own pass
+# over B_b v they were JJ 0, 6, 6; JK 4, 13, 13; KK 6, 6, 6; JP 0, 10, 10;
+# KP 10, 10, 10; KH 4, 4, 4; JH 0, 4, 4.
+_ALGEBRA_PASSES = {
+    "JJ": (0, 4, 4), "JK": (4, 7, 7), "KK": (4, 4, 4), "JP": (0, 4, 4),
+    "KP": (4, 4, 4), "KH": (2, 2, 2), "JH": (0, 2, 2), "PP": (0, 0, 0),
+    "PH": (0, 0, 0), "HH": (0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("relation_id", relation_ids())
+@pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
+                                 RepSpec.massless(1)], ids=repr)
+def test_algebra_residual_pass_totals(rep, relation_id, derivative_calls):
+    grid = (_massive_grid() if rep.kind == "massive"
+            else make_grid(4, 12, 24, 1.0, 2.0))
+    psi = random_test_section(rep, grid, seed=3)
+    algebra_residual(rep, grid, relation_id, psi)
+    d_r, d_theta, d_phi = _ALGEBRA_PASSES[relation_id]
+    assert derivative_calls == {"d_r": d_r, "d_theta": d_theta,
+                                "d_phi": d_phi, "gradient": 0}

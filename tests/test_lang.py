@@ -22,7 +22,15 @@ from spinsplit.identities import (
     perpendicular_angular_momentum,
     rotation_connection,
 )
-from spinsplit.lang import LangError, ParseError, format_expr, lower, parse
+from spinsplit.lang import (
+    FormatError,
+    LangError,
+    LowerError,
+    ParseError,
+    format_expr,
+    lower,
+    parse,
+)
 from spinsplit.scalars import Ring
 
 
@@ -162,6 +170,30 @@ def test_long_integer_literal_is_parse_error():
         parse("H +\n  " + "9" * 5000)
     assert (err.value.line, err.value.col) == (2, 3)
     assert "5000 digits" in err.value.message
+
+
+def test_pow_exponent_is_bounded(ring):
+    # a power multiplies its base once per unit of the exponent, so the
+    # exponent's magnitude is bounded instead of the work
+    assert lower(parse("Pow(2,64)"), ring) == op_scalar(ring, 2**64)
+    for text, col in (("Pow(10,65)", 8), ("Pow(H,-65)", 7),
+                      ("Pow(Dot(P,P),129/2)", 17), ("Pow(10,4400)", 8)):
+        with pytest.raises(LowerError) as err:
+            lower(parse(text), ring)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert "[-64, 64]" in err.value.message
+
+
+def test_huge_coefficient_is_format_error(ring):
+    # past the interpreter's int -> str limit the printer raises a
+    # LangError, not a ValueError
+    for text in ("Pow(Pow(Pow(10,64),64),2)",
+                 "K[1]/Pow(Pow(Pow(10,64),64),2)"):
+        value = lower(parse(text), ring)
+        with pytest.raises(FormatError) as err:
+            format_expr(value)
+        assert (err.value.line, err.value.col) == (1, 1)
+        assert "4300 digits" in err.value.message
 
 
 # -- error reporting -----------------------------------------------------------

@@ -20,7 +20,12 @@ from spinsplit.connections import (
     curvature_commutator,
 )
 from spinsplit.grid import make_grid
-from spinsplit.reps import RepSpec, random_test_section
+from spinsplit.reps import (
+    RepSpec,
+    algebra_residual,
+    random_test_section,
+    relation_ids,
+)
 from spinsplit.splitting import (
     SplitOperators,
     so3_residual,
@@ -88,3 +93,20 @@ def test_peak_memory_held_at_one_field_value(case, diagnostic):
     ops = SplitOperators(rep, grid, kind)
     peak = _peak_sections(_diagnostic(diagnostic, kind, ops, psi), psi)
     assert peak <= _ONE_FIELD_PEAKS[case][diagnostic]
+
+
+# algebra_residual builds each first-level action of a bracket family and
+# its derivative pass once, and keeps the first half of a pair's left side
+# until the second is built; its traced peak over the ten families is held
+# to the largest bound above for the massive case.
+_ALGEBRA_BOUND = max(_ONE_FIELD_PEAKS["massive1-flat"].values())
+
+
+@pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))
+def test_algebra_residual_peak_held(case):
+    rep, grid, _ = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    peak = max(_peak_sections(
+        lambda rid=rid: algebra_residual(rep, grid, rid, psi), psi)
+        for rid in relation_ids())
+    assert peak <= _ALGEBRA_BOUND

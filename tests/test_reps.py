@@ -233,3 +233,14 @@ def test_spin_entries_are_the_nonzero_entries(rep):
         assert np.array_equal(dense, rep.spin_mats[axis])
         rows = [b for b, _, _ in rep.spin_entries[axis]]
         assert all(rows.count(b) <= 2 for b in range(rep.dim))
+
+
+@pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
+def test_act_chi_matches_einsum_reference(rep, grid_small_massive):
+    # the sparse helicity action equals, bit for bit, the dense contraction
+    # of the (d, d) matrix field S.khat with the section
+    rng = np.random.default_rng(5)
+    shape = grid_small_massive.shape + (rep.dim,)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    ref = np.einsum("...bc,...c->...b", rep.chi_field(grid_small_massive), v)
+    assert np.array_equal(_act_chi(rep, grid_small_massive, v), ref)

@@ -1,7 +1,9 @@
-"""One connection form per RK4 node and one transported vector per Chern
-link: evaluation counts of the integrator, agreement of vector transport
-with matrix transport, and bit-exact agreement of the form and of
-``holonomy`` with reference implementations kept here."""
+"""One sparse connection form per edge batch, evaluated at every RK4 node
+at once, and one transported vector per Chern link: evaluation counts of
+the integrator, agreement of vector transport with matrix transport and of
+the sparse form application with the dense product, and bit-exact
+agreement of the form and of ``holonomy`` with reference implementations
+kept here."""
 
 import numpy as np
 import pytest
@@ -12,11 +14,10 @@ from spinsplit.connections import (
     HolonomyLoop,
     _edge_transport_batch,
     _form_matrix,
-    _transport,
     chern_number,
     holonomy,
 )
-from spinsplit.reps import RepSpec
+from spinsplit.reps import RepSpec, _entries_act
 
 from conftest import MASS
 
@@ -36,16 +37,33 @@ KINDS = {
 
 
 @pytest.mark.parametrize("n_steps", [1, 3, 8])
-def test_transport_evaluates_form_once_per_node(n_steps):
-    times = []
+def test_edge_batch_evaluates_form_once_at_every_node(n_steps, monkeypatch):
+    forms, nodes = [], []
+    orig_form = connections_mod._form_matrix
+    orig_transport = connections_mod._transport
 
-    def a_of(t):
-        times.append(t)
-        return np.zeros((1, 1), dtype=np.complex128)
+    def counted_form(rep, kind, r0, khat, vel):
+        forms.append(khat)
+        return orig_form(rep, kind, r0, khat, vel)
 
-    _transport(a_of, np.eye(1, dtype=np.complex128), n_steps)
-    assert len(times) == 2 * n_steps + 1
-    assert len(set(times)) == 2 * n_steps + 1
+    def traced_transport(apply_form, u, n):
+        def traced(j, w):
+            nodes.append(j)
+            return apply_form(j, w)
+        return orig_transport(traced, u, n)
+
+    monkeypatch.setattr(connections_mod, "_form_matrix", counted_form)
+    monkeypatch.setattr(connections_mod, "_transport", traced_transport)
+    _edge_transport_batch(RepSpec.massless(1), ConnectionKind.rotation(),
+                          1.5, np.array([0.4, 1.2]), 0.3,
+                          np.array([0.6, 1.5]), 0.7, n_steps=n_steps)
+    (khat,) = forms
+    assert khat.shape == (3, 2 * n_steps + 1, 2)
+    # the 2n + 1 nodes of an edge are distinct points
+    assert len({tuple(p) for p in khat[:, :, 0].T}) == 2 * n_steps + 1
+    # step i takes its start, midpoint (twice) and end node
+    assert nodes == [j for i in range(n_steps)
+                     for j in (2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2)]
 
 
 def test_chern_form_calls(monkeypatch):
@@ -59,8 +77,9 @@ def test_chern_form_calls(monkeypatch):
     monkeypatch.setattr(connections_mod, "_form_matrix", counted)
     chern_number(RepSpec.massless(1), ConnectionKind.rotation(),
                  n_theta=12, n_phi=24)
-    # two edge batches (theta and phi edges), 2 * 3 + 1 forms each
-    assert len(calls) == 14
+    # two edge batches (theta and phi edges), one form evaluation each
+    # over all 2 * 3 + 1 nodes of all their edges
+    assert len(calls) == 2
 
 
 # -- vector transport of the Chern links -------------------------------------------
@@ -82,7 +101,7 @@ def test_vector_links_match_matrix_links(h, kind, perturbation):
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
     phi = np.arange(n_phi) * (2 * np.pi / n_phi)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
-    e_th, e_ph = connections_mod._sphere_frame(th, ph)
+    _, e_th, e_ph = connections_mod._sphere_frame(th, ph)
     v = np.moveaxis((e_th + 1j * h * e_ph) / np.sqrt(2.0), 0, -1)
     edges = (th[:-1], ph[:-1], th[1:], ph[1:])
     mats = _edge_transport_batch(rep, kind, 1.5, *edges,
@@ -123,6 +142,13 @@ def _einsum_form(rep, kind, r0, khat, vel):
     return coef * s_dot
 
 
+def _dense(entries, shape, dim):
+    out = np.zeros(shape + (dim, dim), dtype=np.complex128)
+    for b, c, field in entries:
+        out[..., b, c] = field
+    return out
+
+
 @pytest.mark.parametrize("kind", list(KINDS.values()), ids=list(KINDS))
 @pytest.mark.parametrize("rep", list(REPS.values()), ids=list(REPS))
 def test_form_matrix_matches_einsum(rep, kind):
@@ -131,22 +157,50 @@ def test_form_matrix_matches_einsum(rep, kind):
     ph = rng.uniform(0.0, 2 * np.pi, (5, 7))
     khat = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                      np.cos(th)])
-    e_th, e_ph = connections_mod._sphere_frame(th, ph)
+    _, e_th, e_ph = connections_mod._sphere_frame(th, ph)
     vel = (rng.normal(size=(5, 7)) * e_th + rng.normal(size=(5, 7)) * e_ph)
-    got = _form_matrix(rep, kind, 1.5, khat, vel)
-    assert got.shape == (5, 7, rep.dim, rep.dim)
-    assert np.array_equal(got, _einsum_form(rep, kind, 1.5, khat, vel))
+    entries = _form_matrix(rep, kind, 1.5, khat, vel)
+    positions = [(b, c) for b, c, _ in entries]
+    assert positions == sorted(set(positions))
+    assert all(field.shape == (5, 7) for _, _, field in entries)
+    assert np.array_equal(_dense(entries, (5, 7), rep.dim),
+                          _einsum_form(rep, kind, 1.5, khat, vel))
 
 
-def _three_evaluation_rk4(a_of, u, n_steps):
+def _three_evaluation_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b,
+                            n_steps=3, dense=False):
+    """Edge transport matrices with the form evaluated on its own at each
+    step's start, midpoint and end, from fresh sines and cosines, and the
+    slopes taken as -A U.  The form is applied through its entries, or
+    with ``dense`` as the einsum matrix and a batched product."""
+    d = rep.dim
+    u = np.broadcast_to(np.eye(d, dtype=np.complex128),
+                        np.shape(th_a) + (d, d))
+    dth, dph = th_b - th_a, ph_b - ph_a
+
+    def a_of(t):
+        th, ph = th_a + dth * t, ph_a + dph * t
+        khat = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                         np.cos(th)])
+        e_th = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph),
+                         -np.sin(th)])
+        e_ph = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(ph)])
+        vel = r0 * (dth * e_th + np.sin(th) * dph * e_ph)
+        if dense:
+            mat = _einsum_form(rep, kind, r0, khat, vel)
+            return lambda w: -(mat @ w)
+        form = _form_matrix(rep, kind, r0, khat, vel)
+        return lambda w: -np.moveaxis(
+            _entries_act(form, d, np.moveaxis(w, -1, 0)), 0, -1)
+
     h = 1.0 / n_steps
     for i in range(n_steps):
         t = i * h
         a_mid = a_of(t + h / 2)
-        k1 = -a_of(t) @ u
-        k2 = -a_mid @ (u + h / 2 * k1)
-        k3 = -a_mid @ (u + h / 2 * k2)
-        k4 = -a_of(t + h) @ (u + h * k3)
+        k1 = a_of(t)(u)
+        k2 = a_mid(u + h / 2 * k1)
+        k3 = a_mid(u + h / 2 * k2)
+        k4 = a_of(t + h)(u + h * k3)
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
 
@@ -159,6 +213,24 @@ def test_holonomy_matches_three_evaluation_rk4(kind, n_steps, monkeypatch):
     rep = RepSpec.massive(MASS, 1)
     loop = HolonomyLoop(1.5, np.pi / 2 - 0.2, np.pi / 2 + 0.05, 0.3, 0.55)
     u = holonomy(rep, kind, loop, n_steps=n_steps)
-    monkeypatch.setattr(connections_mod, "_transport",
-                        _three_evaluation_rk4)
+    monkeypatch.setattr(connections_mod, "_edge_transport_batch",
+                        _three_evaluation_edges)
     assert np.array_equal(u, holonomy(rep, kind, loop, n_steps=n_steps))
+
+
+@pytest.mark.parametrize("kind", list(KINDS.values()), ids=list(KINDS))
+@pytest.mark.parametrize("rep", [REPS["massive-s1"], REPS["massless-h+1"]],
+                         ids=["massive-s1", "massless-h+1"])
+def test_sparse_transport_matches_dense_product(rep, kind):
+    """Applying the form through its entries rounds like the dense batched
+    product up to the last bits."""
+    rng = np.random.default_rng(11)
+    th_a = rng.uniform(0.2, np.pi - 0.2, 40)
+    ph_a = rng.uniform(0.0, 2 * np.pi, 40)
+    th_b = th_a + rng.uniform(-0.1, 0.1, 40)
+    ph_b = ph_a + rng.uniform(-0.1, 0.1, 40)
+    got = _edge_transport_batch(rep, kind, 1.5, th_a, ph_a, th_b, ph_b,
+                                n_steps=8)
+    ref = _three_evaluation_edges(rep, kind, 1.5, th_a, ph_a, th_b, ph_b,
+                                  n_steps=8, dense=True)
+    assert np.max(np.abs(got - ref)) < 1e-15
