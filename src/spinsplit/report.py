@@ -141,10 +141,21 @@ class RunConfig:
             raise ConfigError(
                 f"need 0 < r_min < r_max < inf; got r_min={r_min}, "
                 f"r_max={r_max}")
+        # the energy sqrt(m^2 + |k|^2) and the radial test profile, which
+        # squares r_max - r_min < r_max, need r_max^2 finite, and a mass
+        # whose square underflows to 0 is not massive
+        if not math.isfinite(r_max * r_max):
+            raise ConfigError(
+                f"r_max={r_max} is too large: r_max^2 overflows; need "
+                f"r_max^2 finite (r_max below about 1.3e154)")
         for m, s in massive:
             if not (m > 0 and math.isfinite(m)) or s not in (0, 1):
                 raise ConfigError(f"bad massive rep (mass={m}, spin={s}); "
                                   f"need a finite mass > 0 and spin 0 or 1")
+            if not (m * m > 0 and math.isfinite(m * m + r_max * r_max)):
+                raise ConfigError(
+                    f"bad massive rep mass={m}: need mass^2 > 0 and "
+                    f"mass^2 + r_max^2 finite (r_max={r_max})")
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")

@@ -244,10 +244,11 @@ def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
         der = _derivatives(grid, v, radial=False)
     _, dth, dph = der
     # -i (e_phi d_theta - e_theta d_phi / sin(theta)), one temporary at a
-    # time
+    # time; the division is a product with the grid's 1/sin(theta), which
+    # gives the quotient's values on complex sections (see MomentumGrid)
     out = grid.e_phi[a][..., None] * dth
     term = grid.e_theta[a][..., None] * dph
-    term /= grid.sin_theta[..., None]
+    term *= grid.inv_sin_theta[..., None]
     out -= term
     del term
     out *= -1j
@@ -266,27 +267,27 @@ def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
         # differs by the radial scalar i k_a/(2 omega) and is self-adjoint
         # under the plain measure instead)
         omega = grid.omega(rep.mass)[..., None]
-        r3 = grid.kmag[..., None]
-        st = grid.sin_theta[..., None]
         # component a of the Cartesian gradient, accumulated in place with
-        # one temporary at a time
+        # one temporary at a time; d_theta v / r and d_phi v / (r sin(theta))
+        # are products with the grid's reciprocals, which give the
+        # quotients' values on complex sections (see MomentumGrid)
         out = grid.e_k[a][..., None] * dr
-        term = dth / r3
+        term = dth * grid.inv_kmag[..., None]
         term *= grid.e_theta[a][..., None]
         out += term
-        np.divide(dph, r3 * st, out=term)
+        np.multiply(dph, grid.inv_kmag_sin_theta[..., None], out=term)
         term *= grid.e_phi[a][..., None]
         out += term
         del term
         out *= 1j * omega
         ks = (grid.kx, grid.ky, grid.kz)
+        omega_m = omega + rep.mass
         for b in range(3):
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
                     spin = _spin_act(rep, b, v)
-                    spin *= ((_SIGMA_BOOST * e / (omega + rep.mass))
-                             * ks[c][..., None])
+                    spin *= (_SIGMA_BOOST * e / omega_m) * ks[c][..., None]
                     out += spin
         return out
     radial = 1j * grid.kmag[..., None] * dr

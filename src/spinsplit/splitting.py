@@ -16,6 +16,12 @@ construction.  The diagnostics measure, on smooth test sections:
   * the defect identity [L_a, L_b] - i eps_abc L_c = -F_D(V_a, V_b),
   * the massless parallel/perpendicular commutator relation.
 
+Every diagnostic applies the fields that act on one section in one
+batched covariant derivative, with one derivative pass over that
+section: X_c psi for all c at once, and in the vector-operator check
+X_a (J_b psi) for all a at once, one J_b psi at a time.  Each value
+equals, bit for bit, the one-field call it replaces.
+
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
 mean (Newton-Wigner) position operator, which this module also builds
@@ -124,8 +130,14 @@ class SplitOperators:
 
     def S_axes(self, axes, psi: Section) -> list:
         """[S_a psi for a in axes]: J and L share one derivative pass over
-        psi."""
-        return _j_and_x(self, axes, psi, "S")[1]
+        psi, and each S_a psi = J_a psi - L_a psi is formed in the L
+        array."""
+        rep, grid, v = psi.rep, psi.grid, psi.values
+        der = _derivatives(grid, v)
+        s_vals = self._l_values(axes, psi, der)
+        for a, s in zip(axes, s_vals):
+            np.subtract(_act_J(rep, grid, a, v, der), s, out=s)
+        return [Section(rep, grid, s) for s in s_vals]
 
     def L(self, a: int, psi: Section) -> Section:
         return self.L_axes((a,), psi)[0]
@@ -178,40 +190,31 @@ def _component(ops: SplitOperators, which: str):
     raise SplittingError(f"unknown splitting component {which!r}")
 
 
-def _j_and_x(ops: SplitOperators, axes, psi: Section, which: str):
-    """([J_a psi], [X_a psi]) for X = L or S and each axis in ``axes``,
-    all from one derivative pass over psi."""
-    rep, grid, v = psi.rep, psi.grid, psi.values
-    der = _derivatives(grid, v)
-    x_vals = ops._l_values(axes, psi, der)
-    j_vals = [_act_J(rep, grid, a, v, der) for a in axes]
-    del der
-    if which == "S":
-        # S = J - L, each difference formed in the L array
-        for j, x in zip(j_vals, x_vals):
-            np.subtract(j, x, out=x)
-    return ([Section(rep, grid, j) for j in j_vals],
-            [Section(rep, grid, x) for x in x_vals])
-
-
 def vector_op_residual(ops: SplitOperators, psi: Section,
                        which: str = "L") -> float:
     """max over (a,b) of ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||
-    for X = L or S.  One derivative pass over psi gives every J_b psi and
-    X_c psi, and one angular pass over each X_a psi serves its three J_b;
-    X_a (J_b psi) is one call per pair, which keeps the peak memory of
-    the one-field call."""
+    for X = L or S.
+
+    One derivative pass over psi gives the three X_c psi.  Then, for each
+    b, J_b psi is built from its own angular pass over psi, and one pass
+    over it gives X_a (J_b psi) for all three a at once; only one J_b psi
+    and its three images are alive at a time.  Each J_b (X_a psi) retakes
+    the angular pass over X_a psi instead of holding three such passes
+    for all b.  Every value equals, bit for bit, the one-field call per
+    pair (a, b)."""
     act = _component(ops, which)
     rep, grid = psi.rep, psi.grid
     nrm = psi.norm()
-    j_psi, x_psi = _j_and_x(ops, range(3), psi, which)
+    x_psi = act(range(3), psi)
     worst = 0.0
-    for a in range(3):
-        xa = x_psi[a].values
-        der = _derivatives(grid, xa, radial=False)
-        for b in range(3):
-            out = act((a,), j_psi[b])[0] - Section(
-                rep, grid, _act_J(rep, grid, b, xa, der))
+    for b in range(3):
+        j_b = ops.J(b, psi)
+        x_j = act(range(3), j_b)
+        del j_b
+        for a in range(3):
+            out = x_j[a] - Section(
+                rep, grid, _act_J(rep, grid, b, x_psi[a].values))
+            x_j[a] = None
             for c in range(3):
                 e = eps(a, b, c)
                 if e:

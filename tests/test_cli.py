@@ -3,6 +3,7 @@ validation, subcommands, exit codes, and report determinism."""
 
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,38 @@ def test_mass_not_finite_exits_2(tmp_path, capsys, mass):
     path = _write(tmp_path, "[run]\nsuites = holonomy\n"
                             f"[reps]\nmassive = {mass}:1\n")
     assert main(["run", "--config", path]) == EXIT_ERROR
+
+
+@pytest.mark.parametrize("mass,suite", [
+    ("1e200", "holonomy"), ("1e300", "nw"), ("1e-300", "nw"),
+])
+def test_mass_whose_square_is_not_finite_and_positive_exits_2(
+        tmp_path, capsys, mass, suite):
+    # m^2 overflows (an OverflowError in the energy) or underflows to 0
+    # (infinite position-operator records); both are rejected up front
+    with pytest.raises(ConfigError, match=re.escape(f"mass={float(mass)!r}")):
+        RunConfig(suites=[suite], massive=[(float(mass), 1)])
+    assert main(["run", "--suite", suite, "--mass", mass]) == EXIT_ERROR
+    assert f"mass={float(mass)!r}" in capsys.readouterr().err
+    path = _write(tmp_path, f"[run]\nsuites = {suite}\n"
+                            f"[reps]\nmassive = {mass}:1\n")
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "mass^2" in capsys.readouterr().err
+
+
+def test_ini_shell_radius_whose_square_overflows_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, "[run]\nsuites = holonomy\n"
+                            "[grid]\nr_max = 1e200\n")
+    with pytest.raises(ConfigError, match="r_max=1e\\+200"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "r_max^2 overflows" in capsys.readouterr().err
+    # the largest accepted shell and masses still build their grids
+    config = RunConfig(suites=["holonomy"], r_max=1e150,
+                       massive=[(1e150, 1), (1e-150, 1)])
+    for mass, _ in config.massive:
+        grid = config.grid_for((4, 12, 24), mass)
+        assert np.all(np.isfinite(grid.omega(mass)))
 
 
 # -- INI reading rules -----------------------------------------------------------
@@ -471,6 +504,32 @@ def test_run_symbolic_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     err = capsys.readouterr().err
     assert "PASS symbolic:" in err
+
+
+_GATE_SUITES = ("algebra", "curvature", "splitting", "leibniz")
+
+
+def _suite_results(suites) -> dict:
+    """Per suite, its normalized records and CSV rows from one run of
+    ``suites`` in the given order."""
+    report = run_suites(RunConfig(
+        suites=suites, ladder=((4, 12, 24), (6, 24, 48)),
+        massive=[(1.3, 1)], massless=[1], normalize=True))
+    return {suite: ([json.dumps(r, sort_keys=True)
+                     for r in report["records"] if r["suite"] == suite],
+                    [row for row in report["_rows"] if row[0] == suite])
+            for suite in suites}
+
+
+def test_suite_results_do_not_depend_on_what_ran_before():
+    # the per-grid reciprocal fields, the cached connections and the
+    # global memos must carry nothing from one suite into the next
+    alone = {}
+    for suite in _GATE_SUITES:
+        alone.update(_suite_results([suite]))
+    assert all(records for records, _ in alone.values())
+    assert _suite_results(list(_GATE_SUITES)) == alone
+    assert _suite_results(list(reversed(_GATE_SUITES))) == alone
 
 
 def test_run_with_grid_and_rep_restriction(tmp_path, capsys):

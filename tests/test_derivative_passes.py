@@ -104,10 +104,14 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 #   vector_op_residual S  12, 36, 36
 #   curvature_commutator   5, 5, 5
 #   cross_commutator       9, 9, 9 (five passes over psi)
+# and vector_op_residual took 10, 13, 13 with one X_a (J_b psi) call per
+# pair.  Now: one pass over psi, then per b an angular pass over psi for
+# J_b psi, one pass over J_b psi for its three X_a, and an angular pass
+# over each X_a psi.
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
-    "vector-op-L": (10, 13, 13),
-    "vector-op-S": (10, 13, 13),
+    "vector-op-L": (4, 16, 16),
+    "vector-op-S": (4, 16, 16),
     "curvature": (3, 3, 3),
     "cross-commutator": (5, 5, 5),
 }
@@ -226,11 +230,12 @@ def _split_cases():
         (RepSpec.massless(-1), ConnectionKind.rotation())]
 
 
-def _split_setup(rep, kind):
+def _split_setup(rep, kind, symmetry_breaking=0.0):
     grid = (_massive_grid() if rep.kind == "massive"
             else make_grid(4, 12, 24, 1.0, 2.0))
-    return SplitOperators(rep, grid, kind), random_test_section(rep, grid,
-                                                                seed=11)
+    ops = SplitOperators(rep, grid, kind,
+                         symmetry_breaking=symmetry_breaking)
+    return ops, random_test_section(rep, grid, seed=11)
 
 
 @pytest.mark.parametrize("rep,kind", _split_cases(),
@@ -277,12 +282,19 @@ def _vector_op_reference(ops, act, psi):
     return worst
 
 
+@pytest.mark.parametrize("breaking", [0.0, 0.5],
+                         ids=["symmetric", "broken"])
 @pytest.mark.parametrize("rep,kind", _split_cases(),
                          ids=lambda v: repr(v))
-def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind):
+def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind,
+                                                           breaking):
     """The residuals equal, bit for bit, the one-field loops each
-    diagnostic ran before its fields were batched."""
-    ops, psi = _split_setup(rep, kind)
+    diagnostic ran before its fields were batched; with the rotational
+    symmetry broken they are of order one, so the comparison covers a
+    failing diagnostic as well as a passing one."""
+    ops, psi = _split_setup(rep, kind, breaking)
+    if breaking:
+        assert vector_op_residual(ops, psi) > 0.1
     for which, act in (("L", ops.L), ("S", ops.S)):
         assert so3_residual(ops, psi, which) == _so3_reference(act, psi)
         assert vector_op_residual(ops, psi, which) \

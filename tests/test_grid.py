@@ -94,6 +94,27 @@ def test_d_phi_matches_roll_reference(shape, fiber):
                           _d_phi_roll_reference(g, values.real))
 
 
+@pytest.mark.parametrize("shape", [(4, 12, 24), (5, 8, 10), (4, 6, 8)])
+@pytest.mark.parametrize("fiber", [(), (1,), (3,)])
+def test_d_r_matches_einsum_reference(shape, fiber):
+    # a contiguous complex array goes through its float64 view; that and
+    # the plain contraction of real and strided input give the values of
+    # the complex contraction
+    g = make_grid(*shape, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    rng = np.random.default_rng(sum(shape) + len(fiber))
+    values = (rng.normal(size=shape + fiber)
+              + 1j * rng.normal(size=shape + fiber))
+
+    def reference(v):
+        return np.einsum("ij,j...->i...", g._d_r_matrix, v)
+
+    assert np.array_equal(g.d_r(values), reference(values))
+    assert np.array_equal(g.d_r(values.real), reference(values.real))
+    strided = values[:, :, ::2]
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(g.d_r(strided), reference(strided))
+
+
 def test_omega():
     g = make_grid(4, 12, 24, 1.0, 2.0)
     assert np.allclose(g.omega(0.0), g.kmag)

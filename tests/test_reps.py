@@ -14,12 +14,15 @@ from spinsplit.reps import (
     _act_chi,
     _act_J,
     _act_K,
+    _derivatives,
     _spin_act,
     algebra_residual,
     inner,
     random_test_section,
     relation_ids,
 )
+
+from spinsplit.scalars import eps
 
 from conftest import MASS
 
@@ -244,3 +247,84 @@ def test_act_chi_matches_einsum_reference(rep, grid_small_massive):
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     ref = np.einsum("...bc,...c->...b", rep.chi_field(grid_small_massive), v)
     assert np.array_equal(_act_chi(rep, grid_small_massive, v), ref)
+
+
+# -- the generator kernels against their quotient forms ----------------------------
+
+
+def _act_J_quotient(rep, grid, a, v, der=None):
+    # J_a v with d_phi v / sin(theta) as a quotient
+    if der is None:
+        der = _derivatives(grid, v, radial=False)
+    _, dth, dph = der
+    out = grid.e_phi[a][..., None] * dth
+    term = grid.e_theta[a][..., None] * dph
+    term /= grid.sin_theta[..., None]
+    out -= term
+    del term
+    out *= -1j
+    out += _spin_act(rep, a, v)
+    return out
+
+
+def _act_K_quotient(rep, grid, a, v, der=None):
+    # K_a v with d_theta v / r and d_phi v / (r sin(theta)) as quotients
+    # and omega + m formed per spin term
+    if der is None:
+        der = _derivatives(grid, v)
+    dr, dth, dph = der
+    if rep.kind == "massive":
+        omega = grid.omega(rep.mass)[..., None]
+        r3 = grid.kmag[..., None]
+        st = grid.sin_theta[..., None]
+        out = grid.e_k[a][..., None] * dr
+        term = dth / r3
+        term *= grid.e_theta[a][..., None]
+        out += term
+        np.divide(dph, r3 * st, out=term)
+        term *= grid.e_phi[a][..., None]
+        out += term
+        del term
+        out *= 1j * omega
+        ks = (grid.kx, grid.ky, grid.kz)
+        for b in range(3):
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    spin = _spin_act(rep, b, v)
+                    spin *= ((reps_mod._SIGMA_BOOST * e
+                              / (omega + rep.mass))
+                             * ks[c][..., None])
+                    out += spin
+        return out
+    radial = 1j * grid.kmag[..., None] * dr
+    out = grid.khat[a][..., None] * radial
+    del radial
+    for b in range(3):
+        for c in range(3):
+            e = eps(a, b, c)
+            if e:
+                term = _act_J_quotient(rep, grid, c, v, der)
+                term *= e * grid.khat[b][..., None]
+                out += term
+    return out
+
+
+@pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
+def test_generator_kernels_match_quotient_forms(rep, grid_small_massive,
+                                                grid_small_massless):
+    # the reciprocal products give the quotients bit for bit, with the
+    # derivative pass taken inside or passed in
+    grid = (grid_small_massive if rep.kind == "massive"
+            else grid_small_massless)
+    rng = np.random.default_rng(4)
+    shape = grid.shape + (rep.dim,)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    der = _derivatives(grid, v)
+    for a in range(3):
+        assert np.array_equal(_act_J(rep, grid, a, v),
+                              _act_J_quotient(rep, grid, a, v))
+        assert np.array_equal(_act_K(rep, grid, a, v),
+                              _act_K_quotient(rep, grid, a, v))
+        assert np.array_equal(_act_K(rep, grid, a, v, der),
+                              _act_K_quotient(rep, grid, a, v, der))
