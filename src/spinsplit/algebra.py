@@ -27,6 +27,9 @@ import sympy as sp
 from .scalars import CoefficientError, Ring, Scalar, eps
 
 __all__ = [
+    "BRACKETS",
+    "bracket_axes",
+    "bracket_terms",
     "OperatorExpr",
     "VectorExpr",
     "op_scalar",
@@ -49,6 +52,48 @@ _J = (0, 1, 2)
 _K = (3, 4, 5)
 
 GENERATOR_NAMES = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
+
+# The ten bracket families [A_a, B_b] among {J, K, P, H}, as (sign, C) with
+#   [A_a, B_b] = i sign eps_abc C_c    (A, B and C vectors: JJ, JK, KK, JP)
+#   [A_a, B_b] = i sign delta_ab C     (C = H a scalar: KP)
+#   [A_a, B]   = i sign C_a            (B = H a scalar: KH)
+# or None where the bracket vanishes (JH, PP, PH, HH).  The identity
+# catalog and the numerical algebra check both read this table;
+# ``_gen_commutator`` keeps its own copy of the J, K brackets, so the
+# catalog checks the normal-ordering engine against the table.
+BRACKETS = {
+    "JJ": (1, "J"),
+    "JK": (1, "K"),
+    "KK": (-1, "J"),
+    "JP": (1, "P"),
+    "KP": (1, "H"),
+    "KH": (1, "P"),
+    "JH": None,
+    "PP": None,
+    "PH": None,
+    "HH": None,
+}
+
+
+def bracket_axes(letter: str):
+    """The axes of generator ``letter``: none (None) for H, 0..2 else."""
+    return (None,) if letter == "H" else range(3)
+
+
+def bracket_terms(family: str, a: int | None, b: int | None) -> list:
+    """[A_a, B_b] / i for the ``BRACKETS`` family "AB", as a list of
+    (coefficient, generator letter, axis) terms; the axis of H is None,
+    as is ``a`` or ``b`` where A or B is H."""
+    entry = BRACKETS[family]
+    if entry is None:
+        return []
+    sign, target = entry
+    if target == "H":
+        return [(sign, target, None)] if a == b else []
+    if b is None:
+        return [(sign, target, a)]
+    return [(sign * eps(a, b, c), target, c) for c in range(3)
+            if eps(a, b, c)]
 
 
 def _gen_commutator(a: int, b: int):

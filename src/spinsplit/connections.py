@@ -85,14 +85,6 @@ class ConnectionLabError(ValueError):
 
 # -- radial weight profiles ----------------------------------------------------
 
-# the named weights ``fn(r, mass) -> array`` of ConnectionKind.affine
-_PROFILES = {
-    "flat": lambda r, m: np.sqrt(m**2 + r**2) / m,
-    "zero": lambda r, m: np.zeros_like(r),
-    "one": lambda r, m: np.ones_like(r),
-}
-
-
 def constant_profile(value: float):
     return lambda r, m: np.full_like(np.asarray(r, dtype=float), value)
 
@@ -105,14 +97,12 @@ def lambda_flat_profile(lam: float):
 class ConnectionKind:
     """A connection variant: boost, rotation, affine(f) or flat-massive."""
 
-    __slots__ = ("variant", "profile_name", "_profile")
+    __slots__ = ("variant", "_profile")
 
-    def __init__(self, variant: str, profile_name: str | None = None,
-                 profile=None):
+    def __init__(self, variant: str, profile=None):
         if variant not in ("boost", "rotation", "affine", "flat-massive"):
             raise ConnectionLabError(f"unknown connection variant {variant!r}")
         self.variant = variant
-        self.profile_name = profile_name
         self._profile = profile
 
     @classmethod
@@ -125,18 +115,16 @@ class ConnectionKind:
 
     @classmethod
     def affine(cls, profile) -> "ConnectionKind":
-        """profile: a name in _PROFILES or a callable f(r, mass)."""
-        if callable(profile):
-            return cls("affine", "<callable>", profile)
-        if profile not in _PROFILES:
+        """profile: the boost weight, a callable f(r, mass)."""
+        if not callable(profile):
             raise ConnectionLabError(
-                f"unknown profile {profile!r}; known: {sorted(_PROFILES)}"
-            )
-        return cls("affine", profile, _PROFILES[profile])
+                f"an affine profile is a callable f(r, mass); got "
+                f"{profile!r}")
+        return cls("affine", profile)
 
     @classmethod
     def flat_massive(cls):
-        return cls("flat-massive", "flat", _PROFILES["flat"])
+        return cls("flat-massive", lambda_flat_profile(1.0))
 
     def weight(self, r, mass):
         """The boost weight f (rotation weight is 1 - f)."""
@@ -152,8 +140,6 @@ class ConnectionKind:
         return self._profile(r, mass)
 
     def __repr__(self):
-        if self.variant == "affine":
-            return f"ConnectionKind.affine({self.profile_name!r})"
         return f"ConnectionKind({self.variant!r})"
 
 
@@ -411,7 +397,7 @@ def leibniz_residual(kind: ConnectionKind, x, f: np.ndarray,
         res = rhs[i] * f + psi * dfx
         residuals.append((lhs[i] - res).norm() / nrm)
         lhs[i] = rhs[i] = None
-    return max(residuals)
+    return float(np.max(residuals))
 
 
 def curvature_commutator(kind: ConnectionKind, x: TangentField,

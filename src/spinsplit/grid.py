@@ -33,6 +33,7 @@ __all__ = [
     "MomentumGrid",
     "Section",
     "make_grid",
+    "radial_collocation",
 ]
 
 
@@ -53,12 +54,14 @@ def _cheb_nodes(n: int):
 
 
 def _diff_matrix(x: np.ndarray) -> np.ndarray:
-    """Polynomial collocation differentiation matrix for distinct nodes."""
-    n = len(x)
+    """Polynomial collocation differentiation matrix for distinct nodes.
+    Nodes so close that the products of their spacings underflow give
+    non-finite entries, which ``radial_collocation`` reports."""
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
     c = np.prod(dx, axis=1)
-    d = (c[:, None] / c[None, :]) / dx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (c[:, None] / c[None, :]) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
     return d
@@ -77,6 +80,46 @@ def _quad_weights(x: np.ndarray) -> np.ndarray:
     m = np.array([0.0 if kk % 2 else 2.0 / (1.0 - kk**2) for kk in k])
     m[0] = 2.0
     return np.linalg.solve(v.T, m)
+
+
+def radial_collocation(n_r: int, r_min: float, r_max: float,
+                       radial_map: str = "linear", mass_scale: float = 1.0):
+    """The radial nodes r (ascending), the differentiation matrix d/dr at
+    them and the quadrature weights for dr on [r_min, r_max].
+
+    Chebyshev-Lobatto nodes lie either directly in r ("linear") or in
+    t = asinh(r/mass_scale) ("sinh").  The sinh map makes
+    sqrt(mass^2 + r^2) = mass*cosh(t) entire in the collocation variable,
+    which massive-representation operators need for spectral accuracy at
+    small N_r; the linear map differentiates radial polynomials exactly,
+    which massless operators exploit.  Raises :class:`GridError` when the
+    matrix or the weights are not finite, as when the node spacing
+    underflows (a sinh map with mass_scale far above r_max)."""
+    x = _cheb_nodes(n_r)
+    if radial_map == "linear":
+        half = 0.5 * (r_max - r_min)
+        r = r_min + half * (x + 1.0)
+        d_r = _diff_matrix(r)
+        w_r = half * _quad_weights(x)
+    elif radial_map == "sinh":
+        if not mass_scale > 0:
+            raise GridError("sinh radial map requires mass_scale > 0")
+        t_min = np.arcsinh(r_min / mass_scale)
+        t_max = np.arcsinh(r_max / mass_scale)
+        half = 0.5 * (t_max - t_min)
+        t = t_min + half * (x + 1.0)
+        r = mass_scale * np.sinh(t)
+        drdt = mass_scale * np.cosh(t)
+        d_r = _diff_matrix(t) / drdt[:, None]
+        w_r = half * _quad_weights(x) * drdt
+    else:
+        raise GridError(f"unknown radial_map {radial_map!r}")
+    if not (np.isfinite(d_r).all() and np.isfinite(w_r).all()):
+        raise GridError(
+            f"the {radial_map} radial map with N_r={n_r} on [{r_min}, "
+            f"{r_max}] (mass_scale={mass_scale}) gives a non-finite radial "
+            f"differentiation matrix or quadrature weights")
+    return r, d_r, w_r
 
 
 class MomentumGrid:
@@ -107,31 +150,8 @@ class MomentumGrid:
         self.r_min = r_min
         self.r_max = r_max
 
-        # Radial collocation: Chebyshev-Lobatto nodes either directly in r
-        # ("linear") or in t = asinh(r/mass_scale) ("sinh").  The sinh map
-        # makes sqrt(mass^2 + r^2) = mass*cosh(t) entire in the collocation
-        # variable, which massive-representation operators need for
-        # spectral accuracy at small N_r; the linear map differentiates
-        # radial polynomials exactly, which massless operators exploit.
-        x = _cheb_nodes(self.n_r)
-        if radial_map == "linear":
-            half = 0.5 * (r_max - r_min)
-            self.r = r_min + half * (x + 1.0)
-            self._d_r_matrix = _diff_matrix(self.r)
-            self.w_r = half * _quad_weights(x)
-        elif radial_map == "sinh":
-            if not mass_scale > 0:
-                raise GridError("sinh radial map requires mass_scale > 0")
-            t_min = np.arcsinh(r_min / mass_scale)
-            t_max = np.arcsinh(r_max / mass_scale)
-            half = 0.5 * (t_max - t_min)
-            t = t_min + half * (x + 1.0)
-            self.r = mass_scale * np.sinh(t)
-            drdt = mass_scale * np.cosh(t)
-            self._d_r_matrix = _diff_matrix(t) / drdt[:, None]
-            self.w_r = half * _quad_weights(x) * drdt
-        else:
-            raise GridError(f"unknown radial_map {radial_map!r}")
+        self.r, self._d_r_matrix, self.w_r = radial_collocation(
+            self.n_r, r_min, r_max, radial_map, mass_scale)
         self.radial_map = radial_map
         self.mass_scale = float(mass_scale)
 

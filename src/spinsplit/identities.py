@@ -2,20 +2,25 @@
 for the connections and angular-momentum splittings they involve.
 
 Every catalog entry is a list of (lhs, rhs) pairs of operator expressions
-whose difference must normal-form to exactly zero.  ``identity_suite``
-runs the catalog and reports per-entry results; a deliberate sign flip
-can be injected for mutation control.
+whose difference must normal-form to exactly zero.  The Poincare bracket
+entries take their right-hand sides from ``algebra.BRACKETS``, the table
+the numerical algebra check also reads, and their left-hand sides from
+the normal-ordering engine, which keeps its own copy of the brackets.
+``identity_suite`` runs the catalog and reports per-entry results; a
+deliberate sign flip can be injected for mutation control.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import sympy as sp
 
 from .algebra import (
     OperatorExpr,
     VectorExpr,
+    bracket_axes,
+    bracket_terms,
     commutator,
     gen_J,
     gen_K,
@@ -217,66 +222,23 @@ def spin_closed_form(ring: Ring) -> VectorExpr:
 # -- catalog ------------------------------------------------------------------
 
 
-def _pairs_jj(r):
-    return [
-        (commutator(gen_J(r, a), gen_J(r, b)),
-         sum((eps(a, b, c) * _i(r) * gen_J(r, c) for c in range(3)),
-             op_scalar(r, 0)))
-        for a in range(3) for b in range(3)
-    ]
+_GENERATORS = {"J": gen_J, "K": gen_K, "P": op_P,
+               "H": lambda r, axis: op_H(r)}
 
 
-def _pairs_jk(r):
-    return [
-        (commutator(gen_J(r, a), gen_K(r, b)),
-         sum((eps(a, b, c) * _i(r) * gen_K(r, c) for c in range(3)),
-             op_scalar(r, 0)))
-        for a in range(3) for b in range(3)
-    ]
-
-
-def _pairs_kk(r):
-    return [
-        (commutator(gen_K(r, a), gen_K(r, b)),
-         sum((-eps(a, b, c) * _i(r) * gen_J(r, c) for c in range(3)),
-             op_scalar(r, 0)))
-        for a in range(3) for b in range(3)
-    ]
-
-
-def _pairs_jp(r):
-    return [
-        (commutator(gen_J(r, a), op_P(r, b)),
-         sum((eps(a, b, c) * _i(r) * op_P(r, c) for c in range(3)),
-             op_scalar(r, 0)))
-        for a in range(3) for b in range(3)
-    ]
-
-
-def _pairs_kp(r):
-    return [
-        (commutator(gen_K(r, a), op_P(r, b)),
-         _i(r) * op_H(r) if a == b else op_scalar(r, 0))
-        for a in range(3) for b in range(3)
-    ]
-
-
-def _pairs_kh(r):
-    return [(commutator(gen_K(r, a), op_H(r)), _i(r) * op_P(r, a))
-            for a in range(3)]
-
-
-def _pairs_jh(r):
-    return [(commutator(gen_J(r, a), op_H(r)), op_scalar(r, 0))
-            for a in range(3)]
-
-
-def _pairs_translations(r):
-    out = [(commutator(op_P(r, a), op_P(r, b)), op_scalar(r, 0))
-           for a in range(3) for b in range(3)]
-    out += [(commutator(op_P(r, a), op_H(r)), op_scalar(r, 0))
-            for a in range(3)]
-    out.append((commutator(op_H(r), op_H(r)), op_scalar(r, 0)))
+def _bracket_pairs(families, r):
+    """[A_a, B_b] against i times its ``BRACKETS`` terms, for each family
+    "AB" in turn and every axis pair (a, b) of it."""
+    out = []
+    for family in families:
+        letter_a, letter_b = family
+        for a in bracket_axes(letter_a):
+            for b in bracket_axes(letter_b):
+                rhs = sum((k * _i(r) * _GENERATORS[c](r, axis)
+                           for k, c, axis in bracket_terms(family, a, b)),
+                          op_scalar(r, 0))
+                out.append((commutator(_GENERATORS[letter_a](r, a),
+                                       _GENERATORS[letter_b](r, b)), rhs))
     return out
 
 
@@ -377,18 +339,12 @@ def _pairs_bac_abc(r):
     return out
 
 
-def _pairs_j_decomposition(r):
-    Phat, J = vec_Phat(r), vec_J(r)
-    par = VectorExpr(Phat[a] * Phat.dot(J) for a in range(3))
-    perp = -Phat.cross(Phat.cross(J))
-    return [(gen_J(r, a), par[a] + perp[a]) for a in range(3)]
-
-
-def _pairs_k_decomposition(r):
-    Phat, K = vec_Phat(r), vec_K(r)
-    par = VectorExpr(Phat[a] * Phat.dot(K) for a in range(3))
-    perp = -Phat.cross(Phat.cross(K))
-    return [(gen_K(r, a), par[a] + perp[a]) for a in range(3)]
+def _pairs_decomposition(vector, r):
+    """V = Phat (Phat.V) - Phat x (Phat x V) for the generator vector V."""
+    Phat, V = vec_Phat(r), vector(r)
+    par = VectorExpr(Phat[a] * Phat.dot(V) for a in range(3))
+    perp = -Phat.cross(Phat.cross(V))
+    return [(V[a], par[a] + perp[a]) for a in range(3)]
 
 
 def _pairs_rotation_forms(r):
@@ -422,22 +378,10 @@ def _pairs_boost_curvature_commutator(r):
     return [(lhs, rhs)]
 
 
-def _pairs_boost_self_adjoint(r):
-    dk = boost_connection(r)
-    out = []
-    for a in range(3):
-        q = _i(r) * dk[a]
-        out.append((q.adjoint(), q))
-    return out
-
-
-def _pairs_rotation_self_adjoint(r):
-    dr = rotation_connection(r)
-    out = []
-    for a in range(3):
-        q = _i(r) * dr[a]
-        out.append((q.adjoint(), q))
-    return out
+def _pairs_self_adjoint(connection, r):
+    """(i D_a)^adjoint against i D_a for each component of a connection."""
+    qs = [_i(r) * d for d in connection(r)]
+    return [(q.adjoint(), q) for q in qs]
 
 
 def _pairs_quotient_soundness(r):
@@ -528,14 +472,14 @@ def _pairs_split_vector_ops(r):
 
 # Entries checked in the massive ring (m a positive symbol).
 CATALOG = {
-    "rotation-generators": _pairs_jj,
-    "rotation-boost-mixed": _pairs_jk,
-    "boost-generators": _pairs_kk,
-    "rotation-momentum": _pairs_jp,
-    "boost-momentum": _pairs_kp,
-    "boost-energy": _pairs_kh,
-    "rotation-energy": _pairs_jh,
-    "translation-sector": _pairs_translations,
+    "rotation-generators": partial(_bracket_pairs, ("JJ",)),
+    "rotation-boost-mixed": partial(_bracket_pairs, ("JK",)),
+    "boost-generators": partial(_bracket_pairs, ("KK",)),
+    "rotation-momentum": partial(_bracket_pairs, ("JP",)),
+    "boost-momentum": partial(_bracket_pairs, ("KP",)),
+    "boost-energy": partial(_bracket_pairs, ("KH",)),
+    "rotation-energy": partial(_bracket_pairs, ("JH",)),
+    "translation-sector": partial(_bracket_pairs, ("PP", "PH", "HH")),
     "inverse-commutator": _pairs_inverse_comm,
     "energy-power-commutator": _pairs_power_energy,
     "momentum-power-commutator": _pairs_power_momentum,
@@ -545,13 +489,16 @@ CATALOG = {
     "unit-contraction-asymmetry": _pairs_contraction_asymmetry_unit,
     "contraction-asymmetry": _pairs_contraction_asymmetry,
     "triple-cross-expansion": _pairs_bac_abc,
-    "angular-momentum-decomposition": _pairs_j_decomposition,
-    "boost-decomposition": _pairs_k_decomposition,
+    "angular-momentum-decomposition": partial(_pairs_decomposition,
+                                               vec_J),
+    "boost-decomposition": partial(_pairs_decomposition, vec_K),
     "rotation-connection-forms": _pairs_rotation_forms,
     "rotation-connection-bridge": _pairs_rotation_bridge,
     "boost-curvature-commutator": _pairs_boost_curvature_commutator,
-    "boost-connection-self-adjoint": _pairs_boost_self_adjoint,
-    "rotation-connection-self-adjoint": _pairs_rotation_self_adjoint,
+    "boost-connection-self-adjoint": partial(_pairs_self_adjoint,
+                                              boost_connection),
+    "rotation-connection-self-adjoint": partial(_pairs_self_adjoint,
+                                                 rotation_connection),
     "quotient-soundness": _pairs_quotient_soundness,
     "adjoint-momentum-cross": _pairs_adjoint_momentum_cross,
     "flat-connection-position": _pairs_flat_nw,

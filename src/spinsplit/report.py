@@ -37,7 +37,13 @@ from .connections import (
     lambda_flat_profile,
     leibniz_residual,
 )
-from .grid import MomentumGrid, Section, make_grid
+from .grid import (
+    GridError,
+    MomentumGrid,
+    Section,
+    make_grid,
+    radial_collocation,
+)
 from .identities import identity_suite
 from .reps import (
     RepSpec,
@@ -156,6 +162,15 @@ class RunConfig:
                 raise ConfigError(
                     f"bad massive rep mass={m}: need mass^2 > 0 and "
                     f"mass^2 + r_max^2 finite (r_max={r_max})")
+            # the sinh map of the rep's grids must differentiate at each
+            # N_r: far above r_max the mass crowds the nodes so close that
+            # the differentiation matrix is 0/0
+            for n_r in sorted({rung[0] for rung in ladder}):
+                try:
+                    radial_collocation(n_r, r_min, r_max, **_radial_map(m))
+                except GridError as exc:
+                    raise ConfigError(
+                        f"bad massive rep mass={m}: {exc}") from exc
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
@@ -283,11 +298,13 @@ class RunConfig:
         return 0.5 * (self.r_min + self.r_max)
 
     def grid_for(self, rung, mass: float) -> MomentumGrid:
-        nr, nt, npp = rung
-        if mass > 0:
-            return make_grid(nr, nt, npp, self.r_min, self.r_max,
-                             radial_map="sinh", mass_scale=mass)
-        return make_grid(nr, nt, npp, self.r_min, self.r_max)
+        return make_grid(*rung, self.r_min, self.r_max, **_radial_map(mass))
+
+
+def _radial_map(mass: float) -> dict:
+    """The radial map of a rep's grids: sinh scaled by a positive mass,
+    linear at zero mass."""
+    return {"radial_map": "sinh", "mass_scale": mass} if mass > 0 else {}
 
 
 # -- record helpers ---------------------------------------------------------------
@@ -455,8 +472,8 @@ def _suite_splitting(config: RunConfig, records, rows):
         records.append(_record(
             f"vector-op-massive-{spin}",
             "orbital and internal parts are vector operators under J",
-            max(vector_op_residual(ops, psi),
-                vector_op_residual(ops, psi, "S")), tol))
+            float(np.max([vector_op_residual(ops, psi),
+                          vector_op_residual(ops, psi, "S")])), tol))
     for h in config.massless:
         if h == 0:
             continue
@@ -534,7 +551,7 @@ def _suite_degeneracy(config: RunConfig, records, rows):
                          - apply_connection(dr, x, psi)).norm()
                         / psi.norm())
         # a coincidence must hold for every field, a separation too
-        worst, least = max(gaps), min(gaps)
+        worst, least = float(np.max(gaps)), float(np.min(gaps))
         if rep.kind == "massless":
             records.append(_record(
                 f"degeneracy-massless-h{rep.helicity:+d}",
@@ -587,11 +604,13 @@ def _suite_fplus(config: RunConfig, records, rows):
                 coeff_errs.append(abs(c - pred) / abs(pred))
             rows.append(("fplus", f"{rep!r}:lambda={lam}",
                          *config.ladder[-1], norms[-1], None))
+        off_one = 0.0 if int(np.argmin(norms)) == lams.index(1.0) else 1.0
+        if np.isnan(norms).any():
+            off_one = float("nan")  # argmin may pick out a NaN
         rec = _record(
             f"fplus-minimum-spin{spin}",
             "the affine weight H/m is the curvature minimum of the "
-            "constant-multiple family",
-            0.0 if int(np.argmin(norms)) == lams.index(1.0) else 1.0, 0.5)
+            "constant-multiple family", off_one, 0.5)
         rec["curvature_norms"] = {str(l): _jsonable(n)
                                   for l, n in zip(lams, norms)}
         records.append(rec)
@@ -599,7 +618,8 @@ def _suite_fplus(config: RunConfig, records, rows):
             f"fplus-prediction-spin{spin}",
             "measured affine curvature matches the "
             "(1 - lambda^2)/|k|^2 coefficient per lambda",
-            max(e for l, e in zip(lams, coeff_errs) if l != 1.0), tol))
+            float(np.max([e for l, e in zip(lams, coeff_errs) if l != 1.0])),
+            tol))
 
 
 def _suite_chern(config: RunConfig, records, rows):
@@ -670,10 +690,10 @@ def _suite_leibniz(config: RunConfig, records, rows):
                            + (grid.kz - 0.1)**2))
         frame = [TangentField.named(name)
                  for name in ("e_theta", "e_phi", "e_k")]
-        return [max(
+        return [float(np.max([
             leibniz_residual(kind, frame, f, psi)
             for kind in (ConnectionKind.boost(), ConnectionKind.rotation())
-        )]
+        ]))]
 
     for rep in _reps(config):
         (residuals,), _, _ = _ladder(config, rep, rows, "leibniz",

@@ -42,8 +42,9 @@ applies to its stack at every RK4 node.
 The helicity operator is pointwise (the orbital part of J.khat vanishes
 identically).  Each fiber action has one direct call: ``_act_J``,
 ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the generator
-letters H, P, J, K of the commutation-relation catalog, and
-``algebra_residual`` builds each first-level action of a bracket family
+letters H, P, J, K of the bracket table ``algebra.BRACKETS``, and
+``algebra_residual`` checks each family of that table, the one the
+symbolic identity catalog also reads, building each first-level action
 and its derivative pass once.
 """
 
@@ -51,6 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .algebra import BRACKETS, bracket_axes, bracket_terms
 from .grid import GridError, MomentumGrid, Section
 from .scalars import eps
 
@@ -337,16 +339,9 @@ def inner(psi: Section, phi: Section) -> complex:
     return complex(np.sum(w * dens))
 
 
-# -- commutation-relation residual catalog -------------------------------------
-#
-# The ten bracket families among {J, K, P, H}:
-#   JJ: [J_a,J_b] = i eps_abc J_c      JK: [J_a,K_b] = i eps_abc K_c
-#   KK: [K_a,K_b] = -i eps_abc J_c     JP: [J_a,P_b] = i eps_abc P_c
-#   KP: [K_a,P_b] = i delta_ab H       KH: [K_a,H] = i P_a
-#   JH: [J_a,H] = 0                    PP: [P_a,P_b] = 0
-#   PH: [P_a,H] = 0                    HH: [H,H] = 0
+# -- commutation-relation residuals -------------------------------------------
 
-_RELATIONS = ("JJ", "JK", "KK", "JP", "KP", "KH", "JH", "PP", "PH", "HH")
+_RELATIONS = tuple(BRACKETS)
 
 
 def relation_ids():
@@ -388,10 +383,7 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
         return _act(rep, grid, tag, axis, w, der)
 
     t1, t2 = relation_id[0], relation_id[1]
-    vec = {"J", "K", "P"}
-    axes1 = range(3) if t1 in vec else (None,)
-    axes2 = range(3) if t2 in vec else (None,)
-    pairs = [(a, b) for a in axes1 for b in axes2
+    pairs = [(a, b) for a in bracket_axes(t1) for b in bracket_axes(t2)
              if relation_id not in ("JJ", "KK", "PP") or b > a]
     # per first-level action: the pairs it starts, each with the
     # second-level generator and axis, and whether the result is the half
@@ -404,28 +396,8 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
                                          g[0] != t2))
 
     def finish(a, b, lhs):
-        if relation_id in ("JJ", "JK"):
-            target = ("J", "K")[relation_id == "JK"]
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    lhs = lhs - 1j * e * act(target, c, v, v_der)
-        elif relation_id == "KK":
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    lhs = lhs + 1j * e * act("J", c, v, v_der)
-        elif relation_id == "JP":
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    lhs = lhs - 1j * e * act("P", c, v)
-        elif relation_id == "KP":
-            if a == b:
-                lhs = lhs - 1j * act("H", None, v)
-        elif relation_id == "KH":
-            lhs = lhs - 1j * act("P", a, v)
-        # JH, PP, PH, HH: RHS = 0
+        for k, target, c in bracket_terms(relation_id, a, b):
+            lhs = lhs - 1j * k * act(target, c, v, v_der)
         return norm_of(lhs) / nrm
 
     # one pass over v serves every first-level action and every
@@ -452,8 +424,7 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
             residual[pair] = finish(*pair, lhs)
             del lhs
         del g, g_der
-    # the largest in pair order, as a loop over the pairs would take it
-    return max([0.0] + [residual[pair] for pair in pairs])
+    return float(np.max([residual[pair] for pair in pairs]))
 
 
 # -- test sections -------------------------------------------------------------

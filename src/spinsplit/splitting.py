@@ -20,7 +20,9 @@ Every diagnostic applies the fields that act on one section in one
 batched covariant derivative, with one derivative pass over that
 section: X_c psi for all c at once, and in the vector-operator check
 X_a (J_b psi) for all a at once, one J_b psi at a time.  Each value
-equals, bit for bit, the one-field call it replaces.
+equals, bit for bit, the one-field call it replaces.  The largest
+residual is taken with ``np.max``, which returns NaN when any residual
+is NaN; the builtin ``max`` would keep a number found before it.
 
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
@@ -206,7 +208,7 @@ def vector_op_residual(ops: SplitOperators, psi: Section,
     rep, grid = psi.rep, psi.grid
     nrm = psi.norm()
     x_psi = act(range(3), psi)
-    worst = 0.0
+    residuals = []
     for b in range(3):
         j_b = ops.J(b, psi)
         x_j = act(range(3), j_b)
@@ -219,9 +221,9 @@ def vector_op_residual(ops: SplitOperators, psi: Section,
                 e = eps(a, b, c)
                 if e:
                     out = out - x_psi[c] * (1j * e)
-            worst = max(worst, out.norm() / nrm)
+            residuals.append(out.norm() / nrm)
             del out
-    return worst
+    return float(np.max(residuals))
 
 
 def internality_residual(ops: SplitOperators, f: np.ndarray, psi: Section,
@@ -234,7 +236,8 @@ def internality_residual(ops: SplitOperators, f: np.ndarray, psi: Section,
     nrm = psi.norm()
     x_fpsi = act(range(3), psi * f)
     x_psi = act(range(3), psi)
-    return max((x_fpsi[a] - x_psi[a] * f).norm() / nrm for a in range(3))
+    return float(np.max([(x_fpsi[a] - x_psi[a] * f).norm() / nrm
+                         for a in range(3)]))
 
 
 def leibniz_term_norm(ops: SplitOperators, f: np.ndarray,
@@ -244,12 +247,12 @@ def leibniz_term_norm(ops: SplitOperators, f: np.ndarray,
     grid = psi.grid
     df = grid.gradient(np.asarray(f)[..., None])[..., 0]
     nrm = psi.norm()
-    worst = 0.0
+    residuals = []
     for a in range(3):
         xv = ops.field(a).values(grid)
         dfx = sum(xv[i] * df[i] for i in range(3))
-        worst = max(worst, (psi * dfx).norm() / nrm)
-    return worst
+        residuals.append((psi * dfx).norm() / nrm)
+    return float(np.max(residuals))
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -288,10 +291,8 @@ def so3_residual(ops: SplitOperators, psi: Section,
     """max over (a,b) of ||([X_a, X_b] - i eps_abc X_c) psi|| / ||psi||."""
     act = _component(ops, which)
     nrm = psi.norm()
-    worst = 0.0
-    for res in _so3_failures(act, psi, lambda out: out.norm() / nrm):
-        worst = max(worst, res)
-    return worst
+    return float(np.max(_so3_failures(act, psi,
+                                      lambda out: out.norm() / nrm)))
 
 
 def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
@@ -303,13 +304,13 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     # every so(3) failure first, so the L sections are gone before the
     # curvature passes
     failures = _so3_failures(ops.L_axes, psi, lambda out: out)
-    worst = 0.0
+    residuals = []
     for i, (a, b) in enumerate(_PAIRS):
         out = failures[i] + curvature_commutator(ops.kind, ops.field(a),
                                                  ops.field(b), psi)
         failures[i] = None
-        worst = max(worst, out.norm() / nrm)
-    return worst
+        residuals.append(out.norm() / nrm)
+    return float(np.max(residuals))
 
 
 def jperp_so3_residual(ops: SplitOperators, psi: Section) -> float:
@@ -330,11 +331,8 @@ def jperp_so3_residual(ops: SplitOperators, psi: Section) -> float:
         return perp_c - Section(psi.rep, psi.grid,
                                 psi.grid.khat[c][..., None] * chi)
 
-    worst = 0.0
-    for res in _so3_failures(act, psi, lambda out: out.norm() / nrm,
-                             target):
-        worst = max(worst, res)
-    return worst
+    return float(np.max(_so3_failures(act, psi,
+                                      lambda out: out.norm() / nrm, target)))
 
 
 # -- the flat-connection (mean) position operator --------------------------------
@@ -423,38 +421,38 @@ def nw_match_residual(rep: RepSpec, grid: MomentumGrid,
     qa = NWOperator(rep, grid, "affine").apply_axes(range(3), psi)
     qc = NWOperator(rep, grid, "closed-form").apply_axes(range(3), psi)
     nrm = psi.norm()
-    return max((qa[a] - qc[a]).norm() / nrm for a in range(3))
+    return float(np.max([(qa[a] - qc[a]).norm() / nrm for a in range(3)]))
 
 
-def nw_gradient_residual(rep: RepSpec, grid: MomentumGrid, psi: Section,
-                         mode: str = "closed-form") -> float:
+def nw_gradient_residual(rep: RepSpec, grid: MomentumGrid,
+                         psi: Section) -> float:
     """max_a || H^(-1/2) Q_a (H^(1/2) psi) - i (grad psi)_a || / ||psi||.
 
     The conjugation by sqrt(H) maps to the coordinates in which the
     inner product is the plain (unweighted) momentum integral; there the
     mean position operator acts as the componentwise gradient i*grad."""
     sqw = np.sqrt(grid.omega(rep.mass))
-    q = NWOperator(rep, grid, mode).apply_axes(range(3), psi * sqw)
+    q = NWOperator(rep, grid, "closed-form").apply_axes(range(3), psi * sqw)
     g = grid.gradient(psi.values)
     nrm = psi.norm()
-    return max(
+    return float(np.max([
         ((q[a] * (1.0 / sqw))
          - Section(rep, grid, 1j * g[a])).norm() / nrm
         for a in range(3)
-    )
+    ]))
 
 
 def nw_hermiticity_defect(rep: RepSpec, grid: MomentumGrid, psi: Section,
-                          phi: Section, mode: str = "closed-form") -> float:
+                          phi: Section) -> float:
     """max_a |<psi, Q_a phi> - <Q_a psi, phi>| / (||psi|| ||phi||)."""
-    q = NWOperator(rep, grid, mode)
+    q = NWOperator(rep, grid, "closed-form")
     q_phi = q.apply_axes(range(3), phi)
     q_psi = q.apply_axes(range(3), psi)
     scale = psi.norm() * phi.norm()
-    return max(
+    return float(np.max([
         abs(inner(psi, q_phi[a]) - inner(q_psi[a], phi)) / scale
         for a in range(3)
-    )
+    ]))
 
 
 # -- parallel fiber frame ---------------------------------------------------------
@@ -544,12 +542,12 @@ def spin_in_frame(ops: SplitOperators, frame: ParallelFrame,
             )
         u = frame.frames[jt, lp]
         mats = spin_endomorphism_at(ops, node)
-        dev = max(
-            float(np.linalg.norm(np.conj(u.T) @ mats[a] @ u
-                                 - rep.spin_mats[a]))
+        dev = float(np.max([
+            np.linalg.norm(np.conj(u.T) @ mats[a] @ u - rep.spin_mats[a])
             for a in range(3)
-        )
+        ]))
         report["nodes"].append({"node": tuple(int(x) for x in node),
                                 "deviation": dev})
-        report["max_deviation"] = max(report["max_deviation"], dev)
+        report["max_deviation"] = float(np.max([report["max_deviation"],
+                                                dev]))
     return report

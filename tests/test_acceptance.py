@@ -24,6 +24,7 @@ from spinsplit.connections import (
     TangentField,
     apply_connection,
     chern_number,
+    constant_profile,
     cross_commutator_check,
     curvature_commutator,
     holonomy,
@@ -144,7 +145,7 @@ def test_criterion_03_chern_number():
         rep = RepSpec.massless(h)
         vals = []
         for kind in (ConnectionKind.boost(), ConnectionKind.rotation(),
-                     ConnectionKind.affine("one")):
+                     ConnectionKind.affine(constant_profile(1.0))):
             n, raw = chern_number(rep, kind, n_theta=48, n_phi=96)
             vals.append((n, raw))
             ok = ok and n == -2 * h and abs(raw - n) <= TOL_CHERN

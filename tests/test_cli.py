@@ -267,6 +267,41 @@ def test_ini_shell_radius_whose_square_overflows_exits_2(tmp_path, capsys):
         assert np.all(np.isfinite(grid.omega(mass)))
 
 
+def test_mass_whose_radial_map_underflows_exits_2(tmp_path, capsys):
+    # far above r_max the sinh nodes crowd so close that the radial
+    # differentiation matrix is 0/0, and every residual would be NaN
+    assert main(["run", "--suite", "splitting", "nw", "--mass", "1e150",
+                 "--spin", "1", "--helicity", "1",
+                 "--grid", "5,12,24"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "mass=1e+150" in captured.err
+    assert "PASS" not in captured.out + captured.err
+    path = _write(tmp_path, "[run]\nsuites = algebra\n"
+                            "[reps]\nmassive = 1e150:1\n")
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert "mass=1e+150" in capsys.readouterr().err
+
+
+_SECTION_SUITES = ("algebra", "curvature", "splitting", "leibniz", "nw",
+                   "degeneracy", "fplus")
+
+
+def test_nan_section_fails_every_record(monkeypatch):
+    def with_one_nan(*args, **kwargs):
+        psi = random_test_section(*args, **kwargs)
+        psi.values[1, 2, 3, 0] = np.nan
+        return psi
+
+    monkeypatch.setattr("spinsplit.report.random_test_section", with_one_nan)
+    report = run_suites(RunConfig(
+        suites=_SECTION_SUITES, ladder=((4, 12, 24), (6, 24, 48)),
+        massive=[(1.3, 1)], massless=[1]))
+    records = report["records"]
+    assert {r["suite"] for r in records} == set(_SECTION_SUITES)
+    assert [r["name"] for r in records
+            if r["passed"] or not np.isnan(r["measured"])] == []
+
+
 # -- INI reading rules -----------------------------------------------------------
 
 
@@ -506,7 +541,7 @@ def test_run_symbolic_deterministic(tmp_path, capsys):
     assert "PASS symbolic:" in err
 
 
-_GATE_SUITES = ("algebra", "curvature", "splitting", "leibniz")
+_GATE_SUITES = tuple(SUITES)
 
 
 def _suite_results(suites) -> dict:
@@ -522,8 +557,9 @@ def _suite_results(suites) -> dict:
 
 
 def test_suite_results_do_not_depend_on_what_ran_before():
-    # the per-grid reciprocal fields, the cached connections and the
-    # global memos must carry nothing from one suite into the next
+    # the per-grid reciprocal fields, the cached connections, the global
+    # symbolic memos and the identity caches must carry nothing from one
+    # suite into the next
     alone = {}
     for suite in _GATE_SUITES:
         alone.update(_suite_results([suite]))

@@ -393,8 +393,8 @@ def test_chern_kind_independent():
     values = [chern_number(rep, kind)
               for kind in (ConnectionKind.boost(),
                            ConnectionKind.rotation(),
-                           ConnectionKind.affine("zero"),
-                           ConnectionKind.affine("one"))]
+                           ConnectionKind.affine(constant_profile(0.0)),
+                           ConnectionKind.affine(constant_profile(1.0)))]
     assert all(n == -2 for n, _ in values)
     raws = [raw for _, raw in values]
     assert max(raws) - min(raws) < 1e-6

@@ -32,6 +32,15 @@ def test_bad_dimensions_rejected():
         make_grid(4, 12, 24, -1.0, 2.0)
 
 
+def test_non_finite_radial_collocation_rejected():
+    # the products of the node spacings underflow, and the
+    # differentiation matrix would be 0/0
+    with pytest.raises(GridError, match="non-finite"):
+        make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=1e150)
+    with pytest.raises(GridError, match="non-finite"):
+        make_grid(6, 12, 24, 1e-100, 2e-100)
+
+
 def test_theta_nodes_avoid_poles():
     g = make_grid(4, 12, 24, 1.0, 2.0)
     assert g.theta.min() > 0.0

@@ -1,5 +1,7 @@
 """The exact symbolic identity catalog: every entry must normal-form to
-zero, and a deliberately mutated entry must be caught."""
+zero, and a deliberately mutated entry must be caught.  A sign flip in
+the shared bracket table must fail both the catalog and the numerical
+algebra check."""
 
 import json
 import os
@@ -10,14 +12,21 @@ from pathlib import Path
 import pytest
 
 import spinsplit
-from spinsplit.algebra import VectorExpr
+from spinsplit.algebra import (
+    BRACKETS,
+    VectorExpr,
+    bracket_axes,
+    bracket_terms,
+)
 from spinsplit.identities import (
     CATALOG,
     MASSLESS_CATALOG,
     TEXT_CATALOG,
+    _bracket_pairs,
     identity_suite,
 )
 from spinsplit.lang import lower, parse
+from spinsplit.reps import algebra_residual, random_test_section, relation_ids
 from spinsplit.scalars import Ring
 
 
@@ -99,3 +108,86 @@ def test_catalog_is_fast():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) < 10.0
+
+
+# -- the bracket table shared with the numerical algebra check ----------------
+
+# the catalog entry that holds each nonvanishing bracket family
+_BRACKET_ENTRIES = {
+    "JJ": "rotation-generators",
+    "JK": "rotation-boost-mixed",
+    "KK": "boost-generators",
+    "JP": "rotation-momentum",
+    "KP": "boost-momentum",
+    "KH": "boost-energy",
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BRACKET_ENTRIES))
+def test_bracket_sign_flip_fails_catalog_and_numeric_check(
+        family, monkeypatch, rep_massive1, grid_mid_massive):
+    psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
+    clean = algebra_residual(rep_massive1, grid_mid_massive, family, psi)
+    sign, target = BRACKETS[family]
+    monkeypatch.setitem(BRACKETS, family, (-sign, target))
+    ring = Ring()
+    failing = [name for name in _BRACKET_ENTRIES.values()
+               if any(not (lhs - rhs).is_zero()
+                      for lhs, rhs in CATALOG[name](ring))]
+    assert failing == [_BRACKET_ENTRIES[family]]
+    flipped = algebra_residual(rep_massive1, grid_mid_massive, family, psi)
+    assert clean < 1e-2 and flipped > 1.0, (clean, flipped)
+
+
+# pairs per bracket family, every axis pair in turn: 9 for two vectors, 3
+# for a vector and H, 1 for [H, H]; the nonzero terms over all pairs
+_FAMILY_PAIRS = {"JJ": 9, "JK": 9, "KK": 9, "JP": 9, "KP": 9, "KH": 3,
+                 "JH": 3, "PP": 9, "PH": 3, "HH": 1}
+_FAMILY_TERMS = {"JJ": 6, "JK": 6, "KK": 6, "JP": 6, "KP": 3, "KH": 3,
+                 "JH": 0, "PP": 0, "PH": 0, "HH": 0}
+
+
+def test_bracket_family_pair_counts():
+    assert tuple(BRACKETS) == tuple(_FAMILY_PAIRS) == relation_ids()
+    ring = Ring()
+    counts = {family: len(_bracket_pairs((family,), ring))
+              for family in BRACKETS}
+    assert counts == _FAMILY_PAIRS
+    terms = {family: sum(len(bracket_terms(family, a, b))
+                         for a in bracket_axes(family[0])
+                         for b in bracket_axes(family[1]))
+             for family in BRACKETS}
+    assert terms == _FAMILY_TERMS
+
+
+# every catalog entry with its pair count, in catalog order
+_CATALOG_COUNTS = [
+    ("rotation-generators", 9), ("rotation-boost-mixed", 9),
+    ("boost-generators", 9), ("rotation-momentum", 9),
+    ("boost-momentum", 9), ("boost-energy", 3), ("rotation-energy", 3),
+    ("translation-sector", 13), ("inverse-commutator", 3),
+    ("energy-power-commutator", 14), ("momentum-power-commutator", 14),
+    ("momentum-boost-contraction", 3), ("unit-momentum-boost", 9),
+    ("weighted-boost-momentum", 27), ("unit-contraction-asymmetry", 1),
+    ("contraction-asymmetry", 1), ("triple-cross-expansion", 9),
+    ("angular-momentum-decomposition", 3), ("boost-decomposition", 3),
+    ("rotation-connection-forms", 3), ("rotation-connection-bridge", 3),
+    ("boost-curvature-commutator", 1),
+    ("boost-connection-self-adjoint", 3),
+    ("rotation-connection-self-adjoint", 3), ("quotient-soundness", 4),
+    ("adjoint-momentum-cross", 3), ("flat-connection-position", 3),
+    ("flat-connection-spin", 3), ("boost-orbital-form", 3),
+    ("rotation-orbital-form", 3),
+]
+_MASSLESS_CATALOG_COUNTS = [
+    ("massless-parallel-commutators", 3),
+    ("massless-perpendicular-commutators", 3),
+    ("massless-split-vector-ops", 18), ("massless-quotient-soundness", 3),
+]
+
+
+def test_catalog_entries_and_pair_counts_are_pinned():
+    for massless, pinned in ((False, _CATALOG_COUNTS),
+                             (True, _MASSLESS_CATALOG_COUNTS)):
+        records = identity_suite(massless=massless)
+        assert [(r["name"], r["count"]) for r in records] == pinned

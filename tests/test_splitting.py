@@ -8,10 +8,18 @@ import pytest
 from spinsplit.connections import (
     ConnectionKind,
     ConnectionLabError,
+    TangentField,
+    cross_commutator_check,
     lambda_flat_profile,
+    leibniz_residual,
 )
 from spinsplit.grid import make_grid
-from spinsplit.reps import RepSpec, random_test_section
+from spinsplit.reps import (
+    RepSpec,
+    algebra_residual,
+    random_test_section,
+    relation_ids,
+)
 from spinsplit.splitting import (
     NWOperator,
     SplitOperators,
@@ -157,6 +165,49 @@ def test_parallel_split_requires_massless(rep_massive1,
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
     with pytest.raises(SplittingError):
         ops.j_parallel(0, psi)
+
+
+def _with_one_nan(rep, grid):
+    psi = random_test_section(rep, grid, seed=3)
+    psi.values[1, 2, 3, 0] = np.nan
+    return psi
+
+
+def test_nan_section_gives_nan_from_every_diagnostic(
+        rep_massive1, grid_small_massive, rep_massless_plus,
+        grid_small_massless):
+    # a NaN must not be read as a zero residual: the builtin max keeps
+    # its running value past a NaN, since nan > x is false
+    g = grid_small_massive
+    psi = _with_one_nan(rep_massive1, g)
+    phi = random_test_section(rep_massive1, g, seed=5)
+    f = smooth_scalar(g)
+    flat = SplitOperators(rep_massive1, g, FLAT)
+    values = {
+        "algebra-" + rid: algebra_residual(rep_massive1, g, rid, psi)
+        for rid in relation_ids()}
+    values.update({
+        "so3-L": so3_residual(flat, psi),
+        "so3-S": so3_residual(flat, psi, "S"),
+        "vector-op-L": vector_op_residual(flat, psi),
+        "vector-op-S": vector_op_residual(flat, psi, "S"),
+        "internality": internality_residual(flat, f, psi),
+        "leibniz-term": leibniz_term_norm(flat, f, psi),
+        "defect": defect_identity_residual(flat, psi),
+        "leibniz": leibniz_residual(BOOST, TangentField.named("e_phi"), f,
+                                    psi),
+        "nw-match": nw_match_residual(rep_massive1, g, psi),
+        "nw-gradient": nw_gradient_residual(rep_massive1, g, psi),
+        "nw-hermitian": nw_hermiticity_defect(rep_massive1, g, phi, psi),
+    })
+    values.update({f"cross-{label}": res
+                   for label, res in cross_commutator_check(psi).items()})
+    h = grid_small_massless
+    massless = SplitOperators(rep_massless_plus, h, BOOST)
+    values["jperp-so3"] = jperp_so3_residual(
+        massless, _with_one_nan(rep_massless_plus, h))
+    assert [name for name, res in values.items()
+            if not np.isnan(res)] == []
 
 
 # -- position operator ----------------------------------------------------------------
