@@ -16,8 +16,11 @@ All are built from the exact generator actions of :mod:`spinsplit.reps`.
 A section takes one derivative pass (d_r, d_theta, d_phi) for every
 tangent field applied to it: ``apply_connections`` builds each K_a and
 J_a action once from that pass and adds it to every field's sums, and
-``apply_connection`` is its one-field case.  The curvature commutator
-and the splitting diagnostics batch the fields that act on one section.
+``apply_connection`` is its one-field case.  After that pass the
+covariant derivative is pointwise in r, so ``_covariant_values`` runs one
+radial shell at a time on the grid's ``shell`` view and keeps every
+temporary one shell in size.  The curvature commutator and the
+splitting diagnostics batch the fields that act on one section.
 The boost and rotation kinds build only the branch their weight keeps.
 For sphere-tangential directions every built-in connection also has a
 closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MomentumGrid, Section
+from .grid import GridShell, MomentumGrid, Section
 from .reps import (
     RepSpec,
     _act_chi,
@@ -284,22 +287,44 @@ def _covariant_values(rep: RepSpec, grid: MomentumGrid,
     f*Boost + (1 - f)*Rotation with boost weight f = 1 (boost), 0
     (rotation) or a radial profile (affine).
 
-    One derivative pass over v (``der``, computed here unless given)
-    serves every field: each K_a v and J_a v is built once and added to
-    every field's accumulators in the order a one-field call adds it.
-    Each K_a v feeds both the boost sum X.K v and the radial sum
-    khat.K v.  The boost and rotation kinds build only the branch their
-    weight keeps; f*A + (1 - f)*B would multiply the other by exact
-    zero."""
-    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
+    One derivative pass over the whole of v (``der``, computed here
+    unless given) serves every field.  The rest is pointwise in r, so it
+    runs one radial shell at a time (``_covariant_shell`` on
+    ``grid.shell(i)``) and writes each shell of the output sections:
+    every temporary is one shell, not one section, and each value is the
+    one a whole-section pass gives, bit for bit."""
+    f = kind.weight(grid.r, rep.mass)
+    dr, dth, dph = _derivatives(grid, v) if der is None else der
+    del der
+    out = [np.empty_like(v) for _ in xvs]
+    for i in range(grid.n_r):
+        s = slice(i, i + 1)
+        vals = _covariant_shell(
+            rep, grid.shell(i), kind, f[s, None, None, None],
+            [xv[:, s] for xv in xvs], v[s], (dr[s], dth[s], dph[s]))
+        for o, val in zip(out, vals):
+            o[s] = val
+        del vals
+    return out
+
+
+def _covariant_shell(rep: RepSpec, grid: GridShell, kind: ConnectionKind,
+                     f, xvs, v: np.ndarray, der) -> list:
+    """``_covariant_values`` on one radial shell: ``grid`` is the
+    :class:`~spinsplit.grid.GridShell`, and the weight f, the fields, v
+    and the derivative pass ``der`` are sliced to it.
+
+    Each K_a v and J_a v is built once and added to every field's
+    accumulators in the order a one-field call adds it.  Each K_a v
+    feeds both the boost sum X.K v and the radial sum khat.K v.  The
+    boost and rotation kinds build only the branch their weight keeps;
+    f*A + (1 - f)*B would multiply the other by exact zero."""
     use_boost = kind.variant != "rotation"
     use_rotation = kind.variant != "boost"
     massive = rep.kind == "massive"
-    dr, dth, dph = _derivatives(grid, v) if der is None else der
-    del der
+    dr, dth, dph = der
     # the K actions first, then the J actions: each accumulator receives
-    # its terms in axis order, and d_r v is dropped before the rotation
-    # accumulators exist
+    # its terms in axis order
     boosts = [np.zeros_like(v) for _ in xvs] if use_boost else []
     if not use_rotation:
         radial = None
@@ -314,8 +339,7 @@ def _covariant_values(rep: RepSpec, grid: MomentumGrid,
                 accs,
                 lambda i: (xvs[i][a] if i < len(boosts)
                            else grid.khat[a])[..., None],
-                _act_K(rep, grid, a, v, (dr, dth, dph)))
-    del dr
+                _act_K(rep, grid, a, v, der))
     rotations = []
     if use_rotation:
         rotations = [np.zeros_like(v) for _ in xvs]
@@ -327,8 +351,6 @@ def _covariant_values(rep: RepSpec, grid: MomentumGrid,
                            / grid.kmag)[..., None],
                 j_a)
             del j_a
-    # drop the derivative pass before combining: it sets the peak memory
-    del dth, dph
     omega = grid.omega(rep.mass)[..., None]
     for xv, rotation in zip(xvs, rotations):
         xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]

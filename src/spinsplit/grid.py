@@ -20,8 +20,17 @@ which is why N_phi must be even.  This applies to fiber components stored
 in a fixed Cartesian-frame basis (as all sections here are), not to
 spherical-frame components.
 
-Section values are stored in C order over (r ascending, theta
-ascending, phi ascending, fiber component).
+Section values have the logical shape (N_r, N_theta, N_phi, d), r, theta
+and phi ascending.  They are stored component-major: each fiber component
+is one contiguous (N_r, N_theta, N_phi) block, as ``component_major``
+lays them out (``np.moveaxis`` of a C-contiguous (d, N_r, N_theta, N_phi)
+array).  numpy's elementwise operations, ``empty_like`` and ``zeros_like``
+keep that layout, so a product of a grid field with a section runs its
+inner loop along a whole block instead of along the short fiber axis.
+The derivatives work block by block and return the same layout; the
+angular stencils run one radial shell at a time.  ``MomentumGrid.shell``
+gives one shell's coordinate fields, shaped (1, N_theta, N_phi), for code
+that works a section one shell at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +39,10 @@ import numpy as np
 
 __all__ = [
     "GridError",
+    "GridShell",
     "MomentumGrid",
     "Section",
+    "component_major",
     "make_grid",
     "radial_collocation",
 ]
@@ -48,6 +59,39 @@ _FD8 = np.array(
 _FD8_HALF = 4
 
 
+def component_major(shape, dtype=np.complex128) -> np.ndarray:
+    """An empty array of ``shape`` (N_r, N_theta, N_phi, ...) whose every
+    trailing index (a fiber component) is one contiguous (N_r, N_theta,
+    N_phi) block: ``np.moveaxis`` of a C-contiguous array with the
+    trailing axes in front."""
+    shape = tuple(shape)
+    n = len(shape) - 3
+    base = np.empty(shape[3:] + shape[:3], dtype=dtype)
+    return np.moveaxis(base, tuple(range(n)), tuple(range(3, 3 + n)))
+
+
+def _trailing_first(values: np.ndarray) -> np.ndarray:
+    """The view of ``values`` (N_r, N_theta, N_phi, ...) with its trailing
+    axes moved in front; C-contiguous exactly when ``values`` is
+    component-major."""
+    n = values.ndim - 3
+    return np.moveaxis(values, tuple(range(3, 3 + n)), tuple(range(n)))
+
+
+def _blocks(values: np.ndarray) -> np.ndarray:
+    """The (N_r, N_theta, N_phi) blocks of ``values``, one per trailing
+    index, as an array of shape (blocks, N_r, N_theta, N_phi): a view of
+    a component-major array."""
+    return _trailing_first(values).reshape((-1,) + values.shape[:3])
+
+
+def _as_float(values) -> np.ndarray:
+    """``values`` as float64, or complex128 if complex."""
+    return np.asarray(
+        values,
+        dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
+
+
 def _cheb_nodes(n: int):
     """Chebyshev-Lobatto nodes on [-1, 1], ascending."""
     return -np.cos(np.pi * np.arange(n) / (n - 1))
@@ -55,12 +99,13 @@ def _cheb_nodes(n: int):
 
 def _diff_matrix(x: np.ndarray) -> np.ndarray:
     """Polynomial collocation differentiation matrix for distinct nodes.
-    Nodes so close that the products of their spacings underflow give
-    non-finite entries, which ``radial_collocation`` reports."""
+    Nodes so close or so far apart that the products of their spacings
+    underflow or overflow give non-finite entries, which
+    ``radial_collocation`` reports."""
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
-    c = np.prod(dx, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = np.prod(dx, axis=1)
         d = (c[:, None] / c[None, :]) / dx
     np.fill_diagonal(d, 0.0)
     np.fill_diagonal(d, -d.sum(axis=1))
@@ -187,6 +232,7 @@ class MomentumGrid:
         self.e_k = self.khat
         self.e_theta = np.stack([ct * cp + zero, ct * sp_ + zero, -st + zero])
         self.e_phi = np.stack([-sp_ + zero, cp + zero, zero])
+        self._shells = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -219,29 +265,42 @@ class MomentumGrid:
         """Energy sqrt(mass^2 + |k|^2), shape (N_r, N_theta, N_phi)."""
         return np.sqrt(mass**2 + self.kmag**2)
 
+    def shell(self, i: int) -> "GridShell":
+        """Radial shell ``i`` as a :class:`GridShell`, built once."""
+        if i not in self._shells:
+            self._shells[i] = GridShell(self, i)
+        return self._shells[i]
+
     # -- derivatives ---------------------------------------------------------
     #
     # All operate on arrays of shape (N_r, N_theta, N_phi, ...) whose fiber
-    # components are Cartesian-frame (single-valued on R^3).
+    # components are Cartesian-frame (single-valued on R^3), real or
+    # complex, and return float64 or complex128 arrays of the same shape,
+    # component-major (see ``component_major``) whatever the input layout.
 
     def d_r(self, values: np.ndarray) -> np.ndarray:
         """Spectral radial derivative along axis 0.
 
-        A C-contiguous complex128 array is differentiated through its
-        float64 view, as one (N_r, N_r) by (N_r, 2*rest) product, in about
-        a third of the time.  The real matrix acts on the real and
-        imaginary parts alike; the complex contraction computes the same
-        sums plus products with the matrix's zero imaginary part, so the
-        values agree (only the sign of a zero can differ).  Real or
-        strided input takes the plain contraction."""
-        if values.dtype == np.complex128 and values.flags.c_contiguous:
-            flat = values.view(np.float64).reshape(len(values), -1)
-            out = np.einsum("ij,jk->ik", self._d_r_matrix, flat)
-            return out.view(np.complex128).reshape(values.shape)
-        return np.einsum("ij,j...->i...", self._d_r_matrix, values)
+        Each fiber component's block is differentiated through its
+        float64 view (made contiguous first if the input is not
+        component-major), as one (N_r, N_r) by (N_r, rest) product.  For a
+        complex block the real matrix acts on the real and imaginary parts
+        alike; the complex contraction computes the same sums plus
+        products with the matrix's zero imaginary part, so the values
+        agree with it (only the sign of a zero can differ), in about a
+        third of the time."""
+        values = _as_float(values)
+        out = component_major(values.shape, values.dtype)
+        n = self.n_r
+        for block, res in zip(_blocks(values), _blocks(out)):
+            flat = np.ascontiguousarray(block).view(np.float64)
+            np.einsum("ij,jk->ik", self._d_r_matrix, flat.reshape(n, -1),
+                      out=res.view(np.float64).reshape(n, -1))
+        return out
 
     def _pole_extended(self, values: np.ndarray) -> np.ndarray:
-        """Extend the latitude axis by the exact cross-pole parity rule."""
+        """Extend the latitude axis (axis 1) by the exact cross-pole parity
+        rule; axis 2 is the longitude."""
         h = _FD8_HALF
         flip = self.n_phi // 2
         north = np.roll(values[:, h - 1::-1], flip, axis=2)
@@ -249,29 +308,42 @@ class MomentumGrid:
         return np.concatenate([north, values, south], axis=1)
 
     def d_theta(self, values: np.ndarray) -> np.ndarray:
-        """8th-order latitude derivative with exact pole closures."""
-        ext = self._pole_extended(values)
-        h = _FD8_HALF
-        out = np.zeros_like(values)
-        for s, c in enumerate(_FD8):
-            if c:
-                out += c * ext[:, s:s + self.n_theta]
-        return out / self.dtheta
+        """8th-order latitude derivative with exact pole closures, one
+        radial shell of every component block at a time."""
+        values = _as_float(values)
+        out = component_major(values.shape, values.dtype)
+        src, dst = _blocks(values), _blocks(out)
+        for i in range(self.n_r):
+            ext = self._pole_extended(src[:, i])
+            acc = dst[:, i]
+            acc[...] = 0.0
+            for s, c in enumerate(_FD8):
+                if c:
+                    acc += c * ext[:, s:s + self.n_theta]
+            acc /= self.dtheta
+        return out
 
     def d_phi(self, values: np.ndarray) -> np.ndarray:
-        """8th-order periodic longitude derivative.  The longitude axis is
+        """8th-order periodic longitude derivative, one radial shell of
+        every component block at a time.  The longitude axis is
         wrap-padded once by the stencil half-width, and each stencil term
         reads one slice of the padded copy (as ``d_theta`` does): the same
-        values as rolling ``values`` once per term, with one copy instead
+        values as rolling the shell once per term, with one copy instead
         of eight."""
+        values = _as_float(values)
+        out = component_major(values.shape, values.dtype)
+        src, dst = _blocks(values), _blocks(out)
         h = _FD8_HALF
-        ext = np.concatenate(
-            [values[:, :, -h:], values, values[:, :, :h]], axis=2)
-        out = np.zeros_like(values)
-        for s, c in enumerate(_FD8):
-            if c:
-                out += c * ext[:, :, s:s + self.n_phi]
-        return out / self.dphi
+        for i in range(self.n_r):
+            v = src[:, i]
+            ext = np.concatenate([v[:, :, -h:], v, v[:, :, :h]], axis=2)
+            acc = dst[:, i]
+            acc[...] = 0.0
+            for s, c in enumerate(_FD8):
+                if c:
+                    acc += c * ext[:, :, s:s + self.n_phi]
+            acc /= self.dphi
+        return out
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """Cartesian gradient; returns shape (3,) + values.shape."""
@@ -301,6 +373,38 @@ class MomentumGrid:
         return w + np.zeros(self.shape)
 
 
+class GridShell:
+    """One radial shell of a :class:`MomentumGrid`: the grid's coordinate
+    fields under the same names, sliced to shape (1, N_theta, N_phi) (the
+    frames and ``khat`` to (3, 1, N_theta, N_phi), ``r`` to (1,)).  The
+    slices are views, so an elementwise expression gives, shell by shell,
+    the bits it gives on the whole grid.  The generator actions of
+    :mod:`spinsplit.reps` take a shell in place of its grid."""
+
+    __slots__ = ("shape", "r", "kx", "ky", "kz", "kmag", "inv_kmag",
+                 "inv_kmag_sin_theta", "inv_sin_theta", "sin_theta",
+                 "khat", "e_k", "e_theta", "e_phi")
+
+    def __init__(self, grid: MomentumGrid, i: int):
+        s = slice(i, i + 1)
+        self.shape = (1, grid.n_theta, grid.n_phi)
+        self.r = grid.r[s]
+        for name in ("kx", "ky", "kz", "kmag", "inv_kmag",
+                     "inv_kmag_sin_theta"):
+            setattr(self, name, getattr(grid, name)[s])
+        # (1, N_theta, 1): the same for every shell
+        self.sin_theta = grid.sin_theta
+        self.inv_sin_theta = grid.inv_sin_theta
+        self.khat = grid.khat[:, s]
+        self.e_k = self.khat
+        self.e_theta = grid.e_theta[:, s]
+        self.e_phi = grid.e_phi[:, s]
+
+    def omega(self, mass: float) -> np.ndarray:
+        """Energy sqrt(mass^2 + |k|^2) on the shell."""
+        return np.sqrt(mass**2 + self.kmag**2)
+
+
 def make_grid(n_r: int, n_theta: int, n_phi: int,
               r_min: float, r_max: float,
               radial_map: str = "linear",
@@ -314,7 +418,8 @@ def make_grid(n_r: int, n_theta: int, n_phi: int,
 class Section:
     """A discretized bundle section: one complex fiber value per node.
 
-    ``values`` has shape (N_r, N_theta, N_phi, d) in complex128; fiber
+    ``values`` has shape (N_r, N_theta, N_phi, d) in complex128, stored
+    component-major (input in another layout is copied into it); fiber
     components are in a fixed Cartesian-frame basis.  Sections are treated
     as immutable values: arithmetic returns new instances.
     """
@@ -329,6 +434,10 @@ class Section:
                 f"section values have shape {values.shape}, "
                 f"expected {expected}"
             )
+        if not _trailing_first(values).flags.c_contiguous:
+            copy = component_major(values.shape)
+            copy[...] = values
+            values = copy
         self.rep = rep
         self.grid = grid
         self.values = values

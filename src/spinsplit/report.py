@@ -174,6 +174,17 @@ class RunConfig:
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
+        # massless reps' grids use the linear map, which must differentiate
+        # at each N_r: a shell far from unit scale underflows or overflows
+        # the products of the node spacings
+        if massless and any(SUITES[s].get("massless_grids") for s in suites):
+            for n_r in sorted({rung[0] for rung in ladder}):
+                try:
+                    radial_collocation(n_r, r_min, r_max)
+                except GridError as exc:
+                    raise ConfigError(
+                        f"bad shell r_min={r_min}, r_max={r_max} for the "
+                        f"massless reps: {exc}") from exc
         needs_spin1 = [s for s in suites if s in ("fplus", "holonomy")]
         if needs_spin1 and not any(s == 1 for _, s in massive):
             raise ConfigError(
@@ -709,12 +720,17 @@ def _suite_leibniz(config: RunConfig, records, rows):
 
 SUITES = {
     "symbolic": {"fn": _suite_symbolic, "tol": 0.5, "ladder": False},
-    "algebra": {"fn": _suite_algebra, "tol": 1e-3, "ladder": True},
-    "leibniz": {"fn": _suite_leibniz, "tol": 1e-3, "ladder": True},
-    "curvature": {"fn": _suite_curvature, "tol": 1e-3, "ladder": True},
-    "splitting": {"fn": _suite_splitting, "tol": 1e-3, "ladder": True},
+    "algebra": {"fn": _suite_algebra, "tol": 1e-3, "ladder": True,
+                "massless_grids": True},
+    "leibniz": {"fn": _suite_leibniz, "tol": 1e-3, "ladder": True,
+                "massless_grids": True},
+    "curvature": {"fn": _suite_curvature, "tol": 1e-3, "ladder": True,
+                  "massless_grids": True},
+    "splitting": {"fn": _suite_splitting, "tol": 1e-3, "ladder": True,
+                  "massless_grids": True},
     "nw": {"fn": _suite_nw, "tol": 1e-6, "ladder": True},
-    "degeneracy": {"fn": _suite_degeneracy, "tol": 1e-6, "ladder": False},
+    "degeneracy": {"fn": _suite_degeneracy, "tol": 1e-6, "ladder": False,
+                   "massless_grids": True},
     "fplus": {"fn": _suite_fplus, "tol": 1e-2, "ladder": False},
     "chern": {"fn": _suite_chern, "tol": 0.05, "ladder": False},
     "holonomy": {"fn": _suite_holonomy, "tol": 1e-2, "ladder": False},

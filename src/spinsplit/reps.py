@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BRACKETS, bracket_axes, bracket_terms
-from .grid import GridError, MomentumGrid, Section
+from .grid import GridError, MomentumGrid, Section, component_major
 from .scalars import eps
 
 __all__ = [
@@ -475,7 +475,9 @@ def random_test_section(rep: RepSpec, grid: MomentumGrid, seed: int,
     s = np.sqrt(1.0 - z * z)
     center = np.array([s * np.cos(ph), s * np.sin(ph), z])
     amp = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
-    values = _angular_bump(grid, center)[..., None] * amp
+    shape = grid.shape + (rep.dim,)
+    values = np.multiply(_angular_bump(grid, center)[..., None], amp,
+                         out=component_major(shape))
     values *= _radial_bump(grid)[..., None]
     if polar_damping is not None:
         if polar_damping < 0 or polar_damping % 2:
@@ -484,5 +486,6 @@ def random_test_section(rep: RepSpec, grid: MomentumGrid, seed: int,
         values *= _polar_damping(grid, polar_damping)[..., None]
     if rep.kind == "massless" and rep.helicity:
         proj = rep.helicity_projector(grid)
-        values = np.einsum("...bc,...c->...b", proj, values)
+        values = np.einsum("...bc,...c->...b", proj, values,
+                           out=component_major(shape))
     return Section(rep, grid, values)

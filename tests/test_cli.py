@@ -282,6 +282,32 @@ def test_mass_whose_radial_map_underflows_exits_2(tmp_path, capsys):
     assert "mass=1e+150" in capsys.readouterr().err
 
 
+def test_massless_shell_whose_linear_map_is_non_finite_exits_2(tmp_path,
+                                                               capsys):
+    # massless grids use the linear map in r; far from unit scale the
+    # products of the node spacings underflow (N_r = 6 here) or overflow,
+    # and the run would stop at the first rung that builds such a grid
+    with pytest.raises(ConfigError, match="r_min=1e-100, r_max=2e-100"):
+        RunConfig(suites=["algebra"], r_min=1e-100, r_max=2e-100,
+                  massless=[1], massive=[])
+    path = _write(tmp_path, "[run]\nsuites = algebra\n"
+                            "[grid]\nr_min = 1e-100\nr_max = 2e-100\n"
+                            "[reps]\nmassive =\nmassless = 1\n")
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "r_min=1e-100, r_max=2e-100" in captured.err
+    assert "PASS" not in captured.out + captured.err
+    for suite in ("curvature", "splitting", "leibniz", "degeneracy"):
+        with pytest.raises(ConfigError, match="r_max=1e\\+150"):
+            RunConfig(suites=[suite], r_max=1e150, massive=[(1e150, 1)])
+    # suites that build no massless grid, and runs without massless reps,
+    # keep the shell
+    RunConfig(suites=["chern", "symbolic"], r_min=1e-100, r_max=2e-100,
+              massive=[])
+    RunConfig(suites=["algebra"], r_min=1e-100, r_max=2e-100, massless=[],
+              massive=[])
+
+
 _SECTION_SUITES = ("algebra", "curvature", "splitting", "leibniz", "nw",
                    "degeneracy", "fplus")
 

@@ -11,8 +11,12 @@ from spinsplit.connections import (
     ConnectionLabError,
     HolonomyLoop,
     TangentField,
+    _add_weighted,
+    _covariant_values,
+    _cross_khat,
     _form_matrix,
     apply_connection,
+    apply_connections,
     chern_number,
     constant_profile,
     cross_commutator_check,
@@ -29,6 +33,9 @@ from spinsplit.report import RunConfig
 from spinsplit.reps import (
     RepSpec,
     _act_chi,
+    _act_J,
+    _act_K,
+    _derivatives,
     _entries_act,
     random_test_section,
 )
@@ -155,6 +162,150 @@ def test_closed_form_matches_generator_connection(rep, kind, x,
         a = _form_matrix(rep, kind, float(r0), g.khat[:, ir], xv[:, ir])
         out[ir] -= _entries_act(a, rep.dim, psi.values[ir])
     assert Section(rep, g, out).norm() < 1e-12 * psi.norm()
+
+
+# -- the shell-blocked covariant pass --------------------------------------------
+
+
+def _whole_section_covariant_values(rep, grid, kind, xvs, v, der=None):
+    """The covariant pass as it was written before it ran one radial
+    shell at a time: the same body, on whole sections."""
+    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
+    use_boost = kind.variant != "rotation"
+    use_rotation = kind.variant != "boost"
+    massive = rep.kind == "massive"
+    dr, dth, dph = _derivatives(grid, v) if der is None else der
+    del der
+    # the K actions first, then the J actions: each accumulator receives
+    # its terms in axis order, and d_r v is dropped before the rotation
+    # accumulators exist
+    boosts = [np.zeros_like(v) for _ in xvs] if use_boost else []
+    if not use_rotation:
+        radial = None
+    elif massive:
+        radial = np.zeros_like(v)
+    else:
+        radial = 1j * grid.kmag[..., None] * dr
+    if use_boost or (use_rotation and massive):
+        accs = boosts + ([radial] if use_rotation and massive else [])
+        for a in range(3):
+            _add_weighted(
+                accs,
+                lambda i: (xvs[i][a] if i < len(boosts)
+                           else grid.khat[a])[..., None],
+                _act_K(rep, grid, a, v, (dr, dth, dph)))
+    del dr
+    rotations = []
+    if use_rotation:
+        rotations = [np.zeros_like(v) for _ in xvs]
+        for a in range(3):
+            j_a = _act_J(rep, grid, a, v, (None, dth, dph))
+            _add_weighted(
+                rotations,
+                lambda i: (_cross_khat(grid, xvs[i], a)
+                           / grid.kmag)[..., None],
+                j_a)
+            del j_a
+    # drop the derivative pass before combining: it sets the peak memory
+    del dth, dph
+    omega = grid.omega(rep.mass)[..., None]
+    for xv, rotation in zip(xvs, rotations):
+        xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
+        rotation += xkhat / omega * radial
+    del radial
+    out = []
+    for i, xv in enumerate(xvs):
+        xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
+        shift = xk / (2.0 * omega**2) * v
+        # the branches are finished in place, one field at a time:
+        # (-1j/omega)*boost - shift and -1j*rotation - shift, then
+        # f*boost + (1 - f)*rotation for the affine kinds
+        if use_boost:
+            boost = boosts[i]
+            boosts[i] = None
+            boost *= -1j / omega
+            boost -= shift
+        if use_rotation:
+            rotation = rotations[i]
+            rotations[i] = None
+            rotation *= -1j
+            rotation -= shift
+        del shift
+        if use_boost and use_rotation:
+            boost *= f
+            rotation *= 1.0 - f
+            boost += rotation
+        out.append(boost if use_boost else rotation)
+    return out
+
+
+
+_SHELL_KINDS = {
+    "boost": ConnectionKind.boost(),
+    "rotation": ConnectionKind.rotation(),
+    "flat": ConnectionKind.flat_massive(),
+    # a weight that differs from shell to shell
+    "affine": ConnectionKind.affine(lambda r, m: 0.25 + 0.5 * r / (1 + r)),
+}
+_SHELL_REPS = {
+    "massive0": RepSpec.massive(MASS, 0),
+    "massive1": RepSpec.massive(MASS, 1),
+    "massless0": RepSpec.massless(0),
+    "massless+1": RepSpec.massless(1),
+    "massless-1": RepSpec.massless(-1),
+}
+_SHELL_FIELDS = {
+    "1": (EPH,),
+    "3": (ETH, TangentField.rotational(1),
+          TangentField.constant((0.3, -0.2, 0.9))),
+}
+
+
+@pytest.mark.parametrize("fields", list(_SHELL_FIELDS))
+@pytest.mark.parametrize("kind_name,rep_name", [
+    (k, r) for k in _SHELL_KINDS for r in _SHELL_REPS
+    # the flat connection is massive only
+    if not (k == "flat" and r.startswith("massless"))])
+def test_shell_blocked_pass_matches_whole_section_bytes(kind_name, rep_name,
+                                                        fields):
+    # running the body one radial shell at a time moves no bit of any
+    # value, the sign of a zero included
+    rep, kind = _SHELL_REPS[rep_name], _SHELL_KINDS[kind_name]
+    grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
+                      mass_scale=MASS) if rep.kind == "massive"
+            else make_grid(5, 12, 24, 1.0, 2.0))
+    psi = random_test_section(rep, grid, seed=11)
+    xs = _SHELL_FIELDS[fields]
+    xvs = [x.values(grid) for x in xs]
+    ref = _whole_section_covariant_values(rep, grid, kind, xvs, psi.values)
+    got = apply_connections(kind, xs, psi)
+    assert len(got) == len(ref)
+    for sec, val in zip(got, ref):
+        assert sec.values.tobytes() == val.tobytes()
+    # a derivative pass given by the caller is sliced the same way
+    der = _derivatives(grid, psi.values)
+    for val, ref_val in zip(
+            _covariant_values(rep, grid, kind, xvs, psi.values, der), ref):
+        assert val.tobytes() == ref_val.tobytes()
+
+
+def test_grid_shell_fields_are_slices(grid_small_massive):
+    g = grid_small_massive
+    for i in range(g.n_r):
+        sh = g.shell(i)
+        assert sh is g.shell(i)
+        assert sh.shape == (1, g.n_theta, g.n_phi)
+        for name in ("kx", "ky", "kz", "kmag", "inv_kmag",
+                     "inv_kmag_sin_theta"):
+            assert np.shares_memory(getattr(sh, name), getattr(g, name))
+            assert np.array_equal(getattr(sh, name), getattr(g, name)[i:i + 1])
+        for name in ("khat", "e_k", "e_theta", "e_phi"):
+            assert np.array_equal(getattr(sh, name),
+                                  getattr(g, name)[:, i:i + 1])
+        assert np.array_equal(sh.r, g.r[i:i + 1])
+        assert sh.sin_theta is g.sin_theta
+        assert sh.inv_sin_theta is g.inv_sin_theta
+        assert sh.omega(MASS).tobytes() == g.omega(MASS)[i:i + 1].tobytes()
 
 
 # -- curvature ---------------------------------------------------------------------

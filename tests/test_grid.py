@@ -4,8 +4,20 @@ sections."""
 import numpy as np
 import pytest
 
-from spinsplit.grid import GridError, Section, make_grid
-from spinsplit.reps import RepSpec, random_test_section
+from spinsplit.connections import (
+    ConnectionKind,
+    TangentField,
+    apply_connections,
+)
+from spinsplit.grid import GridError, Section, component_major, make_grid
+from spinsplit.reps import (
+    RepSpec,
+    _act_J,
+    _act_K,
+    _derivatives,
+    _spin_act,
+    random_test_section,
+)
 
 from conftest import MASS
 
@@ -106,9 +118,8 @@ def test_d_phi_matches_roll_reference(shape, fiber):
 @pytest.mark.parametrize("shape", [(4, 12, 24), (5, 8, 10), (4, 6, 8)])
 @pytest.mark.parametrize("fiber", [(), (1,), (3,)])
 def test_d_r_matches_einsum_reference(shape, fiber):
-    # a contiguous complex array goes through its float64 view; that and
-    # the plain contraction of real and strided input give the values of
-    # the complex contraction
+    # every block goes through its float64 view, made contiguous first
+    # for strided input; that gives the values of the complex contraction
     g = make_grid(*shape, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
     rng = np.random.default_rng(sum(shape) + len(fiber))
     values = (rng.normal(size=shape + fiber)
@@ -122,6 +133,77 @@ def test_d_r_matches_einsum_reference(shape, fiber):
     strided = values[:, :, ::2]
     assert not strided.flags.c_contiguous
     assert np.array_equal(g.d_r(strided), reference(strided))
+
+
+def _component_major_copy(values):
+    out = component_major(values.shape, values.dtype)
+    out[...] = values
+    return out
+
+
+def _is_component_major(values):
+    return np.moveaxis(values, -1, 0).flags.c_contiguous
+
+
+@pytest.mark.parametrize("shape", [(4, 12, 24), (5, 8, 10)])
+@pytest.mark.parametrize("fiber", [(1,), (3,)])
+@pytest.mark.parametrize("name", ["d_r", "d_theta", "d_phi"])
+def test_derivatives_layout_independent_bytes(shape, fiber, name):
+    # C-order and component-major input give the same bytes, real and
+    # complex alike, and the result is component-major either way
+    g = make_grid(*shape, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    rng = np.random.default_rng(sum(shape) + len(fiber))
+    values = (rng.normal(size=shape + fiber)
+              + 1j * rng.normal(size=shape + fiber))
+    op = getattr(g, name)
+    for c_order in (values, np.ascontiguousarray(values.real)):
+        assert c_order.flags.c_contiguous
+        blocks = _component_major_copy(c_order)
+        out = op(blocks)
+        assert out.dtype == c_order.dtype
+        assert out.tobytes() == op(c_order).tobytes()
+        assert _is_component_major(out)
+        assert _is_component_major(op(c_order))
+
+
+@pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
+                                 RepSpec.massless(1), RepSpec.massless(0)],
+                         ids=["massive1", "massless+1", "massless0"])
+def test_component_major_layout_kept(rep):
+    # component-major values stay component-major through the section
+    # constructors, the derivatives, the generator actions and the
+    # covariant pass; C-order input gives the same values
+    g = (make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+         if rep.kind == "massive" else make_grid(4, 12, 24, 1.0, 2.0))
+    psi = random_test_section(rep, g, seed=4)
+    phi = random_test_section(rep, g, seed=5)
+    v = psi.values
+    assert _is_component_major(v)
+    c_order = np.ascontiguousarray(v)
+    assert c_order.flags.c_contiguous
+    assert _is_component_major(Section(rep, g, c_order).values)
+    kind = (ConnectionKind.flat_massive() if rep.kind == "massive"
+            else ConnectionKind.boost())
+    xs = [TangentField.rotational(a) for a in range(3)]
+    ops = {
+        "d_r": g.d_r, "d_theta": g.d_theta, "d_phi": g.d_phi,
+        "J": lambda w: _act_J(rep, g, 2, w),
+        "K": lambda w: _act_K(rep, g, 0, w),
+        "K-shared-pass": lambda w: _act_K(rep, g, 1, w, _derivatives(g, w)),
+        "S": lambda w: _spin_act(rep, 0, w),
+    }
+    for name, op in ops.items():
+        out = op(v)
+        assert _is_component_major(out), name
+        assert out.tobytes() == op(c_order).tobytes(), name
+    for out in apply_connections(kind, xs, psi):
+        assert _is_component_major(out.values)
+    f = g.kmag
+    for sec in (psi + phi, psi - phi, psi * f, psi * 2.0, 2.0 * psi,
+                -psi):
+        assert _is_component_major(sec.values)
+    assert (psi * f).values.tobytes() == (
+        f[..., None] * c_order).tobytes()
 
 
 def test_omega():
