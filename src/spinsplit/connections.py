@@ -14,14 +14,15 @@ field X of momentum space):
 
 All are built from the exact generator actions of :mod:`spinsplit.reps`.
 A section takes one derivative pass (d_r, d_theta, d_phi) for every
-tangent field applied to it: ``apply_connections`` builds each K_a and
-J_a action once from that pass and adds it to every field's sums, and
-``apply_connection`` is its one-field case.  After that pass the
-covariant derivative is pointwise in r, so ``_covariant_values`` runs one
-radial shell at a time on the grid's ``shell`` view and keeps every
-temporary one shell in size.  The curvature commutator and the
-splitting diagnostics batch the fields that act on one section.
-The boost and rotation kinds build only the branch their weight keeps.
+tangent field applied to it (``apply_connections``; ``apply_connection``
+is its one-field case).  After that pass the covariant derivative is
+pointwise in r, so ``_covariant_values`` evaluates the formulas above
+one radial shell at a time on the grid's ``shell`` view: each K_a and
+J_a action is built once per shell for all the fields, the fields are
+evaluated on the shell alone, and every temporary is one shell in size.
+The curvature commutator and the splitting diagnostics batch the fields
+that act on one section.  The boost and rotation kinds build only the
+branch their weight keeps.
 For sphere-tangential directions every built-in connection also has a
 closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridShell, MomentumGrid, Section
+from .grid import MomentumGrid, Section
 from .reps import (
     RepSpec,
     _act_chi,
@@ -84,6 +85,17 @@ __all__ = [
 
 class ConnectionLabError(ValueError):
     """Invalid connection, profile, frame or resolution condition."""
+
+
+def _real_components(values, what: str) -> np.ndarray:
+    """``values`` as float64; complex or non-numeric input raises."""
+    if np.iscomplexobj(values):
+        raise ConnectionLabError(f"{what} must be real; got complex values")
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConnectionLabError(f"{what} must be real numbers: {exc}") \
+            from None
 
 
 # -- radial weight profiles ----------------------------------------------------
@@ -130,17 +142,32 @@ class ConnectionKind:
         return cls("flat-massive", lambda_flat_profile(1.0))
 
     def weight(self, r, mass):
-        """The boost weight f (rotation weight is 1 - f)."""
+        """The boost weight f at the radii r, shape r.shape (rotation
+        weight is 1 - f).  A profile's output is broadcast to that shape;
+        one that does not broadcast or is not finite raises."""
+        r = np.asarray(r, dtype=float)
         if self.variant == "boost":
-            return np.ones_like(np.asarray(r, dtype=float))
+            return np.ones_like(r)
         if self.variant == "rotation":
-            return np.zeros_like(np.asarray(r, dtype=float))
+            return np.zeros_like(r)
         if self.variant == "flat-massive" and not mass > 0:
             raise ConnectionLabError(
                 "flat-massive connection is singular at m = 0: the affine "
                 "family degenerates and cannot reach flatness"
             )
-        return self._profile(r, mass)
+        name = getattr(self._profile, "__qualname__", repr(self._profile))
+        f = self._profile(r, mass)
+        try:
+            f = np.broadcast_to(_real_components(f, "a weight"), r.shape)
+        except (ConnectionLabError, ValueError) as exc:
+            raise ConnectionLabError(
+                f"weight profile {name} must give real values that "
+                f"broadcast to the radial shape {r.shape}: {exc}") from None
+        if not np.isfinite(f).all():
+            raise ConnectionLabError(
+                f"weight profile {name} is not finite at r = {r!r}, "
+                f"mass = {mass!r}")
+        return f
 
     def __repr__(self):
         return f"ConnectionKind({self.variant!r})"
@@ -151,7 +178,11 @@ class ConnectionKind:
 
 class TangentField:
     """A momentum-space tangent field: named spherical frame, constant
-    vector, rotational field e_a x k, or explicit per-node values."""
+    vector, rotational field e_a x k, or explicit per-node values (real,
+    shape (3,) + grid.shape).  The named, constant and rotational fields
+    are analytic: they are evaluated on whatever grid or radial shell asks
+    for them, so the covariant pass evaluates them one shell at a time and
+    never builds their whole-grid arrays."""
 
     __slots__ = ("name", "_const", "_axis", "_array")
 
@@ -169,7 +200,7 @@ class TangentField:
 
     @classmethod
     def constant(cls, u) -> "TangentField":
-        u = np.asarray(u, dtype=float)
+        u = _real_components(u, "a constant tangent field")
         if u.shape != (3,):
             raise ConnectionLabError("constant tangent field needs a 3-vector")
         return cls("constant", const=u)
@@ -183,10 +214,13 @@ class TangentField:
 
     @classmethod
     def from_array(cls, values) -> "TangentField":
-        return cls("array", array=np.asarray(values, dtype=float))
+        return cls("array",
+                   array=_real_components(values, "tangent field values"))
 
-    def values(self, grid: MomentumGrid) -> np.ndarray:
-        """Cartesian components, shape (3,) + grid.shape."""
+    def values(self, grid) -> np.ndarray:
+        """Cartesian components, shape (3,) + grid.shape, on a
+        :class:`MomentumGrid` or, for the analytic fields, a
+        :class:`~spinsplit.grid.GridShell`."""
         if self.name == "e_k":
             return grid.e_k
         if self.name == "e_theta":
@@ -215,6 +249,15 @@ class TangentField:
                 f"expected {(3,) + grid.shape}"
             )
         return arr
+
+    def shell_values(self, grid: MomentumGrid, i: int) -> np.ndarray:
+        """``values(grid)[:, i:i + 1]``, shape (3, 1, N_theta, N_phi):
+        analytic fields are evaluated on ``grid.shell(i)`` alone (the same
+        bits, elementwise), array fields are checked against the grid and
+        sliced."""
+        if self.name == "array":
+            return self.values(grid)[:, i:i + 1]
+        return self.values(grid.shell(i))
 
 
 def lie_bracket(x: TangentField, y: TangentField,
@@ -266,120 +309,81 @@ def _cross_khat(grid: MomentumGrid, xv: np.ndarray, a: int) -> np.ndarray:
     return w_a
 
 
-def _add_weighted(accs, weight, term: np.ndarray) -> None:
-    """accs[i] += weight(i) * term for each accumulator, in order.  Each
-    weight is formed when it is used, and the last product is formed in
-    ``term`` itself, so term must be a fresh array."""
-    last = len(accs) - 1
-    for i, acc in enumerate(accs):
-        if i < last:
-            acc += weight(i) * term
-        else:
-            term *= weight(i)
-            acc += term
+def _axis_sum(weights, terms) -> np.ndarray:
+    """sum_a weights[a] * terms[a] over the axes a = 0, 1, 2, in that
+    order, added to zeros; each weight is a grid field, each term has a
+    trailing fiber axis."""
+    acc = np.zeros_like(terms[0])
+    for w, term in zip(weights, terms):
+        acc += w[..., None] * term
+    return acc
 
 
 def _covariant_values(rep: RepSpec, grid: MomentumGrid,
-                      kind: ConnectionKind, xvs, v: np.ndarray,
+                      kind: ConnectionKind, xs, v: np.ndarray,
                       der=None) -> list:
-    """D_X v for every tangent field X in ``xvs`` (Cartesian components,
-    each of shape (3,) + grid.shape), for the connection
+    """D_X v for every tangent field X in ``xs``, for the connection
     f*Boost + (1 - f)*Rotation with boost weight f = 1 (boost), 0
     (rotation) or a radial profile (affine).
 
     One derivative pass over the whole of v (``der``, computed here
-    unless given) serves every field.  The rest is pointwise in r, so it
-    runs one radial shell at a time (``_covariant_shell`` on
-    ``grid.shell(i)``) and writes each shell of the output sections:
-    every temporary is one shell, not one section, and each value is the
-    one a whole-section pass gives, bit for bit."""
+    unless given) serves every field.  The rest is pointwise in r, so
+    ``_covariant_shell`` runs it one radial shell at a time and writes
+    each shell of the output sections: the fields are evaluated on the
+    shell alone (``TangentField.shell_values``), and every temporary is
+    one shell in size and is freed when that call returns, before the
+    next shell builds its own."""
     f = kind.weight(grid.r, rep.mass)
-    dr, dth, dph = _derivatives(grid, v) if der is None else der
-    del der
-    out = [np.empty_like(v) for _ in xvs]
+    der = _derivatives(grid, v) if der is None else der
+    out = [np.empty_like(v) for _ in xs]
     for i in range(grid.n_r):
-        s = slice(i, i + 1)
-        vals = _covariant_shell(
-            rep, grid.shell(i), kind, f[s, None, None, None],
-            [xv[:, s] for xv in xvs], v[s], (dr[s], dth[s], dph[s]))
-        for o, val in zip(out, vals):
-            o[s] = val
-        del vals
+        _covariant_shell(rep, grid, i, kind, f[i], xs, v, der, out)
     return out
 
 
-def _covariant_shell(rep: RepSpec, grid: GridShell, kind: ConnectionKind,
-                     f, xvs, v: np.ndarray, der) -> list:
-    """``_covariant_values`` on one radial shell: ``grid`` is the
-    :class:`~spinsplit.grid.GridShell`, and the weight f, the fields, v
-    and the derivative pass ``der`` are sliced to it.
+def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
+                     kind: ConnectionKind, f, xs, v: np.ndarray, der,
+                     out) -> None:
+    """Shell ``i`` of D_X v, written into shell i of each section in
+    ``out``, with boost weight f on the shell:
 
-    Each K_a v and J_a v is built once and added to every field's
-    accumulators in the order a one-field call adds it.  Each K_a v
-    feeds both the boost sum X.K v and the radial sum khat.K v.  The
-    boost and rotation kinds build only the branch their weight keeps;
-    f*A + (1 - f)*B would multiply the other by exact zero."""
+      Boost     (-i/H) X.K v - shift
+      Rotation  -i [((X x khat)/|k|).J v + (X.khat)/H radial] - shift
+
+    with shift = (X.k)/(2H^2) v and radial = khat.K v (massive) or
+    i|k| d_r v (massless).  K_a v and J_a v are built once for all the
+    fields.  The boost and rotation kinds build only the branch their
+    weight keeps; f*A + (1 - f)*B would multiply the other by exact
+    zero."""
     use_boost = kind.variant != "rotation"
     use_rotation = kind.variant != "boost"
     massive = rep.kind == "massive"
-    dr, dth, dph = der
-    # the K actions first, then the J actions: each accumulator receives
-    # its terms in axis order
-    boosts = [np.zeros_like(v) for _ in xvs] if use_boost else []
-    if not use_rotation:
-        radial = None
-    elif massive:
-        radial = np.zeros_like(v)
-    else:
-        radial = 1j * grid.kmag[..., None] * dr
-    if use_boost or (use_rotation and massive):
-        accs = boosts + ([radial] if use_rotation and massive else [])
-        for a in range(3):
-            _add_weighted(
-                accs,
-                lambda i: (xvs[i][a] if i < len(boosts)
-                           else grid.khat[a])[..., None],
-                _act_K(rep, grid, a, v, der))
-    rotations = []
+    s = slice(i, i + 1)
+    sh, v = grid.shell(i), v[s]
+    der = tuple(d[s] for d in der)
+    omega = sh.omega(rep.mass)[..., None]
+    if use_boost or massive:
+        k_v = [_act_K(rep, sh, a, v, der) for a in range(3)]
     if use_rotation:
-        rotations = [np.zeros_like(v) for _ in xvs]
-        for a in range(3):
-            j_a = _act_J(rep, grid, a, v, (None, dth, dph))
-            _add_weighted(
-                rotations,
-                lambda i: (_cross_khat(grid, xvs[i], a)
-                           / grid.kmag)[..., None],
-                j_a)
-            del j_a
-    omega = grid.omega(rep.mass)[..., None]
-    for xv, rotation in zip(xvs, rotations):
-        xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
-        rotation += xkhat / omega * radial
-    del radial
-    out = []
-    for i, xv in enumerate(xvs):
-        xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
+        j_v = [_act_J(rep, sh, a, v, der) for a in range(3)]
+        radial = (_axis_sum(sh.khat, k_v) if massive
+                  else 1j * sh.kmag[..., None] * der[0])
+    for o, x in zip(out, xs):
+        xv = x.shell_values(grid, i)
+        xk = (xv[0] * sh.kx + xv[1] * sh.ky + xv[2] * sh.kz)[..., None]
         shift = xk / (2.0 * omega**2) * v
-        # the branches are finished in place, one field at a time:
-        # (-1j/omega)*boost - shift and -1j*rotation - shift, then
-        # f*boost + (1 - f)*rotation for the affine kinds
         if use_boost:
-            boost = boosts[i]
-            boosts[i] = None
-            boost *= -1j / omega
-            boost -= shift
+            boost = (-1j / omega) * _axis_sum(xv, k_v) - shift
         if use_rotation:
-            rotation = rotations[i]
-            rotations[i] = None
-            rotation *= -1j
-            rotation -= shift
-        del shift
+            xkhat = sum(xv[a] * sh.khat[a] for a in range(3))[..., None]
+            acc = _axis_sum(
+                [_cross_khat(sh, xv, a) / sh.kmag for a in range(3)], j_v)
+            acc += xkhat / omega * radial
+            rotation = -1j * acc - shift
         if use_boost and use_rotation:
-            boost *= f
-            rotation *= 1.0 - f
-            boost += rotation
-        out.append(boost if use_boost else rotation)
-    return out
+            np.add(f * boost, (1.0 - f) * rotation, out=o[s])
+        else:
+            o[s] = boost if use_boost else rotation
 
 
 def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:
@@ -387,8 +391,7 @@ def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:
     ``xs``, from one derivative pass over psi; each equals, bit for bit,
     ``apply_connection(kind, X, psi)``."""
     rep, grid = psi.rep, psi.grid
-    vals = _covariant_values(rep, grid, kind, [x.values(grid) for x in xs],
-                             psi.values)
+    vals = _covariant_values(rep, grid, kind, xs, psi.values)
     return [Section(rep, grid, val) for val in vals]
 
 
@@ -535,8 +538,7 @@ def cross_commutator_check(psi: Section) -> dict:
     for kind in (boost, rot):
         first[kind.variant, "theta"], first[kind.variant, "phi"] = (
             Section(rep, grid, val) for val in _covariant_values(
-                rep, grid, kind, [eth.values(grid), eph.values(grid)],
-                psi.values, der))
+                rep, grid, kind, (eth, eph), psi.values, der))
     del der
     # the right-hand sides come first, so K_phi, J_theta and J_k are
     # dropped before the commutators take their passes

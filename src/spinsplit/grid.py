@@ -233,6 +233,7 @@ class MomentumGrid:
         self.e_theta = np.stack([ct * cp + zero, ct * sp_ + zero, -st + zero])
         self.e_phi = np.stack([-sp_ + zero, cp + zero, zero])
         self._shells = {}
+        self._invariant_weights = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -264,6 +265,16 @@ class MomentumGrid:
     def omega(self, mass: float) -> np.ndarray:
         """Energy sqrt(mass^2 + |k|^2), shape (N_r, N_theta, N_phi)."""
         return np.sqrt(mass**2 + self.kmag**2)
+
+    def invariant_weights(self, mass: float) -> np.ndarray:
+        """Quadrature weights for the invariant measure d^3k/omega, shape
+        (N_r, N_theta, N_phi): built once per mass, read-only."""
+        key = float(mass)
+        if key not in self._invariant_weights:
+            w = self.volume_weights() / self.omega(mass)
+            w.flags.writeable = False
+            self._invariant_weights[key] = w
+        return self._invariant_weights[key]
 
     def shell(self, i: int) -> "GridShell":
         """Radial shell ``i`` as a :class:`GridShell`, built once."""
@@ -379,7 +390,10 @@ class GridShell:
     frames and ``khat`` to (3, 1, N_theta, N_phi), ``r`` to (1,)).  The
     slices are views, so an elementwise expression gives, shell by shell,
     the bits it gives on the whole grid.  The generator actions of
-    :mod:`spinsplit.reps` take a shell in place of its grid."""
+    :mod:`spinsplit.reps` and the analytic tangent fields of
+    :mod:`spinsplit.connections` take a shell in place of its grid.  A
+    shell holds no reference to its grid: the grid caches its shells, and
+    a cycle would leave every grid to the garbage collector."""
 
     __slots__ = ("shape", "r", "kx", "ky", "kz", "kmag", "inv_kmag",
                  "inv_kmag_sin_theta", "inv_sin_theta", "sin_theta",
@@ -468,6 +482,6 @@ class Section:
 
     def norm(self) -> float:
         """L^2 norm under the invariant measure d^3k/omega."""
-        w = self.grid.volume_weights() / self.grid.omega(self.rep.mass)
+        w = self.grid.invariant_weights(self.rep.mass)
         dens = np.sum(np.abs(self.values) ** 2, axis=-1)
         return float(np.sqrt(np.sum(w * dens).real))

@@ -334,7 +334,7 @@ def inner(psi: Section, phi: Section) -> complex:
     linear in the first argument)."""
     if psi.grid != phi.grid or psi.rep != phi.rep:
         raise GridError("inner product requires matching rep and grid")
-    w = psi.grid.volume_weights() / psi.grid.omega(psi.rep.mass)
+    w = psi.grid.invariant_weights(psi.rep.mass)
     dens = np.einsum("...c,...c->...", np.conj(psi.values), phi.values)
     return complex(np.sum(w * dens))
 

@@ -110,10 +110,9 @@ class SplitOperators:
     def _l_values(self, axes, psi: Section, der=None) -> list:
         """The values of L_a psi for each axis in ``axes``, from one
         derivative pass over psi (``der``, taken here unless given)."""
-        grid = psi.grid
         vals = _covariant_values(
-            psi.rep, grid, self.kind,
-            [self._fields[a].values(grid) for a in axes], psi.values, der)
+            psi.rep, psi.grid, self.kind,
+            [self._fields[a] for a in axes], psi.values, der)
         for val in vals:
             val *= -1j
         return vals

@@ -11,7 +11,6 @@ from spinsplit.connections import (
     ConnectionLabError,
     HolonomyLoop,
     TangentField,
-    _add_weighted,
     _covariant_values,
     _cross_khat,
     _form_matrix,
@@ -71,7 +70,80 @@ def test_flat_weight_singular_at_zero_mass():
         ConnectionKind.flat_massive().weight(np.array([1.0]), 0.0)
 
 
+def test_scalar_weight_profile_broadcasts_to_radii(grid_small_massive,
+                                                   rep_massive1):
+    # a profile may return a number: it is the weight at every radius,
+    # bit for bit the profile that fills the radii with it
+    scalar = ConnectionKind.affine(lambda r, m: 0.5)
+    full = ConnectionKind.affine(lambda r, m: np.full_like(r, 0.5))
+    r = np.array([1.0, 1.5, 2.0])
+    assert scalar.weight(r, MASS).shape == r.shape
+    assert scalar.weight(r, MASS).tobytes() == full.weight(r, MASS).tobytes()
+    psi = random_test_section(rep_massive1, grid_small_massive, seed=4)
+    assert (apply_connection(scalar, EPH, psi).values.tobytes()
+            == apply_connection(full, EPH, psi).values.tobytes())
+    assert (holonomy(rep_massive1, scalar, _loop(0.05), n_steps=8).tobytes()
+            == holonomy(rep_massive1, full, _loop(0.05), n_steps=8).tobytes())
+
+
+def _two_weights(r, m):
+    return np.array([0.25, 0.75])
+
+
+def _nan_weight(r, m):
+    return np.full_like(r, np.nan)
+
+
+def _complex_weight(r, m):
+    return np.full_like(r, 0.5 + 0.5j, dtype=complex)
+
+
+@pytest.mark.parametrize("profile", [_two_weights, _nan_weight,
+                                     _complex_weight],
+                         ids=lambda p: p.__name__)
+def test_bad_weight_profile_raises_naming_it(profile, grid_small_massive,
+                                             rep_massive1):
+    # neither the shell-grid derivative nor the transport reads a weight
+    # that does not broadcast to the radii, is complex or is not finite
+    kind = ConnectionKind.affine(profile)
+    psi = random_test_section(rep_massive1, grid_small_massive, seed=4)
+    with pytest.raises(ConnectionLabError, match=profile.__name__):
+        apply_connection(kind, EPH, psi)
+    with pytest.raises(ConnectionLabError, match=profile.__name__):
+        holonomy(rep_massive1, kind, _loop(0.05), n_steps=8)
+
+
 # -- tangent fields and brackets ------------------------------------------------
+
+
+def test_tangent_fields_reject_complex_values():
+    with pytest.raises(ConnectionLabError, match="real"):
+        TangentField.from_array(np.ones((3, 4, 12, 24), dtype=complex))
+    with pytest.raises(ConnectionLabError, match="real"):
+        TangentField.constant((1j, 0, 0))
+
+
+def test_array_field_checked_against_whole_grid(grid_small_massive,
+                                                rep_massive1):
+    psi = random_test_section(rep_massive1, grid_small_massive, seed=4)
+    x = TangentField.from_array(np.ones((3, 1, 12, 24)))
+    with pytest.raises(ConnectionLabError, match="shape"):
+        apply_connection(ConnectionKind.boost(), x, psi)
+
+
+def test_shell_values_are_whole_grid_values_sliced(grid_small_massive):
+    g = grid_small_massive
+    fields = [TangentField.named(n) for n in ("e_k", "e_theta", "e_phi")]
+    fields += [TangentField.constant((0.3, -0.2, 0.9)),
+               TangentField.rotational(0), TangentField.rotational(2),
+               TangentField.from_array(
+                   np.random.default_rng(2).normal(size=(3,) + g.shape))]
+    for x in fields:
+        whole = x.values(g)
+        for i in range(g.n_r):
+            got = x.shell_values(g, i)
+            assert got.shape == (3, 1, g.n_theta, g.n_phi)
+            assert got.tobytes() == whole[:, i:i + 1].tobytes()
 
 
 def test_rotational_bracket_analytic(grid_small_massless):
@@ -167,6 +239,19 @@ def test_closed_form_matches_generator_connection(rep, kind, x,
 # -- the shell-blocked covariant pass --------------------------------------------
 
 
+def _add_weighted(accs, weight, term: np.ndarray) -> None:
+    """accs[i] += weight(i) * term for each accumulator, in order.  Each
+    weight is formed when it is used, and the last product is formed in
+    ``term`` itself, so term must be a fresh array."""
+    last = len(accs) - 1
+    for i, acc in enumerate(accs):
+        if i < last:
+            acc += weight(i) * term
+        else:
+            term *= weight(i)
+            acc += term
+
+
 def _whole_section_covariant_values(rep, grid, kind, xvs, v, der=None):
     """The covariant pass as it was written before it ran one radial
     shell at a time: the same body, on whole sections."""
@@ -258,6 +343,9 @@ _SHELL_FIELDS = {
     "1": (EPH,),
     "3": (ETH, TangentField.rotational(1),
           TangentField.constant((0.3, -0.2, 0.9))),
+    # array fields are sliced to each shell
+    "array": (TangentField.from_array(
+        np.random.default_rng(13).normal(size=(3, 5, 12, 24))),),
 }
 
 
@@ -276,8 +364,8 @@ def test_shell_blocked_pass_matches_whole_section_bytes(kind_name, rep_name,
             else make_grid(5, 12, 24, 1.0, 2.0))
     psi = random_test_section(rep, grid, seed=11)
     xs = _SHELL_FIELDS[fields]
-    xvs = [x.values(grid) for x in xs]
-    ref = _whole_section_covariant_values(rep, grid, kind, xvs, psi.values)
+    ref = _whole_section_covariant_values(
+        rep, grid, kind, [x.values(grid) for x in xs], psi.values)
     got = apply_connections(kind, xs, psi)
     assert len(got) == len(ref)
     for sec, val in zip(got, ref):
@@ -285,7 +373,7 @@ def test_shell_blocked_pass_matches_whole_section_bytes(kind_name, rep_name,
     # a derivative pass given by the caller is sliced the same way
     der = _derivatives(grid, psi.values)
     for val, ref_val in zip(
-            _covariant_values(rep, grid, kind, xvs, psi.values, der), ref):
+            _covariant_values(rep, grid, kind, xs, psi.values, der), ref):
         assert val.tobytes() == ref_val.tobytes()
 
 

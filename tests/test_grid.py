@@ -16,6 +16,7 @@ from spinsplit.reps import (
     _act_K,
     _derivatives,
     _spin_act,
+    inner,
     random_test_section,
 )
 
@@ -267,6 +268,26 @@ def test_norm_positive_definite():
     assert psi.norm() > 0.0
     zero = Section(rep, g, np.zeros_like(psi.values))
     assert zero.norm() == 0.0
+
+
+@pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
+                                 RepSpec.massless(1)], ids=repr)
+def test_invariant_weights_built_once_read_only(rep):
+    # d^3k/omega is built once per grid and mass, with the bytes of the
+    # formula, and the norm and the inner product read that array
+    g = (make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+         if rep.kind == "massive" else make_grid(4, 12, 24, 1.0, 2.0))
+    w = g.invariant_weights(rep.mass)
+    assert w is g.invariant_weights(rep.mass)
+    assert w.tobytes() == (g.volume_weights() / g.omega(rep.mass)).tobytes()
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0, 0] = 1.0
+    psi = random_test_section(rep, g, seed=1)
+    dens = np.sum(np.abs(psi.values) ** 2, axis=-1)
+    assert psi.norm() == float(np.sqrt(np.sum(w * dens).real))
+    dens = np.einsum("...c,...c->...", np.conj(psi.values), psi.values)
+    assert inner(psi, psi) == complex(np.sum(w * dens))
 
 
 # -- section arithmetic -----------------------------------------------------------
