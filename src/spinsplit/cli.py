@@ -35,7 +35,7 @@ from .report import (
     report_json,
     run_suites,
 )
-from .reps import RepError
+from .reps import RepError, RepSpec
 from .scalars import Ring
 
 EXIT_OK = 0
@@ -143,7 +143,10 @@ def _cmd_run(args) -> int:
         _write(config.csv_path, convergence_csv(report))
     for rec in report["records"]:
         status = "PASS" if rec["passed"] else "FAIL"
-        print(f"{status} {rec['suite']}:{rec['name']} "
+        # names repeat across reps: the rep, as the CSV labels print it,
+        # tells them apart
+        rep = f" {RepSpec(**rec['rep'])!r}" if "rep" in rec else ""
+        print(f"{status} {rec['suite']}:{rec['name']}{rep} "
               f"measured={rec['measured']} tol={rec['tolerance']}",
               file=sys.stderr)
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED

@@ -60,9 +60,10 @@ from .reps import (
     _act_K,
     _derivatives,
     _entries_act,
+    _on_shell,
     _spin_dot,
 )
-from .scalars import eps
+from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
     "ConnectionLabError",
@@ -234,13 +235,10 @@ class TangentField:
             return out
         if self.name == "rotational":
             ks = (grid.kx, grid.ky, grid.kz)
+            # (e_a x k)_i = eps_ami k_m
             out = np.zeros((3,) + grid.shape)
-            a = self._axis
-            for i in range(3):
-                for m in range(3):
-                    e = eps(i, a, m)
-                    if e:
-                        out[i] += e * ks[m]
+            for m, i, e in _EPS_PAIRS[self._axis]:
+                out[i] += e * ks[m]
             return out
         arr = self._array
         if arr.shape != (3,) + grid.shape:
@@ -301,11 +299,8 @@ def lie_bracket(x: TangentField, y: TangentField,
 def _cross_khat(grid: MomentumGrid, xv: np.ndarray, a: int) -> np.ndarray:
     """Component a of X x khat."""
     w_a = np.zeros(grid.shape)
-    for b in range(3):
-        for c in range(3):
-            e = eps(a, b, c)
-            if e:
-                w_a += e * xv[b] * grid.khat[c]
+    for b, c, e in _EPS_PAIRS[a]:
+        w_a += e * xv[b] * grid.khat[c]
     return w_a
 
 
@@ -358,9 +353,7 @@ def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
     use_boost = kind.variant != "rotation"
     use_rotation = kind.variant != "boost"
     massive = rep.kind == "massive"
-    s = slice(i, i + 1)
-    sh, v = grid.shell(i), v[s]
-    der = tuple(d[s] for d in der)
+    sh, v, der = _on_shell(grid, i, v, der)
     omega = sh.omega(rep.mass)[..., None]
     if use_boost or massive:
         k_v = [_act_K(rep, sh, a, v, der) for a in range(3)]
@@ -381,9 +374,9 @@ def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
             acc += xkhat / omega * radial
             rotation = -1j * acc - shift
         if use_boost and use_rotation:
-            np.add(f * boost, (1.0 - f) * rotation, out=o[s])
+            np.add(f * boost, (1.0 - f) * rotation, out=o[i:i + 1])
         else:
-            o[s] = boost if use_boost else rotation
+            o[i:i + 1] = boost if use_boost else rotation
 
 
 def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:

@@ -390,10 +390,12 @@ class GridShell:
     frames and ``khat`` to (3, 1, N_theta, N_phi), ``r`` to (1,)).  The
     slices are views, so an elementwise expression gives, shell by shell,
     the bits it gives on the whole grid.  The generator actions of
-    :mod:`spinsplit.reps` and the analytic tangent fields of
-    :mod:`spinsplit.connections` take a shell in place of its grid.  A
-    shell holds no reference to its grid: the grid caches its shells, and
-    a cycle would leave every grid to the garbage collector."""
+    :mod:`spinsplit.reps` take a shell or a grid: on a shell they
+    evaluate their formula once, on a grid once per shell.  The analytic
+    tangent fields of :mod:`spinsplit.connections` take a shell in place
+    of its grid.  A shell holds no reference to its grid: the grid caches
+    its shells, and a cycle would leave every grid to the garbage
+    collector."""
 
     __slots__ = ("shape", "r", "kx", "ky", "kz", "kmag", "inv_kmag",
                  "inv_kmag_sin_theta", "inv_sin_theta", "sin_theta",

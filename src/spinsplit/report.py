@@ -98,6 +98,14 @@ _KNOWN_KEYS = {
 }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int: Python and NumPy integers pass, a bool or any
+    other type (a float is not truncated) is a ConfigError naming it."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{what} must be an integer; got {value!r}")
+
+
 class RunConfig:
     """Validated run configuration."""
 
@@ -117,10 +125,11 @@ class RunConfig:
             raise ConfigError(
                 f"unknown suites {unknown}; known: {sorted(SUITES)}"
             )
-        seed = int(seed)
+        seed = _integer(seed, "seed")
         if seed < 0:
             raise ConfigError(f"seed must be >= 0; got {seed}")
-        ladder = [tuple(int(x) for x in rung) for rung in ladder]
+        ladder = [tuple(_integer(n, f"each dimension of rung {rung}")
+                        for n in rung) for rung in ladder]
         if not ladder:
             raise ConfigError("grid ladder is empty")
         for rung in ladder:
@@ -154,6 +163,8 @@ class RunConfig:
             raise ConfigError(
                 f"r_max={r_max} is too large: r_max^2 overflows; need "
                 f"r_max^2 finite (r_max below about 1.3e154)")
+        massive = [(m, _integer(s, f"spin of {m}:{s}")) for m, s in massive]
+        massless = [_integer(h, "helicity") for h in massless]
         for m, s in massive:
             if not (m > 0 and math.isfinite(m)) or s not in (0, 1):
                 raise ConfigError(f"bad massive rep (mass={m}, spin={s}); "
@@ -174,6 +185,15 @@ class RunConfig:
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
+        # a suite or rep given twice would run, and write its records,
+        # twice
+        reps = [f"{float(m)}:{s}" for m, s in massive]
+        for what, items in (("suite", suites), ("massive rep", reps),
+                            ("helicity", massless)):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"{what} {item} is given twice; "
+                                      f"give each {what} once")
         # massless reps' grids use the linear map, which must differentiate
         # at each N_r: a shell far from unit scale underflows or overflows
         # the products of the node spacings
@@ -201,8 +221,8 @@ class RunConfig:
         self.ladder = ladder
         self.r_min = float(r_min)
         self.r_max = float(r_max)
-        self.massive = [(float(m), int(s)) for m, s in massive]
-        self.massless = [int(h) for h in massless]
+        self.massive = [(float(m), s) for m, s in massive]
+        self.massless = massless
         self.json_path = json_path
         self.csv_path = csv_path
         self.normalize = bool(normalize)

@@ -39,6 +39,16 @@ for bit to the dense contraction with ``chi_field``) and the connection
 form that the transport integrator of :mod:`spinsplit.connections`
 applies to its stack at every RK4 node.
 
+``_act_J`` and ``_act_K`` are each their formula, written once for one
+radial shell (``_j_formula``, ``_k_formula``) and evaluated on a
+:class:`~spinsplit.grid.GridShell` as it stands.  On a
+:class:`~spinsplit.grid.MomentumGrid` the derivative pass is taken over
+the whole section, and ``_by_shell`` runs the formula one shell at a
+time, cut by ``_on_shell`` (which the covariant kernel of
+:mod:`spinsplit.connections` also uses), into one output section: every
+temporary is one shell in size, and no shell re-enters ``_act_J`` or
+``_act_K``, so each whole-section action is one call of its name.
+
 The helicity operator is pointwise (the orbital part of J.khat vanishes
 identically).  Each fiber action has one direct call: ``_act_J``,
 ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the generator
@@ -53,8 +63,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BRACKETS, bracket_axes, bracket_terms
-from .grid import GridError, MomentumGrid, Section, component_major
-from .scalars import eps
+from .grid import GridError, GridShell, MomentumGrid, Section, component_major
+from .scalars import _EPS_PAIRS
 
 __all__ = [
     "RepError",
@@ -86,11 +96,8 @@ def _spin_matrices_massive(spin: int) -> np.ndarray:
 def _spin_matrices_cartesian() -> np.ndarray:
     s = np.zeros((3, 3, 3), dtype=np.complex128)
     for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    s[a, b, c] = -1j * e
+        for b, c, e in _EPS_PAIRS[a]:
+            s[a, b, c] = -1j * e
     return s
 
 
@@ -187,6 +194,27 @@ def _derivatives(grid: MomentumGrid, v: np.ndarray, radial: bool = True):
     return (grid.d_r(v) if radial else None, grid.d_theta(v), grid.d_phi(v))
 
 
+def _on_shell(grid: MomentumGrid, i: int, v: np.ndarray, der):
+    """Radial shell ``i`` of the grid, of v and of its derivative pass
+    ``der`` (a None entry stays None): (grid.shell(i), v, der)."""
+    s = slice(i, i + 1)
+    return grid.shell(i), v[s], tuple(d if d is None else d[s] for d in der)
+
+
+def _by_shell(formula, rep: RepSpec, grid, a: int, v: np.ndarray, der):
+    """``formula(rep, shell, a, v, der)`` on a :class:`GridShell`; on a
+    :class:`MomentumGrid`, the formula on each radial shell in turn,
+    written into one array laid out like v, so every temporary is one
+    shell in size."""
+    if isinstance(grid, GridShell):
+        return formula(rep, grid, a, v, der)
+    out = np.empty_like(v)
+    for i in range(grid.n_r):
+        sh, v_i, der_i = _on_shell(grid, i, v, der)
+        out[i:i + 1] = formula(rep, sh, a, v_i, der_i)
+    return out
+
+
 def _entries_act(entries, dim: int, v: np.ndarray) -> np.ndarray:
     """M v for the fiber matrix M listed as (row, column, coefficient)
     entries in row-major order.  A coefficient is a number, an array that
@@ -240,69 +268,61 @@ def _spin_dot(rep: RepSpec, w):
         yield b, c, tuple(w[a] * coef for a, coef in coefs[b, c])
 
 
-def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
-           v: np.ndarray, der=None) -> np.ndarray:
+def _act_J(rep: RepSpec, grid, a: int, v: np.ndarray,
+           der=None) -> np.ndarray:
+    """J_a v on a grid or on one of its shells; ``der`` is the derivative
+    pass over v, taken here over the whole section unless given."""
     if der is None:
         der = _derivatives(grid, v, radial=False)
+    return _by_shell(_j_formula, rep, grid, a, v, der)
+
+
+def _j_formula(rep: RepSpec, sh: GridShell, a: int, v: np.ndarray,
+               der) -> np.ndarray:
+    # -i (e_phi d_theta - e_theta d_phi / sin(theta)) + S_a; the division
+    # is a product with the grid's 1/sin(theta), which gives the
+    # quotient's values on complex sections (see MomentumGrid)
     _, dth, dph = der
-    # -i (e_phi d_theta - e_theta d_phi / sin(theta)), one temporary at a
-    # time; the division is a product with the grid's 1/sin(theta), which
-    # gives the quotient's values on complex sections (see MomentumGrid)
-    out = grid.e_phi[a][..., None] * dth
-    term = grid.e_theta[a][..., None] * dph
-    term *= grid.inv_sin_theta[..., None]
-    out -= term
-    del term
-    out *= -1j
-    out += _spin_act(rep, a, v)
-    return out
+    return (-1j * (sh.e_phi[a][..., None] * dth - sh.e_theta[a][..., None]
+                   * dph * sh.inv_sin_theta[..., None])
+            + _spin_act(rep, a, v))
 
 
-def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
-           v: np.ndarray, der=None) -> np.ndarray:
+def _act_K(rep: RepSpec, grid, a: int, v: np.ndarray,
+           der=None) -> np.ndarray:
+    """K_a v on a grid or on one of its shells; ``der`` is the derivative
+    pass over v, taken here over the whole section unless given."""
     if der is None:
         der = _derivatives(grid, v)
+    return _by_shell(_k_formula, rep, grid, a, v, der)
+
+
+def _k_formula(rep: RepSpec, sh: GridShell, a: int, v: np.ndarray,
+               der) -> np.ndarray:
     dr, dth, dph = der
-    if rep.kind == "massive":
-        # multiplication-ordered orbital part i*omega*d_a: self-adjoint
-        # under the invariant measure d^3k/omega (the symmetrized variant
-        # differs by the radial scalar i k_a/(2 omega) and is self-adjoint
-        # under the plain measure instead)
-        omega = grid.omega(rep.mass)[..., None]
-        # component a of the Cartesian gradient, accumulated in place with
-        # one temporary at a time; d_theta v / r and d_phi v / (r sin(theta))
-        # are products with the grid's reciprocals, which give the
-        # quotients' values on complex sections (see MomentumGrid)
-        out = grid.e_k[a][..., None] * dr
-        term = dth * grid.inv_kmag[..., None]
-        term *= grid.e_theta[a][..., None]
-        out += term
-        np.multiply(dph, grid.inv_kmag_sin_theta[..., None], out=term)
-        term *= grid.e_phi[a][..., None]
-        out += term
-        del term
-        out *= 1j * omega
-        ks = (grid.kx, grid.ky, grid.kz)
-        omega_m = omega + rep.mass
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    spin = _spin_act(rep, b, v)
-                    spin *= (_SIGMA_BOOST * e / omega_m) * ks[c][..., None]
-                    out += spin
-        return out
-    radial = 1j * grid.kmag[..., None] * dr
-    out = grid.khat[a][..., None] * radial
-    del radial
-    for b in range(3):
-        for c in range(3):
-            e = eps(a, b, c)
-            if e:
-                term = _act_J(rep, grid, c, v, der)
-                term *= e * grid.khat[b][..., None]
-                out += term
-    return out
+    if rep.kind == "massless":
+        # khat_a (i |k| d_r) + (khat x J)_a
+        return sum((e * sh.khat[b][..., None] * _j_formula(rep, sh, c, v, der)
+                    for b, c, e in _EPS_PAIRS[a]),
+                   sh.khat[a][..., None] * (1j * sh.kmag[..., None] * dr))
+    # multiplication-ordered orbital part i*omega*d_a: self-adjoint under
+    # the invariant measure d^3k/omega (the symmetrized variant differs by
+    # the radial scalar i k_a/(2 omega) and is self-adjoint under the
+    # plain measure instead).  d_theta v / r and d_phi v / (r sin(theta))
+    # are products with the grid's reciprocals, which give the quotients'
+    # values on complex sections (see MomentumGrid).  The sum runs left to
+    # right: i omega (grad v)_a, then sigma eps_abc S_b v k_c/(omega + m)
+    # pair by pair
+    omega = sh.omega(rep.mass)[..., None]
+    ks = (sh.kx, sh.ky, sh.kz)
+    return sum((_spin_act(rep, b, v)
+                * (_SIGMA_BOOST * e / (omega + rep.mass) * ks[c][..., None])
+                for b, c, e in _EPS_PAIRS[a]),
+               1j * omega * (sh.e_k[a][..., None] * dr
+                             + sh.e_theta[a][..., None]
+                             * (dth * sh.inv_kmag[..., None])
+                             + sh.e_phi[a][..., None]
+                             * (dph * sh.inv_kmag_sin_theta[..., None])))
 
 
 def _act_chi(rep: RepSpec, grid: MomentumGrid, v: np.ndarray) -> np.ndarray:

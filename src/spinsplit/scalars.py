@@ -70,6 +70,12 @@ def eps(a, b, c):
     return _EPS.get((a, b, c), 0)
 
 
+# per axis a, the (b, c, eps_abc) of the nonzero symbols, b ascending
+_EPS_PAIRS = tuple(tuple((b, c, eps(a, b, c)) for b in range(3)
+                         for c in range(3) if eps(a, b, c))
+                   for a in range(3))
+
+
 _cancel_memo: dict = {}
 
 

@@ -49,7 +49,7 @@ from .connections import (
 )
 from .grid import MomentumGrid, Section
 from .reps import RepSpec, _act_chi, _act_J, _act_K, _derivatives, inner
-from .scalars import eps
+from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
     "SplittingError",
@@ -393,11 +393,8 @@ class NWOperator:
         w = []
         for c in range(3):
             acc = omega * jpsi[c]
-            for d in range(3):
-                for e_ in range(3):
-                    s = eps(c, d, e_)
-                    if s:
-                        acc = acc + s * ks[d][..., None] * kpsi[e_]
+            for d, e_, s in _EPS_PAIRS[c]:
+                acc = acc + s * ks[d][..., None] * kpsi[e_]
             w.append(acc)
         del jpsi
         coef = 1.0 / (m * omega * (omega + m))
@@ -405,11 +402,8 @@ class NWOperator:
         for a in axes:
             out = (1.0 / omega) * (kpsi[a] - 1j * ks[a][..., None]
                                    / (2.0 * omega) * kv)
-            for b in range(3):
-                for c in range(3):
-                    s = eps(a, b, c)
-                    if s:
-                        out = out - coef * s * ks[b][..., None] * w[c]
+            for b, c, s in _EPS_PAIRS[a]:
+                out = out - coef * s * ks[b][..., None] * w[c]
             qs.append(Section(rep, grid, out))
         return qs
 

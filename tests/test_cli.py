@@ -823,3 +823,94 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("spinsplit ")
+
+
+# -- repeated suites and reps, integer values, status lines ----------------------
+
+
+def test_repeated_suite_flag_exits_2_naming_it(capsys):
+    # a repeated suite would run, and write its records, twice
+    assert main(["run", "--suite", "holonomy", "holonomy"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "suite holonomy is given twice" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("section, line, repeat", [
+    ("run", "suites = nw, symbolic, nw", "suite nw"),
+    ("reps", "massive = 1.3:1, 2.0:0, 1.3:1", "massive rep 1.3:1"),
+    ("reps", "massless = 1, -1, 1", "helicity 1"),
+], ids=["suites", "massive", "massless"])
+def test_ini_repeat_exits_2_naming_it(tmp_path, capsys, section, line,
+                                      repeat):
+    text = (f"[run]\n{line}\n" if section == "run"
+            else f"[run]\nsuites = nw\n[reps]\n{line}\n")
+    path = _write(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"{repeat} is given twice"):
+        RunConfig.from_ini(path)
+    assert main(["run", "--config", path]) == EXIT_ERROR
+    assert f"{repeat} is given twice" in capsys.readouterr().err
+
+
+def test_repeated_reps_rejected_by_value():
+    # the same mass written as an int and as a float is the same rep
+    with pytest.raises(ConfigError, match="massive rep 2.0:1"):
+        RunConfig(suites=["nw"], massive=[(2, 1), (2.0, 1)])
+    RunConfig(suites=["nw"], massive=[(1.3, 0), (1.3, 1)])
+
+
+def test_run_config_rejects_non_integral_and_boolean_values():
+    good = {"suites": ["nw"], "seed": 2,
+            "ladder": [(4, 12, 24), (6, 24, 48)],
+            "massive": [(1.3, 1)], "massless": [1]}
+    # each of these was truncated: seed 2, rung (4, 12, 24), spin 1,
+    # helicity 1
+    with pytest.raises(ConfigError, match="must be an integer"):
+        RunConfig(suites=["nw"], seed=2.7,
+                  ladder=[(4.9, 12, 24), (6, 24, 48)],
+                  massive=[(1.3, True)], massless=[True])
+    for key, bad, what in (
+            ("seed", 2.7, "seed"), ("seed", True, "seed"),
+            ("seed", 2.0, "seed"),
+            ("ladder", [(4.9, 12, 24), (6, 24, 48)], r"rung \(4.9, 12, 24\)"),
+            ("ladder", [(4, 12, 24), (6, True, 48)], "rung"),
+            ("massive", [(1.3, True)], "spin"),
+            ("massive", [(1.3, 1.0)], "spin"),
+            ("massless", [True], "helicity"),
+            ("massless", [np.bool_(True)], "helicity"),
+            ("massless", [1.0], "helicity")):
+        with pytest.raises(ConfigError, match=f"{what}.*must be an integer"):
+            RunConfig(**{**good, key: bad})
+    # NumPy integers stay accepted, as plain ints
+    c = RunConfig(suites=["nw"], seed=np.int64(2),
+                  ladder=[tuple(np.int32(n) for n in rung)
+                          for rung in good["ladder"]],
+                  massive=[(1.3, np.int64(1))], massless=[np.int8(1)])
+    assert c.spec() == RunConfig(**good).spec()
+    assert type(c.seed) is int
+    assert all(type(n) is int for rung in c.ladder for n in rung)
+    assert type(c.massive[0][1]) is int and type(c.massless[0]) is int
+
+
+def test_status_lines_name_the_rep(tmp_path, capsys):
+    # record names repeat across reps; with the rep each status line's
+    # "suite:name rep" prefix is unique, and the JSON is unchanged
+    out = tmp_path / "r.json"
+    rc = main(["run", "--suite", "algebra", "curvature", "--grid", "5,12,24",
+               "--normalize", "--json", str(out)])
+    assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+    lines = capsys.readouterr().err.splitlines()
+    records = json.loads(out.read_text())["records"]
+    assert len(lines) == len(records)
+    prefixes = [line.split(" measured=")[0] for line in lines]
+    assert len(set(prefixes)) == len(prefixes)
+    names = [p.split()[1] for p in prefixes]
+    assert len(set(names)) < len(names)
+    for prefix, rec in zip(prefixes, records):
+        assert ("rep" in rec) == (" RepSpec." in prefix)
+    assert any(p.endswith(" algebra:algebra-massive-KK "
+                          "RepSpec.massive(mass=1.3, spin=1)")
+               for p in prefixes)
+    assert any(p.endswith(" algebra:algebra-massless-JJ "
+                          "RepSpec.massless(helicity=-1)")
+               for p in prefixes)

@@ -24,6 +24,9 @@ from spinsplit.connections import (
 from spinsplit.grid import make_grid
 from spinsplit.reps import (
     RepSpec,
+    _act_J,
+    _act_K,
+    _derivatives,
     algebra_residual,
     inner,
     random_test_section,
@@ -145,6 +148,35 @@ def test_shell_field_pass_peak_held(case):
     xs = [TangentField.rotational(a) for a in range(3)]
     peak = _peak_sections(lambda: apply_connections(kind, xs, psi), psi)
     assert peak <= _SHELL_FIELD_PEAKS[case]
+
+
+# The generator actions run their formulas one radial shell at a time
+# into one output section.  Traced peaks of one whole-section action with
+# its derivative pass given, and of algebra_residual over the ten
+# families (numpy 2.4.6, Python 3.11.7), rounded up at the fourth
+# decimal.  The whole-section bodies peaked at 2.3937 (J) and 3.3392 /
+# 4.3950 (K) sections, and algebra_residual at 15.7402 / 16.4631.
+_SHELL_ACTION_PEAKS = {
+    "massive1-flat": {"J": 1.6754, "K": 1.9016, "algebra": 14.0919},
+    "massless+1-boost": {"J": 1.6753, "K": 2.0404, "algebra": 14.1258},
+}
+
+
+@pytest.mark.parametrize("what", ["J", "K", "algebra"])
+@pytest.mark.parametrize("case", list(_SHELL_ACTION_PEAKS))
+def test_shell_action_peak_held(case, what):
+    rep, grid, _ = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    if what == "algebra":
+        peak = max(_peak_sections(
+            lambda rid=rid: algebra_residual(rep, grid, rid, psi), psi)
+            for rid in relation_ids())
+    else:
+        act = _act_J if what == "J" else _act_K
+        der = _derivatives(grid, psi.values)
+        peak = _peak_sections(lambda: act(rep, grid, 0, psi.values, der),
+                              psi)
+    assert peak <= _SHELL_ACTION_PEAKS[case][what]
 
 
 @pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))

@@ -15,6 +15,7 @@ from spinsplit.reps import (
     _act_J,
     _act_K,
     _derivatives,
+    _on_shell,
     _spin_act,
     algebra_residual,
     inner,
@@ -328,3 +329,119 @@ def test_generator_kernels_match_quotient_forms(rep, grid_small_massive,
                               _act_K_quotient(rep, grid, a, v))
         assert np.array_equal(_act_K(rep, grid, a, v, der),
                               _act_K_quotient(rep, grid, a, v, der))
+
+
+# -- the shell-wise actions against the whole-section bodies -----------------------
+
+
+def _whole_section_act_J(rep, grid, a, v, der=None):
+    """J_a v as it was written before it ran one radial shell at a time:
+    the same body, on whole sections."""
+    if der is None:
+        der = _derivatives(grid, v, radial=False)
+    _, dth, dph = der
+    out = grid.e_phi[a][..., None] * dth
+    term = grid.e_theta[a][..., None] * dph
+    term *= grid.inv_sin_theta[..., None]
+    out -= term
+    del term
+    out *= -1j
+    out += _spin_act(rep, a, v)
+    return out
+
+
+def _whole_section_act_K(rep, grid, a, v, der=None):
+    """K_a v as it was written before it ran one radial shell at a time:
+    the same body, on whole sections."""
+    if der is None:
+        der = _derivatives(grid, v)
+    dr, dth, dph = der
+    if rep.kind == "massive":
+        omega = grid.omega(rep.mass)[..., None]
+        out = grid.e_k[a][..., None] * dr
+        term = dth * grid.inv_kmag[..., None]
+        term *= grid.e_theta[a][..., None]
+        out += term
+        np.multiply(dph, grid.inv_kmag_sin_theta[..., None], out=term)
+        term *= grid.e_phi[a][..., None]
+        out += term
+        del term
+        out *= 1j * omega
+        ks = (grid.kx, grid.ky, grid.kz)
+        omega_m = omega + rep.mass
+        for b in range(3):
+            for c in range(3):
+                e = eps(a, b, c)
+                if e:
+                    spin = _spin_act(rep, b, v)
+                    spin *= ((reps_mod._SIGMA_BOOST * e / omega_m)
+                             * ks[c][..., None])
+                    out += spin
+        return out
+    radial = 1j * grid.kmag[..., None] * dr
+    out = grid.khat[a][..., None] * radial
+    del radial
+    for b in range(3):
+        for c in range(3):
+            e = eps(a, b, c)
+            if e:
+                term = _whole_section_act_J(rep, grid, c, v, der)
+                term *= e * grid.khat[b][..., None]
+                out += term
+    return out
+
+
+@pytest.mark.parametrize("layout", ["component-major", "C-order"])
+@pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
+def test_shellwise_actions_match_whole_section_bytes(rep, layout):
+    # each action runs its formula one radial shell at a time; the bytes
+    # are those of the whole-section body, with the derivative pass taken
+    # inside or passed in, and on one shell alone
+    grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
+                      mass_scale=MASS) if rep.kind == "massive"
+            else make_grid(5, 12, 24, 1.0, 2.0))
+    v = random_test_section(rep, grid, seed=13).values
+    if layout == "C-order":
+        v = np.ascontiguousarray(v)
+    der = _derivatives(grid, v)
+    for a in range(3):
+        for act, ref in ((_act_J, _whole_section_act_J),
+                         (_act_K, _whole_section_act_K)):
+            assert act(rep, grid, a, v).tobytes() == \
+                ref(rep, grid, a, v).tobytes()
+            whole = ref(rep, grid, a, v, der)
+            assert act(rep, grid, a, v, der).tobytes() == whole.tobytes()
+            for i in (0, 3):
+                shell, v_i, der_i = _on_shell(grid, i, v, der)
+                assert act(rep, shell, a, v_i, der_i).tobytes() == \
+                    whole[i:i + 1].tobytes()
+
+
+@pytest.fixture
+def action_entries(monkeypatch):
+    """Count the entries of each traced generator action, as a layer
+    tracer that rebinds the module's names counts them."""
+    calls = {"_act_J": 0, "_act_K": 0}
+    for name in calls:
+        orig = getattr(reps_mod, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        monkeypatch.setattr(reps_mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
+                                 RepSpec.massless(1)], ids=repr)
+def test_shell_loop_enters_each_action_once(rep, action_entries):
+    # the shell loop runs the formulas directly: a whole-section action
+    # is one entry of its traced name whatever N_r is, and the massless
+    # K builds its J terms without entering the traced J
+    grid = make_grid(6, 12, 24, 1.0, 2.0)
+    v = random_test_section(rep, grid, seed=3).values
+    reps_mod._act_J(rep, grid, 0, v)
+    assert action_entries == {"_act_J": 1, "_act_K": 0}
+    reps_mod._act_K(rep, grid, 0, v)
+    assert action_entries == {"_act_J": 1, "_act_K": 1}
