@@ -193,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--json", help="JSON report output path")
     p_run.add_argument("--csv", help="convergence CSV output path")
     p_run.add_argument("--normalize", action="store_true",
-                       help="omit timings for byte-stable reports")
+                       help="omit timings and resources for byte-stable "
+                            "reports")
     p_run.set_defaults(fn=_cmd_run)
 
     p_eval = subs.add_parser("eval", help="evaluate an operator "

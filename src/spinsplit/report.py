@@ -20,9 +20,15 @@ import io
 import json
 import math
 import os
+import sys
 import time
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not every platform has it; the report then omits it
+    resource = None
 
 from . import __version__
 from .connections import (
@@ -764,18 +770,36 @@ _EXTRA_TOLS = {
 }
 
 
+# ru_maxrss is in kilobytes, except on macOS (bytes)
+_MAXRSS_PER_MB = 1 << 20 if sys.platform == "darwin" else 1 << 10
+
+
+def _usage():
+    """This process's resource usage, or None where ``resource`` is
+    missing."""
+    return None if resource is None else resource.getrusage(
+        resource.RUSAGE_SELF)
+
+
 def run_suites(config: RunConfig) -> dict:
     """Run the configured suites and return the report dict."""
     records = []
     rows = []
     timings = {}
+    resources = {}
     for suite in config.suites:
         t0 = time.time()
+        before = _usage()
         start = len(records)
         SUITES[suite]["fn"](config, records, rows)
         for rec in records[start:]:
             rec["suite"] = suite
         timings[suite] = round(time.time() - t0, 3)
+        after = _usage()
+        if after is not None:
+            resources[suite] = {
+                "minor_faults": after.ru_minflt - before.ru_minflt,
+                "peak_rss_mb": round(after.ru_maxrss / _MAXRSS_PER_MB, 1)}
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -786,6 +810,8 @@ def run_suites(config: RunConfig) -> dict:
     }
     if not config.normalize:
         report["timings"] = timings
+        if resources:
+            report["resources"] = resources
     report["_rows"] = rows
     return report
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spinsplit.cli as cli
+import spinsplit.report as report_module
 from spinsplit.cli import (
     EXIT_CHECK_FAILED,
     EXIT_ERROR,
@@ -433,6 +434,32 @@ def test_report_shape_and_json():
     assert data["schema_version"] == 1
     assert "_rows" not in data
     assert "timings" not in data  # normalized
+
+
+_CHEAP_RUN = dict(suites=["holonomy", "chern"], ladder=[(4, 12, 24)],
+                  massive=[(1.3, 1)], massless=[1])
+
+
+def test_report_resources_per_suite():
+    data = json.loads(report_json(run_suites(RunConfig(**_CHEAP_RUN))))
+    assert set(data["resources"]) == set(data["timings"]) \
+        == {"holonomy", "chern"}
+    for usage in data["resources"].values():
+        assert set(usage) == {"minor_faults", "peak_rss_mb"}
+        assert isinstance(usage["minor_faults"], int)
+        assert usage["minor_faults"] >= 0 and usage["peak_rss_mb"] > 0
+    # the peak is the process's high-water mark, so it never falls
+    assert data["resources"]["chern"]["peak_rss_mb"] \
+        >= data["resources"]["holonomy"]["peak_rss_mb"]
+    normalized = run_suites(RunConfig(**_CHEAP_RUN, normalize=True))
+    assert "resources" not in json.loads(report_json(normalized))
+
+
+def test_report_leaves_resources_out_without_the_module(monkeypatch):
+    monkeypatch.setattr(report_module, "resource", None)
+    data = json.loads(report_json(run_suites(RunConfig(**_CHEAP_RUN))))
+    assert set(data["timings"]) == {"holonomy", "chern"}
+    assert "resources" not in data
 
 
 def test_convergence_csv_columns():
