@@ -37,7 +37,6 @@ __all__ = [
     "op_P",
     "op_Pmag",
     "op_m",
-    "anticommutator",
     "gen_J",
     "gen_K",
     "vec_J",
@@ -350,10 +349,6 @@ class OperatorExpr:
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
     return a * b - b * a
-
-
-def anticommutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b + b * a
 
 
 class VectorExpr:

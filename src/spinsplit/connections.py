@@ -101,10 +101,6 @@ def _real_components(values, what: str) -> np.ndarray:
 
 # -- radial weight profiles ----------------------------------------------------
 
-def constant_profile(value: float):
-    return lambda r, m: np.full_like(np.asarray(r, dtype=float), value)
-
-
 def lambda_flat_profile(lam: float):
     """f = lambda * H/m; lambda = 1 is the flat weight."""
     return lambda r, m: lam * np.sqrt(m**2 + r**2) / m

@@ -150,16 +150,13 @@ class SplitOperators:
     def S(self, a: int, psi: Section) -> Section:
         return self.S_axes((a,), psi)[0]
 
-    # massless parallel/perpendicular aliases (pointwise helicity part
-    # and its complement)
+    # the massless parallel/perpendicular split: the pointwise helicity
+    # part of J and its complement
     def j_parallel(self, a: int, psi: Section) -> Section:
         self._require_massless()
         chi = _act_chi(psi.rep, psi.grid, psi.values)
         return Section(psi.rep, psi.grid,
                        psi.grid.khat[a][..., None] * chi)
-
-    def j_perp(self, a: int, psi: Section) -> Section:
-        return self.J(a, psi) - self.j_parallel(a, psi)
 
     def j_perp_axes(self, axes, psi: Section) -> list:
         """[Jperp_a psi for a in axes], from one angular pass and one

@@ -6,7 +6,6 @@ import pytest
 from spinsplit.algebra import (
     OperatorExpr,
     VectorExpr,
-    anticommutator,
     commutator,
     gen_J,
     gen_K,
@@ -86,11 +85,6 @@ def test_generators_self_adjoint(ring):
     assert op_H(ring).adjoint() == op_H(ring)
     assert (op_scalar(ring, "I") * op_H(ring)).adjoint() == \
         -op_scalar(ring, "I") * op_H(ring)
-
-
-def test_anticommutator(ring):
-    x, y = gen_J(ring, 0), gen_J(ring, 1)
-    assert anticommutator(x, y) == x * y + y * x
 
 
 def test_vector_dot_cross(ring):

@@ -1,4 +1,5 @@
-"""Connection laboratory: covariant derivatives, Leibniz rule,
+"""Connection laboratory: covariant derivatives and their bit-exact
+agreement with the reference in ``reference.py``, Leibniz rule,
 curvature (global and sampled), mixed-connection commutators, holonomy,
 and the lattice Chern number."""
 
@@ -12,12 +13,10 @@ from spinsplit.connections import (
     HolonomyLoop,
     TangentField,
     _covariant_values,
-    _cross_khat,
     _form_matrix,
     apply_connection,
     apply_connections,
     chern_number,
-    constant_profile,
     cross_commutator_check,
     curvature_commutator,
     curvature_sample_commutator,
@@ -32,13 +31,12 @@ from spinsplit.report import RunConfig
 from spinsplit.reps import (
     RepSpec,
     _act_chi,
-    _act_J,
-    _act_K,
     _derivatives,
     _entries_act,
     random_test_section,
 )
 
+import reference
 from conftest import MASS, smooth_scalar
 
 ETH = TangentField.named("e_theta")
@@ -214,7 +212,7 @@ def test_leibniz_mutation_detected(rep_massive1, grid_mid_massive):
 @pytest.mark.parametrize("rep,kind", [
     (RepSpec.massive(MASS, 1), ConnectionKind.boost()),
     (RepSpec.massive(MASS, 1), ConnectionKind.rotation()),
-    (RepSpec.massive(MASS, 1), ConnectionKind.affine(constant_profile(0.3))),
+    (RepSpec.massive(MASS, 1), ConnectionKind.affine(lambda r, m: 0.3)),
     (RepSpec.massless(1), ConnectionKind.boost()),
 ], ids=["massive1-boost", "massive1-rotation", "massive1-affine0.3",
         "massless+1-boost"])
@@ -236,145 +234,65 @@ def test_closed_form_matches_generator_connection(rep, kind, x,
     assert Section(rep, g, out).norm() < 1e-12 * psi.norm()
 
 
-# -- the shell-blocked covariant pass --------------------------------------------
+# -- the shell-blocked covariant pass against its reference ----------------------
 
 
-def _add_weighted(accs, weight, term: np.ndarray) -> None:
-    """accs[i] += weight(i) * term for each accumulator, in order.  Each
-    weight is formed when it is used, and the last product is formed in
-    ``term`` itself, so term must be a fresh array."""
-    last = len(accs) - 1
-    for i, acc in enumerate(accs):
-        if i < last:
-            acc += weight(i) * term
-        else:
-            term *= weight(i)
-            acc += term
-
-
-def _whole_section_covariant_values(rep, grid, kind, xvs, v, der=None):
-    """The covariant pass as it was written before it ran one radial
-    shell at a time: the same body, on whole sections."""
-    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
-    use_boost = kind.variant != "rotation"
-    use_rotation = kind.variant != "boost"
-    massive = rep.kind == "massive"
-    dr, dth, dph = _derivatives(grid, v) if der is None else der
-    del der
-    # the K actions first, then the J actions: each accumulator receives
-    # its terms in axis order, and d_r v is dropped before the rotation
-    # accumulators exist
-    boosts = [np.zeros_like(v) for _ in xvs] if use_boost else []
-    if not use_rotation:
-        radial = None
-    elif massive:
-        radial = np.zeros_like(v)
-    else:
-        radial = 1j * grid.kmag[..., None] * dr
-    if use_boost or (use_rotation and massive):
-        accs = boosts + ([radial] if use_rotation and massive else [])
-        for a in range(3):
-            _add_weighted(
-                accs,
-                lambda i: (xvs[i][a] if i < len(boosts)
-                           else grid.khat[a])[..., None],
-                _act_K(rep, grid, a, v, (dr, dth, dph)))
-    del dr
-    rotations = []
-    if use_rotation:
-        rotations = [np.zeros_like(v) for _ in xvs]
-        for a in range(3):
-            j_a = _act_J(rep, grid, a, v, (None, dth, dph))
-            _add_weighted(
-                rotations,
-                lambda i: (_cross_khat(grid, xvs[i], a)
-                           / grid.kmag)[..., None],
-                j_a)
-            del j_a
-    # drop the derivative pass before combining: it sets the peak memory
-    del dth, dph
-    omega = grid.omega(rep.mass)[..., None]
-    for xv, rotation in zip(xvs, rotations):
-        xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
-        rotation += xkhat / omega * radial
-    del radial
-    out = []
-    for i, xv in enumerate(xvs):
-        xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
-        shift = xk / (2.0 * omega**2) * v
-        # the branches are finished in place, one field at a time:
-        # (-1j/omega)*boost - shift and -1j*rotation - shift, then
-        # f*boost + (1 - f)*rotation for the affine kinds
-        if use_boost:
-            boost = boosts[i]
-            boosts[i] = None
-            boost *= -1j / omega
-            boost -= shift
-        if use_rotation:
-            rotation = rotations[i]
-            rotations[i] = None
-            rotation *= -1j
-            rotation -= shift
-        del shift
-        if use_boost and use_rotation:
-            boost *= f
-            rotation *= 1.0 - f
-            boost += rotation
-        out.append(boost if use_boost else rotation)
-    return out
-
-
-
-_SHELL_KINDS = {
+_COVARIANT_KINDS = {
     "boost": ConnectionKind.boost(),
     "rotation": ConnectionKind.rotation(),
     "flat": ConnectionKind.flat_massive(),
+    "affine-half": ConnectionKind.affine(lambda r, m: 0.5),
     # a weight that differs from shell to shell
-    "affine": ConnectionKind.affine(lambda r, m: 0.25 + 0.5 * r / (1 + r)),
+    "affine-shell": ConnectionKind.affine(
+        lambda r, m: 0.25 + 0.5 * r / (1 + r)),
 }
-_SHELL_REPS = {
+_COVARIANT_REPS = {
     "massive0": RepSpec.massive(MASS, 0),
     "massive1": RepSpec.massive(MASS, 1),
     "massless0": RepSpec.massless(0),
     "massless+1": RepSpec.massless(1),
     "massless-1": RepSpec.massless(-1),
 }
-_SHELL_FIELDS = {
-    "1": (EPH,),
-    "3": (ETH, TangentField.rotational(1),
-          TangentField.constant((0.3, -0.2, 0.9))),
-    # array fields are sliced to each shell
-    "array": (TangentField.from_array(
-        np.random.default_rng(13).normal(size=(3, 5, 12, 24))),),
+
+
+_COVARIANT_FIELDS = {
+    "array": lambda grid: TangentField.from_array(
+        np.random.default_rng(13).normal(size=(3,) + grid.shape)),
+    "e_theta": lambda grid: ETH,
+    "e_phi": lambda grid: EPH,
+    "rotational": lambda grid: TangentField.rotational(1),
+    "constant": lambda grid: TangentField.constant((0.3, -0.2, 0.9)),
 }
 
 
-@pytest.mark.parametrize("fields", list(_SHELL_FIELDS))
+@pytest.mark.parametrize("fields", [*_COVARIANT_FIELDS, "batch"])
 @pytest.mark.parametrize("kind_name,rep_name", [
-    (k, r) for k in _SHELL_KINDS for r in _SHELL_REPS
+    (k, r) for k in _COVARIANT_KINDS for r in _COVARIANT_REPS
     # the flat connection is massive only
     if not (k == "flat" and r.startswith("massless"))])
-def test_shell_blocked_pass_matches_whole_section_bytes(kind_name, rep_name,
-                                                        fields):
-    # running the body one radial shell at a time moves no bit of any
-    # value, the sign of a zero included
-    rep, kind = _SHELL_REPS[rep_name], _SHELL_KINDS[kind_name]
+def test_covariant_pass_matches_reference_bytes(kind_name, rep_name, fields):
+    # one pass over one field or over the batch of all five, with the
+    # derivative pass taken inside or given by the caller: each field's
+    # derivative equals, bit for bit and the sign of a zero included, its
+    # one-field call and the reference sum of single-axis actions.  Array
+    # fields are sliced to each shell; the others are evaluated on it
+    rep, kind = _COVARIANT_REPS[rep_name], _COVARIANT_KINDS[kind_name]
     grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
                       mass_scale=MASS) if rep.kind == "massive"
             else make_grid(5, 12, 24, 1.0, 2.0))
     psi = random_test_section(rep, grid, seed=11)
-    xs = _SHELL_FIELDS[fields]
-    ref = _whole_section_covariant_values(
-        rep, grid, kind, [x.values(grid) for x in xs], psi.values)
-    got = apply_connections(kind, xs, psi)
-    assert len(got) == len(ref)
-    for sec, val in zip(got, ref):
-        assert sec.values.tobytes() == val.tobytes()
-    # a derivative pass given by the caller is sliced the same way
-    der = _derivatives(grid, psi.values)
-    for val, ref_val in zip(
-            _covariant_values(rep, grid, kind, xs, psi.values, der), ref):
-        assert val.tobytes() == ref_val.tobytes()
+    xs = [field(grid) for name, field in _COVARIANT_FIELDS.items()
+          if fields in ("batch", name)]
+    batch = apply_connections(kind, xs, psi)
+    given = _covariant_values(rep, grid, kind, xs, psi.values,
+                              _derivatives(grid, psi.values))
+    assert len(batch) == len(given) == len(xs)
+    for x, out, out_given in zip(xs, batch, given):
+        ref = reference.covariant(kind, rep, grid, x.values(grid),
+                                  psi.values).tobytes()
+        assert out.values.tobytes() == ref
+        assert out_given.tobytes() == ref
+        assert apply_connection(kind, x, psi).values.tobytes() == ref
 
 
 def test_grid_shell_fields_are_slices(grid_small_massive):
@@ -632,8 +550,8 @@ def test_chern_kind_independent():
     values = [chern_number(rep, kind)
               for kind in (ConnectionKind.boost(),
                            ConnectionKind.rotation(),
-                           ConnectionKind.affine(constant_profile(0.0)),
-                           ConnectionKind.affine(constant_profile(1.0)))]
+                           ConnectionKind.affine(lambda r, m: 0.0),
+                           ConnectionKind.affine(lambda r, m: 1.0))]
     assert all(n == -2 for n, _ in values)
     raws = [raw for _, raw in values]
     assert max(raws) - min(raws) < 1e-6

@@ -1,10 +1,10 @@
 """One derivative pass per section for every field applied to it: call
 counts of the grid derivatives for one field, for a batch of fields, for
 the curvature, cross-commutator and splitting diagnostics and for each
-bracket family of the commutation-relation catalog, and bit-exact
-agreement of the shared-pass connection, one field or a batch, with a
-reference sum of single-axis generator actions, and of
-``algebra_residual`` with its one-action-per-pair loop."""
+bracket family of the commutation-relation catalog; bit-exact agreement
+of the batched splitting diagnostics with their one-field loops and of
+``algebra_residual`` with its one-action-per-pair loop, both in
+``reference.py``."""
 
 import numpy as np
 import pytest
@@ -18,18 +18,13 @@ from spinsplit.connections import (
     curvature_commutator,
 )
 import spinsplit.splitting as splitting
-from spinsplit.grid import MomentumGrid, Section, make_grid
+from spinsplit.grid import MomentumGrid, make_grid
 from spinsplit.reps import (
     RepSpec,
-    _act,
-    _act_J,
-    _act_K,
-    _derivatives,
     algebra_residual,
     random_test_section,
     relation_ids,
 )
-from spinsplit.scalars import eps
 from spinsplit.splitting import (
     NWOperator,
     SplitOperators,
@@ -39,6 +34,7 @@ from spinsplit.splitting import (
     vector_op_residual,
 )
 
+import reference
 from conftest import MASS
 
 _DERIVATIVES = ("d_r", "d_theta", "d_phi", "gradient")
@@ -142,82 +138,6 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
                                 "d_phi": d_phi, "gradient": 0}
 
 
-def _reference(kind, rep, grid, xv, v):
-    """D_X v as a sum of single-axis generator actions, each taking its
-    own derivatives of v."""
-    omega = grid.omega(rep.mass)[..., None]
-    xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
-    acc = np.zeros_like(v)
-    for a in range(3):
-        acc += xv[a][..., None] * _act_K(rep, grid, a, v)
-    boost = (-1j / omega) * acc - xk / (2.0 * omega**2) * v
-    xkhat = sum(xv[a] * grid.khat[a] for a in range(3))[..., None]
-    acc = np.zeros_like(v)
-    for c in range(3):
-        w = sum(eps(c, a, b) * xv[a] * grid.khat[b]
-                for a in range(3) for b in range(3) if eps(c, a, b))
-        acc += (w / grid.kmag)[..., None] * _act_J(rep, grid, c, v)
-    if rep.kind == "massless":
-        radial = 1j * grid.kmag[..., None] * grid.d_r(v)
-    else:
-        radial = np.zeros_like(v)
-        for b in range(3):
-            radial += grid.khat[b][..., None] * _act_K(rep, grid, b, v)
-    acc += xkhat / omega * radial
-    rotation = -1j * acc - xk / (2.0 * omega**2) * v
-    if kind.variant == "boost":
-        return boost
-    if kind.variant == "rotation":
-        return rotation
-    f = kind.weight(grid.r, rep.mass)[:, None, None, None]
-    return f * boost + (1.0 - f) * rotation
-
-
-_CASES = [
-    (RepSpec.massive(MASS, s), kind)
-    for s in (0, 1)
-    for kind in (ConnectionKind.boost(), ConnectionKind.rotation(),
-                 ConnectionKind.flat_massive(), ConnectionKind.affine(_half))
-] + [
-    (RepSpec.massless(h), kind)
-    for h in (-1, 1)
-    for kind in (ConnectionKind.boost(), ConnectionKind.rotation(),
-                 ConnectionKind.affine(_half))
-]
-
-
-@pytest.mark.parametrize("rep,kind", _CASES,
-                         ids=[f"{r!r}-{k.variant}" for r, k in _CASES])
-def test_shared_pass_matches_single_axis_actions_exactly(rep, kind):
-    grid = (_massive_grid() if rep.kind == "massive"
-            else make_grid(4, 12, 24, 1.0, 2.0))
-    psi = random_test_section(rep, grid, seed=5)
-    xv = np.random.default_rng(5).normal(size=(3,) + grid.shape)
-    out = apply_connection(kind, TangentField.from_array(xv), psi)
-    assert np.array_equal(out.values,
-                          _reference(kind, rep, grid, xv, psi.values))
-
-
-@pytest.mark.parametrize("rep,kind", _CASES,
-                         ids=[f"{r!r}-{k.variant}" for r, k in _CASES])
-def test_batched_fields_match_one_field_calls_exactly(rep, kind):
-    grid = (_massive_grid() if rep.kind == "massive"
-            else make_grid(4, 12, 24, 1.0, 2.0))
-    psi = random_test_section(rep, grid, seed=7)
-    rng = np.random.default_rng(7)
-    fields = [TangentField.from_array(rng.normal(size=(3,) + grid.shape))
-              for _ in range(2)]
-    fields += [TangentField.named("e_theta"), TangentField.rotational(2)]
-    batch = apply_connections(kind, fields, psi)
-    assert len(batch) == len(fields)
-    for x, out in zip(fields, batch):
-        assert np.array_equal(out.values,
-                              apply_connection(kind, x, psi).values)
-        assert np.array_equal(
-            out.values,
-            _reference(kind, rep, grid, x.values(grid), psi.values))
-
-
 # -- splitting operators over several axes ------------------------------------------
 
 
@@ -251,37 +171,6 @@ def test_split_axes_match_single_axis_calls_exactly(rep, kind):
         assert np.array_equal(out.values, ref.values)
 
 
-def _so3_reference(act, psi):
-    nrm = psi.norm()
-    x_psi = [act(c, psi) for c in range(3)]
-    worst = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            out = act(a, x_psi[b]) - act(b, x_psi[a])
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    out = out - x_psi[c] * (1j * e)
-            worst = max(worst, out.norm() / nrm)
-    return worst
-
-
-def _vector_op_reference(ops, act, psi):
-    nrm = psi.norm()
-    x_psi = [act(c, psi) for c in range(3)]
-    j_psi = [ops.J(b, psi) for b in range(3)]
-    worst = 0.0
-    for a in range(3):
-        for b in range(3):
-            out = act(a, j_psi[b]) - ops.J(b, x_psi[a])
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    out = out - x_psi[c] * (1j * e)
-            worst = max(worst, out.norm() / nrm)
-    return worst
-
-
 @pytest.mark.parametrize("breaking", [0.0, 0.5],
                          ids=["symmetric", "broken"])
 @pytest.mark.parametrize("rep,kind", _split_cases(),
@@ -296,36 +185,20 @@ def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind,
     if breaking:
         assert vector_op_residual(ops, psi) > 0.1
     for which, act in (("L", ops.L), ("S", ops.S)):
-        assert so3_residual(ops, psi, which) == _so3_reference(act, psi)
+        assert so3_residual(ops, psi, which) == \
+            reference.so3_residual(act, psi)
         assert vector_op_residual(ops, psi, which) \
-            == _vector_op_reference(ops, act, psi)
-    nrm = psi.norm()
-    l_psi = [ops.L(c, psi) for c in range(3)]
-    worst = 0.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            out = ops.L(a, l_psi[b]) - ops.L(b, l_psi[a])
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    out = out - l_psi[c] * (1j * e)
-            out = out + curvature_commutator(kind, ops.field(a),
-                                             ops.field(b), psi)
-            worst = max(worst, out.norm() / nrm)
-    assert defect_identity_residual(ops, psi) == worst
+            == reference.vector_op_residual(act, ops.J, psi)
+    assert defect_identity_residual(ops, psi) == reference.so3_residual(
+        ops.L, psi, curvature=lambda a, b: curvature_commutator(
+            kind, ops.field(a), ops.field(b), psi))
     if rep.kind == "massless":
-        worst = 0.0
-        for a in range(3):
-            for b in range(a + 1, 3):
-                out = (ops.j_perp(a, ops.j_perp(b, psi))
-                       - ops.j_perp(b, ops.j_perp(a, psi)))
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        out = out - (ops.j_perp(c, psi)
-                                     - ops.j_parallel(c, psi)) * (1j * e)
-                worst = max(worst, out.norm() / nrm)
-        assert jperp_so3_residual(ops, psi) == worst
+        def perp(a, sec):
+            return ops.J(a, sec) - ops.j_parallel(a, sec)
+
+        assert jperp_so3_residual(ops, psi) == reference.so3_residual(
+            perp, psi, target=lambda c, perp_c: perp_c
+            - ops.j_parallel(c, psi))
 
 
 def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):
@@ -371,61 +244,6 @@ def test_position_operator_axes_match_single_axis_calls_exactly(spin,
 # -- the commutation-relation catalog -------------------------------------------
 
 
-def _one_action_per_pair_residual(rep, grid, relation_id, psi):
-    """algebra_residual as it was when each index pair built its own
-    second-generator action B_b v and took a pass over it."""
-    v = psi.values
-    nrm = psi.norm()
-
-    def one_pass(w, tags):
-        if not {"J", "K"} & set(tags):
-            return None
-        return _derivatives(grid, w, radial="K" in tags)
-
-    def act(tag, axis, w, der=None):
-        return _act(rep, grid, tag, axis, w, der)
-
-    worst = 0.0
-    t1, t2 = relation_id[0], relation_id[1]
-    vec = {"J", "K", "P"}
-    axes1 = range(3) if t1 in vec else (None,)
-    axes2 = range(3) if t2 in vec else (None,)
-    v_der = one_pass(v, relation_id)
-    for a in axes1:
-        partners = [b for b in axes2
-                    if relation_id not in ("JJ", "KK", "PP") or b > a]
-        if not partners:
-            continue
-        u = act(t1, a, v, v_der)
-        u_der = one_pass(u, t2)
-        for b in partners:
-            w = act(t2, b, v, v_der)
-            lhs = act(t1, a, w, one_pass(w, t1)) - act(t2, b, u, u_der)
-            if relation_id in ("JJ", "JK"):
-                target = ("J", "K")[relation_id == "JK"]
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        lhs = lhs - 1j * e * act(target, c, v, v_der)
-            elif relation_id == "KK":
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        lhs = lhs + 1j * e * act("J", c, v, v_der)
-            elif relation_id == "JP":
-                for c in range(3):
-                    e = eps(a, b, c)
-                    if e:
-                        lhs = lhs - 1j * e * act("P", c, v)
-            elif relation_id == "KP":
-                if a == b:
-                    lhs = lhs - 1j * act("H", None, v)
-            elif relation_id == "KH":
-                lhs = lhs - 1j * act("P", a, v)
-            worst = max(worst, Section(rep, grid, lhs).norm() / nrm)
-    return worst
-
-
 _ALGEBRA_REPS = [RepSpec.massive(MASS, 0), RepSpec.massive(MASS, 1),
                  RepSpec.massless(-1), RepSpec.massless(1)]
 
@@ -437,7 +255,7 @@ def test_algebra_residual_matches_one_action_per_pair(rep, relation_id):
             else make_grid(4, 12, 24, 1.0, 2.0))
     psi = random_test_section(rep, grid, seed=9)
     assert algebra_residual(rep, grid, relation_id, psi) \
-        == _one_action_per_pair_residual(rep, grid, relation_id, psi)
+        == reference.algebra_residual(rep, grid, relation_id, psi)
 
 
 # (d_r, d_theta, d_phi) calls per bracket family: one pass over v and one

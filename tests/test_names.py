@@ -1,9 +1,12 @@
 """Names that code outside a module reaches by name: the layer tracer's
 span table in ``perfbench/layertrace.py``, the module attributes the
-benchmark workers read or set, and every module's ``__all__``.  A rename
-then fails here, not only in a benchmark run."""
+benchmark workers read or set, the catalog builders the symbolic
+workload calls with a ring, and every module's ``__all__``.  A rename or
+deletion then fails here, not only as a ``KeyError`` in a benchmark run.
+The harness modules are read from their files; nothing is installed."""
 
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import runpy
@@ -11,21 +14,19 @@ import runpy
 import pytest
 
 import spinsplit
+from spinsplit.scalars import Ring
 
-LAYERTRACE = (pathlib.Path(__file__).resolve().parents[1]
-              / "perfbench" / "layertrace.py")
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(spinsplit.__path__))
 
-
-def _spans():
-    # read the tracer's table without installing it: nothing is wrapped
-    spans = runpy.run_path(str(LAYERTRACE))["SPANS"]
-    return [(module, qual) for module, qual, _, _ in spans]
+# read the tracer's tables without installing it: nothing is wrapped
+layertrace = runpy.run_path(str(PERFBENCH / "layertrace.py"))
+workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
 
 
-@pytest.mark.parametrize("module,qual", _spans(),
-                         ids=lambda v: v)
-def test_traced_span_resolves(module, qual):
+@pytest.mark.parametrize("module,qual,span,layer", layertrace["SPANS"],
+                         ids=[span for _, _, span, _ in layertrace["SPANS"]])
+def test_traced_span_resolves(module, qual, span, layer):
     # the lookup ``Tracer.install`` makes: the name is defined on its
     # module or class itself, not inherited or re-exported
     owner = importlib.import_module(f"spinsplit.{module}")
@@ -33,6 +34,7 @@ def test_traced_span_resolves(module, qual):
     if cls:
         owner = vars(owner)[cls[0]]
     assert callable(vars(owner)[attr])
+    assert layer in layertrace["LAYERS"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -55,3 +57,13 @@ BENCHMARK_ATTRIBUTES = [("scalars", "_cancel_memo", dict),
 def test_benchmark_attribute_exists(module, attr, kind):
     mod = importlib.import_module(f"spinsplit.{module}")
     assert isinstance(vars(mod)[attr], kind)
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_catalog_builders_take_a_ring(massless):
+    catalog = workloads["MASSLESS_CATALOG" if massless else "CATALOG"]
+    assert catalog
+    ring = Ring(massless=massless)
+    for name, build in catalog.items():
+        assert callable(build), name
+        inspect.signature(build).bind(ring)

@@ -101,43 +101,13 @@ def test_peak_memory_held_at_one_field_value(case, diagnostic):
     assert peak <= _ONE_FIELD_PEAKS[case][diagnostic]
 
 
-# algebra_residual builds each first-level action of a bracket family and
-# its derivative pass once, and keeps the first half of a pair's left side
-# until the second is built; its traced peak over the ten families is held
-# to the largest bound above for the massive case.
-_ALGEBRA_BOUND = max(_ONE_FIELD_PEAKS["massive1-flat"].values())
-
-
-@pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))
-def test_algebra_residual_peak_held(case):
-    rep, grid, _ = _case(case)
-    psi = random_test_section(rep, grid, seed=3)
-    peak = max(_peak_sections(
-        lambda rid=rid: algebra_residual(rep, grid, rid, psi), psi)
-        for rid in relation_ids())
-    assert peak <= _ALGEBRA_BOUND
-
-
 # The covariant pass runs one radial shell at a time after its derivative
-# pass, so its temporaries are shells, not sections.  Traced peaks of a
-# three-field rotational apply_connections (numpy 2.4.6, Python 3.11.7),
-# rounded up at the fourth decimal; the whole-section pass peaked at
-# 13.0808 (massive1-flat) and 11.9127 (massless+1-boost) sections.
-_SHELL_BLOCKED_PEAKS = {"massive1-flat": 9.5337, "massless+1-boost": 9.2000}
-
-
-@pytest.mark.parametrize("case", list(_SHELL_BLOCKED_PEAKS))
-def test_shell_blocked_pass_peak_held(case):
-    rep, grid, kind = _case(case)
-    psi = random_test_section(rep, grid, seed=3)
-    xs = [TangentField.rotational(a) for a in range(3)]
-    peak = _peak_sections(lambda: apply_connections(kind, xs, psi), psi)
-    assert peak <= _SHELL_BLOCKED_PEAKS[case]
-
-
-# The same pass with the tangent fields evaluated one shell at a time
-# (the rotational fields' whole-grid arrays are never built), measured as
-# above.
+# pass, so its temporaries are shells, not sections, and it evaluates the
+# tangent fields one shell at a time (the rotational fields' whole-grid
+# arrays are never built).  Traced peaks of a three-field rotational
+# apply_connections (numpy 2.4.6, Python 3.11.7), rounded up at the fourth
+# decimal; the whole-section pass peaked at 13.0808 (massive1-flat) and
+# 11.9127 (massless+1-boost) sections.
 _SHELL_FIELD_PEAKS = {"massive1-flat": 8.6210, "massless+1-boost": 7.5601}
 
 

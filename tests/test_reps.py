@@ -1,6 +1,8 @@
 """Representation actions on grid sections: commutation-relation
-residuals, sign calibration, self-adjointness, helicity structure, and
-deterministic test sections."""
+residuals, sign calibration, self-adjointness, helicity structure,
+deterministic test sections, and bit-exact agreement of the spin,
+helicity and generator actions with their references in
+``reference.py``."""
 
 import numpy as np
 import pytest
@@ -23,8 +25,7 @@ from spinsplit.reps import (
     relation_ids,
 )
 
-from spinsplit.scalars import eps
-
+import reference
 from conftest import MASS
 
 
@@ -221,8 +222,8 @@ def test_spin_act_matches_einsum_reference(rep, axis):
     rng = np.random.default_rng(axis)
     shape = (4, 12, 24, rep.dim)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    ref = np.einsum("bc,...c->...b", rep.spin_mats[axis], v)
-    assert np.array_equal(_spin_act(rep, axis, v), ref)
+    assert _spin_act(rep, axis, v).tobytes() == \
+        reference.spin_act(rep, axis, v).tobytes()
 
 
 @pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
@@ -246,167 +247,34 @@ def test_act_chi_matches_einsum_reference(rep, grid_small_massive):
     rng = np.random.default_rng(5)
     shape = grid_small_massive.shape + (rep.dim,)
     v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    ref = np.einsum("...bc,...c->...b", rep.chi_field(grid_small_massive), v)
-    assert np.array_equal(_act_chi(rep, grid_small_massive, v), ref)
+    assert _act_chi(rep, grid_small_massive, v).tobytes() == \
+        reference.chi(rep, grid_small_massive, v).tobytes()
 
 
-# -- the generator kernels against their quotient forms ----------------------------
+# -- the shell-wise actions against the whole-section reference -----------------
 
 
-def _act_J_quotient(rep, grid, a, v, der=None):
-    # J_a v with d_phi v / sin(theta) as a quotient
-    if der is None:
-        der = _derivatives(grid, v, radial=False)
-    _, dth, dph = der
-    out = grid.e_phi[a][..., None] * dth
-    term = grid.e_theta[a][..., None] * dph
-    term /= grid.sin_theta[..., None]
-    out -= term
-    del term
-    out *= -1j
-    out += _spin_act(rep, a, v)
-    return out
-
-
-def _act_K_quotient(rep, grid, a, v, der=None):
-    # K_a v with d_theta v / r and d_phi v / (r sin(theta)) as quotients
-    # and omega + m formed per spin term
-    if der is None:
-        der = _derivatives(grid, v)
-    dr, dth, dph = der
-    if rep.kind == "massive":
-        omega = grid.omega(rep.mass)[..., None]
-        r3 = grid.kmag[..., None]
-        st = grid.sin_theta[..., None]
-        out = grid.e_k[a][..., None] * dr
-        term = dth / r3
-        term *= grid.e_theta[a][..., None]
-        out += term
-        np.divide(dph, r3 * st, out=term)
-        term *= grid.e_phi[a][..., None]
-        out += term
-        del term
-        out *= 1j * omega
-        ks = (grid.kx, grid.ky, grid.kz)
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    spin = _spin_act(rep, b, v)
-                    spin *= ((reps_mod._SIGMA_BOOST * e
-                              / (omega + rep.mass))
-                             * ks[c][..., None])
-                    out += spin
-        return out
-    radial = 1j * grid.kmag[..., None] * dr
-    out = grid.khat[a][..., None] * radial
-    del radial
-    for b in range(3):
-        for c in range(3):
-            e = eps(a, b, c)
-            if e:
-                term = _act_J_quotient(rep, grid, c, v, der)
-                term *= e * grid.khat[b][..., None]
-                out += term
-    return out
-
-
+@pytest.mark.parametrize("layout", ["component-major", "C-order",
+                                    "unstructured"])
 @pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
-def test_generator_kernels_match_quotient_forms(rep, grid_small_massive,
-                                                grid_small_massless):
-    # the reciprocal products give the quotients bit for bit, with the
-    # derivative pass taken inside or passed in
-    grid = (grid_small_massive if rep.kind == "massive"
-            else grid_small_massless)
-    rng = np.random.default_rng(4)
-    shape = grid.shape + (rep.dim,)
-    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    der = _derivatives(grid, v)
-    for a in range(3):
-        assert np.array_equal(_act_J(rep, grid, a, v),
-                              _act_J_quotient(rep, grid, a, v))
-        assert np.array_equal(_act_K(rep, grid, a, v),
-                              _act_K_quotient(rep, grid, a, v))
-        assert np.array_equal(_act_K(rep, grid, a, v, der),
-                              _act_K_quotient(rep, grid, a, v, der))
-
-
-# -- the shell-wise actions against the whole-section bodies -----------------------
-
-
-def _whole_section_act_J(rep, grid, a, v, der=None):
-    """J_a v as it was written before it ran one radial shell at a time:
-    the same body, on whole sections."""
-    if der is None:
-        der = _derivatives(grid, v, radial=False)
-    _, dth, dph = der
-    out = grid.e_phi[a][..., None] * dth
-    term = grid.e_theta[a][..., None] * dph
-    term *= grid.inv_sin_theta[..., None]
-    out -= term
-    del term
-    out *= -1j
-    out += _spin_act(rep, a, v)
-    return out
-
-
-def _whole_section_act_K(rep, grid, a, v, der=None):
-    """K_a v as it was written before it ran one radial shell at a time:
-    the same body, on whole sections."""
-    if der is None:
-        der = _derivatives(grid, v)
-    dr, dth, dph = der
-    if rep.kind == "massive":
-        omega = grid.omega(rep.mass)[..., None]
-        out = grid.e_k[a][..., None] * dr
-        term = dth * grid.inv_kmag[..., None]
-        term *= grid.e_theta[a][..., None]
-        out += term
-        np.multiply(dph, grid.inv_kmag_sin_theta[..., None], out=term)
-        term *= grid.e_phi[a][..., None]
-        out += term
-        del term
-        out *= 1j * omega
-        ks = (grid.kx, grid.ky, grid.kz)
-        omega_m = omega + rep.mass
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    spin = _spin_act(rep, b, v)
-                    spin *= ((reps_mod._SIGMA_BOOST * e / omega_m)
-                             * ks[c][..., None])
-                    out += spin
-        return out
-    radial = 1j * grid.kmag[..., None] * dr
-    out = grid.khat[a][..., None] * radial
-    del radial
-    for b in range(3):
-        for c in range(3):
-            e = eps(a, b, c)
-            if e:
-                term = _whole_section_act_J(rep, grid, c, v, der)
-                term *= e * grid.khat[b][..., None]
-                out += term
-    return out
-
-
-@pytest.mark.parametrize("layout", ["component-major", "C-order"])
-@pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
-def test_shellwise_actions_match_whole_section_bytes(rep, layout):
+def test_shellwise_actions_match_reference_bytes(rep, layout):
     # each action runs its formula one radial shell at a time; the bytes
-    # are those of the whole-section body, with the derivative pass taken
-    # inside or passed in, and on one shell alone
+    # are those of the whole-section reference, with the derivative pass
+    # taken inside or passed in, and on one shell alone.  Unstructured
+    # values are neither smooth nor transverse
     grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
                       mass_scale=MASS) if rep.kind == "massive"
             else make_grid(5, 12, 24, 1.0, 2.0))
     v = random_test_section(rep, grid, seed=13).values
     if layout == "C-order":
         v = np.ascontiguousarray(v)
+    elif layout == "unstructured":
+        rng = np.random.default_rng(4)
+        v = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
     der = _derivatives(grid, v)
     for a in range(3):
-        for act, ref in ((_act_J, _whole_section_act_J),
-                         (_act_K, _whole_section_act_K)):
+        for act, ref in ((_act_J, reference.act_J),
+                         (_act_K, reference.act_K)):
             assert act(rep, grid, a, v).tobytes() == \
                 ref(rep, grid, a, v).tobytes()
             whole = ref(rep, grid, a, v, der)

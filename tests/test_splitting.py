@@ -139,7 +139,7 @@ def test_massless_orbital_is_perpendicular(rep_massless_plus,
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
     for a in range(3):
-        diff = ops.j_perp(a, psi) - ops.L(a, psi)
+        diff = ops.J(a, psi) - ops.j_parallel(a, psi) - ops.L(a, psi)
         assert diff.norm() < 1e-13 * psi.norm()
 
 

@@ -2,8 +2,8 @@
 at once, and one transported vector per Chern link: evaluation counts of
 the integrator, agreement of vector transport with matrix transport and of
 the sparse form application with the dense product, and bit-exact
-agreement of the form and of ``holonomy`` with reference implementations
-kept here."""
+agreement of the form and of ``holonomy`` with the einsum form and the
+three-evaluation RK4 in ``reference.py``."""
 
 import numpy as np
 import pytest
@@ -17,8 +17,9 @@ from spinsplit.connections import (
     chern_number,
     holonomy,
 )
-from spinsplit.reps import RepSpec, _entries_act
+from spinsplit.reps import RepSpec
 
+import reference
 from conftest import MASS
 
 
@@ -128,20 +129,6 @@ REPS = {
 }
 
 
-def _einsum_form(rep, kind, r0, khat, vel):
-    cross = np.cross(vel, khat, axis=0)
-    s_dot = np.einsum("a...,abc->...bc", cross, rep.spin_mats)
-    if rep.kind == "massless":
-        coef = -1j / r0
-    else:
-        m = rep.mass
-        omega = np.sqrt(m**2 + r0**2)
-        f = float(kind.weight(np.array([r0]), m)[0])
-        coef = (f * (-1j * r0 / (omega * (omega + m)))
-                + (1.0 - f) * (-1j / r0))
-    return coef * s_dot
-
-
 def _dense(entries, shape, dim):
     out = np.zeros(shape + (dim, dim), dtype=np.complex128)
     for b, c, field in entries:
@@ -163,46 +150,11 @@ def test_form_matrix_matches_einsum(rep, kind):
     positions = [(b, c) for b, c, _ in entries]
     assert positions == sorted(set(positions))
     assert all(field.shape == (5, 7) for _, _, field in entries)
+    # by value: the entries leave out the zeros, whose sign the dense
+    # product does not fix
     assert np.array_equal(_dense(entries, (5, 7), rep.dim),
-                          _einsum_form(rep, kind, 1.5, khat, vel))
-
-
-def _three_evaluation_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b,
-                            n_steps=3, dense=False):
-    """Edge transport matrices with the form evaluated on its own at each
-    step's start, midpoint and end, from fresh sines and cosines, and the
-    slopes taken as -A U.  The form is applied through its entries, or
-    with ``dense`` as the einsum matrix and a batched product."""
-    d = rep.dim
-    u = np.broadcast_to(np.eye(d, dtype=np.complex128),
-                        np.shape(th_a) + (d, d))
-    dth, dph = th_b - th_a, ph_b - ph_a
-
-    def a_of(t):
-        th, ph = th_a + dth * t, ph_a + dph * t
-        khat = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                         np.cos(th)])
-        e_th = np.stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph),
-                         -np.sin(th)])
-        e_ph = np.stack([-np.sin(ph), np.cos(ph), np.zeros_like(ph)])
-        vel = r0 * (dth * e_th + np.sin(th) * dph * e_ph)
-        if dense:
-            mat = _einsum_form(rep, kind, r0, khat, vel)
-            return lambda w: -(mat @ w)
-        form = _form_matrix(rep, kind, r0, khat, vel)
-        return lambda w: -np.moveaxis(
-            _entries_act(form, d, np.moveaxis(w, -1, 0)), 0, -1)
-
-    h = 1.0 / n_steps
-    for i in range(n_steps):
-        t = i * h
-        a_mid = a_of(t + h / 2)
-        k1 = a_of(t)(u)
-        k2 = a_mid(u + h / 2 * k1)
-        k3 = a_mid(u + h / 2 * k2)
-        k4 = a_of(t + h)(u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return u
+                          reference.connection_form(rep, kind, 1.5, khat,
+                                                    vel))
 
 
 @pytest.mark.parametrize("n_steps", [64, 96])
@@ -214,8 +166,8 @@ def test_holonomy_matches_three_evaluation_rk4(kind, n_steps, monkeypatch):
     loop = HolonomyLoop(1.5, np.pi / 2 - 0.2, np.pi / 2 + 0.05, 0.3, 0.55)
     u = holonomy(rep, kind, loop, n_steps=n_steps)
     monkeypatch.setattr(connections_mod, "_edge_transport_batch",
-                        _three_evaluation_edges)
-    assert np.array_equal(u, holonomy(rep, kind, loop, n_steps=n_steps))
+                        reference.rk4_edges)
+    assert u.tobytes() == holonomy(rep, kind, loop, n_steps=n_steps).tobytes()
 
 
 @pytest.mark.parametrize("kind", list(KINDS.values()), ids=list(KINDS))
@@ -231,6 +183,6 @@ def test_sparse_transport_matches_dense_product(rep, kind):
     ph_b = ph_a + rng.uniform(-0.1, 0.1, 40)
     got = _edge_transport_batch(rep, kind, 1.5, th_a, ph_a, th_b, ph_b,
                                 n_steps=8)
-    ref = _three_evaluation_edges(rep, kind, 1.5, th_a, ph_a, th_b, ph_b,
-                                  n_steps=8, dense=True)
+    ref = reference.rk4_edges(rep, kind, 1.5, th_a, ph_a, th_b, ph_b,
+                              n_steps=8, dense=True)
     assert np.max(np.abs(got - ref)) < 1e-15
