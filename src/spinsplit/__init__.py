@@ -11,8 +11,8 @@ Layers:
 * :mod:`spinsplit.grid`, :mod:`spinsplit.reps` — momentum-shell grids,
   sections, and discretized generator actions.
 * :mod:`spinsplit.connections`, :mod:`spinsplit.splitting` — covariant
-  derivatives, curvature, holonomy, Chern numbers, induced splittings,
-  the mean position operator and the parallel fiber frame.
+  derivatives, curvature, holonomy, Chern numbers, induced splittings
+  and the mean position operator.
 * :mod:`spinsplit.report`, :mod:`spinsplit.cli` — suites, reports, CLI.
 
 The process keeps the memory it frees.  The numerical engine's live

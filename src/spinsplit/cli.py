@@ -108,7 +108,14 @@ def _build_config(args) -> RunConfig:
         if args.helicity is not None:
             kwargs["massless"] = [args.helicity]
     kwargs.update(overrides)
-    return RunConfig(**kwargs)
+    config = RunConfig(**kwargs)
+    for path in (config.json_path, config.csv_path):
+        if (args.config and path
+                and os.path.realpath(path) == os.path.realpath(args.config)):
+            raise ConfigError(
+                f"the output path {path!r} names the config file "
+                f"{args.config!r}; writing it would overwrite the config")
+    return config
 
 
 def _check_writable(path: str) -> None:

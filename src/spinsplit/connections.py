@@ -39,16 +39,13 @@ end node is the next step's start), and ``_transport``, the one classic
 transported stack with ``reps._entries_act``, as the spin actions are
 applied.  Parallel transport integrates the form directly, off-grid.
 ``holonomy`` transports the fiber matrices of the four legs of a shell
-loop as one batch, and the parallel fiber frame transports the matrices
-of its mesh edges in batches.  The lattice Chern number reads each link
-only through one overlap, so it transports the link's start frame vector
+loop as one batch.  The lattice Chern number reads each link only
+through one overlap, so it transports the link's start frame vector
 instead of the fiber matrix, and it passes its mesh as a column of theta
 and a row of phi, so the sines and cosines are taken once per mesh line.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +71,6 @@ __all__ = [
     "leibniz_residual",
     "lie_bracket",
     "curvature_commutator",
-    "CurvatureSample",
-    "curvature_sample_commutator",
-    "curvature_sample_holonomy",
     "cross_commutator_check",
     "HolonomyLoop",
     "holonomy",
@@ -427,70 +421,6 @@ def curvature_commutator(kind: ConnectionKind, x: TangentField,
     return out - dxy
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """A pointwise curvature estimate: the fiber endomorphism F(X, Y) at
-    one momentum node, tagged with the method that produced it."""
-
-    node: tuple          # (r, theta, phi)
-    frame: tuple         # names of the tangent pair (X, Y)
-    estimate: np.ndarray  # (d, d) complex
-    method: str          # "commutator" | "holonomy"
-
-
-def _probe_fiber(rep: RepSpec, grid: MomentumGrid, node: tuple, op,
-                 error=ConnectionLabError) -> np.ndarray:
-    """The (d, d) fiber endomorphism of the pointwise operator ``op`` at
-    grid node (ir, it, ip), read off by applying it to one smooth section
-    per fiber basis vector (the scalar bump profile divides out)."""
-    ir, it, ip = node
-    g = ((grid.kmag - grid.r_min) * (grid.r_max - grid.kmag)
-         * (1.0 - (grid.kz / grid.kmag) ** 2))
-    g0 = g[ir, it, ip]
-    if abs(g0) < 1e-12:
-        raise error("sample node too close to a shell boundary or pole")
-    d = rep.dim
-    est = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        vals = np.zeros(grid.shape + (d,), dtype=np.complex128)
-        vals[..., j] = g
-        est[:, j] = op(Section(rep, grid, vals)).values[ir, it, ip] / g0
-    return est
-
-
-def curvature_sample_commutator(rep: RepSpec, grid: MomentumGrid,
-                                kind: ConnectionKind, x: TangentField,
-                                y: TangentField, node: tuple
-                                ) -> CurvatureSample:
-    """Estimate the fiber endomorphism F(X, Y) at grid node (ir, it, ip)
-    from the commutator curvature, which is pointwise in the section."""
-    est = _probe_fiber(rep, grid, node,
-                       lambda sec: curvature_commutator(kind, x, y, sec))
-    ir, it, ip = node
-    pos = (float(grid.r[ir]), float(grid.theta[it]), float(grid.phi[ip]))
-    return CurvatureSample(pos, (x.name, y.name), est, "commutator")
-
-
-def curvature_sample_holonomy(rep: RepSpec, kind: ConnectionKind,
-                              r0: float, theta0: float, phi0: float,
-                              delta: float = 0.02, n_steps: int = 32
-                              ) -> CurvatureSample:
-    """Estimate F(e_theta, e_phi) at (r0, theta0, phi0) from the holonomy
-    of a small quadrilateral: U ~ exp(-F * r0^2 * solid_angle), so the
-    estimate is (1 - U)/(r0^2 * solid_angle)."""
-    if not 0 < delta < np.inf:
-        raise ConnectionLabError(
-            f"delta must be positive and finite; got {delta!r}")
-    a = delta / np.sin(theta0)
-    loop = HolonomyLoop(r0, theta0 - delta / 2, theta0 + delta / 2,
-                        phi0 - a / 2, phi0 + a / 2)
-    u = holonomy(rep, kind, loop, n_steps=n_steps)
-    area = r0**2 * loop.solid_angle()
-    est = (np.eye(rep.dim) - u) / area
-    return CurvatureSample((r0, theta0, phi0), ("e_theta", "e_phi"),
-                           est, "holonomy")
-
-
 def cross_commutator_check(psi: Section) -> dict:
     """Residuals of the mixed boost/rotation commutators along the
     spherical frame on a massive section:
@@ -589,10 +519,11 @@ def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
     return form
 
 
-def _require_count(value, minimum: int, what: str, error=ConnectionLabError):
+def _require_count(value, minimum: int, what: str):
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or value < minimum):
-        raise error(f"{what} must be an integer >= {minimum}; got {value!r}")
+        raise ConnectionLabError(
+            f"{what} must be an integer >= {minimum}; got {value!r}")
 
 
 def _node_times(n_steps: int) -> np.ndarray:
@@ -736,14 +667,6 @@ def holonomy(rep: RepSpec, kind: ConnectionKind, loop: HolonomyLoop,
 # -- lattice Chern number ---------------------------------------------------------
 
 
-def _check_mesh(n_theta, n_phi, radius, error=ConnectionLabError):
-    """Shell-mesh arguments of the transport diagnostics."""
-    _require_count(n_theta, 2, "n_theta", error)
-    _require_count(n_phi, 2, "n_phi", error)
-    if not 0 < radius < np.inf:
-        raise error(f"radius must be positive and finite; got {radius!r}")
-
-
 def chern_number(rep: RepSpec, kind: ConnectionKind,
                  n_theta: int = 48, n_phi: int = 96,
                  radius: float = 1.5, margin: float = 0.35,
@@ -766,7 +689,11 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
         raise ConnectionLabError(
             "the Chern diagnostic restricts to the massless shell bundle"
         )
-    _check_mesh(n_theta, n_phi, radius)
+    _require_count(n_theta, 2, "n_theta")
+    _require_count(n_phi, 2, "n_phi")
+    if not 0 < radius < np.inf:
+        raise ConnectionLabError(
+            f"radius must be positive and finite; got {radius!r}")
     if not 0.0 <= margin < np.pi:
         raise ConnectionLabError(
             f"margin must be finite with 0 <= margin < pi; got {margin!r}")

@@ -788,13 +788,13 @@ def run_suites(config: RunConfig) -> dict:
     timings = {}
     resources = {}
     for suite in config.suites:
-        t0 = time.time()
+        t0 = time.perf_counter()
         before = _usage()
         start = len(records)
         SUITES[suite]["fn"](config, records, rows)
         for rec in records[start:]:
             rec["suite"] = suite
-        timings[suite] = round(time.time() - t0, 3)
+        timings[suite] = round(time.perf_counter() - t0, 3)
         after = _usage()
         if after is not None:
             resources[suite] = {

@@ -1,6 +1,5 @@
 """Connection-induced splittings of the angular momentum J = L + S,
-their diagnostics, the flat-connection position operator, and the
-parallel fiber frame on massive bundles.
+their diagnostics, and the flat-connection position operator.
 
 For a connection D, the orbital part acts along the rotational tangent
 fields V_a = e_a x k:
@@ -11,7 +10,6 @@ S is always computed by subtraction, so L + S = J holds to rounding by
 construction.  The diagnostics measure, on smooth test sections:
 
   * the vector-operator property  [L_a, J_b] = i eps_abc L_c  (and for S),
-  * internality of S (commutes with multiplication by scalar functions),
   * the so(3) residual  [L_a, L_b] - i eps_abc L_c,
   * the defect identity [L_a, L_b] - i eps_abc L_c = -F_D(V_a, V_b),
   * the massless parallel/perpendicular commutator relation.
@@ -33,17 +31,12 @@ plain componentwise gradient i*grad in the coordinates used here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .connections import (
     ConnectionKind,
     TangentField,
-    _check_mesh,
     _covariant_values,
-    _edge_transport_batch,
-    _probe_fiber,
     apply_connections,
     curvature_commutator,
 )
@@ -55,8 +48,6 @@ __all__ = [
     "SplittingError",
     "SplitOperators",
     "vector_op_residual",
-    "internality_residual",
-    "leibniz_term_norm",
     "so3_residual",
     "defect_identity_residual",
     "jperp_so3_residual",
@@ -64,15 +55,11 @@ __all__ = [
     "nw_match_residual",
     "nw_gradient_residual",
     "nw_hermiticity_defect",
-    "ParallelFrame",
-    "parallel_frame",
-    "spin_endomorphism_at",
-    "spin_in_frame",
 ]
 
 
 class SplittingError(ValueError):
-    """Invalid splitting request (rep/connection mismatch, bad frame)."""
+    """Invalid splitting request (rep/connection mismatch, bad mode)."""
 
 
 _ROTATIONAL = tuple(TangentField.rotational(a) for a in range(3))
@@ -219,35 +206,6 @@ def vector_op_residual(ops: SplitOperators, psi: Section,
                     out = out - x_psi[c] * (1j * e)
             residuals.append(out.norm() / nrm)
             del out
-    return float(np.max(residuals))
-
-
-def internality_residual(ops: SplitOperators, f: np.ndarray, psi: Section,
-                         which: str = "S") -> float:
-    """max_a ||X_a(f psi) - f X_a(psi)|| / ||psi||.  Converges to zero
-    for X = S (S acts pointwise); for X = L it converges to the Leibniz
-    term ``leibniz_term_norm`` instead."""
-    act = _component(ops, which)
-    f = np.asarray(f)
-    nrm = psi.norm()
-    x_fpsi = act(range(3), psi * f)
-    x_psi = act(range(3), psi)
-    return float(np.max([(x_fpsi[a] - x_psi[a] * f).norm() / nrm
-                         for a in range(3)]))
-
-
-def leibniz_term_norm(ops: SplitOperators, f: np.ndarray,
-                      psi: Section) -> float:
-    """max_a ||df(V_a) psi|| / ||psi|| — the exact value the L-version of
-    the internality residual converges to."""
-    grid = psi.grid
-    df = grid.gradient(np.asarray(f)[..., None])[..., 0]
-    nrm = psi.norm()
-    residuals = []
-    for a in range(3):
-        xv = ops.field(a).values(grid)
-        dfx = sum(xv[i] * df[i] for i in range(3))
-        residuals.append((psi * dfx).norm() / nrm)
     return float(np.max(residuals))
 
 
@@ -443,101 +401,3 @@ def nw_hermiticity_defect(rep: RepSpec, grid: MomentumGrid, psi: Section,
         abs(inner(psi, q_phi[a]) - inner(q_psi[a], phi)) / scale
         for a in range(3)
     ]))
-
-
-# -- parallel fiber frame ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParallelFrame:
-    """An orthonormal fiber frame over one shell, generated by parallel
-    transport of the reference-node basis along a fixed spanning tree
-    (meridian from the reference colatitude, then latitude circles).
-    The radial connection form of every built-in connection vanishes
-    (the covariant derivative along e_k is the plain radial derivative),
-    so the frame extends to all shells unchanged.
-    """
-
-    radius: float
-    thetas: np.ndarray       # (n_theta,)
-    phis: np.ndarray         # (n_phi,)
-    frames: np.ndarray       # (n_theta, n_phi, d, d); columns = frame
-    tree: str
-    unitarity_defect: float
-
-
-def parallel_frame(rep: RepSpec, kind: ConnectionKind | None = None,
-                   n_theta: int = 24, n_phi: int = 48,
-                   radius: float = 1.5, n_steps: int = 8) -> ParallelFrame:
-    """Transport the identity basis over the shell mesh along the
-    spanning tree.  Default connection: the flat affine weight, for
-    which the result is path-independent."""
-    if kind is None:
-        kind = ConnectionKind.flat_massive()
-    if rep.kind != "massive":
-        raise SplittingError("the parallel frame construction is for "
-                             "massive bundles (flatness requires m > 0)")
-    _check_mesh(n_theta, n_phi, radius, SplittingError)
-    d = rep.dim
-    thetas = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
-    phis = np.arange(n_phi) * (2 * np.pi / n_phi)
-    frames = np.zeros((n_theta, n_phi, d, d), dtype=np.complex128)
-    # meridian leg (phi = phis[0]): reference node is (thetas[0], phis[0]);
-    # its edges are transported in one batch from the identity and chained
-    frames[0, 0] = np.eye(d)
-    meridian = _edge_transport_batch(rep, kind, radius, thetas[:-1],
-                                     phis[0], thetas[1:], phis[0],
-                                     n_steps=n_steps)
-    for j in range(n_theta - 1):
-        frames[j + 1, 0] = meridian[j] @ frames[j, 0]
-    # latitude circles, vectorized over theta
-    for l in range(n_phi - 1):
-        t = _edge_transport_batch(rep, kind, radius,
-                                  thetas, np.full(n_theta, phis[l]),
-                                  thetas, np.full(n_theta, phis[l + 1]),
-                                  n_steps=n_steps)
-        frames[:, l + 1] = np.einsum("jab,jbc->jac", t, frames[:, l])
-    gram = np.einsum("jlba,jlbc->jlac", np.conj(frames), frames)
-    defect = float(np.max(np.abs(gram - np.eye(d))))
-    return ParallelFrame(radius, thetas, phis, frames,
-                         "meridian-then-latitude", defect)
-
-
-def spin_endomorphism_at(ops: SplitOperators, node: tuple) -> list:
-    """The fiber endomorphisms [S_1, S_2, S_3] at grid node (ir, it, ip),
-    sampled by applying S to one smooth section per fiber basis vector
-    (S acts pointwise, so the scalar profile divides out)."""
-    return [_probe_fiber(ops.rep, ops.grid, node,
-                         lambda sec, a=a: ops.S(a, sec), SplittingError)
-            for a in range(3)]
-
-
-def spin_in_frame(ops: SplitOperators, frame: ParallelFrame,
-                  nodes) -> dict:
-    """Express the sampled spin endomorphisms in the parallel frame at
-    the given grid nodes and compare with the constant standard spin
-    matrices.  Returns per-node deviations and the worst case."""
-    rep, grid = ops.rep, ops.grid
-    report = {"nodes": [], "max_deviation": 0.0}
-    for node in nodes:
-        ir, it, ip = node
-        th, ph = float(grid.theta[it]), float(grid.phi[ip])
-        jt = int(np.argmin(np.abs(frame.thetas - th)))
-        lp = int(np.argmin(np.abs(frame.phis - ph)))
-        if (abs(frame.thetas[jt] - th) > 1e-9
-                or abs(frame.phis[lp] - ph) > 1e-9):
-            raise SplittingError(
-                "frame mesh does not contain the sampled node; build the "
-                "frame with the grid's angular resolution"
-            )
-        u = frame.frames[jt, lp]
-        mats = spin_endomorphism_at(ops, node)
-        dev = float(np.max([
-            np.linalg.norm(np.conj(u.T) @ mats[a] @ u - rep.spin_mats[a])
-            for a in range(3)
-        ]))
-        report["nodes"].append({"node": tuple(int(x) for x in node),
-                                "deviation": dev})
-        report["max_deviation"] = float(np.max([report["max_deviation"],
-                                                dev]))
-    return report

@@ -759,6 +759,20 @@ def test_json_and_csv_same_file_ini_exit_2(tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("route", ["--json", "--csv", "ini"])
+def test_output_naming_the_config_file_exits_2(tmp_path, capsys, route):
+    ini = tmp_path / "run.ini"
+    key = f"json = {ini}\n" if route == "ini" else ""
+    path = _write(tmp_path, f"[run]\nsuites = symbolic\n{key}")
+    before = ini.read_bytes()
+    flags = [] if route == "ini" else [route, path]
+    assert main(["run", "--config", path, *flags]) == EXIT_ERROR
+    stdout, err = capsys.readouterr()
+    assert "config file" in err and str(ini) in err
+    assert stdout == "" and "PASS" not in err  # no suite ran
+    assert ini.read_bytes() == before
+
+
 def test_write_failure_is_config_error(tmp_path):
     path = str(tmp_path / "missing" / "out.json")
     with pytest.raises(ConfigError, match="missing"):

@@ -1,6 +1,6 @@
 """Connection laboratory: covariant derivatives and their bit-exact
 agreement with the reference in ``reference.py``, Leibniz rule,
-curvature (global and sampled), mixed-connection commutators, holonomy,
+curvature, mixed-connection commutators, holonomy and flat transport,
 and the lattice Chern number."""
 
 import numpy as np
@@ -13,14 +13,13 @@ from spinsplit.connections import (
     HolonomyLoop,
     TangentField,
     _covariant_values,
+    _edge_transport_batch,
     _form_matrix,
     apply_connection,
     apply_connections,
     chern_number,
     cross_commutator_check,
     curvature_commutator,
-    curvature_sample_commutator,
-    curvature_sample_holonomy,
     holonomy,
     lambda_flat_profile,
     leibniz_residual,
@@ -379,53 +378,30 @@ def test_curvature_antisymmetry(rep_massive1, grid_small_massive):
     assert (fxy + fyx).norm() < 1e-10 * psi.norm()
 
 
-# -- pointwise curvature samples -----------------------------------------------------
+# -- curvature from a small loop ------------------------------------------------------
 
 
-def _exact_curvature(rep, grid, node, kind="boost"):
-    ir, it, ip = node
-    th, ph = float(grid.theta[it]), float(grid.phi[ip])
-    khat = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                     np.cos(th)])
-    sk = np.einsum("a,abc->bc", khat, rep.spin_mats)
-    r0 = float(grid.r[ir])
-    denom = MASS**2 + r0**2 if kind == "boost" else r0**2
-    return 1j * sk / denom
-
-
-def test_curvature_sample_methods_agree(rep_massive1, grid_mid_massive):
-    g = grid_mid_massive
-    node = (3, 12, 10)
-    exact = _exact_curvature(rep_massive1, g, node)
-    cs = curvature_sample_commutator(rep_massive1, g,
-                                     ConnectionKind.boost(),
-                                     ETH, EPH, node=node)
-    assert cs.method == "commutator"
-    assert np.linalg.norm(cs.estimate - exact) < 1e-5
-    ch = curvature_sample_holonomy(rep_massive1, ConnectionKind.boost(),
-                                   float(g.r[node[0]]),
-                                   float(g.theta[node[1]]),
-                                   float(g.phi[node[2]]))
-    assert ch.method == "holonomy"
-    assert np.linalg.norm(ch.estimate - exact) < 1e-2
-    assert np.linalg.norm(cs.estimate - ch.estimate) < 1e-2
-
-
-def test_holonomy_sample_first_order_in_area(rep_massive1,
+def test_holonomy_small_loop_gives_curvature(rep_massive1,
                                              grid_mid_massive):
+    # U ~ exp(-F r0^2 Omega) around a small loop, so (I - U)/(r0^2 Omega)
+    # approaches the boost curvature F(e_theta, e_phi) = (i/H^2) S.khat
+    # at first order in the loop size
     g = grid_mid_massive
-    node = (3, 12, 10)
-    exact = _exact_curvature(rep_massive1, g, node)
+    r0, th0, ph0 = float(g.r[3]), float(g.theta[12]), float(g.phi[10])
+    khat = np.array([np.sin(th0) * np.cos(ph0), np.sin(th0) * np.sin(ph0),
+                     np.cos(th0)])
+    exact = (1j / (MASS**2 + r0**2)
+             * np.einsum("a,abc->bc", khat, rep_massive1.spin_mats))
     errs = []
     for delta in (0.04, 0.02):
-        ch = curvature_sample_holonomy(rep_massive1,
-                                       ConnectionKind.boost(),
-                                       float(g.r[node[0]]),
-                                       float(g.theta[node[1]]),
-                                       float(g.phi[node[2]]),
-                                       delta=delta)
-        errs.append(np.linalg.norm(ch.estimate - exact))
-    assert errs[1] < errs[0]
+        a = delta / np.sin(th0)
+        loop = HolonomyLoop(r0, th0 - delta / 2, th0 + delta / 2,
+                            ph0 - a / 2, ph0 + a / 2)
+        u = holonomy(rep_massive1, ConnectionKind.boost(), loop, n_steps=32)
+        est = (np.eye(rep_massive1.dim) - u) / (r0**2 * loop.solid_angle())
+        errs.append(np.linalg.norm(est - exact))
+    assert errs[0] < 1e-2
+    assert errs[1] < 0.6 * errs[0]
 
 
 # -- mixed-connection commutators -----------------------------------------------------
@@ -500,6 +476,20 @@ def test_flat_holonomy_trivial(rep_massive1):
         < _TRANSPORT.tolerance("holonomy_flat")
 
 
+def test_flat_edge_transport_is_identity(rep_massive1):
+    # the flat connection is globally trivial in these coordinates: every
+    # meridian and latitude edge of a 24 x 48 shell mesh transports the
+    # fiber by the identity
+    th = ((np.arange(24) + 0.5) * (np.pi / 24))[:, None]
+    ph = (np.arange(48) * (2 * np.pi / 48))[None, :]
+    flat = ConnectionKind.flat_massive()
+    for edges in ((th[:-1], ph, th[1:], ph),
+                  (th, ph, th, ph + 2 * np.pi / 48)):
+        t = _edge_transport_batch(rep_massive1, flat, 1.5, *edges,
+                                  n_steps=8)
+        assert np.max(np.abs(t - np.eye(rep_massive1.dim))) < 1e-8
+
+
 def test_holonomy_unitary(rep_massive1):
     u = holonomy(rep_massive1, ConnectionKind.boost(), _loop(0.05),
                  n_steps=96)
@@ -525,13 +515,6 @@ def test_holonomy_loop_rejects_bad_radius(r0):
 def test_holonomy_loop_rejects_nonfinite_phi(phi1, phi2):
     with pytest.raises(ConnectionLabError, match="phi1 and phi2"):
         HolonomyLoop(1.5, 1.0, 1.2, phi1, phi2)
-
-
-@pytest.mark.parametrize("delta", [0.0, -0.02, float("nan"), float("inf")])
-def test_holonomy_sample_rejects_bad_delta(rep_massive1, delta):
-    with pytest.raises(ConnectionLabError, match="delta"):
-        curvature_sample_holonomy(rep_massive1, ConnectionKind.boost(),
-                                  1.5, 1.0, 0.3, delta=delta)
 
 
 # -- lattice Chern number -----------------------------------------------------------------

@@ -3,8 +3,11 @@ span table in ``perfbench/layertrace.py``, the module attributes the
 benchmark workers read or set, the catalog builders the symbolic
 workload calls with a ring, and every module's ``__all__``.  A rename or
 deletion then fails here, not only as a ``KeyError`` in a benchmark run.
-The harness modules are read from their files; nothing is installed."""
+The harness modules are read from their files; nothing is installed.
+Every public name is also reached by the package or the harness
+themselves, so no public surface exists for the tests alone."""
 
+import ast
 import importlib
 import inspect
 import pathlib
@@ -43,6 +46,38 @@ def test_all_names_exist(module):
     missing = [name for name in getattr(mod, "__all__", ())
                if not hasattr(mod, name)]
     assert not missing, f"spinsplit.{module}.__all__ names {missing}"
+
+
+def _names_reached(paths) -> set:
+    """Every name that the code in ``paths`` reads, calls or imports: the
+    ids of its ``Name`` nodes, the attrs of its ``Attribute`` nodes and
+    the names of its import aliases."""
+    reached = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.alias):
+                reached.add(node.name)
+    return reached
+
+
+NAMES_REACHED = _names_reached(
+    sorted(pathlib.Path(spinsplit.__file__).parent.glob("*.py"))
+    + sorted(PERFBENCH.glob("*.py")))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_are_reached_outside_tests(module):
+    # a public name that only the tests call is a surface to promote
+    # into a suite or to delete
+    mod = importlib.import_module(f"spinsplit.{module}")
+    unreached = [name for name in getattr(mod, "__all__", ())
+                 if name not in NAMES_REACHED]
+    assert not unreached, (f"spinsplit.{module}.__all__ names {unreached}, "
+                           f"which nothing in src/ or perfbench/ reaches")
 
 
 # read by perfbench/worker.py on every timed run (memo sizes and hit

@@ -1,19 +1,18 @@
 """Connection-induced splittings J = L + S: algebraic closure, the
-curvature-defect identity, the flat-connection position operator, and
-the parallel fiber frame."""
+curvature-defect identity, the flat spin, and the flat-connection
+position operator."""
 
 import numpy as np
 import pytest
 
 from spinsplit.connections import (
     ConnectionKind,
-    ConnectionLabError,
     TangentField,
     cross_commutator_check,
     lambda_flat_profile,
     leibniz_residual,
 )
-from spinsplit.grid import make_grid
+from spinsplit.grid import Section
 from spinsplit.reps import (
     RepSpec,
     algebra_residual,
@@ -25,19 +24,15 @@ from spinsplit.splitting import (
     SplitOperators,
     SplittingError,
     defect_identity_residual,
-    internality_residual,
     jperp_so3_residual,
-    leibniz_term_norm,
     nw_gradient_residual,
     nw_hermiticity_defect,
     nw_match_residual,
-    parallel_frame,
     so3_residual,
-    spin_endomorphism_at,
-    spin_in_frame,
     vector_op_residual,
 )
 
+import reference
 from conftest import MASS, smooth_scalar
 
 FLAT = ConnectionKind.flat_massive()
@@ -109,23 +104,58 @@ def test_symmetry_breaking_mutation(rep_massive1, grid_mid_massive):
     assert vector_op_residual(ops, psi, "L") > 0.1
 
 
-def test_spin_is_internal(rep_massive1, grid_mid_massive):
-    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
-    psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
+def _fiber_spin_gap(ops, phi):
+    """max_a ||S_a phi - sigma_a phi|| / ||phi||, with sigma_a the
+    constant fiber spin matrices."""
+    rep, grid = phi.rep, phi.grid
+    s = ops.S_axes(range(3), phi)
+    return float(np.max([
+        (s[a] - Section(rep, grid, reference.spin_act(rep, a, phi.values)))
+        .norm() / phi.norm() for a in range(3)]))
+
+
+@pytest.mark.parametrize("spin", (0, 1))
+def test_flat_spin_is_fiber_spin(spin, grid_mid_massive):
+    # the flat S acts as the constant spin matrices on psi and on f psi
+    # alike, so it is internal (commutes with multiplication by f) and
+    # is the fiber spin
+    rep = RepSpec.massive(MASS, spin)
+    ops = SplitOperators(rep, grid_mid_massive, FLAT)
+    psi = random_test_section(rep, grid_mid_massive, seed=3)
     f = smooth_scalar(grid_mid_massive)
-    assert internality_residual(ops, f, psi, "S") < 1e-13
+    assert _fiber_spin_gap(ops, psi) < 1e-13
+    assert _fiber_spin_gap(ops, psi * f) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind", [ConnectionKind.affine(lambda_flat_profile(1.01)), BOOST, ROT],
+    ids=["affine-1.01", "boost", "rotation"])
+def test_curved_spin_is_not_fiber_spin(rep_massive1, grid_mid_massive,
+                                       kind):
+    # mutation control: off the flat weight S is not the fiber spin
+    ops = SplitOperators(rep_massive1, grid_mid_massive, kind)
+    psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
+    assert _fiber_spin_gap(ops, psi) > 1e-3
 
 
 def test_orbital_part_is_not_internal(rep_massive1, grid_mid_massive):
-    # L fails to commute with multiplication operators by exactly the
-    # Leibniz derivative term
-    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
-    psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    f = smooth_scalar(grid_mid_massive)
-    got = internality_residual(ops, f, psi, "L")
-    expect = leibniz_term_norm(ops, f, psi)
-    assert expect > 0.05
-    assert abs(got - expect) < 0.02 * expect
+    # L fails to commute with multiplication by f by exactly the Leibniz
+    # term: L_a(f psi) - f L_a psi = -i df(V_a) psi
+    g = grid_mid_massive
+    ops = SplitOperators(rep_massive1, g, FLAT)
+    psi = random_test_section(rep_massive1, g, seed=3)
+    f = smooth_scalar(g)
+    df = g.gradient(f[..., None])[..., 0]
+    l_fpsi = ops.L_axes(range(3), psi * f)
+    l_psi = ops.L_axes(range(3), psi)
+    terms, gaps = [], []
+    for a in range(3):
+        xv = ops.field(a).values(g)
+        term = psi * (-1j * sum(xv[i] * df[i] for i in range(3)))
+        terms.append(term.norm())
+        gaps.append((l_fpsi[a] - l_psi[a] * f - term).norm())
+    assert max(terms) > 0.05 * psi.norm()
+    assert max(gaps) < 0.02 * max(terms)
 
 
 # -- massless structure -------------------------------------------------------------
@@ -191,8 +221,6 @@ def test_nan_section_gives_nan_from_every_diagnostic(
         "so3-S": so3_residual(flat, psi, "S"),
         "vector-op-L": vector_op_residual(flat, psi),
         "vector-op-S": vector_op_residual(flat, psi, "S"),
-        "internality": internality_residual(flat, f, psi),
-        "leibniz-term": leibniz_term_norm(flat, f, psi),
         "defect": defect_identity_residual(flat, psi),
         "leibniz": leibniz_residual(BOOST, TangentField.named("e_phi"), f,
                                     psi),
@@ -259,73 +287,6 @@ def test_nw_rejects_massless(rep_massless_plus, grid_small_massless):
 def test_nw_rejects_bad_mode(rep_massive1, grid_small_massive):
     with pytest.raises(SplittingError):
         NWOperator(rep_massive1, grid_small_massive, mode="nope")
-
-
-# -- parallel frame ----------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def frame24(rep_massive1):
-    return parallel_frame(rep_massive1, n_theta=24, n_phi=48, radius=1.5)
-
-
-def test_frame_unitary(frame24):
-    assert frame24.unitarity_defect < 1e-8
-
-
-def test_frame_requires_massive(rep_massless_plus):
-    with pytest.raises(SplittingError):
-        parallel_frame(rep_massless_plus)
-
-
-@pytest.mark.parametrize("kwargs,name", [
-    ({"n_theta": 1}, "n_theta"), ({"n_phi": 0}, "n_phi"),
-    ({"n_phi": 8.0}, "n_phi"), ({"radius": 0.0}, "radius"),
-    ({"radius": float("inf")}, "radius"), ({"n_steps": 0}, "n_steps"),
-])
-def test_frame_rejects_bad_mesh(rep_massive1, kwargs, name):
-    with pytest.raises((SplittingError, ConnectionLabError), match=name):
-        parallel_frame(rep_massive1, **kwargs)
-
-
-def test_flat_transport_is_trivial(frame24, rep_massive1):
-    # the flat connection is globally trivial in these coordinates, so
-    # transporting the standard basis returns the standard basis
-    d = rep_massive1.dim
-    dev = np.max(np.abs(frame24.frames - np.eye(d)))
-    assert dev < 1e-8
-
-
-def test_spin_endomorphism_sampling(rep_massive1):
-    g = make_grid(6, 24, 48, 1.5, 2.5, radial_map="sinh",
-                  mass_scale=MASS)
-    ops = SplitOperators(rep_massive1, g, FLAT)
-    mats = spin_endomorphism_at(ops, (3, 12, 10))
-    comm = mats[0] @ mats[1] - mats[1] @ mats[0]
-    assert np.linalg.norm(comm - 1j * mats[2]) < 1e-8
-
-
-def test_spin_constant_in_parallel_frame(rep_massive1, frame24):
-    # expressed in the parallel frame, the sampled spin endomorphisms
-    # are the constant standard spin matrices at every probed node
-    g = make_grid(6, 24, 48, 1.0, 2.0, radial_map="sinh",
-                  mass_scale=MASS)
-    frame = parallel_frame(rep_massive1, n_theta=24, n_phi=48,
-                           radius=float(g.r[3]))
-    ops = SplitOperators(rep_massive1, g, FLAT)
-    report = spin_in_frame(ops, frame, [(3, 6, 5), (3, 12, 20),
-                                        (3, 18, 40)])
-    assert report["max_deviation"] < 1e-10
-
-
-def test_spin_in_frame_mesh_mismatch(rep_massive1):
-    g = make_grid(6, 24, 48, 1.0, 2.0, radial_map="sinh",
-                  mass_scale=MASS)
-    frame = parallel_frame(rep_massive1, n_theta=10, n_phi=20,
-                           radius=float(g.r[3]))
-    ops = SplitOperators(rep_massive1, g, FLAT)
-    with pytest.raises(SplittingError):
-        spin_in_frame(ops, frame, [(3, 12, 10)])
 
 
 # -- degeneracy at zero spin --------------------------------------------------------------
