@@ -17,12 +17,15 @@ A section takes one derivative pass (d_r, d_theta, d_phi) for every
 tangent field applied to it (``apply_connections``; ``apply_connection``
 is its one-field case).  After that pass the covariant derivative is
 pointwise in r, so ``_covariant_values`` evaluates the formulas above
-one radial shell at a time on the grid's ``shell`` view: each K_a and
-J_a action is built once per shell for all the fields, the fields are
-evaluated on the shell alone, and every temporary is one shell in size.
-The curvature commutator and the splitting diagnostics batch the fields
-that act on one section.  The boost and rotation kinds build only the
-branch their weight keeps.
+one radial shell at a time on the grid's ``shell`` view: each K_a v and
+J_a v is built once per shell for all the fields, straight from the
+shell formulas ``reps._k_formula`` and ``reps._j_formula`` (a covariant
+derivative never enters the whole-section actions ``_act_K`` and
+``_act_J``), the fields are evaluated on the shell alone, and every
+temporary is one shell in size.  The representation and the grid are
+read from the section.  The curvature commutator and the splitting
+diagnostics batch the fields that act on one section.  The boost and
+rotation kinds build only the branch their weight keeps.
 For sphere-tangential directions every built-in connection also has a
 closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 
@@ -57,6 +60,8 @@ from .reps import (
     _act_K,
     _derivatives,
     _entries_act,
+    _j_formula,
+    _k_formula,
     _on_shell,
     _spin_dot,
 )
@@ -346,9 +351,9 @@ def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
     sh, v, der = _on_shell(grid, i, v, der)
     omega = sh.omega(rep.mass)[..., None]
     if use_boost or massive:
-        k_v = [_act_K(rep, sh, a, v, der) for a in range(3)]
+        k_v = [_k_formula(rep, sh, a, v, der) for a in range(3)]
     if use_rotation:
-        j_v = [_act_J(rep, sh, a, v, der) for a in range(3)]
+        j_v = [_j_formula(rep, sh, a, v, der) for a in range(3)]
         radial = (_axis_sum(sh.khat, k_v) if massive
                   else 1j * sh.kmag[..., None] * der[0])
     for o, x in zip(out, xs):

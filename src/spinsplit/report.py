@@ -383,22 +383,22 @@ def _order(config: RunConfig, residuals, floor=1e-12):
 
 def _ladder(config: RunConfig, rep: RepSpec, rows, suite: str, labels,
             measure, **section_kw):
-    """Evaluate ``measure(grid, psi)``, a list of residuals, on one smooth
-    test section per ladder rung.  Each residual with a label in
-    ``labels`` adds one CSV row per rung (a None label adds none).
-    Returns the per-rung residuals of each measurement and the last
-    rung's grid and section."""
+    """Evaluate ``measure(psi)``, a list of residuals, on one smooth test
+    section per ladder rung.  Each residual with a label in ``labels``
+    adds one CSV row per rung (a None label adds none).  Returns the
+    per-rung residuals of each measurement and the last rung's
+    section."""
     series = [[] for _ in labels]
     for rung in config.ladder:
         grid = config.grid_for(rung, rep.mass)
         psi = random_test_section(rep, grid, seed=config.seed,
                                   **section_kw)
         for label, residuals, res in zip(labels, series,
-                                         measure(grid, psi)):
+                                         measure(psi)):
             residuals.append(res)
             if label is not None:
                 rows.append((suite, label, *rung, res, None))
-    return series, grid, psi
+    return series, psi
 
 
 def _reps(config: RunConfig):
@@ -428,10 +428,9 @@ def _suite_algebra(config: RunConfig, records, rows):
     tol = config.tolerance("algebra")
     rids = relation_ids()
     for rep in _reps(config):
-        series, _, _ = _ladder(
+        series, _ = _ladder(
             config, rep, rows, "algebra", [f"{rep!r}:{rid}" for rid in rids],
-            lambda grid, psi, rep=rep: [algebra_residual(rep, grid, rid, psi)
-                                        for rid in rids])
+            lambda psi: [algebra_residual(rid, psi) for rid in rids])
         for rid, residuals in zip(rids, series):
             records.append(_record(
                 f"algebra-{rep.kind}-{rid}",
@@ -466,11 +465,12 @@ def _suite_curvature(config: RunConfig, records, rows):
                           "massless sphere curvature equals "
                           "(i/|k|^2) J_k"))
     for rep, kind, coeff, anchor in cases:
-        def measure(grid, psi, rep=rep, kind=kind, coeff=coeff):
+        def measure(psi, kind=kind, coeff=coeff):
+            rep, grid = psi.rep, psi.grid
             f = curvature_commutator(kind, eth, eph, psi)
             pred = coeff(grid)[..., None] * _act_chi(rep, grid, psi.values)
             return [Section(rep, grid, f.values - pred).norm() / psi.norm()]
-        (residuals,), _, _ = _ladder(
+        (residuals,), _ = _ladder(
             config, rep, rows, "curvature", [f"{rep!r}:{kind.variant}"],
             measure, polar_damping=4)
         records.append(_record(
@@ -494,40 +494,34 @@ def _suite_curvature(config: RunConfig, records, rows):
 
 def _suite_splitting(config: RunConfig, records, rows):
     tol = config.tolerance("splitting")
-    flat, boost = ConnectionKind.flat_massive(), ConnectionKind.boost()
+    flat = SplitOperators(ConnectionKind.flat_massive())
+    boost = SplitOperators(ConnectionKind.boost())
     for mass, spin in config.massive:
         rep = RepSpec.massive(mass, spin)
-        (residuals,), grid, psi = _ladder(
+        (residuals,), psi = _ladder(
             config, rep, rows, "splitting", [f"{rep!r}:flat-so3"],
-            lambda grid, psi, rep=rep: [
-                so3_residual(SplitOperators(rep, grid, flat), psi)])
+            lambda psi: [so3_residual(flat, psi)])
         records.append(_record(
             f"flat-so3-massive-{spin}",
             "the flat-connection orbital operators close the rotation "
             "algebra", residuals[-1], tol, _order(config, residuals)))
-        ops = SplitOperators(rep, grid, flat)
         records.append(_record(
             f"vector-op-massive-{spin}",
             "orbital and internal parts are vector operators under J",
-            float(np.max([vector_op_residual(ops, psi),
-                          vector_op_residual(ops, psi, "S")])), tol))
+            float(np.max([vector_op_residual(flat, psi),
+                          vector_op_residual(flat, psi, "S")])), tol))
     for h in config.massless:
         if h == 0:
             continue
         rep = RepSpec.massless(h)
-
-        def measure(grid, psi, rep=rep):
-            ops = SplitOperators(rep, grid, boost)
-            return [so3_residual(ops, psi), jperp_so3_residual(ops, psi)]
-        (so3s, jperps), grid, psi = _ladder(
+        (so3s, jperps), psi = _ladder(
             config, rep, rows, "splitting", [f"{rep!r}:boost-so3", None],
-            measure)
-        ops = SplitOperators(rep, grid, boost)
+            lambda psi: [so3_residual(boost, psi), jperp_so3_residual(psi)])
         records.append(_record(
             f"massless-so3-defect-h{h:+d}",
             "the massless orbital so(3) failure equals the measured "
             "sphere curvature exactly",
-            defect_identity_residual(ops, psi), tol))
+            defect_identity_residual(boost, psi), tol))
         records[-1]["so3_residual"] = _jsonable(so3s[-1])
         records.append(_record(
             f"massless-jperp-closure-h{h:+d}",
@@ -540,16 +534,15 @@ def _suite_nw(config: RunConfig, records, rows):
     tol = config.tolerance("nw")
     for mass, spin in config.massive:
         rep = RepSpec.massive(mass, spin)
-        (grads,), grid, psi = _ladder(
+        (grads,), psi = _ladder(
             config, rep, rows, "nw", [f"{rep!r}:gradient"],
-            lambda grid, psi, rep=rep: [nw_gradient_residual(rep, grid,
-                                                             psi)])
-        phi = random_test_section(rep, grid, seed=config.seed + 1)
+            lambda psi: [nw_gradient_residual(psi)])
+        phi = random_test_section(rep, psi.grid, seed=config.seed + 1)
         records.append(_record(
             f"nw-match-massive-{spin}",
             "+i times the flat covariant derivative along Cartesian "
             "directions equals the closed-form mean position operator",
-            nw_match_residual(rep, grid, psi), tol))
+            nw_match_residual(psi), tol))
         records.append(_record(
             f"nw-gradient-massive-{spin}",
             "the mean position operator acts as the componentwise "
@@ -560,7 +553,7 @@ def _suite_nw(config: RunConfig, records, rows):
             f"nw-hermitian-massive-{spin}",
             "the mean position operator is symmetric under the "
             "invariant inner product",
-            nw_hermiticity_defect(rep, grid, psi, phi),
+            nw_hermiticity_defect(psi, phi),
             config.tolerance("nw_hermitian")))
 
 
@@ -722,7 +715,8 @@ def _suite_holonomy(config: RunConfig, records, rows):
 def _suite_leibniz(config: RunConfig, records, rows):
     tol = config.tolerance("leibniz")
 
-    def measure(grid, psi):
+    def measure(psi):
+        grid = psi.grid
         f = np.exp(-0.5 * ((grid.kx - 0.2)**2 + grid.ky**2
                            + (grid.kz - 0.1)**2))
         frame = [TangentField.named(name)
@@ -733,8 +727,8 @@ def _suite_leibniz(config: RunConfig, records, rows):
         ]))]
 
     for rep in _reps(config):
-        (residuals,), _, _ = _ladder(config, rep, rows, "leibniz",
-                                     [f"{rep!r}"], measure)
+        (residuals,), _ = _ladder(config, rep, rows, "leibniz",
+                                  [f"{rep!r}"], measure)
         records.append(_record(
             f"leibniz-{rep.kind}-"
             + (f"s{rep.spin}" if rep.kind == "massive"

@@ -39,15 +39,17 @@ for bit to the dense contraction with ``chi_field``) and the connection
 form that the transport integrator of :mod:`spinsplit.connections`
 applies to its stack at every RK4 node.
 
-``_act_J`` and ``_act_K`` are each their formula, written once for one
-radial shell (``_j_formula``, ``_k_formula``) and evaluated on a
-:class:`~spinsplit.grid.GridShell` as it stands.  On a
-:class:`~spinsplit.grid.MomentumGrid` the derivative pass is taken over
-the whole section, and ``_by_shell`` runs the formula one shell at a
-time, cut by ``_on_shell`` (which the covariant kernel of
-:mod:`spinsplit.connections` also uses), into one output section: every
-temporary is one shell in size, and no shell re-enters ``_act_J`` or
-``_act_K``, so each whole-section action is one call of its name.
+The generator formulas are written once for one radial shell
+(``_j_formula``, ``_k_formula``) and evaluated on a
+:class:`~spinsplit.grid.GridShell` as it stands.  ``_act_J`` and
+``_act_K`` apply them to whole sections: the derivative pass is taken
+over the whole section, and ``_by_shell`` runs the formula one shell at
+a time, cut by ``_on_shell``, into one output section.  Every temporary
+is one shell in size, and no shell re-enters ``_act_J`` or ``_act_K``,
+so each whole-section action is one call of its name.  The covariant
+kernel of :mod:`spinsplit.connections` cuts its shells with the same
+``_on_shell`` and calls the formulas directly, so it never enters the
+whole-section actions.
 
 The helicity operator is pointwise (the orbital part of J.khat vanishes
 identically).  Each fiber action has one direct call: ``_act_J``,
@@ -55,7 +57,8 @@ identically).  Each fiber action has one direct call: ``_act_J``,
 letters H, P, J, K of the bracket table ``algebra.BRACKETS``, and
 ``algebra_residual`` checks each family of that table, the one the
 symbolic identity catalog also reads, building each first-level action
-and its derivative pass once.
+and its derivative pass once.  It reads the representation and the grid
+from the section it is given, as every diagnostic on sections does.
 """
 
 from __future__ import annotations
@@ -201,13 +204,11 @@ def _on_shell(grid: MomentumGrid, i: int, v: np.ndarray, der):
     return grid.shell(i), v[s], tuple(d if d is None else d[s] for d in der)
 
 
-def _by_shell(formula, rep: RepSpec, grid, a: int, v: np.ndarray, der):
-    """``formula(rep, shell, a, v, der)`` on a :class:`GridShell`; on a
-    :class:`MomentumGrid`, the formula on each radial shell in turn,
-    written into one array laid out like v, so every temporary is one
-    shell in size."""
-    if isinstance(grid, GridShell):
-        return formula(rep, grid, a, v, der)
+def _by_shell(formula, rep: RepSpec, grid: MomentumGrid, a: int,
+              v: np.ndarray, der):
+    """``formula(rep, shell, a, v, der)`` on each radial shell of the grid
+    in turn, written into one array laid out like v, so every temporary
+    is one shell in size."""
     out = np.empty_like(v)
     for i in range(grid.n_r):
         sh, v_i, der_i = _on_shell(grid, i, v, der)
@@ -268,10 +269,10 @@ def _spin_dot(rep: RepSpec, w):
         yield b, c, tuple(w[a] * coef for a, coef in coefs[b, c])
 
 
-def _act_J(rep: RepSpec, grid, a: int, v: np.ndarray,
+def _act_J(rep: RepSpec, grid: MomentumGrid, a: int, v: np.ndarray,
            der=None) -> np.ndarray:
-    """J_a v on a grid or on one of its shells; ``der`` is the derivative
-    pass over v, taken here over the whole section unless given."""
+    """J_a v on a whole section; ``der`` is the derivative pass over v,
+    taken here unless given."""
     if der is None:
         der = _derivatives(grid, v, radial=False)
     return _by_shell(_j_formula, rep, grid, a, v, der)
@@ -288,10 +289,10 @@ def _j_formula(rep: RepSpec, sh: GridShell, a: int, v: np.ndarray,
             + _spin_act(rep, a, v))
 
 
-def _act_K(rep: RepSpec, grid, a: int, v: np.ndarray,
+def _act_K(rep: RepSpec, grid: MomentumGrid, a: int, v: np.ndarray,
            der=None) -> np.ndarray:
-    """K_a v on a grid or on one of its shells; ``der`` is the derivative
-    pass over v, taken here over the whole section unless given."""
+    """K_a v on a whole section; ``der`` is the derivative pass over v,
+    taken here unless given."""
     if der is None:
         der = _derivatives(grid, v)
     return _by_shell(_k_formula, rep, grid, a, v, der)
@@ -368,10 +369,9 @@ def relation_ids():
     return _RELATIONS
 
 
-def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
-                     psi: Section) -> float:
+def algebra_residual(relation_id: str, psi: Section) -> float:
     """max over index pairs of ||(LHS - RHS) psi|| / ||psi|| for the named
-    bracket family [A_a, B_b].
+    bracket family [A_a, B_b], in the rep and on the grid of psi.
 
     Each first-level action A_a v or B_b v is built once, with the one
     derivative pass its second-level actions need, and every second-level
@@ -384,7 +384,7 @@ def algebra_residual(rep: RepSpec, grid: MomentumGrid, relation_id: str,
         raise RepError(
             f"unknown relation id {relation_id!r}; valid: {_RELATIONS}"
         )
-    v = psi.values
+    rep, grid, v = psi.rep, psi.grid, psi.values
     nrm = psi.norm()
     if nrm == 0.0:
         raise RepError("zero test section")

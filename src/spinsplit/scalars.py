@@ -36,8 +36,8 @@ difference is zero) is decided exactly.  No arithmetic calls
 
 Where ``cancel`` remains.  ``Scalar.parts`` is a lazily built view of the
 components as sympy expressions, each the ``cancel`` normal form of
-num/den (memoized in ``_cancel_memo``).  Only the printer, ``component``
-and ``repr`` read it.  The view is a function of the components alone,
+num/den (memoized in ``_cancel_memo``).  Only the printer and ``repr``
+read it.  The view is a function of the components alone,
 so equal values print the same text however they were computed.
 
 Massless mode sets m = 0 and identifies H with R (basis {1, R}).
@@ -398,9 +398,6 @@ class Scalar:
             if n is not None and not d and n.is_ground:
                 return n.LC
         return None
-
-    def component(self, h: int, r: int):
-        return self.parts.get((h, r), sp.Integer(0))
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):

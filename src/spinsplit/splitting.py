@@ -1,8 +1,10 @@
 """Connection-induced splittings of the angular momentum J = L + S,
 their diagnostics, and the flat-connection position operator.
 
-For a connection D, the orbital part acts along the rotational tangent
-fields V_a = e_a x k:
+Every operator here reads its representation and grid from the section
+it acts on; a splitting is fixed by its connection alone.  For a
+connection D, the orbital part acts along the rotational tangent fields
+V_a = e_a x k, read from ``_ROTATIONAL`` when L is applied:
 
     L_a psi = -i D_{V_a} psi          S_a psi = J_a psi - L_a psi
 
@@ -12,7 +14,8 @@ construction.  The diagnostics measure, on smooth test sections:
   * the vector-operator property  [L_a, J_b] = i eps_abc L_c  (and for S),
   * the so(3) residual  [L_a, L_b] - i eps_abc L_c,
   * the defect identity [L_a, L_b] - i eps_abc L_c = -F_D(V_a, V_b),
-  * the massless parallel/perpendicular commutator relation.
+  * the massless parallel/perpendicular commutator relation, which needs
+    no connection: Jpar_a = khat_a (S.khat) and Jperp_a = J_a - Jpar_a.
 
 Every diagnostic applies the fields that act on one section in one
 batched covariant derivative, with one derivative pass over that
@@ -24,9 +27,10 @@ is NaN; the builtin ``max`` would keep a number found before it.
 
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
-mean (Newton-Wigner) position operator, which this module also builds
-directly from its closed form in the generators, and which acts as the
-plain componentwise gradient i*grad in the coordinates used here.
+mean (Newton-Wigner) position operator (``_q_affine``).  This module
+also builds it directly from its closed form in the generators
+(``_q_closed_form``); it acts as the plain componentwise gradient
+i*grad in the coordinates used here.
 """
 
 from __future__ import annotations
@@ -40,8 +44,8 @@ from .connections import (
     apply_connections,
     curvature_commutator,
 )
-from .grid import MomentumGrid, Section
-from .reps import RepSpec, _act_chi, _act_J, _act_K, _derivatives, inner
+from .grid import Section
+from .reps import _act_chi, _act_J, _act_K, _derivatives, inner
 from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
@@ -51,7 +55,6 @@ __all__ = [
     "so3_residual",
     "defect_identity_residual",
     "jperp_so3_residual",
-    "NWOperator",
     "nw_match_residual",
     "nw_gradient_residual",
     "nw_hermiticity_defect",
@@ -59,47 +62,28 @@ __all__ = [
 
 
 class SplittingError(ValueError):
-    """Invalid splitting request (rep/connection mismatch, bad mode)."""
+    """Invalid splitting request (an unknown component, or a section of
+    the wrong kind of rep)."""
 
 
 _ROTATIONAL = tuple(TangentField.rotational(a) for a in range(3))
 
 
 class SplitOperators:
-    """The splitting of J induced by a connection.
+    """The splitting of J induced by the connection ``kind``, on any
+    section."""
 
-    ``symmetry_breaking`` adds the constant field e_3 of the given
-    strength to every V_a; this deliberately destroys rotational
-    symmetry and serves as a mutation control for the vector-operator
-    diagnostics.
-    """
+    __slots__ = ("kind",)
 
-    __slots__ = ("rep", "grid", "kind", "_fields")
-
-    def __init__(self, rep: RepSpec, grid: MomentumGrid,
-                 kind: ConnectionKind, symmetry_breaking: float = 0.0):
-        self.rep = rep
-        self.grid = grid
+    def __init__(self, kind: ConnectionKind):
         self.kind = kind
-        if symmetry_breaking:
-            extra = (TangentField.constant((0.0, 0.0, 1.0)).values(grid)
-                     * symmetry_breaking)
-            self._fields = tuple(
-                TangentField.from_array(v.values(grid) + extra)
-                for v in _ROTATIONAL
-            )
-        else:
-            self._fields = _ROTATIONAL
-
-    def field(self, a: int) -> TangentField:
-        return self._fields[a]
 
     def _l_values(self, axes, psi: Section, der=None) -> list:
         """The values of L_a psi for each axis in ``axes``, from one
         derivative pass over psi (``der``, taken here unless given)."""
         vals = _covariant_values(
             psi.rep, psi.grid, self.kind,
-            [self._fields[a] for a in axes], psi.values, der)
+            [_ROTATIONAL[a] for a in axes], psi.values, der)
         for val in vals:
             val *= -1j
         return vals
@@ -108,13 +92,6 @@ class SplitOperators:
         """[L_a psi for a in axes], from one derivative pass over psi."""
         return [Section(psi.rep, psi.grid, val)
                 for val in self._l_values(axes, psi)]
-
-    def J_axes(self, axes, psi: Section) -> list:
-        """[J_a psi for a in axes], from one angular pass over psi."""
-        rep, grid, v = psi.rep, psi.grid, psi.values
-        der = _derivatives(grid, v, radial=False)
-        return [Section(rep, grid, _act_J(rep, grid, a, v, der))
-                for a in axes]
 
     def S_axes(self, axes, psi: Section) -> list:
         """[S_a psi for a in axes]: J and L share one derivative pass over
@@ -137,33 +114,21 @@ class SplitOperators:
     def S(self, a: int, psi: Section) -> Section:
         return self.S_axes((a,), psi)[0]
 
-    # the massless parallel/perpendicular split: the pointwise helicity
-    # part of J and its complement
-    def j_parallel(self, a: int, psi: Section) -> Section:
-        self._require_massless()
-        chi = _act_chi(psi.rep, psi.grid, psi.values)
-        return Section(psi.rep, psi.grid,
-                       psi.grid.khat[a][..., None] * chi)
 
-    def j_perp_axes(self, axes, psi: Section) -> list:
-        """[Jperp_a psi for a in axes], from one angular pass and one
-        helicity action over psi."""
-        self._require_massless()
-        return self._j_perp(axes, psi,
-                            _act_chi(psi.rep, psi.grid, psi.values))
-
-    def _j_perp(self, axes, psi: Section, chi: np.ndarray) -> list:
-        """j_perp_axes with psi's helicity action ``chi`` given."""
-        out = self.J_axes(axes, psi)
-        for a, j in zip(axes, out):
-            # J_a psi - Jpar_a psi, formed in the fresh J array
-            j.values -= psi.grid.khat[a][..., None] * chi
-        return out
-
-    def _require_massless(self):
-        if self.rep.kind != "massless":
-            raise SplittingError("parallel/perpendicular split is the "
-                                 "massless decomposition; use L/S instead")
+def _j_perp(axes, psi: Section, chi=None) -> list:
+    """[Jperp_a psi for a in axes] on a massless section, from one angular
+    pass over psi and its helicity action ``chi`` (taken here unless
+    given): J_a psi - khat_a chi, formed in the fresh J array."""
+    rep, grid, v = psi.rep, psi.grid, psi.values
+    if chi is None:
+        chi = _act_chi(rep, grid, v)
+    der = _derivatives(grid, v, radial=False)
+    out = []
+    for a in axes:
+        j = _act_J(rep, grid, a, v, der)
+        j -= grid.khat[a][..., None] * chi
+        out.append(Section(rep, grid, j))
+    return out
 
 
 def _component(ops: SplitOperators, which: str):
@@ -260,127 +225,116 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     failures = _so3_failures(ops.L_axes, psi, lambda out: out)
     residuals = []
     for i, (a, b) in enumerate(_PAIRS):
-        out = failures[i] + curvature_commutator(ops.kind, ops.field(a),
-                                                 ops.field(b), psi)
+        out = failures[i] + curvature_commutator(
+            ops.kind, _ROTATIONAL[a], _ROTATIONAL[b], psi)
         failures[i] = None
         residuals.append(out.norm() / nrm)
     return float(np.max(residuals))
 
 
-def jperp_so3_residual(ops: SplitOperators, psi: Section) -> float:
+def jperp_so3_residual(psi: Section) -> float:
     """Massless: max over (a,b) of
     ||([Jperp_a, Jperp_b] - i eps_abc (Jperp_c - Jpar_c)) psi|| / ||psi||
     — the perpendicular parts close on the full algebra only after the
     parallel correction, so they do not generate rotations by themselves."""
-    ops._require_massless()
+    rep, grid = psi.rep, psi.grid
+    if rep.kind != "massless":
+        raise SplittingError("the parallel/perpendicular split is the "
+                             "massless decomposition; use L/S instead")
     nrm = psi.norm()
     # psi's helicity action, shared by Jperp_c psi and every Jpar_c psi
-    chi = _act_chi(psi.rep, psi.grid, psi.values)
+    chi = _act_chi(rep, grid, psi.values)
 
     def act(axes, phi):
-        return (ops._j_perp(axes, psi, chi) if phi is psi
-                else ops.j_perp_axes(axes, phi))
+        return _j_perp(axes, phi, chi if phi is psi else None)
 
-    def target(c, perp_c):  # perp_c - ops.j_parallel(c, psi)
-        return perp_c - Section(psi.rep, psi.grid,
-                                psi.grid.khat[c][..., None] * chi)
+    def target(c, perp_c):  # perp_c - Jpar_c psi
+        return perp_c - Section(rep, grid, grid.khat[c][..., None] * chi)
 
     return float(np.max(_so3_failures(act, psi,
                                       lambda out: out.norm() / nrm, target)))
 
 
 # -- the flat-connection (mean) position operator --------------------------------
+#
+# Q_a, built two ways from the same generator actions, so the two agree to
+# rounding: +i times the flat affine connection along the constant
+# Cartesian direction e_a, and the explicit generator expression
+#
+#     Q_a = (1/H) (K_a - i k_a/(2H))
+#           - (1/(m H (H+m))) [k x (H J + k x K)]_a
+#
+# Q is self-adjoint under the invariant measure d^3k/H, and after the
+# unitary rescaling by sqrt(H) (to plain-measure wave functions) it acts
+# as the componentwise gradient i*grad.
 
 
 _E = tuple(TangentField.constant(np.eye(3)[a]) for a in range(3))
 
 
-class NWOperator:
-    """The mean position operator on a massive bundle.
-
-    mode "affine": +i times the flat affine connection along the
-    constant Cartesian directions.  mode "closed-form": the explicit
-    generator expression
-
-        Q_a = (1/H) (K_a - i k_a/(2H))
-              - (1/(m H (H+m))) [k x (H J + k x K)]_a
-
-    Both are built from the same generator actions, so they agree to
-    rounding.  Q is self-adjoint under the invariant measure d^3k/H, and
-    after the unitary rescaling by sqrt(H) (to plain-measure
-    wave functions) it acts as the componentwise gradient i*grad.
-    """
-
-    __slots__ = ("rep", "grid", "mode", "_kind")
-
-    def __init__(self, rep: RepSpec, grid: MomentumGrid,
-                 mode: str = "affine"):
-        if rep.kind != "massive":
-            raise SplittingError(
-                "the mean position operator needs m > 0 (no flat "
-                "connection exists on the massless bundles)"
-            )
-        if mode not in ("affine", "closed-form"):
-            raise SplittingError(f"unknown construction mode {mode!r}")
-        self.rep = rep
-        self.grid = grid
-        self.mode = mode
-        self._kind = ConnectionKind.flat_massive()
-
-    def apply(self, a: int, psi: Section) -> Section:
-        return self.apply_axes((a,), psi)[0]
-
-    def apply_axes(self, axes, psi: Section) -> list:
-        """[Q_a psi for a in axes], from one derivative pass over psi."""
-        rep, grid = psi.rep, psi.grid
-        if self.mode == "affine":
-            out = apply_connections(self._kind, [_E[a] for a in axes], psi)
-            return [Section(rep, grid, 1j * d.values) for d in out]
-        m = rep.mass
-        omega = grid.omega(m)[..., None]
-        ks = (grid.kx, grid.ky, grid.kz)
-        kv = psi.values
-        der = _derivatives(grid, kv)
-        jpsi = [_act_J(rep, grid, c, kv, der) for c in range(3)]
-        kpsi = [_act_K(rep, grid, c, kv, der) for c in range(3)]
-        del der
-        # w_c = (H J + k x K)_c
-        w = []
-        for c in range(3):
-            acc = omega * jpsi[c]
-            for d, e_, s in _EPS_PAIRS[c]:
-                acc = acc + s * ks[d][..., None] * kpsi[e_]
-            w.append(acc)
-        del jpsi
-        coef = 1.0 / (m * omega * (omega + m))
-        qs = []
-        for a in axes:
-            out = (1.0 / omega) * (kpsi[a] - 1j * ks[a][..., None]
-                                   / (2.0 * omega) * kv)
-            for b, c, s in _EPS_PAIRS[a]:
-                out = out - coef * s * ks[b][..., None] * w[c]
-            qs.append(Section(rep, grid, out))
-        return qs
+def _require_massive(psi: Section) -> None:
+    if psi.rep.kind != "massive":
+        raise SplittingError(
+            "the mean position operator needs m > 0 (no flat connection "
+            "exists on the massless bundles)")
 
 
-def nw_match_residual(rep: RepSpec, grid: MomentumGrid,
-                      psi: Section) -> float:
+def _q_affine(psi: Section) -> list:
+    """[Q_a psi for a = 0, 1, 2] as +i D^flat_{e_a} psi, from one
+    derivative pass over psi."""
+    _require_massive(psi)
+    out = apply_connections(ConnectionKind.flat_massive(), _E, psi)
+    return [Section(psi.rep, psi.grid, 1j * d.values) for d in out]
+
+
+def _q_closed_form(psi: Section) -> list:
+    """[Q_a psi for a = 0, 1, 2] from the generator expression, from one
+    derivative pass over psi."""
+    _require_massive(psi)
+    rep, grid, kv = psi.rep, psi.grid, psi.values
+    m = rep.mass
+    omega = grid.omega(m)[..., None]
+    ks = (grid.kx, grid.ky, grid.kz)
+    der = _derivatives(grid, kv)
+    jpsi = [_act_J(rep, grid, c, kv, der) for c in range(3)]
+    kpsi = [_act_K(rep, grid, c, kv, der) for c in range(3)]
+    del der
+    # w_c = (H J + k x K)_c
+    w = []
+    for c in range(3):
+        acc = omega * jpsi[c]
+        for d, e_, s in _EPS_PAIRS[c]:
+            acc = acc + s * ks[d][..., None] * kpsi[e_]
+        w.append(acc)
+    del jpsi
+    coef = 1.0 / (m * omega * (omega + m))
+    qs = []
+    for a in range(3):
+        out = (1.0 / omega) * (kpsi[a] - 1j * ks[a][..., None]
+                               / (2.0 * omega) * kv)
+        for b, c, s in _EPS_PAIRS[a]:
+            out = out - coef * s * ks[b][..., None] * w[c]
+        qs.append(Section(rep, grid, out))
+    return qs
+
+
+def nw_match_residual(psi: Section) -> float:
     """max_a || (Q_a^affine - Q_a^closed-form) psi || / ||psi||."""
-    qa = NWOperator(rep, grid, "affine").apply_axes(range(3), psi)
-    qc = NWOperator(rep, grid, "closed-form").apply_axes(range(3), psi)
+    qa = _q_affine(psi)
+    qc = _q_closed_form(psi)
     nrm = psi.norm()
     return float(np.max([(qa[a] - qc[a]).norm() / nrm for a in range(3)]))
 
 
-def nw_gradient_residual(rep: RepSpec, grid: MomentumGrid,
-                         psi: Section) -> float:
+def nw_gradient_residual(psi: Section) -> float:
     """max_a || H^(-1/2) Q_a (H^(1/2) psi) - i (grad psi)_a || / ||psi||.
 
     The conjugation by sqrt(H) maps to the coordinates in which the
     inner product is the plain (unweighted) momentum integral; there the
     mean position operator acts as the componentwise gradient i*grad."""
+    rep, grid = psi.rep, psi.grid
     sqw = np.sqrt(grid.omega(rep.mass))
-    q = NWOperator(rep, grid, "closed-form").apply_axes(range(3), psi * sqw)
+    q = _q_closed_form(psi * sqw)
     g = grid.gradient(psi.values)
     nrm = psi.norm()
     return float(np.max([
@@ -390,12 +344,10 @@ def nw_gradient_residual(rep: RepSpec, grid: MomentumGrid,
     ]))
 
 
-def nw_hermiticity_defect(rep: RepSpec, grid: MomentumGrid, psi: Section,
-                          phi: Section) -> float:
+def nw_hermiticity_defect(psi: Section, phi: Section) -> float:
     """max_a |<psi, Q_a phi> - <Q_a psi, phi>| / (||psi|| ||phi||)."""
-    q = NWOperator(rep, grid, "closed-form")
-    q_phi = q.apply_axes(range(3), phi)
-    q_psi = q.apply_axes(range(3), psi)
+    q_phi = _q_closed_form(phi)
+    q_psi = _q_closed_form(psi)
     scale = psi.norm() * phi.norm()
     return float(np.max([
         abs(inner(psi, q_phi[a]) - inner(q_psi[a], phi)) / scale

@@ -7,6 +7,8 @@ constructed once per session and shared read-only across tests.
 import numpy as np
 import pytest
 
+import spinsplit.splitting as splitting
+from spinsplit.connections import TangentField
 from spinsplit.grid import make_grid
 from spinsplit.reps import RepSpec, random_test_section
 
@@ -65,6 +67,17 @@ def smooth_scalar(grid):
     """A smooth, pole-regular scalar test function on the grid."""
     st = np.sin(grid.theta)[None, :, None] + np.zeros(grid.shape)
     return np.exp(-((grid.kmag - 1.5) ** 2)) * st**2
+
+
+def break_rotational_symmetry(monkeypatch, grid, strength=0.5):
+    """Mutation control: add the constant field ``strength`` e_3 to every
+    rotational field V_a = e_a x k that L acts along, as array fields on
+    ``grid``.  This destroys rotational symmetry, so the vector-operator
+    diagnostics must fail."""
+    extra = TangentField.constant((0.0, 0.0, 1.0)).values(grid) * strength
+    monkeypatch.setattr(splitting, "_ROTATIONAL", tuple(
+        TangentField.from_array(v.values(grid) + extra)
+        for v in splitting._ROTATIONAL))
 
 
 def section(rep, grid, seed=3, **kw):

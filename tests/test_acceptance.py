@@ -120,7 +120,7 @@ def test_criterion_02_generator_algebra_converges():
             g = _grid(dims, rep.mass)
             psi = random_test_section(rep, g, seed=SEED)
             for rid in relation_ids():
-                resid[rid].append(algebra_residual(rep, g, rid, psi))
+                resid[rid].append(algebra_residual(rid, psi))
         for rid, es in resid.items():
             if es[-1] > worst_top:
                 worst_top, worst_rep = es[-1], (rep, rid)
@@ -202,16 +202,16 @@ def test_criterion_05_splitting_closure_iff_flat():
     for dims in LADDER:
         g = _grid(dims, MASS)
         psi = random_test_section(rep, g, seed=SEED)
-        ops = SplitOperators(rep, g, ConnectionKind.flat_massive())
+        ops = SplitOperators(ConnectionKind.flat_massive())
         flat.append(so3_residual(ops, psi, "L"))
     order = _order(flat[1], flat[2], LADDER[1][1], LADDER[2][1])
     gl = _grid(LADDER[-1], 0.0)
     repl = RepSpec.massless(1)
     psil = random_test_section(repl, gl, seed=SEED, polar_damping=4)
-    opsl = SplitOperators(repl, gl, ConnectionKind.boost())
+    opsl = SplitOperators(ConnectionKind.boost())
     massless_so3 = so3_residual(opsl, psil, "L")
     defect = defect_identity_residual(opsl, psil)
-    jperp = jperp_so3_residual(opsl, psil)
+    jperp = jperp_so3_residual(psil)
     ok = (flat[-1] <= tol and order is not None and order >= 2.0
           and massless_so3 > 0.1 and defect <= tol and jperp <= tol)
     _criterion(5, "splitting-closure-iff-flat",
@@ -230,8 +230,8 @@ def test_criterion_06_position_operator():
     g = make_grid(10, 64, 128, 1.0, 2.0, radial_map="sinh",
                   mass_scale=MASS)
     psi = random_test_section(rep, g, seed=SEED)
-    match = nw_match_residual(rep, g, psi)
-    grad = nw_gradient_residual(rep, g, psi)
+    match = nw_match_residual(psi)
+    grad = nw_gradient_residual(psi)
     ok = match <= tol and grad <= tol
     _criterion(6, "position-operator",
                ok, f"affine and closed-form constructions agree to "

@@ -18,7 +18,7 @@ from spinsplit.connections import (
     curvature_commutator,
 )
 import spinsplit.splitting as splitting
-from spinsplit.grid import MomentumGrid, make_grid
+from spinsplit.grid import MomentumGrid, Section, make_grid
 from spinsplit.reps import (
     RepSpec,
     algebra_residual,
@@ -26,7 +26,6 @@ from spinsplit.reps import (
     relation_ids,
 )
 from spinsplit.splitting import (
-    NWOperator,
     SplitOperators,
     defect_identity_residual,
     jperp_so3_residual,
@@ -35,7 +34,7 @@ from spinsplit.splitting import (
 )
 
 import reference
-from conftest import MASS
+from conftest import MASS, break_rotational_symmetry
 
 _DERIVATIVES = ("d_r", "d_theta", "d_phi", "gradient")
 
@@ -87,7 +86,7 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
     assert derivative_calls == {"d_r": 1, "d_theta": 1, "d_phi": 1,
                                 "gradient": 0}
     derivative_calls.update(dict.fromkeys(_DERIVATIVES, 0))
-    ops = SplitOperators(rep, psi.grid, ConnectionKind.flat_massive())
+    ops = SplitOperators(ConnectionKind.flat_massive())
     ops.S_axes(range(3), psi)  # J and L share the pass
     assert derivative_calls == {"d_r": 1, "d_theta": 1, "d_phi": 1,
                                 "gradient": 0}
@@ -121,7 +120,7 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     rep = RepSpec.massive(MASS, 1)
     grid = _massive_grid()
     psi = random_test_section(rep, grid, seed=3)
-    ops = SplitOperators(rep, grid, kind)
+    ops = SplitOperators(kind)
     if diagnostic == "so3":
         so3_residual(ops, psi)
     elif diagnostic == "vector-op-L":
@@ -150,22 +149,25 @@ def _split_cases():
         (RepSpec.massless(-1), ConnectionKind.rotation())]
 
 
-def _split_setup(rep, kind, symmetry_breaking=0.0):
+def _section(rep):
     grid = (_massive_grid() if rep.kind == "massive"
             else make_grid(4, 12, 24, 1.0, 2.0))
-    ops = SplitOperators(rep, grid, kind,
-                         symmetry_breaking=symmetry_breaking)
-    return ops, random_test_section(rep, grid, seed=11)
+    return random_test_section(rep, grid, seed=11)
+
+
+def _j_par(c, sec):
+    """Jpar_c sec = khat_c chi sec, with its own helicity action."""
+    return Section(sec.rep, sec.grid, sec.grid.khat[c][..., None]
+                   * splitting._act_chi(sec.rep, sec.grid, sec.values))
 
 
 @pytest.mark.parametrize("rep,kind", _split_cases(),
                          ids=lambda v: repr(v))
 def test_split_axes_match_single_axis_calls_exactly(rep, kind):
-    ops, psi = _split_setup(rep, kind)
+    ops, psi = SplitOperators(kind), _section(rep)
     axes = (2, 0, 1)
-    for batch, single in ((ops.L_axes, ops.L), (ops.J_axes, ops.J)):
-        for a, out in zip(axes, batch(axes, psi)):
-            assert np.array_equal(out.values, single(a, psi).values)
+    for a, out in zip(axes, ops.L_axes(axes, psi)):
+        assert np.array_equal(out.values, ops.L(a, psi).values)
     for a, out in zip(axes, ops.S_axes(axes, psi)):
         ref = ops.J(a, psi) - ops.L(a, psi)
         assert np.array_equal(out.values, ref.values)
@@ -175,14 +177,15 @@ def test_split_axes_match_single_axis_calls_exactly(rep, kind):
                          ids=["symmetric", "broken"])
 @pytest.mark.parametrize("rep,kind", _split_cases(),
                          ids=lambda v: repr(v))
-def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind,
-                                                           breaking):
+def test_batched_diagnostics_match_one_field_loops_exactly(
+        monkeypatch, rep, kind, breaking):
     """The residuals equal, bit for bit, the one-field loops each
     diagnostic ran before its fields were batched; with the rotational
     symmetry broken they are of order one, so the comparison covers a
     failing diagnostic as well as a passing one."""
-    ops, psi = _split_setup(rep, kind, breaking)
+    ops, psi = SplitOperators(kind), _section(rep)
     if breaking:
+        break_rotational_symmetry(monkeypatch, psi.grid, breaking)
         assert vector_op_residual(ops, psi) > 0.1
     for which, act in (("L", ops.L), ("S", ops.S)):
         assert so3_residual(ops, psi, which) == \
@@ -191,30 +194,28 @@ def test_batched_diagnostics_match_one_field_loops_exactly(rep, kind,
             == reference.vector_op_residual(act, ops.J, psi)
     assert defect_identity_residual(ops, psi) == reference.so3_residual(
         ops.L, psi, curvature=lambda a, b: curvature_commutator(
-            kind, ops.field(a), ops.field(b), psi))
+            kind, splitting._ROTATIONAL[a], splitting._ROTATIONAL[b], psi))
     if rep.kind == "massless":
         def perp(a, sec):
-            return ops.J(a, sec) - ops.j_parallel(a, sec)
+            return ops.J(a, sec) - _j_par(a, sec)
 
-        assert jperp_so3_residual(ops, psi) == reference.so3_residual(
-            perp, psi, target=lambda c, perp_c: perp_c
-            - ops.j_parallel(c, psi))
+        assert jperp_so3_residual(psi) == reference.so3_residual(
+            perp, psi, target=lambda c, perp_c: perp_c - _j_par(c, psi))
 
 
 def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):
     """jperp_so3_residual applies the helicity operator chi once to psi
     and once to each Jperp_c psi (4 calls, down from 7 when every
     parallel target took its own), and its value equals, bit for bit,
-    the residual with a fresh j_parallel per target."""
+    the residual with a fresh Jpar_c psi per target."""
     rep = RepSpec.massless(1)
     grid = make_grid(4, 12, 24, 1.0, 2.0)
     psi = random_test_section(rep, grid, seed=3, polar_damping=4)
-    ops = SplitOperators(rep, grid, ConnectionKind.boost())
     nrm = psi.norm()
     worst = 0.0
     for res in splitting._so3_failures(
-            ops.j_perp_axes, psi, lambda out: out.norm() / nrm,
-            lambda c, perp_c: perp_c - ops.j_parallel(c, psi)):
+            splitting._j_perp, psi, lambda out: out.norm() / nrm,
+            lambda c, perp_c: perp_c - _j_par(c, psi)):
         worst = max(worst, res)
     calls = []
     orig = splitting._act_chi
@@ -224,21 +225,8 @@ def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(splitting, "_act_chi", counted)
-    assert jperp_so3_residual(ops, psi) == worst
+    assert jperp_so3_residual(psi) == worst
     assert len(calls) == 4
-
-
-@pytest.mark.parametrize("mode", ["affine", "closed-form"])
-@pytest.mark.parametrize("spin", [0, 1])
-def test_position_operator_axes_match_single_axis_calls_exactly(spin,
-                                                                mode):
-    rep = RepSpec.massive(MASS, spin)
-    grid = _massive_grid()
-    psi = random_test_section(rep, grid, seed=13)
-    q = NWOperator(rep, grid, mode)
-    axes = (1, 2, 0)
-    for a, out in zip(axes, q.apply_axes(axes, psi)):
-        assert np.array_equal(out.values, q.apply(a, psi).values)
 
 
 # -- the commutation-relation catalog -------------------------------------------
@@ -254,7 +242,7 @@ def test_algebra_residual_matches_one_action_per_pair(rep, relation_id):
     grid = (_massive_grid() if rep.kind == "massive"
             else make_grid(4, 12, 24, 1.0, 2.0))
     psi = random_test_section(rep, grid, seed=9)
-    assert algebra_residual(rep, grid, relation_id, psi) \
+    assert algebra_residual(relation_id, psi) \
         == reference.algebra_residual(rep, grid, relation_id, psi)
 
 
@@ -276,7 +264,7 @@ def test_algebra_residual_pass_totals(rep, relation_id, derivative_calls):
     grid = (_massive_grid() if rep.kind == "massive"
             else make_grid(4, 12, 24, 1.0, 2.0))
     psi = random_test_section(rep, grid, seed=3)
-    algebra_residual(rep, grid, relation_id, psi)
+    algebra_residual(relation_id, psi)
     d_r, d_theta, d_phi = _ALGEBRA_PASSES[relation_id]
     assert derivative_calls == {"d_r": d_r, "d_theta": d_theta,
                                 "d_phi": d_phi, "gradient": 0}

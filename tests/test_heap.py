@@ -105,9 +105,9 @@ def test_second_algebra_residual_keeps_its_pages():
     rep = RepSpec.massive(MASS, 1)
     grid = make_grid(8, 48, 96, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
     psi = random_test_section(rep, grid, seed=1)
-    algebra_residual(rep, grid, "KK", psi)
+    algebra_residual("KK", psi)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    algebra_residual(rep, grid, "KK", psi)
+    algebra_residual("KK", psi)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     section_pages = psi.values.nbytes // resource.getpagesize()
     assert section_pages == 432

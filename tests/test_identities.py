@@ -127,7 +127,7 @@ _BRACKET_ENTRIES = {
 def test_bracket_sign_flip_fails_catalog_and_numeric_check(
         family, monkeypatch, rep_massive1, grid_mid_massive):
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    clean = algebra_residual(rep_massive1, grid_mid_massive, family, psi)
+    clean = algebra_residual(family, psi)
     sign, target = BRACKETS[family]
     monkeypatch.setitem(BRACKETS, family, (-sign, target))
     ring = Ring()
@@ -135,7 +135,7 @@ def test_bracket_sign_flip_fails_catalog_and_numeric_check(
                if any(not (lhs - rhs).is_zero()
                       for lhs, rhs in CATALOG[name](ring))]
     assert failing == [_BRACKET_ENTRIES[family]]
-    flipped = algebra_residual(rep_massive1, grid_mid_massive, family, psi)
+    flipped = algebra_residual(family, psi)
     assert clean < 1e-2 and flipped > 1.0, (clean, flipped)
 
 

@@ -4,8 +4,9 @@ benchmark workers read or set, the catalog builders the symbolic
 workload calls with a ring, and every module's ``__all__``.  A rename or
 deletion then fails here, not only as a ``KeyError`` in a benchmark run.
 The harness modules are read from their files; nothing is installed.
-Every public name is also reached by the package or the harness
-themselves, so no public surface exists for the tests alone."""
+Every public name, and every public method of a public class, is also
+reached by the package or the harness themselves, so no public surface
+exists for the tests alone."""
 
 import ast
 import importlib
@@ -78,6 +79,32 @@ def test_all_names_are_reached_outside_tests(module):
                  if name not in NAMES_REACHED]
     assert not unreached, (f"spinsplit.{module}.__all__ names {unreached}, "
                            f"which nothing in src/ or perfbench/ reaches")
+
+
+# the methods the tracer wraps by qualified name
+TRACED_METHODS = {qual for _, qual, _, _ in layertrace["SPANS"]
+                  if "." in qual}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_methods_are_reached_outside_tests(module):
+    # the same for every public method of a public class: a method that
+    # only the tests call is a surface too
+    mod = importlib.import_module(f"spinsplit.{module}")
+    classes = [name for name in getattr(mod, "__all__", ())
+               if inspect.isclass(getattr(mod, name))]
+    unreached = [
+        f"{name}.{attr}"
+        for name in classes
+        for attr, value in vars(getattr(mod, name)).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(value)
+             or isinstance(value, (staticmethod, classmethod, property)))
+        and attr not in NAMES_REACHED
+        and f"{name}.{attr}" not in TRACED_METHODS]
+    assert not unreached, (f"spinsplit.{module} has public methods "
+                           f"{unreached}, which nothing in src/ or "
+                           f"perfbench/ reaches")
 
 
 # read by perfbench/worker.py on every timed run (memo sizes and hit

@@ -96,7 +96,7 @@ def _peak_sections(fn, psi) -> float:
 def test_peak_memory_held_at_one_field_value(case, diagnostic):
     rep, grid, kind = _case(case)
     psi = random_test_section(rep, grid, seed=3)
-    ops = SplitOperators(rep, grid, kind)
+    ops = SplitOperators(kind)
     peak = _peak_sections(_diagnostic(diagnostic, kind, ops, psi), psi)
     assert peak <= _ONE_FIELD_PEAKS[case][diagnostic]
 
@@ -139,7 +139,7 @@ def test_shell_action_peak_held(case, what):
     psi = random_test_section(rep, grid, seed=3)
     if what == "algebra":
         peak = max(_peak_sections(
-            lambda rid=rid: algebra_residual(rep, grid, rid, psi), psi)
+            lambda rid=rid: algebra_residual(rid, psi), psi)
             for rid in relation_ids())
     else:
         act = _act_J if what == "J" else _act_K
@@ -159,7 +159,7 @@ def test_grid_freed_without_garbage_collector(case):
     try:
         rep, grid, kind = _case(case)
         psi = random_test_section(rep, grid, seed=3)
-        ops = SplitOperators(rep, grid, kind)
+        ops = SplitOperators(kind)
         apply_connections(kind, [TangentField.rotational(a)
                                  for a in range(3)], psi)
         so3_residual(ops, psi)

@@ -7,7 +7,14 @@ helicity and generator actions with their references in
 import numpy as np
 import pytest
 
+import spinsplit.connections as connections_mod
 import spinsplit.reps as reps_mod
+import spinsplit.splitting as splitting_mod
+from spinsplit.connections import (
+    ConnectionKind,
+    TangentField,
+    apply_connection,
+)
 from spinsplit.grid import Section, make_grid
 from spinsplit.reps import (
     RepError,
@@ -17,6 +24,8 @@ from spinsplit.reps import (
     _act_J,
     _act_K,
     _derivatives,
+    _j_formula,
+    _k_formula,
     _on_shell,
     _spin_act,
     algebra_residual,
@@ -64,7 +73,7 @@ def test_spin_matrices_su2():
 @pytest.mark.parametrize("rid", relation_ids())
 def test_algebra_residuals_massive(rid, rep_massive1, grid_mid_massive):
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    r = algebra_residual(rep_massive1, grid_mid_massive, rid, psi)
+    r = algebra_residual(rid, psi)
     assert r < 1e-2, f"{rid}: {r}"
 
 
@@ -72,7 +81,7 @@ def test_algebra_residuals_massive(rid, rep_massive1, grid_mid_massive):
 def test_algebra_residuals_massless(rid, rep_massless_plus,
                                     grid_mid_massless):
     psi = random_test_section(rep_massless_plus, grid_mid_massless, seed=3)
-    r = algebra_residual(rep_massless_plus, grid_mid_massless, rid, psi)
+    r = algebra_residual(rid, psi)
     assert r < 1e-2, f"{rid}: {r}"
 
 
@@ -80,8 +89,7 @@ def test_exact_relations_at_rounding(rep_massive1, grid_small_massive):
     # purely multiplicative brackets vanish to rounding at any resolution
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
     for rid in ("PP", "PH", "HH"):
-        assert algebra_residual(rep_massive1, grid_small_massive,
-                                rid, psi) < 1e-13
+        assert algebra_residual(rid, psi) < 1e-13
 
 
 def test_residual_converges_under_refinement(rep_massive1,
@@ -90,7 +98,7 @@ def test_residual_converges_under_refinement(rep_massive1,
     vals = []
     for g in (grid_small_massive, grid_mid_massive):
         psi = random_test_section(rep_massive1, g, seed=3)
-        vals.append(algebra_residual(rep_massive1, g, "KK", psi))
+        vals.append(algebra_residual("KK", psi))
     assert vals[1] < vals[0] / 4  # at least second order
 
 
@@ -99,10 +107,10 @@ def test_boost_spin_sign_is_calibrated(monkeypatch, rep_massive1,
     # flipping the spin-boost sign must blow up the boost-boost bracket:
     # the chosen sign is forced by the algebra, not a convention knob
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    good = algebra_residual(rep_massive1, grid_mid_massive, "KK", psi)
+    good = algebra_residual("KK", psi)
     monkeypatch.setattr(reps_mod, "_SIGMA_BOOST",
                         -reps_mod._SIGMA_BOOST)
-    bad = algebra_residual(rep_massive1, grid_mid_massive, "KK", psi)
+    bad = algebra_residual("KK", psi)
     assert good < 1e-2
     assert bad > 0.1
 
@@ -260,8 +268,9 @@ def test_act_chi_matches_einsum_reference(rep, grid_small_massive):
 def test_shellwise_actions_match_reference_bytes(rep, layout):
     # each action runs its formula one radial shell at a time; the bytes
     # are those of the whole-section reference, with the derivative pass
-    # taken inside or passed in, and on one shell alone.  Unstructured
-    # values are neither smooth nor transverse
+    # taken inside or passed in, and those of the formula on one shell
+    # alone, as the covariant kernel calls it.  Unstructured values are
+    # neither smooth nor transverse
     grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
                       mass_scale=MASS) if rep.kind == "massive"
             else make_grid(5, 12, 24, 1.0, 2.0))
@@ -273,22 +282,23 @@ def test_shellwise_actions_match_reference_bytes(rep, layout):
         v = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
     der = _derivatives(grid, v)
     for a in range(3):
-        for act, ref in ((_act_J, reference.act_J),
-                         (_act_K, reference.act_K)):
+        for act, formula, ref in ((_act_J, _j_formula, reference.act_J),
+                                  (_act_K, _k_formula, reference.act_K)):
             assert act(rep, grid, a, v).tobytes() == \
                 ref(rep, grid, a, v).tobytes()
             whole = ref(rep, grid, a, v, der)
             assert act(rep, grid, a, v, der).tobytes() == whole.tobytes()
             for i in (0, 3):
                 shell, v_i, der_i = _on_shell(grid, i, v, der)
-                assert act(rep, shell, a, v_i, der_i).tobytes() == \
+                assert formula(rep, shell, a, v_i, der_i).tobytes() == \
                     whole[i:i + 1].tobytes()
 
 
 @pytest.fixture
 def action_entries(monkeypatch):
     """Count the entries of each traced generator action, as a layer
-    tracer that rebinds the module's names counts them."""
+    tracer that rebinds the name in every module that imports it counts
+    them."""
     calls = {"_act_J": 0, "_act_K": 0}
     for name in calls:
         orig = getattr(reps_mod, name)
@@ -297,7 +307,9 @@ def action_entries(monkeypatch):
             calls[_name] += 1
             return _orig(*args)
 
-        monkeypatch.setattr(reps_mod, name, counted)
+        for mod in (reps_mod, connections_mod, splitting_mod):
+            if vars(mod).get(name) is orig:
+                monkeypatch.setattr(mod, name, counted)
     return calls
 
 
@@ -306,10 +318,16 @@ def action_entries(monkeypatch):
 def test_shell_loop_enters_each_action_once(rep, action_entries):
     # the shell loop runs the formulas directly: a whole-section action
     # is one entry of its traced name whatever N_r is, and the massless
-    # K builds its J terms without entering the traced J
+    # K builds its J terms without entering the traced J.  A covariant
+    # derivative builds its K and J terms from the formulas shell by
+    # shell, so it enters neither traced action
     grid = make_grid(6, 12, 24, 1.0, 2.0)
-    v = random_test_section(rep, grid, seed=3).values
+    psi = random_test_section(rep, grid, seed=3)
+    v = psi.values
     reps_mod._act_J(rep, grid, 0, v)
     assert action_entries == {"_act_J": 1, "_act_K": 0}
     reps_mod._act_K(rep, grid, 0, v)
+    assert action_entries == {"_act_J": 1, "_act_K": 1}
+    half = ConnectionKind.affine(lambda r, m: np.full_like(r, 0.5))
+    apply_connection(half, TangentField.named("e_phi"), psi)
     assert action_entries == {"_act_J": 1, "_act_K": 1}

@@ -19,8 +19,8 @@ from spinsplit.reps import (
     random_test_section,
     relation_ids,
 )
+import spinsplit.splitting as splitting
 from spinsplit.splitting import (
-    NWOperator,
     SplitOperators,
     SplittingError,
     defect_identity_residual,
@@ -33,7 +33,7 @@ from spinsplit.splitting import (
 )
 
 import reference
-from conftest import MASS, smooth_scalar
+from conftest import MASS, break_rotational_symmetry, smooth_scalar
 
 FLAT = ConnectionKind.flat_massive()
 BOOST = ConnectionKind.boost()
@@ -44,7 +44,7 @@ ROT = ConnectionKind.rotation()
 
 
 def test_l_plus_s_is_j(rep_massive1, grid_small_massive):
-    ops = SplitOperators(rep_massive1, grid_small_massive, BOOST)
+    ops = SplitOperators(BOOST)
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
     for a in range(3):
         diff = ops.L(a, psi) + ops.S(a, psi) - ops.J(a, psi)
@@ -55,7 +55,7 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
                                    grid_mid_massive):
     vals = []
     for g in (grid_small_massive, grid_mid_massive):
-        ops = SplitOperators(rep_massive1, g, FLAT)
+        ops = SplitOperators(FLAT)
         psi = random_test_section(rep_massive1, g, seed=3)
         vals.append(so3_residual(ops, psi, "L"))
     assert vals[1] < 1e-3
@@ -63,7 +63,7 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
 
 
 def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
-    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
+    ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert so3_residual(ops, psi, "S") < 1e-3
 
@@ -71,7 +71,7 @@ def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
 def test_curved_splitting_fails_so3(rep_massive1, grid_mid_massive):
     # the boost splitting has nonzero curvature, so its so(3) residual
     # must stay bounded away from zero
-    ops = SplitOperators(rep_massive1, grid_mid_massive, BOOST)
+    ops = SplitOperators(BOOST)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3,
                               polar_damping=4)
     assert so3_residual(ops, psi, "L") > 0.05
@@ -84,22 +84,23 @@ def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
                               polar_damping=4)
     for kind in (BOOST, ROT, FLAT,
                  ConnectionKind.affine(lambda_flat_profile(0.5))):
-        ops = SplitOperators(rep_massive1, grid_mid_massive, kind)
+        ops = SplitOperators(kind)
         assert defect_identity_residual(ops, psi) < 1e-12
 
 
 def test_vector_operator_property(rep_massive1, grid_mid_massive):
-    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT)
+    ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert vector_op_residual(ops, psi, "L") < 1e-3
     assert vector_op_residual(ops, psi, "S") < 1e-3
 
 
-def test_symmetry_breaking_mutation(rep_massive1, grid_mid_massive):
+def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
+                                    grid_mid_massive):
     # deforming the rotational fields destroys the vector-operator
     # property by an O(1) amount: the diagnostic is actually sensitive
-    ops = SplitOperators(rep_massive1, grid_mid_massive, FLAT,
-                symmetry_breaking=0.5)
+    break_rotational_symmetry(monkeypatch, grid_mid_massive)
+    ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert vector_op_residual(ops, psi, "L") > 0.1
 
@@ -120,7 +121,7 @@ def test_flat_spin_is_fiber_spin(spin, grid_mid_massive):
     # alike, so it is internal (commutes with multiplication by f) and
     # is the fiber spin
     rep = RepSpec.massive(MASS, spin)
-    ops = SplitOperators(rep, grid_mid_massive, FLAT)
+    ops = SplitOperators(FLAT)
     psi = random_test_section(rep, grid_mid_massive, seed=3)
     f = smooth_scalar(grid_mid_massive)
     assert _fiber_spin_gap(ops, psi) < 1e-13
@@ -133,7 +134,7 @@ def test_flat_spin_is_fiber_spin(spin, grid_mid_massive):
 def test_curved_spin_is_not_fiber_spin(rep_massive1, grid_mid_massive,
                                        kind):
     # mutation control: off the flat weight S is not the fiber spin
-    ops = SplitOperators(rep_massive1, grid_mid_massive, kind)
+    ops = SplitOperators(kind)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     assert _fiber_spin_gap(ops, psi) > 1e-3
 
@@ -142,7 +143,7 @@ def test_orbital_part_is_not_internal(rep_massive1, grid_mid_massive):
     # L fails to commute with multiplication by f by exactly the Leibniz
     # term: L_a(f psi) - f L_a psi = -i df(V_a) psi
     g = grid_mid_massive
-    ops = SplitOperators(rep_massive1, g, FLAT)
+    ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, g, seed=3)
     f = smooth_scalar(g)
     df = g.gradient(f[..., None])[..., 0]
@@ -150,7 +151,7 @@ def test_orbital_part_is_not_internal(rep_massive1, grid_mid_massive):
     l_psi = ops.L_axes(range(3), psi)
     terms, gaps = [], []
     for a in range(3):
-        xv = ops.field(a).values(g)
+        xv = TangentField.rotational(a).values(g)
         term = psi * (-1j * sum(xv[i] * df[i] for i in range(3)))
         terms.append(term.norm())
         gaps.append((l_fpsi[a] - l_psi[a] * f - term).norm())
@@ -165,17 +166,17 @@ def test_massless_orbital_is_perpendicular(rep_massless_plus,
                                            grid_mid_massless):
     # for the massless rotation connection the induced L coincides with
     # the perpendicular part of J
-    ops = SplitOperators(rep_massless_plus, grid_mid_massless, ROT)
+    ops = SplitOperators(ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
-    for a in range(3):
-        diff = ops.J(a, psi) - ops.j_parallel(a, psi) - ops.L(a, psi)
-        assert diff.norm() < 1e-13 * psi.norm()
+    for perp, orbital in zip(splitting._j_perp(range(3), psi),
+                             ops.L_axes(range(3), psi)):
+        assert (perp - orbital).norm() < 1e-13 * psi.norm()
 
 
 def test_massless_so3_failure_is_curvature(rep_massless_plus,
                                            grid_mid_massless):
-    ops = SplitOperators(rep_massless_plus, grid_mid_massless, ROT)
+    ops = SplitOperators(ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
     assert so3_residual(ops, psi, "L") > 0.1   # no closure at m = 0
@@ -183,18 +184,17 @@ def test_massless_so3_failure_is_curvature(rep_massless_plus,
 
 
 def test_jperp_commutators(rep_massless_plus, grid_mid_massless):
-    ops = SplitOperators(rep_massless_plus, grid_mid_massless, ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
-    assert jperp_so3_residual(ops, psi) < 1e-3
+    assert jperp_so3_residual(psi) < 1e-3
 
 
-def test_parallel_split_requires_massless(rep_massive1,
-                                          grid_small_massive):
-    ops = SplitOperators(rep_massive1, grid_small_massive, BOOST)
+def test_jperp_residual_rejects_massive_section(rep_massive1,
+                                                grid_small_massive):
+    # the parallel/perpendicular split is read off the section's rep
     psi = random_test_section(rep_massive1, grid_small_massive, seed=3)
     with pytest.raises(SplittingError):
-        ops.j_parallel(0, psi)
+        jperp_so3_residual(psi)
 
 
 def _with_one_nan(rep, grid):
@@ -212,9 +212,9 @@ def test_nan_section_gives_nan_from_every_diagnostic(
     psi = _with_one_nan(rep_massive1, g)
     phi = random_test_section(rep_massive1, g, seed=5)
     f = smooth_scalar(g)
-    flat = SplitOperators(rep_massive1, g, FLAT)
+    flat = SplitOperators(FLAT)
     values = {
-        "algebra-" + rid: algebra_residual(rep_massive1, g, rid, psi)
+        "algebra-" + rid: algebra_residual(rid, psi)
         for rid in relation_ids()}
     values.update({
         "so3-L": so3_residual(flat, psi),
@@ -224,16 +224,15 @@ def test_nan_section_gives_nan_from_every_diagnostic(
         "defect": defect_identity_residual(flat, psi),
         "leibniz": leibniz_residual(BOOST, TangentField.named("e_phi"), f,
                                     psi),
-        "nw-match": nw_match_residual(rep_massive1, g, psi),
-        "nw-gradient": nw_gradient_residual(rep_massive1, g, psi),
-        "nw-hermitian": nw_hermiticity_defect(rep_massive1, g, phi, psi),
+        "nw-match": nw_match_residual(psi),
+        "nw-gradient": nw_gradient_residual(psi),
+        "nw-hermitian": nw_hermiticity_defect(phi, psi),
     })
     values.update({f"cross-{label}": res
                    for label, res in cross_commutator_check(psi).items()})
     h = grid_small_massless
-    massless = SplitOperators(rep_massless_plus, h, BOOST)
     values["jperp-so3"] = jperp_so3_residual(
-        massless, _with_one_nan(rep_massless_plus, h))
+        _with_one_nan(rep_massless_plus, h))
     assert [name for name, res in values.items()
             if not np.isnan(res)] == []
 
@@ -243,8 +242,7 @@ def test_nan_section_gives_nan_from_every_diagnostic(
 
 def test_nw_constructions_match(rep_massive1, grid_mid_massive):
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert nw_match_residual(rep_massive1, grid_mid_massive,
-                             psi) < 1e-12
+    assert nw_match_residual(psi) < 1e-12
 
 
 def test_nw_acts_as_gradient(rep_massive1, grid_small_massive,
@@ -252,7 +250,7 @@ def test_nw_acts_as_gradient(rep_massive1, grid_small_massive,
     vals = []
     for g in (grid_small_massive, grid_mid_massive):
         psi = random_test_section(rep_massive1, g, seed=3)
-        vals.append(nw_gradient_residual(rep_massive1, g, psi))
+        vals.append(nw_gradient_residual(psi))
     assert vals[1] < 1e-3
     assert vals[1] < vals[0] / 4
 
@@ -260,8 +258,7 @@ def test_nw_acts_as_gradient(rep_massive1, grid_small_massive,
 def test_nw_hermitian(rep_massive1, grid_mid_massive):
     a = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     b = random_test_section(rep_massive1, grid_mid_massive, seed=5)
-    assert nw_hermiticity_defect(rep_massive1, grid_mid_massive,
-                                 a, b) < 1e-3
+    assert nw_hermiticity_defect(a, b) < 1e-3
 
 
 def test_nw_components_commute(rep_massive1, grid_small_massive,
@@ -271,22 +268,23 @@ def test_nw_components_commute(rep_massive1, grid_small_massive,
     # applications)
     vals = []
     for g in (grid_small_massive, grid_mid_massive):
-        q = NWOperator(rep_massive1, g)
+        q = splitting._q_affine
         psi = random_test_section(rep_massive1, g, seed=3)
-        out = (q.apply(0, q.apply(1, psi)) - q.apply(1, q.apply(0, psi)))
+        q_psi = q(psi)
+        out = q(q_psi[1])[0] - q(q_psi[0])[1]
         vals.append(out.norm() / psi.norm())
     assert vals[1] < 1e-2
     assert vals[1] < vals[0] / 4
 
 
 def test_nw_rejects_massless(rep_massless_plus, grid_small_massless):
-    with pytest.raises(SplittingError):
-        NWOperator(rep_massless_plus, grid_small_massless)
-
-
-def test_nw_rejects_bad_mode(rep_massive1, grid_small_massive):
-    with pytest.raises(SplittingError):
-        NWOperator(rep_massive1, grid_small_massive, mode="nope")
+    # both constructions read the rep off the section, and no flat
+    # connection exists on the massless bundles
+    psi = random_test_section(rep_massless_plus, grid_small_massless,
+                              seed=3)
+    for q in (splitting._q_affine, splitting._q_closed_form):
+        with pytest.raises(SplittingError):
+            q(psi)
 
 
 # -- degeneracy at zero spin --------------------------------------------------------------
@@ -296,8 +294,8 @@ def test_spin0_connections_coincide(rep_massive0, grid_small_massive):
     # on one-dimensional fibers every built-in connection reduces to the
     # same scalar transport, so the splittings agree identically
     psi = random_test_section(rep_massive0, grid_small_massive, seed=3)
-    ops_b = SplitOperators(rep_massive0, grid_small_massive, BOOST)
-    ops_r = SplitOperators(rep_massive0, grid_small_massive, ROT)
+    ops_b = SplitOperators(BOOST)
+    ops_r = SplitOperators(ROT)
     for a in range(3):
         assert (ops_b.L(a, psi) - ops_r.L(a, psi)).norm() \
             < 1e-13 * psi.norm()
