@@ -223,9 +223,6 @@ class OperatorExpr:
     def scalar_part(self) -> Scalar:
         return self.terms.get((), self.ring.zero())
 
-    def coeff(self, word: tuple) -> Scalar:
-        return self.terms.get(word, self.ring.zero())
-
     def __eq__(self, other):
         if not isinstance(other, OperatorExpr):
             return NotImplemented

@@ -390,13 +390,12 @@ def apply_connection(kind: ConnectionKind, x: TangentField,
     return out
 
 
-def leibniz_residual(kind: ConnectionKind, x, f: np.ndarray,
+def leibniz_residual(kind: ConnectionKind, xs, f: np.ndarray,
                      psi: Section) -> float:
-    """|| D_X(f psi) - f D_X psi - df(X) psi || / ||psi|| for a smooth
-    scalar grid function f.  ``x`` is a tangent field or a sequence of
-    them; for several, the largest residual, with D_X(f psi) and D_X psi
-    each taken in one pass for all fields."""
-    xs = (x,) if isinstance(x, TangentField) else tuple(x)
+    """The largest over the tangent fields X in the sequence ``xs`` of
+    || D_X(f psi) - f D_X psi - df(X) psi || / ||psi|| for a smooth
+    scalar grid function f, with D_X(f psi) and D_X psi each taken in one
+    pass for all fields."""
     grid = psi.grid
     f = np.asarray(f)
     lhs = apply_connections(kind, xs, psi * f)
@@ -672,10 +671,12 @@ def holonomy(rep: RepSpec, kind: ConnectionKind, loop: HolonomyLoop,
 # -- lattice Chern number ---------------------------------------------------------
 
 
+_CHERN_MARGIN = 0.35  # least distance of a plaquette phase from +-pi
+
+
 def chern_number(rep: RepSpec, kind: ConnectionKind,
                  n_theta: int = 48, n_phi: int = 96,
-                 radius: float = 1.5, margin: float = 0.35,
-                 perturbation=None):
+                 radius: float = 1.5, perturbation=None):
     """Lattice Chern number of the helicity subbundle on one shell.
 
     Link variables are unit-fiber parallel-transport overlaps
@@ -683,8 +684,9 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     transports its start vector v_a, not the fiber matrix T.  Plaquette
     field strengths are the link phases; two polar caps are closed by
     Wilson loops around the boundary circles.  Returns (integer,
-    pre-rounding real).  A plaquette phase within ``margin`` (finite,
-    0 <= margin < pi) of the branch cut raises a resolution error.
+    pre-rounding real).  A plaquette phase within ``_CHERN_MARGIN`` of
+    the branch cut raises a resolution error.  At m = 0 the form does not
+    read ``kind``; only ``perturbation`` changes the connection.
 
     ``perturbation(theta, phi, velocity) -> (..., d, d)`` adds a smooth
     endomorphism-valued 1-form to the connection; the integer must not
@@ -699,9 +701,6 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     if not 0 < radius < np.inf:
         raise ConnectionLabError(
             f"radius must be positive and finite; got {radius!r}")
-    if not 0.0 <= margin < np.pi:
-        raise ConnectionLabError(
-            f"margin must be finite with 0 <= margin < pi; got {margin!r}")
     if rep.helicity == 0:
         return 0, 0.0
     h = rep.helicity
@@ -732,7 +731,7 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     plaq = (u_ph[:-1] * np.roll(u_th, -1, axis=1)
             * np.conj(u_ph[1:]) * np.conj(u_th))
     phases = np.angle(plaq)
-    if np.max(np.abs(phases)) > np.pi - margin:
+    if np.max(np.abs(phases)) > np.pi - _CHERN_MARGIN:
         raise ConnectionLabError(
             "plaquette phase too close to the branch cut; refine the mesh"
         )

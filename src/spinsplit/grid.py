@@ -389,9 +389,10 @@ class GridShell:
     fields under the same names, sliced to shape (1, N_theta, N_phi) (the
     frames and ``khat`` to (3, 1, N_theta, N_phi), ``r`` to (1,)).  The
     slices are views, so an elementwise expression gives, shell by shell,
-    the bits it gives on the whole grid.  The generator actions of
-    :mod:`spinsplit.reps` take a shell or a grid: on a shell they
-    evaluate their formula once, on a grid once per shell.  The analytic
+    the bits it gives on the whole grid.  The generator formulas of
+    :mod:`spinsplit.reps` (``_j_formula``, ``_k_formula``) take a shell;
+    the actions ``_act_J`` and ``_act_K`` take whole sections and
+    evaluate their formula once per shell.  The analytic
     tangent fields of :mod:`spinsplit.connections` take a shell in place
     of its grid.  A shell holds no reference to its grid: the grid caches
     its shells, and a cycle would leave every grid to the garbage

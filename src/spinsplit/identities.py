@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache, partial
 
-import sympy as sp
-
 from .algebra import (
     OperatorExpr,
     VectorExpr,
@@ -56,7 +54,7 @@ __all__ = [
 
 
 def _i(ring: Ring) -> OperatorExpr:
-    return op_scalar(ring, sp.I)
+    return OperatorExpr.from_scalar(ring.i())
 
 
 # -- connection and splitting builders --------------------------------------

@@ -292,7 +292,7 @@ def _atom_value(name, index, ring):
     if name == "m":
         return op_m(ring)
     if name == "i":
-        return op_scalar(ring, sp.I)
+        return OperatorExpr.from_scalar(ring.i())
     builders = {
         "P": (op_P, vec_P),
         "J": (gen_J, vec_J),
@@ -342,10 +342,9 @@ def _require_scalar_inverse(value, span):
     return OperatorExpr.from_scalar(inv)
 
 
-def lower(ast: OpAst, ring: Ring | None = None):
-    """Lower an AST to an :class:`OperatorExpr` or :class:`VectorExpr`."""
-    if ring is None:
-        ring = Ring()
+def lower(ast: OpAst, ring: Ring):
+    """Lower an AST to an :class:`OperatorExpr` or :class:`VectorExpr`
+    over ``ring``."""
     return _lower(ast, ring)
 
 

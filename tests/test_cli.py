@@ -595,30 +595,59 @@ def test_run_symbolic_deterministic(tmp_path, capsys):
 
 
 _GATE_SUITES = tuple(SUITES)
+_GATE_REPS = {"massive": [(1.3, 1)], "massless": [1]}
 
 
-def _suite_results(suites) -> dict:
+def _suite_results(suites, massive=_GATE_REPS["massive"],
+                   massless=_GATE_REPS["massless"]) -> dict:
     """Per suite, its normalized records and CSV rows from one run of
     ``suites`` in the given order."""
     report = run_suites(RunConfig(
         suites=suites, ladder=((4, 12, 24), (6, 24, 48)),
-        massive=[(1.3, 1)], massless=[1], normalize=True))
+        massive=massive, massless=massless, normalize=True))
     return {suite: ([json.dumps(r, sort_keys=True)
                      for r in report["records"] if r["suite"] == suite],
                     [row for row in report["_rows"] if row[0] == suite])
             for suite in suites}
 
 
-def test_suite_results_do_not_depend_on_what_ran_before():
-    # the per-grid reciprocal fields, the cached connections, the global
-    # symbolic memos and the identity caches must carry nothing from one
-    # suite into the next
+@pytest.fixture(scope="module")
+def alone_results() -> dict:
+    """Per suite, its results from a run of that suite alone."""
     alone = {}
     for suite in _GATE_SUITES:
         alone.update(_suite_results([suite]))
-    assert all(records for records, _ in alone.values())
-    assert _suite_results(list(_GATE_SUITES)) == alone
-    assert _suite_results(list(reversed(_GATE_SUITES))) == alone
+    return alone
+
+
+def test_suite_results_do_not_depend_on_what_ran_before(alone_results):
+    # the per-grid reciprocal fields, the cached connections, the global
+    # symbolic memos and the identity caches must carry nothing from one
+    # suite into the next
+    assert all(records for records, _ in alone_results.values())
+    assert _suite_results(list(_GATE_SUITES)) == alone_results
+    assert _suite_results(list(reversed(_GATE_SUITES))) == alone_results
+
+
+@pytest.mark.parametrize("suite", [s for s in _GATE_SUITES
+                                   if s != "symbolic"])
+def test_rep_results_do_not_depend_on_the_reps_before(suite, alone_results):
+    # nor may a rep's records depend on the reps that ran before it: the
+    # suite's records for a rep match a run of the suite with the rep
+    # alone (the symbolic suite measures no rep)
+    singles = [(RepSpec.massive(m, s), {"massive": [(m, s)], "massless": []})
+               for m, s in _GATE_REPS["massive"]]
+    if suite not in ("fplus", "holonomy"):  # these need a spin-1 rep
+        singles += [(RepSpec.massless(h), {"massive": [], "massless": [h]})
+                    for h in _GATE_REPS["massless"]]
+    measured = 0
+    for rep, reps in singles:
+        records, _ = _suite_results([suite], **reps)[suite]
+        measured += len(records)
+        assert all(json.loads(r)["rep"] == rep.spec() for r in records)
+        assert records == [r for r in alone_results[suite][0]
+                           if json.loads(r)["rep"] == rep.spec()], rep
+    assert measured == len(alone_results[suite][0])
 
 
 def test_run_with_grid_and_rep_restriction(tmp_path, capsys):
@@ -801,7 +830,7 @@ def test_run_suite_chern(capsys):
     assert rec["suite"] == "chern"
     assert rec["expected"] == 2
     assert rec["integer"] == 2
-    assert rec["kind_independent"] is True  # rotation agrees with boost
+    assert rec["rep"] == {"kind": "massless", "helicity": -1}
     assert rec["passed"] is True
 
 
@@ -931,6 +960,32 @@ def test_run_config_rejects_non_integral_and_boolean_values():
     assert type(c.seed) is int
     assert all(type(n) is int for rung in c.ladder for n in rung)
     assert type(c.massive[0][1]) is int and type(c.massless[0]) is int
+
+
+def test_two_masses_of_one_spin_are_told_apart(tmp_path, capsys):
+    # every record that measures one rep names it, so two masses of the
+    # same spin give distinct records and status lines, and the holonomy
+    # suite measures each spin-1 rep
+    path = tmp_path / "two.ini"
+    path.write_text(
+        "[run]\nsuites = " + ", ".join(s for s in SUITES if s != "symbolic")
+        + "\n[grid]\nladder = 4x12x24, 6x24x48\n"
+        "[reps]\nmassive = 1.3:1, 2.0:1\nmassless =\n")
+    out = tmp_path / "r.json"
+    # the coarse ladder fails some checks; only the records' names count
+    assert main(["run", "--config", str(path), "--normalize",
+                 "--json", str(out)]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    records = json.loads(out.read_text())["records"]
+    assert all("rep" in r for r in records)
+    keys = [(r["suite"], r["name"], json.dumps(r["rep"], sort_keys=True))
+            for r in records]
+    assert len(set(keys)) == len(keys)
+    prefixes = [line.split(" measured=")[0]
+                for line in capsys.readouterr().err.splitlines()]
+    assert len(prefixes) == len(records) == len(set(prefixes))
+    holonomy = [r for r in records if r["suite"] == "holonomy"]
+    assert sorted({r["rep"]["mass"] for r in holonomy}) == [1.3, 2.0]
+    assert len(holonomy) == 8
 
 
 def test_status_lines_name_the_rep(tmp_path, capsys):

@@ -6,6 +6,7 @@ and the lattice Chern number."""
 import numpy as np
 import pytest
 
+import spinsplit.connections as connections
 from spinsplit.connections import (
     ConnectionKind,
     ConnectionLabError,
@@ -191,7 +192,7 @@ def test_leibniz_rule(rep_massive1, grid_small_massive, grid_mid_massive):
     for g in (grid_small_massive, grid_mid_massive):
         psi = random_test_section(rep_massive1, g, seed=3)
         f = smooth_scalar(g)
-        vals.append(leibniz_residual(ConnectionKind.boost(), ETH, f, psi))
+        vals.append(leibniz_residual(ConnectionKind.boost(), [ETH], f, psi))
     assert vals[1] < 1e-3
     assert vals[1] < vals[0] / 4
 
@@ -562,13 +563,14 @@ def test_chern_massive_rejected(rep_massive1):
         chern_number(rep_massive1, ConnectionKind.boost())
 
 
-def test_chern_margin_guard_triggers():
+def test_chern_margin_guard_triggers(monkeypatch):
     # with a tight margin any nonzero plaquette phase is flagged as too
     # close to the branch cut
+    monkeypatch.setattr(connections, "_CHERN_MARGIN", 3.1)
     rep = RepSpec.massless(1)
-    with pytest.raises(ConnectionLabError):
+    with pytest.raises(ConnectionLabError, match="branch cut"):
         chern_number(rep, ConnectionKind.rotation(), n_theta=12,
-                     n_phi=24, margin=3.1)
+                     n_phi=24)
 
 
 @pytest.mark.parametrize("kwargs,name", [
@@ -581,12 +583,3 @@ def test_chern_rejects_bad_mesh(kwargs, name):
     with pytest.raises(ConnectionLabError, match=name):
         chern_number(RepSpec.massless(1), ConnectionKind.rotation(),
                      **kwargs)
-
-
-@pytest.mark.parametrize("margin", [float("nan"), -1.0, np.pi,
-                                    float("inf")])
-@pytest.mark.parametrize("h", [0, 1])
-def test_chern_rejects_bad_margin(h, margin):
-    with pytest.raises(ConnectionLabError, match="margin"):
-        chern_number(RepSpec.massless(h), ConnectionKind.rotation(),
-                     n_theta=12, n_phi=24, margin=margin)

@@ -102,11 +102,13 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 # and vector_op_residual took 10, 13, 13 with one X_a (J_b psi) call per
 # pair.  Now: one pass over psi, then per b an angular pass over psi for
 # J_b psi, one pass over J_b psi for its three X_a, and an angular pass
-# over each X_a psi.
+# over each X_a psi.  The vector-operator check of L and of S each take
+# that; vector_op_residual runs both.
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
     "vector-op-L": (4, 16, 16),
     "vector-op-S": (4, 16, 16),
+    "vector-op": (8, 32, 32),
     "curvature": (3, 3, 3),
     "cross-commutator": (5, 5, 5),
 }
@@ -124,9 +126,11 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     if diagnostic == "so3":
         so3_residual(ops, psi)
     elif diagnostic == "vector-op-L":
-        vector_op_residual(ops, psi)
+        splitting._vector_op_part(ops, ops.L_axes, psi)
     elif diagnostic == "vector-op-S":
-        vector_op_residual(ops, psi, "S")
+        splitting._vector_op_part(ops, ops.S_axes, psi)
+    elif diagnostic == "vector-op":
+        vector_op_residual(ops, psi)
     elif diagnostic == "cross-commutator":
         cross_commutator_check(psi)
     else:
@@ -187,11 +191,14 @@ def test_batched_diagnostics_match_one_field_loops_exactly(
     if breaking:
         break_rotational_symmetry(monkeypatch, psi.grid, breaking)
         assert vector_op_residual(ops, psi) > 0.1
-    for which, act in (("L", ops.L), ("S", ops.S)):
-        assert so3_residual(ops, psi, which) == \
+    parts = []
+    for act_axes, act in ((ops.L_axes, ops.L), (ops.S_axes, ops.S)):
+        assert splitting._so3_max(act_axes, psi) == \
             reference.so3_residual(act, psi)
-        assert vector_op_residual(ops, psi, which) \
-            == reference.vector_op_residual(act, ops.J, psi)
+        parts.append(splitting._vector_op_part(ops, act_axes, psi))
+        assert parts[-1] == reference.vector_op_residual(act, ops.J, psi)
+    assert so3_residual(ops, psi) == reference.so3_residual(ops.L, psi)
+    assert vector_op_residual(ops, psi) == max(parts)
     assert defect_identity_residual(ops, psi) == reference.so3_residual(
         ops.L, psi, curvature=lambda a, b: curvature_commutator(
             kind, splitting._ROTATIONAL[a], splitting._ROTATIONAL[b], psi))

@@ -32,11 +32,8 @@ from spinsplit.reps import (
     random_test_section,
     relation_ids,
 )
-from spinsplit.splitting import (
-    SplitOperators,
-    so3_residual,
-    vector_op_residual,
-)
+import spinsplit.splitting as splitting
+from spinsplit.splitting import SplitOperators, so3_residual
 
 from conftest import MASS
 
@@ -73,8 +70,10 @@ def _diagnostic(name, kind, ops, psi):
         "curvature_commutator": lambda: curvature_commutator(
             kind, eth, eph, psi),
         "so3_residual": lambda: so3_residual(ops, psi),
-        "vector_op_residual-L": lambda: vector_op_residual(ops, psi),
-        "vector_op_residual-S": lambda: vector_op_residual(ops, psi, "S"),
+        "vector_op_residual-L": lambda: splitting._vector_op_part(
+            ops, ops.L_axes, psi),
+        "vector_op_residual-S": lambda: splitting._vector_op_part(
+            ops, ops.S_axes, psi),
     }[name]
 
 

@@ -57,7 +57,7 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
     for g in (grid_small_massive, grid_mid_massive):
         ops = SplitOperators(FLAT)
         psi = random_test_section(rep_massive1, g, seed=3)
-        vals.append(so3_residual(ops, psi, "L"))
+        vals.append(so3_residual(ops, psi))
     assert vals[1] < 1e-3
     assert vals[1] < vals[0] / 4  # refinement-stable convergence to zero
 
@@ -65,7 +65,7 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
 def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert so3_residual(ops, psi, "S") < 1e-3
+    assert splitting._so3_max(ops.S_axes, psi) < 1e-3
 
 
 def test_curved_splitting_fails_so3(rep_massive1, grid_mid_massive):
@@ -74,7 +74,7 @@ def test_curved_splitting_fails_so3(rep_massive1, grid_mid_massive):
     ops = SplitOperators(BOOST)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3,
                               polar_damping=4)
-    assert so3_residual(ops, psi, "L") > 0.05
+    assert so3_residual(ops, psi) > 0.05
 
 
 def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
@@ -91,8 +91,8 @@ def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
 def test_vector_operator_property(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert vector_op_residual(ops, psi, "L") < 1e-3
-    assert vector_op_residual(ops, psi, "S") < 1e-3
+    assert splitting._vector_op_part(ops, ops.L_axes, psi) < 1e-3
+    assert splitting._vector_op_part(ops, ops.S_axes, psi) < 1e-3
 
 
 def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
@@ -102,7 +102,7 @@ def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
     break_rotational_symmetry(monkeypatch, grid_mid_massive)
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert vector_op_residual(ops, psi, "L") > 0.1
+    assert splitting._vector_op_part(ops, ops.L_axes, psi) > 0.1
 
 
 def _fiber_spin_gap(ops, phi):
@@ -179,7 +179,7 @@ def test_massless_so3_failure_is_curvature(rep_massless_plus,
     ops = SplitOperators(ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
-    assert so3_residual(ops, psi, "L") > 0.1   # no closure at m = 0
+    assert so3_residual(ops, psi) > 0.1   # no closure at m = 0
     assert defect_identity_residual(ops, psi) < 1e-12
 
 
@@ -218,12 +218,13 @@ def test_nan_section_gives_nan_from_every_diagnostic(
         for rid in relation_ids()}
     values.update({
         "so3-L": so3_residual(flat, psi),
-        "so3-S": so3_residual(flat, psi, "S"),
-        "vector-op-L": vector_op_residual(flat, psi),
-        "vector-op-S": vector_op_residual(flat, psi, "S"),
+        "so3-S": splitting._so3_max(flat.S_axes, psi),
+        "vector-op-L": splitting._vector_op_part(flat, flat.L_axes, psi),
+        "vector-op-S": splitting._vector_op_part(flat, flat.S_axes, psi),
+        "vector-op": vector_op_residual(flat, psi),
         "defect": defect_identity_residual(flat, psi),
-        "leibniz": leibniz_residual(BOOST, TangentField.named("e_phi"), f,
-                                    psi),
+        "leibniz": leibniz_residual(BOOST, [TangentField.named("e_phi")],
+                                    f, psi),
         "nw-match": nw_match_residual(psi),
         "nw-gradient": nw_gradient_residual(psi),
         "nw-hermitian": nw_hermiticity_defect(phi, psi),
