@@ -776,25 +776,85 @@ def _usage():
         resource.RUSAGE_SELF)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_suite(config: RunConfig, suite: str):
+    """Run one suite.  Returns its records, its CSV rows, its elapsed
+    seconds and its resource usage (None where ``resource`` is missing),
+    both measured in the process that ran it."""
+    records, rows = [], []
+    t0 = time.perf_counter()
+    before = _usage()
+    SUITES[suite]["fn"](config, records, rows)
+    for rec in records:
+        rec["suite"] = suite
+    elapsed = round(time.perf_counter() - t0, 3)
+    after = _usage()
+    usage = None if after is None else {
+        "minor_faults": after.ru_minflt - before.ru_minflt,
+        "peak_rss_mb": round(after.ru_maxrss / _MAXRSS_PER_MB, 1)}
+    return records, rows, elapsed, usage
+
+
+def _exit_with(parent: int) -> None:
+    """Pool initializer: end this worker once ``parent`` is gone, so a
+    caller killed in mid-run leaves no worker behind."""
+    import threading
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.2)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def run_suites(config: RunConfig) -> dict:
-    """Run the configured suites and return the report dict."""
+    """Run the configured suites and return the report dict.
+
+    No suite's results depend on the suites run before it, so on Linux
+    the suites are shared out over up to one process per usable CPU:
+    this process runs every n-th suite, from the first, and forked
+    workers run the rest.  The results are merged in the configured
+    order, so the report does not depend on the number of processes."""
+    suites = config.suites
+    # fork was measured on Linux only; elsewhere (macOS's system BLAS is
+    # not fork-safe) every suite runs in this process
+    n = min(len(suites), _usable_cpus()) if sys.platform == "linux" else 1
+    here = suites[::n]
+    there = [suite for i, suite in enumerate(suites) if i % n]
+    if there:
+        # forked, not spawned: a spawned worker would pay the package's
+        # import again and lose the state set at run time, such as a
+        # patched constant.  numpy's BLAS may run threads of its own,
+        # which the fork does not copy (Python 3.12+ warns of them).
+        # Imported here: only this branch uses them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+                n - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_exit_with, initargs=(os.getpid(),)) as pool:
+            pooled = pool.map(_run_suite, [config] * len(there), there)
+            results = {suite: _run_suite(config, suite) for suite in here}
+            results.update(zip(there, pooled))
+    else:
+        results = {suite: _run_suite(config, suite) for suite in suites}
     records = []
     rows = []
     timings = {}
     resources = {}
-    for suite in config.suites:
-        t0 = time.perf_counter()
-        before = _usage()
-        start = len(records)
-        SUITES[suite]["fn"](config, records, rows)
-        for rec in records[start:]:
-            rec["suite"] = suite
-        timings[suite] = round(time.perf_counter() - t0, 3)
-        after = _usage()
-        if after is not None:
-            resources[suite] = {
-                "minor_faults": after.ru_minflt - before.ru_minflt,
-                "peak_rss_mb": round(after.ru_maxrss / _MAXRSS_PER_MB, 1)}
+    for suite in suites:
+        suite_records, suite_rows, elapsed, usage = results[suite]
+        records += suite_records
+        rows += suite_rows
+        timings[suite] = elapsed
+        if usage is not None:
+            resources[suite] = usage
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,

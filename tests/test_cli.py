@@ -2,12 +2,22 @@
 validation, subcommands, exit codes, and report determinism."""
 
 import json
+import multiprocessing
+import os
 import random
 import re
+import select
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spinsplit
 import spinsplit.cli as cli
 import spinsplit.report as report_module
 from spinsplit.cli import (
@@ -31,11 +41,12 @@ from spinsplit.report import (
     SUITES,
     _EXTRA_TOLS,
     _KNOWN_KEYS,
+    _run_suite,
     convergence_csv,
     report_json,
     run_suites,
 )
-from spinsplit.reps import RepSpec, random_test_section
+from spinsplit.reps import RepError, RepSpec, random_test_section
 
 
 # -- RunConfig validation -----------------------------------------------------
@@ -440,7 +451,46 @@ _CHEAP_RUN = dict(suites=["holonomy", "chern"], ladder=[(4, 12, 24)],
                   massive=[(1.3, 1)], massless=[1])
 
 
-def test_report_resources_per_suite():
+@pytest.fixture
+def two_workers(monkeypatch):
+    """Share multi-suite reports between this process and one forked
+    worker on any Linux machine; no worker may outlive the run."""
+    monkeypatch.setattr(report_module, "_usable_cpus", lambda: 2)
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def _in_a_worker(monkeypatch, suite, fn):
+    """Replace ``suite`` by ``fn``, which must run in a forked worker."""
+    caller = os.getpid()
+
+    def guarded(config, records, rows):
+        assert os.getpid() != caller, f"{suite} ran in the caller"
+        return fn(config, records, rows)
+
+    monkeypatch.setitem(SUITES[suite], "fn", guarded)
+
+
+def _rss_anon_mb():
+    """This process's anonymous resident memory in MB, or None where
+    /proc/self/status does not give it."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("RssAnon:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
+def test_report_resources_per_suite(two_workers):
+    # a suite's peak is that of the process that ran it: this one or a
+    # worker forked from it, which starts with its anonymous pages, 64 MB
+    # of ballast among them, so the peak is at least their size before
+    # the run
+    ballast = np.ones(8 << 20)
+    anon_mb = _rss_anon_mb()
     data = json.loads(report_json(run_suites(RunConfig(**_CHEAP_RUN))))
     assert set(data["resources"]) == set(data["timings"]) \
         == {"holonomy", "chern"}
@@ -448,11 +498,154 @@ def test_report_resources_per_suite():
         assert set(usage) == {"minor_faults", "peak_rss_mb"}
         assert isinstance(usage["minor_faults"], int)
         assert usage["minor_faults"] >= 0 and usage["peak_rss_mb"] > 0
-    # the peak is the process's high-water mark, so it never falls
-    assert data["resources"]["chern"]["peak_rss_mb"] \
-        >= data["resources"]["holonomy"]["peak_rss_mb"]
+        if anon_mb is not None:
+            assert usage["peak_rss_mb"] >= anon_mb - 0.05  # 0.1 MB rounding
+    del ballast
     normalized = run_suites(RunConfig(**_CHEAP_RUN, normalize=True))
     assert "resources" not in json.loads(report_json(normalized))
+
+
+# -- suites in forked workers -------------------------------------------------
+
+
+_POOLED_RUN = dict(suites=["holonomy", "chern", "degeneracy", "fplus"],
+                   ladder=[(4, 12, 24)], massive=[(1.3, 1)], massless=[1],
+                   normalize=True)
+
+
+def test_pooled_report_equals_the_suites_run_one_by_one(two_workers,
+                                                         monkeypatch):
+    config = RunConfig(**_POOLED_RUN)
+    pooled = run_suites(config)
+    one_by_one = [_run_suite(config, suite) for suite in config.suites]
+    assert pooled["records"] == [rec for records, _, _, _ in one_by_one
+                                 for rec in records]
+    assert pooled["_rows"] == [row for _, rows, _, _ in one_by_one
+                               for row in rows]
+    monkeypatch.setattr(report_module, "_usable_cpus", lambda: 1)
+    in_process = run_suites(config)
+    assert report_json(pooled) == report_json(in_process)
+    assert convergence_csv(pooled) == convergence_csv(in_process)
+
+
+def test_a_mutation_reaches_the_workers(two_workers, monkeypatch):
+    import spinsplit.reps as reps_mod
+    monkeypatch.setattr(reps_mod, "_SIGMA_BOOST", -reps_mod._SIGMA_BOOST)
+    _in_a_worker(monkeypatch, "algebra", SUITES["algebra"]["fn"])
+    # on the default ladder every record passes unless the flip is seen
+    report = run_suites(RunConfig(suites=["holonomy", "algebra"],
+                                  massive=[(1.3, 1)], massless=[],
+                                  normalize=True))
+    assert report["failures"] == ["algebra-massive-KK"]
+
+
+def test_a_suite_error_in_a_worker_exits_2_naming_it(two_workers,
+                                                      monkeypatch, capsys):
+    def broken(config, records, rows):
+        raise RepError("the chern rep is broken")
+
+    _in_a_worker(monkeypatch, "chern", broken)
+    assert main(["run", "--suite", "holonomy", "chern"]) == EXIT_ERROR
+    assert "error: the chern rep is broken" in capsys.readouterr().err
+
+
+_LINUX_ONLY = pytest.mark.skipif(sys.platform != "linux",
+                                 reason="suites run in workers on Linux")
+
+
+@pytest.mark.parametrize("platform, in_caller", [
+    ("linux", [True, False, True, False]),
+    ("darwin", [True] * 4)])
+def test_the_caller_runs_every_other_suite_of_two(two_workers, monkeypatch,
+                                                  platform, in_caller):
+    caller = os.getpid()
+
+    def records_pid(config, records, rows):
+        records.append({"name": "pid", "passed": True,
+                        "in_caller": os.getpid() == caller})
+
+    for suite in _POOLED_RUN["suites"]:
+        monkeypatch.setitem(SUITES[suite], "fn", records_pid)
+    monkeypatch.setattr(report_module.sys, "platform", platform)
+    report = run_suites(RunConfig(**_POOLED_RUN))
+    assert [rec["suite"] for rec in report["records"]] \
+        == _POOLED_RUN["suites"]
+    assert [rec["in_caller"] for rec in report["records"]] == in_caller
+
+
+@_LINUX_ONLY
+def test_a_worker_that_dies_raises_instead_of_hanging(two_workers,
+                                                      monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    def dies(config, records, rows):
+        os._exit(3)
+
+    _in_a_worker(monkeypatch, "chern", dies)
+    raised = []
+
+    def run():
+        try:
+            run_suites(RunConfig(**_POOLED_RUN))
+        except BrokenProcessPool as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive(), "run_suites hung on a dead worker"
+    assert raised
+
+
+_HOLDS_A_WORKER = """
+import os, time
+from spinsplit import report
+report._usable_cpus = lambda: 2
+caller = os.getpid()
+
+def hold(config, records, rows):
+    if os.getpid() != caller:
+        print(os.getpid(), flush=True)
+    time.sleep(120)
+
+for suite in ("holonomy", "chern"):
+    report.SUITES[suite]["fn"] = hold
+report.run_suites(report.RunConfig(suites=["holonomy", "chern"],
+                                   massive=[(1.3, 1)], massless=[1]))
+"""
+
+
+def _running(pid) -> bool:
+    """Whether ``pid`` is a process that has not exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@_LINUX_ONLY
+def test_a_killed_caller_leaves_no_worker_behind():
+    src = str(Path(spinsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    caller = subprocess.Popen([sys.executable, "-c", _HOLDS_A_WORKER],
+                              env=env, stdout=subprocess.PIPE, text=True)
+    try:
+        ready, _, _ = select.select([caller.stdout], [], [], 60)
+        assert ready, "no worker started within 60 s"
+        worker = int(caller.stdout.readline())
+    finally:
+        caller.kill()
+        caller.wait()
+    try:
+        deadline = time.monotonic() + 20
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not _running(worker), "the worker outlived its caller"
+    finally:
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_report_leaves_resources_out_without_the_module(monkeypatch):
@@ -598,17 +791,33 @@ _GATE_SUITES = tuple(SUITES)
 _GATE_REPS = {"massive": [(1.3, 1)], "massless": [1]}
 
 
-def _suite_results(suites, massive=_GATE_REPS["massive"],
-                   massless=_GATE_REPS["massless"]) -> dict:
+def _gate_config(suites, massive=_GATE_REPS["massive"],
+                 massless=_GATE_REPS["massless"]) -> RunConfig:
+    return RunConfig(suites=suites, ladder=((4, 12, 24), (6, 24, 48)),
+                     massive=massive, massless=massless, normalize=True)
+
+
+def _suite_results(suites, **reps) -> dict:
     """Per suite, its normalized records and CSV rows from one run of
     ``suites`` in the given order."""
-    report = run_suites(RunConfig(
-        suites=suites, ladder=((4, 12, 24), (6, 24, 48)),
-        massive=massive, massless=massless, normalize=True))
+    report = run_suites(_gate_config(suites, **reps))
     return {suite: ([json.dumps(r, sort_keys=True)
                      for r in report["records"] if r["suite"] == suite],
                     [row for row in report["_rows"] if row[0] == suite])
             for suite in suites}
+
+
+def _in_process_results(suites) -> dict:
+    """As ``_suite_results``, with the suites run back to back in this
+    process, as they run on one CPU and within each process of a run
+    shared out over several."""
+    config = _gate_config(suites)
+    results = {}
+    for suite in suites:
+        records, rows, _, _ = _run_suite(config, suite)
+        results[suite] = ([json.dumps(r, sort_keys=True) for r in records],
+                          rows)
+    return results
 
 
 @pytest.fixture(scope="module")
@@ -625,8 +834,9 @@ def test_suite_results_do_not_depend_on_what_ran_before(alone_results):
     # symbolic memos and the identity caches must carry nothing from one
     # suite into the next
     assert all(records for records, _ in alone_results.values())
-    assert _suite_results(list(_GATE_SUITES)) == alone_results
-    assert _suite_results(list(reversed(_GATE_SUITES))) == alone_results
+    for suites in (list(_GATE_SUITES), list(reversed(_GATE_SUITES))):
+        assert _suite_results(suites) == alone_results
+        assert _in_process_results(suites) == alone_results
 
 
 @pytest.mark.parametrize("suite", [s for s in _GATE_SUITES
