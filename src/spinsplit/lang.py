@@ -63,6 +63,11 @@ class LangError(ValueError):
         self.line = line
         self.col = col
 
+    def __reduce__(self):
+        # rebuild from the three constructor arguments, so an error raised
+        # in a suite worker crosses back to the caller intact
+        return type(self), (self.message, self.line, self.col)
+
 
 class ParseError(LangError):
     pass

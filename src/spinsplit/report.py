@@ -4,11 +4,15 @@ A run is described by an INI-style config (see docs/config_format.md)
 or equivalent keyword overrides; each named suite produces a list of
 check records
 
-    {name, anchor, measured, tolerance, passed, order}
+    {suite, name, anchor, measured, tolerance, passed[, order][, rep]}
 
 where ``anchor`` is a short self-documenting statement of the fact the
-check verifies (or the literal tag "plumbing" for infrastructure
-checks).  Reports are versioned JSON and are byte-identical for
+check verifies, ``order`` the convergence order of a ladder check and
+``rep`` the representation measured.  Some records add keys of their
+own: ``checked`` (symbolic), ``so3_residual`` (the massless so(3)
+defect), ``curvature_norms`` (the fplus minimum) and ``integer``,
+``expected`` and ``raw`` (chern).  Every threshold is in
+``_TOLERANCES``.  Reports are versioned JSON and are byte-identical for
 identical configs and seeds when timing normalization is enabled.
 """
 
@@ -326,8 +330,7 @@ class RunConfig:
 
     def tolerance(self, name: str) -> float:
         """The fixed threshold of a suite or a named sub-check."""
-        return float(SUITES[name]["tol"] if name in SUITES
-                     else _EXTRA_TOLS[name])
+        return float(_TOLERANCES[name])
 
     @property
     def r0(self) -> float:
@@ -347,21 +350,23 @@ def _radial_map(mass: float) -> dict:
 # -- record helpers ---------------------------------------------------------------
 
 
-def _record(name, anchor, measured, tolerance, order=None, rep=None):
-    """One check record; ``rep`` names the rep it measures, since record
-    names repeat across reps of the same kind."""
-    passed = bool(measured <= tolerance) if tolerance is not None else True
+def _record(name, anchor, measured, tolerance, rep=None, passed=None,
+            **extra):
+    """One whole check record.  ``rep`` names the rep it measures, since
+    record names repeat across reps of the same kind; ``passed`` defaults
+    to ``measured <= tolerance``; ``extra`` holds the record's own keys,
+    such as a ladder check's ``order`` (a None value is left out)."""
     rec = {
         "name": name,
         "anchor": anchor,
         "measured": _jsonable(measured),
         "tolerance": tolerance,
-        "passed": passed,
+        "passed": bool(measured <= tolerance if passed is None else passed),
     }
-    if order is not None:
-        rec["order"] = _jsonable(order)
     if rep is not None:
         rec["rep"] = rep.spec()
+    rec.update((key, _jsonable(value)) for key, value in extra.items()
+               if value is not None)
     return rec
 
 
@@ -377,59 +382,63 @@ def _jsonable(x):
 _ORDER_FLOOR = 1e-12
 
 
-def _order(config: RunConfig, residuals):
-    """Mean convergence order between consecutive ladder rungs, using the
-    angular resolution as the mesh parameter.  Rung pairs at the rounding
-    floor are skipped (None if every pair is)."""
+def _ladder_record(config: RunConfig, name, anchor, residuals, tolerance,
+                   rep):
+    """The record of a ladder series: its finest-rung residual and the
+    mean convergence order between consecutive rungs, using the angular
+    resolution as the mesh parameter.  Rung pairs at the rounding floor
+    are skipped (no order if every pair is)."""
     ladder = config.ladder
     orders = [np.log(e1 / e2) / np.log(r2[1] / r1[1])
               for r1, r2, e1, e2 in zip(ladder, ladder[1:], residuals,
                                         residuals[1:])
               if e1 >= _ORDER_FLOOR and e2 >= _ORDER_FLOOR]
-    return float(np.mean(orders)) if orders else None
+    return _record(name, anchor, residuals[-1], tolerance, rep,
+                   order=float(np.mean(orders)) if orders else None)
 
 
-def _ladder(config: RunConfig, rep: RepSpec, rows, suite: str, labels,
-            measure, **section_kw):
-    """Evaluate ``measure(psi)``, a list of residuals, on one smooth test
-    section per ladder rung.  Each residual with a label in ``labels``
-    adds one CSV row per rung (a None label adds none).  Returns the
-    per-rung residuals of each measurement and the last rung's
-    section."""
+def _test_section(config: RunConfig, rep: RepSpec, rung=None, **section_kw):
+    """The run's smooth test section of ``rep`` on ``rung`` (the finest
+    by default)."""
+    grid = config.grid_for(rung or config.ladder[-1], rep.mass)
+    return random_test_section(rep, grid, seed=config.seed, **section_kw)
+
+
+def _ladder(config: RunConfig, rep: RepSpec, rows, labels, measure,
+            **section_kw):
+    """Evaluate ``measure(psi)``, a list of residuals, on the test section
+    of each ladder rung.  Each residual with a label in ``labels`` adds
+    one CSV row per rung (a None label adds none).  Returns the per-rung
+    residuals of each measurement and the last rung's section."""
     series = [[] for _ in labels]
     for rung in config.ladder:
-        grid = config.grid_for(rung, rep.mass)
-        psi = random_test_section(rep, grid, seed=config.seed,
-                                  **section_kw)
-        for label, residuals, res in zip(labels, series,
-                                         measure(psi)):
+        psi = _test_section(config, rep, rung, **section_kw)
+        for label, residuals, res in zip(labels, series, measure(psi)):
             residuals.append(res)
             if label is not None:
-                rows.append((suite, label, *rung, res, None))
+                rows.append((label, *rung, res))
     return series, psi
 
 
-def _reps(config: RunConfig):
+def _reps(config: RunConfig, kind=None):
+    """The run's reps, massive ones first, or only those of ``kind``."""
     reps = [RepSpec.massive(m, s) for m, s in config.massive]
     reps += [RepSpec.massless(h) for h in config.massless]
-    return reps
+    return [rep for rep in reps if kind in (None, rep.kind)]
 
 
 # -- suites -----------------------------------------------------------------------
 
 
 def _suite_symbolic(config: RunConfig, records, rows):
-    for massless in (False, True):
-        suite = identity_suite(massless=massless)
-        failures = sum(r["failures"] for r in suite)
-        count = sum(r["count"] for r in suite)
-        label = "massless" if massless else "massive"
+    for label in ("massive", "massless"):
+        suite = identity_suite(massless=label == "massless")
         records.append(_record(
             f"symbolic-identities-{label}",
             "every catalogued operator identity normal-forms to exactly "
             "zero in rational arithmetic",
-            failures, 0.5))
-        records[-1]["checked"] = count
+            sum(r["failures"] for r in suite), config.tolerance("symbolic"),
+            checked=sum(r["count"] for r in suite)))
 
 
 def _suite_algebra(config: RunConfig, records, rows):
@@ -437,14 +446,13 @@ def _suite_algebra(config: RunConfig, records, rows):
     rids = relation_ids()
     for rep in _reps(config):
         series, _ = _ladder(
-            config, rep, rows, "algebra", [f"{rep!r}:{rid}" for rid in rids],
+            config, rep, rows, [f"{rep!r}:{rid}" for rid in rids],
             lambda psi: [algebra_residual(rid, psi) for rid in rids])
         for rid, residuals in zip(rids, series):
-            records.append(_record(
-                f"algebra-{rep.kind}-{rid}",
+            records.append(_ladder_record(
+                config, f"algebra-{rep.kind}-{rid}",
                 "commutation relation of the generator family "
-                f"{rid} holds on smooth test sections",
-                residuals[-1], tol, _order(config, residuals), rep))
+                f"{rid} holds on smooth test sections", residuals, tol, rep))
 
 
 def _suite_curvature(config: RunConfig, records, rows):
@@ -477,98 +485,88 @@ def _suite_curvature(config: RunConfig, records, rows):
             f = curvature_commutator(kind, eth, eph, psi)
             pred = coeff(grid)[..., None] * _act_chi(rep, grid, psi.values)
             return [Section(rep, grid, f.values - pred).norm() / psi.norm()]
-        (residuals,), _ = _ladder(
-            config, rep, rows, "curvature", [f"{rep!r}:{kind.variant}"],
-            measure, polar_damping=4)
-        records.append(_record(
-            f"curvature-{rep.kind}-{kind.variant}", anchor,
-            residuals[-1], tol, _order(config, residuals), rep))
-    # cross commutators, massive only
-    for mass, spin in config.massive:
-        rep = RepSpec.massive(mass, spin)
-        grid = config.grid_for(config.ladder[-1], mass)
-        psi = random_test_section(rep, grid, seed=config.seed,
+        (residuals,), _ = _ladder(config, rep, rows,
+                                  [f"{rep!r}:{kind.variant}"], measure,
                                   polar_damping=4)
+        records.append(_ladder_record(
+            config, f"curvature-{rep.kind}-{kind.variant}", anchor,
+            residuals, tol, rep))
+    # cross commutators, massive only
+    for rep in _reps(config, "massive"):
+        psi = _test_section(config, rep, polar_damping=4)
         for label, res in cross_commutator_check(psi).items():
             records.append(_record(
-                f"cross-commutator-{spin}-{label.replace(' ', '-')}",
+                f"cross-commutator-{rep.spin}-{label.replace(' ', '-')}",
                 "mixed boost/rotation commutator along the spherical "
-                "frame matches its closed form",
-                res, tol, rep=rep))
+                "frame matches its closed form", res, tol, rep))
 
 
 def _suite_splitting(config: RunConfig, records, rows):
     tol = config.tolerance("splitting")
     flat = SplitOperators(ConnectionKind.flat_massive())
     boost = SplitOperators(ConnectionKind.boost())
-    for mass, spin in config.massive:
-        rep = RepSpec.massive(mass, spin)
+    for rep in _reps(config, "massive"):
         (residuals,), psi = _ladder(
-            config, rep, rows, "splitting", [f"{rep!r}:flat-so3"],
+            config, rep, rows, [f"{rep!r}:flat-so3"],
             lambda psi: [so3_residual(flat, psi)])
-        records.append(_record(
-            f"flat-so3-massive-{spin}",
+        records.append(_ladder_record(
+            config, f"flat-so3-massive-{rep.spin}",
             "the flat-connection orbital operators close the rotation "
-            "algebra", residuals[-1], tol, _order(config, residuals), rep))
+            "algebra", residuals, tol, rep))
         records.append(_record(
-            f"vector-op-massive-{spin}",
+            f"vector-op-massive-{rep.spin}",
             "orbital and internal parts are vector operators under J",
-            vector_op_residual(flat, psi), tol, rep=rep))
-    for h in config.massless:
-        if h == 0:
+            vector_op_residual(flat, psi), tol, rep))
+    for rep in _reps(config, "massless"):
+        if rep.helicity == 0:
             continue
-        rep = RepSpec.massless(h)
         (so3s, jperps), psi = _ladder(
-            config, rep, rows, "splitting", [f"{rep!r}:boost-so3", None],
+            config, rep, rows, [f"{rep!r}:boost-so3", None],
             lambda psi: [so3_residual(boost, psi), jperp_so3_residual(psi)])
         records.append(_record(
-            f"massless-so3-defect-h{h:+d}",
+            f"massless-so3-defect-h{rep.helicity:+d}",
             "the massless orbital so(3) failure equals the measured "
             "sphere curvature exactly",
-            defect_identity_residual(boost, psi), tol, rep=rep))
-        records[-1]["so3_residual"] = _jsonable(so3s[-1])
-        records.append(_record(
-            f"massless-jperp-closure-h{h:+d}",
+            defect_identity_residual(boost, psi), tol, rep,
+            so3_residual=so3s[-1]))
+        records.append(_ladder_record(
+            config, f"massless-jperp-closure-h{rep.helicity:+d}",
             "perpendicular angular momenta close only after the "
-            "parallel correction", jperps[-1], tol,
-            _order(config, jperps), rep))
+            "parallel correction", jperps, tol, rep))
 
 
 def _suite_nw(config: RunConfig, records, rows):
     tol = config.tolerance("nw")
-    for mass, spin in config.massive:
-        rep = RepSpec.massive(mass, spin)
+    for rep in _reps(config, "massive"):
         (grads,), psi = _ladder(
-            config, rep, rows, "nw", [f"{rep!r}:gradient"],
+            config, rep, rows, [f"{rep!r}:gradient"],
             lambda psi: [nw_gradient_residual(psi)])
         phi = random_test_section(rep, psi.grid, seed=config.seed + 1)
         records.append(_record(
-            f"nw-match-massive-{spin}",
+            f"nw-match-massive-{rep.spin}",
             "+i times the flat covariant derivative along Cartesian "
             "directions equals the closed-form mean position operator",
-            nw_match_residual(psi), tol, rep=rep))
-        records.append(_record(
-            f"nw-gradient-massive-{spin}",
+            nw_match_residual(psi), tol, rep))
+        records.append(_ladder_record(
+            config, f"nw-gradient-massive-{rep.spin}",
             "the mean position operator acts as the componentwise "
             "gradient in plain-measure coordinates",
-            grads[-1], config.tolerance("nw_gradient"),
-            _order(config, grads), rep))
+            grads, config.tolerance("nw_gradient"), rep))
         records.append(_record(
-            f"nw-hermitian-massive-{spin}",
+            f"nw-hermitian-massive-{rep.spin}",
             "the mean position operator is symmetric under the "
             "invariant inner product",
             nw_hermiticity_defect(psi, phi),
-            config.tolerance("nw_hermitian"), rep=rep))
+            config.tolerance("nw_hermitian"), rep))
 
 
 def _suite_degeneracy(config: RunConfig, records, rows):
     tol = config.tolerance("degeneracy")
-    rung = config.ladder[-1]
     for rep in _reps(config):
         # a rep's draws do not depend on the reps before it
         rng = np.random.default_rng(config.seed)
-        grid = config.grid_for(rung, rep.mass)
-        psi = random_test_section(rep, grid, seed=config.seed)
+        psi = _test_section(config, rep)
+        grid = psi.grid
         transverse = rep.kind == "massive"
         gaps = []
         for _ in range(10):
@@ -580,33 +578,30 @@ def _suite_degeneracy(config: RunConfig, records, rows):
                 vals = np.stack([vals[a] - radial * grid.khat[a]
                                  for a in range(3)])
             x = TangentField.from_array(vals)
-            dk = ConnectionKind.boost()
-            dr = ConnectionKind.rotation()
-            gaps.append((apply_connection(dk, x, psi)
-                         - apply_connection(dr, x, psi)).norm()
-                        / psi.norm())
+            boost = apply_connection(ConnectionKind.boost(), x, psi)
+            rotation = apply_connection(ConnectionKind.rotation(), x, psi)
+            gaps.append((boost - rotation).norm() / psi.norm())
         # a coincidence must hold for every field, a separation too
         worst, least = float(np.max(gaps)), float(np.min(gaps))
         if rep.kind == "massless":
             records.append(_record(
                 f"degeneracy-massless-h{rep.helicity:+d}",
                 "boost and rotation connections coincide at zero mass",
-                worst, tol, rep=rep))
+                worst, tol, rep))
         elif rep.spin == 0:
             # spin-0 fibers are one-dimensional and both connections reduce
             # to the same scalar transport, so the gap vanishes exactly
             records.append(_record(
                 "degeneracy-massive-spin0-coincidence",
                 "boost and rotation connections coincide on trivial "
-                "(spin-0) fibers at any mass", worst, tol, rep=rep))
+                "(spin-0) fibers at any mass", worst, tol, rep))
         else:
-            rec = _record(
+            records.append(_record(
                 f"degeneracy-gap-massive-{rep.spin}",
                 "boost and rotation connections stay separated on "
                 "sphere-tangential directions for positive mass and "
-                "nonzero spin", least, None, rep=rep)
-            rec["passed"] = bool(least > DEGENERACY_GAP_MIN)
-            records.append(rec)
+                "nonzero spin", least, None, rep,
+                passed=least > DEGENERACY_GAP_MIN))
 
 
 def _suite_fplus(config: RunConfig, records, rows):
@@ -616,13 +611,11 @@ def _suite_fplus(config: RunConfig, records, rows):
     eth = TangentField.named("e_theta")
     eph = TangentField.named("e_phi")
     lams = (0.5, 0.9, 1.0, 1.1, 2.0)
-    for mass, spin in config.massive:
-        if spin == 0:
+    for rep in _reps(config, "massive"):
+        if rep.spin == 0:
             continue  # spin-0 fibers carry no curvature to scan
-        rep = RepSpec.massive(mass, spin)
-        grid = config.grid_for(config.ladder[-1], mass)
-        psi = random_test_section(rep, grid, seed=config.seed,
-                                  polar_damping=4)
+        psi = _test_section(config, rep, polar_damping=4)
+        grid = psi.grid
         jk = _act_chi(rep, grid, psi.values)
         ref = Section(rep, grid, (1j / grid.kmag**2)[..., None] * jk)
         denom = inner(ref, ref)
@@ -633,51 +626,45 @@ def _suite_fplus(config: RunConfig, records, rows):
             norms.append(f.norm() / psi.norm())
             c = inner(ref, f) / denom
             pred = 1.0 - lam**2
-            if pred == 0.0:
-                coeff_errs.append(abs(c))
-            else:
-                coeff_errs.append(abs(c - pred) / abs(pred))
-            rows.append(("fplus", f"{rep!r}:lambda={lam}",
-                         *config.ladder[-1], norms[-1], None))
+            coeff_errs.append(abs(c) if pred == 0.0
+                              else abs(c - pred) / abs(pred))
+            rows.append((f"{rep!r}:lambda={lam}", *config.ladder[-1],
+                         norms[-1]))
         off_one = 0.0 if int(np.argmin(norms)) == lams.index(1.0) else 1.0
         if np.isnan(norms).any():
             off_one = float("nan")  # argmin may pick out a NaN
-        rec = _record(
-            f"fplus-minimum-spin{spin}",
-            "the affine weight H/m is the curvature minimum of the "
-            "constant-multiple family", off_one, 0.5, rep=rep)
-        rec["curvature_norms"] = {str(l): _jsonable(n)
-                                  for l, n in zip(lams, norms)}
-        records.append(rec)
         records.append(_record(
-            f"fplus-prediction-spin{spin}",
+            f"fplus-minimum-spin{rep.spin}",
+            "the affine weight H/m is the curvature minimum of the "
+            "constant-multiple family", off_one,
+            config.tolerance("fplus_minimum"), rep,
+            curvature_norms={str(l): _jsonable(n)
+                             for l, n in zip(lams, norms)}))
+        records.append(_record(
+            f"fplus-prediction-spin{rep.spin}",
             "measured affine curvature matches the "
             "(1 - lambda^2)/|k|^2 coefficient per lambda",
             float(np.max([e for l, e in zip(lams, coeff_errs) if l != 1.0])),
-            tol, rep=rep))
+            tol, rep))
 
 
 def _suite_chern(config: RunConfig, records, rows):
+    tol = config.tolerance("chern")
     _, nt, npp = config.ladder[-1]
-    for h in config.massless:
-        rep = RepSpec.massless(h)
-        expected = -2 * h
+    for rep in _reps(config, "massless"):
+        expected = -2 * rep.helicity
         # at m = 0 every connection kind gives the same form, so one kind
         # measures the subbundle
         n, raw = chern_number(rep, ConnectionKind.boost(), n_theta=nt,
                               n_phi=npp, radius=config.r0)
-        rec = _record(
-            f"chern-h{h:+d}",
+        error = abs(raw - expected)
+        records.append(_record(
+            f"chern-h{rep.helicity:+d}",
             "the helicity-h subbundle has first Chern number -2h on "
-            "every momentum shell",
-            abs(raw - expected), config.tolerance("chern"), rep=rep)
-        rec["integer"] = int(n)
-        rec["expected"] = int(expected)
-        rec["raw"] = _jsonable(raw)
-        rec["passed"] = bool(rec["passed"] and n == expected)
-        records.append(rec)
-        rows.append(("chern", f"h={h:+d}", 1, nt, npp, abs(raw - expected),
-                     None))
+            "every momentum shell", error, tol, rep,
+            passed=error <= tol and n == expected,
+            integer=n, expected=expected, raw=raw))
+        rows.append((f"h={rep.helicity:+d}", 1, nt, npp, error))
 
 
 def _suite_holonomy(config: RunConfig, records, rows):
@@ -689,11 +676,10 @@ def _suite_holonomy(config: RunConfig, records, rows):
         dphi = np.sqrt(a_target)
         th2 = float(np.arccos(np.cos(th1) - a_target / dphi))
         loops.append((a_target, HolonomyLoop(r0, th1, th2, 0.3, 0.3 + dphi)))
-    for mass, spin in config.massive:
-        if spin == 0:
+    for rep in _reps(config, "massive"):
+        if rep.spin == 0:
             continue  # spin-0 fibers have no rotation to measure
-        rep = RepSpec.massive(mass, spin)
-        om2 = mass**2 + r0**2
+        om2 = rep.mass**2 + r0**2
         for a_target, loop in loops:
             u = holonomy(rep, ConnectionKind.boost(), loop, n_steps=96)
             pred_angle = loop.solid_angle() * r0**2 / om2
@@ -703,14 +689,14 @@ def _suite_holonomy(config: RunConfig, records, rows):
                 f"holonomy-boost-A{a_target}",
                 "boost-connection loop transport rotates the fiber about "
                 "k-hat by solid angle times |k|^2/H^2",
-                abs(meas - pred_angle) / pred_angle, tol, rep=rep))
+                abs(meas - pred_angle) / pred_angle, tol, rep))
             uf = holonomy(rep, ConnectionKind.flat_massive(), loop,
                           n_steps=96)
             records.append(_record(
                 f"holonomy-flat-A{a_target}",
                 "flat-connection loop transport is the identity",
                 float(np.linalg.norm(uf - np.eye(rep.dim))),
-                config.tolerance("holonomy_flat"), rep=rep))
+                config.tolerance("holonomy_flat"), rep))
 
 
 def _suite_leibniz(config: RunConfig, records, rows):
@@ -728,40 +714,38 @@ def _suite_leibniz(config: RunConfig, records, rows):
         ]))]
 
     for rep in _reps(config):
-        (residuals,), _ = _ladder(config, rep, rows, "leibniz",
-                                  [f"{rep!r}"], measure)
-        records.append(_record(
-            f"leibniz-{rep.kind}-"
+        (residuals,), _ = _ladder(config, rep, rows, [f"{rep!r}"], measure)
+        records.append(_ladder_record(
+            config, f"leibniz-{rep.kind}-"
             + (f"s{rep.spin}" if rep.kind == "massive"
                else f"h{rep.helicity:+d}"),
             "covariant derivatives obey the product rule on smooth "
-            "scalar multiples",
-            residuals[-1], tol, _order(config, residuals), rep))
+            "scalar multiples", residuals, tol, rep))
 
 
 SUITES = {
-    "symbolic": {"fn": _suite_symbolic, "tol": 0.5, "ladder": False},
-    "algebra": {"fn": _suite_algebra, "tol": 1e-3, "ladder": True,
-                "massless_grids": True},
-    "leibniz": {"fn": _suite_leibniz, "tol": 1e-3, "ladder": True,
-                "massless_grids": True},
-    "curvature": {"fn": _suite_curvature, "tol": 1e-3, "ladder": True,
+    "symbolic": {"fn": _suite_symbolic, "ladder": False},
+    "algebra": {"fn": _suite_algebra, "ladder": True, "massless_grids": True},
+    "leibniz": {"fn": _suite_leibniz, "ladder": True, "massless_grids": True},
+    "curvature": {"fn": _suite_curvature, "ladder": True,
                   "massless_grids": True},
-    "splitting": {"fn": _suite_splitting, "tol": 1e-3, "ladder": True,
+    "splitting": {"fn": _suite_splitting, "ladder": True,
                   "massless_grids": True},
-    "nw": {"fn": _suite_nw, "tol": 1e-6, "ladder": True},
-    "degeneracy": {"fn": _suite_degeneracy, "tol": 1e-6, "ladder": False,
+    "nw": {"fn": _suite_nw, "ladder": True},
+    "degeneracy": {"fn": _suite_degeneracy, "ladder": False,
                    "massless_grids": True},
-    "fplus": {"fn": _suite_fplus, "tol": 1e-2, "ladder": False},
-    "chern": {"fn": _suite_chern, "tol": 0.05, "ladder": False},
-    "holonomy": {"fn": _suite_holonomy, "tol": 1e-2, "ladder": False},
+    "fplus": {"fn": _suite_fplus, "ladder": False},
+    "chern": {"fn": _suite_chern, "ladder": False},
+    "holonomy": {"fn": _suite_holonomy, "ladder": False},
 }
 
-# secondary tolerance knobs referenced inside suites
-_EXTRA_TOLS = {
-    "nw_gradient": 1e-4,
-    "nw_hermitian": 1e-4,
-    "holonomy_flat": 1e-8,
+# every fixed threshold: one per suite, then those of named sub-checks
+_TOLERANCES = {
+    "symbolic": 0.5, "algebra": 1e-3, "leibniz": 1e-3, "curvature": 1e-3,
+    "splitting": 1e-3, "nw": 1e-6, "degeneracy": 1e-6, "fplus": 1e-2,
+    "chern": 0.05, "holonomy": 1e-2,
+    "nw_gradient": 1e-4, "nw_hermitian": 1e-4, "holonomy_flat": 1e-8,
+    "fplus_minimum": 0.5,
 }
 
 
@@ -793,6 +777,7 @@ def _run_suite(config: RunConfig, suite: str):
     SUITES[suite]["fn"](config, records, rows)
     for rec in records:
         rec["suite"] = suite
+    rows = [(suite, *row) for row in rows]
     elapsed = round(time.perf_counter() - t0, 3)
     after = _usage()
     usage = None if after is None else {
@@ -882,8 +867,7 @@ def convergence_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for suite, check, nr, nt, npp, residual, order in report["_rows"]:
-        writer.writerow([suite, check, nr, nt, npp,
-                         f"{residual:.12e}",
-                         "" if order is None else f"{order:.3f}"])
+    # orders are in the records, so the order column stays empty
+    for suite, check, nr, nt, npp, residual in report["_rows"]:
+        writer.writerow([suite, check, nr, nt, npp, f"{residual:.12e}", ""])
     return buf.getvalue()

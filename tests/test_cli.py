@@ -33,14 +33,15 @@ from spinsplit.connections import (
     TangentField,
     apply_connection,
 )
+from spinsplit.lang import LangError
 from spinsplit.report import (
     CSV_COLUMNS,
     DEGENERACY_GAP_MIN,
     ConfigError,
     RunConfig,
     SUITES,
-    _EXTRA_TOLS,
     _KNOWN_KEYS,
+    _TOLERANCES,
     _run_suite,
     convergence_csv,
     report_json,
@@ -97,22 +98,29 @@ def test_thresholds_are_fixed():
     c = RunConfig(suites=["symbolic"])
     assert c.tolerance("algebra") == 1e-3
     assert c.tolerance("nw_gradient") == 1e-4
-    for name in SUITES:
-        assert c.tolerance(name) == SUITES[name]["tol"]
-    for name, tol in _EXTRA_TOLS.items():
+    assert c.tolerance("chern") == 0.05
+    assert set(SUITES) <= set(_TOLERANCES)
+    for name, tol in _TOLERANCES.items():
         assert c.tolerance(name) == tol
     with pytest.raises(TypeError, match="tolerances"):
         RunConfig(suites=["symbolic"], tolerances={"splitting": 1e9})
     assert "tolerances" not in c.spec()
 
 
-def test_chern_suite_reads_its_tolerance(monkeypatch):
-    c = RunConfig(suites=["chern"], massive=[], massless=[1],
-                  normalize=True)
-    assert c.tolerance("chern") == 0.05
-    monkeypatch.setitem(SUITES["chern"], "tol", 0.25)
-    (rec,) = run_suites(c)["records"]
-    assert rec["tolerance"] == 0.25
+@pytest.mark.parametrize("suite, name, prefix, run", [
+    ("symbolic", "symbolic", "symbolic-identities-", {}),
+    ("chern", "chern", "chern-", dict(massive=[], massless=[1])),
+    ("fplus", "fplus_minimum", "fplus-minimum-",
+     dict(ladder=[(4, 12, 24)], massive=[(1.3, 1)], massless=[])),
+], ids=["symbolic", "chern", "fplus"])
+def test_a_record_reads_its_tolerance_from_the_table(monkeypatch, suite,
+                                                     name, prefix, run):
+    config = RunConfig(suites=[suite], normalize=True, **run)
+    monkeypatch.setitem(_TOLERANCES, name, 0.25)
+    records = [rec for rec in run_suites(config)["records"]
+               if rec["name"].startswith(prefix)]
+    assert records
+    assert all(rec["tolerance"] == 0.25 for rec in records)
 
 
 def test_grid_for_uses_adapted_radial_map():
@@ -549,6 +557,19 @@ def test_a_suite_error_in_a_worker_exits_2_naming_it(two_workers,
     assert "error: the chern rep is broken" in capsys.readouterr().err
 
 
+def test_an_expression_error_in_a_worker_exits_2_naming_its_place(
+        two_workers, monkeypatch, capsys):
+    # an error whose constructor takes more than a message must unpickle
+    # in the caller, or the pool reports a broken worker instead
+    def broken(config, records, rows):
+        raise LangError("bad token", 3, 4)
+
+    _in_a_worker(monkeypatch, "chern", broken)
+    assert main(["run", "--suite", "holonomy", "chern"]) == EXIT_ERROR
+    assert ("expression error at line 3, col 4: bad token"
+            in capsys.readouterr().err)
+
+
 _LINUX_ONLY = pytest.mark.skipif(sys.platform != "linux",
                                  reason="suites run in workers on Linux")
 
@@ -858,6 +879,20 @@ def test_rep_results_do_not_depend_on_the_reps_before(suite, alone_results):
         assert records == [r for r in alone_results[suite][0]
                            if json.loads(r)["rep"] == rep.spec()], rep
     assert measured == len(alone_results[suite][0])
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_gate_run_matches_its_golden_files():
+    # the report and CSV of the gate config, byte for byte; a change that
+    # moves a record or a row on purpose rewrites both files from
+    # report_json and convergence_csv of this run, and says so
+    report = run_suites(_gate_config(list(_GATE_SUITES)))
+    assert (report_json(report).encode()
+            == (_GOLDEN / "gate_report.json").read_bytes())
+    assert (convergence_csv(report).encode()
+            == (_GOLDEN / "gate.csv").read_bytes())
 
 
 def test_run_with_grid_and_rep_restriction(tmp_path, capsys):

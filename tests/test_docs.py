@@ -9,7 +9,7 @@ import re
 import pytest
 
 from spinsplit.cli import build_parser
-from spinsplit.report import SUITES, _EXTRA_TOLS, _KNOWN_KEYS
+from spinsplit.report import SUITES, _KNOWN_KEYS, _TOLERANCES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DOC = (ROOT / "docs" / "config_format.md").read_text()
@@ -29,7 +29,7 @@ def test_config_doc_names_every_section_and_key(section):
         assert f"`{key}`" in CONFIG_DOC, (section, key)
 
 
-@pytest.mark.parametrize("name", sorted(SUITES) + sorted(_EXTRA_TOLS))
+@pytest.mark.parametrize("name", sorted(set(SUITES) | set(_TOLERANCES)))
 def test_config_doc_names_every_suite_and_threshold(name):
     assert f"`{name}`" in CONFIG_DOC
     # each name heads or shares a row of the threshold table

@@ -1,6 +1,7 @@
 """Operator-expression language: tokenizer, parser, lowering, printer
 round-trips, error reporting, and fuzzing."""
 
+import pickle
 import random
 import string
 
@@ -231,6 +232,16 @@ def test_depth_guard_no_recursion_error():
     deep = "(" * 5000 + "H" + ")" * 5000
     with pytest.raises(LangError):
         parse(deep)
+
+
+@pytest.mark.parametrize("cls", [LangError, ParseError, LowerError,
+                                 FormatError])
+def test_errors_pickle_with_their_position(cls):
+    # a suite worker sends its error back to the caller pickled
+    exc = pickle.loads(pickle.dumps(cls("bad token", 3, 4)))
+    assert type(exc) is cls
+    assert (exc.message, exc.line, exc.col) == ("bad token", 3, 4)
+    assert str(exc) == str(cls("bad token", 3, 4))
 
 
 def test_division_by_zero_literal(ring):
