@@ -13,16 +13,23 @@ Reordering uses the commutation relations
     [J_a, K_b] = i eps_abc K_c
     [K_a, K_b] = -i eps_abc J_c
 
-and coefficients are moved through generators with the derivation rules
-implemented on :class:`~spinsplit.scalars.Scalar`.  Every public operation
-returns a fully normal-ordered expression, so equality is structural:
-two expressions are equal iff they have the same words with equal
+stated once, as one rule, in ``_gen_commutator``: the engine's own copy,
+independent of the ``BRACKETS`` table that the catalog checks it against.
+Reordering a word produces constants only, exact Gaussian integers of the
+coefficient domain (QQ_I, the domain of the ring's polynomials); they are
+summed as domain elements, memoized per (word, generator) for every ring,
+and scale a coefficient by multiplying its numerators.  Coefficients are
+moved through generators with the derivation rules implemented on
+:class:`~spinsplit.scalars.Scalar`.  Every public operation returns a
+fully normal-ordered expression, so equality is structural: two
+expressions are equal iff they have the same words with equal
 coefficients.
 """
 
 from __future__ import annotations
 
 import sympy as sp
+from sympy.polys.domains import QQ_I
 
 from .scalars import CoefficientError, Ring, Scalar, eps
 
@@ -46,9 +53,10 @@ __all__ = [
     "commutator",
 ]
 
-# Generator indices: 0..2 = J1..J3, 3..5 = K1..K3.
-_J = (0, 1, 2)
-_K = (3, 4, 5)
+# Generator indices: 0..2 = J1..J3, 3..5 = K1..K3.  The engine's
+# constants are Gaussian integers of the coefficient domain.
+_ONE = QQ_I.one
+_I = QQ_I(0, 1)
 
 GENERATOR_NAMES = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
 
@@ -57,9 +65,10 @@ GENERATOR_NAMES = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
 #   [A_a, B_b] = i sign delta_ab C     (C = H a scalar: KP)
 #   [A_a, B]   = i sign C_a            (B = H a scalar: KH)
 # or None where the bracket vanishes (JH, PP, PH, HH).  The identity
-# catalog and the numerical algebra check both read this table;
-# ``_gen_commutator`` keeps its own copy of the J, K brackets, so the
-# catalog checks the normal-ordering engine against the table.
+# catalog and the numerical algebra check both read this table.  The
+# normal-ordering engine does not: ``_gen_commutator`` keeps its own
+# one-rule copy of the J, K brackets with domain constants, so the catalog
+# checks the engine against the table.
 BRACKETS = {
     "JJ": (1, "J"),
     "JK": (1, "K"),
@@ -96,29 +105,21 @@ def bracket_terms(family: str, a: int | None, b: int | None) -> list:
 
 
 def _gen_commutator(a: int, b: int):
-    """[g_a, g_b] as a list of (generator, sympy constant)."""
-    out = []
-    if a < 3 and b < 3:  # [J,J] = i eps J
-        for c in range(3):
-            e = eps(a, b, c)
-            if e:
-                out.append((c, sp.I * e))
-    elif a < 3 <= b:  # [J,K] = i eps K
-        for c in range(3):
-            e = eps(a, b - 3, c)
-            if e:
-                out.append((c + 3, sp.I * e))
-    elif b < 3 <= a:  # [K,J] = -[J,K]
-        for c in range(3):
-            e = eps(b, a - 3, c)
-            if e:
-                out.append((c + 3, -sp.I * e))
-    else:  # [K,K] = -i eps J
-        for c in range(3):
-            e = eps(a - 3, b - 3, c)
-            if e:
-                out.append((c, -sp.I * e))
-    return out
+    """[g_a, g_b] as a list of (generator, domain constant): i eps J for
+    [J, J], i eps K for [J, K] and [K, J], -i eps J for [K, K]."""
+    boosts = (a >= 3) + (b >= 3)
+    sign = -1 if boosts == 2 else 1
+    shift = 3 if boosts == 1 else 0
+    return [(c + shift, _I * (sign * e)) for c in range(3)
+            if (e := eps(a % 3, b % 3, c))]
+
+
+def _collect(terms) -> dict:
+    """Sum (word, domain constant) terms by word; zero sums are dropped."""
+    out: dict = {}
+    for w, c in terms:
+        out[w] = out[w] + c if w in out else c
+    return {w: c for w, c in out.items() if c}
 
 
 _insert_memo: dict = {}
@@ -127,39 +128,34 @@ _insert_memo: dict = {}
 def _insert_gen(word: tuple, g: int) -> dict:
     """Normal-order ``word * g`` for an already-ordered word.
 
-    Returns {word: sympy constant}.  Constants are ring-independent
-    (products of +-i), so results are memoized globally.
+    Returns {word: domain constant}.  Constants are ring-independent
+    Gaussian integers, so results are memoized globally.
     """
     key = (word, g)
     cached = _insert_memo.get(key)
     if cached is not None:
         return cached
     if not word or word[-1] <= g:
-        out = {word + (g,): sp.Integer(1)}
+        out = {word + (g,): _ONE}
     else:
         head, last = word[:-1], word[-1]
-        out: dict = {}
         # last*g = g*last + [last, g]
-        for w2, c2 in _insert_gen(head, g).items():
-            for w3, c3 in _insert_gen(w2, last).items():
-                out[w3] = out.get(w3, sp.Integer(0)) + c2 * c3
-        for h, ch in _gen_commutator(last, g):
-            for w3, c3 in _insert_gen(head, h).items():
-                out[w3] = out.get(w3, sp.Integer(0)) + ch * c3
-        out = {w: sp.expand(c) for w, c in out.items() if sp.expand(c) != 0}
+        out = _collect(
+            [(w3, c2 * c3) for w2, c2 in _insert_gen(head, g).items()
+             for w3, c3 in _insert_gen(w2, last).items()]
+            + [(w3, ch * c3) for h, ch in _gen_commutator(last, g)
+               for w3, c3 in _insert_gen(head, h).items()])
     _insert_memo[key] = out
     return out
 
 
 def _word_mul(w1: tuple, w2: tuple) -> dict:
-    """Normal-order the concatenation of two ordered words."""
-    acc = {w1: sp.Integer(1)}
+    """Normal-order the concatenation of two ordered words:
+    {word: domain constant}."""
+    acc = {w1: _ONE}
     for g in w2:
-        nxt: dict = {}
-        for w, c in acc.items():
-            for w3, c3 in _insert_gen(w, g).items():
-                nxt[w3] = nxt.get(w3, sp.Integer(0)) + c * c3
-        acc = nxt
+        acc = _collect((w3, c * c3) for w, c in acc.items()
+                       for w3, c3 in _insert_gen(w, g).items())
     return acc
 
 
@@ -283,8 +279,8 @@ class OperatorExpr:
             for w2, c2 in other.terms.items():
                 for cmid, wmid in _word_times_scalar(w1, c2):
                     c = c1 * cmid
-                    for w3, const in _word_mul(wmid, w2).items():
-                        add = c * const
+                    for w3, k in _word_mul(wmid, w2).items():
+                        add = c._scaled(k)
                         out[w3] = out[w3] + add if w3 in out else add
         return OperatorExpr(self.ring, out)
 
@@ -328,19 +324,13 @@ class OperatorExpr:
     def adjoint(self) -> "OperatorExpr":
         """Hermitian adjoint: reverses words, conjugates i; H, P, J, K are
         self-adjoint."""
+        one = self.ring.one()
         out = OperatorExpr(self.ring)
         for w, c in self.terms.items():
-            rev: dict = {(): self.ring.one()}
-            for g in reversed(w):
-                nxt: dict = {}
-                for wcur, ccur in rev.items():
-                    for w2, const in _insert_gen(wcur, g).items():
-                        add = ccur * const
-                        nxt[w2] = nxt[w2] + add if w2 in nxt else add
-                rev = nxt
-            out = out + OperatorExpr(self.ring, rev) * OperatorExpr.from_scalar(
-                c.conjugate()
-            )
+            rev = _word_mul((), w[::-1])
+            out = out + OperatorExpr(
+                self.ring, {w2: one._scaled(k) for w2, k in rev.items()}
+            ) * OperatorExpr.from_scalar(c.conjugate())
         return out
 
 

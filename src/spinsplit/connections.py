@@ -64,6 +64,7 @@ from .reps import (
     _k_formula,
     _on_shell,
     _spin_dot,
+    _test_norm,
 )
 from .scalars import _EPS_PAIRS, eps
 
@@ -397,11 +398,11 @@ def leibniz_residual(kind: ConnectionKind, xs, f: np.ndarray,
     scalar grid function f, with D_X(f psi) and D_X psi each taken in one
     pass for all fields."""
     grid = psi.grid
+    nrm = _test_norm(psi)
     f = np.asarray(f)
     lhs = apply_connections(kind, xs, psi * f)
     rhs = apply_connections(kind, xs, psi)
     df = grid.gradient(f[..., None])[..., 0]
-    nrm = psi.norm()
     residuals = []
     for i, x in enumerate(xs):
         xv = x.values(grid)
@@ -443,6 +444,7 @@ def cross_commutator_check(psi: Section) -> dict:
         raise ConnectionLabError(
             "cross commutators compare distinct connections; massive only"
         )
+    nrm = _test_norm(psi)
     boost, rot = ConnectionKind.boost(), ConnectionKind.rotation()
     eth, eph = TangentField.named("e_theta"), TangentField.named("e_phi")
     omega = grid.omega(rep.mass)[..., None]
@@ -473,7 +475,6 @@ def cross_commutator_check(psi: Section) -> dict:
             1j * jk / rmag**2 + 1j * cot * (jtheta / rmag**2),
     }
     del jk, kphi, jtheta
-    nrm = psi.norm()
 
     def comm(kind1, kind2):
         # each first-level derivative is used once and dropped after it
@@ -575,7 +576,7 @@ def _sphere_frame(theta, phi):
 
 
 def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
-                          perturbation=None, start=None):
+                          start=None):
     """Vectorized transport along geodesic-in-coordinates edges from
     (th_a, ph_a) to (th_b, ph_b).  ``start`` is what is transported: by
     default the identity, which returns the stacked (..., d, d) transport
@@ -586,10 +587,7 @@ def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
     The form is evaluated once, at every RK4 node of every edge, in one
     ``_form_matrix`` call, and each RK4 stage applies its node's entries
     with ``_entries_act``.  The transported columns lead the stack, so a
-    fiber row is one component of its last axis.
-    ``perturbation(theta, phi, velocity) -> (..., d, d)`` is added to the
-    connection form as a dense product, evaluated at all nodes in one
-    call."""
+    fiber row is one component of its last axis."""
     th_a, ph_a, th_b, ph_b = map(np.asarray, (th_a, ph_a, th_b, ph_b))
     batch = np.broadcast_shapes(th_a.shape, ph_a.shape, th_b.shape,
                                 ph_b.shape)
@@ -607,8 +605,6 @@ def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
     # sin(theta) is minus the z component of e_theta
     vel = r0 * (dth * e_th - e_th[2] * dph * e_ph)
     del e_th, e_ph
-    dense = (None if perturbation is None
-             else perturbation(*np.broadcast_arrays(th, ph), vel))
     form = _form_matrix(rep, kind, r0, khat, vel)
     del khat, vel
     nodes = [[(b, c, field[j]) for b, c, field in form]
@@ -616,10 +612,7 @@ def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
     del form
 
     def apply_form(j, w):
-        out = _entries_act(nodes[j], rep.dim, w)
-        if dense is not None:
-            out += (dense[j] @ w[..., None])[..., 0]
-        return out
+        return _entries_act(nodes[j], rep.dim, w)
 
     u = _transport(apply_form, u, n_steps)
     return np.moveaxis(u, 0, -1)
@@ -676,7 +669,7 @@ _CHERN_MARGIN = 0.35  # least distance of a plaquette phase from +-pi
 
 def chern_number(rep: RepSpec, kind: ConnectionKind,
                  n_theta: int = 48, n_phi: int = 96,
-                 radius: float = 1.5, perturbation=None):
+                 radius: float = 1.5):
     """Lattice Chern number of the helicity subbundle on one shell.
 
     Link variables are unit-fiber parallel-transport overlaps
@@ -686,11 +679,9 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     Wilson loops around the boundary circles.  Returns (integer,
     pre-rounding real).  A plaquette phase within ``_CHERN_MARGIN`` of
     the branch cut raises a resolution error.  At m = 0 the form does not
-    read ``kind``; only ``perturbation`` changes the connection.
-
-    ``perturbation(theta, phi, velocity) -> (..., d, d)`` adds a smooth
-    endomorphism-valued 1-form to the connection; the integer must not
-    change (the index is a topological invariant of the subbundle).
+    read ``kind``.  The integer is a topological invariant of the
+    subbundle: a smooth endomorphism-valued 1-form added to the connection
+    form does not change it.
     """
     if rep.kind != "massless":
         raise ConnectionLabError(
@@ -716,8 +707,7 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
 
     def link(th_a, ph_a, th_b, ph_b, va, vb):
         tva = _edge_transport_batch(rep, kind, radius, th_a, ph_a, th_b,
-                                    ph_b, perturbation=perturbation,
-                                    start=va[..., None])[..., 0]
+                                    ph_b, start=va[..., None])[..., 0]
         ov = np.sum(np.conj(vb) * tva, axis=-1)
         return ov / np.abs(ov)
 

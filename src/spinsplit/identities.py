@@ -32,7 +32,7 @@ from .algebra import (
     vec_P,
     vec_Phat,
 )
-from .scalars import Ring, eps
+from .scalars import _EPS_PAIRS, Ring
 
 __all__ = [
     "boost_connection",
@@ -73,42 +73,25 @@ def boost_connection(ring: Ring) -> VectorExpr:
 
 
 @lru_cache(maxsize=None)
-def rotation_connection(ring: Ring, form: int = 1) -> VectorExpr:
-    """Cartesian components of the rotation-induced connection.
-
-    ``form=1`` is the compact expression
-        D_a = -i [ (Phat x J)_a / |P| + Phat_a (Phat.K) / H - i P_a / (2H^2) ]
-    and ``form=2`` is the manifestly symmetrized equivalent
-        D_a = -i [ (Phat x J)_a / |P| - i Phat_a / |P| ]
-              - (i/2) [ Phat_a (Phat.K) / H + (K.Phat) Phat_a / H ].
+def rotation_connection(ring: Ring) -> VectorExpr:
+    """Cartesian components of the rotation-induced connection:
+        D_a = -i [ (Phat x J)_a / |P| + Phat_a (Phat.K) / H - i P_a / (2H^2) ].
     """
     i = _i(ring)
     H_inv = op_H(ring) ** -1
     R_inv = op_Pmag(ring) ** -1
     Phat = vec_Phat(ring)
-    J = vec_J(ring)
-    K = vec_K(ring)
-    ph_cross_j = Phat.cross(J)
-    if form == 1:
-        ph_dot_k = Phat.dot(K)
-        return VectorExpr(
-            -i
-            * (
-                R_inv * ph_cross_j[a]
-                + H_inv * Phat[a] * ph_dot_k
-                - i * op_P(ring, a) * H_inv**2 / 2
-            )
-            for a in range(3)
+    ph_cross_j = Phat.cross(vec_J(ring))
+    ph_dot_k = Phat.dot(vec_K(ring))
+    return VectorExpr(
+        -i
+        * (
+            R_inv * ph_cross_j[a]
+            + H_inv * Phat[a] * ph_dot_k
+            - i * op_P(ring, a) * H_inv**2 / 2
         )
-    if form == 2:
-        ph_dot_k = Phat.dot(K)
-        k_dot_ph = K.dot(Phat)
-        return VectorExpr(
-            -i * (R_inv * ph_cross_j[a] - i * R_inv * Phat[a])
-            - i * (H_inv * Phat[a] * ph_dot_k + k_dot_ph * Phat[a] * H_inv) / 2
-            for a in range(3)
-        )
-    raise ValueError("form must be 1 or 2")
+        for a in range(3)
+    )
 
 
 def affine_connection(ring: Ring, f: OperatorExpr) -> VectorExpr:
@@ -129,18 +112,9 @@ def flat_connection(ring: Ring) -> VectorExpr:
 
 
 def orbital_part(ring: Ring, conn: VectorExpr) -> VectorExpr:
-    """L_a = -i (k x D)_a = -i eps_abc P_b D_c (momentum components act as
-    scalar coefficients on the left)."""
-    comps = []
-    for a in range(3):
-        acc = op_scalar(ring, 0)
-        for b in range(3):
-            for c in range(3):
-                e = eps(a, b, c)
-                if e:
-                    acc = acc + e * op_P(ring, b) * conn[c]
-        comps.append(-_i(ring) * acc)
-    return VectorExpr(comps)
+    """L = -i (P x D) (momentum components act as scalar coefficients on
+    the left)."""
+    return -_i(ring) * vec_P(ring).cross(conn)
 
 
 def spin_part(ring: Ring, conn: VectorExpr) -> VectorExpr:
@@ -157,18 +131,13 @@ def helicity_op(ring: Ring) -> OperatorExpr:
 @lru_cache(maxsize=None)
 def parallel_angular_momentum(ring: Ring) -> VectorExpr:
     """J_par = (J.Phat) Phat = chi Phat (the two contractions agree)."""
-    chi = helicity_op(ring)
-    return VectorExpr(
-        chi * OperatorExpr.from_scalar(ring.Phat(a)) for a in range(3)
-    )
+    return helicity_op(ring) * vec_Phat(ring)
 
 
 @lru_cache(maxsize=None)
 def perpendicular_angular_momentum(ring: Ring) -> VectorExpr:
     """J_perp = -(1/H) P x K (the massless orbital candidate)."""
-    H_inv = op_H(ring) ** -1
-    pxk = vec_P(ring).cross(vec_K(ring))
-    return VectorExpr(-H_inv * pxk[a] for a in range(3))
+    return -op_H(ring) ** -1 * vec_P(ring).cross(vec_K(ring))
 
 
 @lru_cache(maxsize=None)
@@ -188,8 +157,7 @@ def newton_wigner(ring: Ring) -> VectorExpr:
     J = vec_J(ring)
     K = vec_K(ring)
     P = vec_P(ring)
-    hj_pxk = VectorExpr(H * J[a] + P.cross(K)[a] for a in range(3))
-    p_cross = P.cross(hj_pxk)
+    p_cross = P.cross(H * J + P.cross(K))
     coeff = (m * H * (H + m)) ** -1
     return VectorExpr(
         H_inv * (gen_K(ring, a) - i * op_P(ring, a) * H_inv / 2)
@@ -250,24 +218,12 @@ def _pairs_inverse_comm(r):
     return out
 
 
-def _pairs_power_energy(r):
-    out = []
-    for a in (0, 1):
-        for n in range(-3, 4):
-            lhs = commutator(gen_K(r, a), op_H(r) ** n)
-            rhs = _i(r) * n * op_P(r, a) * op_H(r) ** (n - 1)
-            out.append((lhs, rhs))
-    return out
-
-
-def _pairs_power_momentum(r):
-    out = []
-    for a in (0, 1):
-        for n in range(-3, 4):
-            lhs = commutator(gen_K(r, a), op_Pmag(r) ** n)
-            rhs = _i(r) * n * op_H(r) * op_P(r, a) * op_Pmag(r) ** (n - 2)
-            out.append((lhs, rhs))
-    return out
+def _pairs_power(base, slope, r):
+    """[K_a, B^n] against n B^(n-1) [K_a, B] for the scalar B = base(r),
+    with [K_a, B] = slope(r, a) in closed form."""
+    b = base(r)
+    return [(commutator(gen_K(r, a), b ** n), n * slope(r, a) * b ** (n - 1))
+            for a in (0, 1) for n in range(-3, 4)]
 
 
 def _pairs_pk_pa(r):
@@ -309,16 +265,10 @@ def _pairs_weighted_boost_momentum(r):
     return out
 
 
-def _pairs_contraction_asymmetry_unit(r):
-    Phat, K = vec_Phat(r), vec_K(r)
-    lhs = Phat.dot(K) - K.dot(Phat)
-    rhs = -2 * _i(r) * op_H(r) * op_Pmag(r) ** -1
-    return [(lhs, rhs)]
-
-
-def _pairs_contraction_asymmetry(r):
-    P, K = vec_P(r), vec_K(r)
-    return [(P.dot(K) - K.dot(P), -3 * _i(r) * op_H(r))]
+def _pairs_contraction_asymmetry(vector, rhs, r):
+    """V.K - K.V against its closed form rhs(r) for the vector V."""
+    V, K = vector(r), vec_K(r)
+    return [(V.dot(K) - K.dot(V), rhs(r))]
 
 
 def _pairs_bac_abc(r):
@@ -345,9 +295,27 @@ def _pairs_decomposition(vector, r):
     return [(V[a], par[a] + perp[a]) for a in range(3)]
 
 
+def _rotation_connection_symmetrized(r):
+    """The manifestly symmetrized form of ``rotation_connection``:
+        D_a = -i [ (Phat x J)_a / |P| - i Phat_a / |P| ]
+              - (i/2) [ Phat_a (Phat.K) / H + (K.Phat) Phat_a / H ]."""
+    i = _i(r)
+    H_inv = op_H(r) ** -1
+    R_inv = op_Pmag(r) ** -1
+    Phat, J, K = vec_Phat(r), vec_J(r), vec_K(r)
+    ph_cross_j = Phat.cross(J)
+    ph_dot_k = Phat.dot(K)
+    k_dot_ph = K.dot(Phat)
+    return VectorExpr(
+        -i * (R_inv * ph_cross_j[a] - i * R_inv * Phat[a])
+        - i * (H_inv * Phat[a] * ph_dot_k + k_dot_ph * Phat[a] * H_inv) / 2
+        for a in range(3)
+    )
+
+
 def _pairs_rotation_forms(r):
-    d1 = rotation_connection(r, form=1)
-    d2 = rotation_connection(r, form=2)
+    d1 = rotation_connection(r)
+    d2 = _rotation_connection_symmetrized(r)
     return [(d1[a], d2[a]) for a in range(3)]
 
 
@@ -428,44 +396,38 @@ def _pairs_rotation_orbital(r):
     return [(l[a], target[a]) for a in range(3)]
 
 
+_UPPER_PAIRS = ((0, 1), (0, 2), (1, 2))
+_ALL_PAIRS = tuple((a, b) for a in range(3) for b in range(3))
+
+
+def _eps_bracket_pairs(r, x, y, t, axis_pairs):
+    """[X_a, Y_b] against i eps_abc T_c for each axis pair (a, b), summed
+    over the nonzero eps terms only."""
+    zero = op_scalar(r, 0)
+    return [(commutator(x[a], y[b]),
+             sum((e * _i(r) * t[c] for b2, c, e in _EPS_PAIRS[a] if b2 == b),
+                 zero))
+            for a, b in axis_pairs]
+
+
 def _pairs_parallel_commutators(r):
     jpar = parallel_angular_momentum(r)
-    return [
-        (commutator(jpar[a], jpar[b]), op_scalar(r, 0))
-        for a in range(3) for b in range(a + 1, 3)
-    ]
+    zero = VectorExpr([op_scalar(r, 0)] * 3)
+    return _eps_bracket_pairs(r, jpar, jpar, zero, _UPPER_PAIRS)
 
 
 def _pairs_perpendicular_commutators(r):
-    jpar = parallel_angular_momentum(r)
     jperp = perpendicular_angular_momentum(r)
-    out = []
-    for a in range(3):
-        for b in range(a + 1, 3):
-            lhs = commutator(jperp[a], jperp[b])
-            rhs = sum(
-                (eps(a, b, c) * _i(r) * (jperp[c] - jpar[c])
-                 for c in range(3)),
-                op_scalar(r, 0),
-            )
-            out.append((lhs, rhs))
-    return out
+    t = jperp - parallel_angular_momentum(r)
+    return _eps_bracket_pairs(r, jperp, jperp, t, _UPPER_PAIRS)
 
 
 def _pairs_split_vector_ops(r):
-    j = vec_J(r)
-    out = []
-    for part in (parallel_angular_momentum(r),
-                 perpendicular_angular_momentum(r)):
-        for a in range(3):
-            for b in range(3):
-                lhs = commutator(part[a], j[b])
-                rhs = sum(
-                    (eps(a, b, c) * _i(r) * part[c] for c in range(3)),
-                    op_scalar(r, 0),
-                )
-                out.append((lhs, rhs))
-    return out
+    J = vec_J(r)
+    return [pair
+            for part in (parallel_angular_momentum(r),
+                         perpendicular_angular_momentum(r))
+            for pair in _eps_bracket_pairs(r, part, J, part, _ALL_PAIRS)]
 
 
 # Entries checked in the massive ring (m a positive symbol).
@@ -479,13 +441,20 @@ CATALOG = {
     "rotation-energy": partial(_bracket_pairs, ("JH",)),
     "translation-sector": partial(_bracket_pairs, ("PP", "PH", "HH")),
     "inverse-commutator": _pairs_inverse_comm,
-    "energy-power-commutator": _pairs_power_energy,
-    "momentum-power-commutator": _pairs_power_momentum,
+    "energy-power-commutator": partial(
+        _pairs_power, op_H, lambda r, a: _i(r) * op_P(r, a)),
+    "momentum-power-commutator": partial(
+        _pairs_power, op_Pmag,
+        lambda r, a: _i(r) * op_H(r) * op_P(r, a) * op_Pmag(r) ** -1),
     "momentum-boost-contraction": _pairs_pk_pa,
     "unit-momentum-boost": _pairs_phat_k,
     "weighted-boost-momentum": _pairs_weighted_boost_momentum,
-    "unit-contraction-asymmetry": _pairs_contraction_asymmetry_unit,
-    "contraction-asymmetry": _pairs_contraction_asymmetry,
+    "unit-contraction-asymmetry": partial(
+        _pairs_contraction_asymmetry, vec_Phat,
+        lambda r: -2 * _i(r) * op_H(r) * op_Pmag(r) ** -1),
+    "contraction-asymmetry": partial(
+        _pairs_contraction_asymmetry, vec_P,
+        lambda r: -3 * _i(r) * op_H(r)),
     "triple-cross-expansion": _pairs_bac_abc,
     "angular-momentum-decomposition": partial(_pairs_decomposition,
                                                vec_J),

@@ -113,8 +113,9 @@ class RepSpec:
     def __init__(self, kind: str, mass: float = 0.0,
                  spin: int | None = None, helicity: int | None = None):
         if kind == "massive":
-            if not mass > 0:
-                raise RepError("massive representation requires mass > 0")
+            if not 0 < mass < np.inf:
+                raise RepError("massive representation requires a finite "
+                               f"mass > 0; got {mass!r}")
             if spin not in (0, 1):
                 raise RepError("massive spin must be 0 or 1")
             self.kind = "massive"
@@ -360,6 +361,15 @@ def inner(psi: Section, phi: Section) -> complex:
     return complex(np.sum(w * dens))
 
 
+def _test_norm(psi: Section) -> float:
+    """||psi|| for a diagnostic that divides by it: a zero test section
+    has no relative residual, so it raises."""
+    nrm = psi.norm()
+    if nrm == 0.0:
+        raise RepError("zero test section")
+    return nrm
+
+
 # -- commutation-relation residuals -------------------------------------------
 
 _RELATIONS = tuple(BRACKETS)
@@ -385,9 +395,7 @@ def algebra_residual(relation_id: str, psi: Section) -> float:
             f"unknown relation id {relation_id!r}; valid: {_RELATIONS}"
         )
     rep, grid, v = psi.rep, psi.grid, psi.values
-    nrm = psi.norm()
-    if nrm == 0.0:
-        raise RepError("zero test section")
+    nrm = _test_norm(psi)
 
     def norm_of(values):
         return Section(rep, grid, values).norm()

@@ -452,11 +452,7 @@ class Scalar:
         for a, b in ((self, other), (other, self)):
             k = b._constant()
             if k is not None:
-                # a reduced fraction times a nonzero constant stays reduced,
-                # so scaling the numerators skips the fold and the reduction
-                return Scalar(self.ring, {key: (n.mul_ground(k), d)
-                                          for key, (n, d) in a._c.items()},
-                              _canonical=True)
+                return a._scaled(k)
         parts = {}
         for (h1, r1), c1 in self._c.items():
             for (h2, r2), c2 in other._c.items():
@@ -466,6 +462,15 @@ class Scalar:
         return Scalar(self.ring, parts)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k) -> "Scalar":
+        """self times a constant k of the coefficient domain.  A reduced
+        fraction times a nonzero constant stays reduced, so scaling the
+        numerators skips the fold and the reduction; k = 0 leaves zero
+        numerators, which are dropped."""
+        return Scalar(self.ring, {key: (n.mul_ground(k), d)
+                                  for key, (n, d) in self._c.items()},
+                      _canonical=True)
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; the extension is a field, so this exists

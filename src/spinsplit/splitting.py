@@ -45,7 +45,7 @@ from .connections import (
     curvature_commutator,
 )
 from .grid import Section
-from .reps import _act_chi, _act_J, _act_K, _derivatives, inner
+from .reps import _act_chi, _act_J, _act_K, _derivatives, _test_norm, inner
 from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
@@ -143,7 +143,7 @@ def _vector_op_part(ops: SplitOperators, act, psi: Section) -> float:
     for all b.  Every value equals, bit for bit, the one-field call per
     pair (a, b)."""
     rep, grid = psi.rep, psi.grid
-    nrm = psi.norm()
+    nrm = _test_norm(psi)
     x_psi = act(range(3), psi)
     residuals = []
     for b in range(3):
@@ -205,7 +205,7 @@ def _so3_failures(act, psi: Section, finish, target=None) -> list:
 
 def _so3_max(act, psi: Section, target=None) -> float:
     """The largest of ``_so3_failures``' norms, relative to ||psi||."""
-    nrm = psi.norm()
+    nrm = _test_norm(psi)
     return float(np.max(_so3_failures(act, psi, lambda out: out.norm() / nrm,
                                       target)))
 
@@ -220,7 +220,7 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     ||([L_a, L_b] - i eps_abc L_c + F(V_a, V_b)) psi|| / ||psi||:
     the so(3) failure of L equals minus the curvature evaluated on the
     rotational fields, for every connection."""
-    nrm = psi.norm()
+    nrm = _test_norm(psi)
     # every so(3) failure first, so the L sections are gone before the
     # curvature passes
     failures = _so3_failures(ops.L_axes, psi, lambda out: out)
@@ -319,9 +319,9 @@ def _q_closed_form(psi: Section) -> list:
 
 def nw_match_residual(psi: Section) -> float:
     """max_a || (Q_a^affine - Q_a^closed-form) psi || / ||psi||."""
+    nrm = _test_norm(psi)
     qa = _q_affine(psi)
     qc = _q_closed_form(psi)
-    nrm = psi.norm()
     return float(np.max([(qa[a] - qc[a]).norm() / nrm for a in range(3)]))
 
 
@@ -332,10 +332,10 @@ def nw_gradient_residual(psi: Section) -> float:
     inner product is the plain (unweighted) momentum integral; there the
     mean position operator acts as the componentwise gradient i*grad."""
     rep, grid = psi.rep, psi.grid
+    nrm = _test_norm(psi)
     sqw = np.sqrt(grid.omega(rep.mass))
     q = _q_closed_form(psi * sqw)
     g = grid.gradient(psi.values)
-    nrm = psi.norm()
     return float(np.max([
         ((q[a] * (1.0 / sqw))
          - Section(rep, grid, 1j * g[a])).norm() / nrm
@@ -345,9 +345,9 @@ def nw_gradient_residual(psi: Section) -> float:
 
 def nw_hermiticity_defect(psi: Section, phi: Section) -> float:
     """max_a |<psi, Q_a phi> - <Q_a psi, phi>| / (||psi|| ||phi||)."""
+    scale = _test_norm(psi) * _test_norm(phi)
     q_phi = _q_closed_form(phi)
     q_psi = _q_closed_form(psi)
-    scale = psi.norm() * phi.norm()
     return float(np.max([
         abs(inner(psi, q_phi[a]) - inner(q_psi[a], phi)) / scale
         for a in range(3)

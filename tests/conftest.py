@@ -7,6 +7,7 @@ constructed once per session and shared read-only across tests.
 import numpy as np
 import pytest
 
+import spinsplit.connections as connections
 import spinsplit.splitting as splitting
 from spinsplit.connections import TangentField
 from spinsplit.grid import make_grid
@@ -67,6 +68,21 @@ def smooth_scalar(grid):
     """A smooth, pole-regular scalar test function on the grid."""
     st = np.sin(grid.theta)[None, :, None] + np.zeros(grid.shape)
     return np.exp(-((grid.kmag - 1.5) ** 2)) * st**2
+
+
+def bump_connection_form(monkeypatch):
+    """Add the smooth endomorphism-valued bump
+    0.2 sin(theta) cos(phi) * i[[0, 1, 0], [-1, 0, 0], [0, 0, 0]] to the
+    connection form that the transport integrator applies (3-dim fibers),
+    as two more fiber entries of ``connections._form_matrix``."""
+    form_matrix = connections._form_matrix
+
+    def bumped(rep, kind, r0, khat, vel):
+        bump = 0.2j * khat[0]  # khat_x = sin(theta) cos(phi)
+        return (form_matrix(rep, kind, r0, khat, vel)
+                + [(0, 1, bump), (1, 0, -bump)])
+
+    monkeypatch.setattr(connections, "_form_matrix", bumped)
 
 
 def break_rotational_symmetry(monkeypatch, grid, strength=0.5):

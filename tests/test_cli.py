@@ -722,6 +722,32 @@ def test_eval_prints_normal_form(capsys):
     assert out == "i*J[3]"
 
 
+# printed normal forms through every bracket branch of the engine, a
+# reorder over two steps, adjoints and a scalar moved through a generator
+EVAL_PINS = [
+    ("massive-symbolic", "K[2]*J[1]", "J[1]*K[2] + -i*K[3]"),
+    ("massive-symbolic", "K[3]*K[1]", "-i*J[2] + K[1]*K[3]"),
+    ("massive-symbolic", "J[3]*J[1]", "J[1]*J[3] + i*J[2]"),
+    ("massive-symbolic", "K[3]*J[2]*K[1]",
+     "-i*J[2]*J[2] + J[2]*K[1]*K[3] + -i*K[1]*K[1]"),
+    ("massless-symbolic", "K[3]*J[2]*K[1]",
+     "-i*J[2]*J[2] + J[2]*K[1]*K[3] + -i*K[1]*K[1]"),
+    ("massive-symbolic", "Adjoint(K[1]*J[2]*H)", "H*J[2]*K[1]"),
+    ("massive-symbolic", "Adjoint(i*P[1]*J[3]*K[2])",
+     "i*H + -i*P[1]*J[3]*K[2] + P[1]*K[1] + P[2]*K[2]"),
+    ("massive-symbolic", "Comm(K[1],Pow(H,-1))",
+     "-i*P[1]*Pow((Pow(P[1],2) + Pow(P[2],2) + Pow(P[3],2) + Pow(m,2)),-1)"),
+]
+
+
+@pytest.mark.parametrize("mode,expr,want", EVAL_PINS,
+                         ids=[f"{mode.split('-')[0]}:{expr}"
+                              for mode, expr, _ in EVAL_PINS])
+def test_eval_prints_pinned_normal_form(capsys, mode, expr, want):
+    assert main(["eval", "--mode", mode, expr]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == want
+
+
 def test_eval_vector_output(capsys):
     assert main(["eval", "Cross(P,P)"]) == EXIT_OK
     out = capsys.readouterr().out.strip().splitlines()

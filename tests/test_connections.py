@@ -36,7 +36,7 @@ from spinsplit.reps import (
 )
 
 import reference
-from conftest import MASS, smooth_scalar
+from conftest import MASS, bump_connection_form, smooth_scalar
 
 ETH = TangentField.named("e_theta")
 EPH = TangentField.named("e_phi")
@@ -542,19 +542,11 @@ def test_chern_kind_independent():
     assert max(raws) - min(raws) < 1e-6
 
 
-def test_chern_invariant_under_perturbation():
+def test_chern_invariant_under_perturbation(monkeypatch):
     rep = RepSpec.massless(1)
-
-    def bump(th, ph, vel):
-        d = rep.dim
-        scale = 0.2 * np.sin(th) * np.cos(ph)
-        mat = 1j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-        extra = np.zeros(np.shape(th) + (d, d), dtype=complex)
-        return extra + np.asarray(scale)[..., None, None] * mat
-
     n0, _ = chern_number(rep, ConnectionKind.rotation())
-    n1, _ = chern_number(rep, ConnectionKind.rotation(),
-                         perturbation=bump)
+    bump_connection_form(monkeypatch)
+    n1, _ = chern_number(rep, ConnectionKind.rotation())
     assert n1 == n0 == -2
 
 

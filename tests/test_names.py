@@ -5,8 +5,9 @@ workload calls with a ring, and every module's ``__all__``.  A rename or
 deletion then fails here, not only as a ``KeyError`` in a benchmark run.
 The harness modules are read from their files; nothing is installed.
 Every public name, and every public method of a public class, is also
-reached by the package or the harness themselves, so no public surface
-exists for the tests alone."""
+reached by the package or the harness themselves, and every keyword
+parameter of a public function is passed by one of their calls, so no
+public surface exists for the tests alone."""
 
 import ast
 import importlib
@@ -102,6 +103,49 @@ def test_public_methods_are_reached_outside_tests(module):
     assert not unreached, (f"spinsplit.{module} has public methods "
                            f"{unreached}, which nothing in src/ or "
                            f"perfbench/ reaches")
+
+
+# every call in src/ and perfbench/ of a function or method, by its name
+CALLS = {}
+for _node in _NODES:
+    if isinstance(_node, ast.Call):
+        _name = getattr(_node.func, "id", getattr(_node.func, "attr", None))
+        CALLS.setdefault(_name, []).append(_node)
+
+
+def _passes(call, index, param):
+    """Whether ``call`` passes the parameter ``param``, the ``index``-th
+    positional one (None if keyword-only).  A ``**`` splat passes every
+    keyword and a ``*`` splat every positional parameter after it."""
+    if any(kw.arg in (None, param) for kw in call.keywords):
+        return True
+    return index is not None and any(
+        isinstance(arg, ast.Starred) or i == index
+        for i, arg in enumerate(call.args[:index + 1]))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_keyword_parameters_are_passed_outside_tests(module):
+    # a keyword parameter of a public function that no call in src/ or
+    # perfbench/ passes is a knob for the tests alone
+    mod = importlib.import_module(f"spinsplit.{module}")
+    unpassed = []
+    for name in getattr(mod, "__all__", ()):
+        fn = getattr(mod, name)
+        if not inspect.isfunction(fn):
+            continue
+        for index, param in enumerate(
+                inspect.signature(fn).parameters.values()):
+            if param.kind is param.KEYWORD_ONLY:
+                index = None
+            elif param.default is param.empty:
+                continue
+            if not any(_passes(call, index, param.name)
+                       for call in CALLS.get(name, ())):
+                unpassed.append(f"{name}({param.name})")
+    assert not unpassed, (f"spinsplit.{module} has keyword parameters "
+                          f"{unpassed}, which no call in src/ or "
+                          f"perfbench/ passes")
 
 
 # read by perfbench/worker.py on every timed run (memo sizes and hit

@@ -44,6 +44,9 @@ from conftest import MASS
 def test_repspec_validation():
     with pytest.raises(RepError):
         RepSpec.massive(0.0, 1)
+    for mass in (float("inf"), float("nan")):
+        with pytest.raises(RepError, match=f"got {mass!r}"):
+            RepSpec.massive(mass, 1)
     with pytest.raises(RepError):
         RepSpec.massive(1.0, 2)
     with pytest.raises(RepError):

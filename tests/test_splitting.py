@@ -14,6 +14,7 @@ from spinsplit.connections import (
 )
 from spinsplit.grid import Section
 from spinsplit.reps import (
+    RepError,
     RepSpec,
     algebra_residual,
     random_test_section,
@@ -300,3 +301,40 @@ def test_spin0_connections_coincide(rep_massive0, grid_small_massive):
     for a in range(3):
         assert (ops_b.L(a, psi) - ops_r.L(a, psi)).norm() \
             < 1e-13 * psi.norm()
+
+
+# -- zero test sections ------------------------------------------------------------------
+
+
+# each diagnostic divides by the norm of its test section, as a function of
+# (the zero section, a nonzero one); the massless one takes a massless rep
+ZERO_SECTION_CASES = {
+    "algebra_residual": lambda z, psi: algebra_residual("JK", z),
+    "so3_residual": lambda z, psi: so3_residual(SplitOperators(BOOST), z),
+    "vector_op_residual":
+        lambda z, psi: vector_op_residual(SplitOperators(BOOST), z),
+    "defect_identity_residual":
+        lambda z, psi: defect_identity_residual(SplitOperators(BOOST), z),
+    "jperp_so3_residual": lambda z, psi: jperp_so3_residual(z),
+    "nw_match_residual": lambda z, psi: nw_match_residual(z),
+    "nw_gradient_residual": lambda z, psi: nw_gradient_residual(z),
+    "nw_hermiticity_defect-psi": lambda z, psi: nw_hermiticity_defect(z, psi),
+    "nw_hermiticity_defect-phi": lambda z, psi: nw_hermiticity_defect(psi, z),
+    "leibniz_residual": lambda z, psi: leibniz_residual(
+        BOOST, [TangentField.named("e_theta")], smooth_scalar(z.grid), z),
+    "cross_commutator_check": lambda z, psi: cross_commutator_check(z),
+}
+
+
+@pytest.mark.parametrize("case", list(ZERO_SECTION_CASES))
+def test_zero_test_section_is_rejected(case, rep_massive1, grid_small_massive,
+                                       rep_massless_plus, grid_small_massless):
+    # a relative residual of the zero section is 0/0: each diagnostic
+    # raises RepError, not ZeroDivisionError
+    rep, grid = ((rep_massless_plus, grid_small_massless)
+                 if case == "jperp_so3_residual"
+                 else (rep_massive1, grid_small_massive))
+    zero = Section(rep, grid, np.zeros(grid.shape + (rep.dim,)))
+    psi = random_test_section(rep, grid, seed=3)
+    with pytest.raises(RepError, match="zero test section"):
+        ZERO_SECTION_CASES[case](zero, psi)

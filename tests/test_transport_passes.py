@@ -20,7 +20,7 @@ from spinsplit.connections import (
 from spinsplit.reps import RepSpec
 
 import reference
-from conftest import MASS
+from conftest import MASS, bump_connection_form
 
 
 def _half(r, m):
@@ -86,17 +86,13 @@ def test_chern_form_calls(monkeypatch):
 # -- vector transport of the Chern links -------------------------------------------
 
 
-def _bump(th, ph, vel):
-    mat = 1j * np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    scale = 0.2 * np.sin(th) * np.cos(ph)
-    return np.asarray(scale)[..., None, None] * mat
-
-
-@pytest.mark.parametrize("perturbation", [None, _bump],
+@pytest.mark.parametrize("perturbed", [False, True],
                          ids=["plain", "perturbed"])
 @pytest.mark.parametrize("kind", list(KINDS.values()), ids=list(KINDS))
 @pytest.mark.parametrize("h", [-1, 1])
-def test_vector_links_match_matrix_links(h, kind, perturbation):
+def test_vector_links_match_matrix_links(monkeypatch, h, kind, perturbed):
+    if perturbed:
+        bump_connection_form(monkeypatch)
     rep = RepSpec.massless(h)
     n_theta, n_phi = 12, 24
     theta = (np.arange(n_theta) + 0.5) * (np.pi / n_theta)
@@ -105,10 +101,8 @@ def test_vector_links_match_matrix_links(h, kind, perturbation):
     _, e_th, e_ph = connections_mod._sphere_frame(th, ph)
     v = np.moveaxis((e_th + 1j * h * e_ph) / np.sqrt(2.0), 0, -1)
     edges = (th[:-1], ph[:-1], th[1:], ph[1:])
-    mats = _edge_transport_batch(rep, kind, 1.5, *edges,
-                                 perturbation=perturbation)
+    mats = _edge_transport_batch(rep, kind, 1.5, *edges)
     vecs = _edge_transport_batch(rep, kind, 1.5, *edges,
-                                 perturbation=perturbation,
                                  start=v[:-1, ..., None])
     assert vecs.shape == (n_theta - 1, n_phi, 3, 1)
     ov_mat = np.einsum("...c,...cd,...d->...", np.conj(v[1:]), mats,
