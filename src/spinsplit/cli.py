@@ -45,7 +45,7 @@ EXIT_ERROR = 2
 
 def _parse_grid(text: str):
     try:
-        nr, nt, npp = (int(p) for p in text.replace("x", ",").split(","))
+        nr, nt, npp = map(int, text.lower().replace("x", ",").split(","))
     except ValueError:
         raise ConfigError(f"--grid expects three integers NR,NT,NP; "
                           f"got {text!r}") from None

@@ -350,7 +350,7 @@ def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
     use_rotation = kind.variant != "boost"
     massive = rep.kind == "massive"
     sh, v, der = _on_shell(grid, i, v, der)
-    omega = sh.omega(rep.mass)[..., None]
+    omega = sh.omega[..., None]
     if use_boost or massive:
         k_v = [_k_formula(rep, sh, a, v, der) for a in range(3)]
     if use_rotation:
@@ -447,7 +447,7 @@ def cross_commutator_check(psi: Section) -> dict:
     nrm = _test_norm(psi)
     boost, rot = ConnectionKind.boost(), ConnectionKind.rotation()
     eth, eph = TangentField.named("e_theta"), TangentField.named("e_phi")
-    omega = grid.omega(rep.mass)[..., None]
+    omega = grid.omega[..., None]
     rmag = grid.kmag[..., None]
     cot = (np.cos(grid.theta) / np.sin(grid.theta))[None, :, None, None]
     der = _derivatives(grid, psi.values)

@@ -1,9 +1,11 @@
 """Discretized momentum-space grids and sections.
 
 A :class:`MomentumGrid` covers a spherical shell ``r_min <= |k| <= r_max``
-(the origin is always excluded) with
+(the origin is always excluded) for one mass m >= 0, that of the
+representation whose sections it carries, with
 
-* radial Chebyshev-Lobatto collocation nodes (ascending) carrying a
+* radial Chebyshev-Lobatto collocation nodes (ascending), in r at m = 0
+  and in asinh(r/m) at m > 0 (see ``radial_collocation``), carrying a
   spectral differentiation matrix and Clenshaw-Curtis quadrature weights;
 * a latitude mesh staggered off the poles, ``theta_j = (j+1/2)*pi/N_theta``;
 * a uniform periodic longitude mesh ``phi_l = 2*pi*l/N_phi`` with N_phi
@@ -20,6 +22,10 @@ which is why N_phi must be even.  This applies to fiber components stored
 in a fixed Cartesian-frame basis (as all sections here are), not to
 spherical-frame components.
 
+The grid holds its mass's energy ``omega`` = sqrt(m^2 + |k|^2) and the
+weights ``invariant_weights`` of the invariant measure d^3k/omega, and a
+:class:`Section` refuses a representation of another mass.
+
 Section values have the logical shape (N_r, N_theta, N_phi, d), r, theta
 and phi ascending.  They are stored component-major: each fiber component
 is one contiguous (N_r, N_theta, N_phi) block, as ``component_major``
@@ -35,6 +41,8 @@ that works a section one shell at a time.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -43,7 +51,6 @@ __all__ = [
     "MomentumGrid",
     "Section",
     "component_major",
-    "make_grid",
     "radial_collocation",
 ]
 
@@ -128,41 +135,42 @@ def _quad_weights(x: np.ndarray) -> np.ndarray:
 
 
 def radial_collocation(n_r: int, r_min: float, r_max: float,
-                       radial_map: str = "linear", mass_scale: float = 1.0):
+                       mass: float = 0.0):
     """The radial nodes r (ascending), the differentiation matrix d/dr at
-    them and the quadrature weights for dr on [r_min, r_max].
+    them and the quadrature weights for dr on [r_min, r_max], for a grid
+    that serves the given mass.
 
-    Chebyshev-Lobatto nodes lie either directly in r ("linear") or in
-    t = asinh(r/mass_scale) ("sinh").  The sinh map makes
+    Chebyshev-Lobatto nodes lie directly in r at mass 0 and in
+    t = asinh(r/mass) at mass > 0.  The sinh nodes make
     sqrt(mass^2 + r^2) = mass*cosh(t) entire in the collocation variable,
     which massive-representation operators need for spectral accuracy at
-    small N_r; the linear map differentiates radial polynomials exactly,
-    which massless operators exploit.  Raises :class:`GridError` when the
-    matrix or the weights are not finite, as when the node spacing
-    underflows (a sinh map with mass_scale far above r_max)."""
+    small N_r; the linear nodes differentiate radial polynomials exactly,
+    which massless operators exploit.  Raises :class:`GridError` for a
+    negative or non-finite mass, and when the matrix or the weights are
+    not finite, as when the node spacing underflows (a mass far above
+    r_max)."""
+    if not (mass >= 0 and np.isfinite(mass)):
+        raise GridError(f"a grid's mass must be finite and >= 0; "
+                        f"got {mass!r}")
     x = _cheb_nodes(n_r)
-    if radial_map == "linear":
+    if mass == 0:
         half = 0.5 * (r_max - r_min)
         r = r_min + half * (x + 1.0)
         d_r = _diff_matrix(r)
         w_r = half * _quad_weights(x)
-    elif radial_map == "sinh":
-        if not mass_scale > 0:
-            raise GridError("sinh radial map requires mass_scale > 0")
-        t_min = np.arcsinh(r_min / mass_scale)
-        t_max = np.arcsinh(r_max / mass_scale)
+    else:
+        t_min = np.arcsinh(r_min / mass)
+        t_max = np.arcsinh(r_max / mass)
         half = 0.5 * (t_max - t_min)
         t = t_min + half * (x + 1.0)
-        r = mass_scale * np.sinh(t)
-        drdt = mass_scale * np.cosh(t)
+        r = mass * np.sinh(t)
+        drdt = mass * np.cosh(t)
         d_r = _diff_matrix(t) / drdt[:, None]
         w_r = half * _quad_weights(x) * drdt
-    else:
-        raise GridError(f"unknown radial_map {radial_map!r}")
     if not (np.isfinite(d_r).all() and np.isfinite(w_r).all()):
         raise GridError(
-            f"the {radial_map} radial map with N_r={n_r} on [{r_min}, "
-            f"{r_max}] (mass_scale={mass_scale}) gives a non-finite radial "
+            f"the radial nodes for mass={mass} with N_r={n_r} on "
+            f"[{r_min}, {r_max}] give a non-finite radial "
             f"differentiation matrix or quadrature weights")
     return r, d_r, w_r
 
@@ -171,8 +179,7 @@ class MomentumGrid:
     """Spherical-shell momentum grid; see the module docstring for layout."""
 
     def __init__(self, n_r: int, n_theta: int, n_phi: int,
-                 r_min: float, r_max: float,
-                 radial_map: str = "linear", mass_scale: float = 1.0):
+                 r_min: float, r_max: float, mass: float = 0.0):
         for name, val in (("N_r", n_r), ("N_theta", n_theta),
                           ("N_phi", n_phi)):
             if not isinstance(val, (int, np.integer)) or val < 4:
@@ -196,9 +203,8 @@ class MomentumGrid:
         self.r_max = r_max
 
         self.r, self._d_r_matrix, self.w_r = radial_collocation(
-            self.n_r, r_min, r_max, radial_map, mass_scale)
-        self.radial_map = radial_map
-        self.mass_scale = float(mass_scale)
+            self.n_r, r_min, r_max, mass)
+        self.mass = float(mass)
 
         self.dtheta = np.pi / self.n_theta
         self.theta = (np.arange(self.n_theta) + 0.5) * self.dtheta
@@ -217,6 +223,8 @@ class MomentumGrid:
         self.ky = (r3 * st * sp_) + np.zeros(self.shape)
         self.kz = (r3 * ct) + np.zeros(self.shape)
         self.kmag = r3 + np.zeros(self.shape)
+        # the energy sqrt(m^2 + |k|^2) of the mass the grid serves
+        self.omega = np.sqrt(self.mass**2 + self.kmag**2)
         # reciprocals of the divisors of the generator kernels, built once:
         # numpy divides a complex array by a real one as (a + b*0)*(1/c),
         # so a complex product with these gives the quotient's values (only
@@ -233,7 +241,6 @@ class MomentumGrid:
         self.e_theta = np.stack([ct * cp + zero, ct * sp_ + zero, -st + zero])
         self.e_phi = np.stack([-sp_ + zero, cp + zero, zero])
         self._shells = {}
-        self._invariant_weights = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -254,27 +261,20 @@ class MomentumGrid:
             "N_phi": self.n_phi,
             "r_min": self.r_min,
             "r_max": self.r_max,
-            "radial_map": self.radial_map,
-            "mass_scale": self.mass_scale,
+            "mass": self.mass,
         }
 
     def __repr__(self):
         return (f"MomentumGrid({self.n_r}, {self.n_theta}, {self.n_phi}, "
-                f"r_min={self.r_min}, r_max={self.r_max})")
+                f"r_min={self.r_min}, r_max={self.r_max}, mass={self.mass})")
 
-    def omega(self, mass: float) -> np.ndarray:
-        """Energy sqrt(mass^2 + |k|^2), shape (N_r, N_theta, N_phi)."""
-        return np.sqrt(mass**2 + self.kmag**2)
-
-    def invariant_weights(self, mass: float) -> np.ndarray:
+    @functools.cached_property
+    def invariant_weights(self) -> np.ndarray:
         """Quadrature weights for the invariant measure d^3k/omega, shape
-        (N_r, N_theta, N_phi): built once per mass, read-only."""
-        key = float(mass)
-        if key not in self._invariant_weights:
-            w = self.volume_weights() / self.omega(mass)
-            w.flags.writeable = False
-            self._invariant_weights[key] = w
-        return self._invariant_weights[key]
+        (N_r, N_theta, N_phi): built on first use, read-only."""
+        w = self.volume_weights() / self.omega
+        w.flags.writeable = False
+        return w
 
     def shell(self, i: int) -> "GridShell":
         """Radial shell ``i`` as a :class:`GridShell`, built once."""
@@ -398,15 +398,15 @@ class GridShell:
     its shells, and a cycle would leave every grid to the garbage
     collector."""
 
-    __slots__ = ("shape", "r", "kx", "ky", "kz", "kmag", "inv_kmag",
-                 "inv_kmag_sin_theta", "inv_sin_theta", "sin_theta",
-                 "khat", "e_k", "e_theta", "e_phi")
+    __slots__ = ("shape", "r", "kx", "ky", "kz", "kmag", "omega",
+                 "inv_kmag", "inv_kmag_sin_theta", "inv_sin_theta",
+                 "sin_theta", "khat", "e_k", "e_theta", "e_phi")
 
     def __init__(self, grid: MomentumGrid, i: int):
         s = slice(i, i + 1)
         self.shape = (1, grid.n_theta, grid.n_phi)
         self.r = grid.r[s]
-        for name in ("kx", "ky", "kz", "kmag", "inv_kmag",
+        for name in ("kx", "ky", "kz", "kmag", "omega", "inv_kmag",
                      "inv_kmag_sin_theta"):
             setattr(self, name, getattr(grid, name)[s])
         # (1, N_theta, 1): the same for every shell
@@ -416,20 +416,6 @@ class GridShell:
         self.e_k = self.khat
         self.e_theta = grid.e_theta[:, s]
         self.e_phi = grid.e_phi[:, s]
-
-    def omega(self, mass: float) -> np.ndarray:
-        """Energy sqrt(mass^2 + |k|^2) on the shell."""
-        return np.sqrt(mass**2 + self.kmag**2)
-
-
-def make_grid(n_r: int, n_theta: int, n_phi: int,
-              r_min: float, r_max: float,
-              radial_map: str = "linear",
-              mass_scale: float = 1.0) -> MomentumGrid:
-    """Build a :class:`MomentumGrid`; raises :class:`GridError` on invalid
-    parameters."""
-    return MomentumGrid(n_r, n_theta, n_phi, r_min, r_max,
-                        radial_map=radial_map, mass_scale=mass_scale)
 
 
 class Section:
@@ -444,6 +430,10 @@ class Section:
     __slots__ = ("rep", "grid", "values")
 
     def __init__(self, rep, grid: MomentumGrid, values: np.ndarray):
+        # the grid's energy and invariant weights are its mass's
+        if rep.mass != grid.mass:
+            raise GridError(f"a rep of mass {rep.mass} on a grid built for "
+                            f"mass {grid.mass}")
         values = np.asarray(values, dtype=np.complex128)
         expected = grid.shape + (rep.dim,)
         if values.shape != expected:
@@ -485,6 +475,6 @@ class Section:
 
     def norm(self) -> float:
         """L^2 norm under the invariant measure d^3k/omega."""
-        w = self.grid.invariant_weights(self.rep.mass)
+        w = self.grid.invariant_weights
         dens = np.sum(np.abs(self.values) ** 2, axis=-1)
         return float(np.sqrt(np.sum(w * dens).real))

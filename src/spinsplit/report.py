@@ -51,7 +51,6 @@ from .grid import (
     GridError,
     MomentumGrid,
     Section,
-    make_grid,
     radial_collocation,
 )
 from .identities import identity_suite
@@ -183,18 +182,26 @@ class RunConfig:
                 raise ConfigError(
                     f"bad massive rep mass={m}: need mass^2 > 0 and "
                     f"mass^2 + r_max^2 finite (r_max={r_max})")
-            # the sinh map of the rep's grids must differentiate at each
-            # N_r: far above r_max the mass crowds the nodes so close that
-            # the differentiation matrix is 0/0
-            for n_r in sorted({rung[0] for rung in ladder}):
-                try:
-                    radial_collocation(n_r, r_min, r_max, **_radial_map(m))
-                except GridError as exc:
-                    raise ConfigError(
-                        f"bad massive rep mass={m}: {exc}") from exc
         for h in massless:
             if h not in (-1, 0, 1):
                 raise ConfigError(f"bad helicity {h}")
+        # each rep's grids are built for its mass and must differentiate at
+        # each N_r: far above r_max a mass crowds the sinh nodes so close
+        # that the differentiation matrix is 0/0, and at mass 0 a shell far
+        # from unit scale underflows or overflows the products of the
+        # linear node spacings
+        masses = [m for m, _ in massive]
+        if massless and any(SUITES[s].get("massless_grids") for s in suites):
+            masses.append(0.0)
+        for m in masses:
+            for n_r in sorted({rung[0] for rung in ladder}):
+                try:
+                    radial_collocation(n_r, r_min, r_max, m)
+                except GridError as exc:
+                    raise ConfigError(
+                        f"bad massive rep mass={m}: {exc}" if m else
+                        f"bad shell r_min={r_min}, r_max={r_max} for the "
+                        f"massless reps: {exc}") from exc
         # a suite or rep given twice would run, and write its records,
         # twice
         reps = [f"{float(m)}:{s}" for m, s in massive]
@@ -204,17 +211,6 @@ class RunConfig:
                 if item in items[:i]:
                     raise ConfigError(f"{what} {item} is given twice; "
                                       f"give each {what} once")
-        # massless reps' grids use the linear map, which must differentiate
-        # at each N_r: a shell far from unit scale underflows or overflows
-        # the products of the node spacings
-        if massless and any(SUITES[s].get("massless_grids") for s in suites):
-            for n_r in sorted({rung[0] for rung in ladder}):
-                try:
-                    radial_collocation(n_r, r_min, r_max)
-                except GridError as exc:
-                    raise ConfigError(
-                        f"bad shell r_min={r_min}, r_max={r_max} for the "
-                        f"massless reps: {exc}") from exc
         needs_spin1 = [s for s in suites if s in ("fplus", "holonomy")]
         if needs_spin1 and not any(s == 1 for _, s in massive):
             raise ConfigError(
@@ -338,13 +334,7 @@ class RunConfig:
         return 0.5 * (self.r_min + self.r_max)
 
     def grid_for(self, rung, mass: float) -> MomentumGrid:
-        return make_grid(*rung, self.r_min, self.r_max, **_radial_map(mass))
-
-
-def _radial_map(mass: float) -> dict:
-    """The radial map of a rep's grids: sinh scaled by a positive mass,
-    linear at zero mass."""
-    return {"radial_map": "sinh", "mass_scale": mass} if mass > 0 else {}
+        return MomentumGrid(*rung, self.r_min, self.r_max, mass)
 
 
 # -- record helpers ---------------------------------------------------------------

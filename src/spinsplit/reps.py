@@ -315,7 +315,7 @@ def _k_formula(rep: RepSpec, sh: GridShell, a: int, v: np.ndarray,
     # values on complex sections (see MomentumGrid).  The sum runs left to
     # right: i omega (grad v)_a, then sigma eps_abc S_b v k_c/(omega + m)
     # pair by pair
-    omega = sh.omega(rep.mass)[..., None]
+    omega = sh.omega[..., None]
     ks = (sh.kx, sh.ky, sh.kz)
     return sum((_spin_act(rep, b, v)
                 * (_SIGMA_BOOST * e / (omega + rep.mass) * ks[c][..., None])
@@ -340,7 +340,7 @@ def _act(rep: RepSpec, grid: MomentumGrid, tag: str, axis: int | None,
     an optional precomputed derivative pass over v, shared by the J and K
     actions."""
     if tag == "H":
-        return grid.omega(rep.mass)[..., None] * v
+        return grid.omega[..., None] * v
     if tag == "P":
         k = (grid.kx, grid.ky, grid.kz)[axis]
         return k[..., None] * v
@@ -356,7 +356,7 @@ def inner(psi: Section, phi: Section) -> complex:
     linear in the first argument)."""
     if psi.grid != phi.grid or psi.rep != phi.rep:
         raise GridError("inner product requires matching rep and grid")
-    w = psi.grid.invariant_weights(psi.rep.mass)
+    w = psi.grid.invariant_weights
     dens = np.einsum("...c,...c->...", np.conj(psi.values), phi.values)
     return complex(np.sum(w * dens))
 

@@ -292,7 +292,7 @@ def _q_closed_form(psi: Section) -> list:
     _require_massive(psi)
     rep, grid, kv = psi.rep, psi.grid, psi.values
     m = rep.mass
-    omega = grid.omega(m)[..., None]
+    omega = grid.omega[..., None]
     ks = (grid.kx, grid.ky, grid.kz)
     der = _derivatives(grid, kv)
     jpsi = [_act_J(rep, grid, c, kv, der) for c in range(3)]
@@ -333,7 +333,7 @@ def nw_gradient_residual(psi: Section) -> float:
     mean position operator acts as the componentwise gradient i*grad."""
     rep, grid = psi.rep, psi.grid
     nrm = _test_norm(psi)
-    sqw = np.sqrt(grid.omega(rep.mass))
+    sqw = np.sqrt(grid.omega)
     q = _q_closed_form(psi * sqw)
     g = grid.gradient(psi.values)
     return float(np.max([

@@ -10,7 +10,7 @@ import pytest
 import spinsplit.connections as connections
 import spinsplit.splitting as splitting
 from spinsplit.connections import TangentField
-from spinsplit.grid import make_grid
+from spinsplit.grid import MomentumGrid
 from spinsplit.reps import RepSpec, random_test_section
 
 MASS = 1.3
@@ -29,24 +29,22 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(scope="session")
 def grid_small_massive():
-    return make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh",
-                     mass_scale=MASS)
+    return MomentumGrid(4, 12, 24, 1.0, 2.0, mass=MASS)
 
 
 @pytest.fixture(scope="session")
 def grid_mid_massive():
-    return make_grid(6, 24, 48, 1.0, 2.0, radial_map="sinh",
-                     mass_scale=MASS)
+    return MomentumGrid(6, 24, 48, 1.0, 2.0, mass=MASS)
 
 
 @pytest.fixture(scope="session")
 def grid_small_massless():
-    return make_grid(4, 12, 24, 1.0, 2.0)
+    return MomentumGrid(4, 12, 24, 1.0, 2.0)
 
 
 @pytest.fixture(scope="session")
 def grid_mid_massless():
-    return make_grid(6, 24, 48, 1.0, 2.0)
+    return MomentumGrid(6, 24, 48, 1.0, 2.0)
 
 
 @pytest.fixture(scope="session")

@@ -95,7 +95,7 @@ def act_K(rep, grid, a, v, der=None):
         der = derivatives(grid, v)
     dr, dth, dph = der
     if rep.kind == "massive":
-        omega = grid.omega(rep.mass)[..., None]
+        omega = grid.omega[..., None]
         r3 = grid.kmag[..., None]
         st = grid.sin_theta[..., None]
         out = grid.e_k[a][..., None] * dr
@@ -133,7 +133,7 @@ def act_K(rep, grid, a, v, der=None):
 def act(rep, grid, tag, axis, v, der=None):
     """Generator ``tag`` in {H, P, J, K} along ``axis`` on v."""
     if tag == "H":
-        return grid.omega(rep.mass)[..., None] * v
+        return grid.omega[..., None] * v
     if tag == "P":
         return (grid.kx, grid.ky, grid.kz)[axis][..., None] * v
     return (act_J if tag == "J" else act_K)(rep, grid, axis, v, der)
@@ -145,7 +145,7 @@ def act(rep, grid, tag, axis, v, der=None):
 def covariant(kind, rep, grid, xv, v):
     """D_X v for the tangent field values xv, as a sum of single-axis
     generator actions, each taking its own derivatives of v."""
-    omega = grid.omega(rep.mass)[..., None]
+    omega = grid.omega[..., None]
     xk = (xv[0] * grid.kx + xv[1] * grid.ky + xv[2] * grid.kz)[..., None]
     acc = np.zeros_like(v)
     for a in range(3):

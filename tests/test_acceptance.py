@@ -29,7 +29,7 @@ from spinsplit.connections import (
     holonomy,
     lambda_flat_profile,
 )
-from spinsplit.grid import Section, make_grid
+from spinsplit.grid import MomentumGrid, Section
 from spinsplit.identities import TEXT_CATALOG, identity_suite
 from spinsplit.lang import LangError, format_expr, lower, parse
 from spinsplit.report import DEGENERACY_GAP_MIN, RunConfig
@@ -70,10 +70,7 @@ R0 = _TRANSPORT.r0
 
 
 def _grid(dims, mass):
-    if mass > 0:
-        return make_grid(*dims, 1.0, 2.0, radial_map="sinh",
-                         mass_scale=mass)
-    return make_grid(*dims, 1.0, 2.0)
+    return MomentumGrid(*dims, 1.0, 2.0, mass=mass)
 
 
 def _order(e_coarse, e_fine, nt_coarse, nt_fine):
@@ -227,8 +224,7 @@ def test_criterion_06_position_operator():
     t0 = time.time()
     tol = 1e-6
     rep = RepSpec.massive(MASS, 1)
-    g = make_grid(10, 64, 128, 1.0, 2.0, radial_map="sinh",
-                  mass_scale=MASS)
+    g = MomentumGrid(10, 64, 128, 1.0, 2.0, mass=MASS)
     psi = random_test_section(rep, g, seed=SEED)
     match = nw_match_residual(psi)
     grad = nw_gradient_residual(psi)

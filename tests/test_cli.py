@@ -123,12 +123,10 @@ def test_a_record_reads_its_tolerance_from_the_table(monkeypatch, suite,
     assert all(rec["tolerance"] == 0.25 for rec in records)
 
 
-def test_grid_for_uses_adapted_radial_map():
+def test_grid_for_builds_the_grid_of_the_rep_mass():
     c = RunConfig(suites=["symbolic"])
-    gm = c.grid_for((4, 12, 24), mass=1.3)
-    gl = c.grid_for((4, 12, 24), mass=0.0)
-    assert gm.spec()["radial_map"] == "sinh"
-    assert gl.spec()["radial_map"] == "linear"
+    assert c.grid_for((4, 12, 24), mass=1.3).spec()["mass"] == 1.3
+    assert c.grid_for((4, 12, 24), mass=0.0).spec()["mass"] == 0.0
 
 
 # -- INI parsing -----------------------------------------------------------------
@@ -284,10 +282,10 @@ def test_ini_shell_radius_whose_square_overflows_exits_2(tmp_path, capsys):
                        massive=[(1e150, 1), (1e-150, 1)])
     for mass, _ in config.massive:
         grid = config.grid_for((4, 12, 24), mass)
-        assert np.all(np.isfinite(grid.omega(mass)))
+        assert np.all(np.isfinite(grid.omega))
 
 
-def test_mass_whose_radial_map_underflows_exits_2(tmp_path, capsys):
+def test_mass_whose_sinh_nodes_underflow_exits_2(tmp_path, capsys):
     # far above r_max the sinh nodes crowd so close that the radial
     # differentiation matrix is 0/0, and every residual would be NaN
     assert main(["run", "--suite", "splitting", "nw", "--mass", "1e150",
@@ -962,9 +960,11 @@ def test_grid_flag_names_the_halved_rung(capsys):
     assert "--grid 4,12,24" in err
     assert "(4, 6, 12)" in err
     assert "strictly increasing" not in err
-    args = build_parser().parse_args(
-        ["run", "--suite", "algebra", "--grid", "5,12,24"])
-    assert _build_config(args).ladder == [(4, 6, 12), (5, 12, 24)]
+    # the rung is read in the spellings a [grid] ladder accepts
+    for text in ("5,12,24", "5x12x24", "5X12X24"):
+        args = build_parser().parse_args(
+            ["run", "--suite", "algebra", "--grid", text])
+        assert _build_config(args).ladder == [(4, 6, 12), (5, 12, 24)]
 
 
 @pytest.mark.parametrize("grid,rung", [("8,24,10", "(4, 12, 5)"),

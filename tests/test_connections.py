@@ -25,7 +25,7 @@ from spinsplit.connections import (
     leibniz_residual,
     lie_bracket,
 )
-from spinsplit.grid import Section, make_grid
+from spinsplit.grid import MomentumGrid, Section
 from spinsplit.report import RunConfig
 from spinsplit.reps import (
     RepSpec,
@@ -276,9 +276,7 @@ def test_covariant_pass_matches_reference_bytes(kind_name, rep_name, fields):
     # one-field call and the reference sum of single-axis actions.  Array
     # fields are sliced to each shell; the others are evaluated on it
     rep, kind = _COVARIANT_REPS[rep_name], _COVARIANT_KINDS[kind_name]
-    grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
-                      mass_scale=MASS) if rep.kind == "massive"
-            else make_grid(5, 12, 24, 1.0, 2.0))
+    grid = MomentumGrid(5, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, grid, seed=11)
     xs = [field(grid) for name, field in _COVARIANT_FIELDS.items()
           if fields in ("batch", name)]
@@ -300,7 +298,7 @@ def test_grid_shell_fields_are_slices(grid_small_massive):
         sh = g.shell(i)
         assert sh is g.shell(i)
         assert sh.shape == (1, g.n_theta, g.n_phi)
-        for name in ("kx", "ky", "kz", "kmag", "inv_kmag",
+        for name in ("kx", "ky", "kz", "kmag", "omega", "inv_kmag",
                      "inv_kmag_sin_theta"):
             assert np.shares_memory(getattr(sh, name), getattr(g, name))
             assert np.array_equal(getattr(sh, name), getattr(g, name)[i:i + 1])
@@ -310,7 +308,7 @@ def test_grid_shell_fields_are_slices(grid_small_massive):
         assert np.array_equal(sh.r, g.r[i:i + 1])
         assert sh.sin_theta is g.sin_theta
         assert sh.inv_sin_theta is g.inv_sin_theta
-        assert sh.omega(MASS).tobytes() == g.omega(MASS)[i:i + 1].tobytes()
+        assert sh.omega.tobytes() == g.omega[i:i + 1].tobytes()
 
 
 # -- curvature ---------------------------------------------------------------------
@@ -410,8 +408,7 @@ def test_holonomy_small_loop_gives_curvature(rep_massive1,
 @pytest.mark.parametrize("spin", (0, 1))
 def test_cross_commutators(spin):
     rep = RepSpec.massive(MASS, spin)
-    g = make_grid(6, 24, 48, 1.0, 2.0, radial_map="sinh",
-                  mass_scale=MASS)
+    g = MomentumGrid(6, 24, 48, 1.0, 2.0, mass=MASS)
     psi = random_test_section(rep, g, seed=4, polar_damping=4)
     out = cross_commutator_check(psi)
     assert set(out) == {"boost-theta rotation-phi",

@@ -18,7 +18,7 @@ from spinsplit.connections import (
     curvature_commutator,
 )
 import spinsplit.splitting as splitting
-from spinsplit.grid import MomentumGrid, Section, make_grid
+from spinsplit.grid import MomentumGrid, Section
 from spinsplit.reps import (
     RepSpec,
     algebra_residual,
@@ -55,8 +55,7 @@ def derivative_calls(monkeypatch):
 
 
 def _massive_grid():
-    return make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh",
-                     mass_scale=MASS)
+    return MomentumGrid(4, 12, 24, 1.0, 2.0, mass=MASS)
 
 
 def _half(r, m):
@@ -154,8 +153,7 @@ def _split_cases():
 
 
 def _section(rep):
-    grid = (_massive_grid() if rep.kind == "massive"
-            else make_grid(4, 12, 24, 1.0, 2.0))
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
     return random_test_section(rep, grid, seed=11)
 
 
@@ -216,7 +214,7 @@ def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):
     parallel target took its own), and its value equals, bit for bit,
     the residual with a fresh Jpar_c psi per target."""
     rep = RepSpec.massless(1)
-    grid = make_grid(4, 12, 24, 1.0, 2.0)
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0)
     psi = random_test_section(rep, grid, seed=3, polar_damping=4)
     nrm = psi.norm()
     worst = 0.0
@@ -246,8 +244,7 @@ _ALGEBRA_REPS = [RepSpec.massive(MASS, 0), RepSpec.massive(MASS, 1),
 @pytest.mark.parametrize("relation_id", relation_ids())
 @pytest.mark.parametrize("rep", _ALGEBRA_REPS, ids=repr)
 def test_algebra_residual_matches_one_action_per_pair(rep, relation_id):
-    grid = (_massive_grid() if rep.kind == "massive"
-            else make_grid(4, 12, 24, 1.0, 2.0))
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, grid, seed=9)
     assert algebra_residual(relation_id, psi) \
         == reference.algebra_residual(rep, grid, relation_id, psi)
@@ -268,8 +265,7 @@ _ALGEBRA_PASSES = {
 @pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
                                  RepSpec.massless(1)], ids=repr)
 def test_algebra_residual_pass_totals(rep, relation_id, derivative_calls):
-    grid = (_massive_grid() if rep.kind == "massive"
-            else make_grid(4, 12, 24, 1.0, 2.0))
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, grid, seed=3)
     algebra_residual(relation_id, psi)
     d_r, d_theta, d_phi = _ALGEBRA_PASSES[relation_id]

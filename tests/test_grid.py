@@ -9,7 +9,13 @@ from spinsplit.connections import (
     TangentField,
     apply_connections,
 )
-from spinsplit.grid import GridError, Section, component_major, make_grid
+from spinsplit.grid import (
+    GridError,
+    MomentumGrid,
+    Section,
+    component_major,
+    radial_collocation,
+)
 from spinsplit.reps import (
     RepSpec,
     _act_J,
@@ -28,42 +34,49 @@ from conftest import MASS
 
 
 def test_spec_round_trip():
-    g = make_grid(5, 16, 32, 1.0, 2.0, radial_map="sinh", mass_scale=1.3)
+    g = MomentumGrid(5, 16, 32, 1.0, 2.0, mass=1.3)
     s = g.spec()
-    g2 = make_grid(s["N_r"], s["N_theta"], s["N_phi"],
-                   s["r_min"], s["r_max"],
-                   radial_map=s["radial_map"], mass_scale=s["mass_scale"])
+    assert s["mass"] == 1.3
+    g2 = MomentumGrid(s["N_r"], s["N_theta"], s["N_phi"],
+                      s["r_min"], s["r_max"], mass=s["mass"])
     assert g == g2
     assert np.allclose(g.r, g2.r)
+    # a grid is built for one mass: the same shell at mass 0 is another
+    assert g != MomentumGrid(5, 16, 32, 1.0, 2.0)
 
 
 def test_bad_dimensions_rejected():
     with pytest.raises(GridError):
-        make_grid(1, 12, 24, 1.0, 2.0)
+        MomentumGrid(1, 12, 24, 1.0, 2.0)
     with pytest.raises(GridError):
-        make_grid(4, 12, 24, 2.0, 1.0)
+        MomentumGrid(4, 12, 24, 2.0, 1.0)
     with pytest.raises(GridError):
-        make_grid(4, 12, 24, -1.0, 2.0)
+        MomentumGrid(4, 12, 24, -1.0, 2.0)
+    for mass in (-1.3, np.nan, np.inf):
+        with pytest.raises(GridError, match="mass must be finite and >= 0"):
+            MomentumGrid(4, 12, 24, 1.0, 2.0, mass=mass)
+        with pytest.raises(GridError, match="mass must be finite and >= 0"):
+            radial_collocation(4, 1.0, 2.0, mass)
 
 
 def test_non_finite_radial_collocation_rejected():
     # the products of the node spacings underflow, and the
     # differentiation matrix would be 0/0
     with pytest.raises(GridError, match="non-finite"):
-        make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=1e150)
+        MomentumGrid(4, 12, 24, 1.0, 2.0, mass=1e150)
     with pytest.raises(GridError, match="non-finite"):
-        make_grid(6, 12, 24, 1e-100, 2e-100)
+        MomentumGrid(6, 12, 24, 1e-100, 2e-100)
 
 
 def test_theta_nodes_avoid_poles():
-    g = make_grid(4, 12, 24, 1.0, 2.0)
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0)
     assert g.theta.min() > 0.0
     assert g.theta.max() < np.pi
     assert np.all(np.sin(g.theta) > 0.0)
 
 
 def test_coordinates_consistent():
-    g = make_grid(4, 12, 24, 1.0, 2.0)
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0)
     assert np.allclose(np.sqrt(g.kx**2 + g.ky**2 + g.kz**2), g.kmag)
     assert np.allclose(
         sum(g.khat[a] ** 2 for a in range(3)), 1.0)
@@ -77,7 +90,7 @@ def test_coordinates_consistent():
 def test_sin_theta_is_a_broadcast_view():
     # one (1, N_theta, 1) array serves every sin(theta) factor; it gives
     # the full-shape copies it replaces bit for bit
-    g = make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=MASS)
     assert g.sin_theta.shape == (1, g.n_theta, 1)
     full = np.sin(g.theta)[None, :, None] + np.zeros(g.shape)
     assert np.array_equal(g.sin_theta + np.zeros(g.shape), full)
@@ -97,7 +110,7 @@ def test_sin_theta_is_a_broadcast_view():
 @pytest.mark.parametrize("shape", [(4, 12, 24), (5, 8, 10), (4, 6, 8)])
 @pytest.mark.parametrize("fiber", [(), (1,), (3,)])
 def test_d_phi_matches_roll_reference(shape, fiber):
-    g = make_grid(*shape, 1.0, 2.0)
+    g = MomentumGrid(*shape, 1.0, 2.0)
     rng = np.random.default_rng(sum(shape) + len(fiber))
     values = (rng.normal(size=shape + fiber)
               + 1j * rng.normal(size=shape + fiber))
@@ -110,7 +123,7 @@ def test_d_phi_matches_roll_reference(shape, fiber):
 def test_d_r_matches_einsum_reference(shape, fiber):
     # every block goes through its float64 view, made contiguous first
     # for strided input; that gives the values of the complex contraction
-    g = make_grid(*shape, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    g = MomentumGrid(*shape, 1.0, 2.0, mass=MASS)
     rng = np.random.default_rng(sum(shape) + len(fiber))
     values = (rng.normal(size=shape + fiber)
               + 1j * rng.normal(size=shape + fiber))
@@ -136,7 +149,7 @@ def _is_component_major(values):
 def test_derivatives_layout_independent_bytes(shape, fiber, name):
     # C-order and component-major input give the same bytes, real and
     # complex alike, and the result is component-major either way
-    g = make_grid(*shape, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    g = MomentumGrid(*shape, 1.0, 2.0, mass=MASS)
     rng = np.random.default_rng(sum(shape) + len(fiber))
     values = (rng.normal(size=shape + fiber)
               + 1j * rng.normal(size=shape + fiber))
@@ -158,8 +171,7 @@ def test_component_major_layout_kept(rep):
     # component-major values stay component-major through the section
     # constructors, the derivatives, the generator actions and the
     # covariant pass; C-order input gives the same values
-    g = (make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
-         if rep.kind == "massive" else make_grid(4, 12, 24, 1.0, 2.0))
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, g, seed=4)
     phi = random_test_section(rep, g, seed=5)
     v = psi.values
@@ -192,16 +204,17 @@ def test_component_major_layout_kept(rep):
 
 
 def test_omega():
-    g = make_grid(4, 12, 24, 1.0, 2.0)
-    assert np.allclose(g.omega(0.0), g.kmag)
-    assert np.allclose(g.omega(1.3), np.sqrt(1.69 + g.kmag**2))
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0)
+    assert np.allclose(g.omega, g.kmag)
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=1.3)
+    assert np.allclose(g.omega, np.sqrt(1.69 + g.kmag**2))
 
 
 # -- differentiation -------------------------------------------------------------
 
 
 def test_gradient_exact_on_polynomials():
-    g = make_grid(6, 24, 48, 1.0, 2.0)
+    g = MomentumGrid(6, 24, 48, 1.0, 2.0)
     f = (g.kx * g.ky + g.kz**2)[..., None]
     gr = g.gradient(f)
     assert np.max(np.abs(gr[0][..., 0] - g.ky)) < 1e-6
@@ -212,7 +225,7 @@ def test_gradient_exact_on_polynomials():
 def test_gradient_converges_on_smooth_function():
     errs = []
     for nt in (12, 24):
-        g = make_grid(6, nt, 2 * nt, 1.0, 2.0)
+        g = MomentumGrid(6, nt, 2 * nt, 1.0, 2.0)
         f = np.exp(0.5 * g.kz) * np.sin(g.kx)
         fx = 0.5 * np.exp(0.5 * g.kz) * 0.0 + np.exp(0.5 * g.kz) * np.cos(g.kx)
         fz = 0.5 * np.exp(0.5 * g.kz) * np.sin(g.kx)
@@ -224,8 +237,8 @@ def test_gradient_converges_on_smooth_function():
 
 
 def test_radial_derivative_with_sinh_map():
-    g = make_grid(8, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
-    om = g.omega(MASS)
+    g = MomentumGrid(8, 12, 24, 1.0, 2.0, mass=MASS)
+    om = g.omega
     d = g.d_r(om[..., None])[..., 0]
     exact = g.kmag / om
     assert np.max(np.abs(d - exact)) < 1e-7
@@ -238,7 +251,7 @@ def test_volume_quadrature_converges():
     vol = 4.0 * np.pi / 3.0 * (2.0**3 - 1.0**3)
     rels = []
     for nt in (12, 24, 48):
-        g = make_grid(4, nt, 2 * nt, 1.0, 2.0)
+        g = MomentumGrid(4, nt, 2 * nt, 1.0, 2.0)
         rels.append(abs(g.volume_weights().sum() - vol) / vol)
     assert rels[2] < 1e-3
     assert rels[0] / rels[1] > 3.0  # second-order decay in the pole caps
@@ -247,7 +260,7 @@ def test_volume_quadrature_converges():
 
 def test_norm_positive_definite():
     rep = RepSpec.massive(MASS, 1)
-    g = make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=MASS)
     psi = random_test_section(rep, g, seed=1)
     assert psi.norm() > 0.0
     zero = Section(rep, g, np.zeros_like(psi.values))
@@ -257,13 +270,12 @@ def test_norm_positive_definite():
 @pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
                                  RepSpec.massless(1)], ids=repr)
 def test_invariant_weights_built_once_read_only(rep):
-    # d^3k/omega is built once per grid and mass, with the bytes of the
-    # formula, and the norm and the inner product read that array
-    g = (make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
-         if rep.kind == "massive" else make_grid(4, 12, 24, 1.0, 2.0))
-    w = g.invariant_weights(rep.mass)
-    assert w is g.invariant_weights(rep.mass)
-    assert w.tobytes() == (g.volume_weights() / g.omega(rep.mass)).tobytes()
+    # d^3k/omega is built once per grid, with the bytes of the formula,
+    # and the norm and the inner product read that array
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
+    w = g.invariant_weights
+    assert w is g.invariant_weights
+    assert w.tobytes() == (g.volume_weights() / g.omega).tobytes()
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0, 0, 0] = 1.0
@@ -279,7 +291,7 @@ def test_invariant_weights_built_once_read_only(rep):
 
 def test_section_ops():
     rep = RepSpec.massive(MASS, 1)
-    g = make_grid(4, 12, 24, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=MASS)
     a = random_test_section(rep, g, seed=1)
     b = random_test_section(rep, g, seed=2)
     assert (a + b - b - a).norm() < 1e-14 * a.norm()
@@ -291,6 +303,13 @@ def test_section_ops():
 
 def test_section_shape_mismatch():
     rep = RepSpec.massive(MASS, 1)
-    g = make_grid(4, 12, 24, 1.0, 2.0)
-    with pytest.raises(GridError):
+    g = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=MASS)
+    with pytest.raises(GridError, match="expected"):
         Section(rep, g, np.zeros(g.shape + (2,), dtype=complex))
+    # a grid holds the energy and the invariant weights of the one mass
+    # it is built for
+    g0 = MomentumGrid(4, 12, 24, 1.0, 2.0)
+    for r, grid in ((rep, g0), (RepSpec.massless(1), g)):
+        with pytest.raises(GridError, match=f"a rep of mass {r.mass} on a "
+                           f"grid built for mass {grid.mass}"):
+            Section(r, grid, np.zeros(grid.shape + (r.dim,), dtype=complex))

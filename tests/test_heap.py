@@ -20,7 +20,7 @@ import pytest
 
 import spinsplit
 from spinsplit import _HEAP_ENV, _keep_freed_memory
-from spinsplit.grid import make_grid
+from spinsplit.grid import MomentumGrid
 from spinsplit.reps import RepSpec, algebra_residual, random_test_section
 
 from conftest import MASS
@@ -103,7 +103,7 @@ def test_second_algebra_residual_keeps_its_pages():
     if not _keep_freed_memory():
         pytest.skip("not glibc, or the environment sizes the heap")
     rep = RepSpec.massive(MASS, 1)
-    grid = make_grid(8, 48, 96, 1.0, 2.0, radial_map="sinh", mass_scale=MASS)
+    grid = MomentumGrid(8, 48, 96, 1.0, 2.0, mass=MASS)
     psi = random_test_section(rep, grid, seed=1)
     algebra_residual("KK", psi)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

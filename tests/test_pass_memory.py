@@ -21,7 +21,7 @@ from spinsplit.connections import (
     apply_connections,
     curvature_commutator,
 )
-from spinsplit.grid import make_grid
+from spinsplit.grid import MomentumGrid
 from spinsplit.reps import (
     RepSpec,
     _act_J,
@@ -56,10 +56,9 @@ _ONE_FIELD_PEAKS = {
 
 def _case(name):
     if name == "massive1-flat":
-        grid = make_grid(6, 24, 48, 1.0, 2.0, radial_map="sinh",
-                         mass_scale=MASS)
+        grid = MomentumGrid(6, 24, 48, 1.0, 2.0, mass=MASS)
         return RepSpec.massive(MASS, 1), grid, ConnectionKind.flat_massive()
-    return RepSpec.massless(1), make_grid(6, 24, 48, 1.0, 2.0), \
+    return RepSpec.massless(1), MomentumGrid(6, 24, 48, 1.0, 2.0), \
         ConnectionKind.boost()
 
 

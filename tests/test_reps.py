@@ -15,7 +15,7 @@ from spinsplit.connections import (
     TangentField,
     apply_connection,
 )
-from spinsplit.grid import Section, make_grid
+from spinsplit.grid import MomentumGrid, Section
 from spinsplit.reps import (
     RepError,
     RepSpec,
@@ -134,8 +134,7 @@ def test_boost_self_adjoint_under_invariant_measure(rep_massive1):
     # with defect decreasing under refinement
     defects = []
     for dims in ((4, 12, 24), (6, 24, 48)):
-        g = make_grid(*dims, 1.0, 2.0, radial_map="sinh",
-                      mass_scale=MASS)
+        g = MomentumGrid(*dims, 1.0, 2.0, mass=MASS)
         a = random_test_section(rep_massive1, g, seed=1)
         b = random_test_section(rep_massive1, g, seed=2)
         ka = Section(rep_massive1, g, _act_K(rep_massive1, g, 2, a.values))
@@ -274,9 +273,7 @@ def test_shellwise_actions_match_reference_bytes(rep, layout):
     # taken inside or passed in, and those of the formula on one shell
     # alone, as the covariant kernel calls it.  Unstructured values are
     # neither smooth nor transverse
-    grid = (make_grid(5, 12, 24, 1.0, 2.0, radial_map="sinh",
-                      mass_scale=MASS) if rep.kind == "massive"
-            else make_grid(5, 12, 24, 1.0, 2.0))
+    grid = MomentumGrid(5, 12, 24, 1.0, 2.0, mass=rep.mass)
     v = random_test_section(rep, grid, seed=13).values
     if layout == "C-order":
         v = np.ascontiguousarray(v)
@@ -324,7 +321,7 @@ def test_shell_loop_enters_each_action_once(rep, action_entries):
     # K builds its J terms without entering the traced J.  A covariant
     # derivative builds its K and J terms from the formulas shell by
     # shell, so it enters neither traced action
-    grid = make_grid(6, 12, 24, 1.0, 2.0)
+    grid = MomentumGrid(6, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, grid, seed=3)
     v = psi.values
     reps_mod._act_J(rep, grid, 0, v)
