@@ -40,6 +40,27 @@ num/den (memoized in ``_cancel_memo``).  Only the printer and ``repr``
 read it.  The view is a function of the components alone,
 so equal values print the same text however they were computed.
 
+Memos.  A ``Scalar`` never changes after construction, and neither do its
+numerators and denominator dicts (a ``PolyElement`` caches its hash), so
+each value has a canonical key, built on first use: the ring mode and
+the frozenset of (basis key, numerator, frozenset of denominator items)
+over its components.  The mode is part of the key because the numerators
+of the two modes compare equal.  The key names four memos:
+
+  * ``_product_memo``: (key of a, key of b) -> a * b, for products of two
+    non-constant elements (a constant factor only scales numerators);
+  * ``_inverse_memo``: key -> inverse; zero is never stored, so its
+    inverse raises on every call;
+  * ``_derivation_memo``: ("boost" or "rotation", axis, key) -> the
+    commutator with K_axis or J_axis;
+  * ``algebra._shift_memo``: (word, key) -> the scalar moved left through
+    the word.
+
+Each is a pure function of the components, so a hit returns what the
+call would compute.  Like ``_cancel_memo`` and ``algebra._insert_memo``
+they are process-wide and unbounded, and what they return is shared:
+callers never mutate it.
+
 Massless mode sets m = 0 and identifies H with R (basis {1, R}).
 """
 
@@ -77,6 +98,9 @@ _EPS_PAIRS = tuple(tuple((b, c, eps(a, b, c)) for b in range(3)
 
 
 _cancel_memo: dict = {}
+_product_memo: dict = {}
+_inverse_memo: dict = {}
+_derivation_memo: dict = {}
 
 
 def _cached_cancel(expr):
@@ -360,13 +384,14 @@ class Scalar:
     ``cancel`` normal form.
     """
 
-    __slots__ = ("ring", "_c", "_parts")
+    __slots__ = ("ring", "_c", "_parts", "_key")
 
     def __init__(self, ring: Ring, parts: dict, _canonical: bool = False):
         """``parts`` maps raw (eH, eR) exponent pairs to fractions; with
         ``_canonical`` they are already folded and reduced."""
         self.ring = ring
         self._parts = None
+        self._key = None
         if _canonical:
             self._c = {k: c for k, c in parts.items() if c[0]}
         else:
@@ -382,6 +407,14 @@ class Scalar:
         if self._parts is None:
             self._parts = {k: _as_expr(c) for k, c in self._c.items()}
         return self._parts
+
+    def _memo_key(self):
+        """The canonical key of this value for the memos (module
+        docstring)."""
+        if self._key is None:
+            self._key = (self.ring.massless, frozenset(
+                (k, n, frozenset(d.items())) for k, (n, d) in self._c.items()))
+        return self._key
 
     # -- queries ----------------------------------------------------------
 
@@ -453,13 +486,17 @@ class Scalar:
             k = b._constant()
             if k is not None:
                 return a._scaled(k)
-        parts = {}
-        for (h1, r1), c1 in self._c.items():
-            for (h2, r2), c2 in other._c.items():
-                k = (h1 + h2, r1 + r2)
-                c = _mul(c1, c2)
-                parts[k] = _add(parts[k], c) if k in parts else c
-        return Scalar(self.ring, parts)
+        key = (self._memo_key(), other._memo_key())
+        out = _product_memo.get(key)
+        if out is None:
+            parts = {}
+            for (h1, r1), c1 in self._c.items():
+                for (h2, r2), c2 in other._c.items():
+                    k = (h1 + h2, r1 + r2)
+                    c = _mul(c1, c2)
+                    parts[k] = _add(parts[k], c) if k in parts else c
+            out = _product_memo[key] = Scalar(self.ring, parts)
+        return out
 
     __rmul__ = __mul__
 
@@ -467,7 +504,9 @@ class Scalar:
         """self times a constant k of the coefficient domain.  A reduced
         fraction times a nonzero constant stays reduced, so scaling the
         numerators skips the fold and the reduction; k = 0 leaves zero
-        numerators, which are dropped."""
+        numerators, which are dropped, and k = 1 is self."""
+        if k == self.ring.poly.domain.one:
+            return self
         return Scalar(self.ring, {key: (n.mul_ground(k), d)
                                   for key, (n, d) in self._c.items()},
                       _canonical=True)
@@ -477,6 +516,10 @@ class Scalar:
         for every nonzero element."""
         if self.is_zero():
             raise CoefficientError("division by identically-zero coefficient")
+        key = self._memo_key()
+        out = _inverse_memo.get(key)
+        if out is not None:
+            return out
         ring = self.ring
         # Multiplying by the conjugate in H (negated H-odd part) leaves no
         # H-odd part; then the conjugate in R leaves a rational norm.  A
@@ -501,6 +544,7 @@ class Scalar:
         out = Scalar(ring, {(0, 0): (inv_num.quo_ground(c), factors)})
         for conj in conjugates:
             out = conj * out
+        _inverse_memo[key] = out
         return out
 
     def __truediv__(self, other):
@@ -542,12 +586,16 @@ class Scalar:
         Generated by [K_a, P_b] = i*H*delta_ab, [K_a, H] = i*P_a and the
         induced [K_a, R] = i*H*P_a/R.
         """
+        key = ("boost", axis, self._memo_key())
+        out = _derivation_memo.get(key)
+        if out is not None:
+            return out
         ring = self.ring
         i_pa = ring._p[axis].mul_ground(ring._i)
-        out = {}
+        parts = {}
 
-        def acc(key, val):
-            out[key] = _add(out[key], val) if key in out else val
+        def acc(k, val):
+            parts[k] = _add(parts[k], val) if k in parts else val
 
         for (h, r), c in self._c.items():
             # i*H * dc/dP_a, same H/R exponents plus one H
@@ -560,14 +608,19 @@ class Scalar:
             if r:
                 # c H^h * i*H*P_a*R/psq * R^{r-1}
                 acc((h + 1, r), _over((c[0] * i_pa, c[1]), ring.psq))
-        return Scalar(ring, out)
+        out = _derivation_memo[key] = Scalar(ring, parts)
+        return out
 
     def rotation_derivative(self, axis: int) -> "Scalar":
         """The commutator [J_axis, c]: i*eps_{abc} P_c dc/dP_b (H, R are
         rotation invariant)."""
+        key = ("rotation", axis, self._memo_key())
+        out = _derivation_memo.get(key)
+        if out is not None:
+            return out
         ring = self.ring
-        out = {}
-        for key, c in self._c.items():
+        parts = {}
+        for k, c in self._c.items():
             d = None
             for b in range(3):
                 for cc in range(3):
@@ -579,5 +632,6 @@ class Scalar:
                                     dd)
                             d = term if d is None else _add(d, term)
             if d is not None:
-                out[key] = d
-        return Scalar(ring, out)
+                parts[k] = d
+        out = _derivation_memo[key] = Scalar(ring, parts)
+        return out

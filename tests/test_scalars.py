@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy as sp
 
-from spinsplit import scalars
+from spinsplit import algebra, scalars
 from spinsplit.identities import CATALOG
 from spinsplit.lang import format_expr
 from spinsplit.scalars import CoefficientError, Ring, eps
@@ -300,7 +300,12 @@ def test_catalog_arithmetic_calls_cancel_only_in_printer(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sp, "cancel", counting)
-    monkeypatch.setattr(scalars, "_cancel_memo", {})
+    # cold memos: a memo hit may return a Scalar whose view another test
+    # already built
+    for name in ("_cancel_memo", "_product_memo", "_inverse_memo",
+                 "_derivation_memo"):
+        monkeypatch.setattr(scalars, name, {})
+    monkeypatch.setattr(algebra, "_shift_memo", {})
     ring = Ring()
     pairs = CATALOG["rotation-connection-self-adjoint"](ring)
     assert pairs and all((lhs - rhs).is_zero() for lhs, rhs in pairs)
