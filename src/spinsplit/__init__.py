@@ -16,8 +16,9 @@ Layers:
 * :mod:`spinsplit.report`, :mod:`spinsplit.cli` — suites, reports, CLI.
 
 The process keeps the memory it frees.  The numerical engine's live
-set swings by tens of MB (one section at (8, 48, 96) is 1.77 MB, and
-one ``algebra_residual`` holds up to 14), and by default glibc returns
+set swings by tens of MB (one section at (8, 48, 96) is 1.77 MB; the
+ten algebra families in one call hold about 11, the vector-operator
+check about 13.5), and by default glibc returns
 the top of its heap to the kernel whenever a few MB lie free there, so
 every swing would unmap pages and fault them back in, zeroed.  Under
 glibc, importing the package raises the mmap threshold to 32 MiB and

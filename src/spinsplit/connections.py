@@ -17,11 +17,11 @@ A section takes one derivative pass (d_r, d_theta, d_phi) for every
 tangent field applied to it (``apply_connections``; ``apply_connection``
 is its one-field case).  After that pass the covariant derivative is
 pointwise in r, so ``_covariant_values`` evaluates the formulas above
-one radial shell at a time on the grid's ``shell`` view: each K_a v and
-J_a v is built once per shell for all the fields, straight from the
-shell formulas ``reps._k_formula`` and ``reps._j_formula`` (a covariant
-derivative never enters the whole-section actions ``_act_K`` and
-``_act_J``), the fields are evaluated on the shell alone, and every
+in one shell loop (``reps._by_shell``): on each shell,
+``_covariant_shell`` takes K_a v and J_a v from the shell's pass, built
+once for all the fields and for any other action on that shell (a
+covariant derivative never enters the whole-section actions ``_act_K``
+and ``_act_J``), the fields are evaluated on the shell alone, and every
 temporary is one shell in size.  The representation and the grid are
 read from the section.  The curvature commutator and the splitting
 diagnostics batch the fields that act on one section.  The boost and
@@ -56,13 +56,9 @@ from .grid import MomentumGrid, Section
 from .reps import (
     RepSpec,
     _act_chi,
-    _act_J,
-    _act_K,
-    _derivatives,
+    _by_shell,
     _entries_act,
-    _j_formula,
-    _k_formula,
-    _on_shell,
+    _ShellPass,
     _spin_dot,
     _test_norm,
 )
@@ -311,54 +307,52 @@ def _axis_sum(weights, terms) -> np.ndarray:
 
 
 def _covariant_values(rep: RepSpec, grid: MomentumGrid,
-                      kind: ConnectionKind, xs, v: np.ndarray,
-                      der=None) -> list:
+                      kind: ConnectionKind, xs, v: np.ndarray) -> list:
     """D_X v for every tangent field X in ``xs``, for the connection
     f*Boost + (1 - f)*Rotation with boost weight f = 1 (boost), 0
     (rotation) or a radial profile (affine).
 
-    One derivative pass over the whole of v (``der``, computed here
-    unless given) serves every field.  The rest is pointwise in r, so
-    ``_covariant_shell`` runs it one radial shell at a time and writes
-    each shell of the output sections: the fields are evaluated on the
-    shell alone (``TangentField.shell_values``), and every temporary is
-    one shell in size and is freed when that call returns, before the
-    next shell builds its own."""
+    The derivative is pointwise in r after the derivative pass, so one
+    shell loop over v (``reps._by_shell``) serves every field:
+    ``_covariant_shell`` writes each shell of the output sections, the
+    fields are evaluated on the shell alone (``TangentField.shell_values``),
+    and every temporary is one shell in size and is freed before the next
+    shell builds its own."""
     f = kind.weight(grid.r, rep.mass)
-    der = _derivatives(grid, v) if der is None else der
     out = [np.empty_like(v) for _ in xs]
-    for i in range(grid.n_r):
-        _covariant_shell(rep, grid, i, kind, f[i], xs, v, der, out)
+    for p in _by_shell(rep, grid, v):
+        s = slice(p.i, p.i + 1)
+        _covariant_shell(p, kind, f[p.i], xs, [o[s] for o in out])
     return out
 
 
-def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
-                     kind: ConnectionKind, f, xs, v: np.ndarray, der,
+def _covariant_shell(p: _ShellPass, kind: ConnectionKind, f, xs,
                      out) -> None:
-    """Shell ``i`` of D_X v, written into shell i of each section in
-    ``out``, with boost weight f on the shell:
+    """D_X v on the shell of the pass p, for each field X in ``xs``,
+    written into the shell-sized array of ``out`` at its place, with
+    boost weight f on the shell:
 
       Boost     (-i/H) X.K v - shift
       Rotation  -i [((X x khat)/|k|).J v + (X.khat)/H radial] - shift
 
     with shift = (X.k)/(2H^2) v and radial = khat.K v (massive) or
-    i|k| d_r v (massless).  K_a v and J_a v are built once for all the
-    fields.  The boost and rotation kinds build only the branch their
-    weight keeps; f*A + (1 - f)*B would multiply the other by exact
-    zero."""
+    i|k| d_r v (massless).  K_a v and J_a v are the pass's own, built
+    once for all the fields and for any other action on the shell.  The
+    boost and rotation kinds build only the branch their weight keeps;
+    f*A + (1 - f)*B would multiply the other by exact zero."""
     use_boost = kind.variant != "rotation"
     use_rotation = kind.variant != "boost"
-    massive = rep.kind == "massive"
-    sh, v, der = _on_shell(grid, i, v, der)
+    massive = p.rep.kind == "massive"
+    sh, v = p.sh, p.v
     omega = sh.omega[..., None]
     if use_boost or massive:
-        k_v = [_k_formula(rep, sh, a, v, der) for a in range(3)]
+        k_v = [p.K(a) for a in range(3)]
     if use_rotation:
-        j_v = [_j_formula(rep, sh, a, v, der) for a in range(3)]
+        j_v = [p.J(a) for a in range(3)]
         radial = (_axis_sum(sh.khat, k_v) if massive
-                  else 1j * sh.kmag[..., None] * der[0])
+                  else 1j * sh.kmag[..., None] * p.dr)
     for o, x in zip(out, xs):
-        xv = x.shell_values(grid, i)
+        xv = x.shell_values(p.grid, p.i)
         xk = (xv[0] * sh.kx + xv[1] * sh.ky + xv[2] * sh.kz)[..., None]
         shift = xk / (2.0 * omega**2) * v
         if use_boost:
@@ -370,9 +364,9 @@ def _covariant_shell(rep: RepSpec, grid: MomentumGrid, i: int,
             acc += xkhat / omega * radial
             rotation = -1j * acc - shift
         if use_boost and use_rotation:
-            np.add(f * boost, (1.0 - f) * rotation, out=o[i:i + 1])
+            np.add(f * boost, (1.0 - f) * rotation, out=o)
         else:
-            o[i:i + 1] = boost if use_boost else rotation
+            o[...] = boost if use_boost else rotation
 
 
 def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:
@@ -450,21 +444,24 @@ def cross_commutator_check(psi: Section) -> dict:
     omega = grid.omega[..., None]
     rmag = grid.kmag[..., None]
     cot = (np.cos(grid.theta) / np.sin(grid.theta))[None, :, None, None]
-    der = _derivatives(grid, psi.values)
-    kphi = np.zeros_like(psi.values)
-    jtheta = np.zeros_like(psi.values)
-    for a in range(3):
-        kphi += (grid.e_phi[a][..., None]
-                 * _act_K(rep, grid, a, psi.values, der))
-        jtheta += (grid.e_theta[a][..., None]
-                   * _act_J(rep, grid, a, psi.values, der))
-    # D_theta psi and D_phi psi of each kind, from the same pass
-    first = {}
-    for kind in (boost, rot):
-        first[kind.variant, "theta"], first[kind.variant, "phi"] = (
-            Section(rep, grid, val) for val in _covariant_values(
-                rep, grid, kind, (eth, eph), psi.values, der))
-    del der
+    # one shell loop over psi gives K_phi, J_theta and D_theta psi and
+    # D_phi psi of each kind
+    v = psi.values
+    kphi = np.zeros_like(v)
+    jtheta = np.zeros_like(v)
+    first = {(kind.variant, leg): np.empty_like(v)
+             for kind in (boost, rot) for leg in ("theta", "phi")}
+    weights = [(kind, kind.weight(grid.r, rep.mass)) for kind in (boost, rot)]
+    for p in _by_shell(rep, grid, v):
+        s = slice(p.i, p.i + 1)
+        for a in range(3):
+            kphi[s] += p.sh.e_phi[a][..., None] * p.K(a)
+            jtheta[s] += p.sh.e_theta[a][..., None] * p.J(a)
+        for kind, f in weights:
+            _covariant_shell(
+                p, kind, f[p.i], (eth, eph),
+                [first[kind.variant, leg][s] for leg in ("theta", "phi")])
+    first = {key: Section(rep, grid, val) for key, val in first.items()}
     # the right-hand sides come first, so K_phi, J_theta and J_k are
     # dropped before the commutators take their passes
     jk = _act_chi(rep, grid, psi.values)

@@ -33,10 +33,13 @@ lays them out (``np.moveaxis`` of a C-contiguous (d, N_r, N_theta, N_phi)
 array).  numpy's elementwise operations, ``empty_like`` and ``zeros_like``
 keep that layout, so a product of a grid field with a section runs its
 inner loop along a whole block instead of along the short fiber axis.
-The derivatives work block by block and return the same layout; the
-angular stencils run one radial shell at a time.  ``MomentumGrid.shell``
-gives one shell's coordinate fields, shaped (1, N_theta, N_phi), for code
-that works a section one shell at a time.
+The derivatives work block by block and return the same layout.  The
+angular stencils run one radial shell at a time and take any number of
+shells, and ``d_r`` gives one shell's row of the radial derivative on
+request, each with the bits of its slice of the whole-section
+derivative; so code that works a section one shell at a time never
+holds a whole derivative pass.  ``MomentumGrid.shell`` gives one shell's
+coordinate fields, shaped (1, N_theta, N_phi), for that code.
 """
 
 from __future__ import annotations
@@ -289,24 +292,31 @@ class MomentumGrid:
     # complex, and return float64 or complex128 arrays of the same shape,
     # component-major (see ``component_major``) whatever the input layout.
 
-    def d_r(self, values: np.ndarray) -> np.ndarray:
-        """Spectral radial derivative along axis 0.
+    def d_r(self, values: np.ndarray,
+            shell: int | None = None) -> np.ndarray:
+        """Spectral radial derivative along axis 0, or only its radial
+        shell ``shell`` (shape (1, N_theta, N_phi, ...)).
 
         Each fiber component's block is differentiated through its
         float64 view (made contiguous first if the input is not
-        component-major), as one (N_r, N_r) by (N_r, rest) product.  For a
-        complex block the real matrix acts on the real and imaginary parts
-        alike; the complex contraction computes the same sums plus
-        products with the matrix's zero imaginary part, so the values
-        agree with it (only the sign of a zero can differ), in about a
-        third of the time."""
+        component-major), as one (N_r, N_r) by (N_r, rest) product, or
+        for one shell the product of that matrix row alone: each output
+        row is the same sum over the same products, so a shell has the
+        bits of its slice of the whole derivative.  For a complex block
+        the real matrix acts on the real and imaginary parts alike; the
+        complex contraction computes the same sums plus products with the
+        matrix's zero imaginary part, so the values agree with it (only
+        the sign of a zero can differ), in about a third of the time."""
         values = _as_float(values)
-        out = component_major(values.shape, values.dtype)
+        rows = slice(None) if shell is None else slice(shell, shell + 1)
+        matrix = self._d_r_matrix[rows]
+        out = component_major((len(matrix),) + values.shape[1:],
+                              values.dtype)
         n = self.n_r
         for block, res in zip(_blocks(values), _blocks(out)):
             flat = np.ascontiguousarray(block).view(np.float64)
-            np.einsum("ij,jk->ik", self._d_r_matrix, flat.reshape(n, -1),
-                      out=res.view(np.float64).reshape(n, -1))
+            np.einsum("ij,jk->ik", matrix, flat.reshape(n, -1),
+                      out=res.view(np.float64).reshape(len(matrix), -1))
         return out
 
     def _pole_extended(self, values: np.ndarray) -> np.ndarray:
@@ -320,11 +330,13 @@ class MomentumGrid:
 
     def d_theta(self, values: np.ndarray) -> np.ndarray:
         """8th-order latitude derivative with exact pole closures, one
-        radial shell of every component block at a time."""
+        radial shell of every component block at a time; ``values`` may
+        hold any number of shells (one shell of a section gives its slice
+        of the section's derivative)."""
         values = _as_float(values)
         out = component_major(values.shape, values.dtype)
         src, dst = _blocks(values), _blocks(out)
-        for i in range(self.n_r):
+        for i in range(len(values)):
             ext = self._pole_extended(src[:, i])
             acc = dst[:, i]
             acc[...] = 0.0
@@ -340,12 +352,12 @@ class MomentumGrid:
         wrap-padded once by the stencil half-width, and each stencil term
         reads one slice of the padded copy (as ``d_theta`` does): the same
         values as rolling the shell once per term, with one copy instead
-        of eight."""
+        of eight.  Like ``d_theta`` it takes any number of shells."""
         values = _as_float(values)
         out = component_major(values.shape, values.dtype)
         src, dst = _blocks(values), _blocks(out)
         h = _FD8_HALF
-        for i in range(self.n_r):
+        for i in range(len(values)):
             v = src[:, i]
             ext = np.concatenate([v[:, :, -h:], v, v[:, :, :h]], axis=2)
             acc = dst[:, i]
@@ -390,13 +402,12 @@ class GridShell:
     frames and ``khat`` to (3, 1, N_theta, N_phi), ``r`` to (1,)).  The
     slices are views, so an elementwise expression gives, shell by shell,
     the bits it gives on the whole grid.  The generator formulas of
-    :mod:`spinsplit.reps` (``_j_formula``, ``_k_formula``) take a shell;
-    the actions ``_act_J`` and ``_act_K`` take whole sections and
-    evaluate their formula once per shell.  The analytic
-    tangent fields of :mod:`spinsplit.connections` take a shell in place
-    of its grid.  A shell holds no reference to its grid: the grid caches
-    its shells, and a cycle would leave every grid to the garbage
-    collector."""
+    :mod:`spinsplit.reps` (the methods of its ``_ShellPass``) read a
+    shell, and the whole-section actions evaluate them once per shell.
+    The analytic tangent fields of :mod:`spinsplit.connections` take a
+    shell in place of its grid.  A shell holds no reference to its grid:
+    the grid caches its shells, and a cycle would leave every grid to the
+    garbage collector."""
 
     __slots__ = ("shape", "r", "kx", "ky", "kz", "kmag", "omega",
                  "inv_kmag", "inv_kmag_sin_theta", "inv_sin_theta",
@@ -475,6 +486,19 @@ class Section:
 
     def norm(self) -> float:
         """L^2 norm under the invariant measure d^3k/omega."""
-        w = self.grid.invariant_weights
-        dens = np.sum(np.abs(self.values) ** 2, axis=-1)
-        return float(np.sqrt(np.sum(w * dens).real))
+        return _norm_of_density(
+            _weighted_density(self.grid.invariant_weights, self.values))
+
+
+def _weighted_density(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """w |values|^2, summed over the fiber: the integrand of the squared
+    norm at each node of ``values`` (a section or some of its shells,
+    with the matching slice of the weights w).  Elementwise, so a shell
+    gives its slice of the section's density bit for bit, as long as its
+    fiber components are laid out as the section's are."""
+    return w * np.sum(np.abs(values) ** 2, axis=-1)
+
+
+def _norm_of_density(dens: np.ndarray) -> float:
+    """The norm whose ``_weighted_density`` over the whole grid is dens."""
+    return float(np.sqrt(np.sum(dens).real))

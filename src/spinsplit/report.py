@@ -57,7 +57,7 @@ from .identities import identity_suite
 from .reps import (
     RepSpec,
     _act_chi,
-    algebra_residual,
+    algebra_residuals,
     inner,
     random_test_section,
     relation_ids,
@@ -437,7 +437,7 @@ def _suite_algebra(config: RunConfig, records, rows):
     for rep in _reps(config):
         series, _ = _ladder(
             config, rep, rows, [f"{rep!r}:{rid}" for rid in rids],
-            lambda psi: [algebra_residual(rid, psi) for rid in rids])
+            lambda psi: algebra_residuals(rids, psi))
         for rid, residuals in zip(rids, series):
             records.append(_ladder_record(
                 config, f"algebra-{rep.kind}-{rid}",

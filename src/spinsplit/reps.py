@@ -39,26 +39,38 @@ for bit to the dense contraction with ``chi_field``) and the connection
 form that the transport integrator of :mod:`spinsplit.connections`
 applies to its stack at every RK4 node.
 
-The generator formulas are written once for one radial shell
-(``_j_formula``, ``_k_formula``) and evaluated on a
-:class:`~spinsplit.grid.GridShell` as it stands.  ``_act_J`` and
-``_act_K`` apply them to whole sections: the derivative pass is taken
-over the whole section, and ``_by_shell`` runs the formula one shell at
-a time, cut by ``_on_shell``, into one output section.  Every temporary
-is one shell in size, and no shell re-enters ``_act_J`` or ``_act_K``,
-so each whole-section action is one call of its name.  The covariant
-kernel of :mod:`spinsplit.connections` cuts its shells with the same
-``_on_shell`` and calls the formulas directly, so it never enters the
-whole-section actions.
+The generator formulas are written once, for one radial shell, as the
+methods of ``_ShellPass``: the pass of one section on one shell.  It
+takes the shell's derivative pass on first use, d_theta and d_phi of
+the shell alone and, only when a K action asks, row i of d_r over the
+whole section (each the slice of the whole-section derivative, bit for
+bit), and it builds each S_a v, J_a v, K_a v and omega + m once for
+every action on that shell, so a K triple builds each S_b v (massive)
+or J_c v (massless) once.  ``_by_shell`` is the one shell loop over a
+section: it yields the pass of each shell in turn, and its caller writes
+every request it has on that section, generator actions or covariant
+derivatives (:mod:`spinsplit.connections`), before the next shell
+begins.  Every temporary is therefore one shell in size, and no whole
+derivative pass is held.  ``_actions`` builds whole sections of any set
+of J and K actions in one such loop; ``_act_J`` and ``_act_K`` are its
+one-action calls, and no shell re-enters them, so each whole-section
+action is one call of its name.
 
 The helicity operator is pointwise (the orbital part of J.khat vanishes
 identically).  Each fiber action has one direct call: ``_act_J``,
 ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the generator
-letters H, P, J, K of the bracket table ``algebra.BRACKETS``, and
-``algebra_residual`` checks each family of that table, the one the
-symbolic identity catalog also reads, building each first-level action
-and its derivative pass once.  It reads the representation and the grid
-from the section it is given, as every diagnostic on sections does.
+letters H, P, J, K of the bracket table ``algebra.BRACKETS``.
+``algebra_residuals`` checks any set of families of that table, the one
+the symbolic identity catalog also reads, on one shared set of actions:
+one loop over psi builds each first-level J_a psi and K_a psi once, and
+each first-level action takes its derivative pass once, one shell at a
+time, for every second-level action on it.  ``algebra_residual`` is its
+one-family call.  At (8, 48, 96) the ten families in one call take 11
+radial and 11 angular passes, where ten one-family calls took 14 and 27,
+and peak at 11.1 sections (19.6 MB for massive spin 1), where the
+largest one-family call peaked at 14.0.  A diagnostic reads the
+representation and the grid from the section it is given, as every
+diagnostic on sections does.
 """
 
 from __future__ import annotations
@@ -66,14 +78,21 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import BRACKETS, bracket_axes, bracket_terms
-from .grid import GridError, GridShell, MomentumGrid, Section, component_major
+from .grid import (
+    GridError,
+    MomentumGrid,
+    Section,
+    _norm_of_density,
+    _weighted_density,
+    component_major,
+)
 from .scalars import _EPS_PAIRS
 
 __all__ = [
     "RepError",
     "RepSpec",
     "inner",
-    "algebra_residual",
+    "algebra_residuals",
     "relation_ids",
     "random_test_section",
 ]
@@ -192,31 +211,6 @@ class RepSpec:
 _SIGMA_BOOST = -1.0  # sign of the massive spin-boost term, fixed by tests
 
 
-def _derivatives(grid: MomentumGrid, v: np.ndarray, radial: bool = True):
-    """One derivative pass over v: (d_r v, d_theta v, d_phi v).  J needs
-    no radial derivative, so ``radial=False`` leaves d_r v as None."""
-    return (grid.d_r(v) if radial else None, grid.d_theta(v), grid.d_phi(v))
-
-
-def _on_shell(grid: MomentumGrid, i: int, v: np.ndarray, der):
-    """Radial shell ``i`` of the grid, of v and of its derivative pass
-    ``der`` (a None entry stays None): (grid.shell(i), v, der)."""
-    s = slice(i, i + 1)
-    return grid.shell(i), v[s], tuple(d if d is None else d[s] for d in der)
-
-
-def _by_shell(formula, rep: RepSpec, grid: MomentumGrid, a: int,
-              v: np.ndarray, der):
-    """``formula(rep, shell, a, v, der)`` on each radial shell of the grid
-    in turn, written into one array laid out like v, so every temporary
-    is one shell in size."""
-    out = np.empty_like(v)
-    for i in range(grid.n_r):
-        sh, v_i, der_i = _on_shell(grid, i, v, der)
-        out[i:i + 1] = formula(rep, sh, a, v_i, der_i)
-    return out
-
-
 def _entries_act(entries, dim: int, v: np.ndarray) -> np.ndarray:
     """M v for the fiber matrix M listed as (row, column, coefficient)
     entries in row-major order.  A coefficient is a number, an array that
@@ -270,61 +264,142 @@ def _spin_dot(rep: RepSpec, w):
         yield b, c, tuple(w[a] * coef for a, coef in coefs[b, c])
 
 
-def _act_J(rep: RepSpec, grid: MomentumGrid, a: int, v: np.ndarray,
-           der=None) -> np.ndarray:
-    """J_a v on a whole section; ``der`` is the derivative pass over v,
-    taken here unless given."""
-    if der is None:
-        der = _derivatives(grid, v, radial=False)
-    return _by_shell(_j_formula, rep, grid, a, v, der)
+def _multiply(fields, tag: str, axis: int | None, v: np.ndarray):
+    """The pointwise generator H (omega v) or P_axis (k_axis v), with
+    ``fields`` a grid or one of its shells."""
+    if tag == "H":
+        return fields.omega[..., None] * v
+    return (fields.kx, fields.ky, fields.kz)[axis][..., None] * v
 
 
-def _j_formula(rep: RepSpec, sh: GridShell, a: int, v: np.ndarray,
-               der) -> np.ndarray:
-    # -i (e_phi d_theta - e_theta d_phi / sin(theta)) + S_a; the division
-    # is a product with the grid's 1/sin(theta), which gives the
-    # quotient's values on complex sections (see MomentumGrid)
-    _, dth, dph = der
-    return (-1j * (sh.e_phi[a][..., None] * dth - sh.e_theta[a][..., None]
-                   * dph * sh.inv_sin_theta[..., None])
-            + _spin_act(rep, a, v))
+class _ShellPass:
+    """Radial shell ``i`` of a section and the generator actions on it.
 
+    ``v`` holds the shell's values, shape (1, N_theta, N_phi, d), and
+    ``whole`` the section they were cut from, which only the radial
+    derivative reads.  The derivative pass is taken on first use: d_theta
+    and d_phi of the shell alone, and row i of d_r over the whole section
+    only when a K action asks for it, so each is the slice of the
+    whole-section derivative, bit for bit.  Each S_a v, J_a v, K_a v and
+    omega + m is built once and kept while the pass lives: the actions
+    on one shell share them, so a K triple builds each S_b v (massive) or
+    J_c v (massless) once."""
 
-def _act_K(rep: RepSpec, grid: MomentumGrid, a: int, v: np.ndarray,
-           der=None) -> np.ndarray:
-    """K_a v on a whole section; ``der`` is the derivative pass over v,
-    taken here unless given."""
-    if der is None:
-        der = _derivatives(grid, v)
-    return _by_shell(_k_formula, rep, grid, a, v, der)
+    __slots__ = ("rep", "grid", "i", "sh", "v", "_whole", "_dr", "_ang",
+                 "_kept")
 
+    def __init__(self, rep: RepSpec, grid: MomentumGrid, i: int,
+                 v: np.ndarray, whole: np.ndarray | None = None):
+        self.rep, self.grid, self.i = rep, grid, i
+        self.sh = grid.shell(i)
+        self.v = v
+        self._whole = whole
+        self._dr = self._ang = None
+        self._kept = {}
 
-def _k_formula(rep: RepSpec, sh: GridShell, a: int, v: np.ndarray,
-               der) -> np.ndarray:
-    dr, dth, dph = der
-    if rep.kind == "massless":
-        # khat_a (i |k| d_r) + (khat x J)_a
-        return sum((e * sh.khat[b][..., None] * _j_formula(rep, sh, c, v, der)
+    @property
+    def dr(self) -> np.ndarray:
+        """d_r v on the shell: row i of the whole section's derivative."""
+        if self._dr is None:
+            self._dr = self.grid.d_r(self._whole, self.i)
+        return self._dr
+
+    @property
+    def ang(self):
+        """(d_theta v, d_phi v) of the shell."""
+        if self._ang is None:
+            self._ang = (self.grid.d_theta(self.v), self.grid.d_phi(self.v))
+        return self._ang
+
+    def _once(self, key, build):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    def spin(self, a: int) -> np.ndarray:
+        return self._once(("S", a), lambda: _spin_act(self.rep, a, self.v))
+
+    def J(self, a: int) -> np.ndarray:
+        return self._once(("J", a), lambda: self._j(a))
+
+    def K(self, a: int) -> np.ndarray:
+        return self._once(("K", a), lambda: self._k(a))
+
+    def gen(self, tag: str, axis: int | None) -> np.ndarray:
+        """Generator ``tag`` in {H, P, J, K} (axis ``axis``) on the shell."""
+        if tag in ("H", "P"):
+            return _multiply(self.sh, tag, axis, self.v)
+        return self.J(axis) if tag == "J" else self.K(axis)
+
+    def _j(self, a: int) -> np.ndarray:
+        # -i (e_phi d_theta - e_theta d_phi / sin(theta)) + S_a; the
+        # division is a product with the grid's 1/sin(theta), which gives
+        # the quotient's values on complex sections (see MomentumGrid)
+        sh, (dth, dph) = self.sh, self.ang
+        return (-1j * (sh.e_phi[a][..., None] * dth - sh.e_theta[a][..., None]
+                       * dph * sh.inv_sin_theta[..., None])
+                + self.spin(a))
+
+    def _k(self, a: int) -> np.ndarray:
+        sh, rep = self.sh, self.rep
+        if rep.kind == "massless":
+            # khat_a (i |k| d_r) + (khat x J)_a
+            return sum((e * sh.khat[b][..., None] * self.J(c)
+                        for b, c, e in _EPS_PAIRS[a]),
+                       sh.khat[a][..., None]
+                       * (1j * sh.kmag[..., None] * self.dr))
+        # multiplication-ordered orbital part i*omega*d_a: self-adjoint
+        # under the invariant measure d^3k/omega (the symmetrized variant
+        # differs by the radial scalar i k_a/(2 omega) and is self-adjoint
+        # under the plain measure instead).  d_theta v / r and
+        # d_phi v / (r sin(theta)) are products with the grid's
+        # reciprocals, which give the quotients' values on complex
+        # sections (see MomentumGrid).  The sum runs left to right:
+        # i omega (grad v)_a, then sigma eps_abc S_b v k_c/(omega + m)
+        # pair by pair
+        dth, dph = self.ang
+        omega = sh.omega[..., None]
+        omega_m = self._once("omega+m", lambda: omega + rep.mass)
+        ks = (sh.kx, sh.ky, sh.kz)
+        return sum((self.spin(b)
+                    * (_SIGMA_BOOST * e / omega_m * ks[c][..., None])
                     for b, c, e in _EPS_PAIRS[a]),
-                   sh.khat[a][..., None] * (1j * sh.kmag[..., None] * dr))
-    # multiplication-ordered orbital part i*omega*d_a: self-adjoint under
-    # the invariant measure d^3k/omega (the symmetrized variant differs by
-    # the radial scalar i k_a/(2 omega) and is self-adjoint under the
-    # plain measure instead).  d_theta v / r and d_phi v / (r sin(theta))
-    # are products with the grid's reciprocals, which give the quotients'
-    # values on complex sections (see MomentumGrid).  The sum runs left to
-    # right: i omega (grad v)_a, then sigma eps_abc S_b v k_c/(omega + m)
-    # pair by pair
-    omega = sh.omega[..., None]
-    ks = (sh.kx, sh.ky, sh.kz)
-    return sum((_spin_act(rep, b, v)
-                * (_SIGMA_BOOST * e / (omega + rep.mass) * ks[c][..., None])
-                for b, c, e in _EPS_PAIRS[a]),
-               1j * omega * (sh.e_k[a][..., None] * dr
-                             + sh.e_theta[a][..., None]
-                             * (dth * sh.inv_kmag[..., None])
-                             + sh.e_phi[a][..., None]
-                             * (dph * sh.inv_kmag_sin_theta[..., None])))
+                   1j * omega * (sh.e_k[a][..., None] * self.dr
+                                 + sh.e_theta[a][..., None]
+                                 * (dth * sh.inv_kmag[..., None])
+                                 + sh.e_phi[a][..., None]
+                                 * (dph * sh.inv_kmag_sin_theta[..., None])))
+
+
+def _by_shell(rep: RepSpec, grid: MomentumGrid, v: np.ndarray):
+    """The shell loop over a section v: the ``_ShellPass`` of v on each
+    radial shell in turn.  A caller writes what it wants of each shell
+    before asking for the next, so every temporary is one shell in
+    size."""
+    for i in range(grid.n_r):
+        yield _ShellPass(rep, grid, i, v[i:i + 1], v)
+
+
+def _actions(rep: RepSpec, grid: MomentumGrid, v: np.ndarray, gens) -> list:
+    """[g v for each generator (tag, axis) in ``gens``] as whole
+    sections, from one shell loop over v."""
+    out = [np.empty_like(v) for _ in gens]
+    for p in _by_shell(rep, grid, v):
+        for o, (tag, axis) in zip(out, gens):
+            o[p.i:p.i + 1] = p.gen(tag, axis)
+    return out
+
+
+def _act_J(rep: RepSpec, grid: MomentumGrid, a: int,
+           v: np.ndarray) -> np.ndarray:
+    """J_a v on a whole section."""
+    return _actions(rep, grid, v, [("J", a)])[0]
+
+
+def _act_K(rep: RepSpec, grid: MomentumGrid, a: int,
+           v: np.ndarray) -> np.ndarray:
+    """K_a v on a whole section."""
+    return _actions(rep, grid, v, [("K", a)])[0]
 
 
 def _act_chi(rep: RepSpec, grid: MomentumGrid, v: np.ndarray) -> np.ndarray:
@@ -335,19 +410,15 @@ def _act_chi(rep: RepSpec, grid: MomentumGrid, v: np.ndarray) -> np.ndarray:
 
 
 def _act(rep: RepSpec, grid: MomentumGrid, tag: str, axis: int | None,
-         v: np.ndarray, der=None) -> np.ndarray:
-    """Generator ``tag`` in {H, P, J, K} (axis ``axis``) on v; ``der`` is
-    an optional precomputed derivative pass over v, shared by the J and K
-    actions."""
-    if tag == "H":
-        return grid.omega[..., None] * v
-    if tag == "P":
-        k = (grid.kx, grid.ky, grid.kz)[axis]
-        return k[..., None] * v
+         v: np.ndarray) -> np.ndarray:
+    """Generator ``tag`` in {H, P, J, K} (axis ``axis``) on a whole
+    section v."""
+    if tag in ("H", "P"):
+        return _multiply(grid, tag, axis, v)
     if tag == "J":
-        return _act_J(rep, grid, axis, v, der)
+        return _act_J(rep, grid, axis, v)
     if tag == "K":
-        return _act_K(rep, grid, axis, v, der)
+        return _act_K(rep, grid, axis, v)
     raise RepError(f"unknown generator tag {tag!r}")
 
 
@@ -381,78 +452,121 @@ def relation_ids():
 
 def algebra_residual(relation_id: str, psi: Section) -> float:
     """max over index pairs of ||(LHS - RHS) psi|| / ||psi|| for the named
-    bracket family [A_a, B_b], in the rep and on the grid of psi.
+    bracket family [A_a, B_b], in the rep and on the grid of psi: the
+    one-family call of ``algebra_residuals``."""
+    return algebra_residuals((relation_id,), psi)[0]
 
-    Each first-level action A_a v or B_b v is built once, with the one
-    derivative pass its second-level actions need, and every second-level
-    action on it is taken before it is dropped: B_b (A_a v) for the pairs
-    it starts as A_a, A_a (B_b v) for those it starts as B_b.  The half of
-    a pair's left side that comes first waits for the other.  The actions
-    are visited axis by axis, B_b before A_b, so at most five halves wait
-    at once (JK, KP)."""
-    if relation_id not in _RELATIONS:
-        raise RepError(
-            f"unknown relation id {relation_id!r}; valid: {_RELATIONS}"
-        )
+
+def _halves(pair):
+    """The two halves of the bracket pair (family AB, a, b) as (node,
+    generator) pairs, each a (letter, axis): the half A_a (B_b v) that
+    leads A_a B_b - B_b A_a, then B_b (A_a v)."""
+    family, a, b = pair
+    return ((family[1], b), (family[0], a)), ((family[0], a), (family[1], b))
+
+
+def algebra_residuals(families, psi: Section) -> list:
+    """[algebra_residual(rid, psi) for rid in families], each family
+    checked on one shared set of generator actions on psi.
+
+    A node is a first-level action g v; each half of a pair is a
+    generator acting on a node.  One shell loop over psi builds every
+    first-level J_a v and K_a v, which serve as nodes and as the
+    right-hand-side targets.  The pairs are then finished in phases, one
+    per P_b v or H v node (built whole in its phase) whose J or K half a
+    pair needs, one for the pairs whose J and K halves all act on J and
+    K nodes, and one for the pairs of pointwise halves alone.  A phase
+    is one shell loop: on each shell it takes each node's derivative
+    pass once, one node at a time, and gives it every half on that node.
+    A half whose partner is pointwise (H or P on a node) is finished at
+    once; of two J or K halves, the first to be built waits, one shell in
+    size, for the other.  Each finished pair leaves only its weighted
+    density on the shell, and its norm is taken over the whole grid when
+    the phase ends.  Every half and target is built by the arithmetic of
+    the one-action-per-pair loop, so each residual equals it bit for
+    bit."""
+    rids = tuple(families)
+    for rid in rids:
+        if rid not in _RELATIONS:
+            raise RepError(
+                f"unknown relation id {rid!r}; valid: {_RELATIONS}")
     rep, grid, v = psi.rep, psi.grid, psi.values
     nrm = _test_norm(psi)
+    w = grid.invariant_weights
+    pairs = [(rid, a, b) for rid in dict.fromkeys(rids)
+             for a in bracket_axes(rid[0]) for b in bracket_axes(rid[1])
+             if rid not in ("JJ", "KK", "PP") or b > a]
 
-    def norm_of(values):
-        return Section(rep, grid, values).norm()
+    def phase(pair):
+        # the P or H node carrying a J or K half, else "JK" when the pair
+        # has J or K halves, else None
+        nodes = [node for node, (t, _) in _halves(pair) if t in "JK"]
+        return next((n for n in nodes if n[0] in "PH"),
+                    "JK" if nodes else None)
 
-    def one_pass(w, tags):
-        # the derivative pass that the generators in ``tags`` need on w,
-        # shared by every axis acting on w
-        if not {"J", "K"} & set(tags):
-            return None
-        return _derivatives(grid, w, radial="K" in tags)
-
-    def act(tag, axis, w, der=None):
-        return _act(rep, grid, tag, axis, w, der)
-
-    t1, t2 = relation_id[0], relation_id[1]
-    pairs = [(a, b) for a in bracket_axes(t1) for b in bracket_axes(t2)
-             if relation_id not in ("JJ", "KK", "PP") or b > a]
-    # per first-level action: the pairs it starts, each with the
-    # second-level generator and axis, and whether the result is the half
-    # A_a (B_b v) that leads the bracket A_a B_b - B_b A_a
-    feeds = {}
-    for a, b in pairs:
-        feeds.setdefault((t1, a), []).append(((a, b), t2, b, False))
-        feeds.setdefault((t2, b), []).append(((a, b), t1, a, True))
-    order = sorted(feeds, key=lambda g: (0.5 if g[1] is None else g[1],
-                                         g[0] != t2))
-
-    def finish(a, b, lhs):
-        for k, target, c in bracket_terms(relation_id, a, b):
-            lhs = lhs - 1j * k * act(target, c, v, v_der)
-        return norm_of(lhs) / nrm
-
-    # one pass over v serves every first-level action and every
-    # right-hand-side target (a J target appears only beside K, whose
-    # pass covers it)
-    v_der = one_pass(v, relation_id)
-    waiting = {}
+    first = sorted(
+        {node for pair in pairs for node, _ in _halves(pair)
+         if node[0] in "JK"}
+        | {(t, c) for pair in pairs for _, t, c in bracket_terms(*pair)
+           if t in "JK"})
+    held = dict(zip(first, _actions(rep, grid, v, first)))
     residual = {}
-    for tag, axis in order:
-        g = act(tag, axis, v, v_der)
-        uses = feeds[tag, axis]
-        g_der = one_pass(g, [t for _, t, _, _ in uses])
-        for pair, t, c, leads in uses:
-            half = act(t, c, g, g_der)
-            if pair not in waiting:
-                waiting[pair] = half
-                del half
-                continue
-            other = waiting.pop(pair)
-            x, y = (half, other) if leads else (other, half)
-            del half, other
-            lhs = x - y
-            del x, y
-            residual[pair] = finish(*pair, lhs)
-            del lhs
-        del g, g_der
-    return float(np.max([residual[pair] for pair in pairs]))
+    for key in dict.fromkeys(sorted(map(phase, pairs), key=str)):
+        mine = [pair for pair in pairs if phase(pair) == key]
+        whole = dict(held)
+        if key not in ("JK", None):
+            whole[key] = _act(rep, grid, *key, v)
+        dens = {pair: np.empty(grid.shape) for pair in mine}
+        uses = {}  # node -> [(pair, whether the half leads, generator)]
+        for pair in mine:
+            for leads, (node, gen) in zip((True, False), _halves(pair)):
+                if gen[0] in "JK":
+                    uses.setdefault(node, []).append((pair, leads, gen))
+        for i in range(grid.n_r):
+            sh, v_i = grid.shell(i), v[i:i + 1]
+
+            def values(node):
+                if node in whole:
+                    return whole[node][i:i + 1]
+                return _multiply(sh, *node, v_i)
+
+            def finish(pair, x, y):
+                lhs = x - y
+                for k, target, c in bracket_terms(*pair):
+                    t = (held[target, c][i:i + 1] if target in "JK"
+                         else _multiply(sh, target, c, v_i))
+                    lhs = lhs - 1j * k * t
+                    del t
+                dens[pair][i:i + 1] = _weighted_density(w[i:i + 1], lhs)
+
+            waiting = {}
+            for node in sorted(uses):
+                p = _ShellPass(rep, grid, i, values(node), whole.get(node))
+                for pair, leads, gen in uses[node]:
+                    half = p.gen(*gen)
+                    # the pair's other half: the second if this one leads
+                    other_node, other_gen = _halves(pair)[leads]
+                    if other_gen[0] in "HP":
+                        other = _multiply(sh, *other_gen, values(other_node))
+                    elif pair in waiting:
+                        other = waiting.pop(pair)
+                    else:
+                        waiting[pair] = half
+                        continue
+                    finish(pair, *((half, other) if leads else (other, half)))
+                    del half, other
+                del p
+            if key is None:
+                for pair in mine:
+                    x, y = (_multiply(sh, *gen, values(node))
+                            for node, gen in _halves(pair))
+                    finish(pair, x, y)
+                    del x, y
+        for pair in mine:
+            residual[pair] = _norm_of_density(dens.pop(pair)) / nrm
+        del whole
+    return [float(np.max([residual[pair] for pair in pairs
+                          if pair[0] == rid])) for rid in rids]
 
 
 # -- test sections -------------------------------------------------------------

@@ -18,12 +18,20 @@ construction.  The diagnostics measure, on smooth test sections:
     no connection: Jpar_a = khat_a (S.khat) and Jperp_a = J_a - Jpar_a.
 
 Every diagnostic applies the fields that act on one section in one
-batched covariant derivative, with one derivative pass over that
-section: X_c psi for all c at once, and in the vector-operator check
-X_a (J_b psi) for all a at once, one J_b psi at a time.  Each value
-equals, bit for bit, the one-field call it replaces.  The largest
-residual is taken with ``np.max``, which returns NaN when any residual
-is NaN; the builtin ``max`` would keep a number found before it.
+batched covariant derivative, in one shell loop over that section
+(``reps._by_shell``): X_c psi for all c at once, and J_a psi beside
+L_a psi when S is wanted.  The vector-operator check serves L and S
+from one set of actions: one loop over psi gives J_c psi and L_c psi,
+each J_b psi takes one pass that gives L_a (J_b psi) for both parts,
+and each X_a psi takes one angular pass for J_b (X_a psi) for every b;
+the pairs meet shell by shell, and each leaves only its weighted
+density until its norm is taken.  That is 4 radial and 10 angular
+passes where the two parts on their own actions took 8 and 32; at
+(8, 48, 96) it peaks at 13.5 sections (23.95 MB for massive spin 1).
+Each value equals, bit for bit, the one-field call it replaces.  The
+largest residual is taken with ``np.max``, which returns NaN when any
+residual is NaN; the builtin ``max`` would keep a number found before
+it.
 
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
@@ -40,12 +48,20 @@ import numpy as np
 from .connections import (
     ConnectionKind,
     TangentField,
-    _covariant_values,
+    _covariant_shell,
     apply_connections,
     curvature_commutator,
 )
-from .grid import Section
-from .reps import _act_chi, _act_J, _act_K, _derivatives, _test_norm, inner
+from .grid import Section, _norm_of_density, _weighted_density
+from .reps import (
+    _act_chi,
+    _act_J,
+    _actions,
+    _by_shell,
+    _ShellPass,
+    _test_norm,
+    inner,
+)
 from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
@@ -77,31 +93,35 @@ class SplitOperators:
     def __init__(self, kind: ConnectionKind):
         self.kind = kind
 
-    def _l_values(self, axes, psi: Section, der=None) -> list:
-        """The values of L_a psi for each axis in ``axes``, from one
-        derivative pass over psi (``der``, taken here unless given)."""
-        vals = _covariant_values(
-            psi.rep, psi.grid, self.kind,
-            [_ROTATIONAL[a] for a in axes], psi.values, der)
-        for val in vals:
-            val *= -1j
-        return vals
+    def _shell(self, p: _ShellPass, f, axes, out, s_part=False) -> None:
+        """L_a v, or S_a v = J_a v - L_a v when ``s_part``, on the shell
+        of the pass p for each axis in ``axes``, written into the
+        shell-sized arrays of ``out``; f is the boost weight on the
+        shell."""
+        _covariant_shell(p, self.kind, f, [_ROTATIONAL[a] for a in axes],
+                         out)
+        for a, o in zip(axes, out):
+            o *= -1j
+            if s_part:
+                np.subtract(p.J(a), o, out=o)
+
+    def _axes(self, axes, psi: Section, s_part: bool) -> list:
+        rep, grid, v = psi.rep, psi.grid, psi.values
+        f = self.kind.weight(grid.r, rep.mass)
+        out = [np.empty_like(v) for _ in axes]
+        for p in _by_shell(rep, grid, v):
+            s = slice(p.i, p.i + 1)
+            self._shell(p, f[p.i], axes, [o[s] for o in out], s_part)
+        return [Section(rep, grid, o) for o in out]
 
     def L_axes(self, axes, psi: Section) -> list:
-        """[L_a psi for a in axes], from one derivative pass over psi."""
-        return [Section(psi.rep, psi.grid, val)
-                for val in self._l_values(axes, psi)]
+        """[L_a psi for a in axes], from one shell loop over psi."""
+        return self._axes(axes, psi, False)
 
     def S_axes(self, axes, psi: Section) -> list:
-        """[S_a psi for a in axes]: J and L share one derivative pass over
-        psi, and each S_a psi = J_a psi - L_a psi is formed in the L
-        array."""
-        rep, grid, v = psi.rep, psi.grid, psi.values
-        der = _derivatives(grid, v)
-        s_vals = self._l_values(axes, psi, der)
-        for a, s in zip(axes, s_vals):
-            np.subtract(_act_J(rep, grid, a, v, der), s, out=s)
-        return [Section(rep, grid, s) for s in s_vals]
+        """[S_a psi for a in axes]: J and L share one shell loop over psi,
+        and each S_a psi = J_a psi - L_a psi is formed in the L array."""
+        return self._axes(axes, psi, True)
 
     def L(self, a: int, psi: Section) -> Section:
         return self.L_axes((a,), psi)[0]
@@ -115,61 +135,110 @@ class SplitOperators:
 
 
 def _j_perp(axes, psi: Section, chi=None) -> list:
-    """[Jperp_a psi for a in axes] on a massless section, from one angular
-    pass over psi and its helicity action ``chi`` (taken here unless
+    """[Jperp_a psi for a in axes] on a massless section, from one shell
+    loop over psi and its helicity action ``chi`` (taken here unless
     given): J_a psi - khat_a chi, formed in the fresh J array."""
     rep, grid, v = psi.rep, psi.grid, psi.values
     if chi is None:
         chi = _act_chi(rep, grid, v)
-    der = _derivatives(grid, v, radial=False)
     out = []
-    for a in axes:
-        j = _act_J(rep, grid, a, v, der)
+    for a, j in zip(axes, _actions(rep, grid, v, [("J", a) for a in axes])):
         j -= grid.khat[a][..., None] * chi
         out.append(Section(rep, grid, j))
     return out
 
 
-def _vector_op_part(ops: SplitOperators, act, psi: Section) -> float:
-    """max over (a,b) of ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||
-    for the part X of J whose batched action ``(axes, psi) -> [X_a psi]``
-    is ``act`` (``ops.L_axes`` or ``ops.S_axes``).
+def _vector_op_residuals(ops: SplitOperators, psi: Section,
+                         parts) -> list:
+    """For each part X in ``parts`` ("L", "S"): max over (a, b) of
+    ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||.
 
-    One derivative pass over psi gives the three X_c psi.  Then, for each
-    b, J_b psi is built from its own angular pass over psi, and one pass
-    over it gives X_a (J_b psi) for all three a at once; only one J_b psi
-    and its three images are alive at a time.  Each J_b (X_a psi) retakes
-    the angular pass over X_a psi instead of holding three such passes
-    for all b.  Every value equals, bit for bit, the one-field call per
-    pair (a, b)."""
-    rep, grid = psi.rep, psi.grid
+    One shell loop over psi builds J_c psi and L_c psi; S_c psi =
+    J_c psi - L_c psi is formed on each shell where it is read.  Then one
+    shell loop serves every pair of both parts.  On each shell it takes
+    the derivative pass of each J_b psi once, whose L_a (J_b psi) gives
+    the L half and, subtracted from J_a (J_b psi), the S half, and the
+    angular pass of each X_a psi once, whose J_b (X_a psi) gives the
+    other half for every b.  The J_0 psi halves are built first, then
+    those of every X_a psi, then those of J_1 psi and J_2 psi, so at most
+    twelve halves, each one shell in size, wait for their partners.  A
+    finished pair leaves only its weighted density on the shell, and its
+    norm is taken over the whole grid at the end.  Every value is built
+    by the arithmetic of the one-field call per pair (a, b), so each
+    residual equals it bit for bit."""
+    rep, grid, v = psi.rep, psi.grid, psi.values
     nrm = _test_norm(psi)
-    x_psi = act(range(3), psi)
-    residuals = []
-    for b in range(3):
-        j_b = ops.J(b, psi)
-        x_j = act(range(3), j_b)
-        del j_b
-        for a in range(3):
-            out = x_j[a] - Section(
-                rep, grid, _act_J(rep, grid, b, x_psi[a].values))
-            x_j[a] = None
+    w = grid.invariant_weights
+    f = ops.kind.weight(grid.r, rep.mass)
+    j_psi = [np.empty_like(v) for _ in range(3)]
+    l_psi = [np.empty_like(v) for _ in range(3)]
+    for p in _by_shell(rep, grid, v):
+        s = slice(p.i, p.i + 1)
+        ops._shell(p, f[p.i], range(3), [val[s] for val in l_psi])
+        for c in range(3):
+            j_psi[c][s] = p.J(c)
+    del p
+    pairs = [(x, a, b) for x in parts for a in range(3) for b in range(3)]
+    dens = {pair: np.empty(grid.shape) for pair in pairs}
+    for i in range(grid.n_r):
+        s = slice(i, i + 1)
+        waiting = {}
+
+        def x_psi(x, c):
+            # X_c psi on the shell
+            return l_psi[c][s] if x == "L" else j_psi[c][s] - l_psi[c][s]
+
+        def meet(pair, half, leads):
+            # the half X_a (J_b psi) leads, J_b (X_a psi) is subtracted
+            if pair not in waiting:
+                waiting[pair] = half
+                return
+            other = waiting.pop(pair)
+            x, a, b = pair
+            out = half - other if leads else other - half
+            del other
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
-                    out = out - x_psi[c] * (1j * e)
-            residuals.append(out.norm() / nrm)
-            del out
-    return float(np.max(residuals))
+                    out = out - x_psi(x, c) * (1j * e)
+            dens[pair][s] = _weighted_density(w[s], out)
+
+        def j_node(b):
+            p = _ShellPass(rep, grid, i, j_psi[b][s], j_psi[b])
+            l_j = [np.empty_like(p.v) for _ in range(3)]
+            ops._shell(p, f[i], range(3), l_j)
+            for a in range(3):
+                if "S" in parts:
+                    meet(("S", a, b), p.J(a) - l_j[a], True)
+                if "L" in parts:
+                    meet(("L", a, b), l_j[a], True)
+
+        j_node(0)
+        for x in parts:
+            for a in range(3):
+                p = _ShellPass(rep, grid, i, x_psi(x, a))
+                for b in range(3):
+                    meet((x, a, b), p.J(b), False)
+                del p
+        j_node(1)
+        j_node(2)
+    return [float(np.max([_norm_of_density(dens.pop((x, a, b))) / nrm
+                          for a in range(3) for b in range(3)]))
+            for x in parts]
+
+
+def _vector_op_part(ops: SplitOperators, act, psi: Section) -> float:
+    """The vector-operator residual of the part of J whose batched
+    action is ``act`` (``ops.L_axes`` or ``ops.S_axes``)."""
+    part = "L" if act == ops.L_axes else "S"
+    return _vector_op_residuals(ops, psi, (part,))[0]
 
 
 def vector_op_residual(ops: SplitOperators, psi: Section) -> float:
     """The larger of the vector-operator residuals of L and of S: max
     over (a,b) and X = L, S of ||([X_a, J_b] - i eps_abc X_c) psi|| /
-    ||psi||.  L is checked first, and its sections are gone before S's
-    check starts."""
-    return float(np.max([_vector_op_part(ops, ops.L_axes, psi),
-                         _vector_op_part(ops, ops.S_axes, psi)]))
+    ||psi||, both parts checked on one set of actions."""
+    return float(np.max(_vector_op_residuals(ops, psi, ("L", "S"))))
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -294,10 +363,10 @@ def _q_closed_form(psi: Section) -> list:
     m = rep.mass
     omega = grid.omega[..., None]
     ks = (grid.kx, grid.ky, grid.kz)
-    der = _derivatives(grid, kv)
-    jpsi = [_act_J(rep, grid, c, kv, der) for c in range(3)]
-    kpsi = [_act_K(rep, grid, c, kv, der) for c in range(3)]
-    del der
+    actions = _actions(rep, grid, kv,
+                       [(tag, c) for tag in "JK" for c in range(3)])
+    jpsi, kpsi = actions[:3], actions[3:]
+    del actions
     # w_c = (H J + k x K)_c
     w = []
     for c in range(3):

@@ -1,10 +1,12 @@
-"""One derivative pass per section for every field applied to it: call
+"""One derivative pass per section for every field applied to it: pass
 counts of the grid derivatives for one field, for a batch of fields, for
-the curvature, cross-commutator and splitting diagnostics and for each
-bracket family of the commutation-relation catalog; bit-exact agreement
-of the batched splitting diagnostics with their one-field loops and of
-``algebra_residual`` with its one-action-per-pair loop, both in
-``reference.py``."""
+the curvature, cross-commutator and splitting diagnostics, for each
+bracket family of the commutation-relation catalog and for all ten in
+one call; bit-exact agreement of the batched splitting diagnostics with
+their one-field loops and of ``algebra_residual`` with its
+one-action-per-pair loop, both in ``reference.py``."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from spinsplit.connections import (
 )
 import spinsplit.splitting as splitting
 from spinsplit.grid import MomentumGrid, Section
+import spinsplit.reps as reps
 from spinsplit.reps import (
     RepSpec,
     algebra_residual,
+    algebra_residuals,
     random_test_section,
     relation_ids,
 )
@@ -41,14 +45,19 @@ _DERIVATIVES = ("d_r", "d_theta", "d_phi", "gradient")
 
 @pytest.fixture
 def derivative_calls(monkeypatch):
-    """Count the calls of each grid derivative."""
+    """Count the passes of each grid derivative in whole-section
+    equivalents: a call that differentiates k radial shells counts
+    k / N_r, so a pass taken one shell at a time counts 1, as a pass over
+    the whole section does."""
     calls = dict.fromkeys(_DERIVATIVES, 0)
     for name in _DERIVATIVES:
         orig = getattr(MomentumGrid, name)
 
-        def counted(self, values, _name=name, _orig=orig):
-            calls[_name] += 1
-            return _orig(self, values)
+        def counted(self, values, *args, _name=name, _orig=orig):
+            out = _orig(self, values, *args)
+            calls[_name] += (1 if _name == "gradient"
+                             else Fraction(out.shape[0], self.n_r))
+            return out
 
         monkeypatch.setattr(MomentumGrid, name, counted)
     return calls
@@ -91,7 +100,7 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
                                 "gradient": 0}
 
 
-# (d_r, d_theta, d_phi) calls per diagnostic; when every field took its
+# (d_r, d_theta, d_phi) passes per diagnostic; when every field took its
 # own pass they were
 #   so3_residual           9, 9, 9
 #   vector_op_residual L  12, 24, 24
@@ -99,15 +108,17 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 #   curvature_commutator   5, 5, 5
 #   cross_commutator       9, 9, 9 (five passes over psi)
 # and vector_op_residual took 10, 13, 13 with one X_a (J_b psi) call per
-# pair.  Now: one pass over psi, then per b an angular pass over psi for
-# J_b psi, one pass over J_b psi for its three X_a, and an angular pass
-# over each X_a psi.  The vector-operator check of L and of S each take
-# that; vector_op_residual runs both.
+# pair, then 4, 16, 16 per part (8, 32, 32 for both) with one pass per
+# section but each part on its own actions and an angular pass over each
+# X_a psi for each b.  Now one pass over psi gives J_c psi and L_c psi,
+# one pass over each J_b psi gives the L and the S half, and one angular
+# pass over each X_a psi serves every b: 4, 7, 7 for one part and
+# 4, 10, 10 for both.
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
-    "vector-op-L": (4, 16, 16),
-    "vector-op-S": (4, 16, 16),
-    "vector-op": (8, 32, 32),
+    "vector-op-L": (4, 7, 7),
+    "vector-op-S": (4, 7, 7),
+    "vector-op": (4, 10, 10),
     "curvature": (3, 3, 3),
     "cross-commutator": (5, 5, 5),
 }
@@ -250,24 +261,83 @@ def test_algebra_residual_matches_one_action_per_pair(rep, relation_id):
         == reference.algebra_residual(rep, grid, relation_id, psi)
 
 
-# (d_r, d_theta, d_phi) calls per bracket family: one pass over v and one
+@pytest.mark.parametrize("rep", _ALGEBRA_REPS, ids=repr)
+def test_ten_families_in_one_call_match_one_action_per_pair(rep):
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
+    psi = random_test_section(rep, grid, seed=9)
+    expected = {rid: reference.algebra_residual(rep, grid, rid, psi)
+                for rid in relation_ids()}
+    assert algebra_residuals(relation_ids(), psi) == list(expected.values())
+    # a family asked for twice is checked once and reported twice
+    assert algebra_residuals(("KK", "JP", "KK"), psi) == [
+        expected["KK"], expected["JP"], expected["KK"]]
+
+
+# (d_r, d_theta, d_phi) passes per bracket family: one pass over v and one
 # over each first-level action.  When each index pair took its own pass
 # over B_b v they were JJ 0, 6, 6; JK 4, 13, 13; KK 6, 6, 6; JP 0, 10, 10;
-# KP 10, 10, 10; KH 4, 4, 4; JH 0, 4, 4.
+# KP 10, 10, 10; KH 4, 4, 4; JH 0, 4, 4.  The ten families in one call
+# share them: one pass over v and one over each J_a v, K_a v, P_a v and
+# H v, where the ten one-family calls took 14, 27, 27.
 _ALGEBRA_PASSES = {
     "JJ": (0, 4, 4), "JK": (4, 7, 7), "KK": (4, 4, 4), "JP": (0, 4, 4),
     "KP": (4, 4, 4), "KH": (2, 2, 2), "JH": (0, 2, 2), "PP": (0, 0, 0),
-    "PH": (0, 0, 0), "HH": (0, 0, 0),
+    "PH": (0, 0, 0), "HH": (0, 0, 0), "all": (11, 11, 11),
 }
 
 
-@pytest.mark.parametrize("relation_id", relation_ids())
+@pytest.mark.parametrize("relation_id", list(_ALGEBRA_PASSES))
 @pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
                                  RepSpec.massless(1)], ids=repr)
 def test_algebra_residual_pass_totals(rep, relation_id, derivative_calls):
     grid = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, grid, seed=3)
-    algebra_residual(relation_id, psi)
+    if relation_id == "all":
+        algebra_residuals(relation_ids(), psi)
+    else:
+        algebra_residual(relation_id, psi)
     d_r, d_theta, d_phi = _ALGEBRA_PASSES[relation_id]
     assert derivative_calls == {"d_r": d_r, "d_theta": d_theta,
                                 "d_phi": d_phi, "gradient": 0}
+
+
+@pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
+                                 RepSpec.massless(1)], ids=repr)
+def test_ten_families_build_each_first_level_action_once(rep, monkeypatch):
+    """Over the ten families each J_a v and K_a v is built once (the
+    ten one-family calls built J on v 18 times and K on v 18 times, as
+    first-level actions and as right-hand-side targets); counted in
+    whole-section equivalents, a shell of v counting 1 / N_r."""
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0, mass=rep.mass)
+    psi = random_test_section(rep, grid, seed=3)
+    built = {"J": 0, "K": 0}
+    for tag in built:
+        orig = getattr(reps._ShellPass, "_" + tag.lower())
+
+        def counted(self, a, _tag=tag, _orig=orig):
+            if np.shares_memory(self.v, psi.values):
+                built[_tag] += Fraction(1, grid.n_r)
+            return _orig(self, a)
+
+        monkeypatch.setattr(reps._ShellPass, "_" + tag.lower(), counted)
+    algebra_residuals(relation_ids(), psi)
+    assert built == {"J": 3, "K": 3}
+
+
+def test_vector_op_takes_one_covariant_pass_per_section(monkeypatch):
+    """The vector-operator check of L and S takes the covariant derivative
+    on psi and on each J_b psi once (it took 8 passes when each part
+    built its own), counted in whole-section equivalents."""
+    rep = RepSpec.massive(MASS, 1)
+    grid = _massive_grid()
+    psi = random_test_section(rep, grid, seed=3)
+    shells = []
+    orig = splitting._covariant_shell
+
+    def counted(*args):
+        shells.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(splitting, "_covariant_shell", counted)
+    vector_op_residual(SplitOperators(ConnectionKind.flat_massive()), psi)
+    assert Fraction(len(shells), grid.n_r) == 4

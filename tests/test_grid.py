@@ -20,7 +20,6 @@ from spinsplit.reps import (
     RepSpec,
     _act_J,
     _act_K,
-    _derivatives,
     _spin_act,
     inner,
     random_test_section,
@@ -164,6 +163,25 @@ def test_derivatives_layout_independent_bytes(shape, fiber, name):
         assert _is_component_major(op(c_order))
 
 
+@pytest.mark.parametrize("shape", [(4, 12, 24), (5, 8, 10)])
+@pytest.mark.parametrize("fiber", [(1,), (3,)])
+@pytest.mark.parametrize("name", ["d_r", "d_theta", "d_phi"])
+def test_shell_derivatives_are_slices_of_the_whole(shape, fiber, name):
+    # a shell loop takes d_r one row at a time and d_theta, d_phi one
+    # shell at a time: each gives the bytes of its slice of the
+    # whole-section call, for component-major and C-order input
+    g = MomentumGrid(*shape, 1.0, 2.0, mass=MASS)
+    rng = np.random.default_rng(sum(shape) + len(fiber))
+    values = (rng.normal(size=shape + fiber)
+              + 1j * rng.normal(size=shape + fiber))
+    op = getattr(g, name)
+    for v in (_component_major_copy(values), values):
+        whole = op(v)
+        for i in range(g.n_r):
+            shell = g.d_r(v, i) if name == "d_r" else op(v[i:i + 1])
+            assert shell.tobytes() == whole[i:i + 1].tobytes()
+
+
 @pytest.mark.parametrize("rep", [RepSpec.massive(MASS, 1),
                                  RepSpec.massless(1), RepSpec.massless(0)],
                          ids=["massive1", "massless+1", "massless0"])
@@ -186,7 +204,6 @@ def test_component_major_layout_kept(rep):
         "d_r": g.d_r, "d_theta": g.d_theta, "d_phi": g.d_phi,
         "J": lambda w: _act_J(rep, g, 2, w),
         "K": lambda w: _act_K(rep, g, 0, w),
-        "K-shared-pass": lambda w: _act_K(rep, g, 1, w, _derivatives(g, w)),
         "S": lambda w: _spin_act(rep, 0, w),
     }
     for name, op in ops.items():

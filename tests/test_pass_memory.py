@@ -26,31 +26,37 @@ from spinsplit.reps import (
     RepSpec,
     _act_J,
     _act_K,
-    _derivatives,
     algebra_residual,
+    algebra_residuals,
     inner,
     random_test_section,
     relation_ids,
 )
-import spinsplit.splitting as splitting
-from spinsplit.splitting import SplitOperators, so3_residual
+from spinsplit.splitting import (
+    SplitOperators,
+    so3_residual,
+    vector_op_residual,
+)
 
 from conftest import MASS
 
 # Traced peaks, in sections, with one derivative pass per field (numpy
 # 2.4.6, Python 3.11.7), rounded up at the fourth decimal; each is the
-# bound of its case.
+# bound of its case.  The vector-operator check of L and of S shares one
+# set of actions, and its bound is its own traced peak: it peaked at
+# 18.9880 and 20.7592 sections with one pass per field, for its S part
+# alone.  At (8, 48, 96), massive spin 1 with the flat connection, it
+# peaks at 23.95 MB (13.5 sections of 1.77 MB), where the two parts,
+# each on its own actions, peaked at 21.03 MB.
 _ONE_FIELD_PEAKS = {
     "massive1-flat": {"apply_connection": 10.4161,
                       "curvature_commutator": 12.9298,
                       "so3_residual": 15.9478,
-                      "vector_op_residual-L": 17.9698,
-                      "vector_op_residual-S": 18.9880},
+                      "vector_op_residual": 15.3275},
     "massless+1-boost": {"apply_connection": 12.1874,
                          "curvature_commutator": 14.7010,
                          "so3_residual": 17.7190,
-                         "vector_op_residual-L": 19.7410,
-                         "vector_op_residual-S": 20.7592},
+                         "vector_op_residual": 14.7392},
 }
 
 
@@ -69,10 +75,7 @@ def _diagnostic(name, kind, ops, psi):
         "curvature_commutator": lambda: curvature_commutator(
             kind, eth, eph, psi),
         "so3_residual": lambda: so3_residual(ops, psi),
-        "vector_op_residual-L": lambda: splitting._vector_op_part(
-            ops, ops.L_axes, psi),
-        "vector_op_residual-S": lambda: splitting._vector_op_part(
-            ops, ops.S_axes, psi),
+        "vector_op_residual": lambda: vector_op_residual(ops, psi),
     }[name]
 
 
@@ -119,18 +122,28 @@ def test_shell_field_pass_peak_held(case):
 
 
 # The generator actions run their formulas one radial shell at a time
-# into one output section.  Traced peaks of one whole-section action with
-# its derivative pass given, and of algebra_residual over the ten
-# families (numpy 2.4.6, Python 3.11.7), rounded up at the fourth
-# decimal.  The whole-section bodies peaked at 2.3937 (J) and 3.3392 /
-# 4.3950 (K) sections, and algebra_residual at 15.7402 / 16.4631.
+# into one output section, taking each shell's derivative pass as they
+# go.  Traced peaks of one whole-section action, its derivative pass
+# included, of algebra_residual for one family (the largest over the
+# ten), and of algebra_residuals over the ten families in one call
+# (numpy 2.4.6, Python 3.11.7), rounded up at the fourth decimal.  With
+# a whole-section derivative pass the actions peaked at 3.6859 (J) and
+# 4.8879 / 5.0549 (K) sections, 1.6754 (J) and 1.9016 / 2.0404 (K) with
+# that pass given.  The one-family bound is algebra_residual's peak when
+# each family built its own first-level actions (15.7402 / 16.4631
+# before each was built once); it now peaks at 10.7804 / 11.2254.  At
+# (8, 48, 96), massive spin 1, the ten families in one call peak at
+# 19.63 MB (11.1 sections of 1.77 MB), where the largest one-family call
+# peaked at 24.81 MB.
 _SHELL_ACTION_PEAKS = {
-    "massive1-flat": {"J": 1.6754, "K": 1.9016, "algebra": 14.0919},
-    "massless+1-boost": {"J": 1.6753, "K": 2.0404, "algebra": 14.1258},
+    "massive1-flat": {"J": 2.0300, "K": 2.6050, "algebra": 14.0919,
+                      "algebra-ten": 12.2281},
+    "massless+1-boost": {"J": 2.0300, "K": 2.9118, "algebra": 14.1258,
+                         "algebra-ten": 12.3346},
 }
 
 
-@pytest.mark.parametrize("what", ["J", "K", "algebra"])
+@pytest.mark.parametrize("what", ["J", "K", "algebra", "algebra-ten"])
 @pytest.mark.parametrize("case", list(_SHELL_ACTION_PEAKS))
 def test_shell_action_peak_held(case, what):
     rep, grid, _ = _case(case)
@@ -139,11 +152,12 @@ def test_shell_action_peak_held(case, what):
         peak = max(_peak_sections(
             lambda rid=rid: algebra_residual(rid, psi), psi)
             for rid in relation_ids())
+    elif what == "algebra-ten":
+        peak = _peak_sections(
+            lambda: algebra_residuals(relation_ids(), psi), psi)
     else:
         act = _act_J if what == "J" else _act_K
-        der = _derivatives(grid, psi.values)
-        peak = _peak_sections(lambda: act(rep, grid, 0, psi.values, der),
-                              psi)
+        peak = _peak_sections(lambda: act(rep, grid, 0, psi.values), psi)
     assert peak <= _SHELL_ACTION_PEAKS[case][what]
 
 

@@ -23,10 +23,7 @@ from spinsplit.reps import (
     _act_chi,
     _act_J,
     _act_K,
-    _derivatives,
-    _j_formula,
-    _k_formula,
-    _on_shell,
+    _ShellPass,
     _spin_act,
     algebra_residual,
     inner,
@@ -269,10 +266,10 @@ def test_act_chi_matches_einsum_reference(rep, grid_small_massive):
 @pytest.mark.parametrize("rep", _ALL_REPS, ids=repr)
 def test_shellwise_actions_match_reference_bytes(rep, layout):
     # each action runs its formula one radial shell at a time; the bytes
-    # are those of the whole-section reference, with the derivative pass
-    # taken inside or passed in, and those of the formula on one shell
-    # alone, as the covariant kernel calls it.  Unstructured values are
-    # neither smooth nor transverse
+    # are those of the whole-section reference, for the whole-section
+    # action and for the action on one shell's pass alone, as the
+    # covariant kernel and the shared diagnostics call it.  Unstructured
+    # values are neither smooth nor transverse
     grid = MomentumGrid(5, 12, 24, 1.0, 2.0, mass=rep.mass)
     v = random_test_section(rep, grid, seed=13).values
     if layout == "C-order":
@@ -280,18 +277,14 @@ def test_shellwise_actions_match_reference_bytes(rep, layout):
     elif layout == "unstructured":
         rng = np.random.default_rng(4)
         v = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
-    der = _derivatives(grid, v)
     for a in range(3):
-        for act, formula, ref in ((_act_J, _j_formula, reference.act_J),
-                                  (_act_K, _k_formula, reference.act_K)):
-            assert act(rep, grid, a, v).tobytes() == \
-                ref(rep, grid, a, v).tobytes()
-            whole = ref(rep, grid, a, v, der)
-            assert act(rep, grid, a, v, der).tobytes() == whole.tobytes()
+        for tag, act, ref in (("J", _act_J, reference.act_J),
+                              ("K", _act_K, reference.act_K)):
+            whole = ref(rep, grid, a, v)
+            assert act(rep, grid, a, v).tobytes() == whole.tobytes()
             for i in (0, 3):
-                shell, v_i, der_i = _on_shell(grid, i, v, der)
-                assert formula(rep, shell, a, v_i, der_i).tobytes() == \
-                    whole[i:i + 1].tobytes()
+                p = _ShellPass(rep, grid, i, v[i:i + 1], v)
+                assert p.gen(tag, a).tobytes() == whole[i:i + 1].tobytes()
 
 
 @pytest.fixture
