@@ -3,6 +3,8 @@ splittings J = L + S of the relativistic angular momentum.
 
 Layers:
 
+* :mod:`spinsplit.poincare` — the Poincare bracket table and the
+  Levi-Civita symbol that both engines read, in plain Python.
 * :mod:`spinsplit.scalars`, :mod:`spinsplit.algebra`,
   :mod:`spinsplit.identities` — exact operator algebra over rational
   coefficient functions, with a catalogue of verified identities.
@@ -14,6 +16,9 @@ Layers:
   derivatives, curvature, holonomy, Chern numbers, induced splittings
   and the mean position operator.
 * :mod:`spinsplit.report`, :mod:`spinsplit.cli` — suites, reports, CLI.
+
+The numerical layers import no symbolic module: only the ``symbolic``
+suite and ``eval`` load the exact algebra, and sympy with it.
 
 The process keeps the memory it frees.  The numerical engine's live
 set swings by tens of MB (one section at (8, 48, 96) is 1.77 MB; the

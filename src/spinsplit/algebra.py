@@ -14,7 +14,8 @@ Reordering uses the commutation relations
     [K_a, K_b] = -i eps_abc J_c
 
 stated once, as one rule, in ``_gen_commutator``: the engine's own copy,
-independent of the ``BRACKETS`` table that the catalog checks it against.
+independent of the ``poincare.BRACKETS`` table that the catalog checks it
+against.
 Reordering a word produces constants only, exact Gaussian integers of the
 coefficient domain (QQ_I, the domain of the ring's polynomials); they are
 summed as domain elements, memoized per (word, generator) for every ring,
@@ -31,12 +32,10 @@ from __future__ import annotations
 import sympy as sp
 from sympy.polys.domains import QQ_I
 
-from .scalars import CoefficientError, Ring, Scalar, eps
+from .poincare import eps
+from .scalars import CoefficientError, Ring, Scalar
 
 __all__ = [
-    "BRACKETS",
-    "bracket_axes",
-    "bracket_terms",
     "OperatorExpr",
     "VectorExpr",
     "op_scalar",
@@ -59,49 +58,6 @@ _ONE = QQ_I.one
 _I = QQ_I(0, 1)
 
 GENERATOR_NAMES = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
-
-# The ten bracket families [A_a, B_b] among {J, K, P, H}, as (sign, C) with
-#   [A_a, B_b] = i sign eps_abc C_c    (A, B and C vectors: JJ, JK, KK, JP)
-#   [A_a, B_b] = i sign delta_ab C     (C = H a scalar: KP)
-#   [A_a, B]   = i sign C_a            (B = H a scalar: KH)
-# or None where the bracket vanishes (JH, PP, PH, HH).  The identity
-# catalog and the numerical algebra check both read this table.  The
-# normal-ordering engine does not: ``_gen_commutator`` keeps its own
-# one-rule copy of the J, K brackets with domain constants, so the catalog
-# checks the engine against the table.
-BRACKETS = {
-    "JJ": (1, "J"),
-    "JK": (1, "K"),
-    "KK": (-1, "J"),
-    "JP": (1, "P"),
-    "KP": (1, "H"),
-    "KH": (1, "P"),
-    "JH": None,
-    "PP": None,
-    "PH": None,
-    "HH": None,
-}
-
-
-def bracket_axes(letter: str):
-    """The axes of generator ``letter``: none (None) for H, 0..2 else."""
-    return (None,) if letter == "H" else range(3)
-
-
-def bracket_terms(family: str, a: int | None, b: int | None) -> list:
-    """[A_a, B_b] / i for the ``BRACKETS`` family "AB", as a list of
-    (coefficient, generator letter, axis) terms; the axis of H is None,
-    as is ``a`` or ``b`` where A or B is H."""
-    entry = BRACKETS[family]
-    if entry is None:
-        return []
-    sign, target = entry
-    if target == "H":
-        return [(sign, target, None)] if a == b else []
-    if b is None:
-        return [(sign, target, a)]
-    return [(sign * eps(a, b, c), target, c) for c in range(3)
-            if eps(a, b, c)]
 
 
 def _gen_commutator(a: int, b: int):

@@ -24,9 +24,7 @@ import sys
 
 from . import __version__
 from .connections import ConnectionLabError
-from .algebra import VectorExpr
 from .grid import GridError
-from .lang import LangError, format_expr, lower, parse
 from .report import (
     ConfigError,
     RunConfig,
@@ -36,7 +34,6 @@ from .report import (
     run_suites,
 )
 from .reps import RepError, RepSpec
-from .scalars import Ring
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -160,6 +157,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # only eval needs the symbolic engine, and sympy with it
+    from .algebra import VectorExpr
+    from .lang import format_expr, lower, parse
+    from .scalars import Ring
+
     ring = Ring(massless=(args.mode == "massless-symbolic"))
     expr = lower(parse(args.expr), ring)
     if args.check_zero:
@@ -220,12 +222,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except LangError as exc:
-        print(f"expression error at line {exc.line}, col {exc.col}: "
-              f"{exc.message}", file=sys.stderr)
-        return EXIT_ERROR
     except (ConfigError, ConnectionLabError, GridError, RepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # a LangError exists only once ``lang`` is loaded: by eval, or by
+        # unpickling one that a forked worker raised
+        lang = sys.modules.get("spinsplit.lang")
+        if lang is None or not isinstance(exc, lang.LangError):
+            raise
+        print(f"expression error at line {exc.line}, col {exc.col}: "
+              f"{exc.message}", file=sys.stderr)
         return EXIT_ERROR
 
 

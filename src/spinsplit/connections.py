@@ -53,6 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import MomentumGrid, Section
+from .poincare import _EPS_PAIRS, eps
 from .reps import (
     RepSpec,
     _act_chi,
@@ -62,7 +63,6 @@ from .reps import (
     _spin_dot,
     _test_norm,
 )
-from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
     "ConnectionLabError",

@@ -3,7 +3,7 @@ for the connections and angular-momentum splittings they involve.
 
 Every catalog entry is a list of (lhs, rhs) pairs of operator expressions
 whose difference must normal-form to exactly zero.  The Poincare bracket
-entries take their right-hand sides from ``algebra.BRACKETS``, the table
+entries take their right-hand sides from ``poincare.BRACKETS``, the table
 the numerical algebra check also reads, and their left-hand sides from
 the normal-ordering engine, which keeps its own copy of the brackets.
 ``identity_suite`` runs the catalog and reports per-entry results; a
@@ -17,8 +17,6 @@ from functools import lru_cache, partial
 from .algebra import (
     OperatorExpr,
     VectorExpr,
-    bracket_axes,
-    bracket_terms,
     commutator,
     gen_J,
     gen_K,
@@ -32,7 +30,8 @@ from .algebra import (
     vec_P,
     vec_Phat,
 )
-from .scalars import _EPS_PAIRS, Ring
+from .poincare import _EPS_PAIRS, bracket_axes, bracket_terms
+from .scalars import Ring
 
 __all__ = [
     "boost_connection",

@@ -53,8 +53,8 @@ from .grid import (
     Section,
     radial_collocation,
 )
-from .identities import identity_suite
 from .reps import (
+    RepError,
     RepSpec,
     _act_chi,
     algebra_residuals,
@@ -175,16 +175,20 @@ class RunConfig:
         massive = [(m, _integer(s, f"spin of {m}:{s}")) for m, s in massive]
         massless = [_integer(h, "helicity") for h in massless]
         for m, s in massive:
-            if not (m > 0 and math.isfinite(m)) or s not in (0, 1):
-                raise ConfigError(f"bad massive rep (mass={m}, spin={s}); "
-                                  f"need a finite mass > 0 and spin 0 or 1")
+            try:
+                RepSpec.massive(m, s)
+            except RepError as exc:
+                raise ConfigError(
+                    f"bad massive rep (mass={m}, spin={s}): {exc}") from exc
             if not (m * m > 0 and math.isfinite(m * m + r_max * r_max)):
                 raise ConfigError(
                     f"bad massive rep mass={m}: need mass^2 > 0 and "
                     f"mass^2 + r_max^2 finite (r_max={r_max})")
         for h in massless:
-            if h not in (-1, 0, 1):
-                raise ConfigError(f"bad helicity {h}")
+            try:
+                RepSpec.massless(h)
+            except RepError as exc:
+                raise ConfigError(f"bad helicity {h}: {exc}") from exc
         # each rep's grids are built for its mass and must differentiate at
         # each N_r: far above r_max a mass crowds the sinh nodes so close
         # that the differentiation matrix is 0/0, and at mass 0 a shell far
@@ -421,6 +425,8 @@ def _reps(config: RunConfig, kind=None):
 
 
 def _suite_symbolic(config: RunConfig, records, rows):
+    # the one suite that loads the symbolic engine, and sympy with it
+    from .identities import identity_suite
     for label in ("massive", "massless"):
         suite = identity_suite(massless=label == "massless")
         records.append(_record(

@@ -59,7 +59,7 @@ action is one call of its name.
 The helicity operator is pointwise (the orbital part of J.khat vanishes
 identically).  Each fiber action has one direct call: ``_act_J``,
 ``_act_K`` and ``_act_chi``; ``_act`` dispatches on the generator
-letters H, P, J, K of the bracket table ``algebra.BRACKETS``.
+letters H, P, J, K of the bracket table ``poincare.BRACKETS``.
 ``algebra_residuals`` checks any set of families of that table, the one
 the symbolic identity catalog also reads, on one shared set of actions:
 one loop over psi builds each first-level J_a psi and K_a psi once, and
@@ -77,7 +77,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import BRACKETS, bracket_axes, bracket_terms
 from .grid import (
     GridError,
     MomentumGrid,
@@ -86,7 +85,7 @@ from .grid import (
     _weighted_density,
     component_major,
 )
-from .scalars import _EPS_PAIRS
+from .poincare import _EPS_PAIRS, BRACKETS, bracket_axes, bracket_terms
 
 __all__ = [
     "RepError",
@@ -103,16 +102,14 @@ class RepError(ValueError):
 
 
 def _spin_matrices_massive(spin: int) -> np.ndarray:
+    """S_a for spin 0 or 1, the spins ``RepSpec`` admits."""
     if spin == 0:
         return np.zeros((3, 1, 1), dtype=np.complex128)
-    if spin == 1:
-        s = 1 / np.sqrt(2)
-        sx = s * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-        sy = s * np.array(
-            [[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex)
-        sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
-        return np.stack([sx, sy, sz])
-    raise RepError(f"massive spin must be 0 or 1, got {spin}")
+    s = 1 / np.sqrt(2)
+    sx = s * np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
+    sy = s * np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex)
+    sz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    return np.stack([sx, sy, sz])
 
 
 def _spin_matrices_cartesian() -> np.ndarray:

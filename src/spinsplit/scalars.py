@@ -66,36 +66,19 @@ Massless mode sets m = 0 and identifies H with R (basis {1, R}).
 
 from __future__ import annotations
 
-import itertools
-
 import sympy as sp
 from sympy.polys.domains import QQ_I
 from sympy.polys.monomials import monomial_div
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
+from .poincare import eps
+
 __all__ = ["Ring", "Scalar", "CoefficientError"]
 
 P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
 M = sp.Symbol("m", positive=True)
 P_SYMS = (P1, P2, P3)
-
-# Levi-Civita on 0-based axes.
-_EPS = {}
-for _p in itertools.permutations(range(3)):
-    _EPS[_p] = int(sp.LeviCivita(*_p))
-
-
-def eps(a, b, c):
-    """Levi-Civita symbol with 0-based axes; 0 on repeated indices."""
-    return _EPS.get((a, b, c), 0)
-
-
-# per axis a, the (b, c, eps_abc) of the nonzero symbols, b ascending
-_EPS_PAIRS = tuple(tuple((b, c, eps(a, b, c)) for b in range(3)
-                         for c in range(3) if eps(a, b, c))
-                   for a in range(3))
-
 
 _cancel_memo: dict = {}
 _product_memo: dict = {}

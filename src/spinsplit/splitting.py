@@ -53,6 +53,7 @@ from .connections import (
     curvature_commutator,
 )
 from .grid import Section, _norm_of_density, _weighted_density
+from .poincare import _EPS_PAIRS, eps
 from .reps import (
     _act_chi,
     _act_J,
@@ -62,7 +63,6 @@ from .reps import (
     _test_norm,
     inner,
 )
-from .scalars import _EPS_PAIRS, eps
 
 __all__ = [
     "SplittingError",
@@ -225,13 +225,6 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
     return [float(np.max([_norm_of_density(dens.pop((x, a, b))) / nrm
                           for a in range(3) for b in range(3)]))
             for x in parts]
-
-
-def _vector_op_part(ops: SplitOperators, act, psi: Section) -> float:
-    """The vector-operator residual of the part of J whose batched
-    action is ``act`` (``ops.L_axes`` or ``ops.S_axes``)."""
-    part = "L" if act == ops.L_axes else "S"
-    return _vector_op_residuals(ops, psi, (part,))[0]
 
 
 def vector_op_residual(ops: SplitOperators, psi: Section) -> float:

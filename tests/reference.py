@@ -26,7 +26,7 @@ import numpy as np
 from spinsplit.connections import _form_matrix
 from spinsplit.grid import Section
 from spinsplit.reps import _entries_act
-from spinsplit.scalars import eps
+from spinsplit.poincare import eps
 
 # the sign of the massive spin-boost term, as the boost-boost bracket
 # fixes it

@@ -667,6 +667,37 @@ def test_a_killed_caller_leaves_no_worker_behind():
             os.kill(worker, signal.SIGKILL)
 
 
+# The numerical engine, the report and the CLI import no symbolic code:
+# the names loaded after the imports, after a numerical suite, and after
+# ``eval``, which loads the symbolic engine itself.
+_NUMERIC_IMPORTS = """
+import contextlib, io, sys
+from spinsplit import cli, connections, grid, report, reps, splitting
+SYMBOLIC = ("sympy", "spinsplit.scalars", "spinsplit.algebra",
+            "spinsplit.identities", "spinsplit.lang")
+
+def loaded():
+    return [name for name in SYMBOLIC if name in sys.modules]
+
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["run", "--suite", "chern", "--normalize"])
+print(code, loaded())
+cli.main(["eval", "Comm(K[1],K[2])"])
+print("sympy" in sys.modules)
+"""
+
+
+def test_a_cold_numerical_run_loads_no_symbolic_code():
+    src = str(Path(spinsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cold = subprocess.run([sys.executable, "-c", _NUMERIC_IMPORTS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout == "[]\n0 []\n-i*J[3]\nTrue\n"
+
+
 def test_report_leaves_resources_out_without_the_module(monkeypatch):
     monkeypatch.setattr(report_module, "resource", None)
     data = json.loads(report_json(run_suites(RunConfig(**_CHEAP_RUN))))

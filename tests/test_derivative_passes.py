@@ -136,9 +136,9 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     if diagnostic == "so3":
         so3_residual(ops, psi)
     elif diagnostic == "vector-op-L":
-        splitting._vector_op_part(ops, ops.L_axes, psi)
+        splitting._vector_op_residuals(ops, psi, ("L",))
     elif diagnostic == "vector-op-S":
-        splitting._vector_op_part(ops, ops.S_axes, psi)
+        splitting._vector_op_residuals(ops, psi, ("S",))
     elif diagnostic == "vector-op":
         vector_op_residual(ops, psi)
     elif diagnostic == "cross-commutator":
@@ -201,10 +201,11 @@ def test_batched_diagnostics_match_one_field_loops_exactly(
         break_rotational_symmetry(monkeypatch, psi.grid, breaking)
         assert vector_op_residual(ops, psi) > 0.1
     parts = []
-    for act_axes, act in ((ops.L_axes, ops.L), (ops.S_axes, ops.S)):
+    for part, act_axes, act in (("L", ops.L_axes, ops.L),
+                                ("S", ops.S_axes, ops.S)):
         assert splitting._so3_max(act_axes, psi) == \
             reference.so3_residual(act, psi)
-        parts.append(splitting._vector_op_part(ops, act_axes, psi))
+        parts.append(splitting._vector_op_residuals(ops, psi, (part,))[0])
         assert parts[-1] == reference.vector_op_residual(act, ops.J, psi)
     assert so3_residual(ops, psi) == reference.so3_residual(ops.L, psi)
     assert vector_op_residual(ops, psi) == max(parts)

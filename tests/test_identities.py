@@ -12,12 +12,7 @@ from pathlib import Path
 import pytest
 
 import spinsplit
-from spinsplit.algebra import (
-    BRACKETS,
-    VectorExpr,
-    bracket_axes,
-    bracket_terms,
-)
+from spinsplit.algebra import VectorExpr
 from spinsplit.identities import (
     CATALOG,
     MASSLESS_CATALOG,
@@ -26,6 +21,7 @@ from spinsplit.identities import (
     identity_suite,
 )
 from spinsplit.lang import lower, parse
+from spinsplit.poincare import BRACKETS, bracket_axes, bracket_terms
 from spinsplit.reps import algebra_residual, random_test_section, relation_ids
 from spinsplit.scalars import Ring
 

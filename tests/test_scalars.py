@@ -9,7 +9,8 @@ import sympy as sp
 from spinsplit import algebra, scalars
 from spinsplit.identities import CATALOG
 from spinsplit.lang import format_expr
-from spinsplit.scalars import CoefficientError, Ring, eps
+from spinsplit.poincare import eps
+from spinsplit.scalars import CoefficientError, Ring
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,14 @@ def test_eps_values():
     assert eps(1, 0, 2) == -1
     assert eps(2, 0, 1) == 1
     assert eps(0, 0, 2) == 0
+    # on all 27 triples, against two independent forms of the symbol:
+    # (a - b)(b - c)(c - a) / 2 and sympy's LeviCivita
+    for a in range(3):
+        for b in range(3):
+            for c in range(3):
+                sign = (a - b) * (b - c) * (c - a) // 2
+                assert eps(a, b, c) == sign == sp.LeviCivita(a, b, c)
+                assert type(eps(a, b, c)) is int
 
 
 def test_field_axioms(ring):

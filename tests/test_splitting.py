@@ -92,8 +92,8 @@ def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
 def test_vector_operator_property(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._vector_op_part(ops, ops.L_axes, psi) < 1e-3
-    assert splitting._vector_op_part(ops, ops.S_axes, psi) < 1e-3
+    assert splitting._vector_op_residuals(ops, psi, ("L",))[0] < 1e-3
+    assert splitting._vector_op_residuals(ops, psi, ("S",))[0] < 1e-3
 
 
 def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
@@ -103,7 +103,7 @@ def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
     break_rotational_symmetry(monkeypatch, grid_mid_massive)
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._vector_op_part(ops, ops.L_axes, psi) > 0.1
+    assert splitting._vector_op_residuals(ops, psi, ("L",))[0] > 0.1
 
 
 def _fiber_spin_gap(ops, phi):
@@ -220,8 +220,8 @@ def test_nan_section_gives_nan_from_every_diagnostic(
     values.update({
         "so3-L": so3_residual(flat, psi),
         "so3-S": splitting._so3_max(flat.S_axes, psi),
-        "vector-op-L": splitting._vector_op_part(flat, flat.L_axes, psi),
-        "vector-op-S": splitting._vector_op_part(flat, flat.S_axes, psi),
+        "vector-op-L": splitting._vector_op_residuals(flat, psi, ("L",))[0],
+        "vector-op-S": splitting._vector_op_residuals(flat, psi, ("S",))[0],
         "vector-op": vector_op_residual(flat, psi),
         "defect": defect_identity_residual(flat, psi),
         "leibniz": leibniz_residual(BOOST, [TangentField.named("e_phi")],
