@@ -35,17 +35,21 @@ closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 (massless: both reduce to the rotation form).  ``_form_matrix`` is the
 one implementation of this form, vectorized over any batch of points.
 It returns the form's nonzero fiber entries (``reps._spin_dot`` scaled by
-the radial coefficient), never the dense (d, d) matrix.  An edge batch
-evaluates it once, at all 2n + 1 nodes of its n RK4 steps (each step's
-end node is the next step's start), and ``_transport``, the one classic
-4th-order integrator of U' = -A U, applies each node's entries to the
-transported stack with ``reps._entries_act``, as the spin actions are
-applied.  Parallel transport integrates the form directly, off-grid.
+the radial coefficient), never the dense (d, d) matrix, with their
+fields written in place as the rows of one stacked array.  An edge
+batch builds its frames at their broadcast shape and evaluates the form
+once, at all 2n + 1 nodes of its n RK4 steps (each step's end node is
+the next step's start).  ``_transport``, the one classic 4th-order
+integrator of U' = -A U, keeps the transported columns fiber-major and
+applies each node's form as one stacked product (``_node_act``), which
+rounds every row as ``reps._entries_act`` applies the spin actions.
+Parallel transport integrates the form directly, off-grid.
 ``holonomy`` transports the fiber matrices of the four legs of a shell
 loop as one batch.  The lattice Chern number reads each link only
 through one overlap, so it transports the link's start frame vector
-instead of the fiber matrix, and it passes its mesh as a column of theta
-and a row of phi, so the sines and cosines are taken once per mesh line.
+instead of the fiber matrix, in blocks of whole mesh rows of at most
+``_CHERN_BLOCK`` links, and it passes its mesh as a column of theta and
+a row of phi, so the sines and cosines are taken once per mesh line.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from .reps import (
     RepSpec,
     _act_chi,
     _by_shell,
-    _entries_act,
     _ShellPass,
     _spin_dot,
     _test_norm,
@@ -367,6 +370,8 @@ def _covariant_shell(p: _ShellPass, kind: ConnectionKind, f, xs,
             np.add(f * boost, (1.0 - f) * rotation, out=o)
         else:
             o[...] = boost if use_boost else rotation
+        # this field's temporaries go before the next field builds its own
+        shift = boost = rotation = acc = None
 
 
 def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:
@@ -490,14 +495,24 @@ def cross_commutator_check(psi: Section) -> dict:
 # -- pointwise connection form, transport and holonomy ---------------------------
 
 
+class _FormEntries(list):
+    """The nonzero fiber entries (row, column, field) of a connection
+    form, in row-major order, as ``reps._entries_act`` reads them;
+    ``stacked`` holds their fields as the rows of one array, and each
+    field is a view of its row."""
+
+    __slots__ = ("stacked",)
+
+
 def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
-                 khat: np.ndarray, vel: np.ndarray) -> list:
+                 khat: np.ndarray, vel: np.ndarray) -> _FormEntries:
     """Local connection form A(vel) = coef (vel x khat).S on the shell of
     radius r0 at the unit directions khat for sphere-tangential velocities
     vel, both of shape (3, ...).  The form is returned as its nonzero fiber
     entries, (row, column, field) in row-major order with fields of shape
-    (...), for ``_entries_act`` to apply; the dense (..., d, d) matrix is
-    never built."""
+    (...), each field written in place into its row of one stacked array
+    of shape (entries, ...); the dense (..., d, d) matrix is never
+    built."""
     # vel x khat, as np.cross forms it but without moving the axes
     cross = [vel[1] * khat[2] - vel[2] * khat[1],
              vel[2] * khat[0] - vel[0] * khat[2],
@@ -510,15 +525,59 @@ def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
         f = float(kind.weight(np.array([r0]), m)[0])
         coef = (f * (-1j * r0 / (omega * (omega + m)))
                 + (1.0 - f) * (-1j / r0))
-    form = []
-    for b, c, terms in _spin_dot(rep, cross):
+    n_entries = len({(b, c) for entries in rep.spin_entries
+                     for b, c, _ in entries})
+    form = _FormEntries()
+    form.stacked = np.empty((n_entries,) + cross[0].shape,
+                            dtype=np.complex128)
+    for field, (b, c, terms) in zip(form.stacked, _spin_dot(rep, cross)):
         # a position's terms are summed first, in axis order, as in the
-        # dense sum over axes; the terms are fresh, so coef scales the
-        # field in place
-        field = sum(terms[1:], terms[0])
-        field *= coef
+        # dense sum over axes, and then scaled by coef
+        if len(terms) == 1:
+            np.multiply(terms[0], coef, out=field)
+        else:
+            np.add(terms[0], terms[1], out=field)
+            for term in terms[2:]:
+                field += term
+            field *= coef
         form.append((b, c, field))
     return form
+
+
+def _node_act(form, dim: int):
+    """``apply_form(j, w)`` for ``_transport``: A w at node j for a form
+    whose entries hold their fields at every node along the axis after
+    the entries.  w is fiber-major, shape (dim, columns, ...).  The
+    product is stacked: every entry's field times its column of w in one
+    multiplication, the field first, then each row the sum of its
+    products in the entries' order, so each row of A w is, bit for bit,
+    the row ``reps._entries_act`` writes.  A row without entries is zero.
+    The fields are the form's ``stacked`` array when it has one, and are
+    stacked here otherwise."""
+    if not form:
+        return lambda j, w: np.zeros_like(w)
+    stacked = getattr(form, "stacked", None)
+    if stacked is None:
+        stacked = np.stack([field for _, _, field in form])
+    cols = np.array([c for _, c, _ in form], dtype=np.intp)
+    spans = [[e for e, (b, _, _) in enumerate(form) if b == row]
+             for row in range(dim)]
+
+    def apply_form(j, w):
+        prod = stacked[:, j, None] * w[cols]
+        out = np.empty_like(w)
+        for row, span in zip(out, spans):
+            if not span:
+                row[...] = 0.0
+            elif len(span) == 1:
+                row[...] = prod[span[0]]
+            else:
+                np.add(prod[span[0]], prod[span[1]], out=row)
+                for e in span[2:]:
+                    row += prod[e]
+        return out
+
+    return apply_form
 
 
 def _require_count(value, minimum: int, what: str):
@@ -557,18 +616,24 @@ def _transport(apply_form, u: np.ndarray, n_steps: int) -> np.ndarray:
 
 def _sphere_frame(theta, phi):
     """The unit direction khat and the frame vectors e_theta, e_phi, each
-    stacked on a leading axis of 3, from one sine and cosine of each
-    angle.  theta and phi may be broadcastable (a column and a row of a
-    mesh): the sines and cosines are taken at their own shapes."""
+    of shape (3,) + the broadcast shape of theta and phi, from one sine
+    and cosine of each angle.  theta and phi may be broadcastable (a
+    column and a row of a mesh): the sines and cosines are taken at their
+    own shapes, and each component is written into its frame at the
+    broadcast shape."""
     sin_th, cos_th = np.sin(theta), np.cos(theta)
     sin_ph, cos_ph = np.sin(phi), np.cos(phi)
-
-    def stack(*comps):
-        return np.stack(np.broadcast_arrays(*comps))
-
-    khat = stack(sin_th * cos_ph, sin_th * sin_ph, cos_th)
-    e_th = stack(cos_th * cos_ph, cos_th * sin_ph, -sin_th)
-    e_ph = stack(-sin_ph, cos_ph, np.zeros_like(phi))
+    shape = (3,) + np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    khat, e_th, e_ph = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(sin_th, cos_ph, out=khat[0])
+    np.multiply(sin_th, sin_ph, out=khat[1])
+    khat[2] = cos_th
+    np.multiply(cos_th, cos_ph, out=e_th[0])
+    np.multiply(cos_th, sin_ph, out=e_th[1])
+    np.negative(sin_th, out=e_th[2])
+    np.negative(sin_ph, out=e_ph[0])
+    e_ph[1] = cos_ph
+    e_ph[2] = 0.0
     return khat, e_th, e_ph
 
 
@@ -579,12 +644,14 @@ def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
     default the identity, which returns the stacked (..., d, d) transport
     matrices; a stack of fiber vectors (..., d, 1) returns their images
     (RK4 is linear in U, so these are the matrices applied to the
-    vectors).
+    vectors).  The result is C-contiguous, the layout whose matrix
+    products and fiber sums its callers have always rounded.
 
     The form is evaluated once, at every RK4 node of every edge, in one
-    ``_form_matrix`` call, and each RK4 stage applies its node's entries
-    with ``_entries_act``.  The transported columns lead the stack, so a
-    fiber row is one component of its last axis."""
+    ``_form_matrix`` call, and each RK4 stage applies its node's fields
+    as one stacked product (``_node_act``).  The transported columns are
+    kept fiber-major, as a (d, columns, ...) block, so a fiber row is one
+    leading slice."""
     th_a, ph_a, th_b, ph_b = map(np.asarray, (th_a, ph_a, th_b, ph_b))
     batch = np.broadcast_shapes(th_a.shape, ph_a.shape, th_b.shape,
                                 ph_b.shape)
@@ -592,27 +659,24 @@ def _edge_transport_batch(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
         start = np.eye(rep.dim)
     start = np.asarray(start, dtype=np.complex128)
     u = np.broadcast_to(start, batch + start.shape[-2:])
-    u = np.moveaxis(u, -1, 0).copy()
+    u = np.moveaxis(u, (-2, -1), (0, 1)).copy()
     t = _node_times(n_steps).reshape((-1,) + (1,) * len(batch))
     dth = th_b - th_a
     dph = ph_b - ph_a
     th = th_a + dth * t
     ph = ph_a + dph * t
     khat, e_th, e_ph = _sphere_frame(th, ph)
-    # sin(theta) is minus the z component of e_theta
-    vel = r0 * (dth * e_th - e_th[2] * dph * e_ph)
-    del e_th, e_ph
-    form = _form_matrix(rep, kind, r0, khat, vel)
-    del khat, vel
-    nodes = [[(b, c, field[j]) for b, c, field in form]
-             for j in range(len(t))]
-    del form
-
-    def apply_form(j, w):
-        return _entries_act(nodes[j], rep.dim, w)
-
-    u = _transport(apply_form, u, n_steps)
-    return np.moveaxis(u, 0, -1)
+    # vel = r0 (dth e_theta + sin(theta) dph e_phi), formed in the frame
+    # arrays; sin(theta) is minus the z component of e_theta
+    np.multiply(e_th[2] * dph, e_ph, out=e_ph)
+    np.multiply(dth, e_th, out=e_th)
+    e_th -= e_ph
+    del e_ph
+    e_th *= r0
+    form = _form_matrix(rep, kind, r0, khat, e_th)
+    del khat, e_th
+    u = _transport(_node_act(form, rep.dim), u, n_steps)
+    return np.ascontiguousarray(np.moveaxis(u, (0, 1), (-2, -1)))
 
 
 class HolonomyLoop:
@@ -662,6 +726,9 @@ def holonomy(rep: RepSpec, kind: ConnectionKind, loop: HolonomyLoop,
 
 
 _CHERN_MARGIN = 0.35  # least distance of a plaquette phase from +-pi
+# the most links one edge batch of ``chern_number`` transports: a block of
+# whole mesh rows keeps the batch's temporaries near cache size
+_CHERN_BLOCK = 2048
 
 
 def chern_number(rep: RepSpec, kind: ConnectionKind,
@@ -702,17 +769,27 @@ def chern_number(rep: RepSpec, kind: ConnectionKind,
     v = ((e_th + 1j * h * e_ph) / np.sqrt(2.0))  # (3, n_theta, n_phi)
     v = np.moveaxis(v, 0, -1)  # (n_theta, n_phi, 3)
 
-    def link(th_a, ph_a, th_b, ph_b, va, vb):
-        tva = _edge_transport_batch(rep, kind, radius, th_a, ph_a, th_b,
-                                    ph_b, start=va[..., None])[..., 0]
-        ov = np.sum(np.conj(vb) * tva, axis=-1)
-        return ov / np.abs(ov)
+    def links(th_a, ph_a, th_b, ph_b, va, vb):
+        # the links of the mesh rows of va, transported in blocks of
+        # whole rows; the phi row is shared by every block
+        n_rows = va.shape[0]
+        out = np.empty(va.shape[:-1], dtype=np.complex128)
+        step = max(1, _CHERN_BLOCK // n_phi)
+        for lo in range(0, n_rows, step):
+            s = slice(lo, lo + step)
+            ends = [x[s] if x.shape[0] == n_rows else x
+                    for x in (th_a, ph_a, th_b, ph_b)]
+            tva = _edge_transport_batch(rep, kind, radius, *ends,
+                                        start=va[s, ..., None])[..., 0]
+            ov = np.sum(np.conj(vb[s]) * tva, axis=-1)
+            out[s] = ov / np.abs(ov)
+        return out
 
     # theta-edges (j -> j+1) and phi-edges (l -> l+1, periodic)
-    u_th = link(th_c[:-1], ph_r, th_c[1:], ph_r, v[:-1], v[1:])
+    u_th = links(th_c[:-1], ph_r, th_c[1:], ph_r, v[:-1], v[1:])
     ph_next = np.roll(ph_r, -1, axis=1).copy()
     ph_next[:, -1] += 2 * np.pi  # keep the edge short, not wrapped
-    u_ph = link(th_c, ph_r, th_c, ph_next, v, np.roll(v, -1, axis=1))
+    u_ph = links(th_c, ph_r, th_c, ph_next, v, np.roll(v, -1, axis=1))
 
     # plaquette phases: edge (j,l)->(j,l+1)->(j+1,l+1)->(j+1,l)->(j,l)
     plaq = (u_ph[:-1] * np.roll(u_th, -1, axis=1)

@@ -64,13 +64,13 @@ from .reps import (
 )
 from .splitting import (
     SplitOperators,
+    _vector_op_residuals,
     defect_identity_residual,
     jperp_so3_residual,
     nw_gradient_residual,
     nw_hermiticity_defect,
     nw_match_residual,
     so3_residual,
-    vector_op_residual,
 )
 
 __all__ = [
@@ -501,10 +501,19 @@ def _suite_splitting(config: RunConfig, records, rows):
     tol = config.tolerance("splitting")
     flat = SplitOperators(ConnectionKind.flat_massive())
     boost = SplitOperators(ConnectionKind.boost())
+    finest = config.ladder[-1]
+
+    def flat_measure(psi):
+        # the finest rung checks so(3) and the vector-operator property
+        # of L and S in one call, on one set of passes
+        if psi.grid.shape != finest:
+            return [so3_residual(flat, psi), None]
+        so3, *vector_op = _vector_op_residuals(flat, psi, ("so3", "L", "S"))
+        return [so3, float(np.max(vector_op))]
+
     for rep in _reps(config, "massive"):
-        (residuals,), psi = _ladder(
-            config, rep, rows, [f"{rep!r}:flat-so3"],
-            lambda psi: [so3_residual(flat, psi)])
+        (residuals, vector_op), _ = _ladder(
+            config, rep, rows, [f"{rep!r}:flat-so3", None], flat_measure)
         records.append(_ladder_record(
             config, f"flat-so3-massive-{rep.spin}",
             "the flat-connection orbital operators close the rotation "
@@ -512,7 +521,7 @@ def _suite_splitting(config: RunConfig, records, rows):
         records.append(_record(
             f"vector-op-massive-{rep.spin}",
             "orbital and internal parts are vector operators under J",
-            vector_op_residual(flat, psi), tol, rep))
+            vector_op[-1], tol, rep))
     for rep in _reps(config, "massless"):
         if rep.helicity == 0:
             continue

@@ -37,7 +37,8 @@ by ``_spin_dot``, each position with its per-axis terms, and applied the
 same way: the helicity operator chi = S.khat (``_act_chi``, equal bit
 for bit to the dense contraction with ``chi_field``) and the connection
 form that the transport integrator of :mod:`spinsplit.connections`
-applies to its stack at every RK4 node.
+applies to its stack at every RK4 node, there as one stacked product of
+all the entries that sums each row as ``_entries_act`` does.
 
 The generator formulas are written once, for one radial shell, as the
 methods of ``_ShellPass``: the pass of one section on one shell.  It

@@ -20,18 +20,27 @@ construction.  The diagnostics measure, on smooth test sections:
 Every diagnostic applies the fields that act on one section in one
 batched covariant derivative, in one shell loop over that section
 (``reps._by_shell``): X_c psi for all c at once, and J_a psi beside
-L_a psi when S is wanted.  The vector-operator check serves L and S
-from one set of actions: one loop over psi gives J_c psi and L_c psi,
+L_a psi when S is wanted.  The so(3) check of L and the
+vector-operator check of L and S are served by one set of actions
+(``_vector_op_residuals``, which takes any of the three parts): one
+loop over psi gives L_c psi and J_c psi, each L_c psi takes one pass
+that gives L_a (L_c psi) for so(3) and J_b (L_c psi) for the L part,
 each J_b psi takes one pass that gives L_a (J_b psi) for both parts,
-and each X_a psi takes one angular pass for J_b (X_a psi) for every b;
-the pairs meet shell by shell, and each leaves only its weighted
-density until its norm is taken.  That is 4 radial and 10 angular
-passes where the two parts on their own actions took 8 and 32; at
-(8, 48, 96) it peaks at 13.5 sections (23.95 MB for massive spin 1).
-Each value equals, bit for bit, the one-field call it replaces.  The
-largest residual is taken with ``np.max``, which returns NaN when any
-residual is NaN; the builtin ``max`` would keep a number found before
-it.
+and each S_a psi takes one angular pass for J_b (S_a psi) for every b.
+The pairs of every part meet shell by shell, and each leaves only its
+weighted density until its norm is taken.  ``so3_residual`` is the
+so(3) part alone (4 radial and 4 angular passes), and
+``vector_op_residual`` the L and S parts (4 and 10, where the two parts
+on their own actions took 8 and 32).  All three in one call take 7 and
+10, where the two calls took 8 and 14.  At (8, 48, 96), massive spin 1
+with the flat connection, the three parts peak at 23.99 MB (13.6
+sections), the L and S parts at 23.10 MB and the so(3) part at
+11.56 MB.  Each value equals, bit for bit, the one-field call it
+replaces.  The largest residual is taken with ``np.max``, which returns
+NaN when any residual is NaN; the builtin ``max`` would keep a number
+found before it.  ``_so3_failures`` keeps whole sections, for the
+diagnostics that need the so(3) failure itself or a target other than
+L_c psi.
 
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
@@ -67,7 +76,6 @@ from .reps import (
 __all__ = [
     "SplittingError",
     "SplitOperators",
-    "vector_op_residual",
     "so3_residual",
     "defect_identity_residual",
     "jperp_so3_residual",
@@ -148,48 +156,64 @@ def _j_perp(axes, psi: Section, chi=None) -> list:
     return out
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
 def _vector_op_residuals(ops: SplitOperators, psi: Section,
                          parts) -> list:
-    """For each part X in ``parts`` ("L", "S"): max over (a, b) of
-    ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||.
+    """For each part in ``parts``: for "L" and "S", the vector-operator
+    residual max over (a, b) of ||([X_a, J_b] - i eps_abc X_c) psi|| /
+    ||psi|| of X = L or S; for "so3", the so(3) residual max over a < b
+    of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||.
 
-    One shell loop over psi builds J_c psi and L_c psi; S_c psi =
-    J_c psi - L_c psi is formed on each shell where it is read.  Then one
-    shell loop serves every pair of both parts.  On each shell it takes
-    the derivative pass of each J_b psi once, whose L_a (J_b psi) gives
-    the L half and, subtracted from J_a (J_b psi), the S half, and the
-    angular pass of each X_a psi once, whose J_b (X_a psi) gives the
-    other half for every b.  The J_0 psi halves are built first, then
-    those of every X_a psi, then those of J_1 psi and J_2 psi, so at most
-    twelve halves, each one shell in size, wait for their partners.  A
-    finished pair leaves only its weighted density on the shell, and its
-    norm is taken over the whole grid at the end.  Every value is built
-    by the arithmetic of the one-field call per pair (a, b), so each
-    residual equals it bit for bit."""
+    One shell loop over psi builds L_c psi, and J_c psi when a
+    vector-operator part is asked for; S_c psi = J_c psi - L_c psi is
+    formed on each shell where it is read.  Then one shell loop serves
+    every pair of every part, and on each shell it takes
+      - the pass of each L_c psi once: its L_a (L_c psi) gives both
+        so(3) halves for a != c (the radial derivative is taken only for
+        these), and its J_b (L_c psi) the trailing L half for every b;
+      - the pass of each J_b psi once: its L_a (J_b psi) gives the
+        leading L half and, subtracted from J_a (J_b psi), the leading S
+        half, formed in the L half's array once that has met its
+        partner;
+      - the angular pass of each S_a psi once: its J_b (S_a psi) gives
+        the trailing S half for every b.
+    In this order at most nine vector-operator halves and two so(3)
+    halves, each one shell in size, wait for their partners.  A finished
+    pair leaves only its weighted density on the shell, and its norm is
+    taken over the whole grid at the end.  Every value is built by the
+    arithmetic of the one-field call per pair, so each residual equals it
+    bit for bit."""
     rep, grid, v = psi.rep, psi.grid, psi.values
     nrm = _test_norm(psi)
     w = grid.invariant_weights
     f = ops.kind.weight(grid.r, rep.mass)
-    j_psi = [np.empty_like(v) for _ in range(3)]
+    vector = [x for x in ("L", "S") if x in parts]
     l_psi = [np.empty_like(v) for _ in range(3)]
+    j_psi = [np.empty_like(v) for _ in range(3)] if vector else []
     for p in _by_shell(rep, grid, v):
         s = slice(p.i, p.i + 1)
         ops._shell(p, f[p.i], range(3), [val[s] for val in l_psi])
-        for c in range(3):
-            j_psi[c][s] = p.J(c)
+        for c, val in enumerate(j_psi):
+            val[s] = p.J(c)
     del p
-    pairs = [(x, a, b) for x in parts for a in range(3) for b in range(3)]
-    dens = {pair: np.empty(grid.shape) for pair in pairs}
+    keys = {"so3": _PAIRS}
+    keys.update(dict.fromkeys(vector, [(a, b) for a in range(3)
+                                       for b in range(3)]))
+    dens = {(x, a, b): np.empty(grid.shape)
+            for x in set(parts) for a, b in keys[x]}
     for i in range(grid.n_r):
         s = slice(i, i + 1)
         waiting = {}
 
         def x_psi(x, c):
-            # X_c psi on the shell
-            return l_psi[c][s] if x == "L" else j_psi[c][s] - l_psi[c][s]
+            # X_c psi on the shell (L_c psi for so(3))
+            return j_psi[c][s] - l_psi[c][s] if x == "S" else l_psi[c][s]
 
         def meet(pair, half, leads):
-            # the half X_a (J_b psi) leads, J_b (X_a psi) is subtracted
+            # the leading half X_a (Y_b psi) comes first, Y_b (X_a psi)
+            # is subtracted
             if pair not in waiting:
                 waiting[pair] = half
                 return
@@ -203,27 +227,38 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
                     out = out - x_psi(x, c) * (1j * e)
             dens[pair][s] = _weighted_density(w[s], out)
 
-        def j_node(b):
+        for c in range(3 if "so3" in parts or "L" in parts else 0):
+            p = _ShellPass(rep, grid, i, l_psi[c][s], l_psi[c])
+            if "so3" in parts:
+                others = [a for a in range(3) if a != c]
+                l_l = [np.empty_like(p.v) for _ in others]
+                ops._shell(p, f[i], others, l_l)
+                for a, half in zip(others, l_l):
+                    meet(("so3", min(a, c), max(a, c)), half, a < c)
+                del l_l, half
+            if "L" in parts:
+                for b in range(3):
+                    meet(("L", c, b), p.J(b), False)
+            del p
+        for b in range(3 if vector else 0):
             p = _ShellPass(rep, grid, i, j_psi[b][s], j_psi[b])
             l_j = [np.empty_like(p.v) for _ in range(3)]
             ops._shell(p, f[i], range(3), l_j)
             for a in range(3):
-                if "S" in parts:
-                    meet(("S", a, b), p.J(a) - l_j[a], True)
                 if "L" in parts:
                     meet(("L", a, b), l_j[a], True)
-
-        j_node(0)
-        for x in parts:
-            for a in range(3):
-                p = _ShellPass(rep, grid, i, x_psi(x, a))
-                for b in range(3):
-                    meet((x, a, b), p.J(b), False)
-                del p
-        j_node(1)
-        j_node(2)
-    return [float(np.max([_norm_of_density(dens.pop((x, a, b))) / nrm
-                          for a in range(3) for b in range(3)]))
+                if "S" in parts:
+                    meet(("S", a, b), np.subtract(p.J(a), l_j[a],
+                                                  out=l_j[a]), True)
+                l_j[a] = None
+            del p
+        for a in range(3 if "S" in parts else 0):
+            p = _ShellPass(rep, grid, i, x_psi("S", a))
+            for b in range(3):
+                meet(("S", a, b), p.J(b), False)
+            del p
+    return [float(np.max([_norm_of_density(dens[x, a, b]) / nrm
+                          for a, b in keys[x]]))
             for x in parts]
 
 
@@ -232,9 +267,6 @@ def vector_op_residual(ops: SplitOperators, psi: Section) -> float:
     over (a,b) and X = L, S of ||([X_a, J_b] - i eps_abc X_c) psi|| /
     ||psi||, both parts checked on one set of actions."""
     return float(np.max(_vector_op_residuals(ops, psi, ("L", "S"))))
-
-
-_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _so3_failures(act, psi: Section, finish, target=None) -> list:
@@ -273,8 +305,9 @@ def _so3_max(act, psi: Section, target=None) -> float:
 
 
 def so3_residual(ops: SplitOperators, psi: Section) -> float:
-    """max over (a,b) of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||."""
-    return _so3_max(ops.L_axes, psi)
+    """max over (a,b) of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||,
+    the pairs met shell by shell."""
+    return _vector_op_residuals(ops, psi, ("so3",))[0]
 
 
 def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:

@@ -15,7 +15,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from spinsplit.algebra import VectorExpr, commutator, gen_J, op_scalar
 from spinsplit.connections import (

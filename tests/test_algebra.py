@@ -15,7 +15,6 @@ from spinsplit.algebra import (
     op_Pmag,
     op_scalar,
     vec_J,
-    vec_K,
     vec_P,
     vec_Phat,
 )

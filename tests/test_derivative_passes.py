@@ -113,12 +113,16 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 # X_a psi for each b.  Now one pass over psi gives J_c psi and L_c psi,
 # one pass over each J_b psi gives the L and the S half, and one angular
 # pass over each X_a psi serves every b: 4, 7, 7 for one part and
-# 4, 10, 10 for both.
+# 4, 10, 10 for both.  The so(3) check and both vector-operator parts in
+# one call share the pass over psi, and the pass over each L_c psi gives
+# L_a (L_c psi) and J_b (L_c psi): 7, 10, 10, where the two calls took
+# 8, 14, 14.
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
     "vector-op-L": (4, 7, 7),
     "vector-op-S": (4, 7, 7),
     "vector-op": (4, 10, 10),
+    "so3+vector-op": (7, 10, 10),
     "curvature": (3, 3, 3),
     "cross-commutator": (5, 5, 5),
 }
@@ -141,6 +145,8 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
         splitting._vector_op_residuals(ops, psi, ("S",))
     elif diagnostic == "vector-op":
         vector_op_residual(ops, psi)
+    elif diagnostic == "so3+vector-op":
+        splitting._vector_op_residuals(ops, psi, ("so3", "L", "S"))
     elif diagnostic == "cross-commutator":
         cross_commutator_check(psi)
     else:
@@ -218,6 +224,27 @@ def test_batched_diagnostics_match_one_field_loops_exactly(
 
         assert jperp_so3_residual(psi) == reference.so3_residual(
             perp, psi, target=lambda c, perp_c: perp_c - _j_par(c, psi))
+
+
+@pytest.mark.parametrize("breaking", [0.0, 0.5],
+                         ids=["symmetric", "broken"])
+@pytest.mark.parametrize("rep,kind", _split_cases(),
+                         ids=lambda v: repr(v))
+def test_three_part_call_matches_so3_and_vector_op_exactly(
+        monkeypatch, rep, kind, breaking):
+    """The so(3) check and both vector-operator parts in one call return,
+    bit for bit, ``so3_residual`` and ``vector_op_residual``, for a
+    passing and for a failing splitting."""
+    ops, psi = SplitOperators(kind), _section(rep)
+    if breaking:
+        break_rotational_symmetry(monkeypatch, psi.grid, breaking)
+    so3, l_part, s_part = splitting._vector_op_residuals(
+        ops, psi, ("so3", "L", "S"))
+    assert so3 == so3_residual(ops, psi)
+    assert float(np.max([l_part, s_part])) == vector_op_residual(ops, psi)
+    # each part alone gives the same bits as in the shared call
+    assert splitting._vector_op_residuals(ops, psi, ("S", "so3")) == [
+        s_part, so3]
 
 
 def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):

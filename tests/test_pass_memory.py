@@ -19,6 +19,7 @@ from spinsplit.connections import (
     TangentField,
     apply_connection,
     apply_connections,
+    chern_number,
     curvature_commutator,
 )
 from spinsplit.grid import MomentumGrid
@@ -34,6 +35,7 @@ from spinsplit.reps import (
 )
 from spinsplit.splitting import (
     SplitOperators,
+    _vector_op_residuals,
     so3_residual,
     vector_op_residual,
 )
@@ -79,7 +81,7 @@ def _diagnostic(name, kind, ops, psi):
     }[name]
 
 
-def _peak_sections(fn, psi) -> float:
+def _peak_bytes(fn) -> int:
     fn()  # a first call, so one-time allocations are not counted
     gc.collect()
     tracemalloc.start()
@@ -89,7 +91,11 @@ def _peak_sections(fn, psi) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - base) / psi.values.nbytes
+    return peak - base
+
+
+def _peak_sections(fn, psi) -> float:
+    return _peak_bytes(fn) / psi.values.nbytes
 
 
 @pytest.mark.parametrize("diagnostic", list(_ONE_FIELD_PEAKS["massive1-flat"]))
@@ -159,6 +165,43 @@ def test_shell_action_peak_held(case, what):
         act = _act_J if what == "J" else _act_K
         peak = _peak_sections(lambda: act(rep, grid, 0, psi.values), psi)
     assert peak <= _SHELL_ACTION_PEAKS[case][what]
+
+
+# The so(3) check and both vector-operator parts in one call share one set
+# of actions, and every pair meets shell by shell.  Traced peaks of that
+# call (numpy 2.4.6, Python 3.11.7), rounded up at the fourth decimal;
+# each is no higher than the vector_op_residual bound of its case.  At
+# (8, 48, 96), massive spin 1 with the flat connection, it peaks at
+# 23.99 MB (13.6 sections), where the separate calls peaked at 17.05 MB
+# (so3_residual) and 23.95 MB (vector_op_residual).
+_THREE_PART_PEAKS = {"massive1-flat": 15.0927, "massless+1-boost": 14.5893}
+
+
+@pytest.mark.parametrize("case", list(_THREE_PART_PEAKS))
+def test_three_part_splitting_peak_held(case):
+    rep, grid, kind = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    ops = SplitOperators(kind)
+    peak = _peak_sections(lambda: _vector_op_residuals(
+        ops, psi, ("so3", "L", "S")), psi)
+    assert peak <= _THREE_PART_PEAKS[case]
+    assert _THREE_PART_PEAKS[case] \
+        <= _ONE_FIELD_PEAKS[case]["vector_op_residual"]
+
+
+# chern_number transports its theta and phi links in blocks of whole mesh
+# rows, so its temporaries are block-sized.  Traced peak on the (48, 96)
+# mesh, in MiB (numpy 2.4.6, Python 3.11.7), rounded up at the fourth
+# decimal; with every link of a direction in one batch it peaked at
+# 6.2333 MiB, and at 24.4907 MiB on the (96, 192) mesh (now 6.4446 MiB).
+_CHERN_PEAK_MIB = 3.9339
+
+
+@pytest.mark.parametrize("h", [-1, 1])
+def test_chern_peak_held(h):
+    peak = _peak_bytes(lambda: chern_number(
+        RepSpec.massless(h), ConnectionKind.rotation(), 48, 96))
+    assert peak / 2**20 <= _CHERN_PEAK_MIB
 
 
 @pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))

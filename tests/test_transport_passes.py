@@ -1,9 +1,11 @@
 """One sparse connection form per edge batch, evaluated at every RK4 node
 at once, and one transported vector per Chern link: evaluation counts of
 the integrator, agreement of vector transport with matrix transport and of
-the sparse form application with the dense product, and bit-exact
-agreement of the form and of ``holonomy`` with the einsum form and the
-three-evaluation RK4 in ``reference.py``."""
+the sparse form application with the dense product, bit-exact agreement
+of the stacked stage product with the entry-by-entry application, of the
+Chern number's row blocks with one batch, and of the form and of
+``holonomy`` with the einsum form and the three-evaluation RK4 in
+``reference.py``."""
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from spinsplit.connections import (
     chern_number,
     holonomy,
 )
-from spinsplit.reps import RepSpec
+from spinsplit.reps import RepSpec, _entries_act
 
 import reference
 from conftest import MASS, bump_connection_form
@@ -81,6 +83,31 @@ def test_chern_form_calls(monkeypatch):
     # two edge batches (theta and phi edges), one form evaluation each
     # over all 2 * 3 + 1 nodes of all their edges
     assert len(calls) == 2
+
+
+# -- row blocks of the Chern links ---------------------------------------------------
+
+
+@pytest.mark.parametrize("perturbed", [False, True],
+                         ids=["plain", "perturbed"])
+@pytest.mark.parametrize("mesh", [(12, 24), (48, 96), (96, 192)],
+                         ids=lambda m: f"{m[0]}x{m[1]}")
+def test_chern_row_blocks_keep_the_raw_value(monkeypatch, mesh, perturbed):
+    """The links are transported in blocks of whole mesh rows; the raw
+    value is the same float with the default block, with one row per
+    block and with every link in one batch."""
+    if perturbed:
+        bump_connection_form(monkeypatch)
+    n_theta, n_phi = mesh
+    blocks = (connections_mod._CHERN_BLOCK, n_phi, n_theta * n_phi)
+    for h in (-1, 1):
+        rep = RepSpec.massless(h)
+        raws = []
+        for block in blocks:
+            monkeypatch.setattr(connections_mod, "_CHERN_BLOCK", block)
+            raws.append(float(chern_number(rep, ConnectionKind.rotation(),
+                                           n_theta, n_phi)[1]).hex())
+        assert raws[1:] == raws[:1] * 2
 
 
 # -- vector transport of the Chern links -------------------------------------------
@@ -149,6 +176,42 @@ def test_form_matrix_matches_einsum(rep, kind):
     assert np.array_equal(_dense(entries, (5, 7), rep.dim),
                           reference.connection_form(rep, kind, 1.5, khat,
                                                     vel))
+
+
+@pytest.mark.parametrize("rep", list(REPS.values()), ids=list(REPS))
+def test_stacked_stage_product_matches_entries_act(rep):
+    """Each RK4 stage applies its node's form as one stacked product; at
+    every node it equals, bit for bit, the entry-by-entry product of
+    ``reps._entries_act``, for a form with its stacked fields and for a
+    plain list of its entries, on transported matrices and vectors."""
+    rng = np.random.default_rng(5)
+    d, shape = rep.dim, (7, 4, 5)  # nodes, then a batch of edges
+    th = rng.uniform(0.1, np.pi - 0.1, shape)
+    ph = rng.uniform(0.0, 2 * np.pi, shape)
+    khat, e_th, e_ph = connections_mod._sphere_frame(th, ph)
+    vel = rng.normal(size=shape) * e_th + rng.normal(size=shape) * e_ph
+    form = _form_matrix(rep, ConnectionKind.boost(), 1.5, khat, vel)
+    stages = [connections_mod._node_act(f, d) for f in (form, list(form))]
+    for columns in (d, 1):
+        size = (d, columns) + shape[1:]
+        w = rng.normal(size=size) + 1j * rng.normal(size=size)
+        for j in range(shape[0]):
+            node = [(b, c, field[j]) for b, c, field in form]
+            ref = np.moveaxis(_entries_act(node, d, np.moveaxis(w, 0, -1)),
+                              -1, 0)
+            for apply_form in stages:
+                assert apply_form(j, w).tobytes() == ref.tobytes()
+            if not form:
+                assert not np.any(ref)
+
+
+@pytest.mark.parametrize("rep", [REPS["massive-s0"], REPS["massless-h0"]],
+                         ids=["massive-s0", "massless-h0"])
+def test_empty_form_transports_as_identity(rep):
+    loop = HolonomyLoop(1.5, np.pi / 2 - 0.2, np.pi / 2 + 0.05, 0.3, 0.55)
+    for kind in KINDS.values():
+        assert holonomy(rep, kind, loop).tobytes() == \
+            np.eye(1, dtype=np.complex128).tobytes()
 
 
 @pytest.mark.parametrize("n_steps", [64, 96])
