@@ -35,11 +35,11 @@ closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 (massless: both reduce to the rotation form).  ``_form_matrix`` is the
 one implementation of this form, vectorized over any batch of points.
 It returns the form's nonzero fiber entries (``reps._spin_dot`` scaled by
-the radial coefficient), never the dense (d, d) matrix, with their
-fields written in place as the rows of one stacked array.  An edge
-batch builds its frames at their broadcast shape and evaluates the form
-once, at all 2n + 1 nodes of its n RK4 steps (each step's end node is
-the next step's start).  ``_transport``, the one classic 4th-order
+the radial coefficient), never the dense (d, d) matrix: their (row,
+column) positions and one array of their fields, written in place.  An
+edge batch builds its frames at their broadcast shape and evaluates the
+form once, at all 2n + 1 nodes of its n RK4 steps (each step's end node
+is the next step's start).  ``_transport``, the one classic 4th-order
 integrator of U' = -A U, keeps the transported columns fiber-major and
 applies each node's form as one stacked product (``_node_act``), which
 rounds every row as ``reps._entries_act`` applies the spin actions.
@@ -495,24 +495,16 @@ def cross_commutator_check(psi: Section) -> dict:
 # -- pointwise connection form, transport and holonomy ---------------------------
 
 
-class _FormEntries(list):
-    """The nonzero fiber entries (row, column, field) of a connection
-    form, in row-major order, as ``reps._entries_act`` reads them;
-    ``stacked`` holds their fields as the rows of one array, and each
-    field is a view of its row."""
-
-    __slots__ = ("stacked",)
-
-
 def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
-                 khat: np.ndarray, vel: np.ndarray) -> _FormEntries:
+                 khat: np.ndarray, vel: np.ndarray
+                 ) -> tuple[list, np.ndarray]:
     """Local connection form A(vel) = coef (vel x khat).S on the shell of
     radius r0 at the unit directions khat for sphere-tangential velocities
     vel, both of shape (3, ...).  The form is returned as its nonzero fiber
-    entries, (row, column, field) in row-major order with fields of shape
-    (...), each field written in place into its row of one stacked array
-    of shape (entries, ...); the dense (..., d, d) matrix is never
-    built."""
+    entries, ``(positions, fields)``: the (row, column) positions in
+    row-major order, and one array of shape (entries, ...) whose row e is
+    the field of position e, each written in place; the dense (..., d, d)
+    matrix is never built."""
     # vel x khat, as np.cross forms it but without moving the axes
     cross = [vel[1] * khat[2] - vel[2] * khat[1],
              vel[2] * khat[0] - vel[0] * khat[2],
@@ -525,12 +517,11 @@ def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
         f = float(kind.weight(np.array([r0]), m)[0])
         coef = (f * (-1j * r0 / (omega * (omega + m)))
                 + (1.0 - f) * (-1j / r0))
-    n_entries = len({(b, c) for entries in rep.spin_entries
-                     for b, c, _ in entries})
-    form = _FormEntries()
-    form.stacked = np.empty((n_entries,) + cross[0].shape,
-                            dtype=np.complex128)
-    for field, (b, c, terms) in zip(form.stacked, _spin_dot(rep, cross)):
+    positions = sorted({(b, c) for entries in rep.spin_entries
+                        for b, c, _ in entries})
+    fields = np.empty((len(positions),) + cross[0].shape,
+                      dtype=np.complex128)
+    for field, (_, _, terms) in zip(fields, _spin_dot(rep, cross)):
         # a position's terms are summed first, in axis order, as in the
         # dense sum over axes, and then scaled by coef
         if len(terms) == 1:
@@ -540,31 +531,25 @@ def _form_matrix(rep: RepSpec, kind: ConnectionKind, r0: float,
             for term in terms[2:]:
                 field += term
             field *= coef
-        form.append((b, c, field))
-    return form
+    return positions, fields
 
 
 def _node_act(form, dim: int):
     """``apply_form(j, w)`` for ``_transport``: A w at node j for a form
-    whose entries hold their fields at every node along the axis after
-    the entries.  w is fiber-major, shape (dim, columns, ...).  The
-    product is stacked: every entry's field times its column of w in one
-    multiplication, the field first, then each row the sum of its
-    products in the entries' order, so each row of A w is, bit for bit,
-    the row ``reps._entries_act`` writes.  A row without entries is zero.
-    The fields are the form's ``stacked`` array when it has one, and are
-    stacked here otherwise."""
-    if not form:
-        return lambda j, w: np.zeros_like(w)
-    stacked = getattr(form, "stacked", None)
-    if stacked is None:
-        stacked = np.stack([field for _, _, field in form])
-    cols = np.array([c for _, c, _ in form], dtype=np.intp)
-    spans = [[e for e, (b, _, _) in enumerate(form) if b == row]
+    ``(positions, fields)`` of ``_form_matrix`` whose fields hold their
+    values at every node along the axis after the entries.  w is
+    fiber-major, shape (dim, columns, ...).  The product is stacked:
+    every entry's field times its column of w in one multiplication, the
+    field first, then each row the sum of its products in the entries'
+    order, so each row of A w is, bit for bit, the row
+    ``reps._entries_act`` writes.  A row without entries is zero."""
+    positions, fields = form
+    cols = np.array([c for _, c in positions], dtype=np.intp)
+    spans = [[e for e, (b, _) in enumerate(positions) if b == row]
              for row in range(dim)]
 
     def apply_form(j, w):
-        prod = stacked[:, j, None] * w[cols]
+        prod = fields[:, j, None] * w[cols]
         out = np.empty_like(w)
         for row, span in zip(out, spans):
             if not span:
@@ -726,8 +711,11 @@ def holonomy(rep: RepSpec, kind: ConnectionKind, loop: HolonomyLoop,
 
 
 _CHERN_MARGIN = 0.35  # least distance of a plaquette phase from +-pi
-# the most links one edge batch of ``chern_number`` transports: a block of
-# whole mesh rows keeps the batch's temporaries near cache size
+# the most links one edge batch of ``chern_number`` transports, in whole
+# mesh rows.  The benchmark's 18 Chern cases (2 cores, six fresh processes
+# each, the least of three sweeps) took a median 0.55 s at 2048 links,
+# 0.62 s with one batch per direction and 0.71 s at 512; the (48, 96)
+# traced peak is 3.9 MiB at 2048, 7.4 MiB with one batch
 _CHERN_BLOCK = 2048
 
 

@@ -64,13 +64,13 @@ from .reps import (
 )
 from .splitting import (
     SplitOperators,
-    _vector_op_residuals,
     defect_identity_residual,
     jperp_so3_residual,
     nw_gradient_residual,
     nw_hermiticity_defect,
     nw_match_residual,
     so3_residual,
+    vector_op_residual,
 )
 
 __all__ = [
@@ -508,8 +508,7 @@ def _suite_splitting(config: RunConfig, records, rows):
         # of L and S in one call, on one set of passes
         if psi.grid.shape != finest:
             return [so3_residual(flat, psi), None]
-        so3, *vector_op = _vector_op_residuals(flat, psi, ("so3", "L", "S"))
-        return [so3, float(np.max(vector_op))]
+        return list(vector_op_residual(flat, psi, so3=True))
 
     for rep in _reps(config, "massive"):
         (residuals, vector_op), _ = _ladder(

@@ -31,11 +31,11 @@ The pairs of every part meet shell by shell, and each leaves only its
 weighted density until its norm is taken.  ``so3_residual`` is the
 so(3) part alone (4 radial and 4 angular passes), and
 ``vector_op_residual`` the L and S parts (4 and 10, where the two parts
-on their own actions took 8 and 32).  All three in one call take 7 and
-10, where the two calls took 8 and 14.  At (8, 48, 96), massive spin 1
-with the flat connection, the three parts peak at 23.99 MB (13.6
-sections), the L and S parts at 23.10 MB and the so(3) part at
-11.56 MB.  Each value equals, bit for bit, the one-field call it
+on their own actions took 8 and 32).  All three in one call
+(``vector_op_residual`` with ``so3``) take 7 and 10, where the two
+calls took 8 and 14.  At (8, 48, 96), massive spin 1 with the flat
+connection, the three parts peak at 23.99 MB (13.6 sections), the L
+and S parts at 23.10 MB and the so(3) part at 11.56 MB.  Each value equals, bit for bit, the one-field call it
 replaces.  The largest residual is taken with ``np.max``, which returns
 NaN when any residual is NaN; the builtin ``max`` would keep a number
 found before it.  ``_so3_failures`` keeps whole sections, for the
@@ -77,6 +77,7 @@ __all__ = [
     "SplittingError",
     "SplitOperators",
     "so3_residual",
+    "vector_op_residual",
     "defect_identity_residual",
     "jperp_so3_residual",
     "nw_match_residual",
@@ -262,11 +263,16 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
             for x in parts]
 
 
-def vector_op_residual(ops: SplitOperators, psi: Section) -> float:
+def vector_op_residual(ops: SplitOperators, psi: Section, so3=False):
     """The larger of the vector-operator residuals of L and of S: max
     over (a,b) and X = L, S of ||([X_a, J_b] - i eps_abc X_c) psi|| /
-    ||psi||, both parts checked on one set of actions."""
-    return float(np.max(_vector_op_residuals(ops, psi, ("L", "S"))))
+    ||psi||, both parts checked on one set of actions.  With ``so3``, the
+    pair (``so3_residual``, that value), the so(3) check riding on the
+    same set of actions."""
+    if not so3:
+        return float(np.max(_vector_op_residuals(ops, psi, ("L", "S"))))
+    so3_part, *parts = _vector_op_residuals(ops, psi, ("so3", "L", "S"))
+    return so3_part, float(np.max(parts))
 
 
 def _so3_failures(act, psi: Section, finish, target=None) -> list:

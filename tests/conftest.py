@@ -72,13 +72,15 @@ def bump_connection_form(monkeypatch):
     """Add the smooth endomorphism-valued bump
     0.2 sin(theta) cos(phi) * i[[0, 1, 0], [-1, 0, 0], [0, 0, 0]] to the
     connection form that the transport integrator applies (3-dim fibers),
-    as two more fiber entries of ``connections._form_matrix``."""
+    as two more fiber entries of ``connections._form_matrix``, after its
+    own."""
     form_matrix = connections._form_matrix
 
     def bumped(rep, kind, r0, khat, vel):
         bump = 0.2j * khat[0]  # khat_x = sin(theta) cos(phi)
-        return (form_matrix(rep, kind, r0, khat, vel)
-                + [(0, 1, bump), (1, 0, -bump)])
+        positions, fields = form_matrix(rep, kind, r0, khat, vel)
+        return (positions + [(0, 1), (1, 0)],
+                np.concatenate([fields, [bump, -bump]]))
 
     monkeypatch.setattr(connections, "_form_matrix", bumped)
 

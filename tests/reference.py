@@ -290,6 +290,13 @@ def connection_form(rep, kind, r0, khat, vel):
     return coef * s_dot
 
 
+def entries(form):
+    """The (row, column, field) triples of a ``_form_matrix`` form, as
+    ``_entries_act`` reads them."""
+    positions, fields = form
+    return [(b, c, field) for (b, c), field in zip(positions, fields)]
+
+
 def rk4_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
               dense=False):
     """Edge transport matrices with the form evaluated on its own at each
@@ -312,7 +319,7 @@ def rk4_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
         if dense:
             mat = connection_form(rep, kind, r0, khat, vel)
             return lambda w: -(mat @ w)
-        form = _form_matrix(rep, kind, r0, khat, vel)
+        form = entries(_form_matrix(rep, kind, r0, khat, vel))
         return lambda w: -np.moveaxis(
             _entries_act(form, d, np.moveaxis(w, -1, 0)), 0, -1)
 

@@ -227,7 +227,8 @@ def test_closed_form_matches_generator_connection(rep, kind, x,
     out = apply_connection(kind, x, psi).values - np.einsum(
         "a...,a...->...", xv[..., None], grad)
     for ir, r0 in enumerate(g.r):
-        a = _form_matrix(rep, kind, float(r0), g.khat[:, ir], xv[:, ir])
+        a = reference.entries(_form_matrix(rep, kind, float(r0),
+                                           g.khat[:, ir], xv[:, ir]))
         out[ir] -= _entries_act(a, rep.dim, psi.values[ir])
     assert Section(rep, g, out).norm() < 1e-12 * psi.norm()
 

@@ -146,7 +146,7 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     elif diagnostic == "vector-op":
         vector_op_residual(ops, psi)
     elif diagnostic == "so3+vector-op":
-        splitting._vector_op_residuals(ops, psi, ("so3", "L", "S"))
+        vector_op_residual(ops, psi, so3=True)
     elif diagnostic == "cross-commutator":
         cross_commutator_check(psi)
     else:
@@ -242,6 +242,8 @@ def test_three_part_call_matches_so3_and_vector_op_exactly(
         ops, psi, ("so3", "L", "S"))
     assert so3 == so3_residual(ops, psi)
     assert float(np.max([l_part, s_part])) == vector_op_residual(ops, psi)
+    assert vector_op_residual(ops, psi, so3=True) == (
+        so3, float(np.max([l_part, s_part])))
     # each part alone gives the same bits as in the shared call
     assert splitting._vector_op_residuals(ops, psi, ("S", "so3")) == [
         s_part, so3]

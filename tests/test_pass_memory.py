@@ -35,7 +35,6 @@ from spinsplit.reps import (
 )
 from spinsplit.splitting import (
     SplitOperators,
-    _vector_op_residuals,
     so3_residual,
     vector_op_residual,
 )
@@ -182,8 +181,8 @@ def test_three_part_splitting_peak_held(case):
     rep, grid, kind = _case(case)
     psi = random_test_section(rep, grid, seed=3)
     ops = SplitOperators(kind)
-    peak = _peak_sections(lambda: _vector_op_residuals(
-        ops, psi, ("so3", "L", "S")), psi)
+    peak = _peak_sections(lambda: vector_op_residual(ops, psi, so3=True),
+                          psi)
     assert peak <= _THREE_PART_PEAKS[case]
     assert _THREE_PART_PEAKS[case] \
         <= _ONE_FIELD_PEAKS[case]["vector_op_residual"]
