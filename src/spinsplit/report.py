@@ -508,7 +508,7 @@ def _suite_splitting(config: RunConfig, records, rows):
         # of L and S in one call, on one set of passes
         if psi.grid.shape != finest:
             return [so3_residual(flat, psi), None]
-        return list(vector_op_residual(flat, psi, so3=True))
+        return list(vector_op_residual(flat, psi))
 
     for rep in _reps(config, "massive"):
         (residuals, vector_op), _ = _ladder(

@@ -17,30 +17,29 @@ construction.  The diagnostics measure, on smooth test sections:
   * the massless parallel/perpendicular commutator relation, which needs
     no connection: Jpar_a = khat_a (S.khat) and Jperp_a = J_a - Jpar_a.
 
-Every diagnostic applies the fields that act on one section in one
-batched covariant derivative, in one shell loop over that section
-(``reps._by_shell``): X_c psi for all c at once, and J_a psi beside
-L_a psi when S is wanted.  The so(3) check of L and the
-vector-operator check of L and S are served by one set of actions
-(``_vector_op_residuals``, which takes any of the three parts): one
-loop over psi gives L_c psi and J_c psi, each L_c psi takes one pass
-that gives L_a (L_c psi) for so(3) and J_b (L_c psi) for the L part,
-each J_b psi takes one pass that gives L_a (J_b psi) for both parts,
-and each S_a psi takes one angular pass for J_b (S_a psi) for every b.
-The pairs of every part meet shell by shell, and each leaves only its
-weighted density until its norm is taken.  ``so3_residual`` is the
-so(3) part alone (4 radial and 4 angular passes), and
-``vector_op_residual`` the L and S parts (4 and 10, where the two parts
-on their own actions took 8 and 32).  All three in one call
-(``vector_op_residual`` with ``so3``) take 7 and 10, where the two
-calls took 8 and 14.  At (8, 48, 96), massive spin 1 with the flat
-connection, the three parts peak at 23.99 MB (13.6 sections), the L
-and S parts at 23.10 MB and the so(3) part at 11.56 MB.  Each value equals, bit for bit, the one-field call it
-replaces.  The largest residual is taken with ``np.max``, which returns
-NaN when any residual is NaN; the builtin ``max`` would keep a number
-found before it.  ``_so3_failures`` keeps whole sections, for the
-diagnostics that need the so(3) failure itself or a target other than
-L_c psi.
+All four run through one sweep, ``_vector_op_residuals``, which takes
+the operator X as a shell action: X_a v for any axes at once on one
+radial shell of a pass (``reps._ShellPass``), from that pass's
+derivatives.  L is ``SplitOperators._shell`` and Jperp is
+``_perp_shell``.  One shell loop over psi gives X_c psi, and J_c psi
+when a vector-operator part is asked for; a second loop meets the
+pairs shell by shell, and each pair leaves only its weighted density
+until its norm is taken.  The so(3) part takes an optional target T_c
+in place of X_c psi (Jperp_c - Jpar_c for the Jperp closure) and an
+optional addend per pair (F(V_a, V_b) psi for the defect identity,
+taken on whole sections before the sweep).
+
+In whole-section derivative passes, radial and angular:
+``so3_residual`` takes 4 and 4, the L and S parts 4 and 10, all three
+in one call (``vector_op_residual``) 7 and 10, the defect identity 13
+and 13 (4 plus 3 per curvature commutator), and the Jperp closure 0 and
+4.  Traced peaks at (8, 48, 96), in sections of 1.77 MB, massive spin 1
+with the flat connection: the three parts 13.56, the L and S parts
+13.05, so(3) alone 6.53 and the defect 9.57; the Jperp closure on
+massless helicity +1 peaks at 8.15.  Each value equals, bit for bit,
+the one-field loop per pair.  The largest residual is taken with
+``np.max``, which returns NaN when any residual is NaN; the builtin
+``max`` would keep a number found before it.
 
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
@@ -102,11 +101,11 @@ class SplitOperators:
     def __init__(self, kind: ConnectionKind):
         self.kind = kind
 
-    def _shell(self, p: _ShellPass, f, axes, out, s_part=False) -> None:
+    def _shell(self, p: _ShellPass, axes, out, s_part=False) -> None:
         """L_a v, or S_a v = J_a v - L_a v when ``s_part``, on the shell
         of the pass p for each axis in ``axes``, written into the
-        shell-sized arrays of ``out``; f is the boost weight on the
-        shell."""
+        shell-sized arrays of ``out``: the shell action of L."""
+        f = self.kind.weight(p.sh.r, p.rep.mass)[0]
         _covariant_shell(p, self.kind, f, [_ROTATIONAL[a] for a in axes],
                          out)
         for a, o in zip(axes, out):
@@ -116,11 +115,10 @@ class SplitOperators:
 
     def _axes(self, axes, psi: Section, s_part: bool) -> list:
         rep, grid, v = psi.rep, psi.grid, psi.values
-        f = self.kind.weight(grid.r, rep.mass)
         out = [np.empty_like(v) for _ in axes]
         for p in _by_shell(rep, grid, v):
             s = slice(p.i, p.i + 1)
-            self._shell(p, f[p.i], axes, [o[s] for o in out], s_part)
+            self._shell(p, axes, [o[s] for o in out], s_part)
         return [Section(rep, grid, o) for o in out]
 
     def L_axes(self, axes, psi: Section) -> list:
@@ -143,43 +141,55 @@ class SplitOperators:
         return self.S_axes((a,), psi)[0]
 
 
-def _j_perp(axes, psi: Section, chi=None) -> list:
-    """[Jperp_a psi for a in axes] on a massless section, from one shell
-    loop over psi and its helicity action ``chi`` (taken here unless
-    given): J_a psi - khat_a chi, formed in the fresh J array."""
-    rep, grid, v = psi.rep, psi.grid, psi.values
-    if chi is None:
-        chi = _act_chi(rep, grid, v)
-    out = []
-    for a, j in zip(axes, _actions(rep, grid, v, [("J", a) for a in axes])):
-        j -= grid.khat[a][..., None] * chi
-        out.append(Section(rep, grid, j))
-    return out
+def _chi(p: _ShellPass) -> np.ndarray:
+    """chi v = (S.khat) v on the shell of the pass p, built once and kept
+    on the pass."""
+    return p._once("chi", lambda: _act_chi(p.rep, p.sh, p.v))
+
+
+def _perp_shell(p: _ShellPass, axes, out) -> None:
+    """Jperp_a v = J_a v - khat_a chi v on the shell of the pass p for
+    each axis in ``axes``, written into ``out``: the shell action of the
+    massless perpendicular angular momentum."""
+    for a, o in zip(axes, out):
+        np.subtract(p.J(a), p.sh.khat[a][..., None] * _chi(p), out=o)
+
+
+def _perp_target(p: _ShellPass, c: int, perp_c) -> np.ndarray:
+    """Jperp_c psi - Jpar_c psi, Jpar_c = khat_c chi, on the shell of the
+    pass p over psi."""
+    return perp_c - p.sh.khat[c][..., None] * _chi(p)
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def _vector_op_residuals(ops: SplitOperators, psi: Section,
-                         parts) -> list:
-    """For each part in ``parts``: for "L" and "S", the vector-operator
-    residual max over (a, b) of ||([X_a, J_b] - i eps_abc X_c) psi|| /
-    ||psi|| of X = L or S; for "so3", the so(3) residual max over a < b
-    of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||.
+def _vector_op_residuals(act, psi: Section, parts, target=None,
+                         addend=None) -> list:
+    """For each part in ``parts``, of the operator X with the shell
+    action ``act(p, axes, out)`` (``SplitOperators._shell`` for L,
+    ``_perp_shell`` for Jperp): for "L" and "S", the vector-operator
+    residual max over (a, b) of ||([Y_a, J_b] - i eps_abc Y_c) psi|| /
+    ||psi|| of Y = X and Y = J - X; for "so3", the so(3) residual max
+    over a < b of ||([X_a, X_b] - i eps_abc T_c + A_ab) psi|| / ||psi||.
+    The target T_c psi is X_c psi, or ``target(p, c, X_c psi)`` on each
+    shell pass p over psi when given; the addend A_ab psi is the whole
+    section ``addend[a, b]``, or none.
 
-    One shell loop over psi builds L_c psi, and J_c psi when a
-    vector-operator part is asked for; S_c psi = J_c psi - L_c psi is
-    formed on each shell where it is read.  Then one shell loop serves
-    every pair of every part, and on each shell it takes
-      - the pass of each L_c psi once: its L_a (L_c psi) gives both
-        so(3) halves for a != c (the radial derivative is taken only for
-        these), and its J_b (L_c psi) the trailing L half for every b;
-      - the pass of each J_b psi once: its L_a (J_b psi) gives the
-        leading L half and, subtracted from J_a (J_b psi), the leading S
-        half, formed in the L half's array once that has met its
+    One shell loop over psi builds X_c psi, J_c psi when a
+    vector-operator part is asked for, and T_c psi when it is not X_c
+    psi; (J - X)_c psi = J_c psi - X_c psi is formed on each shell where
+    it is read.  Then one shell loop serves every pair of every part, and
+    on each shell it takes
+      - the pass of each X_c psi once: its X_a (X_c psi) gives both
+        so(3) halves for a != c, and its J_b (X_c psi) the trailing X
+        half for every b;
+      - the pass of each J_b psi once: its X_a (J_b psi) gives the
+        leading X half and, subtracted from J_a (J_b psi), the leading
+        J - X half, formed in the X half's array once that has met its
         partner;
-      - the angular pass of each S_a psi once: its J_b (S_a psi) gives
-        the trailing S half for every b.
+      - the angular pass of each (J - X)_a psi once: its J_b ((J - X)_a
+        psi) gives the trailing J - X half for every b.
     In this order at most nine vector-operator halves and two so(3)
     halves, each one shell in size, wait for their partners.  A finished
     pair leaves only its weighted density on the shell, and its norm is
@@ -189,15 +199,17 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
     rep, grid, v = psi.rep, psi.grid, psi.values
     nrm = _test_norm(psi)
     w = grid.invariant_weights
-    f = ops.kind.weight(grid.r, rep.mass)
     vector = [x for x in ("L", "S") if x in parts]
-    l_psi = [np.empty_like(v) for _ in range(3)]
+    x_psi = [np.empty_like(v) for _ in range(3)]
     j_psi = [np.empty_like(v) for _ in range(3)] if vector else []
+    t_psi = [np.empty_like(v) for _ in range(3)] if target else x_psi
     for p in _by_shell(rep, grid, v):
         s = slice(p.i, p.i + 1)
-        ops._shell(p, f[p.i], range(3), [val[s] for val in l_psi])
+        act(p, range(3), [val[s] for val in x_psi])
         for c, val in enumerate(j_psi):
             val[s] = p.J(c)
+        for c in range(3 if target else 0):
+            t_psi[c][s] = target(p, c, x_psi[c][s])
     del p
     keys = {"so3": _PAIRS}
     keys.update(dict.fromkeys(vector, [(a, b) for a in range(3)
@@ -208,12 +220,8 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
         s = slice(i, i + 1)
         waiting = {}
 
-        def x_psi(x, c):
-            # X_c psi on the shell (L_c psi for so(3))
-            return j_psi[c][s] - l_psi[c][s] if x == "S" else l_psi[c][s]
-
         def meet(pair, half, leads):
-            # the leading half X_a (Y_b psi) comes first, Y_b (X_a psi)
+            # the leading half Y_a (Z_b psi) comes first, Z_b (Y_a psi)
             # is subtracted
             if pair not in waiting:
                 waiting[pair] = half
@@ -225,36 +233,42 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
             for c in range(3):
                 e = eps(a, b, c)
                 if e:
-                    out = out - x_psi(x, c) * (1j * e)
+                    # Y_c psi on the shell, or T_c psi for so(3)
+                    y_c = (j_psi[c][s] - x_psi[c][s] if x == "S"
+                           else (t_psi if x == "so3" else x_psi)[c][s])
+                    out = out - y_c * (1j * e)
+                    del y_c
+            if x == "so3" and addend:
+                out = out + addend[a, b][s]
             dens[pair][s] = _weighted_density(w[s], out)
 
         for c in range(3 if "so3" in parts or "L" in parts else 0):
-            p = _ShellPass(rep, grid, i, l_psi[c][s], l_psi[c])
+            p = _ShellPass(rep, grid, i, x_psi[c][s], x_psi[c])
             if "so3" in parts:
                 others = [a for a in range(3) if a != c]
-                l_l = [np.empty_like(p.v) for _ in others]
-                ops._shell(p, f[i], others, l_l)
-                for a, half in zip(others, l_l):
+                x_x = [np.empty_like(p.v) for _ in others]
+                act(p, others, x_x)
+                for a, half in zip(others, x_x):
                     meet(("so3", min(a, c), max(a, c)), half, a < c)
-                del l_l, half
+                del x_x, half
             if "L" in parts:
                 for b in range(3):
                     meet(("L", c, b), p.J(b), False)
             del p
         for b in range(3 if vector else 0):
             p = _ShellPass(rep, grid, i, j_psi[b][s], j_psi[b])
-            l_j = [np.empty_like(p.v) for _ in range(3)]
-            ops._shell(p, f[i], range(3), l_j)
+            x_j = [np.empty_like(p.v) for _ in range(3)]
+            act(p, range(3), x_j)
             for a in range(3):
                 if "L" in parts:
-                    meet(("L", a, b), l_j[a], True)
+                    meet(("L", a, b), x_j[a], True)
                 if "S" in parts:
-                    meet(("S", a, b), np.subtract(p.J(a), l_j[a],
-                                                  out=l_j[a]), True)
-                l_j[a] = None
+                    meet(("S", a, b), np.subtract(p.J(a), x_j[a],
+                                                  out=x_j[a]), True)
+                x_j[a] = None
             del p
         for a in range(3 if "S" in parts else 0):
-            p = _ShellPass(rep, grid, i, x_psi("S", a))
+            p = _ShellPass(rep, grid, i, j_psi[a][s] - x_psi[a][s])
             for b in range(3):
                 meet(("S", a, b), p.J(b), False)
             del p
@@ -263,57 +277,19 @@ def _vector_op_residuals(ops: SplitOperators, psi: Section,
             for x in parts]
 
 
-def vector_op_residual(ops: SplitOperators, psi: Section, so3=False):
-    """The larger of the vector-operator residuals of L and of S: max
-    over (a,b) and X = L, S of ||([X_a, J_b] - i eps_abc X_c) psi|| /
-    ||psi||, both parts checked on one set of actions.  With ``so3``, the
-    pair (``so3_residual``, that value), the so(3) check riding on the
-    same set of actions."""
-    if not so3:
-        return float(np.max(_vector_op_residuals(ops, psi, ("L", "S"))))
-    so3_part, *parts = _vector_op_residuals(ops, psi, ("so3", "L", "S"))
+def vector_op_residual(ops: SplitOperators, psi: Section):
+    """(so3, vector_op): ``so3_residual`` and the larger of the
+    vector-operator residuals of L and of S, max over (a,b) and X = L, S
+    of ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||, all three parts
+    checked on one set of actions."""
+    so3_part, *parts = _vector_op_residuals(ops._shell, psi,
+                                            ("so3", "L", "S"))
     return so3_part, float(np.max(parts))
 
 
-def _so3_failures(act, psi: Section, finish, target=None) -> list:
-    """[finish([X_a, X_b] psi - i eps_abc T_c) for the pairs (a, b) in
-    _PAIRS], with ``act`` the batched action of X and T_c = X_c psi, or
-    ``target(c, X_c psi)`` when ``target`` is given.  The fields
-    acting on one section share its derivative pass: X_c psi for all c,
-    then X_a and X_b on X_c psi for the two axes other than c."""
-    x_psi = act(range(3), psi)
-    second = {}  # (a, c) -> X_a X_c psi, until its pair is complete
-    results = []  # pair (0, 1) completes at c = 1, the other two at c = 2
-    for c in range(3):
-        others = [a for a in range(3) if a != c]
-        for a, val in zip(others, act(others, x_psi[c])):
-            second[(a, c)] = val
-        for a, b in _PAIRS:
-            if (a, b) in second and (b, a) in second:
-                out = second.pop((a, b)) - second.pop((b, a))
-                for d in range(3):
-                    e = eps(a, b, d)
-                    if e:
-                        t_d = (x_psi[d] if target is None
-                               else target(d, x_psi[d]))
-                        out = out - t_d * (1j * e)
-                        del t_d
-                results.append(finish(out))
-                del out
-    return results
-
-
-def _so3_max(act, psi: Section, target=None) -> float:
-    """The largest of ``_so3_failures``' norms, relative to ||psi||."""
-    nrm = _test_norm(psi)
-    return float(np.max(_so3_failures(act, psi, lambda out: out.norm() / nrm,
-                                      target)))
-
-
 def so3_residual(ops: SplitOperators, psi: Section) -> float:
-    """max over (a,b) of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||,
-    the pairs met shell by shell."""
-    return _vector_op_residuals(ops, psi, ("so3",))[0]
+    """max over (a,b) of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||."""
+    return _vector_op_residuals(ops._shell, psi, ("so3",))[0]
 
 
 def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
@@ -321,17 +297,11 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     ||([L_a, L_b] - i eps_abc L_c + F(V_a, V_b)) psi|| / ||psi||:
     the so(3) failure of L equals minus the curvature evaluated on the
     rotational fields, for every connection."""
-    nrm = _test_norm(psi)
-    # every so(3) failure first, so the L sections are gone before the
-    # curvature passes
-    failures = _so3_failures(ops.L_axes, psi, lambda out: out)
-    residuals = []
-    for i, (a, b) in enumerate(_PAIRS):
-        out = failures[i] + curvature_commutator(
-            ops.kind, _ROTATIONAL[a], _ROTATIONAL[b], psi)
-        failures[i] = None
-        residuals.append(out.norm() / nrm)
-    return float(np.max(residuals))
+    curvature = {(a, b): curvature_commutator(
+        ops.kind, _ROTATIONAL[a], _ROTATIONAL[b], psi).values
+        for a, b in _PAIRS}
+    return _vector_op_residuals(ops._shell, psi, ("so3",),
+                                addend=curvature)[0]
 
 
 def jperp_so3_residual(psi: Section) -> float:
@@ -339,20 +309,11 @@ def jperp_so3_residual(psi: Section) -> float:
     ||([Jperp_a, Jperp_b] - i eps_abc (Jperp_c - Jpar_c)) psi|| / ||psi||
     — the perpendicular parts close on the full algebra only after the
     parallel correction, so they do not generate rotations by themselves."""
-    rep, grid = psi.rep, psi.grid
-    if rep.kind != "massless":
+    if psi.rep.kind != "massless":
         raise SplittingError("the parallel/perpendicular split is the "
                              "massless decomposition; use L/S instead")
-    # psi's helicity action, shared by Jperp_c psi and every Jpar_c psi
-    chi = _act_chi(rep, grid, psi.values)
-
-    def act(axes, phi):
-        return _j_perp(axes, phi, chi if phi is psi else None)
-
-    def target(c, perp_c):  # perp_c - Jpar_c psi
-        return perp_c - Section(rep, grid, grid.khat[c][..., None] * chi)
-
-    return _so3_max(act, psi, target)
+    return _vector_op_residuals(_perp_shell, psi, ("so3",),
+                                target=_perp_target)[0]
 
 
 # -- the flat-connection (mean) position operator --------------------------------

@@ -7,6 +7,7 @@ their one-field loops and of ``algebra_residual`` with its
 one-action-per-pair loop, both in ``reference.py``."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -116,13 +117,15 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 # 4, 10, 10 for both.  The so(3) check and both vector-operator parts in
 # one call share the pass over psi, and the pass over each L_c psi gives
 # L_a (L_c psi) and J_b (L_c psi): 7, 10, 10, where the two calls took
-# 8, 14, 14.
+# 8, 14, 14.  The defect identity takes the so(3) passes and the three
+# curvature commutators: 4 + 3 * 3.
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
     "vector-op-L": (4, 7, 7),
     "vector-op-S": (4, 7, 7),
     "vector-op": (4, 10, 10),
     "so3+vector-op": (7, 10, 10),
+    "defect": (13, 13, 13),
     "curvature": (3, 3, 3),
     "cross-commutator": (5, 5, 5),
 }
@@ -140,13 +143,15 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     if diagnostic == "so3":
         so3_residual(ops, psi)
     elif diagnostic == "vector-op-L":
-        splitting._vector_op_residuals(ops, psi, ("L",))
+        splitting._vector_op_residuals(ops._shell, psi, ("L",))
     elif diagnostic == "vector-op-S":
-        splitting._vector_op_residuals(ops, psi, ("S",))
+        splitting._vector_op_residuals(ops._shell, psi, ("S",))
     elif diagnostic == "vector-op":
-        vector_op_residual(ops, psi)
+        splitting._vector_op_residuals(ops._shell, psi, ("L", "S"))
     elif diagnostic == "so3+vector-op":
-        vector_op_residual(ops, psi, so3=True)
+        vector_op_residual(ops, psi)
+    elif diagnostic == "defect":
+        defect_identity_residual(ops, psi)
     elif diagnostic == "cross-commutator":
         cross_commutator_check(psi)
     else:
@@ -205,16 +210,18 @@ def test_batched_diagnostics_match_one_field_loops_exactly(
     ops, psi = SplitOperators(kind), _section(rep)
     if breaking:
         break_rotational_symmetry(monkeypatch, psi.grid, breaking)
-        assert vector_op_residual(ops, psi) > 0.1
+        assert vector_op_residual(ops, psi)[1] > 0.1
     parts = []
-    for part, act_axes, act in (("L", ops.L_axes, ops.L),
-                                ("S", ops.S_axes, ops.S)):
-        assert splitting._so3_max(act_axes, psi) == \
-            reference.so3_residual(act, psi)
-        parts.append(splitting._vector_op_residuals(ops, psi, (part,))[0])
+    for part, shell, act in (("L", ops._shell, ops.L),
+                             ("S", partial(ops._shell, s_part=True), ops.S)):
+        # the so(3) check of X = L and of X = S = J - L
+        assert splitting._vector_op_residuals(shell, psi, ("so3",)) == [
+            reference.so3_residual(act, psi)]
+        parts.append(splitting._vector_op_residuals(
+            ops._shell, psi, (part,))[0])
         assert parts[-1] == reference.vector_op_residual(act, ops.J, psi)
     assert so3_residual(ops, psi) == reference.so3_residual(ops.L, psi)
-    assert vector_op_residual(ops, psi) == max(parts)
+    assert vector_op_residual(ops, psi)[1] == max(parts)
     assert defect_identity_residual(ops, psi) == reference.so3_residual(
         ops.L, psi, curvature=lambda a, b: curvature_commutator(
             kind, splitting._ROTATIONAL[a], splitting._ROTATIONAL[b], psi))
@@ -239,40 +246,55 @@ def test_three_part_call_matches_so3_and_vector_op_exactly(
     if breaking:
         break_rotational_symmetry(monkeypatch, psi.grid, breaking)
     so3, l_part, s_part = splitting._vector_op_residuals(
-        ops, psi, ("so3", "L", "S"))
+        ops._shell, psi, ("so3", "L", "S"))
     assert so3 == so3_residual(ops, psi)
-    assert float(np.max([l_part, s_part])) == vector_op_residual(ops, psi)
-    assert vector_op_residual(ops, psi, so3=True) == (
+    assert vector_op_residual(ops, psi) == (
         so3, float(np.max([l_part, s_part])))
     # each part alone gives the same bits as in the shared call
-    assert splitting._vector_op_residuals(ops, psi, ("S", "so3")) == [
-        s_part, so3]
+    assert splitting._vector_op_residuals(ops._shell, psi, ("S", "so3")) \
+        == [s_part, so3]
+    assert splitting._vector_op_residuals(ops._shell, psi, ("L", "S")) \
+        == [l_part, s_part]
+
+
+def _massless_section():
+    rep = RepSpec.massless(1)
+    grid = MomentumGrid(4, 12, 24, 1.0, 2.0)
+    return random_test_section(rep, grid, seed=3, polar_damping=4)
 
 
 def test_jperp_residual_takes_one_helicity_action_per_section(monkeypatch):
     """jperp_so3_residual applies the helicity operator chi once to psi
-    and once to each Jperp_c psi (4 calls, down from 7 when every
-    parallel target took its own), and its value equals, bit for bit,
-    the residual with a fresh Jpar_c psi per target."""
-    rep = RepSpec.massless(1)
-    grid = MomentumGrid(4, 12, 24, 1.0, 2.0)
-    psi = random_test_section(rep, grid, seed=3, polar_damping=4)
-    nrm = psi.norm()
-    worst = 0.0
-    for res in splitting._so3_failures(
-            splitting._j_perp, psi, lambda out: out.norm() / nrm,
-            lambda c, perp_c: perp_c - _j_par(c, psi)):
-        worst = max(worst, res)
+    and once to each Jperp_c psi (4 in whole-section equivalents, a shell
+    counting 1 / N_r; 7 when every parallel target took its own), and its
+    value equals, bit for bit, the residual with a fresh Jpar_c psi per
+    target."""
+    psi = _massless_section()
+    ops = SplitOperators(ConnectionKind.boost())
+
+    def perp(a, sec):
+        return ops.J(a, sec) - _j_par(a, sec)
+
+    worst = reference.so3_residual(
+        perp, psi, target=lambda c, perp_c: perp_c - _j_par(c, psi))
     calls = []
     orig = splitting._act_chi
 
-    def counted(*args):
-        calls.append(1)
-        return orig(*args)
+    def counted(rep, fields, v):
+        calls.append(Fraction(v.shape[0], psi.grid.n_r))
+        return orig(rep, fields, v)
 
     monkeypatch.setattr(splitting, "_act_chi", counted)
     assert jperp_so3_residual(psi) == worst
-    assert len(calls) == 4
+    assert sum(calls) == 4
+
+
+def test_jperp_pass_totals(derivative_calls):
+    """Jperp acts through J and the pointwise chi alone: one angular
+    pass over psi and one over each Jperp_c psi, no radial pass."""
+    jperp_so3_residual(_massless_section())
+    assert derivative_calls == {"d_r": 0, "d_theta": 4, "d_phi": 4,
+                                "gradient": 0}
 
 
 # -- the commutation-relation catalog -------------------------------------------
@@ -369,5 +391,6 @@ def test_vector_op_takes_one_covariant_pass_per_section(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(splitting, "_covariant_shell", counted)
-    vector_op_residual(SplitOperators(ConnectionKind.flat_massive()), psi)
+    ops = SplitOperators(ConnectionKind.flat_massive())
+    splitting._vector_op_residuals(ops._shell, psi, ("L", "S"))
     assert Fraction(len(shells), grid.n_r) == 4

@@ -2,6 +2,8 @@
 curvature-defect identity, the flat spin, and the flat-connection
 position operator."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from spinsplit.grid import Section
 from spinsplit.reps import (
     RepError,
     RepSpec,
+    _act_chi,
+    _act_J,
     algebra_residual,
     random_test_section,
     relation_ids,
@@ -66,7 +70,8 @@ def test_flat_splitting_closes_so3(rep_massive1, grid_small_massive,
 def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._so3_max(ops.S_axes, psi) < 1e-3
+    s_shell = partial(ops._shell, s_part=True)  # X = S = J - L
+    assert splitting._vector_op_residuals(s_shell, psi, ("so3",))[0] < 1e-3
 
 
 def test_curved_splitting_fails_so3(rep_massive1, grid_mid_massive):
@@ -92,8 +97,8 @@ def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
 def test_vector_operator_property(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._vector_op_residuals(ops, psi, ("L",))[0] < 1e-3
-    assert splitting._vector_op_residuals(ops, psi, ("S",))[0] < 1e-3
+    assert splitting._vector_op_residuals(ops._shell, psi, ("L",))[0] < 1e-3
+    assert splitting._vector_op_residuals(ops._shell, psi, ("S",))[0] < 1e-3
 
 
 def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
@@ -103,7 +108,7 @@ def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
     break_rotational_symmetry(monkeypatch, grid_mid_massive)
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._vector_op_residuals(ops, psi, ("L",))[0] > 0.1
+    assert splitting._vector_op_residuals(ops._shell, psi, ("L",))[0] > 0.1
 
 
 def _fiber_spin_gap(ops, phi):
@@ -170,8 +175,12 @@ def test_massless_orbital_is_perpendicular(rep_massless_plus,
     ops = SplitOperators(ROT)
     psi = random_test_section(rep_massless_plus, grid_mid_massless,
                               seed=3, polar_damping=4)
-    for perp, orbital in zip(splitting._j_perp(range(3), psi),
-                             ops.L_axes(range(3), psi)):
+    rep, grid, v = psi.rep, psi.grid, psi.values
+    chi = _act_chi(rep, grid, v)
+    for a, orbital in enumerate(ops.L_axes(range(3), psi)):
+        # Jperp_a = J_a - khat_a chi
+        perp = Section(rep, grid, _act_J(rep, grid, a, v)
+                       - grid.khat[a][..., None] * chi)
         assert (perp - orbital).norm() < 1e-13 * psi.norm()
 
 
@@ -219,10 +228,12 @@ def test_nan_section_gives_nan_from_every_diagnostic(
         for rid in relation_ids()}
     values.update({
         "so3-L": so3_residual(flat, psi),
-        "so3-S": splitting._so3_max(flat.S_axes, psi),
-        "vector-op-L": splitting._vector_op_residuals(flat, psi, ("L",))[0],
-        "vector-op-S": splitting._vector_op_residuals(flat, psi, ("S",))[0],
-        "vector-op": vector_op_residual(flat, psi),
+        "so3-S": splitting._vector_op_residuals(
+            partial(flat._shell, s_part=True), psi, ("so3",))[0],
+        "vector-op-L": splitting._vector_op_residuals(
+            flat._shell, psi, ("L",))[0],
+        "vector-op-S": splitting._vector_op_residuals(
+            flat._shell, psi, ("S",))[0],
         "defect": defect_identity_residual(flat, psi),
         "leibniz": leibniz_residual(BOOST, [TangentField.named("e_phi")],
                                     f, psi),
@@ -230,6 +241,8 @@ def test_nan_section_gives_nan_from_every_diagnostic(
         "nw-gradient": nw_gradient_residual(psi),
         "nw-hermitian": nw_hermiticity_defect(phi, psi),
     })
+    values["vector-op-so3"], values["vector-op"] = vector_op_residual(
+        flat, psi)
     values.update({f"cross-{label}": res
                    for label, res in cross_commutator_check(psi).items()})
     h = grid_small_massless
