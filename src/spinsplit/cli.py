@@ -77,10 +77,11 @@ def _build_config(args) -> RunConfig:
     # the [run] keys that flags replace, validated by RunConfig with the
     # rest of the configuration
     overrides = {key: value for key, value in (
-        ("suites", args.suite), ("json_path", args.json),
-        ("csv_path", args.csv), ("normalize", args.normalize)) if value}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+        ("suites", args.suite), ("normalize", args.normalize)) if value}
+    # an empty output path is passed on, for RunConfig to reject
+    overrides.update({key: value for key, value in (
+        ("json_path", args.json), ("csv_path", args.csv),
+        ("seed", args.seed)) if value is not None})
     if args.config:
         for flag, key in (("grid", "[grid] ladder"),
                           ("mass", "[reps] massive"),

@@ -16,16 +16,18 @@ All are built from the exact generator actions of :mod:`spinsplit.reps`.
 A section takes one derivative pass (d_r, d_theta, d_phi) for every
 tangent field applied to it (``apply_connections``; ``apply_connection``
 is its one-field case).  After that pass the covariant derivative is
-pointwise in r, so ``_covariant_values`` evaluates the formulas above
+pointwise in r, so ``apply_connections`` evaluates the formulas above
 in one shell loop (``reps._by_shell``): on each shell,
 ``_covariant_shell`` takes K_a v and J_a v from the shell's pass, built
 once for all the fields and for any other action on that shell (a
 covariant derivative never enters the whole-section actions ``_act_K``
 and ``_act_J``), the fields are evaluated on the shell alone, and every
 temporary is one shell in size.  The representation and the grid are
-read from the section.  The curvature commutator and the splitting
-diagnostics batch the fields that act on one section.  The boost and
-rotation kinds build only the branch their weight keeps.
+read from the section.  This is the one whole-section covariant loop:
+the curvature commutator batches its fields through it, and the
+splitting's L (``splitting.SplitOperators``) is -i times its derivative
+along the rotational fields, with S = J - L.  The boost and rotation
+kinds build only the branch their weight keeps.
 For sphere-tangential directions every built-in connection also has a
 closed pointwise form  D_X = X.grad + A(X)  with fiber endomorphism
 
@@ -309,26 +311,6 @@ def _axis_sum(weights, terms) -> np.ndarray:
     return acc
 
 
-def _covariant_values(rep: RepSpec, grid: MomentumGrid,
-                      kind: ConnectionKind, xs, v: np.ndarray) -> list:
-    """D_X v for every tangent field X in ``xs``, for the connection
-    f*Boost + (1 - f)*Rotation with boost weight f = 1 (boost), 0
-    (rotation) or a radial profile (affine).
-
-    The derivative is pointwise in r after the derivative pass, so one
-    shell loop over v (``reps._by_shell``) serves every field:
-    ``_covariant_shell`` writes each shell of the output sections, the
-    fields are evaluated on the shell alone (``TangentField.shell_values``),
-    and every temporary is one shell in size and is freed before the next
-    shell builds its own."""
-    f = kind.weight(grid.r, rep.mass)
-    out = [np.empty_like(v) for _ in xs]
-    for p in _by_shell(rep, grid, v):
-        s = slice(p.i, p.i + 1)
-        _covariant_shell(p, kind, f[p.i], xs, [o[s] for o in out])
-    return out
-
-
 def _covariant_shell(p: _ShellPass, kind: ConnectionKind, f, xs,
                      out) -> None:
     """D_X v on the shell of the pass p, for each field X in ``xs``,
@@ -376,11 +358,19 @@ def _covariant_shell(p: _ShellPass, kind: ConnectionKind, f, xs,
 
 def apply_connections(kind: ConnectionKind, xs, psi: Section) -> list:
     """The covariant derivatives D_X psi for every tangent field X in
-    ``xs``, from one derivative pass over psi; each equals, bit for bit,
-    ``apply_connection(kind, X, psi)``."""
-    rep, grid = psi.rep, psi.grid
-    vals = _covariant_values(rep, grid, kind, xs, psi.values)
-    return [Section(rep, grid, val) for val in vals]
+    ``xs``, from one derivative pass over psi and one shell loop, with
+    boost weight f = 1 (boost), 0 (rotation) or a radial profile (affine)
+    read on each shell; each equals, bit for bit,
+    ``apply_connection(kind, X, psi)``.  The fields are evaluated on the
+    shell alone (``TangentField.shell_values``), and every temporary is
+    one shell in size and is freed before the next shell builds its own."""
+    rep, grid, v = psi.rep, psi.grid, psi.values
+    f = kind.weight(grid.r, rep.mass)
+    out = [np.empty_like(v) for _ in xs]
+    for p in _by_shell(rep, grid, v):
+        s = slice(p.i, p.i + 1)
+        _covariant_shell(p, kind, f[p.i], xs, [o[s] for o in out])
+    return [Section(rep, grid, o) for o in out]
 
 
 def apply_connection(kind: ConnectionKind, x: TangentField,

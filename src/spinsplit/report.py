@@ -221,6 +221,12 @@ class RunConfig:
                 f"suites {needs_spin1} measure fiber rotations and need a "
                 f"massive rep of spin 1"
             )
+        for path, key, what in ((json_path, "json", "JSON report"),
+                                (csv_path, "csv", "convergence CSV")):
+            if path is not None and not path.strip():
+                raise ConfigError(
+                    f"the {what} path ([run] {key}, --{key}) is empty; "
+                    f"give a file name or leave it unset")
         if (json_path and csv_path
                 and os.path.realpath(json_path) == os.path.realpath(csv_path)):
             raise ConfigError(

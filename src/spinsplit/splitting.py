@@ -8,7 +8,9 @@ V_a = e_a x k, read from ``_ROTATIONAL`` when L is applied:
 
     L_a psi = -i D_{V_a} psi          S_a psi = J_a psi - L_a psi
 
-S is always computed by subtraction, so L + S = J holds to rounding by
+On a whole section L_a is ``connections.apply_connection`` along V_a
+times -i, so the one whole-section covariant loop is that module's.  S
+is always computed by subtraction, so L + S = J holds to rounding by
 construction.  The diagnostics measure, on smooth test sections:
 
   * the vector-operator property  [L_a, J_b] = i eps_abc L_c  (and for S),
@@ -22,24 +24,25 @@ the operator X as a shell action: X_a v for any axes at once on one
 radial shell of a pass (``reps._ShellPass``), from that pass's
 derivatives.  L is ``SplitOperators._shell`` and Jperp is
 ``_perp_shell``.  One shell loop over psi gives X_c psi, and J_c psi
-when a vector-operator part is asked for; a second loop meets the
-pairs shell by shell, and each pair leaves only its weighted density
-until its norm is taken.  The so(3) part takes an optional target T_c
-in place of X_c psi (Jperp_c - Jpar_c for the Jperp closure) and an
-optional addend per pair (F(V_a, V_b) psi for the defect identity,
-taken on whole sections before the sweep).
+when the vector-operator parts of L and S (always together) are asked
+for; a second loop meets the pairs shell by shell, and each pair leaves
+only its weighted density until its norm is taken.  The so(3) part
+subtracts khat_c P psi from its target X_c psi when given a pointwise
+shell action P (chi for the Jperp closure, which keeps chi psi as one
+whole section), and takes an optional addend per pair (F(V_a, V_b) psi
+for the defect identity, taken on whole sections before the sweep).
 
 In whole-section derivative passes, radial and angular:
-``so3_residual`` takes 4 and 4, the L and S parts 4 and 10, all three
-in one call (``vector_op_residual``) 7 and 10, the defect identity 13
-and 13 (4 plus 3 per curvature commutator), and the Jperp closure 0 and
-4.  Traced peaks at (8, 48, 96), in sections of 1.77 MB, massive spin 1
-with the flat connection: the three parts 13.56, the L and S parts
-13.05, so(3) alone 6.53 and the defect 9.57; the Jperp closure on
-massless helicity +1 peaks at 8.15.  Each value equals, bit for bit,
-the one-field loop per pair.  The largest residual is taken with
-``np.max``, which returns NaN when any residual is NaN; the builtin
-``max`` would keep a number found before it.
+``so3_residual`` takes 4 and 4, all three parts in one call
+(``vector_op_residual``) 7 and 10, the defect identity 13 and 13 (4
+plus 3 per curvature commutator), and the Jperp closure 0 and 4.
+Traced peaks at (8, 48, 96), in sections of 1.77 MB, massive spin 1
+with the flat connection: the three parts 13.56, so(3) alone 6.53 and
+the defect 9.57; the Jperp closure on massless helicity +1 peaks at
+6.28.  Each value equals, bit for bit, the one-field loop per pair.
+The largest residual is taken with ``np.max``, which returns NaN when
+any residual is NaN; the builtin ``max`` would keep a number found
+before it.
 
 The affine connection with weight f = H/m is flat; +i times its
 covariant derivative along the constant Cartesian directions is the
@@ -57,6 +60,7 @@ from .connections import (
     ConnectionKind,
     TangentField,
     _covariant_shell,
+    apply_connection,
     apply_connections,
     curvature_commutator,
 )
@@ -113,32 +117,17 @@ class SplitOperators:
             if s_part:
                 np.subtract(p.J(a), o, out=o)
 
-    def _axes(self, axes, psi: Section, s_part: bool) -> list:
-        rep, grid, v = psi.rep, psi.grid, psi.values
-        out = [np.empty_like(v) for _ in axes]
-        for p in _by_shell(rep, grid, v):
-            s = slice(p.i, p.i + 1)
-            self._shell(p, axes, [o[s] for o in out], s_part)
-        return [Section(rep, grid, o) for o in out]
-
-    def L_axes(self, axes, psi: Section) -> list:
-        """[L_a psi for a in axes], from one shell loop over psi."""
-        return self._axes(axes, psi, False)
-
-    def S_axes(self, axes, psi: Section) -> list:
-        """[S_a psi for a in axes]: J and L share one shell loop over psi,
-        and each S_a psi = J_a psi - L_a psi is formed in the L array."""
-        return self._axes(axes, psi, True)
-
     def L(self, a: int, psi: Section) -> Section:
-        return self.L_axes((a,), psi)[0]
+        out = apply_connection(self.kind, _ROTATIONAL[a], psi)
+        out.values *= -1j
+        return out
 
     def J(self, a: int, psi: Section) -> Section:
         return Section(psi.rep, psi.grid,
                        _act_J(psi.rep, psi.grid, a, psi.values))
 
     def S(self, a: int, psi: Section) -> Section:
-        return self.S_axes((a,), psi)[0]
+        return self.J(a, psi) - self.L(a, psi)
 
 
 def _chi(p: _ShellPass) -> np.ndarray:
@@ -155,32 +144,28 @@ def _perp_shell(p: _ShellPass, axes, out) -> None:
         np.subtract(p.J(a), p.sh.khat[a][..., None] * _chi(p), out=o)
 
 
-def _perp_target(p: _ShellPass, c: int, perp_c) -> np.ndarray:
-    """Jperp_c psi - Jpar_c psi, Jpar_c = khat_c chi, on the shell of the
-    pass p over psi."""
-    return perp_c - p.sh.khat[c][..., None] * _chi(p)
-
-
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+# the (a, b) of the so(3) part and of each vector-operator part
+_PART_PAIRS = {"so3": _PAIRS, **dict.fromkeys(
+    "LS", tuple((a, b) for a in range(3) for b in range(3)))}
 
 
-def _vector_op_residuals(act, psi: Section, parts, target=None,
+def _vector_op_residuals(act, psi: Section, vector=False, parallel=None,
                          addend=None) -> list:
-    """For each part in ``parts``, of the operator X with the shell
-    action ``act(p, axes, out)`` (``SplitOperators._shell`` for L,
-    ``_perp_shell`` for Jperp): for "L" and "S", the vector-operator
-    residual max over (a, b) of ||([Y_a, J_b] - i eps_abc Y_c) psi|| /
-    ||psi|| of Y = X and Y = J - X; for "so3", the so(3) residual max
-    over a < b of ||([X_a, X_b] - i eps_abc T_c + A_ab) psi|| / ||psi||.
-    The target T_c psi is X_c psi, or ``target(p, c, X_c psi)`` on each
-    shell pass p over psi when given; the addend A_ab psi is the whole
-    section ``addend[a, b]``, or none.
+    """[so3], or [so3, L, S] when ``vector``, for the operator X with the
+    shell action ``act(p, axes, out)`` (``SplitOperators._shell`` for L,
+    ``_perp_shell`` for Jperp): so3 is the max over a < b of
+    ||([X_a, X_b] - i eps_abc T_c + A_ab) psi|| / ||psi||, and L and S
+    are the vector-operator residuals, max over (a, b) of
+    ||([Y_a, J_b] - i eps_abc Y_c) psi|| / ||psi||, of Y = X and
+    Y = J - X.  The target T_c psi is X_c psi, or X_c psi - khat_c P psi
+    when the pointwise shell action P = ``parallel`` is given; the addend
+    A_ab psi is the whole section ``addend[a, b]``, or none.
 
-    One shell loop over psi builds X_c psi, J_c psi when a
-    vector-operator part is asked for, and T_c psi when it is not X_c
-    psi; (J - X)_c psi = J_c psi - X_c psi is formed on each shell where
-    it is read.  Then one shell loop serves every pair of every part, and
-    on each shell it takes
+    One shell loop over psi builds X_c psi, P psi when P is given, and
+    J_c psi when ``vector``; T_c psi and (J - X)_c psi = J_c psi - X_c psi
+    are formed on each shell where they are read.  Then one shell loop
+    serves every pair of every part, and on each shell it takes
       - the pass of each X_c psi once: its X_a (X_c psi) gives both
         so(3) halves for a != c, and its J_b (X_c psi) the trailing X
         half for every b;
@@ -199,23 +184,20 @@ def _vector_op_residuals(act, psi: Section, parts, target=None,
     rep, grid, v = psi.rep, psi.grid, psi.values
     nrm = _test_norm(psi)
     w = grid.invariant_weights
-    vector = [x for x in ("L", "S") if x in parts]
     x_psi = [np.empty_like(v) for _ in range(3)]
     j_psi = [np.empty_like(v) for _ in range(3)] if vector else []
-    t_psi = [np.empty_like(v) for _ in range(3)] if target else x_psi
+    p_psi = np.empty_like(v) if parallel else None
     for p in _by_shell(rep, grid, v):
         s = slice(p.i, p.i + 1)
         act(p, range(3), [val[s] for val in x_psi])
         for c, val in enumerate(j_psi):
             val[s] = p.J(c)
-        for c in range(3 if target else 0):
-            t_psi[c][s] = target(p, c, x_psi[c][s])
+        if parallel:
+            p_psi[s] = parallel(p)
     del p
-    keys = {"so3": _PAIRS}
-    keys.update(dict.fromkeys(vector, [(a, b) for a in range(3)
-                                       for b in range(3)]))
+    parts = ("so3", "L", "S") if vector else ("so3",)
     dens = {(x, a, b): np.empty(grid.shape)
-            for x in set(parts) for a, b in keys[x]}
+            for x in parts for a, b in _PART_PAIRS[x]}
     for i in range(grid.n_r):
         s = slice(i, i + 1)
         waiting = {}
@@ -234,46 +216,47 @@ def _vector_op_residuals(act, psi: Section, parts, target=None,
                 e = eps(a, b, c)
                 if e:
                     # Y_c psi on the shell, or T_c psi for so(3)
-                    y_c = (j_psi[c][s] - x_psi[c][s] if x == "S"
-                           else (t_psi if x == "so3" else x_psi)[c][s])
+                    if x == "S":
+                        y_c = j_psi[c][s] - x_psi[c][s]
+                    elif x == "so3" and parallel:
+                        y_c = (x_psi[c][s] - grid.shell(i).khat[c][..., None]
+                               * p_psi[s])
+                    else:
+                        y_c = x_psi[c][s]
                     out = out - y_c * (1j * e)
                     del y_c
             if x == "so3" and addend:
                 out = out + addend[a, b][s]
             dens[pair][s] = _weighted_density(w[s], out)
 
-        for c in range(3 if "so3" in parts or "L" in parts else 0):
+        for c in range(3):
             p = _ShellPass(rep, grid, i, x_psi[c][s], x_psi[c])
-            if "so3" in parts:
-                others = [a for a in range(3) if a != c]
-                x_x = [np.empty_like(p.v) for _ in others]
-                act(p, others, x_x)
-                for a, half in zip(others, x_x):
-                    meet(("so3", min(a, c), max(a, c)), half, a < c)
-                del x_x, half
-            if "L" in parts:
-                for b in range(3):
-                    meet(("L", c, b), p.J(b), False)
+            others = [a for a in range(3) if a != c]
+            x_x = [np.empty_like(p.v) for _ in others]
+            act(p, others, x_x)
+            for a, half in zip(others, x_x):
+                meet(("so3", min(a, c), max(a, c)), half, a < c)
+            del x_x, half
+            for b in range(3 if vector else 0):
+                meet(("L", c, b), p.J(b), False)
             del p
         for b in range(3 if vector else 0):
             p = _ShellPass(rep, grid, i, j_psi[b][s], j_psi[b])
             x_j = [np.empty_like(p.v) for _ in range(3)]
             act(p, range(3), x_j)
             for a in range(3):
-                if "L" in parts:
-                    meet(("L", a, b), x_j[a], True)
-                if "S" in parts:
-                    meet(("S", a, b), np.subtract(p.J(a), x_j[a],
-                                                  out=x_j[a]), True)
+                meet(("L", a, b), x_j[a], True)
+                meet(("S", a, b), np.subtract(p.J(a), x_j[a],
+                                              out=x_j[a]), True)
                 x_j[a] = None
             del p
-        for a in range(3 if "S" in parts else 0):
+        for a in range(3 if vector else 0):
             p = _ShellPass(rep, grid, i, j_psi[a][s] - x_psi[a][s])
             for b in range(3):
                 meet(("S", a, b), p.J(b), False)
             del p
     return [float(np.max([_norm_of_density(dens[x, a, b]) / nrm
-                          for a, b in keys[x]]))
+                          for a, b in _PART_PAIRS[x]]))
             for x in parts]
 
 
@@ -282,14 +265,13 @@ def vector_op_residual(ops: SplitOperators, psi: Section):
     vector-operator residuals of L and of S, max over (a,b) and X = L, S
     of ||([X_a, J_b] - i eps_abc X_c) psi|| / ||psi||, all three parts
     checked on one set of actions."""
-    so3_part, *parts = _vector_op_residuals(ops._shell, psi,
-                                            ("so3", "L", "S"))
+    so3_part, *parts = _vector_op_residuals(ops._shell, psi, vector=True)
     return so3_part, float(np.max(parts))
 
 
 def so3_residual(ops: SplitOperators, psi: Section) -> float:
     """max over (a,b) of ||([L_a, L_b] - i eps_abc L_c) psi|| / ||psi||."""
-    return _vector_op_residuals(ops._shell, psi, ("so3",))[0]
+    return _vector_op_residuals(ops._shell, psi)[0]
 
 
 def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
@@ -300,20 +282,19 @@ def defect_identity_residual(ops: SplitOperators, psi: Section) -> float:
     curvature = {(a, b): curvature_commutator(
         ops.kind, _ROTATIONAL[a], _ROTATIONAL[b], psi).values
         for a, b in _PAIRS}
-    return _vector_op_residuals(ops._shell, psi, ("so3",),
-                                addend=curvature)[0]
+    return _vector_op_residuals(ops._shell, psi, addend=curvature)[0]
 
 
 def jperp_so3_residual(psi: Section) -> float:
     """Massless: max over (a,b) of
     ||([Jperp_a, Jperp_b] - i eps_abc (Jperp_c - Jpar_c)) psi|| / ||psi||
     — the perpendicular parts close on the full algebra only after the
-    parallel correction, so they do not generate rotations by themselves."""
+    parallel correction, so they do not generate rotations by themselves.
+    Jpar_c = khat_c chi, and chi psi is kept from psi's pass."""
     if psi.rep.kind != "massless":
         raise SplittingError("the parallel/perpendicular split is the "
                              "massless decomposition; use L/S instead")
-    return _vector_op_residuals(_perp_shell, psi, ("so3",),
-                                target=_perp_target)[0]
+    return _vector_op_residuals(_perp_shell, psi, parallel=_chi)[0]
 
 
 # -- the flat-connection (mean) position operator --------------------------------

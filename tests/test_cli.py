@@ -1090,6 +1090,24 @@ def test_json_and_csv_same_file_ini_exit_2(tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("route", ["--json", "--csv", "json =", "csv ="])
+def test_empty_output_path_exits_2(tmp_path, capsys, route):
+    # an empty path is not ignored: the report would go to stdout and no
+    # CSV would be written, though the flag or key asked for a file
+    key = route.split()[0].lstrip("-")
+    if route.startswith("--"):
+        argv = ["run", "--suite", "chern", route, ""]
+    else:
+        argv = ["run", "--config",
+                _write(tmp_path, f"[run]\nsuites = chern\n{route}\n")]
+    assert main(argv) == EXIT_ERROR
+    stdout, err = capsys.readouterr()
+    assert f"[run] {key}" in err and f"--{key}" in err
+    assert stdout == "" and "PASS" not in err  # no suite ran
+    with pytest.raises(ConfigError, match=rf"--{key}\b"):
+        RunConfig(suites=["chern"], **{f"{key}_path": "  "})
+
+
 @pytest.mark.parametrize("route", ["--json", "--csv", "ini"])
 def test_output_naming_the_config_file_exits_2(tmp_path, capsys, route):
     ini = tmp_path / "run.ini"

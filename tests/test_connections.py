@@ -12,7 +12,6 @@ from spinsplit.connections import (
     ConnectionLabError,
     HolonomyLoop,
     TangentField,
-    _covariant_values,
     _edge_transport_batch,
     _form_matrix,
     apply_connection,
@@ -270,24 +269,21 @@ _COVARIANT_FIELDS = {
     # the flat connection is massive only
     if not (k == "flat" and r.startswith("massless"))])
 def test_covariant_pass_matches_reference_bytes(kind_name, rep_name, fields):
-    # one pass over one field or over the batch of all five, as sections
-    # and as the kernel's raw values: each field's derivative equals, bit
-    # for bit and the sign of a zero included, its one-field call and the
-    # reference sum of single-axis actions.  Array fields are sliced to
-    # each shell; the others are evaluated on it
+    # one pass over one field or over the batch of all five: each field's
+    # derivative equals, bit for bit and the sign of a zero included, its
+    # one-field call and the reference sum of single-axis actions.  Array
+    # fields are sliced to each shell; the others are evaluated on it
     rep, kind = _COVARIANT_REPS[rep_name], _COVARIANT_KINDS[kind_name]
     grid = MomentumGrid(5, 12, 24, 1.0, 2.0, mass=rep.mass)
     psi = random_test_section(rep, grid, seed=11)
     xs = [field(grid) for name, field in _COVARIANT_FIELDS.items()
           if fields in ("batch", name)]
     batch = apply_connections(kind, xs, psi)
-    raw = _covariant_values(rep, grid, kind, xs, psi.values)
-    assert len(batch) == len(raw) == len(xs)
-    for x, out, out_raw in zip(xs, batch, raw):
+    assert len(batch) == len(xs)
+    for x, out in zip(xs, batch):
         ref = reference.covariant(kind, rep, grid, x.values(grid),
                                   psi.values).tobytes()
         assert out.values.tobytes() == ref
-        assert out_raw.tobytes() == ref
         assert apply_connection(kind, x, psi).values.tobytes() == ref
 
 

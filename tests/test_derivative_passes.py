@@ -94,11 +94,6 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
     apply_connections(ConnectionKind.flat_massive(), fields, psi)
     assert derivative_calls == {"d_r": 1, "d_theta": 1, "d_phi": 1,
                                 "gradient": 0}
-    derivative_calls.update(dict.fromkeys(_DERIVATIVES, 0))
-    ops = SplitOperators(ConnectionKind.flat_massive())
-    ops.S_axes(range(3), psi)  # J and L share the pass
-    assert derivative_calls == {"d_r": 1, "d_theta": 1, "d_phi": 1,
-                                "gradient": 0}
 
 
 # (d_r, d_theta, d_phi) passes per diagnostic; when every field took its
@@ -111,19 +106,16 @@ def test_three_field_batch_takes_one_pass(derivative_calls):
 # and vector_op_residual took 10, 13, 13 with one X_a (J_b psi) call per
 # pair, then 4, 16, 16 per part (8, 32, 32 for both) with one pass per
 # section but each part on its own actions and an angular pass over each
-# X_a psi for each b.  Now one pass over psi gives J_c psi and L_c psi,
-# one pass over each J_b psi gives the L and the S half, and one angular
-# pass over each X_a psi serves every b: 4, 7, 7 for one part and
-# 4, 10, 10 for both.  The so(3) check and both vector-operator parts in
-# one call share the pass over psi, and the pass over each L_c psi gives
-# L_a (L_c psi) and J_b (L_c psi): 7, 10, 10, where the two calls took
-# 8, 14, 14.  The defect identity takes the so(3) passes and the three
-# curvature commutators: 4 + 3 * 3.
+# X_a psi for each b, and with one pass per section 4, 7, 7 for one part
+# and 4, 10, 10 for both, part sets that no longer run alone.  Now the
+# so(3) check and both vector-operator parts run in one call: one pass
+# over psi gives J_c psi and L_c psi, the pass over each L_c psi gives
+# L_a (L_c psi) and J_b (L_c psi), one pass over each J_b psi gives the L
+# and the S half, and one angular pass over each S_a psi serves every b:
+# 7, 10, 10, where the two calls took 8, 14, 14.  The defect identity
+# takes the so(3) passes and the three curvature commutators: 4 + 3 * 3.
 _PASS_TOTALS = {
     "so3": (4, 4, 4),
-    "vector-op-L": (4, 7, 7),
-    "vector-op-S": (4, 7, 7),
-    "vector-op": (4, 10, 10),
     "so3+vector-op": (7, 10, 10),
     "defect": (13, 13, 13),
     "curvature": (3, 3, 3),
@@ -142,12 +134,6 @@ def test_diagnostic_pass_totals(diagnostic, kind, derivative_calls):
     ops = SplitOperators(kind)
     if diagnostic == "so3":
         so3_residual(ops, psi)
-    elif diagnostic == "vector-op-L":
-        splitting._vector_op_residuals(ops._shell, psi, ("L",))
-    elif diagnostic == "vector-op-S":
-        splitting._vector_op_residuals(ops._shell, psi, ("S",))
-    elif diagnostic == "vector-op":
-        splitting._vector_op_residuals(ops._shell, psi, ("L", "S"))
     elif diagnostic == "so3+vector-op":
         vector_op_residual(ops, psi)
     elif diagnostic == "defect":
@@ -187,14 +173,21 @@ def _j_par(c, sec):
 
 @pytest.mark.parametrize("rep,kind", _split_cases(),
                          ids=lambda v: repr(v))
-def test_split_axes_match_single_axis_calls_exactly(rep, kind):
+def test_whole_section_split_matches_shell_action_exactly(rep, kind):
+    # L_a and S_a = J_a - L_a of the whole section, taken through
+    # apply_connection, equal the sweep's shell action shell by shell,
+    # byte for byte: so reference.py may use ops.L and ops.S as the
+    # one-field reference of the sweep
     ops, psi = SplitOperators(kind), _section(rep)
-    axes = (2, 0, 1)
-    for a, out in zip(axes, ops.L_axes(axes, psi)):
-        assert np.array_equal(out.values, ops.L(a, psi).values)
-    for a, out in zip(axes, ops.S_axes(axes, psi)):
-        ref = ops.J(a, psi) - ops.L(a, psi)
-        assert np.array_equal(out.values, ref.values)
+    whole = {(a, s_part): (ops.S if s_part else ops.L)(a, psi).values
+             for a in range(3) for s_part in (False, True)}
+    for p in reps._by_shell(rep, psi.grid, psi.values):
+        for s_part in (False, True):
+            out = [np.empty_like(p.v) for _ in range(3)]
+            ops._shell(p, (2, 0, 1), out, s_part=s_part)
+            for a, o in zip((2, 0, 1), out):
+                assert whole[a, s_part][p.i:p.i + 1].tobytes() \
+                    == o.tobytes()
 
 
 @pytest.mark.parametrize("breaking", [0.0, 0.5],
@@ -211,16 +204,17 @@ def test_batched_diagnostics_match_one_field_loops_exactly(
     if breaking:
         break_rotational_symmetry(monkeypatch, psi.grid, breaking)
         assert vector_op_residual(ops, psi)[1] > 0.1
-    parts = []
-    for part, shell, act in (("L", ops._shell, ops.L),
-                             ("S", partial(ops._shell, s_part=True), ops.S)):
+    for shell, act in ((ops._shell, ops.L),
+                       (partial(ops._shell, s_part=True), ops.S)):
         # the so(3) check of X = L and of X = S = J - L
-        assert splitting._vector_op_residuals(shell, psi, ("so3",)) == [
+        assert splitting._vector_op_residuals(shell, psi) == [
             reference.so3_residual(act, psi)]
-        parts.append(splitting._vector_op_residuals(
-            ops._shell, psi, (part,))[0])
-        assert parts[-1] == reference.vector_op_residual(act, ops.J, psi)
-    assert so3_residual(ops, psi) == reference.so3_residual(ops.L, psi)
+    so3, *parts = splitting._vector_op_residuals(ops._shell, psi,
+                                                 vector=True)
+    assert parts == [reference.vector_op_residual(act, ops.J, psi)
+                     for act in (ops.L, ops.S)]
+    assert so3_residual(ops, psi) == so3 \
+        == reference.so3_residual(ops.L, psi)
     assert vector_op_residual(ops, psi)[1] == max(parts)
     assert defect_identity_residual(ops, psi) == reference.so3_residual(
         ops.L, psi, curvature=lambda a, b: curvature_commutator(
@@ -246,15 +240,10 @@ def test_three_part_call_matches_so3_and_vector_op_exactly(
     if breaking:
         break_rotational_symmetry(monkeypatch, psi.grid, breaking)
     so3, l_part, s_part = splitting._vector_op_residuals(
-        ops._shell, psi, ("so3", "L", "S"))
+        ops._shell, psi, vector=True)
     assert so3 == so3_residual(ops, psi)
     assert vector_op_residual(ops, psi) == (
         so3, float(np.max([l_part, s_part])))
-    # each part alone gives the same bits as in the shared call
-    assert splitting._vector_op_residuals(ops._shell, psi, ("S", "so3")) \
-        == [s_part, so3]
-    assert splitting._vector_op_residuals(ops._shell, psi, ("L", "S")) \
-        == [l_part, s_part]
 
 
 def _massless_section():
@@ -377,9 +366,10 @@ def test_ten_families_build_each_first_level_action_once(rep, monkeypatch):
 
 
 def test_vector_op_takes_one_covariant_pass_per_section(monkeypatch):
-    """The vector-operator check of L and S takes the covariant derivative
-    on psi and on each J_b psi once (it took 8 passes when each part
-    built its own), counted in whole-section equivalents."""
+    """The so(3) and vector-operator check of L and S takes the covariant
+    derivative on psi, on each J_b psi and on each L_c psi once (7; the
+    L and S parts took 8 passes when each part built its own), counted
+    in whole-section equivalents."""
     rep = RepSpec.massive(MASS, 1)
     grid = _massive_grid()
     psi = random_test_section(rep, grid, seed=3)
@@ -391,6 +381,5 @@ def test_vector_op_takes_one_covariant_pass_per_section(monkeypatch):
         return orig(*args)
 
     monkeypatch.setattr(splitting, "_covariant_shell", counted)
-    ops = SplitOperators(ConnectionKind.flat_massive())
-    splitting._vector_op_residuals(ops._shell, psi, ("L", "S"))
-    assert Fraction(len(shells), grid.n_r) == 4
+    vector_op_residual(SplitOperators(ConnectionKind.flat_massive()), psi)
+    assert Fraction(len(shells), grid.n_r) == 7

@@ -35,7 +35,6 @@ from spinsplit.reps import (
 )
 from spinsplit.splitting import (
     SplitOperators,
-    _vector_op_residuals,
     defect_identity_residual,
     jperp_so3_residual,
     so3_residual,
@@ -46,13 +45,11 @@ from conftest import MASS
 
 # Traced peaks, in sections, with one derivative pass per field (numpy
 # 2.4.6, Python 3.11.7), rounded up at the fourth decimal; each is the
-# bound of its case.  The vector-operator check of L and of S (the
-# "vector_op_residual" entry: the sweep asked for those two parts alone)
-# shares one set of actions, and its bound is its own traced peak: it
-# peaked at 18.9880 and 20.7592 sections with one pass per field, for its
-# S part alone.  At (8, 48, 96), massive spin 1 with the flat connection,
-# it peaks at 23.10 MB (13.05 sections of 1.77 MB), where the two parts,
-# each on its own actions, peaked at 21.03 MB.
+# bound of its case.  The "vector_op_residual" entry measures the so(3)
+# check and both vector-operator parts in one call, on one set of
+# actions; its bound is the traced peak of the L and S parts when they
+# ran without the so(3) part, which had peaked at 18.9880 and 20.7592
+# sections with one pass per field, for the S part alone.
 _ONE_FIELD_PEAKS = {
     "massive1-flat": {"apply_connection": 10.4161,
                       "curvature_commutator": 12.9298,
@@ -80,8 +77,7 @@ def _diagnostic(name, kind, ops, psi):
         "curvature_commutator": lambda: curvature_commutator(
             kind, eth, eph, psi),
         "so3_residual": lambda: so3_residual(ops, psi),
-        "vector_op_residual": lambda: _vector_op_residuals(
-            ops._shell, psi, ("L", "S")),
+        "vector_op_residual": lambda: vector_op_residual(ops, psi),
     }[name]
 
 
@@ -174,10 +170,10 @@ def test_shell_action_peak_held(case, what):
 # The so(3) check and both vector-operator parts in one call share one set
 # of actions, and every pair meets shell by shell.  Traced peaks of that
 # call (numpy 2.4.6, Python 3.11.7), rounded up at the fourth decimal;
-# each is no higher than the bound of the L and S parts of its case.  At
+# each is no higher than the "vector_op_residual" bound of its case.  At
 # (8, 48, 96), massive spin 1 with the flat connection, it peaks at
 # 23.99 MB (13.6 sections), where the so(3) part alone peaks at 11.56 MB
-# and the L and S parts at 23.10 MB.
+# and the L and S parts without it peaked at 23.10 MB.
 _THREE_PART_PEAKS = {"massive1-flat": 15.0927, "massless+1-boost": 14.5893}
 
 
@@ -195,14 +191,18 @@ def test_three_part_splitting_peak_held(case):
 # The defect identity and the Jperp closure run the so(3) pairs shell by
 # shell, as so3_residual does: the defect adds the three curvature
 # commutators, taken on whole sections before the sweep, and Jperp keeps
-# its three targets Jperp_c psi - Jpar_c psi as whole sections.  The
-# bounds are the traced peaks (numpy 2.4.6, Python 3.11.7), rounded up at
-# the fourth decimal, from when each pair's so(3) failure was kept as a
-# whole section.
+# chi psi as one whole section and forms each target
+# Jperp_c psi - khat_c chi psi on the shell where a pair reads it.  The
+# defect bounds are the traced peaks (numpy 2.4.6, Python 3.11.7),
+# rounded up at the fourth decimal, from when each pair's so(3) failure
+# was kept as a whole section; the Jperp bound is its own traced peak,
+# rounded up so, where it peaked at 8.7772 sections with its three
+# targets kept as whole sections (10.4266 before the so(3) pairs met
+# shell by shell).
 _SO3_SWEEP_PEAKS = {
     ("massive1-flat", "defect_identity_residual"): 11.6474,
     ("massless+1-boost", "defect_identity_residual"): 10.9774,
-    ("massless+1-boost", "jperp_so3_residual"): 10.4266,
+    ("massless+1-boost", "jperp_so3_residual"): 6.9429,
 }
 
 

@@ -71,7 +71,7 @@ def test_flat_spin_closes_so3(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
     s_shell = partial(ops._shell, s_part=True)  # X = S = J - L
-    assert splitting._vector_op_residuals(s_shell, psi, ("so3",))[0] < 1e-3
+    assert splitting._vector_op_residuals(s_shell, psi)[0] < 1e-3
 
 
 def test_curved_splitting_fails_so3(rep_massive1, grid_mid_massive):
@@ -97,8 +97,10 @@ def test_defect_equals_curvature(rep_massive1, grid_mid_massive):
 def test_vector_operator_property(rep_massive1, grid_mid_massive):
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._vector_op_residuals(ops._shell, psi, ("L",))[0] < 1e-3
-    assert splitting._vector_op_residuals(ops._shell, psi, ("S",))[0] < 1e-3
+    _, l_part, s_part = splitting._vector_op_residuals(ops._shell, psi,
+                                                       vector=True)
+    assert l_part < 1e-3
+    assert s_part < 1e-3
 
 
 def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
@@ -108,14 +110,15 @@ def test_symmetry_breaking_mutation(monkeypatch, rep_massive1,
     break_rotational_symmetry(monkeypatch, grid_mid_massive)
     ops = SplitOperators(FLAT)
     psi = random_test_section(rep_massive1, grid_mid_massive, seed=3)
-    assert splitting._vector_op_residuals(ops._shell, psi, ("L",))[0] > 0.1
+    assert splitting._vector_op_residuals(ops._shell, psi,
+                                          vector=True)[1] > 0.1
 
 
 def _fiber_spin_gap(ops, phi):
     """max_a ||S_a phi - sigma_a phi|| / ||phi||, with sigma_a the
     constant fiber spin matrices."""
     rep, grid = phi.rep, phi.grid
-    s = ops.S_axes(range(3), phi)
+    s = [ops.S(a, phi) for a in range(3)]
     return float(np.max([
         (s[a] - Section(rep, grid, reference.spin_act(rep, a, phi.values)))
         .norm() / phi.norm() for a in range(3)]))
@@ -153,8 +156,8 @@ def test_orbital_part_is_not_internal(rep_massive1, grid_mid_massive):
     psi = random_test_section(rep_massive1, g, seed=3)
     f = smooth_scalar(g)
     df = g.gradient(f[..., None])[..., 0]
-    l_fpsi = ops.L_axes(range(3), psi * f)
-    l_psi = ops.L_axes(range(3), psi)
+    l_fpsi = [ops.L(a, psi * f) for a in range(3)]
+    l_psi = [ops.L(a, psi) for a in range(3)]
     terms, gaps = [], []
     for a in range(3):
         xv = TangentField.rotational(a).values(g)
@@ -177,11 +180,11 @@ def test_massless_orbital_is_perpendicular(rep_massless_plus,
                               seed=3, polar_damping=4)
     rep, grid, v = psi.rep, psi.grid, psi.values
     chi = _act_chi(rep, grid, v)
-    for a, orbital in enumerate(ops.L_axes(range(3), psi)):
+    for a in range(3):
         # Jperp_a = J_a - khat_a chi
         perp = Section(rep, grid, _act_J(rep, grid, a, v)
                        - grid.khat[a][..., None] * chi)
-        assert (perp - orbital).norm() < 1e-13 * psi.norm()
+        assert (perp - ops.L(a, psi)).norm() < 1e-13 * psi.norm()
 
 
 def test_massless_so3_failure_is_curvature(rep_massless_plus,
@@ -229,11 +232,7 @@ def test_nan_section_gives_nan_from_every_diagnostic(
     values.update({
         "so3-L": so3_residual(flat, psi),
         "so3-S": splitting._vector_op_residuals(
-            partial(flat._shell, s_part=True), psi, ("so3",))[0],
-        "vector-op-L": splitting._vector_op_residuals(
-            flat._shell, psi, ("L",))[0],
-        "vector-op-S": splitting._vector_op_residuals(
-            flat._shell, psi, ("S",))[0],
+            partial(flat._shell, s_part=True), psi)[0],
         "defect": defect_identity_residual(flat, psi),
         "leibniz": leibniz_residual(BOOST, [TangentField.named("e_phi")],
                                     f, psi),
@@ -243,6 +242,8 @@ def test_nan_section_gives_nan_from_every_diagnostic(
     })
     values["vector-op-so3"], values["vector-op"] = vector_op_residual(
         flat, psi)
+    _, values["vector-op-L"], values["vector-op-S"] = \
+        splitting._vector_op_residuals(flat._shell, psi, vector=True)
     values.update({f"cross-{label}": res
                    for label, res in cross_commutator_check(psi).items()})
     h = grid_small_massless
