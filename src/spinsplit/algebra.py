@@ -17,7 +17,7 @@ stated once, as one rule, in ``_gen_commutator``: the engine's own copy,
 independent of the ``poincare.BRACKETS`` table that the catalog checks it
 against.
 Reordering a word produces constants only, exact Gaussian integers of the
-coefficient domain (QQ_I, the domain of the ring's polynomials); they are
+coefficient domain (ZZ_I, the domain of the ring's polynomials); they are
 summed as domain elements, memoized per (word, generator) for every ring,
 and scale a coefficient by multiplying its numerators.  Coefficients are
 moved through generators with the derivation rules implemented on
@@ -30,7 +30,7 @@ coefficients.
 from __future__ import annotations
 
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import ZZ_I
 
 from .poincare import eps
 from .scalars import CoefficientError, Ring, Scalar
@@ -54,8 +54,8 @@ __all__ = [
 
 # Generator indices: 0..2 = J1..J3, 3..5 = K1..K3.  The engine's
 # constants are Gaussian integers of the coefficient domain.
-_ONE = QQ_I.one
-_I = QQ_I(0, 1)
+_ONE = ZZ_I.one
+_I = ZZ_I(0, 1)
 
 GENERATOR_NAMES = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
 

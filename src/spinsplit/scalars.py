@@ -13,21 +13,37 @@ so every element has the unique reduced form
 with a, b, c, d rational functions of (P1, P2, P3, m) over Q(i).  Reduction
 uses H^2 = R^2 + m^2 and R^2 = P1^2 + P2^2 + P3^2.
 
-Representation.  Each component is an exact fraction ``(num, den)``:
+Representation.  Each component is an exact fraction ``(num, q, den)``
+with the value num / (q * prod(f**e for f, e in den)):
 
   * ``num`` is a sparse polynomial (a sympy ``PolyElement``) in
-    P1, P2, P3, m over QQ_I;
-  * ``den`` maps monic polynomial factors to positive exponents.
+    P1, P2, P3, m with Gaussian-integer coefficients (ZZ_I);
+  * ``q`` is a positive integer, the rational part of the denominator;
+  * ``den`` maps polynomial factors to positive exponents.
 
-The denominators the algebra produces are products of m, psq = |P|^2 and
-hsq = H^2: ``inverse`` rationalizes an element by conjugating in H and in
-R, then splits the rational norm against m, psq and hsq by trial division
-and keeps a non-constant remainder as one more factor.  Sums rescale both
-fractions to the common factored denominator (the larger exponent of each
-factor), products add exponents, and the derivations apply the quotient
-rule to the factored form.  A fraction is reduced by dividing its
-numerator exactly by each denominator factor while the remainder is zero;
-one polynomial is a Groebner basis of its ideal, so that test is exact.
+Arithmetic on Gaussian integers is plain integer arithmetic, where Q(i)
+coefficients would carry a fraction in each real and imaginary part.
+The form is kept reduced, so each value has exactly one representation:
+
+  * no denominator factor divides ``num``, and gcd(q, integer content of
+    ``num``) = 1, the integer content being the gcd of the real and
+    imaginary parts of all its coefficients;
+  * m, psq = |P|^2 and hsq = H^2 are the monic basis factors;
+  * any other factor is primitive over ZZ_I, with its leading coefficient
+    in the first quadrant (real part > 0, imaginary part >= 0).
+
+The denominators the algebra produces are products of m, psq and hsq:
+``inverse`` rationalizes an element by conjugating in H and in R, then
+splits the rational norm against m, psq and hsq by trial division and
+keeps a non-constant remainder as one more factor.  Dividing by what is
+left, a Gaussian-integer constant c, multiplies the numerator by conj(c)
+and ``q`` by |c|^2.  Sums rescale both fractions to the common
+denominator (the lcm of the two ``q`` and the larger exponent of each
+factor), products multiply ``q`` and add exponents, and the derivations
+apply the quotient rule to the factored form.  A fraction is reduced by
+dividing its numerator exactly by each denominator factor while the
+remainder is zero (one polynomial is a Groebner basis of its ideal, so
+that test is exact), then numerator and ``q`` by their integer gcd.
 
 Zero test.  A fraction is zero iff its numerator is the zero polynomial,
 so an element is zero iff it has no components, and equality (the
@@ -36,16 +52,17 @@ difference is zero) is decided exactly.  No arithmetic calls
 
 Where ``cancel`` remains.  ``Scalar.parts`` is a lazily built view of the
 components as sympy expressions, each the ``cancel`` normal form of
-num/den (memoized in ``_cancel_memo``).  Only the printer and ``repr``
-read it.  The view is a function of the components alone,
+num/(q*den) (memoized in ``_cancel_memo``).  Only the printer and
+``repr`` read it.  The view is a function of the components alone,
 so equal values print the same text however they were computed.
 
 Memos.  A ``Scalar`` never changes after construction, and neither do its
-numerators and denominator dicts (a ``PolyElement`` caches its hash), so
-each value has a canonical key, built on first use: the ring mode and
-the frozenset of (basis key, numerator, frozenset of denominator items)
-over its components.  The mode is part of the key because the numerators
-of the two modes compare equal.  The key names four memos:
+numerators and denominator dicts (a ``PolyElement`` caches its hash, so
+no polynomial is filled in place once hashed), so each value has one
+canonical key, built on first use: the ring mode and the frozenset of
+(basis key, numerator, q, frozenset of denominator items) over its
+components.  The mode is part of the key because the numerators of the
+two modes compare equal.  The key names four memos:
 
   * ``_product_memo``: (key of a, key of b) -> a * b, for products of two
     non-constant elements (a constant factor only scales numerators);
@@ -66,8 +83,10 @@ Massless mode sets m = 0 and identifies H with R (basis {1, R}).
 
 from __future__ import annotations
 
+from math import gcd
+
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import ZZ_I
 from sympy.polys.monomials import monomial_div
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -79,6 +98,10 @@ __all__ = ["Ring", "Scalar", "CoefficientError"]
 P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
 M = sp.Symbol("m", positive=True)
 P_SYMS = (P1, P2, P3)
+
+# the coefficient type; ``new`` builds an element from two ints unconverted
+_GI = ZZ_I.dtype
+_ONE = ZZ_I.one
 
 _cancel_memo: dict = {}
 _product_memo: dict = {}
@@ -100,9 +123,28 @@ class CoefficientError(ArithmeticError):
 
 # -- exact fractions over a factored denominator ------------------------------
 #
-# A fraction is a pair (num, den): num a PolyElement, den a dict
-# {monic PolyElement: exponent > 0}.  The helpers below never reduce;
-# ``_reduce`` does, once per result component.
+# A fraction is a triple (num, q, den): num a PolyElement over ZZ_I, q a
+# positive int, den a dict {PolyElement: exponent > 0}.  The helpers below
+# never reduce; ``_reduce`` does, once per result component.
+
+
+def _iscale(n, k):
+    """n times a positive integer k."""
+    return n if k == 1 else n.mul_ground(_GI.new(k, 0))
+
+
+def _lowest(n, q):
+    """(n, q) with their integer gcd, the gcd of q and of the real and
+    imaginary parts of n's coefficients, divided out."""
+    if q == 1:
+        return n, q
+    g = q
+    for c in n.values():
+        g = gcd(g, c.x, c.y)
+        if g == 1:
+            return n, q
+    n = n.new([(mon, c.new(c.x // g, c.y // g)) for mon, c in n.items()])
+    return n, q // g
 
 
 def _lift(num, den, target):
@@ -115,32 +157,36 @@ def _lift(num, den, target):
 
 
 def _add(a, b):
-    (n1, d1), (n2, d2) = a, b
+    (n1, q1, d1), (n2, q2, d2) = a, b
+    q = q1
+    if q1 != q2:
+        q = q1 // gcd(q1, q2) * q2
+        n1, n2 = _iscale(n1, q // q1), _iscale(n2, q // q2)
     if d1 == d2:
-        return n1 + n2, d1
+        return n1 + n2, q, d1
     den = dict(d1)
     for f, e in d2.items():
         if e > den.get(f, 0):
             den[f] = e
-    return _lift(n1, d1, den) + _lift(n2, d2, den), den
+    return _lift(n1, d1, den) + _lift(n2, d2, den), q, den
 
 
 def _mul(a, b):
-    (n1, d1), (n2, d2) = a, b
+    (n1, q1, d1), (n2, q2, d2) = a, b
     if not d2:
-        return n1 * n2, d1
+        return n1 * n2, q1 * q2, d1
     if not d1:
-        return n1 * n2, d2
+        return n1 * n2, q1 * q2, d2
     den = dict(d1)
     for f, e in d2.items():
         den[f] = den.get(f, 0) + e
-    return n1 * n2, den
+    return n1 * n2, q1 * q2, den
 
 
 def _times(c, f, k):
-    """c * f**k for a monic polynomial f, cancelling against f in the
+    """c * f**k for a basis factor f, cancelling against f in the
     denominator first."""
-    n, d = c
+    n, q, d = c
     e = d.get(f, 0)
     if e:
         d = dict(d)
@@ -150,15 +196,15 @@ def _times(c, f, k):
         else:
             d[f] = e - used
         k -= used
-    return (n * f**k if k else n), d
+    return (n * f**k if k else n), q, d
 
 
 def _over(c, f):
-    """c / f for a monic polynomial f."""
-    n, d = c
+    """c / f for a basis factor f."""
+    n, q, d = c
     d = dict(d)
     d[f] = d.get(f, 0) + 1
-    return n, d
+    return n, q, d
 
 
 def _quotient(n, f):
@@ -170,38 +216,42 @@ def _quotient(n, f):
             or monomial_div(min(n), min(f)) is None):
         return None
     q, r = n.div(f)
-    return None if r else q
+    # ``div`` hashes the empty quotient before filling it in place, so
+    # the quotient's cached hash is stale; a copy hashes its terms
+    return None if r else q.copy()
 
 
 def _reduce(c):
-    """Divide the numerator by each denominator factor while it divides."""
-    n, d = c
+    """Divide the numerator by each denominator factor while it divides,
+    then numerator and q by their integer gcd."""
+    n, q, d = c
     if not n:
-        return n, {}
-    if not d:
-        return c
-    out = {}
-    for f, e in d.items():
-        while e:
-            q = _quotient(n, f)
-            if q is None:
-                break
-            n, e = q, e - 1
-        if e:
-            out[f] = e
-    return n, out
+        return n, 1, {}
+    if d:
+        out = {}
+        for f, e in d.items():
+            while e:
+                quo = _quotient(n, f)
+                if quo is None:
+                    break
+                n, e = quo, e - 1
+            if e:
+                out[f] = e
+        d = out
+    n, q = _lowest(n, q)
+    return n, q, d
 
 
 def _diff(c, j):
-    """d(num/den)/dx_j by the quotient rule on the factored denominator:
-    only factors that depend on x_j gain one power."""
-    n, d = c
+    """d(num/(q*den))/dx_j by the quotient rule on the factored
+    denominator: only factors that depend on x_j gain one power."""
+    n, q, d = c
     x = n.ring.gens[j]
     dn = n.diff(x)
     moving = [(f, e, f.diff(x)) for f, e in d.items()]
     moving = [t for t in moving if t[2]]
     if not moving:
-        return dn, d
+        return dn, q, d
     num = dn
     for f, _, _ in moving:
         num = num * f
@@ -214,16 +264,21 @@ def _diff(c, j):
     den = dict(d)
     for f, e, _ in moving:
         den[f] = e + 1
-    return num, den
+    return num, q, den
 
 
 def _as_expr(c):
     """The sympy view of a fraction, in ``cancel`` normal form."""
-    n, d = c
+    n, q, d = c
     expr = n.as_expr()
-    if d:
-        expr = expr / sp.Mul(*(f.as_expr() ** e for f, e in d.items()))
+    if q != 1 or d:
+        expr = expr / sp.Mul(q, *(f.as_expr() ** e for f, e in d.items()))
     return expr if expr.is_Atom else _cached_cancel(expr)
+
+
+def _conj(c):
+    """The complex conjugate of a Gaussian integer."""
+    return c.new(c.x, -c.y)
 
 
 class Ring:
@@ -234,15 +289,15 @@ class Ring:
 
     def __init__(self, massless: bool = False):
         self.massless = massless
-        self.poly = PolyRing((P1, P2, P3, M), QQ_I, lex)
+        self.poly = PolyRing((P1, P2, P3, M), ZZ_I, lex)
         zero = self.poly.zero
         x1, x2, x3, m = self.poly.gens
         self._p = (x1, x2, x3)
         self._m = zero if massless else m
         self.psq = sum((p**2 for p in self._p), zero)
         self.hsq = self.psq + self._m**2
-        self._i = self.poly.domain.convert(sp.I)
-        self._numbers = {}  # sympy number -> constant Scalar
+        self._i = _GI.new(0, 1)
+        self._numbers = {}  # number, or its source text -> constant Scalar
         # denominator factors that ``_split`` divides out, all monic
         self._basis = []
         for f in (self._m, self.psq, self.hsq):
@@ -262,14 +317,22 @@ class Ring:
 
     def from_expr(self, expr) -> "Scalar":
         """Scalar from a sympy expression in P1, P2, P3, m (no H or R)."""
-        expr = sp.sympify(expr)
-        if not expr.is_number:
-            return Scalar(self, {(0, 0): self._fraction(expr)})
         # numbers are nearly every call (the algebra's constants 0, 1, i,
-        # -1), and a Scalar is immutable, so one instance per number serves
-        out = self._numbers.get(expr)
+        # -1), and a Scalar is immutable, so one instance per number
+        # serves; a number given as text is also kept under that text,
+        # so the text is parsed once
+        if isinstance(expr, (int, str, sp.Expr)):
+            out = self._numbers.get(expr)
+            if out is not None:
+                return out
+        value = sp.sympify(expr)
+        if not value.is_number:
+            return Scalar(self, {(0, 0): self._fraction(value)})
+        out = self._numbers.get(value)
         if out is None:
-            out = Scalar(self, {(0, 0): self._fraction(expr)})
+            out = Scalar(self, {(0, 0): self._fraction(value)})
+            self._numbers[value] = out
+        if isinstance(expr, str):
             self._numbers[expr] = out
         return out
 
@@ -283,16 +346,16 @@ class Ring:
         return self.from_expr(sp.I)
 
     def m(self) -> "Scalar":
-        return Scalar(self, {(0, 0): (self._m, {})})
+        return Scalar(self, {(0, 0): (self._m, 1, {})})
 
     def H(self) -> "Scalar":
-        return Scalar(self, {(1, 0): (self.poly.one, {})})
+        return Scalar(self, {(1, 0): (self.poly.one, 1, {})})
 
     def R(self) -> "Scalar":
-        return Scalar(self, {(0, 1): (self.poly.one, {})})
+        return Scalar(self, {(0, 1): (self.poly.one, 1, {})})
 
     def P(self, axis: int) -> "Scalar":
-        return Scalar(self, {(0, 0): (self._p[axis], {})})
+        return Scalar(self, {(0, 0): (self._p[axis], 1, {})})
 
     def Phat(self, axis: int) -> "Scalar":
         return self.P(axis) * self.R() ** -1
@@ -305,21 +368,30 @@ class Ring:
         except ValueError:
             raise ValueError(
                 f"coefficient {expr} is not a rational function of "
-                f"P1, P2, P3, m over {self.poly.domain}"
+                f"P1, P2, P3, m over Q(i)"
             ) from None
 
     def _fraction(self, expr):
-        """A sympy rational function as a fraction of this ring."""
+        """A sympy rational function as a fraction of this ring; ``together``
+        clears rational coefficients into the denominator."""
         num, den = sp.fraction(sp.together(expr))
         den = self._poly(den)
         if not den:
             raise CoefficientError("division by identically-zero coefficient")
+        return self._divided(self._poly(num), den)
+
+    def _divided(self, num, den):
+        """The fraction num / den for a nonzero polynomial den: den split
+        into its constant c and factors, and the constant moved up,
+        1/c = conj(c) / |c|^2."""
         c, factors = self._split(den)
-        return self._poly(num).quo_ground(c), factors
+        return num.mul_ground(_conj(c)), c.x**2 + c.y**2, factors
 
     def _split(self, n):
-        """Write a nonzero polynomial as c * prod(f**e), f monic: trial
-        division by m, psq and hsq, then the rest as one factor."""
+        """Write a nonzero polynomial as c * prod(f**e), c a Gaussian
+        integer: trial division by m, psq and hsq, then the rest as one
+        primitive factor whose leading coefficient is in the first
+        quadrant."""
         factors = {}
         for f in self._basis:
             q = _quotient(n, f)
@@ -327,15 +399,17 @@ class Ring:
                 n = q
                 factors[f] = factors.get(f, 0) + 1
                 q = _quotient(n, f)
-        c = n.LC
-        if not n.is_ground:
-            factors[n.quo_ground(c)] = 1
-        return c, factors
+        if n.is_ground:
+            return n.LC, factors
+        c = n.content()
+        f = n.quo_ground(c)
+        u = ZZ_I.canonical_unit(f.LC)
+        factors[f.mul_ground(u)] = 1
+        return c * _conj(u), factors
 
     def _conj_poly(self, p):
         """Complex conjugate of every coefficient of p (P, m are real)."""
-        return self.poly.from_dict(
-            {mon: QQ_I(c.x, -c.y) for mon, c in p.items()})
+        return p.new([(mon, _conj(c)) for mon, c in p.items()])
 
     def fold(self, parts: dict) -> dict:
         """Reduce raw (eH, eR) exponent pairs to the mode's basis."""
@@ -396,7 +470,8 @@ class Scalar:
         docstring)."""
         if self._key is None:
             self._key = (self.ring.massless, frozenset(
-                (k, n, frozenset(d.items())) for k, (n, d) in self._c.items()))
+                (k, n, q, frozenset(d.items()))
+                for k, (n, q, d) in self._c.items()))
         return self._key
 
     # -- queries ----------------------------------------------------------
@@ -405,14 +480,15 @@ class Scalar:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._constant() == self.ring.poly.domain.one
+        return self._constant() == (_ONE, 1)
 
     def _constant(self):
-        """The coefficient of a nonzero constant element, else None."""
+        """A nonzero constant element as (k, q), its value the Gaussian
+        integer k over the positive integer q; else None."""
         if len(self._c) == 1:
-            n, d = self._c.get((0, 0), (None, None))
+            n, q, d = self._c.get((0, 0), (None, 1, None))
             if n is not None and not d and n.is_ground:
-                return n.LC
+                return n.LC, q
         return None
 
     def __eq__(self, other):
@@ -450,7 +526,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.ring, {k: (-n, d) for k, (n, d) in self._c.items()},
+        return Scalar(self.ring,
+                      {k: (-n, q, d) for k, (n, q, d) in self._c.items()},
                       _canonical=True)
 
     def __sub__(self, other):
@@ -468,7 +545,7 @@ class Scalar:
         for a, b in ((self, other), (other, self)):
             k = b._constant()
             if k is not None:
-                return a._scaled(k)
+                return a._scaled(*k)
         key = (self._memo_key(), other._memo_key())
         out = _product_memo.get(key)
         if out is None:
@@ -483,15 +560,17 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def _scaled(self, k) -> "Scalar":
-        """self times a constant k of the coefficient domain.  A reduced
-        fraction times a nonzero constant stays reduced, so scaling the
-        numerators skips the fold and the reduction; k = 0 leaves zero
-        numerators, which are dropped, and k = 1 is self."""
-        if k == self.ring.poly.domain.one:
+    def _scaled(self, k, q=1) -> "Scalar":
+        """self times k/q, k a Gaussian integer and q a positive integer.
+        No denominator factor divides a numerator times a nonzero
+        constant, so scaling skips the fold and the factor reduction and
+        divides out only the integer gcd; k = 0 leaves zero numerators,
+        which are dropped, and k/q = 1 is self."""
+        if q == 1 and k == _ONE:
             return self
-        return Scalar(self.ring, {key: (n.mul_ground(k), d)
-                                  for key, (n, d) in self._c.items()},
+        return Scalar(self.ring,
+                      {key: (*_lowest(n.mul_ground(k), q0 * q), d)
+                       for key, (n, q0, d) in self._c.items()},
                       _canonical=True)
 
     def inverse(self) -> "Scalar":
@@ -511,20 +590,20 @@ class Scalar:
         norm = self
         for slot in (0, 1):
             if any(k[slot] for k in norm._c):
-                conj = Scalar(ring, {k: ((-n, d) if k[slot] else (n, d))
-                                     for k, (n, d) in norm._c.items()},
+                conj = Scalar(ring,
+                              {k: ((-n, q, d) if k[slot] else (n, q, d))
+                               for k, (n, q, d) in norm._c.items()},
                               _canonical=True)
                 norm = norm * conj
                 conjugates.append(conj)
         assert norm._c.keys() <= {(0, 0)}, "rationalization failed"
         if norm.is_zero():
             raise CoefficientError("division by identically-zero coefficient")
-        num, den = norm._c[(0, 0)]
-        c, factors = ring._split(num)
-        inv_num = ring.poly.one
+        num, q, den = norm._c[(0, 0)]
+        inv_num = _iscale(ring.poly.one, q)
         for f, e in den.items():
             inv_num = inv_num * f**e
-        out = Scalar(ring, {(0, 0): (inv_num.quo_ground(c), factors)})
+        out = Scalar(ring, {(0, 0): ring._divided(inv_num, num)})
         for conj in conjugates:
             out = conj * out
         _inverse_memo[key] = out
@@ -558,10 +637,19 @@ class Scalar:
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i (P, m, H, R are real)."""
         conj = self.ring._conj_poly
-        return Scalar(self.ring,
-                      {k: (conj(n), {conj(f): e for f, e in d.items()})
-                       for k, (n, d) in self._c.items()},
-                      _canonical=True)
+        comps = {}
+        for k, (n, q, d) in self._c.items():
+            n, den = conj(n), {}
+            for f, e in d.items():
+                # the conjugate of a factor may leave the first quadrant;
+                # 1/g**e = u**e / (u*g)**e for the unit u that restores it
+                g = conj(f)
+                u = ZZ_I.canonical_unit(g.LC)
+                if u != _ONE:
+                    g, n = g.mul_ground(u), n.mul_ground(u**e)
+                den[g] = e
+            comps[k] = (n, q, den)
+        return Scalar(self.ring, comps, _canonical=True)
 
     def boost_derivative(self, axis: int) -> "Scalar":
         """The commutator [K_axis, c] as a derivation on the ring.
@@ -582,15 +670,16 @@ class Scalar:
 
         for (h, r), c in self._c.items():
             # i*H * dc/dP_a, same H/R exponents plus one H
-            dn, dd = _diff(c, axis)
+            n, q, d = c
+            dn, dq, dd = _diff(c, axis)
             if dn:
-                acc((h + 1, r), (dn.mul_ground(ring._i), dd))
+                acc((h + 1, r), (dn.mul_ground(ring._i), dq, dd))
             if h:
                 # c * i*P_a * H^{h-1} R^r
-                acc((h - 1, r), (c[0] * i_pa, c[1]))
+                acc((h - 1, r), (n * i_pa, q, d))
             if r:
                 # c H^h * i*H*P_a*R/psq * R^{r-1}
-                acc((h + 1, r), _over((c[0] * i_pa, c[1]), ring.psq))
+                acc((h + 1, r), _over((n * i_pa, q, d), ring.psq))
         out = _derivation_memo[key] = Scalar(ring, parts)
         return out
 
@@ -609,10 +698,10 @@ class Scalar:
                 for cc in range(3):
                     e = eps(axis, b, cc)
                     if e:
-                        dn, dd = _diff(c, b)
+                        dn, dq, dd = _diff(c, b)
                         if dn:
                             term = (dn * ring._p[cc].mul_ground(ring._i * e),
-                                    dd)
+                                    dq, dd)
                             d = term if d is None else _add(d, term)
             if d is not None:
                 parts[k] = d

@@ -766,6 +766,11 @@ EVAL_PINS = [
      "i*H + -i*P[1]*J[3]*K[2] + P[1]*K[1] + P[2]*K[2]"),
     ("massive-symbolic", "Comm(K[1],Pow(H,-1))",
      "-i*P[1]*Pow((Pow(P[1],2) + Pow(P[2],2) + Pow(P[3],2) + Pow(m,2)),-1)"),
+    # rational constants that cancel to 1 print as nothing
+    ("massive-symbolic", "(1/2)*J[1]*2", "J[1]"),
+    ("massive-symbolic", "Pow(2*H,-1)*2*H*K[2]", "K[2]"),
+    ("massive-symbolic", "(1/3)*J[1] + (1/6)*J[1]", "(1/2)*J[1]"),
+    ("massive-symbolic", "Pow((1+i),-1)", "((1/2) + (-1/2)*i)"),
 ]
 
 

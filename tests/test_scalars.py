@@ -5,9 +5,11 @@ import random
 
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ_I
+from sympy.polys.domains.gaussiandomains import GaussianRational
 
-from spinsplit import algebra, scalars
-from spinsplit.identities import CATALOG
+from spinsplit import algebra, identities, scalars
+from spinsplit.identities import CATALOG, MASSLESS_CATALOG
 from spinsplit.lang import format_expr
 from spinsplit.poincare import eps
 from spinsplit.scalars import CoefficientError, Ring
@@ -287,6 +289,20 @@ def test_conjugate_of_complex_denominator(ring):
     _assert_agrees(ring, w.conjugate(), expr)
 
 
+def test_conjugate_keeps_one_representation(ring):
+    """A factor whose leading coefficient conjugates out of the first
+    quadrant is renormalized, so the conjugate of an inverse is the
+    inverse of the conjugate in components and memo key."""
+    i, p1, p2 = ring.i(), ring.P(0), ring.P(1)
+    for z in ((1 + i) * p1 + p2, 2 * i * p1 + (3 - i) * ring.H() * p2,
+              (1 + i) * ring.m() + p2 * p1):
+        got, want = z.inverse().conjugate(), z.conjugate().inverse()
+        assert got == want
+        assert got._c == want._c
+        assert got._memo_key() == want._memo_key()
+        assert got.conjugate()._memo_key() == z.inverse()._memo_key()
+
+
 def test_massless_ring_denominators(mring):
     # 1/(|P| + P3) rationalizes to a norm -(P1^2 + P2^2) that is neither
     # a power of |P|^2 nor irreducible over Q(i)
@@ -322,3 +338,98 @@ def test_catalog_arithmetic_calls_cancel_only_in_printer(monkeypatch):
     # the printer view is the one remaining caller
     text = format_expr(pairs[0][0])
     assert calls and text
+
+
+def test_catalog_arithmetic_builds_no_gaussian_rationals(monkeypatch):
+    """The engine computes over Gaussian integers: building and checking
+    both catalogs from cold memos makes no Q(i) element."""
+    made = []
+    real = GaussianRational.new.__func__
+
+    def counting(cls, x, y):
+        made.append((x, y))
+        return real(cls, x, y)
+
+    for name in ("_cancel_memo", "_product_memo", "_inverse_memo",
+                 "_derivation_memo"):
+        monkeypatch.setattr(scalars, name, {})
+    monkeypatch.setattr(algebra, "_shift_memo", {})
+    monkeypatch.setattr(algebra, "_insert_memo", {})
+    # the catalog's connection builders cache their result per ring
+    for value in vars(identities).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    monkeypatch.setattr(GaussianRational, "new", classmethod(counting))
+    checked = 0
+    for massless, catalog in ((False, CATALOG), (True, MASSLESS_CATALOG)):
+        ring = Ring(massless=massless)
+        for name in sorted(catalog):
+            for lhs, rhs in catalog[name](ring):
+                assert (lhs - rhs).is_zero(), name
+                checked += 1
+    assert checked == 210
+    assert made == []
+    # the counter sees Q(i) elements where they are made
+    assert QQ_I(1, 2) and made
+
+
+def test_number_text_is_parsed_once(monkeypatch):
+    """A number given as text or as a number is converted once per ring."""
+    ring = Ring()
+    first = [ring.from_expr(x) for x in ("I", "1/2", 3, sp.I)]
+    calls = []
+    real = sp.sympify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "sympify", counting)
+    again = [ring.from_expr(x) for x in ("I", "1/2", 3, sp.I)]
+    assert all(a is b for a, b in zip(first, again))
+    assert calls == []
+    assert ring.from_expr("I") == ring.i()
+    assert ring.from_expr("1/2") * 2 == ring.one()
+
+
+def test_non_rational_coefficient_names_q_i(ring):
+    for expr in (sp.sqrt(2), sp.sqrt(P1) + 1, sp.exp(M), sp.Float(0.5) * P1):
+        with pytest.raises(ValueError, match=r"rational function of "
+                           r"P1, P2, P3, m over Q\(i\)$"):
+            ring.from_expr(expr)
+    # rational and Gaussian-rational coefficients are accepted
+    x = ring.from_expr(P1 / 2 + sp.I / 3)
+    assert x * 6 == ring.from_expr(3 * P1 + 2 * sp.I)
+
+
+def _key_atoms(ring):
+    """Sixteen atoms: P_a, H, |P|, i, 2, 1/3, m, five inverses, P1 + i
+    and H + P2."""
+    p1, p2, p3 = (ring.P(a) for a in range(3))
+    h, r, i = ring.H(), ring.R(), ring.i()
+    return [p1, p2, p3, h, r, i, ring.from_expr(2),
+            ring.from_expr(sp.Rational(1, 3)), ring.m(), p1.inverse(),
+            h.inverse(), r.inverse(), (p1 + i * p2).inverse(),
+            (h + p3).inverse(), p1 + i, h + p2]
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_equal_values_have_equal_memo_keys(monkeypatch, massless):
+    """Each value has one representation: equal results of different
+    computations have equal components and equal memo keys, so a memo
+    finds a value however it was computed."""
+    for name in ("_product_memo", "_inverse_memo", "_derivation_memo"):
+        monkeypatch.setattr(scalars, name, {})
+    ring = Ring(massless=massless)
+    atoms = _key_atoms(ring)
+    rng = random.Random(20)
+    for _ in range(400):
+        a, b, c = (rng.choice(atoms) for _ in range(3))
+        pairs = [((a * b) * c, a * (b * c)), ((a + b) * c, a * c + b * c),
+                 (a + b - b, a)]
+        if not b.is_zero():
+            pairs.append(((a * b) / b, a))
+        for x, y in pairs:
+            assert x == y
+            assert x._c == y._c
+            assert x._memo_key() == y._memo_key(), (x, y)
