@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy as sp
-
 from .algebra import (
     GENERATOR_NAMES,
     OperatorExpr,
@@ -43,8 +41,6 @@ from .algebra import (
     vec_Phat,
 )
 from .scalars import CoefficientError, Ring
-from .scalars import M as _M_SYM
-from .scalars import P_SYMS as _P_SYMS
 
 __all__ = ["OpAst", "LangError", "ParseError", "LowerError", "FormatError",
            "parse", "lower", "format_expr"]
@@ -480,14 +476,6 @@ def _lower_pow(ast: OpAst, ring: Ring):
 
 # -- printer ------------------------------------------------------------------
 
-_SYMBOL_NAMES = {
-    _P_SYMS[0]: "P[1]",
-    _P_SYMS[1]: "P[2]",
-    _P_SYMS[2]: "P[3]",
-    _M_SYM: "m",
-}
-
-
 def _int_text(n: int) -> str:
     """Decimal text of an integer of a coefficient."""
     try:
@@ -501,34 +489,214 @@ def _int_text(n: int) -> str:
             f"limit for printing an integer", 1, 1) from None
 
 
-def _fmt_sym(expr) -> str:
-    """Print a sympy coefficient expression in the operator grammar."""
-    if expr is sp.I:
-        return "i"
-    if expr in _SYMBOL_NAMES:
-        return _SYMBOL_NAMES[expr]
-    if expr.is_Integer:
-        return _int_text(int(expr))
-    if expr.is_Rational:
-        return f"({_int_text(expr.p)}/{_int_text(expr.q)})"
-    if expr.is_Add:
-        parts = [_fmt_sym(a) for a in
-                 sorted(expr.args, key=sp.default_sort_key)]
-        return "(" + " + ".join(parts) + ")"
-    if expr.is_Mul:
-        coeff, rest = expr.as_coeff_mul()
-        factors = [_fmt_sym(f) for f in sorted(rest, key=sp.default_sort_key)]
-        body = "*".join(factors)
-        if coeff == 1:
-            return body
-        if coeff == -1:
-            return "-" + body
-        return _fmt_sym(coeff) + "*" + body
-    if expr.is_Pow:
-        base, expo = expr.args
-        if expo.is_Integer:
-            return f"Pow({_fmt_sym(base)},{int(expo)})"
-    raise ValueError(f"coefficient not printable in the grammar: {expr}")
+# A coefficient component prints as the tree sympy would hold for the
+# ``cancel`` normal form of its value, P.as_expr()/Q.as_expr(), with each
+# sum's terms and each product's factors in ``default_sort_key`` order.
+# The nodes below stand for that tree: numbers, i, the symbols, powers,
+# products and sums, each carrying its text and the key sympy sorts it
+# by.  A key is (class key, (number of arguments, arguments), exponent
+# key, rational coefficient), as ``Expr.sort_key`` builds it.
+
+_NUMBER = (1, 0, "Number")
+_ATOM_I = (2, 0, "ImaginaryUnit")
+_ATOM_SYMBOL = (2, 0, "Symbol")
+_MUL = (3, 0, "Mul")
+_ADD = (3, 1, "Add")
+
+
+def _number_key(r):
+    return (_NUMBER, (0, ()), (), r)
+
+
+_ONE_KEY = _number_key(1)
+_CONSTANT = (0, 0, 0, 0)
+
+
+class _Node:
+    """One node of the coefficient tree.  ``kind`` is 'number', 'atom',
+    'pow', 'mul' or 'add'; a product keeps its rational ``coeff`` and its
+    number of other ``factors``, a sum keeps its ``terms`` as (monomial,
+    rational, x, y) for r*(x + y*i)*monomial."""
+
+    __slots__ = ("kind", "key", "text", "coeff", "factors", "terms")
+
+    def __init__(self, kind, key, text, coeff=1, factors=0, terms=()):
+        self.kind = kind
+        self.key = key
+        self.text = text
+        self.coeff = coeff
+        self.factors = factors
+        self.terms = terms
+
+
+def _rational_text(r) -> str:
+    if r.denominator == 1:
+        return _int_text(r.numerator)
+    return f"({_int_text(r.numerator)}/{_int_text(r.denominator)})"
+
+
+def _number(r) -> _Node:
+    return _Node("number", _number_key(r), _rational_text(r), coeff=r)
+
+
+def _atom(cls, name, text) -> _Node:
+    return _Node("atom", (cls, (1, (name,)), _ONE_KEY, 1), text)
+
+
+_I_NODE = _atom(_ATOM_I, "I", "i")
+# the generators in the ring's order, which is also sympy's order of
+# their names
+_GEN_NODES = tuple(_atom(_ATOM_SYMBOL, name, text) for name, text in
+                   (("P1", "P[1]"), ("P2", "P[2]"), ("P3", "P[3]"),
+                    ("m", "m")))
+
+
+def _power(base: _Node, e: int) -> _Node:
+    """base**e for an integer e != 0; sympy keys a power as its base with
+    the exponent in the third slot."""
+    if e == 1:
+        return base
+    return _Node("pow", base.key[:2] + (_number_key(e), 1),
+                 f"Pow({base.text},{e})")
+
+
+def _product(coeff, i_exp, factors) -> _Node:
+    """Mul(coeff, I**i_exp, *(b**e for b, e in factors)) as sympy
+    evaluates it: the factors' bases are distinct, I**2 folds into the
+    sign, and a rational times a single sum is distributed over it."""
+    if i_exp % 4 >= 2:
+        coeff = -coeff
+    args = [_power(b, e) for b, e in factors if e]
+    if i_exp % 2:
+        args.append(_I_NODE)
+    if not args:
+        return _number(coeff)
+    if coeff == 1 and len(args) == 1:
+        return args[0]
+    if len(args) == 1 and args[0].kind == "add":
+        return _sum([(mono, r * coeff, x, y)
+                     for mono, r, x, y in args[0].terms])
+    args.sort(key=lambda a: a.key)
+    body = "*".join(a.text for a in args)
+    if coeff == 1:
+        text = body
+    elif coeff == -1:
+        text = "-" + body
+    else:
+        text = _rational_text(coeff) + "*" + body
+    if len(args) == 1:
+        key = args[0].key[:3] + (coeff,)
+    else:
+        key = (_MUL, (len(args), tuple(a.key for a in args)), _ONE_KEY,
+               coeff)
+    return _Node("mul", key, text, coeff=coeff, factors=len(args))
+
+
+def _monomial(mono, x, y):
+    """(x + y*i)*prod(gen**e) as (rational, power of i, {base id: (base,
+    exponent)}); a Gaussian integer with two nonzero parts is a factor,
+    the sum (x + y*i)."""
+    bases = {k: (g, e) for k, (g, e) in enumerate(zip(_GEN_NODES, mono))
+             if e}
+    if not y:
+        return x, 0, bases
+    if not x:
+        return y, 1, bases
+    bases[("i", x, y)] = (_gaussian(x, y), 1)
+    return 1, 0, bases
+
+
+def _term(mono, r, x, y) -> _Node:
+    """The node of r*(x + y*i)*prod(gen**e), r rational, x and y
+    integers."""
+    k, i_exp, bases = _monomial(mono, x, y)
+    return _product(r * k, i_exp, bases.values())
+
+
+def _sum(terms) -> _Node:
+    """The sum of the terms (monomial, r, x, y), distinct monomials; a
+    constant term with two nonzero parts is two terms, as in sympy."""
+    split = []
+    for mono, r, x, y in terms:
+        if mono == _CONSTANT and x and y:
+            split += [(mono, r, x, 0), (mono, r, 0, y)]
+        else:
+            split.append((mono, r, x, y))
+    nodes = [_term(*t) for t in split]
+    text = "(" + " + ".join(n.text for n in
+                            sorted(nodes, key=lambda n: n.key)) + ")"
+    return _Node("add", (_ADD, (len(nodes), _ordered_keys(split, nodes)),
+                         _ONE_KEY, 1),
+                 text, terms=split)
+
+
+def _ordered_keys(terms, nodes):
+    """The keys of a sum's terms in the order sympy gives its terms when
+    it keys the sum: a positive number before a negative multiple of one
+    factor, else descending lex monomial over the generators sorted by
+    name, then the coefficient as ((im != 0, im), (re, im))."""
+    if len(nodes) == 2:
+        num = [n for n in nodes if n.kind == "number"]
+        if len(num) == 1 and num[0].coeff > 0:
+            other = nodes[1] if nodes[0] is num[0] else nodes[0]
+            if (other.kind == "mul" and other.factors == 1
+                    and other.coeff < 0):
+                return (num[0].key, other.key)
+
+    def order(pair):
+        (mono, r, x, y), _ = pair
+        re, im = r * x, r * y
+        return tuple(-e for e in mono), ((im != 0, im), (re, im))
+
+    return tuple(n.key for _, n in sorted(zip(terms, nodes), key=order))
+
+
+def _gaussian(x, y) -> _Node:
+    """The sum x + y*i of a Gaussian integer with two nonzero parts."""
+    return _sum([(_CONSTANT, 1, x, y)])
+
+
+def _factors(p, inverse):
+    """p, or 1/p, as (rational, power of i, {base id: (base, exponent)}):
+    a single term as its coefficient and monomial, several terms as one
+    sum."""
+    if len(p) > 1:
+        node = _sum([(mono, 1, c.x, c.y) for mono, c in p.items()])
+        return 1, 0, {"sum" + "PQ"[inverse]: (node, -1 if inverse else 1)}
+    ((mono, c),) = p.items()
+    if not inverse:
+        return _monomial(mono, c.x, c.y)
+    # 1/(x + y*i) = (x - y*i)/(x^2 + y^2), left unreduced
+    k, i_exp, bases = _monomial(tuple(-e for e in mono), c.x, -c.y)
+    return Fraction(k, c.x**2 + c.y**2), i_exp, bases
+
+
+def _fmt_component(ring, c):
+    """(text, is a sum) of a component (num, q, den): a constant over q
+    alone is the expanded Gaussian rational, anything else P/Q as
+    ``Ring._cancelled`` gives them."""
+    n, q, d = c
+    if n.is_ground and not d:
+        k, r = n.LC, Fraction(1, q)
+        node = (_sum([(_CONSTANT, r, k.x, k.y)]) if k.x and k.y
+                else _term(_CONSTANT, r, k.x, k.y))
+        return node.text, node.kind == "add"
+    p, den = ring._cancelled(c)
+    coeff, i_exp, bases = _factors(p, False)
+    c2, i2, b2 = _factors(den, True)
+    for k, (b, e) in b2.items():
+        bases[k] = (b, bases[k][1] + e if k in bases else e)
+    node = _product(coeff * c2, i_exp + i2, bases.values())
+    return node.text, node.kind == "add"
+
+
+def _component_texts(scalar) -> dict:
+    """{(eH, eR): (text, is a sum)} of a scalar's components, built once
+    and kept in its ``_parts`` slot."""
+    if scalar._parts is None:
+        scalar._parts = {k: _fmt_component(scalar.ring, c)
+                         for k, c in scalar._c.items()}
+    return scalar._parts
 
 
 def _fmt_scalar(scalar) -> str:
@@ -536,28 +704,28 @@ def _fmt_scalar(scalar) -> str:
     if scalar.is_zero():
         return "0"
     bits = []
-    for (h, r) in sorted(scalar.parts):
-        expr = scalar.parts[(h, r)]
+    for (h, r), (text, _) in sorted(_component_texts(scalar).items()):
         tags = []
         if h:
             tags.append("H")
         if r:
             tags.append("Pow(Dot(P,P),1/2)")
-        if expr == 1 and tags:
+        if text == "1" and tags:
             bits.append("*".join(tags))
-        elif expr == -1 and tags:
+        elif text == "-1" and tags:
             bits.append("-" + "*".join(tags))
         else:
-            bits.append("*".join([_fmt_sym(expr)] + tags))
+            bits.append("*".join([text] + tags))
     return " + ".join(bits)
 
 
 def _one_part(scalar) -> bool:
     """True when the scalar prints as a single product (no top-level sum)."""
-    if len(scalar.parts) != 1:
+    texts = _component_texts(scalar)
+    if len(texts) != 1:
         return False
-    ((_, _), expr), = scalar.parts.items()
-    return not expr.is_Add
+    ((_, is_sum),) = texts.values()
+    return not is_sum
 
 
 def format_expr(value) -> str:

@@ -23,7 +23,7 @@ with the value num / (q * prod(f**e for f, e in den)):
 
 Arithmetic on Gaussian integers is plain integer arithmetic, where Q(i)
 coefficients would carry a fraction in each real and imaginary part.
-The form is kept reduced, so each value has exactly one representation:
+The form is kept reduced:
 
   * no denominator factor divides ``num``, and gcd(q, integer content of
     ``num``) = 1, the integer content being the gcd of the real and
@@ -31,6 +31,14 @@ The form is kept reduced, so each value has exactly one representation:
   * m, psq = |P|^2 and hsq = H^2 are the monic basis factors;
   * any other factor is primitive over ZZ_I, with its leading coefficient
     in the first quadrant (real part > 0, imaginary part >= 0).
+
+A value built from m, psq and hsq alone has exactly one representation:
+the three are irreducible, so "no factor divides num" means num and the
+denominator are coprime.  A factor of any other kind is kept whole, and
+it may be reducible over ZZ_I: (P1 - P2)/(P1^2 - P2^2) and 1/(P1 + P2)
+are equal values held over different factors, with different memo keys.
+The printer cancels such a factor against the numerator (``_cancelled``),
+so equal values still print the same text.
 
 The denominators the algebra produces are products of m, psq and hsq:
 ``inverse`` rationalizes an element by conjugating in H and in R, then
@@ -50,11 +58,13 @@ so an element is zero iff it has no components, and equality (the
 difference is zero) is decided exactly.  No arithmetic calls
 ``sympy.cancel``.
 
-Where ``cancel`` remains.  ``Scalar.parts`` is a lazily built view of the
-components as sympy expressions, each the ``cancel`` normal form of
-num/(q*den) (memoized in ``_cancel_memo``).  Only the printer and
-``repr`` read it.  The view is a function of the components alone,
-so equal values print the same text however they were computed.
+Printing.  The printer writes each component as the fraction P/Q that
+``sympy.cancel`` would give for num/(q*den), computed here by ring
+arithmetic (``Ring._cancelled``): no sympy expression is built and
+``cancel`` is not called.  The text is a function of the value alone, so
+equal values print the same text however they were computed; the
+printer keeps it in the ``_parts`` slot, so it is built once per
+``Scalar``.
 
 Memos.  A ``Scalar`` never changes after construction, and neither do its
 numerators and denominator dicts (a ``PolyElement`` caches its hash, so
@@ -74,9 +84,8 @@ two modes compare equal.  The key names four memos:
     the word.
 
 Each is a pure function of the components, so a hit returns what the
-call would compute.  Like ``_cancel_memo`` and ``algebra._insert_memo``
-they are process-wide and unbounded, and what they return is shared:
-callers never mutate it.
+call would compute.  Like ``algebra._insert_memo`` they are process-wide
+and unbounded, and what they return is shared: callers never mutate it.
 
 Massless mode sets m = 0 and identifies H with R (basis {1, R}).
 """
@@ -86,7 +95,7 @@ from __future__ import annotations
 from math import gcd
 
 import sympy as sp
-from sympy.polys.domains import ZZ_I
+from sympy.polys.domains import ZZ, ZZ_I
 from sympy.polys.monomials import monomial_div
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -97,16 +106,20 @@ __all__ = ["Ring", "Scalar", "CoefficientError"]
 
 P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
 M = sp.Symbol("m", positive=True)
-P_SYMS = (P1, P2, P3)
 
 # the coefficient type; ``new`` builds an element from two ints unconverted
 _GI = ZZ_I.dtype
 _ONE = ZZ_I.one
 
-_cancel_memo: dict = {}
 _product_memo: dict = {}
 _inverse_memo: dict = {}
 _derivation_memo: dict = {}
+
+# ``sympy.cancel`` memoized by expression.  Nothing in the package calls
+# it: only the benchmark harness (which reads the memo's size and traces
+# the call) and the tests' sympy view of the printer hold these two
+# names, and they go when the benchmark stops reading them.
+_cancel_memo: dict = {}
 
 
 def _cached_cancel(expr):
@@ -267,15 +280,6 @@ def _diff(c, j):
     return num, q, den
 
 
-def _as_expr(c):
-    """The sympy view of a fraction, in ``cancel`` normal form."""
-    n, q, d = c
-    expr = n.as_expr()
-    if q != 1 or d:
-        expr = expr / sp.Mul(q, *(f.as_expr() ** e for f, e in d.items()))
-    return expr if expr.is_Atom else _cached_cancel(expr)
-
-
 def _conj(c):
     """The complex conjugate of a Gaussian integer."""
     return c.new(c.x, -c.y)
@@ -290,6 +294,10 @@ class Ring:
     def __init__(self, massless: bool = False):
         self.massless = massless
         self.poly = PolyRing((P1, P2, P3, M), ZZ_I, lex)
+        # the generators in sympy's order, m first, for gcds: over ZZ_I,
+        # and over ZZ for real polynomials
+        self._gcd_rings = (PolyRing((M, P1, P2, P3), ZZ_I, lex),
+                           PolyRing((M, P1, P2, P3), ZZ, lex))
         zero = self.poly.zero
         x1, x2, x3, m = self.poly.gens
         self._p = (x1, x2, x3)
@@ -407,6 +415,54 @@ class Ring:
         factors[f.mul_ground(u)] = 1
         return c * _conj(u), factors
 
+    def _cancelled(self, c):
+        """The pair (P, Q) that ``sympy.cancel`` gives for the fraction
+        c = (num, q, den): P/Q = num/(q*prod(f**e)) with P and Q coprime
+        over ZZ_I and the leading coefficient of Q in the first quadrant,
+        leading in lex order with m first (sympy's generator order).
+
+        Only the constant content and a factor outside the basis can be
+        shared: the basis factors are irreducible and divide no reduced
+        numerator, and every factor is primitive, so the content of the
+        denominator is q."""
+        n, q, d = c
+        den = _iscale(self.poly.one, q)
+        for f, e in d.items():
+            den = den * f**e
+        if q != 1:
+            g = ZZ_I(q)
+            for k in n.values():
+                g = ZZ_I.gcd(g, k)
+                if g.x**2 + g.y**2 == 1:
+                    break
+            else:
+                n, den = n.quo_ground(g), den.quo_ground(g)
+        for f, e in d.items():
+            if f not in self._basis:
+                h = self._gcd(n, f**e)
+                if not h.is_ground:
+                    n, den = n.exquo(h), den.exquo(h)
+        _, lc = max(den.items(),
+                    key=lambda t: (t[0][3], t[0][0], t[0][1], t[0][2]))
+        u = ZZ_I.canonical_unit(lc)
+        if u != _ONE:
+            n, den = n.mul_ground(u), den.mul_ground(u)
+        return n, den
+
+    def _gcd(self, a, b):
+        """gcd(a, b) over ZZ_I, taken in sympy's generator order, where
+        the subresultants recurse on m (of degree at most 2 in the
+        factors the algebra makes) rather than on P1, and over ZZ when
+        both are real, where the heuristic gcd applies."""
+        gaussian, real = self._gcd_rings
+        if any(c.y for c in a.values()) or any(c.y for c in b.values()):
+            return a.set_ring(gaussian).gcd(b.set_ring(gaussian)).set_ring(
+                self.poly)
+        h = real.from_dict({(k[3],) + k[:3]: c.x for k, c in a.items()}).gcd(
+            real.from_dict({(k[3],) + k[:3]: c.x for k, c in b.items()}))
+        return self.poly.from_dict({k[1:] + k[:1]: _GI.new(c, 0)
+                                    for k, c in h.items()})
+
     def _conj_poly(self, p):
         """Complex conjugate of every coefficient of p (P, m are real)."""
         return p.new([(mon, _conj(c)) for mon, c in p.items()])
@@ -436,9 +492,9 @@ class Scalar:
     """An element a + b*H + c*R + d*H*R of a coefficient :class:`Ring`.
 
     Immutable; all arithmetic returns new instances whose components are
-    reduced fractions (see the module docstring).  ``parts`` maps each
-    nonzero (eH, eR) basis key to the component as a sympy expression in
-    ``cancel`` normal form.
+    reduced fractions (see the module docstring).  ``_c`` maps each
+    nonzero (eH, eR) basis key to its component; ``_parts`` is None until
+    the printer fills it with the text of each component.
     """
 
     __slots__ = ("ring", "_c", "_parts", "_key")
@@ -458,12 +514,6 @@ class Scalar:
                 if c[0]:
                     comps[k] = c
             self._c = comps
-
-    @property
-    def parts(self) -> dict:
-        if self._parts is None:
-            self._parts = {k: _as_expr(c) for k, c in self._c.items()}
-        return self._parts
 
     def _memo_key(self):
         """The canonical key of this value for the memos (module
@@ -503,9 +553,13 @@ class Scalar:
         if self.is_zero():
             return "Scalar(0)"
         bits = []
-        for (h, r), c in sorted(self.parts.items(), key=lambda kv: kv[0]):
-            tag = "".join(["H" * h, "R" * r])
-            bits.append(f"({c})" + ("*" + tag if tag else ""))
+        for (h, r), (n, q, d) in sorted(self._c.items()):
+            den = [str(q)] if q != 1 else []
+            den += [f"({f})" + (f"**{e}" if e > 1 else "")
+                    for f, e in d.items()]
+            text = f"({n})" + ("/(" + "*".join(den) + ")" if den else "")
+            tag = "H" * h + "R" * r
+            bits.append(text + ("*" + tag if tag else ""))
         return "Scalar(" + " + ".join(bits) + ")"
 
     # -- arithmetic ---------------------------------------------------------

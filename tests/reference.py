@@ -19,12 +19,20 @@ move; it adds no copy of its parent's body.
   vector_op_residual
   connection_form,    the pointwise connection form by einsum, and the
   rk4_edges           RK4 that evaluates it three times per step
+
+The exact engine's printer has one reference too, compared by text: the
+sympy view it was first written with (``sympy_component``, ``fmt_sym``),
+which builds each coefficient as a sympy expression, puts it in
+``sympy.cancel`` normal form and prints sympy's tree.
 """
 
 import numpy as np
+import sympy as sp
 
+from spinsplit import scalars
 from spinsplit.connections import _form_matrix
 from spinsplit.grid import Section
+from spinsplit.lang import _int_text
 from spinsplit.reps import _entries_act
 from spinsplit.poincare import eps
 
@@ -333,3 +341,60 @@ def rk4_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
         k4 = a_of(t + h)(u + h * k3)
         u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
     return u
+
+
+# -- the printer's sympy view ---------------------------------------------------------
+
+_SYMBOL_NAMES = {scalars.P1: "P[1]", scalars.P2: "P[2]", scalars.P3: "P[3]",
+                 scalars.M: "m"}
+
+
+def sympy_component(c):
+    """The sympy view of an exact fraction (num, q, den): num/(q*den) in
+    ``cancel`` normal form."""
+    n, q, d = c
+    expr = n.as_expr()
+    if q != 1 or d:
+        expr = expr / sp.Mul(q, *(f.as_expr() ** e for f, e in d.items()))
+    return expr if expr.is_Atom else scalars._cached_cancel(expr)
+
+
+def sympy_parts(s):
+    """{(eH, eR): sympy view} of a Scalar's components."""
+    return {k: sympy_component(c) for k, c in s._c.items()}
+
+
+def fmt_sym(expr) -> str:
+    """Print a sympy coefficient expression in the operator grammar."""
+    if expr is sp.I:
+        return "i"
+    if expr in _SYMBOL_NAMES:
+        return _SYMBOL_NAMES[expr]
+    if expr.is_Integer:
+        return _int_text(int(expr))
+    if expr.is_Rational:
+        return f"({_int_text(expr.p)}/{_int_text(expr.q)})"
+    if expr.is_Add:
+        parts = [fmt_sym(a) for a in
+                 sorted(expr.args, key=sp.default_sort_key)]
+        return "(" + " + ".join(parts) + ")"
+    if expr.is_Mul:
+        coeff, rest = expr.as_coeff_mul()
+        factors = [fmt_sym(f) for f in sorted(rest, key=sp.default_sort_key)]
+        body = "*".join(factors)
+        if coeff == 1:
+            return body
+        if coeff == -1:
+            return "-" + body
+        return fmt_sym(coeff) + "*" + body
+    if expr.is_Pow:
+        base, expo = expr.args
+        if expo.is_Integer:
+            return f"Pow({fmt_sym(base)},{int(expo)})"
+    raise ValueError(f"coefficient not printable in the grammar: {expr}")
+
+
+def component_text(c):
+    """(text, is a sum) of a component, printed from its sympy view."""
+    expr = sympy_component(c)
+    return fmt_sym(expr), bool(expr.is_Add)

@@ -698,6 +698,43 @@ def test_a_cold_numerical_run_loads_no_symbolic_code():
     assert cold.stdout == "[]\n0 []\n-i*J[3]\nTrue\n"
 
 
+# Printing builds no sympy expression.  The first evaluated sympy sum in a
+# process imports sympy.tensor.tensor, and with it the combinatorics
+# package; printing both catalogs and ``eval`` of every pinned input in a
+# fresh interpreter loads neither.
+_PRINTING_IMPORTS = """
+import contextlib, io, sys
+from spinsplit.cli import main
+from spinsplit.identities import CATALOG, MASSLESS_CATALOG
+from spinsplit.lang import format_expr
+from spinsplit.scalars import Ring
+
+texts = 0
+for massless, catalog in ((False, CATALOG), (True, MASSLESS_CATALOG)):
+    ring = Ring(massless=massless)
+    for name in sorted(catalog):
+        for pair in catalog[name](ring):
+            texts += sum(bool(format_expr(side)) for side in pair)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = {main(["eval", "--mode", mode, expr]) for mode, expr in PINS}
+print(texts, codes, sorted(name for name in sys.modules
+                          if name == "sympy.tensor.tensor"
+                          or name.startswith("sympy.combinatorics")))
+"""
+
+
+def test_printing_loads_no_sympy_tensor_or_combinatorics():
+    src = str(Path(spinsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pins = [(mode, expr) for mode, expr, _ in EVAL_PINS]
+    cold = subprocess.run(
+        [sys.executable, "-c", f"PINS = {pins!r}\n" + _PRINTING_IMPORTS],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout == "420 {0} []\n"
+
+
 def test_report_leaves_resources_out_without_the_module(monkeypatch):
     monkeypatch.setattr(report_module, "resource", None)
     data = json.loads(report_json(run_suites(RunConfig(**_CHEAP_RUN))))

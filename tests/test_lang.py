@@ -7,6 +7,7 @@ import string
 
 import pytest
 
+import reference
 from spinsplit.algebra import (
     OperatorExpr,
     VectorExpr,
@@ -17,6 +18,8 @@ from spinsplit.algebra import (
     op_scalar,
 )
 from spinsplit.identities import (
+    CATALOG,
+    MASSLESS_CATALOG,
     TEXT_CATALOG,
     boost_connection,
     newton_wigner,
@@ -28,11 +31,13 @@ from spinsplit.lang import (
     LangError,
     LowerError,
     ParseError,
+    _fmt_component,
     format_expr,
     lower,
     parse,
 )
 from spinsplit.scalars import Ring
+from test_cli import EVAL_PINS
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +156,100 @@ def test_equal_coefficients_print_the_same():
             OperatorExpr.from_scalar(c.conjugate().conjugate())) == text
         count += 1
     assert count >= 40
+
+
+# A factor outside m, |P|^2 and H^2 is kept whole, and it may be
+# reducible: each pair is one value held over different factors.
+_REDUCIBLE_PAIRS = [
+    ("(P[1]-P[2])*Pow(P[1]*P[1]-P[2]*P[2],-1)", "Pow(P[1]+P[2],-1)"),
+    ("(P[2]-i*P[3])*Pow(Pow(Dot(P,P),1/2)+P[1],-1)",
+     "(Pow(Dot(P,P),1/2) - P[1])*Pow(P[2]+i*P[3],-1)"),
+]
+
+
+@pytest.mark.parametrize("massless", [False, True])
+@pytest.mark.parametrize("a,b", _REDUCIBLE_PAIRS)
+def test_equal_values_over_reducible_factors_print_the_same(massless, a, b):
+    ring = Ring(massless=massless)
+    va, vb = lower(parse(a), ring), lower(parse(b), ring)
+    assert va == vb
+    assert va.terms[()]._c != vb.terms[()]._c
+    assert format_expr(va) == format_expr(vb)
+
+
+# -- the printer against its sympy view ---------------------------------------
+
+
+def _printer_atoms(ring):
+    """Atoms of the random scalars: the momenta, H and |P|, Gaussian
+    constants (with 2 and 5, whose Gaussian factors they share), complex
+    and mixed linear forms, |P| + P_a, and the inverse of each."""
+    i, p = ring.i(), [ring.P(a) for a in range(3)]
+    atoms = p + [ring.H(), ring.R(), i, ring.from_expr(2),
+                 ring.from_expr(5), 1 + i, 2 - i,
+                 ring.from_expr("2/5 + 3*I/5"), p[0] + i * p[1],
+                 ring.R() + p[0], ring.R() + p[2]]
+    if not ring.massless:
+        atoms += [ring.m(), ring.m() + p[0], i * ring.m() - 2 * p[1]]
+    return atoms + [a.inverse() for a in atoms]
+
+
+def _random_scalars(ring, seed, count):
+    """Sums and products of two or three atoms."""
+    rng = random.Random(seed)
+    atoms = _printer_atoms(ring)
+    out = []
+    for _ in range(count):
+        value = rng.choice(atoms)
+        for _ in range(rng.randrange(1, 3)):
+            other = rng.choice(atoms)
+            value = value * other if rng.randrange(3) else value + other
+        out.append(value)
+    return out
+
+
+# massive values that reach each rule of the printer's tree: a sum
+# ordered as a positive number and a negative multiple, Gaussian
+# coefficients and their inverses in monomial denominators, equal
+# Gaussian factors merged into a power, a rational distributed over a sum
+_PRINTER_CASES = [
+    "(2 - P[3])*Pow(P[1]+P[2],-1)", "(5 - 3*P[2])*Pow(2+m,-1)",
+    "P[1]*Pow((1+2*i)*m*P[2],-1)", "(3+4*i)*Pow((2+i)*m,-1)",
+    "(2-i)*(P[1]+P[2])*Pow(2+i,-1)", "(1+i+P[1])*(1/3)",
+    "Pow(2*i*m,-1)", "(P[1]+1)*Pow(1-P[1],-1)*Pow(m,-3)",
+]
+
+
+def _printer_corpus():
+    """(ring, component) over both catalogs, every pinned ``eval`` input,
+    the cases above and seeded random scalars in both modes."""
+    corpus = []
+    for massless, catalog in ((False, CATALOG), (True, MASSLESS_CATALOG)):
+        ring = Ring(massless=massless)
+        values = [side for name in sorted(catalog)
+                  for pair in catalog[name](ring) for side in pair]
+        values += [lower(parse(src), ring) for mode, src, _ in EVAL_PINS
+                   if mode.startswith("massless") == massless]
+        if not massless:
+            values += [lower(parse(src), ring) for src in _PRINTER_CASES]
+        corpus += [(ring, c) for v in values for s in v.terms.values()
+                   for c in s._c.values()]
+        corpus += [(ring, c) for s in _random_scalars(ring, 35 + massless,
+                                                      250)
+                   for c in s._c.values()]
+    return corpus
+
+
+def test_printer_matches_its_sympy_view():
+    """Each component prints as its sympy view, the ``cancel`` normal form
+    of num/(q*den) printed from sympy's tree, does: the same text and the
+    same is-a-sum flag."""
+    corpus = _printer_corpus()
+    mismatches = [(c, got, want) for ring, c in corpus
+                  if (got := _fmt_component(ring, c))
+                  != (want := reference.component_text(c))]
+    assert len(corpus) >= 1200
+    assert mismatches == []
 
 
 # -- long input ----------------------------------------------------------------
