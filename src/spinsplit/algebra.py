@@ -122,10 +122,6 @@ def _deriv(g: int, c: Scalar) -> Scalar:
     return c.boost_derivative(g - 3)
 
 
-# (word, key of c) -> word*c, pure like the scalar memos; never mutate it
-_shift_memo: dict = {}
-
-
 def _word_times_scalar(word: tuple, c: Scalar):
     """Move a scalar left through an ordered word: word*c as [(Scalar, word)].
 
@@ -134,10 +130,6 @@ def _word_times_scalar(word: tuple, c: Scalar):
     """
     if not word:
         return [(c, ())]
-    key = (word, c._memo_key())
-    out = _shift_memo.get(key)
-    if out is not None:
-        return out
     g, rest = word[0], word[1:]
     out = []
     for c2, w2 in _word_times_scalar(rest, c):
@@ -145,7 +137,6 @@ def _word_times_scalar(word: tuple, c: Scalar):
         dc = _deriv(g, c2)
         if not dc.is_zero():
             out.append((dc, w2))
-    _shift_memo[key] = out
     return out
 
 

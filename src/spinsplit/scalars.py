@@ -66,22 +66,27 @@ equal values print the same text however they were computed; the
 printer keeps it in the ``_parts`` slot, so it is built once per
 ``Scalar``.
 
+Cancelling a factor f outside the basis needs gcd(num, f**e), which
+sympy's multivariate gcd over ZZ_I can take minutes to find on large
+factors.  A coprimality screen on univariate images at one integer point
+(``Ring._coprime``) proves most such pairs coprime first; only a pair it
+cannot settle (a shared factor, or a leading coefficient that vanishes
+at the point) reaches sympy's gcd, in the mode's one polynomial ring.
+
 Memos.  A ``Scalar`` never changes after construction, and neither do its
 numerators and denominator dicts (a ``PolyElement`` caches its hash, so
 no polynomial is filled in place once hashed), so each value has one
 canonical key, built on first use: the ring mode and the frozenset of
 (basis key, numerator, q, frozenset of denominator items) over its
 components.  The mode is part of the key because the numerators of the
-two modes compare equal.  The key names four memos:
+two modes compare equal.  The key names three memos:
 
   * ``_product_memo``: (key of a, key of b) -> a * b, for products of two
     non-constant elements (a constant factor only scales numerators);
   * ``_inverse_memo``: key -> inverse; zero is never stored, so its
     inverse raises on every call;
   * ``_derivation_memo``: ("boost" or "rotation", axis, key) -> the
-    commutator with K_axis or J_axis;
-  * ``algebra._shift_memo``: (word, key) -> the scalar moved left through
-    the word.
+    commutator with K_axis or J_axis.
 
 Each is a pure function of the components, so a hit returns what the
 call would compute.  Like ``algebra._insert_memo`` they are process-wide
@@ -95,7 +100,7 @@ from __future__ import annotations
 from math import gcd
 
 import sympy as sp
-from sympy.polys.domains import ZZ, ZZ_I
+from sympy.polys.domains import ZZ_I
 from sympy.polys.monomials import monomial_div
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
@@ -110,6 +115,10 @@ M = sp.Symbol("m", positive=True)
 # the coefficient type; ``new`` builds an element from two ints unconverted
 _GI = ZZ_I.dtype
 _ONE = ZZ_I.one
+
+# the integer point (P1, P2, P3, m) at which ``Ring._coprime`` takes its
+# univariate images
+_SCREEN_POINT = (3, 5, 7, 11)
 
 _product_memo: dict = {}
 _inverse_memo: dict = {}
@@ -288,16 +297,13 @@ def _conj(c):
 class Ring:
     """A coefficient ring mode: massive or massless.
 
-    ``psq`` and ``hsq`` are |P|^2 and H^2 as polynomials of the mode.
+    ``poly`` is the one polynomial ring of the mode, in P1, P2, P3, m
+    over ZZ_I; ``psq`` and ``hsq`` are |P|^2 and H^2 in it.
     """
 
     def __init__(self, massless: bool = False):
         self.massless = massless
         self.poly = PolyRing((P1, P2, P3, M), ZZ_I, lex)
-        # the generators in sympy's order, m first, for gcds: over ZZ_I,
-        # and over ZZ for real polynomials
-        self._gcd_rings = (PolyRing((M, P1, P2, P3), ZZ_I, lex),
-                           PolyRing((M, P1, P2, P3), ZZ, lex))
         zero = self.poly.zero
         x1, x2, x3, m = self.poly.gens
         self._p = (x1, x2, x3)
@@ -450,18 +456,28 @@ class Ring:
         return n, den
 
     def _gcd(self, a, b):
-        """gcd(a, b) over ZZ_I, taken in sympy's generator order, where
-        the subresultants recurse on m (of degree at most 2 in the
-        factors the algebra makes) rather than on P1, and over ZZ when
-        both are real, where the heuristic gcd applies."""
-        gaussian, real = self._gcd_rings
-        if any(c.y for c in a.values()) or any(c.y for c in b.values()):
-            return a.set_ring(gaussian).gcd(b.set_ring(gaussian)).set_ring(
-                self.poly)
-        h = real.from_dict({(k[3],) + k[:3]: c.x for k, c in a.items()}).gcd(
-            real.from_dict({(k[3],) + k[:3]: c.x for k, c in b.items()}))
-        return self.poly.from_dict({k[1:] + k[:1]: _GI.new(c, 0)
-                                    for k, c in h.items()})
+        """gcd(a, b) over ZZ_I up to a constant: one where the screen
+        proves a and b coprime, else sympy's."""
+        return self.poly.one if self._coprime(a, b) else a.gcd(b)
+
+    def _coprime(self, a, b):
+        """True if a and b provably share no non-constant factor, False
+        if the screen cannot tell.
+
+        For each variable x both depend on, the other variables are set
+        to ``_SCREEN_POINT``.  A common factor g of positive degree in x
+        divides both images, and where a keeps its degree in x, g keeps
+        its own (the leading coefficients in x multiply), so a constant
+        univariate gcd of the images rules out every such g."""
+        gens = self.poly.gens
+        for j, (da, db) in enumerate(zip(a.degrees(), b.degrees())):
+            if da > 0 and db > 0:
+                point = [(x, v) for k, (x, v)
+                         in enumerate(zip(gens, _SCREEN_POINT)) if k != j]
+                ia, ib = a.evaluate(point), b.evaluate(point)
+                if ia.degree() != da or not ia.gcd(ib).is_ground:
+                    return False
+        return True
 
     def _conj_poly(self, p):
         """Complex conjugate of every coefficient of p (P, m are real)."""

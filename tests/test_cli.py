@@ -33,7 +33,7 @@ from spinsplit.connections import (
     TangentField,
     apply_connection,
 )
-from spinsplit.lang import LangError
+from spinsplit.lang import LangError, lower, parse
 from spinsplit.report import (
     CSV_COLUMNS,
     DEGENERACY_GAP_MIN,
@@ -48,6 +48,7 @@ from spinsplit.report import (
     run_suites,
 )
 from spinsplit.reps import RepError, RepSpec, random_test_section
+from spinsplit.scalars import Ring
 
 
 # -- RunConfig validation -----------------------------------------------------
@@ -810,6 +811,11 @@ EVAL_PINS = [
     ("massive-symbolic", "Pow((1+i),-1)", "((1/2) + (-1/2)*i)"),
 ]
 
+# Two inverses over large factors outside the basis, whose sum the
+# printer once spent minutes on in sympy's multivariate gcd.
+TWO_LARGE_FACTORS = ("Pow(Pow(P[1]+i*P[2]+m+P[3],5)+i*P[3]*P[2],-1)"
+                     " + Pow(Pow(P[2]+P[1]*m,4)+P[1],-1)")
+
 
 @pytest.mark.parametrize("mode,expr,want", EVAL_PINS,
                          ids=[f"{mode.split('-')[0]}:{expr}"
@@ -875,6 +881,22 @@ def test_eval_long_chains_exit_0(capsys):
                        ("Pow(H," + "/".join(["1"] * 3001) + ")", "H")):
         assert main(["eval", text]) == EXIT_OK
         assert capsys.readouterr().out.strip() == want
+
+
+def test_eval_over_two_large_factors_prints_in_seconds():
+    """The printer's coprimality screen settles both large factors of
+    this sum, where sympy's multivariate gcd ran for minutes; the text
+    lowers back to the input's value."""
+    src = str(Path(spinsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "spinsplit.cli", "eval", TWO_LARGE_FACTORS],
+        env=env, capture_output=True, text=True, timeout=5)
+    assert done.returncode == EXIT_OK, done.stderr
+    ring = Ring()
+    assert lower(parse(done.stdout), ring) \
+        == lower(parse(TWO_LARGE_FACTORS), ring)
 
 
 def test_eval_equal_values_print_the_same(capsys):

@@ -6,6 +6,7 @@ import random
 import string
 
 import pytest
+from sympy.polys.rings import PolyElement
 
 import reference
 from spinsplit.algebra import (
@@ -36,8 +37,8 @@ from spinsplit.lang import (
     lower,
     parse,
 )
-from spinsplit.scalars import Ring
-from test_cli import EVAL_PINS
+from spinsplit.scalars import _SCREEN_POINT, Ring
+from test_cli import EVAL_PINS, TWO_LARGE_FACTORS
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +168,13 @@ _REDUCIBLE_PAIRS = [
 ]
 
 
+def _factor_pairs(ring, value):
+    """(numerator, f**e) for each factor f outside the basis in each
+    component of a scalar: the pairs whose gcd the printer takes."""
+    return [(n, f**e) for n, _, d in value._c.values()
+            for f, e in d.items() if f not in ring._basis]
+
+
 @pytest.mark.parametrize("massless", [False, True])
 @pytest.mark.parametrize("a,b", _REDUCIBLE_PAIRS)
 def test_equal_values_over_reducible_factors_print_the_same(massless, a, b):
@@ -174,6 +182,10 @@ def test_equal_values_over_reducible_factors_print_the_same(massless, a, b):
     va, vb = lower(parse(a), ring), lower(parse(b), ring)
     assert va == vb
     assert va.terms[()]._c != vb.terms[()]._c
+    # the numerator shares a factor with the reducible one, so the
+    # coprimality screen cannot settle the pair
+    shared = _factor_pairs(ring, va.terms[()])
+    assert shared and not any(ring._coprime(n, f) for n, f in shared)
     assert format_expr(va) == format_expr(vb)
 
 
@@ -250,6 +262,91 @@ def test_printer_matches_its_sympy_view():
                   != (want := reference.component_text(c))]
     assert len(corpus) >= 1200
     assert mismatches == []
+
+
+# -- the printer's coprimality screen ------------------------------------------
+
+
+def _atom_polys(ring):
+    """The non-constant numerators and denominator factors of the printer
+    atoms, complex ones included."""
+    polys = []
+    for atom in _printer_atoms(ring):
+        for n, _, d in atom._c.values():
+            polys += [p for p in (n, *d) if not p.is_ground
+                      and p not in polys]
+    return polys
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_screen_never_settles_a_shared_factor(massless):
+    """f*g and f*h share f, so the screen never calls them coprime; on g
+    and h it says coprime only where sympy's gcd is constant, and it
+    settles most of them."""
+    ring = Ring(massless=massless)
+    polys = _atom_polys(ring)
+    units = [ring.poly.one.mul_ground(ring.poly.domain(*k))
+             for k in ((1, 0), (0, 1), (2, -1), (1, 1), (-3, 2))]
+    rng = random.Random(72 + massless)
+
+    def poly():
+        p = rng.choice(units) * rng.choice(polys)
+        if rng.randrange(2):
+            p = p * rng.choice(polys) + rng.choice(units) * rng.choice(polys)
+        return p
+
+    settled = 0
+    for _ in range(150):
+        f, g, h = poly(), poly(), poly()
+        assert not ring._coprime(f * g, f * h), (f, g, h)
+        if ring._coprime(g, h):
+            assert g.gcd(h).is_ground, (g, h)
+            settled += 1
+    assert settled >= 100
+
+
+def test_screen_is_undecided_where_a_leading_coefficient_vanishes():
+    """The numerator's coefficient of P2 vanishes at the screen's P1, so
+    the screen cannot tell, sympy's gcd decides, and the text is the
+    sympy view's."""
+    ring = Ring()
+    src = f"((P[1]-{_SCREEN_POINT[0]})*P[2] + 1)*Pow(P[2]+P[3],-1)"
+    value = lower(parse(src), ring).terms[()]
+    ((n, f),) = _factor_pairs(ring, value)
+    assert not ring._coprime(n, f)
+    assert n.gcd(f).is_ground
+    (c,) = value._c.values()
+    assert _fmt_component(ring, c) == reference.component_text(c)
+
+
+def test_printing_the_catalogs_takes_no_four_variable_gcd(monkeypatch):
+    """The screen settles every gcd of printing both catalogs and the sum
+    over two large factors: a gcd on the engine's four-variable ring
+    fails at once, as it does for a shared factor."""
+    real = PolyElement.gcd
+
+    def refusing(self, other):
+        if self.ring.ngens == 4:
+            raise AssertionError("gcd on the four-variable ring")
+        return real(self, other)
+
+    monkeypatch.setattr(PolyElement, "gcd", refusing)
+    printed = 0
+    for massless, catalog in ((False, CATALOG), (True, MASSLESS_CATALOG)):
+        ring = Ring(massless=massless)
+        values = [side for name in sorted(catalog)
+                  for pair in catalog[name](ring) for side in pair]
+        if not massless:
+            values.append(lower(parse(TWO_LARGE_FACTORS), ring))
+        for value in values:
+            for scalar in value.terms.values():
+                for c in scalar._c.values():
+                    printed += bool(_fmt_component(ring, c)[0])
+    assert printed >= 600
+    ring = Ring()
+    reducible = lower(parse(_REDUCIBLE_PAIRS[0][0]), ring).terms[()]
+    with pytest.raises(AssertionError, match="four-variable"):
+        _fmt_component(ring, next(iter(reducible._c.values())))
 
 
 # -- long input ----------------------------------------------------------------

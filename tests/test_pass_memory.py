@@ -1,17 +1,22 @@
-"""Peak memory of the covariant-derivative diagnostics, in sections.
+"""Peak memory of the covariant-derivative diagnostics, in bytes.
 
 Sharing one derivative pass among several tangent fields keeps more
-accumulators alive at once.  These guards hold each diagnostic's traced
-peak at rung (6, 24, 48) to the value it had when every field took its
-own pass, so a speed-up cannot be bought with memory.  The peak counts
-every array the call allocates (tracemalloc traces numpy's buffers) and
-is divided by the size of one section of the representation.
+accumulators alive at once, so a speed-up can be bought with memory.
+These guards hold each diagnostic's traced peak at rung (6, 24, 48) to
+the peak it had when the numerical code last changed, plus a slack of
+4,096 bytes for Python objects, a small part of one radial shell of a
+section (55,296 bytes).  The peak counts every array the call allocates
+(tracemalloc traces numpy's buffers) above the memory in use before it.
+A control holds one extra shell through each call and sees every bound
+fail.
 """
 
 import gc
 import tracemalloc
 import weakref
+from functools import partial
 
+import numpy as np
 import pytest
 
 from spinsplit.connections import (
@@ -43,22 +48,28 @@ from spinsplit.splitting import (
 
 from conftest import MASS
 
-# Traced peaks, in sections, with one derivative pass per field (numpy
-# 2.4.6, Python 3.11.7), rounded up at the fourth decimal; each is the
-# bound of its case.  The "vector_op_residual" entry measures the so(3)
-# check and both vector-operator parts in one call, on one set of
-# actions; its bound is the traced peak of the L and S parts when they
-# ran without the so(3) part, which had peaked at 18.9880 and 20.7592
-# sections with one pass per field, for the S part alone.
+# Every peak below is a traced peak in bytes (numpy 2.4.6, Python
+# 3.11.7); its bound is the peak plus this slack.
+_SLACK = 4096
+
+# One radial shell of a section at rung (6, 24, 48): 24 x 48 points of
+# three complex components, 55,296 bytes.
+_SHELL = (24, 48, 3)
+
+# A section is 331,776 bytes.  The "vector_op_residual" entry is the
+# so(3) check and both vector-operator parts in one call: they share one
+# set of actions, and every pair meets shell by shell.  At (8, 48, 96),
+# massive spin 1 with the flat connection, that call peaks at 23.99 MB
+# (13.6 sections), where the so(3) part alone peaks at 11.56 MB.
 _ONE_FIELD_PEAKS = {
-    "massive1-flat": {"apply_connection": 10.4161,
-                      "curvature_commutator": 12.9298,
-                      "so3_residual": 15.9478,
-                      "vector_op_residual": 15.3275},
-    "massless+1-boost": {"apply_connection": 12.1874,
-                         "curvature_commutator": 14.7010,
-                         "so3_residual": 17.7190,
-                         "vector_op_residual": 14.7392},
+    "massive1-flat": {"apply_connection": 1_484_376,
+                      "curvature_commutator": 2_664_208,
+                      "so3_residual": 2_536_376,
+                      "vector_op_residual": 5_006_256},
+    "massless+1-boost": {"apply_connection": 1_262_288,
+                         "curvature_commutator": 2_442_088,
+                         "so3_residual": 2_369_288,
+                         "vector_op_residual": 4_839_336},
 }
 
 
@@ -81,155 +92,168 @@ def _diagnostic(name, kind, ops, psi):
     }[name]
 
 
-def _peak_bytes(fn) -> int:
+def _peak_bytes(fn, shell=False) -> int:
+    """The traced peak of fn() above the memory in use before it; with
+    ``shell``, one more shell-sized array is held through the call."""
     fn()  # a first call, so one-time allocations are not counted
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
+        held = np.empty(_SHELL, complex) if shell else None
         fn()
         peak = tracemalloc.get_traced_memory()[1]
+        del held
     finally:
         tracemalloc.stop()
     return peak - base
 
 
-def _peak_sections(fn, psi) -> float:
-    return _peak_bytes(fn) / psi.values.nbytes
+def _one_field_peak(case, diagnostic, shell=False):
+    rep, grid, kind = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    ops = SplitOperators(kind)
+    return _peak_bytes(_diagnostic(diagnostic, kind, ops, psi), shell)
 
 
 @pytest.mark.parametrize("diagnostic", list(_ONE_FIELD_PEAKS["massive1-flat"]))
 @pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))
 def test_peak_memory_held_at_one_field_value(case, diagnostic):
-    rep, grid, kind = _case(case)
-    psi = random_test_section(rep, grid, seed=3)
-    ops = SplitOperators(kind)
-    peak = _peak_sections(_diagnostic(diagnostic, kind, ops, psi), psi)
-    assert peak <= _ONE_FIELD_PEAKS[case][diagnostic]
+    assert _one_field_peak(case, diagnostic) \
+        <= _ONE_FIELD_PEAKS[case][diagnostic] + _SLACK
 
 
 # The covariant pass runs one radial shell at a time after its derivative
 # pass, so its temporaries are shells, not sections, and it evaluates the
 # tangent fields one shell at a time (the rotational fields' whole-grid
-# arrays are never built).  Traced peaks of a three-field rotational
-# apply_connections (numpy 2.4.6, Python 3.11.7), rounded up at the fourth
-# decimal; the whole-section pass peaked at 13.0808 (massive1-flat) and
-# 11.9127 (massless+1-boost) sections.
-_SHELL_FIELD_PEAKS = {"massive1-flat": 8.6210, "massless+1-boost": 7.5601}
+# arrays are never built).  Peaks of a three-field rotational
+# apply_connections.
+_SHELL_FIELD_PEAKS = {"massive1-flat": 2_176_248,
+                      "massless+1-boost": 1_954_112}
+
+
+def _shell_field_peak(case, shell=False):
+    rep, grid, kind = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    xs = [TangentField.rotational(a) for a in range(3)]
+    return _peak_bytes(lambda: apply_connections(kind, xs, psi), shell)
 
 
 @pytest.mark.parametrize("case", list(_SHELL_FIELD_PEAKS))
 def test_shell_field_pass_peak_held(case):
-    rep, grid, kind = _case(case)
-    psi = random_test_section(rep, grid, seed=3)
-    xs = [TangentField.rotational(a) for a in range(3)]
-    peak = _peak_sections(lambda: apply_connections(kind, xs, psi), psi)
-    assert peak <= _SHELL_FIELD_PEAKS[case]
+    assert _shell_field_peak(case) <= _SHELL_FIELD_PEAKS[case] + _SLACK
 
 
 # The generator actions run their formulas one radial shell at a time
 # into one output section, taking each shell's derivative pass as they
-# go.  Traced peaks of one whole-section action, its derivative pass
-# included, of algebra_residual for one family (the largest over the
-# ten), and of algebra_residuals over the ten families in one call
-# (numpy 2.4.6, Python 3.11.7), rounded up at the fourth decimal.  With
-# a whole-section derivative pass the actions peaked at 3.6859 (J) and
-# 4.8879 / 5.0549 (K) sections, 1.6754 (J) and 1.9016 / 2.0404 (K) with
-# that pass given.  The one-family bound is algebra_residual's peak when
-# each family built its own first-level actions (15.7402 / 16.4631
-# before each was built once); it now peaks at 10.7804 / 11.2254.  At
-# (8, 48, 96), massive spin 1, the ten families in one call peak at
-# 19.63 MB (11.1 sections of 1.77 MB), where the largest one-family call
-# peaked at 24.81 MB.
+# go.  Peaks of one whole-section action, its derivative pass included,
+# of algebra_residual for one family (the largest over the ten), and of
+# algebra_residuals over the ten families in one call.  At (8, 48, 96),
+# massive spin 1, the ten families in one call peak at 19.63 MB (11.1
+# sections of 1.77 MB).
 _SHELL_ACTION_PEAKS = {
-    "massive1-flat": {"J": 2.0300, "K": 2.6050, "algebra": 14.0919,
-                      "algebra-ten": 12.2281},
-    "massless+1-boost": {"J": 2.0300, "K": 2.9118, "algebra": 14.1258,
-                         "algebra-ten": 12.3346},
+    "massive1-flat": {"J": 673_504, "K": 864_248, "algebra": 3_576_672,
+                      "algebra-ten": 4_056_968},
+    "massless+1-boost": {"J": 673_504, "K": 966_048, "algebra": 3_724_288,
+                         "algebra-ten": 4_092_320},
 }
+
+
+def _shell_action_peak(case, what, shell=False):
+    rep, grid, _ = _case(case)
+    psi = random_test_section(rep, grid, seed=3)
+    if what == "algebra":
+        return max(_peak_bytes(
+            lambda rid=rid: algebra_residual(rid, psi), shell)
+            for rid in relation_ids())
+    if what == "algebra-ten":
+        return _peak_bytes(
+            lambda: algebra_residuals(relation_ids(), psi), shell)
+    act = _act_J if what == "J" else _act_K
+    return _peak_bytes(lambda: act(rep, grid, 0, psi.values), shell)
 
 
 @pytest.mark.parametrize("what", ["J", "K", "algebra", "algebra-ten"])
 @pytest.mark.parametrize("case", list(_SHELL_ACTION_PEAKS))
 def test_shell_action_peak_held(case, what):
-    rep, grid, _ = _case(case)
-    psi = random_test_section(rep, grid, seed=3)
-    if what == "algebra":
-        peak = max(_peak_sections(
-            lambda rid=rid: algebra_residual(rid, psi), psi)
-            for rid in relation_ids())
-    elif what == "algebra-ten":
-        peak = _peak_sections(
-            lambda: algebra_residuals(relation_ids(), psi), psi)
-    else:
-        act = _act_J if what == "J" else _act_K
-        peak = _peak_sections(lambda: act(rep, grid, 0, psi.values), psi)
-    assert peak <= _SHELL_ACTION_PEAKS[case][what]
-
-
-# The so(3) check and both vector-operator parts in one call share one set
-# of actions, and every pair meets shell by shell.  Traced peaks of that
-# call (numpy 2.4.6, Python 3.11.7), rounded up at the fourth decimal;
-# each is no higher than the "vector_op_residual" bound of its case.  At
-# (8, 48, 96), massive spin 1 with the flat connection, it peaks at
-# 23.99 MB (13.6 sections), where the so(3) part alone peaks at 11.56 MB
-# and the L and S parts without it peaked at 23.10 MB.
-_THREE_PART_PEAKS = {"massive1-flat": 15.0927, "massless+1-boost": 14.5893}
-
-
-@pytest.mark.parametrize("case", list(_THREE_PART_PEAKS))
-def test_three_part_splitting_peak_held(case):
-    rep, grid, kind = _case(case)
-    psi = random_test_section(rep, grid, seed=3)
-    ops = SplitOperators(kind)
-    peak = _peak_sections(lambda: vector_op_residual(ops, psi), psi)
-    assert peak <= _THREE_PART_PEAKS[case]
-    assert _THREE_PART_PEAKS[case] \
-        <= _ONE_FIELD_PEAKS[case]["vector_op_residual"]
+    assert _shell_action_peak(case, what) \
+        <= _SHELL_ACTION_PEAKS[case][what] + _SLACK
 
 
 # The defect identity and the Jperp closure run the so(3) pairs shell by
 # shell, as so3_residual does: the defect adds the three curvature
 # commutators, taken on whole sections before the sweep, and Jperp keeps
 # chi psi as one whole section and forms each target
-# Jperp_c psi - khat_c chi psi on the shell where a pair reads it.  The
-# defect bounds are the traced peaks (numpy 2.4.6, Python 3.11.7),
-# rounded up at the fourth decimal, from when each pair's so(3) failure
-# was kept as a whole section; the Jperp bound is its own traced peak,
-# rounded up so, where it peaked at 8.7772 sections with its three
-# targets kept as whole sections (10.4266 before the so(3) pairs met
-# shell by shell).
+# Jperp_c psi - khat_c chi psi on the shell where a pair reads it.
 _SO3_SWEEP_PEAKS = {
-    ("massive1-flat", "defect_identity_residual"): 11.6474,
-    ("massless+1-boost", "defect_identity_residual"): 10.9774,
-    ("massless+1-boost", "jperp_so3_residual"): 6.9429,
+    ("massive1-flat", "defect_identity_residual"): 3_589_464,
+    ("massless+1-boost", "defect_identity_residual"): 3_422_496,
+    ("massless+1-boost", "jperp_so3_residual"): 2_303_464,
 }
 
 
-@pytest.mark.parametrize("case,diagnostic", list(_SO3_SWEEP_PEAKS))
-def test_so3_sweep_peak_held(case, diagnostic):
+def _so3_sweep_peak(case, diagnostic, shell=False):
     rep, grid, kind = _case(case)
     psi = random_test_section(rep, grid, seed=3)
     ops = SplitOperators(kind)
     fn = {"defect_identity_residual":
           lambda: defect_identity_residual(ops, psi),
           "jperp_so3_residual": lambda: jperp_so3_residual(psi)}[diagnostic]
-    assert _peak_sections(fn, psi) <= _SO3_SWEEP_PEAKS[case, diagnostic]
+    return _peak_bytes(fn, shell)
+
+
+@pytest.mark.parametrize("case,diagnostic", list(_SO3_SWEEP_PEAKS))
+def test_so3_sweep_peak_held(case, diagnostic):
+    assert _so3_sweep_peak(case, diagnostic) \
+        <= _SO3_SWEEP_PEAKS[case, diagnostic] + _SLACK
 
 
 # chern_number transports its theta and phi links in blocks of whole mesh
-# rows, so its temporaries are block-sized.  Traced peak on the (48, 96)
-# mesh, in MiB (numpy 2.4.6, Python 3.11.7), rounded up at the fourth
-# decimal; with every link of a direction in one batch it peaked at
-# 6.2333 MiB, and at 24.4907 MiB on the (96, 192) mesh (now 6.4446 MiB).
-_CHERN_PEAK_MIB = 3.9339
+# rows, so its temporaries are block-sized.  Peak on the (48, 96) mesh,
+# the larger of the two helicities (6.4446 MiB on the (96, 192) mesh).
+_CHERN_PEAK = 4_124_688
+
+
+def _chern_peak(h, shell=False):
+    return _peak_bytes(lambda: chern_number(
+        RepSpec.massless(h), ConnectionKind.rotation(), 48, 96), shell)
 
 
 @pytest.mark.parametrize("h", [-1, 1])
 def test_chern_peak_held(h):
-    peak = _peak_bytes(lambda: chern_number(
-        RepSpec.massless(h), ConnectionKind.rotation(), 48, 96))
-    assert peak / 2**20 <= _CHERN_PEAK_MIB
+    assert _chern_peak(h) <= _CHERN_PEAK + _SLACK
+
+
+def _bounds():
+    """(peak function, parent peak) of every bound above, by name."""
+    out = {}
+    for case, peaks in _ONE_FIELD_PEAKS.items():
+        for diagnostic, peak in peaks.items():
+            out[f"{case}-{diagnostic}"] = (
+                partial(_one_field_peak, case, diagnostic), peak)
+    for case, peak in _SHELL_FIELD_PEAKS.items():
+        out[f"{case}-apply_connections"] = (
+            partial(_shell_field_peak, case), peak)
+    for case, peaks in _SHELL_ACTION_PEAKS.items():
+        for what, peak in peaks.items():
+            out[f"{case}-{what}"] = (
+                partial(_shell_action_peak, case, what), peak)
+    for (case, diagnostic), peak in _SO3_SWEEP_PEAKS.items():
+        out[f"{case}-{diagnostic}"] = (
+            partial(_so3_sweep_peak, case, diagnostic), peak)
+    out["chern"] = (partial(_chern_peak, 1), _CHERN_PEAK)
+    return out
+
+
+_BOUNDS = _bounds()
+
+
+@pytest.mark.parametrize("name", list(_BOUNDS))
+def test_one_extra_shell_fails_each_bound(name):
+    """The slack is smaller than one shell: holding one more shell-sized
+    array through the call lifts its peak over the bound."""
+    peak_of, peak = _BOUNDS[name]
+    assert peak_of(shell=True) > peak + _SLACK
 
 
 @pytest.mark.parametrize("case", list(_ONE_FIELD_PEAKS))

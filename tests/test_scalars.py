@@ -334,7 +334,6 @@ def test_catalog_arithmetic_and_printing_call_no_cancel(monkeypatch):
     for name in ("_cancel_memo", "_product_memo", "_inverse_memo",
                  "_derivation_memo"):
         monkeypatch.setattr(scalars, name, {})
-    monkeypatch.setattr(algebra, "_shift_memo", {})
     ring = Ring()
     pairs = CATALOG["rotation-connection-self-adjoint"](ring)
     assert pairs and all((lhs - rhs).is_zero() for lhs, rhs in pairs)
@@ -361,7 +360,6 @@ def test_catalog_arithmetic_builds_no_gaussian_rationals(monkeypatch):
     for name in ("_cancel_memo", "_product_memo", "_inverse_memo",
                  "_derivation_memo"):
         monkeypatch.setattr(scalars, name, {})
-    monkeypatch.setattr(algebra, "_shift_memo", {})
     monkeypatch.setattr(algebra, "_insert_memo", {})
     # the catalog's connection builders cache their result per ring
     for value in vars(identities).values():
