@@ -5,6 +5,8 @@ Layers:
 
 * :mod:`spinsplit.poincare` — the Poincare bracket table and the
   Levi-Civita symbol that both engines read, in plain Python.
+* :mod:`spinsplit.poly` — sparse polynomials over the Gaussian
+  integers, in plain Python, for the exact coefficients.
 * :mod:`spinsplit.scalars`, :mod:`spinsplit.algebra`,
   :mod:`spinsplit.identities` — exact operator algebra over rational
   coefficient functions, with a catalogue of verified identities.

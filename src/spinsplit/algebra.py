@@ -16,11 +16,12 @@ Reordering uses the commutation relations
 stated once, as one rule, in ``_gen_commutator``: the engine's own copy,
 independent of the ``poincare.BRACKETS`` table that the catalog checks it
 against.
-Reordering a word produces constants only, exact Gaussian integers of the
-coefficient domain (ZZ_I, the domain of the ring's polynomials); they are
-summed as domain elements, memoized per (word, generator) for every ring,
-and scale a coefficient by multiplying its numerators.  Coefficients are
-moved through generators with the derivation rules implemented on
+Reordering a word produces constants only, exact Gaussian integers held
+as (re, im) pairs of ints like the coefficients of the ring's
+polynomials (``Poly``); they are summed and multiplied as pairs,
+memoized per (word, generator) for every ring, and scale a coefficient
+by multiplying its numerators.  Coefficients are moved through
+generators with the derivation rules implemented on
 :class:`~spinsplit.scalars.Scalar`.  Every public operation returns a
 fully normal-ordered expression, so equality is structural: two
 expressions are equal iff they have the same words with equal
@@ -30,9 +31,9 @@ coefficients.
 from __future__ import annotations
 
 import sympy as sp
-from sympy.polys.domains import ZZ_I
 
 from .poincare import eps
+from .poly import gaussian_mul
 from .scalars import CoefficientError, Ring, Scalar
 
 __all__ = [
@@ -53,29 +54,31 @@ __all__ = [
 ]
 
 # Generator indices: 0..2 = J1..J3, 3..5 = K1..K3.  The engine's
-# constants are Gaussian integers of the coefficient domain.
-_ONE = ZZ_I.one
-_I = ZZ_I(0, 1)
+# constants are Gaussian integers, (re, im) pairs of ints.
+_ONE = (1, 0)
 
 GENERATOR_NAMES = ("J[1]", "J[2]", "J[3]", "K[1]", "K[2]", "K[3]")
 
 
 def _gen_commutator(a: int, b: int):
-    """[g_a, g_b] as a list of (generator, domain constant): i eps J for
-    [J, J], i eps K for [J, K] and [K, J], -i eps J for [K, K]."""
+    """[g_a, g_b] as a list of (generator, constant): i eps J for [J, J],
+    i eps K for [J, K] and [K, J], -i eps J for [K, K]."""
     boosts = (a >= 3) + (b >= 3)
     sign = -1 if boosts == 2 else 1
     shift = 3 if boosts == 1 else 0
-    return [(c + shift, _I * (sign * e)) for c in range(3)
+    return [(c + shift, (0, sign * e)) for c in range(3)
             if (e := eps(a % 3, b % 3, c))]
 
 
 def _collect(terms) -> dict:
-    """Sum (word, domain constant) terms by word; zero sums are dropped."""
+    """Sum (word, constant) terms by word; zero sums are dropped."""
     out: dict = {}
     for w, c in terms:
-        out[w] = out[w] + c if w in out else c
-    return {w: c for w, c in out.items() if c}
+        if w in out:
+            old = out[w]
+            c = (old[0] + c[0], old[1] + c[1])
+        out[w] = c
+    return {w: c for w, c in out.items() if c[0] or c[1]}
 
 
 _insert_memo: dict = {}
@@ -84,7 +87,7 @@ _insert_memo: dict = {}
 def _insert_gen(word: tuple, g: int) -> dict:
     """Normal-order ``word * g`` for an already-ordered word.
 
-    Returns {word: domain constant}.  Constants are ring-independent
+    Returns {word: constant}.  Constants are ring-independent
     Gaussian integers, so results are memoized globally.
     """
     key = (word, g)
@@ -97,9 +100,10 @@ def _insert_gen(word: tuple, g: int) -> dict:
         head, last = word[:-1], word[-1]
         # last*g = g*last + [last, g]
         out = _collect(
-            [(w3, c2 * c3) for w2, c2 in _insert_gen(head, g).items()
+            [(w3, gaussian_mul(c2, c3))
+             for w2, c2 in _insert_gen(head, g).items()
              for w3, c3 in _insert_gen(w2, last).items()]
-            + [(w3, ch * c3) for h, ch in _gen_commutator(last, g)
+            + [(w3, gaussian_mul(ch, c3)) for h, ch in _gen_commutator(last, g)
                for w3, c3 in _insert_gen(head, h).items()])
     _insert_memo[key] = out
     return out
@@ -107,10 +111,10 @@ def _insert_gen(word: tuple, g: int) -> dict:
 
 def _word_mul(w1: tuple, w2: tuple) -> dict:
     """Normal-order the concatenation of two ordered words:
-    {word: domain constant}."""
+    {word: constant}."""
     acc = {w1: _ONE}
     for g in w2:
-        acc = _collect((w3, c * c3) for w, c in acc.items()
+        acc = _collect((w3, gaussian_mul(c, c3)) for w, c in acc.items()
                        for w3, c3 in _insert_gen(w, g).items())
     return acc
 

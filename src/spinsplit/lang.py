@@ -661,14 +661,14 @@ def _factors(p, inverse):
     a single term as its coefficient and monomial, several terms as one
     sum."""
     if len(p) > 1:
-        node = _sum([(mono, 1, c.x, c.y) for mono, c in p.items()])
+        node = _sum([(mono, 1, x, y) for mono, (x, y) in p.items()])
         return 1, 0, {"sum" + "PQ"[inverse]: (node, -1 if inverse else 1)}
-    ((mono, c),) = p.items()
+    ((mono, (x, y)),) = p.items()
     if not inverse:
-        return _monomial(mono, c.x, c.y)
+        return _monomial(mono, x, y)
     # 1/(x + y*i) = (x - y*i)/(x^2 + y^2), left unreduced
-    k, i_exp, bases = _monomial(tuple(-e for e in mono), c.x, -c.y)
-    return Fraction(k, c.x**2 + c.y**2), i_exp, bases
+    k, i_exp, bases = _monomial(tuple(-e for e in mono), x, -y)
+    return Fraction(k, x**2 + y**2), i_exp, bases
 
 
 def _fmt_component(ring, c):
@@ -677,9 +677,9 @@ def _fmt_component(ring, c):
     ``Ring._cancelled`` gives them."""
     n, q, d = c
     if n.is_ground and not d:
-        k, r = n.LC, Fraction(1, q)
-        node = (_sum([(_CONSTANT, r, k.x, k.y)]) if k.x and k.y
-                else _term(_CONSTANT, r, k.x, k.y))
+        (x, y), r = n.LC, Fraction(1, q)
+        node = (_sum([(_CONSTANT, r, x, y)]) if x and y
+                else _term(_CONSTANT, r, x, y))
         return node.text, node.kind == "add"
     p, den = ring._cancelled(c)
     coeff, i_exp, bases = _factors(p, False)

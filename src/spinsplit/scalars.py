@@ -16,27 +16,30 @@ uses H^2 = R^2 + m^2 and R^2 = P1^2 + P2^2 + P3^2.
 Representation.  Each component is an exact fraction ``(num, q, den)``
 with the value num / (q * prod(f**e for f, e in den)):
 
-  * ``num`` is a sparse polynomial (a sympy ``PolyElement``) in
-    P1, P2, P3, m with Gaussian-integer coefficients (ZZ_I);
+  * ``num`` is a sparse polynomial in P1, P2, P3, m with Gaussian-integer
+    coefficients, a :class:`~spinsplit.poly.Poly`: exponent tuples in
+    lex order with P1 first, mapped to (re, im) pairs of ints;
   * ``q`` is a positive integer, the rational part of the denominator;
   * ``den`` maps polynomial factors to positive exponents.
 
 Arithmetic on Gaussian integers is plain integer arithmetic, where Q(i)
-coefficients would carry a fraction in each real and imaginary part.
-The form is kept reduced:
+coefficients would carry a fraction in each real and imaginary part, and
+no polynomial operation calls sympy.  The form is kept reduced:
 
   * no denominator factor divides ``num``, and gcd(q, integer content of
     ``num``) = 1, the integer content being the gcd of the real and
     imaginary parts of all its coefficients;
   * m, psq = |P|^2 and hsq = H^2 are the monic basis factors;
-  * any other factor is primitive over ZZ_I, with its leading coefficient
-    in the first quadrant (real part > 0, imaginary part >= 0).
+  * any other factor is primitive over the Gaussian integers, with its
+    leading coefficient in the first quadrant (real part > 0, imaginary
+    part >= 0).
 
 A value built from m, psq and hsq alone has exactly one representation:
 the three are irreducible, so "no factor divides num" means num and the
 denominator are coprime.  A factor of any other kind is kept whole, and
-it may be reducible over ZZ_I: (P1 - P2)/(P1^2 - P2^2) and 1/(P1 + P2)
-are equal values held over different factors, with different memo keys.
+it may be reducible over the Gaussian integers: (P1 - P2)/(P1^2 - P2^2)
+and 1/(P1 + P2) are equal values held over different factors, with
+different memo keys.
 The printer cancels such a factor against the numerator (``_cancelled``),
 so equal values still print the same text.
 
@@ -49,9 +52,10 @@ and ``q`` by |c|^2.  Sums rescale both fractions to the common
 denominator (the lcm of the two ``q`` and the larger exponent of each
 factor), products multiply ``q`` and add exponents, and the derivations
 apply the quotient rule to the factored form.  A fraction is reduced by
-dividing its numerator exactly by each denominator factor while the
-remainder is zero (one polynomial is a Groebner basis of its ideal, so
-that test is exact), then numerator and ``q`` by their integer gcd.
+dividing its numerator exactly by each denominator factor while it
+divides (``Poly.exquo``: lex division by one polynomial, which stops at
+the first leading term the factor's does not divide), then numerator and
+``q`` by their integer gcd.
 
 Zero test.  A fraction is zero iff its numerator is the zero polynomial,
 so an element is zero iff it has no components, and equality (the
@@ -66,20 +70,25 @@ equal values print the same text however they were computed; the
 printer keeps it in the ``_parts`` slot, so it is built once per
 ``Scalar``.
 
-Cancelling a factor f outside the basis needs gcd(num, f**e), which
-sympy's multivariate gcd over ZZ_I can take minutes to find on large
-factors.  A coprimality screen on univariate images at one integer point
-(``Ring._coprime``) proves most such pairs coprime first; only a pair it
+Cancelling a factor f outside the basis needs gcd(num, f**e), which a
+multivariate gcd over the Gaussian integers can take minutes to find on
+large factors.  A coprimality screen (``Ring._coprime``) proves most such
+pairs coprime first: it takes univariate images at one integer point,
+reduced modulo a prime p = 1 (mod 4) with i sent to a square root of -1,
+and their gcd over the integers mod p (``gcd_mod``).  Only a pair it
 cannot settle (a shared factor, or a leading coefficient that vanishes
-at the point) reaches sympy's gcd, in the mode's one polynomial ring.
+at the point or mod p) reaches the one fallback, ``_sympy_gcd``, which
+converts the pair to sympy and takes its multivariate gcd.  sympy
+otherwise serves only input: ``Ring.from_expr`` converts a sympy
+expression or its text.
 
 Memos.  A ``Scalar`` never changes after construction, and neither do its
-numerators and denominator dicts (a ``PolyElement`` caches its hash, so
-no polynomial is filled in place once hashed), so each value has one
-canonical key, built on first use: the ring mode and the frozenset of
-(basis key, numerator, q, frozenset of denominator items) over its
-components.  The mode is part of the key because the numerators of the
-two modes compare equal.  The key names three memos:
+numerators and denominator dicts (a ``Poly`` is immutable and caches its
+hash), so each value has one canonical key, built on first use: the ring
+mode and the frozenset of (basis key, numerator, q, frozenset of
+denominator items) over its components.  The mode is part of the key
+because the numerators of the two modes compare equal.  The key names
+three memos:
 
   * ``_product_memo``: (key of a, key of b) -> a * b, for products of two
     non-constant elements (a constant factor only scales numerators);
@@ -100,25 +109,31 @@ from __future__ import annotations
 from math import gcd
 
 import sympy as sp
-from sympy.polys.domains import ZZ_I
-from sympy.polys.monomials import monomial_div
-from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyRing
 
 from .poincare import eps
+from .poly import (
+    ONE,
+    ZERO,
+    Poly,
+    canonical_unit,
+    gaussian_gcd,
+    gaussian_mul,
+    gcd_mod,
+)
 
 __all__ = ["Ring", "Scalar", "CoefficientError"]
 
 P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
 M = sp.Symbol("m", positive=True)
 
-# the coefficient type; ``new`` builds an element from two ints unconverted
-_GI = ZZ_I.dtype
-_ONE = ZZ_I.one
+_ONE = (1, 0)  # the Gaussian integer 1 as an (re, im) pair
 
 # the integer point (P1, P2, P3, m) at which ``Ring._coprime`` takes its
-# univariate images
+# univariate images, and the prime p = 1 (mod 4) they are reduced modulo,
+# with i sent to a square root of -1 mod p
 _SCREEN_POINT = (3, 5, 7, 11)
+_SCREEN_PRIME = 2**61 - 31
+_SCREEN_ROOT = 583529827753931384
 
 _product_memo: dict = {}
 _inverse_memo: dict = {}
@@ -145,14 +160,9 @@ class CoefficientError(ArithmeticError):
 
 # -- exact fractions over a factored denominator ------------------------------
 #
-# A fraction is a triple (num, q, den): num a PolyElement over ZZ_I, q a
-# positive int, den a dict {PolyElement: exponent > 0}.  The helpers below
-# never reduce; ``_reduce`` does, once per result component.
-
-
-def _iscale(n, k):
-    """n times a positive integer k."""
-    return n if k == 1 else n.mul_ground(_GI.new(k, 0))
+# A fraction is a triple (num, q, den): num a Poly over Z[i], q a positive
+# int, den a dict {Poly: exponent > 0}.  The helpers below never reduce;
+# ``_reduce`` does, once per result component.
 
 
 def _lowest(n, q):
@@ -161,12 +171,11 @@ def _lowest(n, q):
     if q == 1:
         return n, q
     g = q
-    for c in n.values():
-        g = gcd(g, c.x, c.y)
+    for x, y in n.values():
+        g = gcd(g, x, y)
         if g == 1:
             return n, q
-    n = n.new([(mon, c.new(c.x // g, c.y // g)) for mon, c in n.items()])
-    return n, q // g
+    return n.quo_ground((g, 0)), q // g
 
 
 def _lift(num, den, target):
@@ -183,7 +192,7 @@ def _add(a, b):
     q = q1
     if q1 != q2:
         q = q1 // gcd(q1, q2) * q2
-        n1, n2 = _iscale(n1, q // q1), _iscale(n2, q // q2)
+        n1, n2 = n1.scale((q // q1, 0)), n2.scale((q // q2, 0))
     if d1 == d2:
         return n1 + n2, q, d1
     den = dict(d1)
@@ -229,20 +238,6 @@ def _over(c, f):
     return n, q, d
 
 
-def _quotient(n, f):
-    """n / f if the non-constant polynomial f divides n, else None.  The
-    highest and the lowest monomial of a product are the products of the
-    factors' highest and lowest monomials, which rules most cases out
-    before the division."""
-    if (n.is_ground or monomial_div(n.LM, f.LM) is None
-            or monomial_div(min(n), min(f)) is None):
-        return None
-    q, r = n.div(f)
-    # ``div`` hashes the empty quotient before filling it in place, so
-    # the quotient's cached hash is stale; a copy hashes its terms
-    return None if r else q.copy()
-
-
 def _reduce(c):
     """Divide the numerator by each denominator factor while it divides,
     then numerator and q by their integer gcd."""
@@ -253,7 +248,7 @@ def _reduce(c):
         out = {}
         for f, e in d.items():
             while e:
-                quo = _quotient(n, f)
+                quo = n.exquo(f)
                 if quo is None:
                     break
                 n, e = quo, e - 1
@@ -268,9 +263,8 @@ def _diff(c, j):
     """d(num/(q*den))/dx_j by the quotient rule on the factored
     denominator: only factors that depend on x_j gain one power."""
     n, q, d = c
-    x = n.ring.gens[j]
-    dn = n.diff(x)
-    moving = [(f, e, f.diff(x)) for f, e in d.items()]
+    dn = n.diff(j)
+    moving = [(f, e, f.diff(j)) for f, e in d.items()]
     moving = [t for t in moving if t[2]]
     if not moving:
         return dn, q, d
@@ -278,7 +272,7 @@ def _diff(c, j):
     for f, _, _ in moving:
         num = num * f
     for i, (_, e, fx) in enumerate(moving):
-        term = fx * e
+        term = fx.scale((e, 0))
         for k, (g, _, _) in enumerate(moving):
             if k != i:
                 term = term * g
@@ -291,27 +285,41 @@ def _diff(c, j):
 
 def _conj(c):
     """The complex conjugate of a Gaussian integer."""
-    return c.new(c.x, -c.y)
+    return c[0], -c[1]
+
+
+def _sympy_gcd(a, b):
+    """gcd(a, b) up to a unit by sympy's multivariate gcd over Z[i]: the
+    one fallback, for the pairs ``Ring._coprime`` cannot settle."""
+    gens = (P1, P2, P3, M)
+
+    def to_sympy(p):
+        return sp.Poly.from_dict({m: x + y * sp.I for m, (x, y) in p.items()},
+                                 gens, domain="ZZ_I")
+
+    h = to_sympy(a).gcd(to_sympy(b))
+    return Poly({m: tuple(int(v) for v in c.as_real_imag())
+                 for m, c in h.terms()})
 
 
 class Ring:
     """A coefficient ring mode: massive or massless.
 
-    ``poly`` is the one polynomial ring of the mode, in P1, P2, P3, m
-    over ZZ_I; ``psq`` and ``hsq`` are |P|^2 and H^2 in it.
+    Numerators and denominator factors are :class:`~spinsplit.poly.Poly`
+    polynomials in P1, P2, P3, m over Z[i]; ``psq`` and ``hsq`` are |P|^2
+    and H^2 among them.
     """
 
     def __init__(self, massless: bool = False):
         self.massless = massless
-        self.poly = PolyRing((P1, P2, P3, M), ZZ_I, lex)
-        zero = self.poly.zero
-        x1, x2, x3, m = self.poly.gens
-        self._p = (x1, x2, x3)
-        self._m = zero if massless else m
-        self.psq = sum((p**2 for p in self._p), zero)
+        self._p = tuple(Poly.gen(j) for j in range(3))
+        self._m = ZERO if massless else Poly.gen(3)
+        self.psq = self._p[0]**2 + self._p[1]**2 + self._p[2]**2
         self.hsq = self.psq + self._m**2
-        self._i = _GI.new(0, 1)
-        self._numbers = {}  # number, or its source text -> constant Scalar
+        self._i = (0, 1)
+        # number, or its source text -> constant Scalar; the integers and
+        # i the algebra uses are built here, without sympy
+        self._numbers = {}
         # denominator factors that ``_split`` divides out, all monic
         self._basis = []
         for f in (self._m, self.psq, self.hsq):
@@ -329,8 +337,14 @@ class Ring:
 
     # -- element builders ------------------------------------------------
 
+    def _number(self, c) -> "Scalar":
+        """The constant Scalar c, a Gaussian integer pair."""
+        return Scalar(self, {(0, 0): (Poly.constant(c), 1, {})},
+                      _canonical=True)
+
     def from_expr(self, expr) -> "Scalar":
-        """Scalar from a sympy expression in P1, P2, P3, m (no H or R)."""
+        """Scalar from an int, or from a sympy expression or its text in
+        P1, P2, P3, m (no H or R)."""
         # numbers are nearly every call (the algebra's constants 0, 1, i,
         # -1), and a Scalar is immutable, so one instance per number
         # serves; a number given as text is also kept under that text,
@@ -339,6 +353,9 @@ class Ring:
             out = self._numbers.get(expr)
             if out is not None:
                 return out
+        if type(expr) is int:
+            out = self._numbers[expr] = self._number((expr, 0))
+            return out
         value = sp.sympify(expr)
         if not value.is_number:
             return Scalar(self, {(0, 0): self._fraction(value)})
@@ -357,16 +374,19 @@ class Ring:
         return self.from_expr(1)
 
     def i(self) -> "Scalar":
-        return self.from_expr(sp.I)
+        out = self._numbers.get(sp.I)
+        if out is None:
+            out = self._numbers[sp.I] = self._number(self._i)
+        return out
 
     def m(self) -> "Scalar":
         return Scalar(self, {(0, 0): (self._m, 1, {})})
 
     def H(self) -> "Scalar":
-        return Scalar(self, {(1, 0): (self.poly.one, 1, {})})
+        return Scalar(self, {(1, 0): (ONE, 1, {})})
 
     def R(self) -> "Scalar":
-        return Scalar(self, {(0, 1): (self.poly.one, 1, {})})
+        return Scalar(self, {(0, 1): (ONE, 1, {})})
 
     def P(self, axis: int) -> "Scalar":
         return Scalar(self, {(0, 0): (self._p[axis], 1, {})})
@@ -377,13 +397,22 @@ class Ring:
     # -- conversion and reduction ------------------------------------------
 
     def _poly(self, expr):
+        """A sympy polynomial in P1, P2, P3, m with Gaussian-integer
+        coefficients as a Poly."""
+        terms = {}
         try:
-            return self.poly.from_expr(expr)
-        except ValueError:
-            raise ValueError(
-                f"coefficient {expr} is not a rational function of "
-                f"P1, P2, P3, m over Q(i)"
-            ) from None
+            for mono, c in sp.Poly(expr, P1, P2, P3, M).terms():
+                x, y = c.as_real_imag()
+                if not (x.is_Integer and y.is_Integer):
+                    break
+                terms[mono] = (int(x), int(y))
+            else:
+                return Poly(terms)
+        except sp.PolynomialError:
+            pass
+        raise ValueError(
+            f"coefficient {expr} is not a rational function of "
+            f"P1, P2, P3, m over Q(i)")
 
     def _fraction(self, expr):
         """A sympy rational function as a fraction of this ring; ``together``
@@ -399,7 +428,7 @@ class Ring:
         into its constant c and factors, and the constant moved up,
         1/c = conj(c) / |c|^2."""
         c, factors = self._split(den)
-        return num.mul_ground(_conj(c)), c.x**2 + c.y**2, factors
+        return num.scale(_conj(c)), c[0]**2 + c[1]**2, factors
 
     def _split(self, n):
         """Write a nonzero polynomial as c * prod(f**e), c a Gaussian
@@ -408,38 +437,39 @@ class Ring:
         quadrant."""
         factors = {}
         for f in self._basis:
-            q = _quotient(n, f)
+            q = n.exquo(f)
             while q is not None:
                 n = q
                 factors[f] = factors.get(f, 0) + 1
-                q = _quotient(n, f)
+                q = n.exquo(f)
         if n.is_ground:
             return n.LC, factors
         c = n.content()
         f = n.quo_ground(c)
-        u = ZZ_I.canonical_unit(f.LC)
-        factors[f.mul_ground(u)] = 1
-        return c * _conj(u), factors
+        u = canonical_unit(f.LC)
+        factors[f.scale(u)] = 1
+        return gaussian_mul(c, _conj(u)), factors
 
     def _cancelled(self, c):
         """The pair (P, Q) that ``sympy.cancel`` gives for the fraction
         c = (num, q, den): P/Q = num/(q*prod(f**e)) with P and Q coprime
-        over ZZ_I and the leading coefficient of Q in the first quadrant,
-        leading in lex order with m first (sympy's generator order).
+        over the Gaussian integers and the leading coefficient of Q in the
+        first quadrant, leading in lex order with m first (sympy's
+        generator order).
 
         Only the constant content and a factor outside the basis can be
         shared: the basis factors are irreducible and divide no reduced
         numerator, and every factor is primitive, so the content of the
         denominator is q."""
         n, q, d = c
-        den = _iscale(self.poly.one, q)
+        den = Poly.constant((q, 0))
         for f, e in d.items():
             den = den * f**e
         if q != 1:
-            g = ZZ_I(q)
+            g = (q, 0)
             for k in n.values():
-                g = ZZ_I.gcd(g, k)
-                if g.x**2 + g.y**2 == 1:
+                g = gaussian_gcd(g, k)
+                if g == _ONE:
                     break
             else:
                 n, den = n.quo_ground(g), den.quo_ground(g)
@@ -450,38 +480,35 @@ class Ring:
                     n, den = n.exquo(h), den.exquo(h)
         _, lc = max(den.items(),
                     key=lambda t: (t[0][3], t[0][0], t[0][1], t[0][2]))
-        u = ZZ_I.canonical_unit(lc)
+        u = canonical_unit(lc)
         if u != _ONE:
-            n, den = n.mul_ground(u), den.mul_ground(u)
+            n, den = n.scale(u), den.scale(u)
         return n, den
 
     def _gcd(self, a, b):
-        """gcd(a, b) over ZZ_I up to a constant: one where the screen
-        proves a and b coprime, else sympy's."""
-        return self.poly.one if self._coprime(a, b) else a.gcd(b)
+        """gcd(a, b) over Z[i] up to a constant: one where the screen
+        proves a and b coprime, else sympy's (``_sympy_gcd``)."""
+        return ONE if self._coprime(a, b) else _sympy_gcd(a, b)
 
     def _coprime(self, a, b):
         """True if a and b provably share no non-constant factor, False
         if the screen cannot tell.
 
         For each variable x both depend on, the other variables are set
-        to ``_SCREEN_POINT``.  A common factor g of positive degree in x
-        divides both images, and where a keeps its degree in x, g keeps
-        its own (the leading coefficients in x multiply), so a constant
-        univariate gcd of the images rules out every such g."""
-        gens = self.poly.gens
+        to ``_SCREEN_POINT`` and i to a square root of -1 mod
+        ``_SCREEN_PRIME``, which maps Z[i] onto the integers mod that
+        prime.  A common factor g of positive degree in x divides both
+        images, and where a keeps its degree in x, g keeps its own (the
+        leading coefficients in x multiply), so a constant univariate gcd
+        of the images rules out every such g."""
         for j, (da, db) in enumerate(zip(a.degrees(), b.degrees())):
             if da > 0 and db > 0:
-                point = [(x, v) for k, (x, v)
-                         in enumerate(zip(gens, _SCREEN_POINT)) if k != j]
-                ia, ib = a.evaluate(point), b.evaluate(point)
-                if ia.degree() != da or not ia.gcd(ib).is_ground:
+                ia = a.evaluate(j, _SCREEN_POINT, _SCREEN_PRIME, _SCREEN_ROOT)
+                ib = b.evaluate(j, _SCREEN_POINT, _SCREEN_PRIME, _SCREEN_ROOT)
+                if (len(ia) != da + 1
+                        or len(gcd_mod(ia, ib, _SCREEN_PRIME)) > 1):
                     return False
         return True
-
-    def _conj_poly(self, p):
-        """Complex conjugate of every coefficient of p (P, m are real)."""
-        return p.new([(mon, _conj(c)) for mon, c in p.items()])
 
     def fold(self, parts: dict) -> dict:
         """Reduce raw (eH, eR) exponent pairs to the mode's basis."""
@@ -631,7 +658,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def _scaled(self, k, q=1) -> "Scalar":
-        """self times k/q, k a Gaussian integer and q a positive integer.
+        """self times k/q, k a Gaussian integer (an (re, im) pair) and q a
+        positive integer.
         No denominator factor divides a numerator times a nonzero
         constant, so scaling skips the fold and the factor reduction and
         divides out only the integer gcd; k = 0 leaves zero numerators,
@@ -639,7 +667,7 @@ class Scalar:
         if q == 1 and k == _ONE:
             return self
         return Scalar(self.ring,
-                      {key: (*_lowest(n.mul_ground(k), q0 * q), d)
+                      {key: (*_lowest(n.scale(k), q0 * q), d)
                        for key, (n, q0, d) in self._c.items()},
                       _canonical=True)
 
@@ -670,7 +698,7 @@ class Scalar:
         if norm.is_zero():
             raise CoefficientError("division by identically-zero coefficient")
         num, q, den = norm._c[(0, 0)]
-        inv_num = _iscale(ring.poly.one, q)
+        inv_num = Poly.constant((q, 0))
         for f, e in den.items():
             inv_num = inv_num * f**e
         out = Scalar(ring, {(0, 0): ring._divided(inv_num, num)})
@@ -706,17 +734,18 @@ class Scalar:
 
     def conjugate(self) -> "Scalar":
         """Complex conjugation: i -> -i (P, m, H, R are real)."""
-        conj = self.ring._conj_poly
         comps = {}
         for k, (n, q, d) in self._c.items():
-            n, den = conj(n), {}
+            n, den = n.conjugate(), {}
             for f, e in d.items():
                 # the conjugate of a factor may leave the first quadrant;
                 # 1/g**e = u**e / (u*g)**e for the unit u that restores it
-                g = conj(f)
-                u = ZZ_I.canonical_unit(g.LC)
+                g = f.conjugate()
+                u = canonical_unit(g.LC)
                 if u != _ONE:
-                    g, n = g.mul_ground(u), n.mul_ground(u**e)
+                    g = g.scale(u)
+                    for _ in range(e % 4):  # u**4 = 1
+                        n = n.scale(u)
                 den[g] = e
             comps[k] = (n, q, den)
         return Scalar(self.ring, comps, _canonical=True)
@@ -732,7 +761,7 @@ class Scalar:
         if out is not None:
             return out
         ring = self.ring
-        i_pa = ring._p[axis].mul_ground(ring._i)
+        i_pa = ring._p[axis].scale(ring._i)
         parts = {}
 
         def acc(k, val):
@@ -743,7 +772,7 @@ class Scalar:
             n, q, d = c
             dn, dq, dd = _diff(c, axis)
             if dn:
-                acc((h + 1, r), (dn.mul_ground(ring._i), dq, dd))
+                acc((h + 1, r), (dn.scale(ring._i), dq, dd))
             if h:
                 # c * i*P_a * H^{h-1} R^r
                 acc((h - 1, r), (n * i_pa, q, d))
@@ -770,8 +799,7 @@ class Scalar:
                     if e:
                         dn, dq, dd = _diff(c, b)
                         if dn:
-                            term = (dn * ring._p[cc].mul_ground(ring._i * e),
-                                    dq, dd)
+                            term = (dn * ring._p[cc].scale((0, e)), dq, dd)
                             d = term if d is None else _add(d, term)
             if d is not None:
                 parts[k] = d

@@ -23,16 +23,23 @@ move; it adds no copy of its parent's body.
 The exact engine's printer has one reference too, compared by text: the
 sympy view it was first written with (``sympy_component``, ``fmt_sym``),
 which builds each coefficient as a sympy expression, puts it in
-``sympy.cancel`` normal form and prints sympy's tree.
+``sympy.cancel`` normal form and prints sympy's tree.  The engine's
+polynomials have theirs in sympy's sparse polynomials over ZZ_I
+(``to_sympy``), and the printer's coprimality screen in the same screen
+taken over ZZ_I itself with sympy's univariate gcd (``sympy_screen``).
 """
 
 import numpy as np
 import sympy as sp
+from sympy.polys.domains import ZZ_I
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
 from spinsplit import scalars
 from spinsplit.connections import _form_matrix
 from spinsplit.grid import Section
 from spinsplit.lang import _int_text
+from spinsplit.poly import Poly
 from spinsplit.reps import _entries_act
 from spinsplit.poincare import eps
 
@@ -343,6 +350,39 @@ def rk4_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
     return u
 
 
+# -- the engine's polynomials in sympy ---------------------------------------------
+
+SYMPY_RING = PolyRing((scalars.P1, scalars.P2, scalars.P3, scalars.M), ZZ_I,
+                      lex)
+
+
+def to_sympy(p):
+    """A ``Poly`` as sympy's sparse polynomial over ZZ_I, in the same
+    generators and order."""
+    return SYMPY_RING.from_dict({m: ZZ_I(x, y) for m, (x, y) in p.items()})
+
+
+def from_sympy(p):
+    """sympy's sparse polynomial over ZZ_I as a ``Poly``."""
+    return Poly({m: (int(c.x), int(c.y)) for m, c in p.items()})
+
+
+def sympy_screen(a, b):
+    """The printer's coprimality screen taken over ZZ_I: for each
+    variable both depend on, the images at ``_SCREEN_POINT`` must keep
+    a's degree and have a constant gcd by sympy."""
+    a, b = to_sympy(a), to_sympy(b)
+    gens = SYMPY_RING.gens
+    for j, (da, db) in enumerate(zip(a.degrees(), b.degrees())):
+        if da > 0 and db > 0:
+            point = [(x, v) for k, (x, v)
+                     in enumerate(zip(gens, scalars._SCREEN_POINT)) if k != j]
+            ia, ib = a.evaluate(point), b.evaluate(point)
+            if ia.degree() != da or not ia.gcd(ib).is_ground:
+                return False
+    return True
+
+
 # -- the printer's sympy view ---------------------------------------------------------
 
 _SYMBOL_NAMES = {scalars.P1: "P[1]", scalars.P2: "P[2]", scalars.P3: "P[3]",
@@ -353,9 +393,10 @@ def sympy_component(c):
     """The sympy view of an exact fraction (num, q, den): num/(q*den) in
     ``cancel`` normal form."""
     n, q, d = c
-    expr = n.as_expr()
+    expr = to_sympy(n).as_expr()
     if q != 1 or d:
-        expr = expr / sp.Mul(q, *(f.as_expr() ** e for f, e in d.items()))
+        expr = expr / sp.Mul(q, *(to_sympy(f).as_expr() ** e
+                                  for f, e in d.items()))
     return expr if expr.is_Atom else scalars._cached_cancel(expr)
 
 

@@ -736,6 +736,92 @@ def test_printing_loads_no_sympy_tensor_or_combinatorics():
     assert cold.stdout == "420 {0} []\n"
 
 
+# The exact engine computes with its own polynomials.  In a fresh
+# interpreter whose sympy polynomial and Gaussian-integer arithmetic
+# raises everywhere but inside the engine's one fallback to sympy's
+# multivariate gcd, the symbolic suite and ``eval`` of every pinned input
+# give their pinned bytes.  The last two lines show that the guard is
+# live and that the fallback still computes under it.
+_NO_SYMPY_ARITHMETIC = """
+import contextlib, hashlib, io, os, tempfile
+from sympy.polys.domains import ZZ_I
+from sympy.polys.domains.gaussiandomains import GaussianInteger
+from sympy.polys.rings import PolyElement
+from spinsplit import scalars
+from spinsplit.cli import main
+
+METHODS = {
+    GaussianInteger: ("__neg__", "__add__", "__radd__", "__sub__",
+                      "__rsub__", "__mul__", "__rmul__", "__pow__",
+                      "__divmod__", "__rdivmod__", "__truediv__",
+                      "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                      "__mod__", "__rmod__"),
+    PolyElement: ("__neg__", "__add__", "__radd__", "__sub__", "__rsub__",
+                  "__mul__", "__rmul__", "__pow__", "__divmod__", "__mod__",
+                  "__floordiv__", "__truediv__", "div", "rem", "quo",
+                  "exquo", "gcd", "cofactors", "mul_ground", "quo_ground",
+                  "content", "primitive", "diff", "evaluate"),
+}
+inside = []
+
+def guarded(name, real):
+    def method(*args, **kwargs):
+        if not inside:
+            raise AssertionError(name + " outside the gcd fallback")
+        return real(*args, **kwargs)
+    return method
+
+for cls, names in METHODS.items():
+    for name in names:
+        setattr(cls, name, guarded(cls.__name__ + "." + name,
+                                   getattr(cls, name)))
+fallback = scalars._sympy_gcd
+
+def entered(a, b):
+    inside.append(1)
+    try:
+        return fallback(a, b)
+    finally:
+        inside.pop()
+
+scalars._sympy_gcd = entered
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "report.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", "--suite", "symbolic", "--normalize",
+                     "--json", path])
+    with open(path, "rb") as fh:
+        print(code, hashlib.sha256(fh.read()).hexdigest())
+for mode, expr in PINS:
+    main(["eval", "--mode", mode, expr])
+try:
+    ZZ_I(1, 2) * ZZ_I(1, 1)
+except AssertionError as exc:
+    print(exc)
+main(["eval", "(P[1]-P[2])*Pow(P[1]*P[1]-P[2]*P[2],-1)"])
+"""
+
+# sha256 of the normalized ``run --suite symbolic`` JSON report
+_SYMBOLIC_REPORT_SHA256 = (
+    "8f07c2a4a004fa7fee2af49f57f10ef8f95481410c5619abf4685475b62e47bf")
+
+
+def test_a_cold_symbolic_run_takes_no_sympy_polynomial_arithmetic():
+    src = str(Path(spinsplit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    pins = [(mode, expr) for mode, expr, _ in EVAL_PINS]
+    cold = subprocess.run(
+        [sys.executable, "-c", f"PINS = {pins!r}\n" + _NO_SYMPY_ARITHMETIC],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout.splitlines() == [
+        f"0 {_SYMBOLIC_REPORT_SHA256}",
+        *(want for _, _, want in EVAL_PINS),
+        "GaussianInteger.__mul__ outside the gcd fallback",
+        "Pow((P[1] + P[2]),-1)"]
+
+
 def test_report_leaves_resources_out_without_the_module(monkeypatch):
     monkeypatch.setattr(report_module, "resource", None)
     data = json.loads(report_json(run_suites(RunConfig(**_CHEAP_RUN))))

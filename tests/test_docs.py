@@ -56,9 +56,6 @@ def test_readme_names_only_existing_subcommands():
 # -- names in docstrings ------------------------------------------------------
 
 PACKAGE = sorted((ROOT / "src" / "spinsplit").glob("*.py"))
-# names the docstrings take from other libraries, which the package does
-# not spell itself
-THIRD_PARTY = {"PolyElement"}  # sympy's sparse polynomial
 
 
 def _docstrings(tree: ast.Module):
@@ -101,7 +98,7 @@ def _spelled_names(tree: ast.Module) -> set:
 
 
 def _unknown_doc_names(tree: ast.Module, known: set) -> list:
-    return sorted(_doc_names(tree) - known - THIRD_PARTY)
+    return sorted(_doc_names(tree) - known)
 
 
 _TREES = {path: ast.parse(path.read_text(encoding="utf-8"))
@@ -117,10 +114,11 @@ def test_docstrings_name_only_what_the_package_spells(path):
 
 def test_docstring_scan_finds_an_unknown_name():
     # the scan is not vacuous: a stale name in a docstring is reported,
-    # a defined, read or third-party one is not
+    # and so is a name of another library that the module does not
+    # spell; a defined or read one is not
     tree = ast.parse('"""``gone`` and ``np.gone2``."""\n'
                      'def f(x):\n    """``f``, ``x``, ``PolyElement``,'
                      ' ``y.sum`` and ``z``."""\n    return x.sum(z=1)\n')
     assert _unknown_doc_names(tree, _spelled_names(tree)) == [
-        "gone", "gone2"]
+        "PolyElement", "gone", "gone2"]
     assert sum(len(_doc_names(t)) for t in _TREES.values()) > 100

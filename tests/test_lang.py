@@ -6,9 +6,9 @@ import random
 import string
 
 import pytest
-from sympy.polys.rings import PolyElement
 
 import reference
+from spinsplit import scalars
 from spinsplit.algebra import (
     OperatorExpr,
     VectorExpr,
@@ -37,6 +37,7 @@ from spinsplit.lang import (
     lower,
     parse,
 )
+from spinsplit.poly import Poly
 from spinsplit.scalars import _SCREEN_POINT, Ring
 from test_cli import EVAL_PINS, TWO_LARGE_FACTORS
 
@@ -177,15 +178,28 @@ def _factor_pairs(ring, value):
 
 @pytest.mark.parametrize("massless", [False, True])
 @pytest.mark.parametrize("a,b", _REDUCIBLE_PAIRS)
-def test_equal_values_over_reducible_factors_print_the_same(massless, a, b):
+def test_equal_values_over_reducible_factors_print_the_same(
+        monkeypatch, massless, a, b):
     ring = Ring(massless=massless)
     va, vb = lower(parse(a), ring), lower(parse(b), ring)
     assert va == vb
     assert va.terms[()]._c != vb.terms[()]._c
     # the numerator shares a factor with the reducible one, so the
-    # coprimality screen cannot settle the pair
+    # coprimality screen cannot settle the pair, and printing takes the
+    # fallback to sympy's gcd
     shared = _factor_pairs(ring, va.terms[()])
     assert shared and not any(ring._coprime(n, f) for n, f in shared)
+    calls = []
+    fallback = scalars._sympy_gcd
+
+    def counting(n, f):
+        calls.append((n, f))
+        return fallback(n, f)
+
+    monkeypatch.setattr(scalars, "_sympy_gcd", counting)
+    for c in va.terms[()]._c.values():
+        _fmt_component(ring, c)
+    assert calls
     assert format_expr(va) == format_expr(vb)
 
 
@@ -278,16 +292,13 @@ def _atom_polys(ring):
     return polys
 
 
-@pytest.mark.parametrize("massless", [False, True])
-def test_screen_never_settles_a_shared_factor(massless):
-    """f*g and f*h share f, so the screen never calls them coprime; on g
-    and h it says coprime only where sympy's gcd is constant, and it
-    settles most of them."""
-    ring = Ring(massless=massless)
+def _screen_triples(ring, seed, count=150):
+    """Seeded triples of atom polynomials, each times a Gaussian constant,
+    half of them a product of two plus a third."""
     polys = _atom_polys(ring)
-    units = [ring.poly.one.mul_ground(ring.poly.domain(*k))
+    units = [Poly.constant(k)
              for k in ((1, 0), (0, 1), (2, -1), (1, 1), (-3, 2))]
-    rng = random.Random(72 + massless)
+    rng = random.Random(seed)
 
     def poly():
         p = rng.choice(units) * rng.choice(polys)
@@ -295,14 +306,57 @@ def test_screen_never_settles_a_shared_factor(massless):
             p = p * rng.choice(polys) + rng.choice(units) * rng.choice(polys)
         return p
 
+    return [(poly(), poly(), poly()) for _ in range(count)]
+
+
+def _sympy_gcd_is_ground(a, b):
+    return reference.to_sympy(a).gcd(reference.to_sympy(b)).is_ground
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_screen_never_settles_a_shared_factor(massless):
+    """f*g and f*h share f, so the screen never calls them coprime; on g
+    and h it says coprime only where sympy's gcd is constant, and it
+    settles most of them."""
+    ring = Ring(massless=massless)
     settled = 0
-    for _ in range(150):
-        f, g, h = poly(), poly(), poly()
+    for f, g, h in _screen_triples(ring, 72 + massless):
         assert not ring._coprime(f * g, f * h), (f, g, h)
         if ring._coprime(g, h):
-            assert g.gcd(h).is_ground, (g, h)
+            assert _sympy_gcd_is_ground(g, h), (g, h)
             settled += 1
     assert settled >= 100
+
+
+def _catalog_pairs(ring, catalog):
+    """(numerator, f**e) for every denominator factor f, basis factors
+    included, of every component of both sides of a catalog."""
+    return [(n, f**e)
+            for name in sorted(catalog) for pair in catalog[name](ring)
+            for side in pair for scalar in side.terms.values()
+            for n, _, d in scalar._c.values() for f, e in d.items()]
+
+
+@pytest.mark.parametrize("massless", [False, True])
+def test_screen_mod_p_settles_what_the_screen_over_gaussians_settles(
+        massless):
+    """Reducing the images mod a prime loses no pair that the same screen
+    over the Gaussian integers, with sympy's univariate gcd, settles: on
+    every catalog component, on the printer's pairs of the sum over two
+    large factors, and on the coprime pairs of the shared-factor test."""
+    ring = Ring(massless=massless)
+    catalog = MASSLESS_CATALOG if massless else CATALOG
+    pairs = _catalog_pairs(ring, catalog)
+    if not massless:
+        pairs += _factor_pairs(ring, lower(parse(TWO_LARGE_FACTORS),
+                                           ring).terms[()])
+    pairs += [(g, h) for _, g, h in _screen_triples(ring, 72 + massless)
+              if _sympy_gcd_is_ground(g, h)]
+    settled = [reference.sympy_screen(a, b) for a, b in pairs]
+    missed = [(a, b) for (a, b), ok in zip(pairs, settled)
+              if ok and not ring._coprime(a, b)]
+    assert missed == []
+    assert sum(settled) >= (220 if massless else 640)
 
 
 def test_screen_is_undecided_where_a_leading_coefficient_vanishes():
@@ -314,23 +368,19 @@ def test_screen_is_undecided_where_a_leading_coefficient_vanishes():
     value = lower(parse(src), ring).terms[()]
     ((n, f),) = _factor_pairs(ring, value)
     assert not ring._coprime(n, f)
-    assert n.gcd(f).is_ground
+    assert _sympy_gcd_is_ground(n, f)
     (c,) = value._c.values()
     assert _fmt_component(ring, c) == reference.component_text(c)
 
 
 def test_printing_the_catalogs_takes_no_four_variable_gcd(monkeypatch):
     """The screen settles every gcd of printing both catalogs and the sum
-    over two large factors: a gcd on the engine's four-variable ring
+    over two large factors: the fallback to sympy's four-variable gcd
     fails at once, as it does for a shared factor."""
-    real = PolyElement.gcd
+    def refusing(a, b):
+        raise AssertionError("four-variable gcd")
 
-    def refusing(self, other):
-        if self.ring.ngens == 4:
-            raise AssertionError("gcd on the four-variable ring")
-        return real(self, other)
-
-    monkeypatch.setattr(PolyElement, "gcd", refusing)
+    monkeypatch.setattr(scalars, "_sympy_gcd", refusing)
     printed = 0
     for massless, catalog in ((False, CATALOG), (True, MASSLESS_CATALOG)):
         ring = Ring(massless=massless)

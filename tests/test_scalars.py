@@ -398,6 +398,25 @@ def test_number_text_is_parsed_once(monkeypatch):
     assert ring.from_expr("1/2") * 2 == ring.one()
 
 
+def test_a_ring_builds_its_integers_and_i_without_sympify(monkeypatch):
+    calls = []
+    real = sp.sympify
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "sympify", counting)
+    ring = Ring()
+    zero, one, i, minus_one = (ring.zero(), ring.one(), ring.i(),
+                               ring.from_expr(-1))
+    assert calls == []
+    assert zero.is_zero() and one.is_one() and i * i == minus_one
+    assert ring.from_expr(3) == one + one + one and calls == []
+    # the counter sees sympify where it is called
+    assert ring.from_expr("1/2") * 2 == one and calls
+
+
 def test_non_rational_coefficient_names_q_i(ring):
     for expr in (sp.sqrt(2), sp.sqrt(P1) + 1, sp.exp(M), sp.Float(0.5) * P1):
         with pytest.raises(ValueError, match=r"rational function of "
