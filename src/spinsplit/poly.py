@@ -354,46 +354,17 @@ class Poly:
 
 def _mul_terms(a: dict, b: dict) -> dict:
     """The terms of the product of two term dicts, each with two terms or
-    more.  Exponent tuples are packed into one int with a field per
-    variable wide enough for the product's degrees, so a product monomial
-    is one integer addition; real coefficients skip the imaginary
-    parts."""
-    top = 1
-    for t in (a, b):
-        for mono in t:
-            for e in mono:
-                if e > top:
-                    top = e
-    w = (2 * top).bit_length()
-    mask = (1 << w) - 1
-
-    def packed(t):
-        return [((((e0 << w | e1) << w) | e2) << w | e3, c)
-                for (e0, e1, e2, e3), c in t.items()]
-
-    pb = packed(b)
-    acc_x, acc_y = {}, {}
-    get_x, get_y = acc_x.get, acc_y.get
-    for ka, (ax, ay) in packed(a):
-        if ay:
-            for kb, (bx, by) in pb:
-                k = ka + kb
-                acc_x[k] = get_x(k, 0) + ax * bx - ay * by
-                acc_y[k] = get_y(k, 0) + ax * by + ay * bx
-        else:
-            for kb, (bx, by) in pb:
-                k = ka + kb
-                acc_x[k] = get_x(k, 0) + ax * bx
-                if by:
-                    acc_y[k] = get_y(k, 0) + ax * by
-    # every product monomial has a real part entry, zero or not
+    more."""
     out = {}
-    for k, x in acc_x.items():
-        y = get_y(k, 0)
-        if x or y:
-            out[(k >> 3 * w, (k >> 2 * w) & mask, (k >> w) & mask,
-                 k & mask)] = (x, y)
-    return out
+    get = out.get
+    bs = list(b.items())
+    for (a0, a1, a2, a3), (ax, ay) in a.items():
+        for (b0, b1, b2, b3), (bx, by) in bs:
+            k = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+            x, y = ax * bx - ay * by, ax * by + ay * bx
+            old = get(k)
+            out[k] = (x, y) if old is None else (old[0] + x, old[1] + y)
+    return {k: c for k, c in out.items() if c[0] or c[1]}
 
 
 def gcd_mod(a: list, b: list, p: int) -> list:

@@ -299,7 +299,7 @@ def _sympy_gcd(a, b):
 
     h = to_sympy(a).gcd(to_sympy(b))
     return Poly({m: tuple(int(v) for v in c.as_real_imag())
-                 for m, c in h.terms()})
+                 for m, c in h.terms() if c})
 
 
 class Ring:
@@ -398,14 +398,16 @@ class Ring:
 
     def _poly(self, expr):
         """A sympy polynomial in P1, P2, P3, m with Gaussian-integer
-        coefficients as a Poly."""
+        coefficients as a Poly.  sympy lists the zero polynomial as one
+        zero term, which is left out like any zero coefficient."""
         terms = {}
         try:
             for mono, c in sp.Poly(expr, P1, P2, P3, M).terms():
                 x, y = c.as_real_imag()
                 if not (x.is_Integer and y.is_Integer):
                     break
-                terms[mono] = (int(x), int(y))
+                if x or y:
+                    terms[mono] = (int(x), int(y))
             else:
                 return Poly(terms)
         except sp.PolynomialError:

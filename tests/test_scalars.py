@@ -417,6 +417,20 @@ def test_a_ring_builds_its_integers_and_i_without_sympify(monkeypatch):
     assert ring.from_expr("1/2") * 2 == one and calls
 
 
+@pytest.mark.parametrize("source", ["0", sp.S.Zero, P1 - P1, "P1 - P1"])
+def test_zero_from_sympy_is_the_rings_zero(source):
+    # sympy lists the zero polynomial as one zero term; on a fresh ring
+    # that term must not become a zero that does not test as zero and is
+    # then kept as the ring's number 0
+    ring = Ring()
+    assert ring.from_expr(source).is_zero()
+    assert ring.zero().is_zero() and ring.zero() == Ring().zero()
+    p = ring.P(0)
+    assert p + sp.S.Zero == p and p + ring.from_expr(source) == p
+    assert (p + sp.S.Zero)._memo_key() == p._memo_key()
+    assert (Ring().P(0) - sp.S.Zero)._c == p._c
+
+
 def test_non_rational_coefficient_names_q_i(ring):
     for expr in (sp.sqrt(2), sp.sqrt(P1) + 1, sp.exp(M), sp.Float(0.5) * P1):
         with pytest.raises(ValueError, match=r"rational function of "
