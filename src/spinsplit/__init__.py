@@ -20,7 +20,9 @@ Layers:
 * :mod:`spinsplit.report`, :mod:`spinsplit.cli` — suites, reports, CLI.
 
 The numerical layers import no symbolic module: only the ``symbolic``
-suite and ``eval`` load the exact algebra, and sympy with it.
+suite and ``eval`` load the exact algebra.  No module imports sympy when
+it is loaded; the exact engine imports it only for text or sympy input
+to ``Ring.from_expr`` and for the printer's gcd fallback.
 
 The process keeps the memory it frees.  The numerical engine's live
 set swings by tens of MB (one section at (8, 48, 96) is 1.77 MB; the

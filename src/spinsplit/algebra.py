@@ -30,8 +30,6 @@ coefficients.
 
 from __future__ import annotations
 
-import sympy as sp
-
 from .poincare import eps
 from .poly import gaussian_mul
 from .scalars import CoefficientError, Ring, Scalar
@@ -203,7 +201,7 @@ class OperatorExpr:
             return other
         if isinstance(other, Scalar):
             return OperatorExpr.from_scalar(other)
-        if isinstance(other, (int, sp.Expr)):
+        if isinstance(other, int):
             return OperatorExpr.from_scalar(self.ring.from_expr(other))
         return None
 
@@ -254,16 +252,12 @@ class OperatorExpr:
         """Division by a scalar-valued expression: multiplication by its
         inverse on the left, ``q / s == Pow(s,-1) * q`` as in the operator
         language (the inverse is central only up to derivation terms)."""
-        if isinstance(other, (int, sp.Expr)):
-            other = self.ring.from_expr(other)
-        if isinstance(other, Scalar):
-            inv = other.inverse()
-            return OperatorExpr.from_scalar(inv) * self
-        if isinstance(other, OperatorExpr):
-            if not other.is_scalar_valued():
-                raise CoefficientError("division by operator-valued expression")
-            return self / other.scalar_part()
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.is_scalar_valued():
+            raise CoefficientError("division by operator-valued expression")
+        return OperatorExpr.from_scalar(other.scalar_part().inverse()) * self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

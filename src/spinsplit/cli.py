@@ -158,7 +158,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # only eval needs the symbolic engine, and sympy with it
+    # only eval needs the symbolic engine, which imports no sympy
     from .algebra import VectorExpr
     from .lang import format_expr, lower, parse
     from .scalars import Ring

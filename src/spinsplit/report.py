@@ -431,7 +431,7 @@ def _reps(config: RunConfig, kind=None):
 
 
 def _suite_symbolic(config: RunConfig, records, rows):
-    # the one suite that loads the symbolic engine, and sympy with it
+    # the one suite that loads the symbolic engine, which imports no sympy
     from .identities import identity_suite
     for label in ("massive", "massless"):
         suite = identity_suite(massless=label == "massless")

@@ -78,9 +78,14 @@ reduced modulo a prime p = 1 (mod 4) with i sent to a square root of -1,
 and their gcd over the integers mod p (``gcd_mod``).  Only a pair it
 cannot settle (a shared factor, or a leading coefficient that vanishes
 at the point or mod p) reaches the one fallback, ``_sympy_gcd``, which
-converts the pair to sympy and takes its multivariate gcd.  sympy
-otherwise serves only input: ``Ring.from_expr`` converts a sympy
-expression or its text.
+converts the pair to sympy and takes its multivariate gcd.
+
+The module imports no sympy.  An operand of ``Scalar`` arithmetic is an
+int or a ``Scalar``; with an operator, ``OperatorExpr``'s reflected
+method answers, and any other operand is a ``TypeError``.  sympy is
+imported only where it is used: by the gcd fallback, by
+``Ring.from_expr`` on a sympy expression or its text, and by
+``_cached_cancel``, which only the benchmark harness reads.
 
 Memos.  A ``Scalar`` never changes after construction, and neither do its
 numerators and denominator dicts (a ``Poly`` is immutable and caches its
@@ -108,8 +113,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import sympy as sp
-
 from .poincare import eps
 from .poly import (
     ONE,
@@ -122,9 +125,6 @@ from .poly import (
 )
 
 __all__ = ["Ring", "Scalar", "CoefficientError"]
-
-P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
-M = sp.Symbol("m", positive=True)
 
 _ONE = (1, 0)  # the Gaussian integer 1 as an (re, im) pair
 
@@ -139,14 +139,16 @@ _product_memo: dict = {}
 _inverse_memo: dict = {}
 _derivation_memo: dict = {}
 
-# ``sympy.cancel`` memoized by expression.  Nothing in the package calls
-# it: only the benchmark harness (which reads the memo's size and traces
-# the call) and the tests' sympy view of the printer hold these two
-# names, and they go when the benchmark stops reading them.
+# ``sympy.cancel`` memoized by expression.  Nothing in the package or
+# the tests calls it: only the benchmark harness holds these two names
+# (it reads the memo's size and traces the call), and they go when the
+# benchmark stops reading them.
 _cancel_memo: dict = {}
 
 
 def _cached_cancel(expr):
+    import sympy as sp
+
     out = _cancel_memo.get(expr)
     if out is None:
         out = sp.cancel(expr)
@@ -291,7 +293,9 @@ def _conj(c):
 def _sympy_gcd(a, b):
     """gcd(a, b) up to a unit by sympy's multivariate gcd over Z[i]: the
     one fallback, for the pairs ``Ring._coprime`` cannot settle."""
-    gens = (P1, P2, P3, M)
+    import sympy as sp
+
+    gens = sp.symbols("P1 P2 P3 m")
 
     def to_sympy(p):
         return sp.Poly.from_dict({m: x + y * sp.I for m, (x, y) in p.items()},
@@ -318,8 +322,9 @@ class Ring:
         self.hsq = self.psq + self._m**2
         self._i = (0, 1)
         # number, or its source text -> constant Scalar; the integers and
-        # i the algebra uses are built here, without sympy
-        self._numbers = {}
+        # i the algebra uses are built here, without sympy, and i is kept
+        # under its text, which ``from_expr`` then finds unparsed
+        self._numbers = {"I": self._number(self._i)}
         # denominator factors that ``_split`` divides out, all monic
         self._basis = []
         for f in (self._m, self.psq, self.hsq):
@@ -343,28 +348,33 @@ class Ring:
                       _canonical=True)
 
     def from_expr(self, expr) -> "Scalar":
-        """Scalar from an int, or from a sympy expression or its text in
-        P1, P2, P3, m (no H or R)."""
-        # numbers are nearly every call (the algebra's constants 0, 1, i,
-        # -1), and a Scalar is immutable, so one instance per number
-        # serves; a number given as text is also kept under that text,
-        # so the text is parsed once
-        if isinstance(expr, (int, str, sp.Expr)):
+        """Scalar from an int (a bool is the int it is), or from a sympy
+        expression or its text in P1, P2, P3, m (no H or R); only the
+        latter imports sympy."""
+        # numbers are nearly every call (the algebra's constants 0, 1, -1),
+        # and a Scalar is immutable, so one instance per number serves; a
+        # number given as text or as a sympy number is kept under that
+        # too, so the text is parsed once and then needs no sympy
+        if isinstance(expr, (int, str)):
             out = self._numbers.get(expr)
             if out is not None:
                 return out
-        if type(expr) is int:
-            out = self._numbers[expr] = self._number((expr, 0))
-            return out
-        value = sp.sympify(expr)
-        if not value.is_number:
-            return Scalar(self, {(0, 0): self._fraction(value)})
-        out = self._numbers.get(value)
+            if isinstance(expr, int):
+                out = self._numbers[expr] = self._number((int(expr), 0))
+                return out
+        import sympy as sp
+
+        out = self._numbers.get(expr) if isinstance(expr, sp.Basic) else None
         if out is None:
-            out = Scalar(self, {(0, 0): self._fraction(value)})
-            self._numbers[value] = out
-        if isinstance(expr, str):
-            self._numbers[expr] = out
+            # text names the variables with their assumptions
+            gens = (*sp.symbols("P1 P2 P3", real=True),
+                    sp.Symbol("m", positive=True))
+            value = sp.sympify(expr, locals={str(g): g for g in gens})
+            out = self._numbers.get(value)
+            if out is None:
+                out = Scalar(self, {(0, 0): self._fraction(sp, gens, value)})
+            if value.is_number:
+                self._numbers[value] = self._numbers[expr] = out
         return out
 
     def zero(self) -> "Scalar":
@@ -374,10 +384,7 @@ class Ring:
         return self.from_expr(1)
 
     def i(self) -> "Scalar":
-        out = self._numbers.get(sp.I)
-        if out is None:
-            out = self._numbers[sp.I] = self._number(self._i)
-        return out
+        return self._numbers["I"]
 
     def m(self) -> "Scalar":
         return Scalar(self, {(0, 0): (self._m, 1, {})})
@@ -396,34 +403,35 @@ class Ring:
 
     # -- conversion and reduction ------------------------------------------
 
-    def _poly(self, expr):
-        """A sympy polynomial in P1, P2, P3, m with Gaussian-integer
-        coefficients as a Poly.  sympy lists the zero polynomial as one
-        zero term, which is left out like any zero coefficient."""
-        terms = {}
-        try:
-            for mono, c in sp.Poly(expr, P1, P2, P3, M).terms():
-                x, y = c.as_real_imag()
-                if not (x.is_Integer and y.is_Integer):
-                    break
-                if x or y:
-                    terms[mono] = (int(x), int(y))
-            else:
-                return Poly(terms)
-        except sp.PolynomialError:
-            pass
-        raise ValueError(
-            f"coefficient {expr} is not a rational function of "
-            f"P1, P2, P3, m over Q(i)")
-
-    def _fraction(self, expr):
-        """A sympy rational function as a fraction of this ring; ``together``
+    def _fraction(self, sp, gens, value):
+        """A sympy rational function in ``gens`` (P1, P2, P3, m) as a
+        fraction of this ring, ``sp`` being the sympy module; ``together``
         clears rational coefficients into the denominator."""
-        num, den = sp.fraction(sp.together(expr))
-        den = self._poly(den)
+
+        def poly(part):
+            # sympy lists the zero polynomial as one zero term, which is
+            # left out like any zero coefficient
+            terms = {}
+            try:
+                for mono, c in sp.Poly(part, *gens).terms():
+                    x, y = c.as_real_imag()
+                    if not (x.is_Integer and y.is_Integer):
+                        break
+                    if x or y:
+                        terms[mono] = (int(x), int(y))
+                else:
+                    return Poly(terms)
+            except sp.PolynomialError:
+                pass
+            raise ValueError(
+                f"coefficient {part} is not a rational function of "
+                f"P1, P2, P3, m over Q(i)")
+
+        num, den = sp.fraction(sp.together(value))
+        den = poly(den)
         if not den:
             raise CoefficientError("division by identically-zero coefficient")
-        return self._divided(self._poly(num), den)
+        return self._divided(poly(num), den)
 
     def _divided(self, num, den):
         """The fraction num / den for a nonzero polynomial den: den split
@@ -609,14 +617,22 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _check(self, other: "Scalar"):
+    def _operand(self, other):
+        """``other`` as a Scalar of this ring, an int converted; None for
+        an operand of any other type, for which the operator returns
+        NotImplemented."""
+        if isinstance(other, int):
+            return self.ring.from_expr(other)
+        if not isinstance(other, Scalar):
+            return None
         if self.ring != other.ring:
             raise ValueError("scalars from different ring modes")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, (int, sp.Expr)):
-            other = self.ring.from_expr(other)
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         comps = dict(self._c)
         for k, c in other._c.items():
             comps[k] = _reduce(_add(comps[k], c)) if k in comps else c
@@ -630,17 +646,17 @@ class Scalar:
                       _canonical=True)
 
     def __sub__(self, other):
-        if isinstance(other, (int, sp.Expr)):
-            other = self.ring.from_expr(other)
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._operand(other)
+        return NotImplemented if other is None else (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, sp.Expr)):
-            other = self.ring.from_expr(other)
-        self._check(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         for a, b in ((self, other), (other, self)):
             k = b._constant()
             if k is not None:
@@ -710,12 +726,12 @@ class Scalar:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, sp.Expr)):
-            other = self.ring.from_expr(other)
-        return self * other.inverse()
+        other = self._operand(other)
+        return NotImplemented if other is None else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        other = self._operand(other)
+        return NotImplemented if other is None else self.inverse() * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

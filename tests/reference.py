@@ -352,8 +352,10 @@ def rk4_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
 
 # -- the engine's polynomials in sympy ---------------------------------------------
 
-SYMPY_RING = PolyRing((scalars.P1, scalars.P2, scalars.P3, scalars.M), ZZ_I,
-                      lex)
+# the engine's variables, with the assumptions ``Ring.from_expr`` reads
+P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
+M = sp.Symbol("m", positive=True)
+SYMPY_RING = PolyRing((P1, P2, P3, M), ZZ_I, lex)
 
 
 def to_sympy(p):
@@ -385,8 +387,7 @@ def sympy_screen(a, b):
 
 # -- the printer's sympy view ---------------------------------------------------------
 
-_SYMBOL_NAMES = {scalars.P1: "P[1]", scalars.P2: "P[2]", scalars.P3: "P[3]",
-                 scalars.M: "m"}
+_SYMBOL_NAMES = {P1: "P[1]", P2: "P[2]", P3: "P[3]", M: "m"}
 
 
 def sympy_component(c):
@@ -397,7 +398,7 @@ def sympy_component(c):
     if q != 1 or d:
         expr = expr / sp.Mul(q, *(to_sympy(f).as_expr() ** e
                                   for f, e in d.items()))
-    return expr if expr.is_Atom else scalars._cached_cancel(expr)
+    return expr if expr.is_Atom else sp.cancel(expr)
 
 
 def sympy_parts(s):

@@ -1,7 +1,8 @@
 """Every import in the package and in the tests is used: each name that an
 import statement binds is read somewhere in its module, or is listed in
-the module's ``__all__``.  The files are read with ``ast``; nothing is
-imported, and ``from __future__`` imports bind no name."""
+the module's ``__all__``.  No package module imports sympy at module
+level.  The files are read with ``ast``; nothing is imported, and ``from
+__future__`` imports bind no name."""
 
 import ast
 import pathlib
@@ -9,8 +10,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-FILES = (sorted((ROOT / "src" / "spinsplit").glob("*.py"))
-         + sorted((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "spinsplit").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -47,3 +48,46 @@ def test_scan_finds_an_unused_import():
                      "import x.y\n__all__ = ['d']\nx.y.z(c)\n")
     assert _unused_imports(tree) == ["os", "regex"]
     assert len(FILES) > 20
+
+
+def _module_level_sympy_imports(tree: ast.Module) -> list:
+    """Line numbers of the imports of sympy that run when the module is
+    imported: every one outside a function body."""
+    lines = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+                lines.append(child.lineno)
+            visit(child)
+
+    visit(tree)
+    return lines
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=[str(p.relative_to(ROOT)) for p in PACKAGE])
+def test_no_package_module_imports_sympy_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _module_level_sympy_imports(tree) == []
+
+
+def test_scan_finds_a_module_level_sympy_import():
+    # the scan is not vacuous: an import at module level, in a class body
+    # or under a condition is reported, one inside a function is not
+    tree = ast.parse("import os\nimport sympy as sp\n"
+                     "if os.name:\n    from sympy.polys import ring\n"
+                     "class C:\n    from sympy import I\n"
+                     "def f():\n    import sympy\n    return sympy\n"
+                     "import sympyx\n")
+    assert _module_level_sympy_imports(tree) == [2, 4, 6]
+    assert len(PACKAGE) > 10

@@ -1,8 +1,11 @@
 """Coefficient-ring arithmetic: field operations, derivations, and the
 massless quotient."""
 
+import operator
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from sympy.polys.domains import QQ_I
@@ -10,6 +13,7 @@ from sympy.polys.domains.gaussiandomains import GaussianRational
 
 import reference
 from spinsplit import algebra, identities, scalars
+from spinsplit.algebra import gen_J, op_P
 from spinsplit.identities import CATALOG, MASSLESS_CATALOG
 from spinsplit.lang import _fmt_component, format_expr
 from spinsplit.poincare import eps
@@ -122,6 +126,54 @@ def test_massless_quotient_folds_energy(mring):
 def test_ring_mismatch_rejected(ring, mring):
     with pytest.raises((ValueError, TypeError)):
         ring.H() + mring.H()
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}
+
+
+@pytest.mark.parametrize("number", [1.5, Fraction(1, 2), True],
+                         ids=["float", "Fraction", "bool"])
+@pytest.mark.parametrize("reflected", [False, True],
+                         ids=["value-number", "number-value"])
+@pytest.mark.parametrize("symbol", sorted(_OPERATORS))
+@pytest.mark.parametrize("kind", ["Scalar", "OperatorExpr"])
+def test_operands_are_ints_scalars_and_operators(kind, symbol, reflected,
+                                                 number):
+    """A float or Fraction operand is a TypeError on either side; a bool
+    is the int it is, on a fresh ring as on a warm one."""
+    ring = Ring()
+    value = ring.P(0) + ring.H()
+    if kind == "OperatorExpr":
+        value = op_P(ring, 0) + gen_J(ring, 1)
+    fn = _OPERATORS[symbol]
+
+    def outcome(y):
+        try:
+            return fn(y, value) if reflected else fn(value, y)
+        except TypeError:
+            return TypeError
+
+    got = outcome(number)  # for a Scalar, the ring holds no int yet
+    if isinstance(number, bool):
+        want = outcome(int(number))
+        assert got is want is TypeError or got == want
+    else:
+        assert got is TypeError
+
+
+def test_from_expr_takes_a_bool_as_its_int():
+    warm = Ring()
+    assert warm.one().is_one() and warm.zero().is_zero()
+    for ring in (Ring(), warm):
+        assert ring.from_expr(True).is_one()
+        assert ring.from_expr(False).is_zero()
+
+
+def test_a_numpy_integer_operand_is_its_int():
+    ring = Ring()
+    for value in (ring.P(0), op_P(ring, 0)):
+        assert value * np.int64(2) == np.int64(2) * value == value * 2
 
 
 def test_ring_has_no_frozen_point_mode():
@@ -425,10 +477,10 @@ def test_zero_from_sympy_is_the_rings_zero(source):
     ring = Ring()
     assert ring.from_expr(source).is_zero()
     assert ring.zero().is_zero() and ring.zero() == Ring().zero()
-    p = ring.P(0)
-    assert p + sp.S.Zero == p and p + ring.from_expr(source) == p
-    assert (p + sp.S.Zero)._memo_key() == p._memo_key()
-    assert (Ring().P(0) - sp.S.Zero)._c == p._c
+    p, zero, fresh = ring.P(0), ring.from_expr(sp.S.Zero), Ring()
+    assert p + zero == p and p + ring.from_expr(source) == p
+    assert (p + zero)._memo_key() == p._memo_key()
+    assert (fresh.P(0) - fresh.from_expr(sp.S.Zero))._c == p._c
 
 
 def test_non_rational_coefficient_names_q_i(ring):
@@ -439,6 +491,12 @@ def test_non_rational_coefficient_names_q_i(ring):
     # rational and Gaussian-rational coefficients are accepted
     x = ring.from_expr(P1 / 2 + sp.I / 3)
     assert x * 6 == ring.from_expr(3 * P1 + 2 * sp.I)
+
+
+def test_text_names_the_variables(ring):
+    # text in P1, P2, P3, m converts as the sympy expression it spells
+    assert ring.from_expr("P1/2 + I/3") == ring.from_expr(P1 / 2 + sp.I / 3)
+    assert ring.from_expr("P2*P3/m") == ring.P(1) * ring.P(2) / ring.m()
 
 
 def _key_atoms(ring):
