@@ -21,8 +21,9 @@ Layers:
 
 The numerical layers import no symbolic module: only the ``symbolic``
 suite and ``eval`` load the exact algebra.  No module imports sympy when
-it is loaded; the exact engine imports it only for text or sympy input
-to ``Ring.from_expr`` and for the printer's gcd fallback.
+it is loaded; the exact engine imports it only for the printer's gcd
+fallback, and ``Ring.from_expr`` builds constants from an int or the
+text "I" alone.
 
 The process keeps the memory it frees.  The numerical engine's live
 set swings by tens of MB (one section at (8, 48, 96) is 1.77 MB; the

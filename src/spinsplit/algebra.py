@@ -178,9 +178,8 @@ class OperatorExpr:
         return self.terms.get((), self.ring.zero())
 
     def __eq__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return (self - other).is_zero()
+        other = self._coerce(other)
+        return NotImplemented if other is None else (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("OperatorExpr is unhashable; compare with ==")

@@ -80,12 +80,13 @@ cannot settle (a shared factor, or a leading coefficient that vanishes
 at the point or mod p) reaches the one fallback, ``_sympy_gcd``, which
 converts the pair to sympy and takes its multivariate gcd.
 
-The module imports no sympy.  An operand of ``Scalar`` arithmetic is an
-int or a ``Scalar``; with an operator, ``OperatorExpr``'s reflected
-method answers, and any other operand is a ``TypeError``.  sympy is
-imported only where it is used: by the gcd fallback, by
-``Ring.from_expr`` on a sympy expression or its text, and by
-``_cached_cancel``, which only the benchmark harness reads.
+The module imports no sympy.  An operand of ``Scalar`` arithmetic or
+``==`` is an int or a ``Scalar``; with an operator, ``OperatorExpr``'s
+reflected method answers, and any other operand is a ``TypeError`` (or,
+for ``==``, unequal).  ``Ring.from_expr`` builds constants from an int or
+the text "I" alone.  sympy is imported only where it is used: by the gcd
+fallback and by ``_cached_cancel``, which only the benchmark harness
+reads.
 
 Memos.  A ``Scalar`` never changes after construction, and neither do its
 numerators and denominator dicts (a ``Poly`` is immutable and caches its
@@ -321,9 +322,8 @@ class Ring:
         self.psq = self._p[0]**2 + self._p[1]**2 + self._p[2]**2
         self.hsq = self.psq + self._m**2
         self._i = (0, 1)
-        # number, or its source text -> constant Scalar; the integers and
-        # i the algebra uses are built here, without sympy, and i is kept
-        # under its text, which ``from_expr`` then finds unparsed
+        # int -> constant Scalar, filled as ``from_expr`` meets them, and
+        # i under "I", the one text ``from_expr`` takes
         self._numbers = {"I": self._number(self._i)}
         # denominator factors that ``_split`` divides out, all monic
         self._basis = []
@@ -348,33 +348,16 @@ class Ring:
                       _canonical=True)
 
     def from_expr(self, expr) -> "Scalar":
-        """Scalar from an int (a bool is the int it is), or from a sympy
-        expression or its text in P1, P2, P3, m (no H or R); only the
-        latter imports sympy."""
+        """The constant Scalar for an int (a bool is the int it is) or for
+        the text "I"; any other operand is a TypeError."""
         # numbers are nearly every call (the algebra's constants 0, 1, -1),
-        # and a Scalar is immutable, so one instance per number serves; a
-        # number given as text or as a sympy number is kept under that
-        # too, so the text is parsed once and then needs no sympy
-        if isinstance(expr, (int, str)):
-            out = self._numbers.get(expr)
-            if out is not None:
-                return out
-            if isinstance(expr, int):
-                out = self._numbers[expr] = self._number((int(expr), 0))
-                return out
-        import sympy as sp
-
-        out = self._numbers.get(expr) if isinstance(expr, sp.Basic) else None
+        # and a Scalar is immutable, so one instance per number serves
+        out = self._numbers.get(expr) if isinstance(expr, (int, str)) else None
         if out is None:
-            # text names the variables with their assumptions
-            gens = (*sp.symbols("P1 P2 P3", real=True),
-                    sp.Symbol("m", positive=True))
-            value = sp.sympify(expr, locals={str(g): g for g in gens})
-            out = self._numbers.get(value)
-            if out is None:
-                out = Scalar(self, {(0, 0): self._fraction(sp, gens, value)})
-            if value.is_number:
-                self._numbers[value] = self._numbers[expr] = out
+            if not isinstance(expr, int):
+                raise TypeError(f"Ring.from_expr takes an int or 'I', "
+                                f"not {type(expr).__name__} {expr!r}")
+            out = self._numbers[expr] = self._number((int(expr), 0))
         return out
 
     def zero(self) -> "Scalar":
@@ -402,36 +385,6 @@ class Ring:
         return self.P(axis) * self.R() ** -1
 
     # -- conversion and reduction ------------------------------------------
-
-    def _fraction(self, sp, gens, value):
-        """A sympy rational function in ``gens`` (P1, P2, P3, m) as a
-        fraction of this ring, ``sp`` being the sympy module; ``together``
-        clears rational coefficients into the denominator."""
-
-        def poly(part):
-            # sympy lists the zero polynomial as one zero term, which is
-            # left out like any zero coefficient
-            terms = {}
-            try:
-                for mono, c in sp.Poly(part, *gens).terms():
-                    x, y = c.as_real_imag()
-                    if not (x.is_Integer and y.is_Integer):
-                        break
-                    if x or y:
-                        terms[mono] = (int(x), int(y))
-                else:
-                    return Poly(terms)
-            except sp.PolynomialError:
-                pass
-            raise ValueError(
-                f"coefficient {part} is not a rational function of "
-                f"P1, P2, P3, m over Q(i)")
-
-        num, den = sp.fraction(sp.together(value))
-        den = poly(den)
-        if not den:
-            raise CoefficientError("division by identically-zero coefficient")
-        return self._divided(poly(num), den)
 
     def _divided(self, num, den):
         """The fraction num / den for a nonzero polynomial den: den split
@@ -595,9 +548,8 @@ class Scalar:
         return None
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return (self - other).is_zero()
+        other = self._operand(other)
+        return NotImplemented if other is None else (self - other).is_zero()
 
     def __hash__(self):
         raise TypeError("Scalar is unhashable; compare with ==")

@@ -352,7 +352,7 @@ def rk4_edges(rep, kind, r0, th_a, ph_a, th_b, ph_b, n_steps=3,
 
 # -- the engine's polynomials in sympy ---------------------------------------------
 
-# the engine's variables, with the assumptions ``Ring.from_expr`` reads
+# the engine's variables, real momenta and a positive mass
 P1, P2, P3 = sp.symbols("P1 P2 P3", real=True)
 M = sp.Symbol("m", positive=True)
 SYMPY_RING = PolyRing((P1, P2, P3, M), ZZ_I, lex)

@@ -1,7 +1,8 @@
 """Every import in the package and in the tests is used: each name that an
 import statement binds is read somewhere in its module, or is listed in
 the module's ``__all__``.  No package module imports sympy at module
-level.  The files are read with ``ast``; nothing is imported, and ``from
+level, and only an allowlist of functions imports it in its body.  The
+files are read with ``ast``; nothing is imported, and ``from
 __future__`` imports bind no name."""
 
 import ast
@@ -50,6 +51,16 @@ def test_scan_finds_an_unused_import():
     assert len(FILES) > 20
 
 
+def _imports_sympy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(n == "sympy" or n.startswith("sympy.") for n in names)
+
+
 def _module_level_sympy_imports(tree: ast.Module) -> list:
     """Line numbers of the imports of sympy that run when the module is
     imported: every one outside a function body."""
@@ -60,18 +71,38 @@ def _module_level_sympy_imports(tree: ast.Module) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.Lambda)):
                 continue
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom):
-                names = [child.module or ""]
-            else:
-                names = []
-            if any(n == "sympy" or n.startswith("sympy.") for n in names):
+            if _imports_sympy(child):
                 lines.append(child.lineno)
             visit(child)
 
     visit(tree)
     return lines
+
+
+def _functions_importing_sympy(tree: ast.Module, module: str) -> set:
+    """Qualified names (``module.Class.function``) of the functions whose
+    bodies import sympy; an import in a nested function names that
+    function, whose name holds its enclosing ones."""
+    found = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name],
+                      not isinstance(child, ast.ClassDef))
+                continue
+            if in_function and _imports_sympy(child):
+                found.add(".".join(scope))
+            visit(child, scope, in_function)
+
+    visit(tree, [module], False)
+    return found
+
+
+# the functions of the package that may import sympy: the printer's gcd
+# fallback and the memoized ``sympy.cancel`` that the benchmark reads
+SYMPY_IMPORTERS = {"scalars._sympy_gcd", "scalars._cached_cancel"}
 
 
 @pytest.mark.parametrize("path", PACKAGE,
@@ -91,3 +122,29 @@ def test_scan_finds_a_module_level_sympy_import():
                      "import sympyx\n")
     assert _module_level_sympy_imports(tree) == [2, 4, 6]
     assert len(PACKAGE) > 10
+
+
+def test_only_the_allowlisted_functions_import_sympy():
+    found = set()
+    for path in PACKAGE:
+        found |= _functions_importing_sympy(
+            ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert found == SYMPY_IMPORTERS
+
+
+def test_scan_finds_a_sympy_import_in_any_other_function():
+    # the scan is not vacuous: an import in a method, in a nested function
+    # or under a condition in a function names that function; one at
+    # module level or in a class body is the other scan's
+    tree = ast.parse("import sympy\n"
+                     "def _sympy_gcd():\n    import sympy\n"
+                     "class Ring:\n    from sympy import I\n"
+                     "    def from_expr(self, x):\n"
+                     "        if x:\n            import sympy.polys\n"
+                     "def outer():\n    def inner():\n"
+                     "        from sympy import cancel\n"
+                     "    return inner\n"
+                     "def clean():\n    import sympyx\n")
+    assert _functions_importing_sympy(tree, "scalars") == {
+        "scalars._sympy_gcd", "scalars.Ring.from_expr",
+        "scalars.outer.inner"}

@@ -213,7 +213,7 @@ def _printer_atoms(ring):
     i, p = ring.i(), [ring.P(a) for a in range(3)]
     atoms = p + [ring.H(), ring.R(), i, ring.from_expr(2),
                  ring.from_expr(5), 1 + i, 2 - i,
-                 ring.from_expr("2/5 + 3*I/5"), p[0] + i * p[1],
+                 (2 + 3 * i) / 5, p[0] + i * p[1],
                  ring.R() + p[0], ring.R() + p[2]]
     if not ring.massless:
         atoms += [ring.m(), ring.m() + p[0], i * ring.m() - 2 * p[1]]

@@ -1,6 +1,7 @@
 """Coefficient-ring arithmetic: field operations, derivations, and the
 massless quotient."""
 
+import builtins
 import operator
 import random
 from fractions import Fraction
@@ -13,7 +14,7 @@ from sympy.polys.domains.gaussiandomains import GaussianRational
 
 import reference
 from spinsplit import algebra, identities, scalars
-from spinsplit.algebra import gen_J, op_P
+from spinsplit.algebra import gen_J, op_P, op_scalar
 from spinsplit.identities import CATALOG, MASSLESS_CATALOG
 from spinsplit.lang import _fmt_component, format_expr
 from spinsplit.poincare import eps
@@ -176,6 +177,33 @@ def test_a_numpy_integer_operand_is_its_int():
         assert value * np.int64(2) == np.int64(2) * value == value * 2
 
 
+@pytest.mark.parametrize("massless", [False, True],
+                         ids=["massive", "massless"])
+@pytest.mark.parametrize("reflected", [False, True],
+                         ids=["value-number", "number-value"])
+@pytest.mark.parametrize("kind", ["Scalar", "OperatorExpr"])
+def test_equality_takes_an_int_as_the_arithmetic_does(kind, reflected,
+                                                      massless):
+    """``==`` and ``!=`` convert an int (a bool being its int) as ``+ - * /``
+    do; a float compares unequal and raises nothing."""
+    ring = Ring(massless=massless)
+
+    def value(n):
+        return ring.from_expr(n) if kind == "Scalar" else op_scalar(ring, n)
+
+    def eq(x, n):
+        return n == x if reflected else x == n
+
+    def ne(x, n):
+        return n != x if reflected else x != n
+
+    one, zero, two, p = value(1), value(0), value(2), value(0) + ring.P(0)
+    assert eq(one, 1) and eq(zero, 0) and eq(two, 2) and eq(one, True)
+    assert not ne(zero, 0) and not ne(one, 1) and not ne(zero, False)
+    assert ne(one, 0) and ne(p, 0) and not eq(p, 1) and not eq(two, 1)
+    assert not eq(one, 1.0) and ne(one, 1.0) and not eq(zero, 0.0)
+
+
 def test_ring_has_no_frozen_point_mode():
     with pytest.raises(TypeError):
         Ring(point=1)
@@ -230,7 +258,7 @@ def _atoms(ring):
     h = _sym_h(ring.massless)
     out = [(ring.H(), h), (ring.R(), sp.sqrt(_PSQ)), (ring.i(), sp.I),
            (ring.from_expr(3), sp.Integer(3)),
-           (ring.from_expr(sp.Rational(-1, 2)), sp.Rational(-1, 2)),
+           (ring.from_expr(-1) / 2, sp.Rational(-1, 2)),
            ((ring.P(0) + ring.i() * ring.P(1)).inverse(),
             1 / (P1 + sp.I * P2)),
            ((ring.H() + ring.P(2)).inverse(), 1 / (h + P3))]
@@ -431,72 +459,51 @@ def test_catalog_arithmetic_builds_no_gaussian_rationals(monkeypatch):
     assert QQ_I(1, 2) and made
 
 
-def test_number_text_is_parsed_once(monkeypatch):
-    """A number given as text or as a number is converted once per ring."""
+def test_a_number_is_built_once_per_ring():
+    """An int (a bool being the int it is) and the text "I" each give one
+    constant per ring, built on the first call."""
     ring = Ring()
-    first = [ring.from_expr(x) for x in ("I", "1/2", 3, sp.I)]
-    calls = []
-    real = sp.sympify
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sp, "sympify", counting)
-    again = [ring.from_expr(x) for x in ("I", "1/2", 3, sp.I)]
+    first = [ring.from_expr(x) for x in ("I", 3, -1, True)]
+    again = [ring.from_expr(x) for x in ("I", 3, -1, 1)]
     assert all(a is b for a, b in zip(first, again))
-    assert calls == []
-    assert ring.from_expr("I") == ring.i()
-    assert ring.from_expr("1/2") * 2 == ring.one()
+    i, three, minus_one, one = first
+    assert i == ring.i() and i * i == minus_one
+    assert three == one + one + one and one.is_one()
 
 
-def test_a_ring_builds_its_integers_and_i_without_sympify(monkeypatch):
-    calls = []
-    real = sp.sympify
+def test_a_ring_builds_its_constants_without_importing_sympy(monkeypatch):
+    imported = []
+    real = builtins.__import__
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def recording(name, *args, **kwargs):
+        imported.append(name)
+        return real(name, *args, **kwargs)
 
-    monkeypatch.setattr(sp, "sympify", counting)
+    monkeypatch.setattr(builtins, "__import__", recording)
+    for ring in (Ring(), Ring(massless=True)):
+        zero, one, three, i = (ring.from_expr(x) for x in (0, True, 3, "I"))
+        assert zero.is_zero() and one.is_one() and three == 3
+        assert i * i == ring.from_expr(-1)
+    assert not [n for n in imported if n.split(".")[0] == "sympy"]
+    # the recorder sees sympy where it is imported
+    scalars._sympy_gcd(ring.psq, ring.psq)
+    assert "sympy" in imported
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize(
+    "operand", ["1/2", "P1", sp.I, sp.Integer(2), 1.5, Fraction(1, 2),
+                np.int64(2)],
+    ids=["text", "text-variable", "sympy-I", "sympy-Integer", "float",
+         "Fraction", "numpy-int64"])
+def test_from_expr_takes_an_int_or_i_alone(operand, warm):
+    """Any other operand is a TypeError that names what is accepted, also
+    where it hashes like an int the ring already holds."""
     ring = Ring()
-    zero, one, i, minus_one = (ring.zero(), ring.one(), ring.i(),
-                               ring.from_expr(-1))
-    assert calls == []
-    assert zero.is_zero() and one.is_one() and i * i == minus_one
-    assert ring.from_expr(3) == one + one + one and calls == []
-    # the counter sees sympify where it is called
-    assert ring.from_expr("1/2") * 2 == one and calls
-
-
-@pytest.mark.parametrize("source", ["0", sp.S.Zero, P1 - P1, "P1 - P1"])
-def test_zero_from_sympy_is_the_rings_zero(source):
-    # sympy lists the zero polynomial as one zero term; on a fresh ring
-    # that term must not become a zero that does not test as zero and is
-    # then kept as the ring's number 0
-    ring = Ring()
-    assert ring.from_expr(source).is_zero()
-    assert ring.zero().is_zero() and ring.zero() == Ring().zero()
-    p, zero, fresh = ring.P(0), ring.from_expr(sp.S.Zero), Ring()
-    assert p + zero == p and p + ring.from_expr(source) == p
-    assert (p + zero)._memo_key() == p._memo_key()
-    assert (fresh.P(0) - fresh.from_expr(sp.S.Zero))._c == p._c
-
-
-def test_non_rational_coefficient_names_q_i(ring):
-    for expr in (sp.sqrt(2), sp.sqrt(P1) + 1, sp.exp(M), sp.Float(0.5) * P1):
-        with pytest.raises(ValueError, match=r"rational function of "
-                           r"P1, P2, P3, m over Q\(i\)$"):
-            ring.from_expr(expr)
-    # rational and Gaussian-rational coefficients are accepted
-    x = ring.from_expr(P1 / 2 + sp.I / 3)
-    assert x * 6 == ring.from_expr(3 * P1 + 2 * sp.I)
-
-
-def test_text_names_the_variables(ring):
-    # text in P1, P2, P3, m converts as the sympy expression it spells
-    assert ring.from_expr("P1/2 + I/3") == ring.from_expr(P1 / 2 + sp.I / 3)
-    assert ring.from_expr("P2*P3/m") == ring.P(1) * ring.P(2) / ring.m()
+    if warm:
+        ring.from_expr(2), ring.from_expr(1)
+    with pytest.raises(TypeError, match=r"takes an int or 'I', not "):
+        ring.from_expr(operand)
 
 
 def _key_atoms(ring):
@@ -505,7 +512,7 @@ def _key_atoms(ring):
     p1, p2, p3 = (ring.P(a) for a in range(3))
     h, r, i = ring.H(), ring.R(), ring.i()
     return [p1, p2, p3, h, r, i, ring.from_expr(2),
-            ring.from_expr(sp.Rational(1, 3)), ring.m(), p1.inverse(),
+            ring.one() / 3, ring.m(), p1.inverse(),
             h.inverse(), r.inverse(), (p1 + i * p2).inverse(),
             (h + p3).inverse(), p1 + i, h + p2]
 
