@@ -18,14 +18,32 @@ independent of the ``poincare.BRACKETS`` table that the catalog checks it
 against.
 Reordering a word produces constants only, exact Gaussian integers held
 as (re, im) pairs of ints like the coefficients of the ring's
-polynomials (``Poly``); they are summed and multiplied as pairs,
-memoized per (word, generator) for every ring, and scale a coefficient
-by multiplying its numerators.  Coefficients are moved through
-generators with the derivation rules implemented on
+polynomials (``Poly``); they are summed and multiplied as pairs and
+scale a coefficient by multiplying its numerators.  Coefficients are
+moved through generators with the derivation rules implemented on
 :class:`~spinsplit.scalars.Scalar`.  Every public operation returns a
 fully normal-ordered expression, so equality is structural: two
 expressions are equal iff they have the same words with equal
 coefficients.
+
+Each operation skips the work whose result is already known:
+
+  * a product whose left factor is scalar-valued passes no generator, so
+    it multiplies coefficients word by word (most products the catalog
+    and the language build are of this kind); a power of a scalar-valued
+    base is the coefficient's power;
+  * ``commutator`` applies the Leibniz rule to each pair of terms: the
+    two orderings of the words cancel as Gaussian integers before one
+    coefficient product scales what is left, and only the derivation
+    terms of each side move a coefficient through a word;
+  * subtraction, of expressions and of scalars, is one pass over the
+    right operand's terms, with no negated copy.
+
+Memos.  Reordering is memoized for every ring, since its constants do not
+depend on the ring: ``_insert_memo`` per (ordered word, generator) and
+``_word_memo`` per pair of words.  Like the value memos of
+:mod:`~spinsplit.scalars` they are process-wide and unbounded, and what
+they return is shared: callers never mutate it.
 """
 
 from __future__ import annotations
@@ -80,6 +98,7 @@ def _collect(terms) -> dict:
 
 
 _insert_memo: dict = {}
+_word_memo: dict = {}
 
 
 def _insert_gen(word: tuple, g: int) -> dict:
@@ -108,12 +127,19 @@ def _insert_gen(word: tuple, g: int) -> dict:
 
 
 def _word_mul(w1: tuple, w2: tuple) -> dict:
-    """Normal-order the concatenation of two ordered words:
-    {word: constant}."""
+    """Normal-order the concatenation w1 w2 of an ordered word w1 and any
+    word w2: {word: constant}.  The second word need not be ordered
+    (``OperatorExpr.adjoint`` passes a reversed one), so even w1 = () may
+    reorder it."""
+    key = (w1, w2)
+    acc = _word_memo.get(key)
+    if acc is not None:
+        return acc
     acc = {w1: _ONE}
     for g in w2:
         acc = _collect((w3, gaussian_mul(c, c3)) for w, c in acc.items()
                        for w3, c3 in _insert_gen(w, g).items())
+    _word_memo[key] = acc
     return acc
 
 
@@ -149,12 +175,8 @@ class OperatorExpr:
 
     def __init__(self, ring: Ring, terms: dict | None = None):
         self.ring = ring
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                if not c.is_zero():
-                    clean[w] = c
-        self.terms = clean
+        self.terms = ({w: c for w, c in terms.items() if not c.is_zero()}
+                      if terms else {})
 
     # -- constructors ------------------------------------------------------
 
@@ -172,7 +194,8 @@ class OperatorExpr:
         return not self.terms
 
     def is_scalar_valued(self) -> bool:
-        return all(w == () for w in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and () in t)
 
     def scalar_part(self) -> Scalar:
         return self.terms.get((), self.ring.zero())
@@ -205,9 +228,10 @@ class OperatorExpr:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not OperatorExpr:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms[w] + c if w in terms else c
@@ -219,18 +243,31 @@ class OperatorExpr:
         return OperatorExpr(self.ring, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not OperatorExpr:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        terms = dict(self.terms)
+        for w, c in other.terms.items():
+            terms[w] = terms[w] - c if w in terms else -c
+        return OperatorExpr(self.ring, terms)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not OperatorExpr:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if self.is_scalar_valued():
+            # a scalar on the left passes no generator: c1 * (c2 w2)
+            if not self.terms:
+                return self
+            c1 = self.terms[()]
+            return OperatorExpr(self.ring, {w: c1 * c
+                                            for w, c in other.terms.items()})
         out: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -261,12 +298,12 @@ class OperatorExpr:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise TypeError("integer exponent required")
-        if n < 0:
-            if not self.is_scalar_valued():
-                raise CoefficientError(
-                    "negative power of operator-valued expression"
-                )
+        if self.is_scalar_valued():
             return OperatorExpr.from_scalar(self.scalar_part() ** n)
+        if n < 0:
+            raise CoefficientError(
+                "negative power of operator-valued expression"
+            )
         out = OperatorExpr.from_scalar(self.ring.one())
         for _ in range(n):
             out = out * self
@@ -288,7 +325,34 @@ class OperatorExpr:
 
 
 def commutator(a: OperatorExpr, b: OperatorExpr) -> OperatorExpr:
-    return a * b - b * a
+    """[a, b] = a*b - b*a for two expressions of one ring, by the Leibniz
+    rule on each pair of terms:
+
+        [c1 w1, c2 w2] = c1*c2 (w1 w2 - w2 w1)
+                         + c1 [w1, c2] w2 - c2 [w2, c1] w1
+
+    where [w, c] is ``_word_times_scalar(w, c)`` without its leading
+    term (c, w).  The two orderings of w1 w2 cancel as constants before
+    one product c1*c2 scales what is left."""
+    out: dict = {}
+
+    def acc(c, words, sign=1):
+        for w, (x, y) in words.items():
+            add = c._scaled((sign * x, sign * y))
+            out[w] = out[w] + add if w in out else add
+
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            lead = _collect([*_word_mul(w1, w2).items(),
+                             *((w, (-x, -y))
+                               for w, (x, y) in _word_mul(w2, w1).items())])
+            if lead:
+                acc(c1 * c2, lead)
+            for cm, wm in _word_times_scalar(w1, c2)[1:]:
+                acc(c1 * cm, _word_mul(wm, w2))
+            for cm, wm in _word_times_scalar(w2, c1)[1:]:
+                acc(c2 * cm, _word_mul(wm, w1), -1)
+    return OperatorExpr(a.ring, out)
 
 
 class VectorExpr:

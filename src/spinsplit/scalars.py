@@ -104,8 +104,9 @@ three memos:
     commutator with K_axis or J_axis.
 
 Each is a pure function of the components, so a hit returns what the
-call would compute.  Like ``algebra._insert_memo`` they are process-wide
-and unbounded, and what they return is shared: callers never mutate it.
+call would compute.  Like ``algebra._insert_memo`` and
+``algebra._word_memo`` they are process-wide and unbounded, and what they
+return is shared: callers never mutate it.
 
 Massless mode sets m = 0 and identifies H with R (basis {1, R}).
 """
@@ -128,6 +129,7 @@ from .poly import (
 __all__ = ["Ring", "Scalar", "CoefficientError"]
 
 _ONE = (1, 0)  # the Gaussian integer 1 as an (re, im) pair
+_UNSET = object()  # ``Scalar._const`` before ``_constant`` first runs
 
 # the integer point (P1, P2, P3, m) at which ``Ring._coprime`` takes its
 # univariate images, and the prime p = 1 (mod 4) they are reduced modulo,
@@ -190,19 +192,21 @@ def _lift(num, den, target):
     return num
 
 
-def _add(a, b):
+def _add(a, b, minus=False):
+    """a + b, or a - b with ``minus``."""
     (n1, q1, d1), (n2, q2, d2) = a, b
     q = q1
     if q1 != q2:
         q = q1 // gcd(q1, q2) * q2
         n1, n2 = n1.scale((q // q1, 0)), n2.scale((q // q2, 0))
-    if d1 == d2:
-        return n1 + n2, q, d1
-    den = dict(d1)
-    for f, e in d2.items():
-        if e > den.get(f, 0):
-            den[f] = e
-    return _lift(n1, d1, den) + _lift(n2, d2, den), q, den
+    den = d1
+    if d1 != d2:
+        den = dict(d1)
+        for f, e in d2.items():
+            if e > den.get(f, 0):
+                den[f] = e
+        n1, n2 = _lift(n1, d1, den), _lift(n2, d2, den)
+    return (n1 - n2 if minus else n1 + n2), q, den
 
 
 def _mul(a, b):
@@ -330,6 +334,11 @@ class Ring:
         for f in (self._m, self.psq, self.hsq):
             if not f.is_ground and f not in self._basis:
                 self._basis.append(f)
+        # P1, P2, P3, m, H and R, one immutable instance each, as for
+        # numbers
+        self._atoms = tuple(Scalar(self, {k: (f, 1, {})}) for k, f in (
+            ((0, 0), self._p[0]), ((0, 0), self._p[1]), ((0, 0), self._p[2]),
+            ((0, 0), self._m), ((1, 0), ONE), ((0, 1), ONE)))
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.massless == other.massless
@@ -370,16 +379,16 @@ class Ring:
         return self._numbers["I"]
 
     def m(self) -> "Scalar":
-        return Scalar(self, {(0, 0): (self._m, 1, {})})
+        return self._atoms[3]
 
     def H(self) -> "Scalar":
-        return Scalar(self, {(1, 0): (ONE, 1, {})})
+        return self._atoms[4]
 
     def R(self) -> "Scalar":
-        return Scalar(self, {(0, 1): (ONE, 1, {})})
+        return self._atoms[5]
 
     def P(self, axis: int) -> "Scalar":
-        return Scalar(self, {(0, 0): (self._p[axis], 1, {})})
+        return self._atoms[axis]
 
     def Phat(self, axis: int) -> "Scalar":
         return self.P(axis) * self.R() ** -1
@@ -500,10 +509,11 @@ class Scalar:
     Immutable; all arithmetic returns new instances whose components are
     reduced fractions (see the module docstring).  ``_c`` maps each
     nonzero (eH, eR) basis key to its component; ``_parts`` is None until
-    the printer fills it with the text of each component.
+    the printer fills it with the text of each component; ``_const`` holds
+    what ``_constant`` returns once it has been asked.
     """
 
-    __slots__ = ("ring", "_c", "_parts", "_key")
+    __slots__ = ("ring", "_c", "_parts", "_key", "_const")
 
     def __init__(self, ring: Ring, parts: dict, _canonical: bool = False):
         """``parts`` maps raw (eH, eR) exponent pairs to fractions; with
@@ -511,6 +521,7 @@ class Scalar:
         self.ring = ring
         self._parts = None
         self._key = None
+        self._const = _UNSET
         if _canonical:
             self._c = {k: c for k, c in parts.items() if c[0]}
         else:
@@ -541,11 +552,15 @@ class Scalar:
     def _constant(self):
         """A nonzero constant element as (k, q), its value the Gaussian
         integer k over the positive integer q; else None."""
-        if len(self._c) == 1:
-            n, q, d = self._c.get((0, 0), (None, 1, None))
-            if n is not None and not d and n.is_ground:
-                return n.LC, q
-        return None
+        out = self._const
+        if out is _UNSET:
+            out = None
+            if len(self._c) == 1:
+                n, q, d = self._c.get((0, 0), (None, 1, None))
+                if n is not None and not d and n.is_ground:
+                    out = n.LC, q
+            self._const = out
+        return out
 
     def __eq__(self, other):
         other = self._operand(other)
@@ -582,9 +597,15 @@ class Scalar:
         return other
 
     def __add__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
+        # a Scalar of this very ring, nearly every operand, skips the checks
+        if other.__class__ is not Scalar or other.ring is not self.ring:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        if not other._c:
+            return self
+        if not self._c:
+            return other
         comps = dict(self._c)
         for k, c in other._c.items():
             comps[k] = _reduce(_add(comps[k], c)) if k in comps else c
@@ -598,21 +619,33 @@ class Scalar:
                       _canonical=True)
 
     def __sub__(self, other):
-        other = self._operand(other)
-        return NotImplemented if other is None else self + (-other)
+        if other.__class__ is not Scalar or other.ring is not self.ring:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        if not other._c:
+            return self
+        comps = dict(self._c)
+        for k, (n, q, d) in other._c.items():
+            comps[k] = (_reduce(_add(comps[k], (n, q, d), minus=True))
+                        if k in comps else (-n, q, d))
+        return Scalar(self.ring, comps, _canonical=True)
 
     def __rsub__(self, other):
         other = self._operand(other)
-        return NotImplemented if other is None else (-self) + other
+        return NotImplemented if other is None else other - self
 
     def __mul__(self, other):
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        for a, b in ((self, other), (other, self)):
-            k = b._constant()
-            if k is not None:
-                return a._scaled(*k)
+        if other.__class__ is not Scalar or other.ring is not self.ring:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        k = other._constant()
+        if k is not None:
+            return self._scaled(*k)
+        k = self._constant()
+        if k is not None:
+            return other._scaled(*k)
         key = (self._memo_key(), other._memo_key())
         out = _product_memo.get(key)
         if out is None:

@@ -28,7 +28,7 @@ from spinsplit.scalars import CoefficientError, Ring
 
 # the memos added to skip repeated exact arithmetic, and the older two
 _VALUE_MEMOS = ((scalars, "_product_memo"), (scalars, "_inverse_memo"),
-                (scalars, "_derivation_memo"))
+                (scalars, "_derivation_memo"), (algebra, "_word_memo"))
 _ALL_MEMOS = _VALUE_MEMOS + ((scalars, "_cancel_memo"),
                              (algebra, "_insert_memo"))
 
